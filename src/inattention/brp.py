@@ -14,15 +14,16 @@ with equality), so "passes" means the optimal margin is strictly positive.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .constants import DEGENERATE_MARGIN, MARGIN_CAP, UNIT_FLOOR
-from .costs import CostPiece, PiecewiseAffineCost
-from .dataset import DecisionDataset, atomic_write_text, joint_and_posterior
+from .costs import PiecewiseAffineCost, _anchored_cost
+from .dataset import DecisionDataset, read_json, write_json
+# Unused here but kept bound: the benchmark tracer patches these names.
+from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -154,10 +155,13 @@ class MarginReport:
 
 
 # ---------------------------------------------------------------------------
-# Residuals
+# Residuals: the package's one residual kernel.  Batched ``np.matmul`` runs
+# the same 2-D product per agent as ``@``, so values match a per-agent loop
+# bit for bit (``einsum`` does not).
 
 
-def _check_profile_dims(d: DecisionDataset, utilities) -> list[np.ndarray]:
+def _check_profile_dims(d: DecisionDataset, utilities) -> np.ndarray:
+    """The utilities as one (K, X, A) stack, after checking their shapes."""
     mats = [np.asarray(u, dtype=float) for u in utilities]
     if len(mats) != d.num_agents:
         raise DimensionMismatch(
@@ -169,7 +173,7 @@ def _check_profile_dims(d: DecisionDataset, utilities) -> list[np.ndarray]:
                 f"utility {k} has shape {u.shape}, expected "
                 f"({d.num_states}, {d.num_actions})"
             )
-    return mats
+    return np.array(mats)
 
 
 def nias_residuals(d: DecisionDataset, utilities) -> np.ndarray:
@@ -180,14 +184,23 @@ def nias_residuals(d: DecisionDataset, utilities) -> np.ndarray:
     diagonal) means every observed action is a best response.  Rows of
     actions an agent never takes are NaN: there is no posterior to test.
     """
-    mats = _check_profile_dims(d, utilities)
-    out = np.full((d.num_agents, d.num_actions, d.num_actions), np.nan)
-    for k, u in enumerate(mats):
-        jp = joint_and_posterior(d, k)
-        defined = jp.defined_actions
-        scores = jp.posterior.T @ u  # (A, A); rows NaN where undefined
-        out[k, defined, :] = scores[defined, :] - np.diag(scores)[defined, None]
+    u = _check_profile_dims(d, utilities)
+    jp = d._stack
+    scores = np.matmul(jp.posterior.swapaxes(1, 2), u)  # (K, A, A)
+    out = scores - np.diagonal(scores, axis1=1, axis2=2)[:, :, None]
+    out[~jp.defined_actions] = np.nan
     return out
+
+
+def _swap_scores(d: DecisionDataset, u: np.ndarray) -> np.ndarray:
+    """scores[j, k, a, b] = sum_x joint_j(x, a) * u_k(x, b), shape (K, K, A, A)."""
+    return np.matmul(d._stack.joint.swapaxes(1, 2)[:, None], u[None])
+
+
+def _realized(d: DecisionDataset, u: np.ndarray) -> np.ndarray:
+    """Value each agent realizes with its own actions under ``u`` (one
+    (X, A) utility for all, or a (K, X, A) stack), shape (K,)."""
+    return (d._stack.joint * u).reshape(d.num_agents, -1).sum(axis=1)
 
 
 def niac_residuals(d: DecisionDataset, utilities, costs) -> np.ndarray:
@@ -197,40 +210,68 @@ def niac_residuals(d: DecisionDataset, utilities, costs) -> np.ndarray:
     information (with re-optimized actions), net of the cost difference.
     The diagonal carries no cost terms and is always nonnegative.
     """
-    mats = _check_profile_dims(d, utilities)
+    u = _check_profile_dims(d, utilities)
     c = np.asarray(costs, dtype=float)
     if c.shape != (d.num_agents,):
         raise DimensionMismatch(f"costs shape {c.shape}, expected ({d.num_agents},)")
-    joints = [joint_and_posterior(d, k).joint for k in range(d.num_agents)]
-    K = d.num_agents
-    gain = np.empty((K, K))
-    realized = np.empty(K)
-    for k, u in enumerate(mats):
-        realized[k] = float((joints[k] * u).sum())
-        for j in range(K):
-            gain[j, k] = float((joints[j].T @ u).max(axis=1).sum())
-    return gain - c[:, None] - realized[None, :] + c[None, :]
+    gain = _swap_scores(d, u).max(axis=3).sum(axis=2)
+    return gain - c[:, None] - _realized(d, u)[None, :] + c[None, :]
+
+
+def _worst_nias(nias: np.ndarray) -> np.ndarray:
+    """Each agent's largest off-diagonal best-response residual, shape (K,);
+    -inf for an agent with none defined."""
+    off_action = ~np.eye(nias.shape[-1], dtype=bool)
+    return np.fmax.reduce(nias[:, off_action], axis=1, initial=-np.inf)
+
+
+def _margin_of(nias: np.ndarray, swaps: np.ndarray) -> float:
+    """Negated maximum residual over the strict sets (b != a, j != k)."""
+    off_agent = ~np.eye(swaps.shape[0], dtype=bool)
+    return -float(max(_worst_nias(nias).max(), swaps[off_agent].max()))
 
 
 def strict_margin(d: DecisionDataset, utilities, costs) -> float:
     """Negated maximum residual over the strict sets (b != a, j != k)."""
-    nias = nias_residuals(d, utilities)
-    niac = niac_residuals(d, utilities, costs)
-    K, A = d.num_agents, d.num_actions
-    off_action = ~np.eye(A, dtype=bool)
-    worst = -np.inf
-    for k in range(K):
-        block = nias[k][off_action]
-        block = block[~np.isnan(block)]
-        if block.size:
-            worst = max(worst, float(block.max()))
-    off_agent = ~np.eye(K, dtype=bool)
-    worst = max(worst, float(niac[off_agent].max()))
-    return -worst
+    return _margin_of(
+        nias_residuals(d, utilities), niac_residuals(d, utilities, costs)
+    )
 
 
 # ---------------------------------------------------------------------------
 # Max-margin / sparsity programs
+
+
+def _nias_rows(d: DecisionDataset) -> tuple[np.ndarray, np.ndarray]:
+    """Best-response LP rows, shared by the UMRI and s-UMRI programs.
+
+    One row per agent k, action a it takes and deviation b != a, in that
+    order.  Returns the agent of each row and its coefficients over one
+    (X, A) utility block, flattened: q on column b and -q on column a, where
+    q is agent k's posterior after a.  At utility u_k, a row evaluates to
+    ``nias_residuals[k, a, b]``.
+    """
+    jp = d._stack
+    X, A = d.num_states, d.num_actions
+    agent, taken = np.nonzero(jp.defined_actions)
+    deviation = np.nonzero(~np.eye(A, dtype=bool)[taken])[1]
+    agent, taken = np.repeat(agent, A - 1), np.repeat(taken, A - 1)
+    q = jp.posterior[agent, :, taken]  # (rows, X)
+    rows = np.arange(agent.size)
+    coeffs = np.zeros((agent.size, X, A))
+    coeffs[rows, :, deviation] = q
+    coeffs[rows, :, taken] = -q
+    return agent, coeffs.reshape(agent.size, X * A)
+
+
+def _unit_box_program(objective: np.ndarray, with_margin: bool) -> LinearProgram:
+    """Program over utilities and costs in [UNIT_FLOOR, 1], the last variable
+    being the margin, in [0, MARGIN_CAP], when ``with_margin``."""
+    lower = np.full(objective.shape[0], UNIT_FLOOR)
+    upper = np.ones(objective.shape[0])
+    if with_margin:
+        lower[-1], upper[-1] = 0.0, MARGIN_CAP
+    return LinearProgram(objective, lower, upper)
 
 
 class _BrpProgram:
@@ -247,8 +288,11 @@ class _BrpProgram:
             raise TooFewAgents("margin test needs at least two agents")
         self.d = d
         self.K, self.X, self.A = d.num_agents, d.num_states, d.num_actions
-        self.jps = [joint_and_posterior(d, k) for k in range(self.K)]
         self.block = self.X * self.A
+        agent, coeffs = _nias_rows(d)
+        self.nias_rows = np.zeros((agent.size, self.num_core_vars))
+        columns = agent[:, None] * self.block + np.arange(self.block)
+        np.put_along_axis(self.nias_rows, columns, coeffs, axis=1)
         # selections[(j, k)] = list of response maps already modelled
         self.selections: dict[tuple[int, int], list[tuple[int, ...]]] = {
             (j, k): [tuple(range(self.A))]
@@ -257,72 +301,43 @@ class _BrpProgram:
             if j != k
         }
 
-    def iu(self, k: int, x: int, a: int) -> int:
-        return k * self.block + x * self.A + a
-
-    def ic(self, k: int) -> int:
-        return self.K * self.block + k
-
     @property
     def num_core_vars(self) -> int:
         return self.K * self.block + self.K
 
+    def swap_row(self, j: int, k: int, sigma: tuple[int, ...]) -> np.ndarray:
+        """Row over the core variables whose value is the swap residual
+        (j, k) with agent j's observations answered by ``sigma``."""
+        row = np.zeros(self.num_core_vars)
+        u_k = row[k * self.block : (k + 1) * self.block].reshape(self.X, self.A)
+        joint_j, joint_k = self.d._stack.joint[j], self.d._stack.joint[k]
+        # A fixed order (a ascending, the sigma(a) term first) rounds a cell
+        # hit twice the same way in every build.
+        for a in range(self.A):
+            u_k[:, sigma[a]] += joint_j[:, a]
+            u_k[:, a] -= joint_k[:, a]
+        row[self.K * self.block + k] = 1.0
+        row[self.K * self.block + j] = -1.0
+        return row
+
     def build(self, *, with_margin: bool, rhs_offset: float, objective: np.ndarray):
-        n = self.num_core_vars + (1 if with_margin else 0)
-        lower = np.full(n, UNIT_FLOOR)
-        upper = np.ones(n)
+        lp = _unit_box_program(objective, with_margin)
+        swaps = [
+            self.swap_row(j, k, sigma)
+            for (j, k), sigmas in self.selections.items()
+            for sigma in sigmas
+        ]
+        rows = np.vstack([self.nias_rows, *swaps])
         if with_margin:
-            lower[-1] = 0.0
-            upper[-1] = MARGIN_CAP
-        lp = LinearProgram(objective, lower, upper)
-        ieps = n - 1 if with_margin else None
-
-        for k in range(self.K):
-            posterior = self.jps[k].posterior
-            for a in np.flatnonzero(self.jps[k].defined_actions):
-                q = posterior[:, a]
-                for b in range(self.A):
-                    if b == int(a):
-                        continue
-                    coeffs: dict[int, float] = {}
-                    for x in range(self.X):
-                        if q[x] == 0.0:
-                            continue
-                        coeffs[self.iu(k, x, b)] = coeffs.get(self.iu(k, x, b), 0.0) + q[x]
-                        coeffs[self.iu(k, x, int(a))] = (
-                            coeffs.get(self.iu(k, x, int(a)), 0.0) - q[x]
-                        )
-                    if ieps is not None:
-                        coeffs[ieps] = 1.0
-                    lp.add_leq(coeffs, rhs_offset)
-
-        for (j, k), sigmas in self.selections.items():
-            joint_j = self.jps[j].joint
-            joint_k = self.jps[k].joint
-            for sigma in sigmas:
-                coeffs = {}
-                for a in range(self.A):
-                    for x in range(self.X):
-                        if joint_j[x, a]:
-                            key = self.iu(k, x, sigma[a])
-                            coeffs[key] = coeffs.get(key, 0.0) + joint_j[x, a]
-                        if joint_k[x, a]:
-                            key = self.iu(k, x, a)
-                            coeffs[key] = coeffs.get(key, 0.0) - joint_k[x, a]
-                coeffs[self.ic(k)] = coeffs.get(self.ic(k), 0.0) + 1.0
-                coeffs[self.ic(j)] = coeffs.get(self.ic(j), 0.0) - 1.0
-                if ieps is not None:
-                    coeffs[ieps] = 1.0
-                lp.add_leq(coeffs, rhs_offset)
+            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+        for row in rows:
+            lp.add_leq(row, rhs_offset)
         return lp
 
     def extract(self, point: np.ndarray):
-        utilities = tuple(
-            point[k * self.block : (k + 1) * self.block].reshape(self.X, self.A).copy()
-            for k in range(self.K)
-        )
-        costs = point[self.K * self.block : self.K * self.block + self.K].copy()
-        return utilities, costs
+        stack = self.K * self.block
+        utilities = tuple(point[:stack].reshape(self.K, self.X, self.A).copy())
+        return utilities, point[stack : stack + self.K].copy()
 
     def add_violated_selections(self, utilities, costs, bound: float) -> bool:
         """Score the candidate exactly; model any better response found.
@@ -331,19 +346,12 @@ class _BrpProgram:
         exact residual exceeds it (beyond tolerance) gets its current best
         response appended as a new row.  Returns True if anything was added.
         """
+        exact = niac_residuals(self.d, utilities, costs)
+        best = _swap_scores(self.d, np.array(utilities)).argmax(axis=3)
         added = False
         for (j, k), sigmas in self.selections.items():
-            scores = self.jps[j].joint.T @ utilities[k]  # (A, A)
-            sigma = tuple(int(b) for b in scores.argmax(axis=1))
-            if sigma in sigmas:
-                continue
-            exact = (
-                float(scores.max(axis=1).sum())
-                - costs[j]
-                - float((self.jps[k].joint * utilities[k]).sum())
-                + costs[k]
-            )
-            if exact > bound + _CUT_TOL:
+            sigma = tuple(int(b) for b in best[j, k])
+            if sigma not in sigmas and exact[j, k] > bound + _CUT_TOL:
                 sigmas.append(sigma)
                 added = True
         return added
@@ -366,8 +374,16 @@ class _BrpProgram:
             margin = float(sol.point[-1]) if with_margin else None
             bound = -margin if with_margin else rhs_offset
             if not self.add_violated_selections(utilities, costs, bound):
-                return sol, utilities, costs, margin
+                return utilities, costs, margin
         raise NumericalFailure("best-response row generation did not converge")
+
+    def max_margin(self):
+        """Stage one: (utilities, costs, margin) maximizing the margin."""
+        objective = np.zeros(self.num_core_vars + 1)
+        objective[-1] = 1.0
+        return self.solve_with_cuts(
+            with_margin=True, rhs_offset=0.0, objective=objective
+        )
 
 
 def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
@@ -377,12 +393,7 @@ def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
     robustness value.  Never returns "infeasible": constant utilities with
     equal costs always satisfy the residuals with zero slack.
     """
-    program = _BrpProgram(d)
-    objective = np.zeros(program.num_core_vars + 1)
-    objective[-1] = 1.0
-    _, utilities, costs, _ = program.solve_with_cuts(
-        with_margin=True, rhs_offset=0.0, objective=objective
-    )
+    utilities, costs, _ = _BrpProgram(d).max_margin()
     profile = UtilityProfile.from_certificate(d, utilities, costs)
     report = MarginReport.from_solution(profile.margin, profile.squared_norms())
     return profile, report
@@ -407,19 +418,15 @@ def brp_sparsest(
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
     program = _BrpProgram(d)
-    objective = np.zeros(program.num_core_vars + 1)
-    objective[-1] = 1.0
-    _, _, _, margin = program.solve_with_cuts(
-        with_margin=True, rhs_offset=0.0, objective=objective
-    )
-    if margin is None or margin <= DEGENERATE_MARGIN:
+    _, _, margin = program.max_margin()
+    if margin <= DEGENERATE_MARGIN:
         raise DegenerateDataset(
             f"max margin {margin!r} is numerically zero; sparsity is undefined"
         )
     target = -margin_fraction * margin
     sparse_objective = np.zeros(program.num_core_vars)
     sparse_objective[: program.K * program.block] = -1.0
-    _, utilities, costs, _ = program.solve_with_cuts(
+    utilities, costs, _ = program.solve_with_cuts(
         with_margin=False, rhs_offset=target, objective=sparse_objective
     )
     profile = UtilityProfile.from_certificate(d, utilities, costs)
@@ -452,17 +459,7 @@ def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffin
         raise ProfileMismatch(
             "profile violates the feasibility residuals; its cost is not defined"
         )
-    pieces = []
-    for k in range(d.num_agents):
-        gradient = d.prior[:, None] * prof.utilities[k]
-        pieces.append(
-            CostPiece(
-                offset=float(prof.costs[k]),
-                anchor=d.choice(k),
-                gradient=gradient,
-            )
-        )
-    return PiecewiseAffineCost(pieces=tuple(pieces), linearized=False)
+    return _anchored_cost(d, prof.utilities, prof.costs)
 
 
 # ---------------------------------------------------------------------------
@@ -500,24 +497,19 @@ def save_profile(
     report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> None:
-    payload = profile_to_dict(d, prof, report, metadata)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, profile_to_dict(d, prof, report, metadata))
+
+
+def _profile_from_dict(raw: dict) -> UtilityProfile:
+    if raw.get("model") != "umri":
+        raise IoFailure("not a umri profile file")
+    return UtilityProfile(
+        utilities=tuple(np.asarray(a["utility"], dtype=float) for a in raw["agents"]),
+        costs=np.asarray([a["cost"] for a in raw["agents"]], dtype=float),
+        margin=float(raw["margin"]),
+    )
 
 
 def load_profile(path: str) -> tuple[UtilityProfile, dict]:
     """Read a profile file; returns the profile and the raw payload."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
-    if raw.get("model") != "umri":
-        raise IoFailure(f"{path} is not a umri profile file")
-    utilities = tuple(np.asarray(a["utility"], dtype=float) for a in raw["agents"])
-    costs = np.asarray([a["cost"] for a in raw["agents"]], dtype=float)
-    return (
-        UtilityProfile(utilities=utilities, costs=costs, margin=float(raw["margin"])),
-        raw,
-    )
+    return read_json(path, lambda raw: (_profile_from_dict(raw), raw))

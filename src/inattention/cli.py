@@ -12,7 +12,6 @@ query, unreadable artifact), 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import os
 import sys
@@ -45,6 +44,13 @@ def _solver_metadata(**extra) -> dict:
     return meta
 
 
+# Columns of the tables written by more than one subcommand.
+_ROBUSTNESS_COLUMNS = ["dataset", "model", "epsilon", "robustness", "degenerate"]
+_UTILITY_COLUMNS = ["agent_id", "state", "action", "value"]
+_PREDICTION_COLUMNS = ["eta", "class", "predicted_diag", "true_diag", "delta"]
+_COST_COLUMNS = ["agent_id", "cost"]
+
+
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     for row in rows:
@@ -62,10 +68,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _write_json(path: str, payload: dict) -> None:
-    ds.atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -80,24 +82,19 @@ def cmd_ingest(args) -> int:
 
 
 def _analyze(data, model: str, dataset_path: str):
+    meta = _solver_metadata(dataset=dataset_path)
     if model == "umri":
         profile, report = brp.brp_max_margin(data)
-        payload = brp.profile_to_dict(
-            data, profile, report, metadata=_solver_metadata(dataset=dataset_path)
-        )
-    else:
-        solution, report = sbrp.sbrp_max_margin(data)
-        payload = sbrp.solution_to_dict(
-            data, solution, report, metadata=_solver_metadata(dataset=dataset_path)
-        )
-    return payload, report
+        return brp.profile_to_dict(data, profile, report, metadata=meta), report
+    solution, report = sbrp.sbrp_max_margin(data)
+    return sbrp.solution_to_dict(data, solution, report, metadata=meta), report
 
 
 def cmd_test(args) -> int:
     _require_inputs(args.dataset)
     data = ds.load_dataset(args.dataset)
     payload, report = _analyze(data, args.model, args.dataset)
-    _write_json(args.out, payload)
+    ds.write_json(args.out, payload)
     log.info(
         "%s margin %.3e (degenerate=%s) -> %s",
         args.model,
@@ -125,9 +122,7 @@ def cmd_robustness(args) -> int:
                     bool(report.degenerate),
                 ]
             )
-    _write_csv(
-        args.out, ["dataset", "model", "epsilon", "robustness", "degenerate"], rows
-    )
+    _write_csv(args.out, _ROBUSTNESS_COLUMNS, rows)
     return 0
 
 
@@ -140,40 +135,47 @@ def cmd_sparse(args) -> int:
     if args.model == "umri":
         profile = brp.brp_sparsest(data, args.margin_fraction)
         payload = brp.profile_to_dict(data, profile, metadata=meta)
-        utilities = list(profile.utilities)
-        ids = list(data.agent_ids)
+        tables = list(zip(data.agent_ids, profile.utilities))
     else:
         solution = sbrp.sbrp_sparsest(data, args.margin_fraction)
         payload = sbrp.solution_to_dict(data, solution, metadata=meta)
-        utilities = [solution.utility]
-        ids = ["shared"]
-    _write_json(args.out, payload)
+        tables = [("shared", solution.utility)]
+    ds.write_json(args.out, payload)
     if args.table:
-        rows = []
-        for agent_id, u in zip(ids, utilities):
-            for x in range(u.shape[0]):
-                for a in range(u.shape[1]):
-                    rows.append([agent_id, x, a, float(u[x, a])])
-        _write_csv(args.table, ["agent_id", "state", "action", "value"], rows)
+        _write_csv(args.table, _UTILITY_COLUMNS, _utility_rows(tables))
     return 0
+
+
+def _utility_rows(tables) -> list[list]:
+    """(agent_id, state, action, value) rows of (agent_id, utility) pairs."""
+    rows = []
+    for agent_id, utility in tables:
+        u = np.asarray(utility)
+        for x in range(u.shape[0]):
+            rows += [[agent_id, x, a, float(u[x, a])] for a in range(u.shape[1])]
+    return rows
+
+
+def _fitted_model(raw):
+    """The profile or solution a ``test``/``sparse`` output file holds."""
+    if raw.get("model") == "umri":
+        return brp._profile_from_dict(raw)
+    return sbrp._solution_from_dict(raw)
 
 
 def cmd_cost(args) -> int:
     _require_inputs(args.profile, args.dataset)
     data = ds.load_dataset(args.dataset)
-    with open(args.profile, "r", encoding="utf-8") as fh:
-        kind = json.load(fh).get("model")
-    if kind == "umri":
-        profile, _ = brp.load_profile(args.profile)
-        cost = brp.reconstruct_cost(data, profile)
+    model = ds.read_json(args.profile, _fitted_model)
+    if isinstance(model, brp.UtilityProfile):
+        cost = brp.reconstruct_cost(data, model)
     else:
-        solution, _ = sbrp.load_solution(args.profile)
-        cost = sbrp.reconstruct_cost_compact(data, solution)
+        cost = sbrp.reconstruct_cost_compact(data, model)
     rows = [
         [data.agents[k].agent_id, float(cost.value(data.choice(k)))]
         for k in range(data.num_agents)
     ]
-    _write_csv(args.out, ["agent_id", "cost"], rows)
+    _write_csv(args.out, _COST_COLUMNS, rows)
     return 0
 
 
@@ -215,24 +217,35 @@ def cmd_predict(args) -> int:
     payload = pred.prediction_to_dict(
         outcome, truth=truth, labels=family.dataset.labels
     )
-    _write_json(args.out, payload)
+    ds.write_json(args.out, payload)
     if args.table:
-        rows = [
-            [
-                outcome.eta,
-                entry["class"],
-                entry["predicted_diag"],
-                entry["true_diag"],
-                entry["delta"],
-            ]
-            for entry in payload["per_class"]
-        ]
-        _write_csv(
-            args.table,
-            ["eta", "class", "predicted_diag", "true_diag", "delta"],
-            rows,
-        )
+        _write_csv(args.table, _PREDICTION_COLUMNS, _prediction_rows(payload))
     return 0
+
+
+def _profile_rows(raw, path: str):
+    """(robustness row, utility rows, cost rows) of one profile/solution file."""
+    robustness = [
+        raw.get("metadata", {}).get("dataset", path),
+        raw.get("model", "?"),
+        float(raw["margin"]),
+        float(raw["robustness"]) if raw.get("robustness") is not None else None,
+        bool(raw.get("degenerate", False)),
+    ]
+    if raw.get("model") == "s-umri":
+        tables = [("shared", raw["utility"])]
+    else:
+        tables = [(agent["agent_id"], agent["utility"]) for agent in raw["agents"]]
+    costs = [[agent["agent_id"], float(agent["cost"])] for agent in raw["agents"]]
+    return robustness, _utility_rows(tables), costs
+
+
+def _prediction_rows(raw) -> list[list]:
+    eta = float(raw["eta"])
+    return [
+        [eta, e["class"], e["predicted_diag"], e.get("true_diag"), e.get("delta")]
+        for e in raw["per_class"]
+    ]
 
 
 def cmd_report(args) -> int:
@@ -242,67 +255,31 @@ def cmd_report(args) -> int:
     utility_rows = []
     cost_rows = []
     for path in args.profiles:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        label = raw.get("metadata", {}).get("dataset", path)
-        robustness_rows.append(
-            [
-                label,
-                raw.get("model", "?"),
-                float(raw["margin"]),
-                float(raw["robustness"]) if raw.get("robustness") is not None else None,
-                bool(raw.get("degenerate", False)),
-            ]
+        robustness, utilities, costs = ds.read_json(
+            path, lambda raw: _profile_rows(raw, path)
         )
-        if raw.get("model") == "s-umri":
-            u = np.asarray(raw["utility"])
-            for x in range(u.shape[0]):
-                for a in range(u.shape[1]):
-                    utility_rows.append(["shared", x, a, float(u[x, a])])
-        else:
-            for agent in raw["agents"]:
-                u = np.asarray(agent["utility"])
-                for x in range(u.shape[0]):
-                    for a in range(u.shape[1]):
-                        utility_rows.append(
-                            [agent["agent_id"], x, a, float(u[x, a])]
-                        )
-        for agent in raw["agents"]:
-            cost_rows.append([agent["agent_id"], float(agent["cost"])])
+        robustness_rows.append(robustness)
+        utility_rows += utilities
+        cost_rows += costs
     prediction_rows = []
     for path in args.predictions:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-        for entry in raw["per_class"]:
-            prediction_rows.append(
-                [
-                    float(raw["eta"]),
-                    entry["class"],
-                    entry["predicted_diag"],
-                    entry.get("true_diag"),
-                    entry.get("delta"),
-                ]
-            )
+        prediction_rows += ds.read_json(path, _prediction_rows)
     if robustness_rows:
         _write_csv(
             os.path.join(args.out_dir, "robustness.csv"),
-            ["dataset", "model", "epsilon", "robustness", "degenerate"],
+            _ROBUSTNESS_COLUMNS,
             robustness_rows,
         )
         _write_csv(
             os.path.join(args.out_dir, "sparse_utility.csv"),
-            ["agent_id", "state", "action", "value"],
+            _UTILITY_COLUMNS,
             utility_rows,
         )
-        _write_csv(
-            os.path.join(args.out_dir, "cost_curve.csv"),
-            ["agent_id", "cost"],
-            cost_rows,
-        )
+        _write_csv(os.path.join(args.out_dir, "cost_curve.csv"), _COST_COLUMNS, cost_rows)
     if prediction_rows:
         _write_csv(
             os.path.join(args.out_dir, "predictions.csv"),
-            ["eta", "class", "predicted_diag", "true_diag", "delta"],
+            _PREDICTION_COLUMNS,
             prediction_rows,
         )
     return 0

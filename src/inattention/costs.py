@@ -96,3 +96,15 @@ class PiecewiseAffineCost:
     def value(self, strategy: np.ndarray) -> float:
         """Upper envelope over the pieces; convex in the strategy."""
         return float(self.piece_values(strategy).max())
+
+
+def _anchored_cost(d, utilities, costs, *, scales=None, linearized=False):
+    """One piece per agent of dataset ``d``, anchored at its strategy, with
+    offset ``costs[k]`` and gradient prior * ``utilities[k]`` / ``scales[k]``
+    (the s-UMRI model scales by inverse sensitivity; default one)."""
+    scales = np.ones(len(costs)) if scales is None else scales
+    pieces = tuple(
+        CostPiece(float(c), d.choice(k), d.prior[:, None] * utilities[k] / float(s))
+        for k, (c, s) in enumerate(zip(costs, scales))
+    )
+    return PiecewiseAffineCost(pieces=pieces, linearized=linearized)

@@ -18,7 +18,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -100,6 +100,10 @@ class DecisionDataset:
     the two-agent minimum for rationality testing is enforced by
     :func:`validate_dataset` (synthetic machinery occasionally builds
     single-agent datasets for cost assignment).
+
+    Construction also stacks every agent's :func:`joint_and_posterior` into
+    one (K, X, A) :class:`JointPosterior`, held as ``_stack``: the residual
+    kernel in ``brp`` and every LP builder read it instead of recomputing.
     """
 
     num_states: int
@@ -136,6 +140,10 @@ class DecisionDataset:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", _frozen_array(prior))
         object.__setattr__(self, "agents", agents)
+        jps = [joint_and_posterior(self, k) for k in range(len(agents))]
+        fields = ("joint", "posterior", "action_marginal")
+        stack = {f: _frozen_array([getattr(jp, f) for jp in jps]) for f in fields}
+        object.__setattr__(self, "_stack", JointPosterior(**stack))
 
     @property
     def num_agents(self) -> int:
@@ -342,9 +350,8 @@ def expected_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
     resolve to the lowest action index, which never changes the value.
     """
     u = _check_utility(d, utility)
-    joint = d.prior[:, None] * d.choice(k)
     # scores[a, b] = sum_x joint(x, a) * u(x, b)
-    scores = joint.T @ u
+    scores = d._stack.joint[k].T @ u
     return float(scores.max(axis=1).sum())
 
 
@@ -354,8 +361,7 @@ def realized_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
     Never exceeds :func:`expected_value` for the same agent and utility.
     """
     u = _check_utility(d, utility)
-    joint = d.prior[:, None] * d.choice(k)
-    return float((joint * u).sum())
+    return float((d._stack.joint[k] * u).sum())
 
 
 def ingest_softmax(
@@ -396,12 +402,12 @@ def ingest_softmax(
             f"true label {max_label} outside declared {num_states} states"
         )
 
-    counts = {}
-    for agent_id in agent_ids:
-        c = np.zeros(num_states, dtype=int)
-        for rec in groups[agent_id]:
-            c[rec.true_label] += 1
-        counts[agent_id] = c
+    counts = {
+        agent_id: np.bincount(
+            [rec.true_label for rec in groups[agent_id]], minlength=num_states
+        )
+        for agent_id in agent_ids
+    }
     reference = counts[agent_ids[0]]
     for agent_id in agent_ids[1:]:
         if not np.array_equal(counts[agent_id], reference):
@@ -474,19 +480,39 @@ def dataset_to_dict(d: DecisionDataset) -> dict:
     return out
 
 
-def save_dataset(d: DecisionDataset, path: str) -> None:
-    atomic_write_text(path, json.dumps(dataset_to_dict(d), indent=2, sort_keys=True) + "\n")
+def write_json(path: str, payload) -> None:
+    """Write an artifact as indented, key-sorted JSON (atomically)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def load_dataset(path: str) -> DecisionDataset:
+def read_json(path: str, build: Callable[[Any], Any]):
+    """Read a JSON artifact and ``build`` the object it describes.
+
+    Every way an artifact can be unreadable raises :class:`IoFailure`
+    naming the file: it cannot be opened, it is not JSON, or ``build`` finds
+    a field missing or of the wrong type.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
-    return validate_dataset(raw)
+    try:
+        return build(raw)
+    except IoFailure as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise IoFailure(f"{path}: missing or ill-typed field {exc!r}") from exc
+
+
+def save_dataset(d: DecisionDataset, path: str) -> None:
+    write_json(path, dataset_to_dict(d))
+
+
+def load_dataset(path: str) -> DecisionDataset:
+    return read_json(path, validate_dataset)
 
 
 def read_softmax_log(path: str) -> dict[str, list[SoftmaxRecord]]:

@@ -541,7 +541,12 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
     engine = _Simplex(lp)
-    status = engine.run()
+    try:
+        status = engine.run()
+    except _SingularBasis as exc:
+        # Raised where no recovery is attempted (a refactorization inside
+        # phase one outside run's retry loop).
+        raise NumericalFailure("the simplex basis became singular") from exc
     if status is LpStatus.INFEASIBLE:
         return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.iterations)
     if status is LpStatus.UNBOUNDED:

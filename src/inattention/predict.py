@@ -12,18 +12,32 @@ than assumed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brp import UtilityProfile, brp_max_margin
-from .costs import CostPiece, PiecewiseAffineCost
-from .dataset import DecisionDataset, atomic_write_text
+from .brp import (
+    UtilityProfile,
+    _profile_from_dict,
+    _worst_nias,
+    brp_max_margin,
+    nias_residuals,
+    profile_to_dict,
+)
+from .costs import PiecewiseAffineCost, _anchored_cost
+from .dataset import (
+    AgentChoiceMatrix,
+    DecisionDataset,
+    dataset_to_dict,
+    read_json,
+    validate_dataset,
+    write_json,
+)
+# Unused here but kept bound: the benchmark tracer patches this name.
+from .dataset import atomic_write_text  # noqa: F401
 from .errors import (
     DegenerateDataset,
     DimensionMismatch,
-    IoFailure,
     NonSquare,
     NumericalFailure,
     OutOfRange,
@@ -103,27 +117,24 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
         raise DegenerateDataset(
             "max-margin fit is numerically zero; predictions are meaningless"
         )
-    pieces = tuple(
-        CostPiece(
-            offset=float(profile.costs[k]),
-            anchor=d.choice(k),
-            gradient=d.prior[:, None] * profile.utilities[k],
-        )
-        for k in range(d.num_agents)
-    )
-    cost = PiecewiseAffineCost(pieces=pieces, linearized=True)
+    return _family(etas, d, profile)
+
+
+def _family(etas, d: DecisionDataset, profile: UtilityProfile) -> NoiseFamily:
+    cost = _anchored_cost(d, profile.utilities, profile.costs, linearized=True)
     return NoiseFamily(etas=etas, dataset=d, fitted=profile, cost=cost)
 
 
-def _bracket(f: NoiseFamily, eta: float) -> int:
+def _bracket(f: NoiseFamily, eta: float) -> tuple[int, float]:
+    """Grid interval g holding ``eta``, and eta's weight on its upper end."""
     etas = f.etas
     if eta < etas[0] or eta > etas[-1]:
         raise OutOfRange(
             f"noise level {eta} outside the fitted grid "
             f"[{etas[0]}, {etas[-1]}]; no extrapolation"
         )
-    g = int(np.searchsorted(etas, eta, side="right") - 1)
-    return min(g, etas.shape[0] - 2)
+    g = min(int(np.searchsorted(etas, eta, side="right") - 1), etas.shape[0] - 2)
+    return g, (eta - etas[g]) / (etas[g + 1] - etas[g])
 
 
 def interpolate_utility(f: NoiseFamily, eta: float) -> np.ndarray:
@@ -133,14 +144,11 @@ def interpolate_utility(f: NoiseFamily, eta: float) -> np.ndarray:
     the two bracketing utilities with weights proportional to distance over
     the local spacing (so non-uniform grids work unchanged).
     """
-    g = _bracket(f, eta)
-    etas = f.etas
-    if eta == etas[g]:
+    g, w_hi = _bracket(f, eta)
+    if eta == f.etas[g]:
         return f.fitted.utilities[g].copy()
-    if eta == etas[g + 1]:
+    if eta == f.etas[g + 1]:
         return f.fitted.utilities[g + 1].copy()
-    h = etas[g + 1] - etas[g]
-    w_hi = (eta - etas[g]) / h
     return (1.0 - w_hi) * f.fitted.utilities[g] + w_hi * f.fitted.utilities[g + 1]
 
 
@@ -198,16 +206,19 @@ def predict_choice(
     strategy = point[: X * A].reshape(X, A)
     strategy = np.clip(strategy, 0.0, None)
     strategy /= strategy.sum(axis=1, keepdims=True)
-    return strategy, _nias_certificate(f.dataset.prior, strategy, u_hat)
+    # Certify the surrogate: every action the strategy takes must be a best
+    # response to its posterior under the interpolated utility.
+    predicted = DecisionDataset(
+        X, A, f.dataset.prior, (AgentChoiceMatrix("predicted", strategy),)
+    )
+    worst = _worst_nias(nias_residuals(predicted, [u_hat]))[0]
+    return strategy, bool(worst <= _NIAS_CERT_TOL)
 
 
 def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
     """Among optimal strategies, take the L1-closest to the interpolated
     in-sample strategy; inert when the first-stage optimum is unique."""
-    g = _bracket(f, eta)
-    etas = f.etas
-    h = etas[g + 1] - etas[g]
-    w_hi = (eta - etas[g]) / h
+    g, w_hi = _bracket(f, eta)
     target = ((1.0 - w_hi) * f.dataset.choice(g) + w_hi * f.dataset.choice(g + 1)).ravel()
 
     base = lp.num_vars
@@ -230,19 +241,6 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
     if second.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("prediction refinement failed to solve")
     return second.point[:base]
-
-
-def _nias_certificate(prior, strategy, utility) -> bool:
-    joint = prior[:, None] * strategy
-    marginal = joint.sum(axis=0)
-    ok = True
-    for a in np.flatnonzero(marginal > 0):
-        posterior = joint[:, a] / marginal[a]
-        scores = posterior @ utility
-        if scores.max() - scores[a] > _NIAS_CERT_TOL:
-            ok = False
-            break
-    return ok
 
 
 def predict_at(
@@ -300,48 +298,22 @@ def score_prediction(
 
 
 def save_family(path: str, f: NoiseFamily) -> None:
-    from .brp import profile_to_dict
-    from .dataset import dataset_to_dict
-
     payload = {
         "etas": f.etas.tolist(),
         "dataset": dataset_to_dict(f.dataset),
         "profile": profile_to_dict(f.dataset, f.fitted),
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
 def load_family(path: str) -> NoiseFamily:
-    from .dataset import validate_dataset
-
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
-    dataset = validate_dataset(raw["dataset"])
-    agents = raw["profile"]["agents"]
-    profile = UtilityProfile(
-        utilities=tuple(np.asarray(a["utility"], dtype=float) for a in agents),
-        costs=np.asarray([a["cost"] for a in agents], dtype=float),
-        margin=float(raw["profile"]["margin"]),
-    )
-    pieces = tuple(
-        CostPiece(
-            offset=float(profile.costs[k]),
-            anchor=dataset.choice(k),
-            gradient=dataset.prior[:, None] * profile.utilities[k],
+    def build(raw):
+        d = validate_dataset(raw["dataset"])
+        return _family(
+            np.asarray(raw["etas"], dtype=float), d, _profile_from_dict(raw["profile"])
         )
-        for k in range(dataset.num_agents)
-    )
-    return NoiseFamily(
-        etas=np.asarray(raw["etas"], dtype=float),
-        dataset=dataset,
-        fitted=profile,
-        cost=PiecewiseAffineCost(pieces=pieces, linearized=True),
-    )
+
+    return read_json(path, build)
 
 
 def prediction_to_dict(

@@ -13,21 +13,24 @@ shared-utility version of the private-utility test.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brp import MarginReport
-from .constants import (
-    DEGENERATE_MARGIN,
-    LAMBDA_HI,
-    LAMBDA_LO,
-    MARGIN_CAP,
-    UNIT_FLOOR,
+from .brp import (
+    MarginReport,
+    _margin_of,
+    _nias_rows,
+    _realized,
+    _unit_box_program,
+    _worst_nias,
+    nias_residuals,
 )
-from .costs import CostPiece, PiecewiseAffineCost
-from .dataset import DecisionDataset, atomic_write_text, joint_and_posterior
+from .constants import DEGENERATE_MARGIN, LAMBDA_HI, LAMBDA_LO, MARGIN_CAP
+from .costs import PiecewiseAffineCost, _anchored_cost
+from .dataset import DecisionDataset, read_json, write_json
+# Unused here but kept bound: the benchmark tracer patches these names.
+from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -119,35 +122,14 @@ def _check_solution(d: DecisionDataset, sol: SharedUtilitySolution) -> None:
 
 
 def _residual_arrays(d, utility, sensitivities, costs):
-    K = d.num_agents
-    nias = np.full((K, d.num_actions, d.num_actions), np.nan)
-    realized = np.empty(K)
-    for k in range(K):
-        jp = joint_and_posterior(d, k)
-        defined = jp.defined_actions
-        scores = jp.posterior.T @ utility
-        nias[k, defined, :] = scores[defined, :] - np.diag(scores)[defined, None]
-        realized[k] = float((jp.joint * utility).sum())
+    nias = nias_residuals(d, [utility] * d.num_agents)
+    realized = _realized(d, utility)
     coupling = (
         realized[:, None]
         - realized[None, :]
         + sensitivities[None, :] * (costs[None, :] - costs[:, None])
     )
     return nias, coupling
-
-
-def _strict_margin(d, utility, sensitivities, costs) -> float:
-    nias, coupling = _residual_arrays(d, utility, sensitivities, costs)
-    worst = -np.inf
-    off_action = ~np.eye(d.num_actions, dtype=bool)
-    for k in range(d.num_agents):
-        block = nias[k][off_action]
-        block = block[~np.isnan(block)]
-        if block.size:
-            worst = max(worst, float(block.max()))
-    off_agent = ~np.eye(d.num_agents, dtype=bool)
-    worst = max(worst, float(coupling[off_agent].max()))
-    return -worst
 
 
 def sbrp_residuals(
@@ -170,28 +152,42 @@ class _SbrpStages:
             raise TooFewAgents("margin test needs at least two agents")
         self.d = d
         self.K, self.X, self.A = d.num_agents, d.num_states, d.num_actions
-        self.jps = [joint_and_posterior(d, k) for k in range(self.K)]
         self.block = self.X * self.A
+        self.joints = d._stack.joint.reshape(self.K, self.block)
+        # All agents' best-response rows act on the one shared utility block.
+        self.nias_rows = _nias_rows(d)[1]
 
-    def _nias_coeff_rows(self):
-        rows = []
-        for k in range(self.K):
-            posterior = self.jps[k].posterior
-            for a in np.flatnonzero(self.jps[k].defined_actions):
-                q = posterior[:, a]
-                for b in range(self.A):
-                    if b == int(a):
-                        continue
-                    coeffs: dict[int, float] = {}
-                    for x in range(self.X):
-                        if q[x] == 0.0:
-                            continue
-                        jb = x * self.A + b
-                        ja = x * self.A + int(a)
-                        coeffs[jb] = coeffs.get(jb, 0.0) + q[x]
-                        coeffs[ja] = coeffs.get(ja, 0.0) - q[x]
-                    rows.append(coeffs)
+    def _rows(self, n: int, core: np.ndarray, margin: bool) -> np.ndarray:
+        """``core`` rows over the utility block widened to ``n`` variables,
+        with coefficient one on the margin (the last variable) if asked."""
+        rows = np.zeros((core.shape[0], n))
+        rows[:, : self.block] = core
+        if margin:
+            rows[:, -1] = 1.0
         return rows
+
+    def _program(self, *, margin: bool, rhs: float) -> LinearProgram:
+        """Shared utility, K costs and, with ``margin``, the margin variable
+        (maximized; without it the utility mass is minimized), holding the
+        best-response rows at ``rhs``."""
+        objective = np.zeros(self.block + self.K + (1 if margin else 0))
+        if margin:
+            objective[-1] = 1.0
+        else:
+            objective[: self.block] = -1.0
+        lp = _unit_box_program(objective, margin)
+        for row in self._rows(lp.num_vars, self.nias_rows, margin):
+            lp.add_leq(row, rhs)
+        return lp
+
+    def _solve(self, lp: LinearProgram, failure: str):
+        """(utility, costs, point) at the optimum; ``failure`` is the error
+        message, formatted with the solver status."""
+        sol = solve_lp(lp)
+        if sol.status is not LpStatus.OPTIMAL:
+            raise NumericalFailure(failure.format(sol.status.value))
+        utility = sol.point[: self.block].reshape(self.X, self.A).copy()
+        return utility, sol.point[self.block : self.block + self.K].copy(), sol.point
 
     def anchor_stage(self):
         """Best zero-margin certificate at unit sensitivities.
@@ -203,82 +199,34 @@ class _SbrpStages:
         deterministic, informative certificate out of the (huge) zero-margin
         face, which is what gives the sensitivity stage traction.
         """
-        n = self.block + self.K + 1
-        lower = np.full(n, UNIT_FLOOR)
-        upper = np.ones(n)
-        lower[-1], upper[-1] = 0.0, MARGIN_CAP
-        objective = np.zeros(n)
-        objective[-1] = 1.0
-        islack = n - 1
-        lp = LinearProgram(objective, lower, upper)
-        for coeffs in self._nias_coeff_rows():
-            row = dict(coeffs)
-            row[islack] = 1.0
-            lp.add_leq(row, 0.0)
-        for k in range(self.K - 1):
-            diff = self.jps[k].joint - self.jps[k + 1].joint
-            coeffs = {}
-            for x in range(self.X):
-                for a in range(self.A):
-                    if diff[x, a]:
-                        coeffs[x * self.A + a] = diff[x, a]
-            coeffs[self.block + k + 1] = coeffs.get(self.block + k + 1, 0.0) + 1.0
-            coeffs[self.block + k] = coeffs.get(self.block + k, 0.0) - 1.0
-            lp.add_eq(coeffs, 0.0)
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NumericalFailure("anchor stage failed; the all-floor point is feasible")
-        utility = sol.point[: self.block].reshape(self.X, self.A).copy()
-        costs = sol.point[self.block : self.block + self.K].copy()
+        lp = self._program(margin=True, rhs=0.0)
+        equal = self._rows(lp.num_vars, self.joints[:-1] - self.joints[1:], False)
+        for k, row in enumerate(equal):
+            row[self.block + k + 1] = 1.0
+            row[self.block + k] = -1.0
+            lp.add_eq(row, 0.0)
+        utility, costs, _ = self._solve(
+            lp, "anchor stage failed; the all-floor point is feasible"
+        )
         return utility, costs
 
     def utility_stage(self, sensitivities, *, rhs_offset=0.0, sparse=False):
         """Fix sensitivities; optimize (utility, costs) and, unless sparse,
         the margin variable."""
-        n = self.block + self.K + (0 if sparse else 1)
-        lower = np.full(n, UNIT_FLOOR)
-        upper = np.ones(n)
-        objective = np.zeros(n)
-        if sparse:
-            objective[: self.block] = -1.0
-            ieps = None
-        else:
-            lower[-1], upper[-1] = 0.0, MARGIN_CAP
-            objective[-1] = 1.0
-            ieps = n - 1
-        lp = LinearProgram(objective, lower, upper)
-        for coeffs in self._nias_coeff_rows():
-            row = dict(coeffs)
-            if ieps is not None:
-                row[ieps] = 1.0
+        lp = self._program(margin=not sparse, rhs=rhs_offset)
+        # One swap row per ordered pair j != k, in that order.
+        j, k = np.nonzero(~np.eye(self.K, dtype=bool))
+        swaps = self._rows(lp.num_vars, self.joints[j] - self.joints[k], not sparse)
+        for row, jj, kk in zip(swaps, j, k):
+            row[self.block + kk] = sensitivities[kk]
+            row[self.block + jj] = -sensitivities[kk]
             lp.add_leq(row, rhs_offset)
-        for j in range(self.K):
-            for k in range(self.K):
-                if j == k:
-                    continue
-                diff = self.jps[j].joint - self.jps[k].joint
-                coeffs = {}
-                for x in range(self.X):
-                    for a in range(self.A):
-                        if diff[x, a]:
-                            coeffs[x * self.A + a] = diff[x, a]
-                ck = self.block + k
-                cj = self.block + j
-                coeffs[ck] = coeffs.get(ck, 0.0) + float(sensitivities[k])
-                coeffs[cj] = coeffs.get(cj, 0.0) - float(sensitivities[k])
-                if ieps is not None:
-                    coeffs[ieps] = 1.0
-                lp.add_leq(coeffs, rhs_offset)
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NumericalFailure(
-                f"shared-utility stage reported {sol.status.value}; the all-floor "
-                "certificate is always feasible, so this is a solver defect"
-            )
-        utility = sol.point[: self.block].reshape(self.X, self.A).copy()
-        costs = sol.point[self.block : self.block + self.K].copy()
-        margin = float(sol.point[-1]) if ieps is not None else None
-        return utility, costs, margin
+        utility, costs, point = self._solve(
+            lp,
+            "shared-utility stage reported {}; the all-floor certificate is "
+            "always feasible, so this is a solver defect",
+        )
+        return utility, costs, None if sparse else float(point[-1])
 
     def sensitivity_stage(self, utility, costs):
         """Fix (utility, costs); optimize the sensitivities and the margin."""
@@ -289,37 +237,19 @@ class _SbrpStages:
         objective = np.zeros(n)
         objective[-1] = 1.0
         lp = LinearProgram(objective, lower, upper)
-        ieps = n - 1
-        lp.add_leq({ieps: 1.0}, self._nias_bound(utility))
-        realized = np.array(
-            [float((self.jps[k].joint * utility).sum()) for k in range(self.K)]
-        )
-        for j in range(self.K):
-            for k in range(self.K):
-                if j == k:
-                    continue
-                delta = float(costs[k] - costs[j])
-                coeffs = {ieps: 1.0}
-                if delta:
-                    coeffs[k] = delta
-                lp.add_leq(coeffs, float(realized[k] - realized[j]))
+        worst = _worst_nias(nias_residuals(self.d, [utility] * self.K)).max()
+        realized = _realized(self.d, utility)
+        j, k = np.nonzero(~np.eye(self.K, dtype=bool))
+        rows = np.zeros((j.size + 1, n))
+        rows[:, -1] = 1.0
+        rows[np.arange(1, j.size + 1), k] = costs[k] - costs[j]
+        rhs = [-worst if np.isfinite(worst) else MARGIN_CAP, *(realized[k] - realized[j])]
+        for row, bound in zip(rows, rhs):
+            lp.add_leq(row, float(bound))
         sol = solve_lp(lp)
         if sol.status is not LpStatus.OPTIMAL:
             raise NumericalFailure("sensitivity stage failed to solve")
         return sol.point[: self.K].copy(), float(sol.point[-1])
-
-    def _nias_bound(self, utility: np.ndarray) -> float:
-        worst = -np.inf
-        for k in range(self.K):
-            posterior = self.jps[k].posterior
-            defined = self.jps[k].defined_actions
-            scores = posterior.T @ utility
-            gains = scores - np.diag(scores)[:, None]
-            np.fill_diagonal(gains, -np.inf)
-            block = gains[defined, :]
-            if block.size:
-                worst = max(worst, float(np.max(block)))
-        return -worst if np.isfinite(worst) else MARGIN_CAP
 
 
 def sbrp_max_margin(
@@ -339,7 +269,7 @@ def sbrp_max_margin(
     stages = _SbrpStages(d)
     lam = np.ones(d.num_agents)
     utility, costs = stages.anchor_stage()
-    history = [max(_strict_margin(d, utility, lam, costs), 0.0)]
+    history = [max(_margin_of(*_residual_arrays(d, utility, lam, costs)), 0.0)]
     scheme = "fixed-sensitivities" if fix_sensitivities else "alternating"
     if not fix_sensitivities:
         for _ in range(max_rounds):
@@ -356,7 +286,7 @@ def sbrp_max_margin(
         utility=utility,
         sensitivities=lam,
         costs=costs,
-        margin=_strict_margin(d, utility, lam, costs),
+        margin=_margin_of(*_residual_arrays(d, utility, lam, costs)),
         scheme=scheme,
         margin_history=tuple(history),
     )
@@ -397,7 +327,7 @@ def sbrp_sparsest(
         utility=utility,
         sensitivities=best.sensitivities,
         costs=costs,
-        margin=_strict_margin(d, utility, best.sensitivities, costs),
+        margin=_margin_of(*_residual_arrays(d, utility, best.sensitivities, costs)),
         scheme=best.scheme + "+sparse",
         margin_history=best.margin_history,
     )
@@ -419,22 +349,13 @@ def reconstruct_cost_compact(
     under the fitted residuals; with all sensitivities equal to one this is
     the same construction as the private-utility cost with a shared matrix.
     """
-    _check_solution(d, sol)
-    if _strict_margin(d, sol.utility, sol.sensitivities, sol.costs) < -1e-7:
+    if _margin_of(*sbrp_residuals(d, sol)) < -1e-7:
         raise ProfileMismatch(
             "solution violates the feasibility residuals; its cost is not defined"
         )
-    pieces = []
-    for k in range(d.num_agents):
-        gradient = d.prior[:, None] * sol.utility / float(sol.sensitivities[k])
-        pieces.append(
-            CostPiece(
-                offset=float(sol.costs[k]),
-                anchor=d.choice(k),
-                gradient=gradient,
-            )
-        )
-    return PiecewiseAffineCost(pieces=tuple(pieces), linearized=False)
+    return _anchored_cost(
+        d, [sol.utility] * d.num_agents, sol.costs, scales=sol.sensitivities
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -474,27 +395,20 @@ def save_solution(
     report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> None:
-    payload = solution_to_dict(d, sol, report, metadata)
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, solution_to_dict(d, sol, report, metadata))
+
+
+def _solution_from_dict(raw: dict) -> SharedUtilitySolution:
+    if raw.get("model") != "s-umri":
+        raise IoFailure("not an s-umri solution file")
+    return SharedUtilitySolution(
+        utility=np.asarray(raw["utility"], dtype=float),
+        sensitivities=np.asarray([a["lambda"] for a in raw["agents"]], dtype=float),
+        costs=np.asarray([a["cost"] for a in raw["agents"]], dtype=float),
+        margin=float(raw["margin"]),
+        scheme=str(raw.get("scheme", "alternating")),
+    )
 
 
 def load_solution(path: str) -> tuple[SharedUtilitySolution, dict]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
-    if raw.get("model") != "s-umri":
-        raise IoFailure(f"{path} is not an s-umri solution file")
-    return (
-        SharedUtilitySolution(
-            utility=np.asarray(raw["utility"], dtype=float),
-            sensitivities=np.asarray([a["lambda"] for a in raw["agents"]], dtype=float),
-            costs=np.asarray([a["cost"] for a in raw["agents"]], dtype=float),
-            margin=float(raw["margin"]),
-            scheme=str(raw.get("scheme", "alternating")),
-        ),
-        raw,
-    )
+    return read_json(path, lambda raw: (_solution_from_dict(raw), raw))

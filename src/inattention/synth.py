@@ -13,27 +13,27 @@ All generators take explicit seeds and are bit-for-bit reproducible.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .brp import niac_residuals, strict_margin
+from .brp import _worst_nias, niac_residuals, nias_residuals, strict_margin
 from .constants import SYNTH_COST_FLOOR
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
-    atomic_write_text,
     dataset_to_dict,
     expected_value,
-    joint_and_posterior,
+    read_json,
     validate_dataset,
+    write_json,
 )
+# Unused here but kept bound: the benchmark tracer patches these names.
+from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
     DimensionMismatch,
     InfeasibleCosts,
     InstanceTooLarge,
-    IoFailure,
     NegativeCycle,
     NumericalFailure,
     RejectionExhausted,
@@ -199,17 +199,20 @@ def generate_strategies(
 # Cost assignment via shortest-path potentials
 
 
-def _value_tables(d: DecisionDataset, utilities):
-    K = d.num_agents
-    realized = np.empty(K)
-    gain = np.empty((K, K))
-    joints = [joint_and_posterior(d, k).joint for k in range(K)]
-    for k in range(K):
-        u = np.asarray(utilities[k], dtype=float)
-        realized[k] = float((joints[k] * u).sum())
-        for j in range(K):
-            gain[j, k] = float((joints[j].T @ u).max(axis=1).sum())
-    return gain, realized
+def _potentials(weights: np.ndarray) -> np.ndarray | None:
+    """Shortest-path distances from a virtual source on the digraph with edge
+    weights ``weights[j, k]``; None if a negative cycle exists.
+
+    Plain relaxation; improvements at rounding scale do not count as a
+    negative cycle (zero-sum cycles are legitimate boundary cases).
+    """
+    dist = np.zeros(weights.shape[0])
+    for _ in range(weights.shape[0] + 1):
+        relaxed = np.minimum(dist, (dist[:, None] + weights).min(axis=0))
+        if float(np.max(dist - relaxed)) <= 1e-12:
+            return dist
+        dist = relaxed
+    return None
 
 
 def assign_costs(d: DecisionDataset, utilities, target_margin: float) -> np.ndarray:
@@ -228,19 +231,12 @@ def assign_costs(d: DecisionDataset, utilities, target_margin: float) -> np.ndar
         raise DimensionMismatch(f"{len(utilities)} utilities for {K} agents")
     if K == 1:
         return np.array([SYNTH_COST_FLOOR])
-    gain, realized = _value_tables(d, utilities)
-    # Edge j -> k bounds c_k - c_j from above.
-    weights = realized[None, :] - gain - target_margin
+    # Edge j -> k bounds c_k - c_j from above: by the swap residual at zero
+    # costs, realized_k - gain_jk.
+    weights = -niac_residuals(d, utilities, np.zeros(K)) - target_margin
     np.fill_diagonal(weights, 0.0)
-    # Shortest-path relaxation; improvements at rounding scale do not count
-    # as a negative cycle (zero-sum cycles are legitimate boundary cases).
-    dist = np.zeros(K)
-    for _ in range(K + 1):
-        relaxed = np.minimum(dist, (dist[:, None] + weights).min(axis=0))
-        if float(np.max(dist - relaxed)) <= 1e-12:
-            break
-        dist = relaxed
-    else:
+    dist = _potentials(weights)
+    if dist is None:
         raise NegativeCycle(
             "value differences contain a negative cycle at this margin"
         )
@@ -264,17 +260,6 @@ def assign_costs(d: DecisionDataset, utilities, target_margin: float) -> np.ndar
 # Dataset generators
 
 
-def _nias_strict_gap(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
-    jp = joint_and_posterior(d, k)
-    scores = jp.posterior.T @ utility
-    gains = scores - np.diag(scores)[:, None]
-    np.fill_diagonal(gains, -np.inf)
-    block = gains[jp.defined_actions, :]
-    if block.size == 0:
-        return np.inf
-    return -float(np.max(block))
-
-
 def _sample_base_utility(rng, num_states, num_actions, prior):
     """Diagonal-dominant utility whose columns are equally good on average.
 
@@ -295,16 +280,6 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
     if np.any(u <= 0.0) or np.any(u > 1.0):
         return None
     return u
-
-
-def _gap_for(prior, strategy, utility) -> float:
-    probe = DecisionDataset(
-        num_states=strategy.shape[0],
-        num_actions=strategy.shape[1],
-        prior=prior,
-        agents=(AgentChoiceMatrix("probe", strategy),),
-    )
-    return _nias_strict_gap(probe, 0, utility)
 
 
 def generate_feasible_dataset(
@@ -342,14 +317,14 @@ def generate_feasible_dataset(
         scales = np.ones(1)
         scale_step = 1.0
 
-    last_agents = None
+    last_dataset = None
     for _ in range(max_attempts):
         base = _sample_base_utility(rng, num_states, num_actions, prior)
         if base is None:
             continue
         utilities = [scales[k] * base for k in range(num_agents)]
         try:
-            root = generate_strategies(
+            root_agent = generate_strategies(
                 num_states,
                 num_actions,
                 prior,
@@ -358,13 +333,15 @@ def generate_feasible_dataset(
                 sharpness=0.05,
                 max_attempts=300,
                 agent_id="agent-0",
-            ).choice_prob
+            )
         except RejectionExhausted:
             continue
+        root = root_agent.choice_prob
+        root_data = DecisionDataset(num_states, num_actions, prior, (root_agent,))
         # Linear value decay along the segment from the root to pure noise:
         # a step of the noise parameter costs exactly that step times the
         # root's information value.
-        info_value = _strategy_value(prior, root, base) - float((prior @ base).max())
+        info_value = expected_value(root_data, 0, base) - float((prior @ base).max())
         if info_value <= 0:
             continue
         noise_step = 2.3 * margin / (scale_step * info_value) if margin > 0 else 0.0
@@ -375,22 +352,20 @@ def generate_feasible_dataset(
         chain = [
             (1.0 - noise[k]) * root + noise[k] * flat for k in range(num_agents)
         ]
-        if any(
-            _gap_for(prior, chain[k], base) * scales[k] < 1.05 * margin
-            for k in range(num_agents)
-        ):
-            continue
         agents = tuple(
             AgentChoiceMatrix(agent_id=f"agent-{k}", choice_prob=chain[k])
             for k in range(num_agents)
         )
-        last_agents = agents
         dataset = DecisionDataset(
             num_states=num_states,
             num_actions=num_actions,
             prior=prior,
             agents=agents,
         )
+        gaps = -_worst_nias(nias_residuals(dataset, [base] * num_agents))
+        if np.any(gaps * scales < 1.05 * margin):
+            continue
+        last_dataset = dataset
         try:
             costs = assign_costs(dataset, utilities, margin)
         except InfeasibleCosts:
@@ -402,19 +377,13 @@ def generate_feasible_dataset(
             construction_margin=margin,
             seed=seed,
         )
-    if margin == 0.0 and last_agents is not None:
+    if margin == 0.0 and last_dataset is not None:
         # Constant utilities and equal costs satisfy everything with zero
         # slack regardless of the strategies.
-        dataset = DecisionDataset(
-            num_states=num_states,
-            num_actions=num_actions,
-            prior=prior,
-            agents=tuple(last_agents),
-        )
         flat = [np.full((num_states, num_actions), 0.5) for _ in range(num_agents)]
         costs = np.full(num_agents, 0.5)
         return GroundTruth(
-            dataset=dataset,
+            dataset=last_dataset,
             utilities=tuple(flat),
             costs=costs,
             construction_margin=0.0,
@@ -423,11 +392,6 @@ def generate_feasible_dataset(
     raise RejectionExhausted(
         f"no feasible collection at margin {margin} within {max_attempts} attempts"
     )
-
-
-def _strategy_value(prior, strategy, utility) -> float:
-    joint = prior[:, None] * strategy
-    return float((joint.T @ utility).max(axis=1).sum())
 
 
 def generate_boundary_dataset(
@@ -469,13 +433,10 @@ def generate_boundary_dataset(
             mix = rng.dirichlet(np.ones(num_actions), size=num_actions)
             channel = (1.0 - gamma) * np.eye(num_actions) + gamma * mix
             candidate = chain[-1] @ channel
-            probe = DecisionDataset(
-                num_states=num_states,
-                num_actions=num_actions,
-                prior=prior,
-                agents=(AgentChoiceMatrix("probe", candidate),),
+            alone = DecisionDataset(
+                num_states, num_actions, prior, (AgentChoiceMatrix("candidate", candidate),)
             )
-            if _nias_strict_gap(probe, 0, utility) >= -1e-12:
+            if _worst_nias(nias_residuals(alone, [utility]))[0] <= 1e-12:
                 chain.append(candidate)
                 break
             gamma *= 0.5
@@ -538,32 +499,25 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
             f"{m}^{K} grid combinations exceed the enumeration cap"
         )
 
-    jps = [joint_and_posterior(d, k) for k in range(K)]
+    # Per agent and option: the best-response margin, the value the agent
+    # realizes, and the value of its information with re-optimized actions.
+    jp = d._stack
     nias_margin = np.empty((K, m))
-    for k in range(K):
-        defined = jps[k].defined_actions
-        posterior = np.nan_to_num(jps[k].posterior)
-        scores = np.einsum("xa,mxb->mab", posterior, options)
-        gains = scores - np.einsum("maa->ma", scores)[:, :, None]
-        gains[:, ~defined, :] = -np.inf
-        gains[:, np.arange(A), np.arange(A)] = -np.inf
-        worst = gains.reshape(m, -1).max(axis=1)
-        nias_margin[k] = np.where(np.isfinite(worst), -worst, np.inf)
-
     realized = np.empty((K, m))
+    gain = np.empty((K, m))
     for k in range(K):
-        realized[k] = np.einsum("xa,mxa->m", jps[k].joint, options)
-    gain = np.empty((K, K, m))  # gain[j, k, m]: j's joint under option m for k
-    for j in range(K):
-        for k in range(K):
-            scores = np.einsum("xa,mxb->mab", jps[j].joint, options)
-            gain[j, k] = scores.max(axis=2).sum(axis=1)
+        # Rows of actions agent k never takes are NaN, which the worst-gap
+        # reduction skips.
+        scores = np.einsum("xa,mxb->mab", jp.posterior[k], options)
+        nias_margin[k] = -_worst_nias(scores - np.einsum("maa->ma", scores)[:, :, None])
+        realized[k] = np.einsum("xa,mxa->m", jp.joint[k], options)
+        gain[k] = np.einsum("xa,mxb->mab", jp.joint[k], options).max(axis=2).sum(axis=1)
 
     box_span = 1.0 - SYNTH_COST_FLOOR
 
     if K == 2:
-        head = realized[1][None, :] - gain[0, 1][None, :]  # depends on m2
-        tail = realized[0][:, None] - gain[1, 0][:, None]  # depends on m1
+        head = realized[1][None, :] - gain[0][None, :]  # depends on m2
+        tail = realized[0][:, None] - gain[1][:, None]  # depends on m1
         cycle_cap = (head + tail) / 2.0
         margin_cap = np.minimum(cycle_cap, np.minimum(head + box_span, tail + box_span))
         margin_grid = np.minimum(
@@ -608,22 +562,15 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
 def _max_cost_margin(gain, realized, combo, ceiling, box_span):
     """Largest margin at which costs exist for this utility assignment."""
     K = len(combo)
-    diff = np.empty((K, K))
-    for j in range(K):
-        for k in range(K):
-            diff[j, k] = realized[k][combo[k]] - gain[j, k][combo[k]]
+    pick = np.array(combo)
+    diff = realized[np.arange(K), pick][None, :] - gain[:, pick]
     np.fill_diagonal(diff, 0.0)
 
     def feasible(margin):
         weights = diff - margin
         np.fill_diagonal(weights, 0.0)
-        dist = np.zeros(K)
-        for _ in range(K + 1):
-            relaxed = np.minimum(dist, (dist[:, None] + weights).min(axis=0))
-            if float(np.max(dist - relaxed)) <= 1e-12:
-                return dist.max() - dist.min() <= box_span
-            dist = relaxed
-        return False
+        dist = _potentials(weights)
+        return dist is not None and dist.max() - dist.min() <= box_span
 
     if not feasible(0.0):
         return -np.inf
@@ -653,17 +600,10 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
         "construction_margin": gt.construction_margin,
         "seed": gt.seed,
     }
-    atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_json(path, payload)
 
 
-def load_ground_truth(path: str) -> GroundTruth:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise IoFailure(f"could not read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
+def _ground_truth_from_dict(raw: dict) -> GroundTruth:
     return GroundTruth(
         dataset=validate_dataset(raw["dataset"]),
         utilities=tuple(np.asarray(u, dtype=float) for u in raw["utilities"]),
@@ -671,3 +611,7 @@ def load_ground_truth(path: str) -> GroundTruth:
         construction_margin=float(raw["construction_margin"]),
         seed=int(raw["seed"]),
     )
+
+
+def load_ground_truth(path: str) -> GroundTruth:
+    return read_json(path, _ground_truth_from_dict)

@@ -14,8 +14,16 @@ from inattention.brp import (
     save_profile,
     strict_margin,
 )
-from inattention.dataset import expected_value, realized_value
-from inattention.errors import DegenerateDataset, DimensionMismatch, ProfileMismatch
+from inattention import sbrp
+from inattention.brp import _BrpProgram
+from inattention.dataset import expected_value, joint_and_posterior, realized_value
+from inattention.errors import (
+    DegenerateDataset,
+    DimensionMismatch,
+    NumericalFailure,
+    ProfileMismatch,
+)
+from inattention.synth import generate_feasible_dataset
 
 from conftest import D2_CERTIFICATE, dataset_from_matrices, random_dataset
 
@@ -275,3 +283,112 @@ class TestProfileFiles:
         assert again.margin == prof.margin
         assert np.array_equal(again.costs, prof.costs)
         assert all(np.array_equal(a, b) for a, b in zip(again.utilities, prof.utilities))
+
+
+def _row_draws():
+    """Seeded random datasets (K = 2-4, X = A = 2-4) with random utilities,
+    costs and epsilon; every third draw has an action one agent never takes."""
+    rng = np.random.default_rng(20240)
+    for draw in range(18):
+        K, X = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        mats = [stochastic(rng, (X, X)) for _ in range(K)]
+        if draw % 3 == 0:
+            mats[0][:, 0] = 0.0
+            mats[0] /= mats[0].sum(axis=1, keepdims=True)
+        d = dataset_from_matrices(rng.dirichlet(np.ones(X)), mats)
+        utilities = rng.uniform(0.0, 1.0, size=(K, X, X))
+        yield d, utilities, rng.uniform(0.0, 1.0, size=K), float(rng.uniform(0.0, 0.1))
+
+
+def _nias_expected(d, nias, eps):
+    """Best-response residual plus eps per row, in row order: agent k,
+    action a it takes, deviation b != a."""
+    out = []
+    for k in range(d.num_agents):
+        defined = joint_and_posterior(d, k).defined_actions
+        for a in np.flatnonzero(defined):
+            out += [nias[k, a, b] + eps for b in range(d.num_actions) if b != a]
+    return out
+
+
+class TestKernelMatchesLoop:
+    """The batched kernel keeps the per-agent loop's arithmetic bit for bit,
+    which is what keeps every LP built from it unchanged."""
+
+    @pytest.mark.parametrize("K, X", [(2, 2), (5, 4), (11, 3), (11, 10)])
+    def test_bit_identical_to_per_agent_loop(self, K, X):
+        rng = np.random.default_rng(K * 100 + X)
+        d = random_dataset(rng, num_agents=K, num_states=X, num_actions=X)
+        utilities = rng.uniform(0.0, 1.0, size=(K, X, X))
+        costs = rng.uniform(0.0, 1.0, size=K)
+        jps = [joint_and_posterior(d, k) for k in range(K)]
+        nias = np.empty((K, X, X))
+        gain, realized = np.empty((K, K)), np.empty(K)
+        for k, u in enumerate(utilities):
+            scores = jps[k].posterior.T @ u
+            nias[k] = scores - np.diag(scores)[:, None]
+            realized[k] = float((jps[k].joint * u).sum())
+            for j in range(K):
+                gain[j, k] = float((jps[j].joint.T @ u).max(axis=1).sum())
+        niac = gain - costs[:, None] - realized[None, :] + costs[None, :]
+        assert np.array_equal(nias_residuals(d, utilities), nias)
+        assert np.array_equal(niac_residuals(d, utilities, costs), niac)
+
+
+class TestProgramRows:
+    """Each LP row, evaluated at a point, equals the residual it encodes."""
+
+    def test_umri_rows_match_residuals(self):
+        for d, utilities, costs, eps in _row_draws():
+            K = d.num_agents
+            program = _BrpProgram(d)
+            for j, k in program.selections:
+                scores = joint_and_posterior(d, j).joint.T @ utilities[k]
+                program.selections[(j, k)] = [tuple(scores.argmax(axis=1))]
+            lp = program.build(
+                with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
+            )
+            a, _ = lp.dense_rows()
+            values = a @ np.concatenate([utilities.ravel(), costs, [eps]])
+            niac = niac_residuals(d, utilities, costs)
+            expected = _nias_expected(d, nias_residuals(d, utilities), eps)
+            expected += [niac[j, k] + eps for j in range(K) for k in range(K) if j != k]
+            assert values.shape == (len(expected),)
+            assert np.allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    def test_shared_utility_rows_match_residuals(self, monkeypatch):
+        class Captured(Exception):
+            pass
+
+        def capture(lp):
+            raise Captured(lp)
+
+        monkeypatch.setattr(sbrp, "solve_lp", capture)
+        rng = np.random.default_rng(7)
+        for d, utilities, costs, eps in _row_draws():
+            K = d.num_agents
+            lam = rng.uniform(0.5, 2.0, size=K)
+            with pytest.raises(Captured) as caught:
+                sbrp._SbrpStages(d).utility_stage(lam)
+            a, _ = caught.value.args[0].dense_rows()
+            values = a @ np.concatenate([utilities[0].ravel(), costs, [eps]])
+            solution = sbrp.SharedUtilitySolution(
+                utility=utilities[0], sensitivities=lam, costs=costs, margin=0.0
+            )
+            nias, coupling = sbrp.sbrp_residuals(d, solution)
+            expected = _nias_expected(d, nias, eps)
+            expected += [coupling[j, k] + eps for j in range(K) for k in range(K) if j != k]
+            assert values.shape == (len(expected),)
+            assert np.allclose(values, expected, rtol=0.0, atol=1e-12)
+
+
+def test_singular_basis_is_a_numerical_failure():
+    # Dataset 9 of the umri-cuts benchmark workload at seed 1106607643: a
+    # refactorization inside phase one once leaked the solver's private
+    # singular-basis exception.
+    d = generate_feasible_dataset(5, 4, 4, margin=0.01, seed=3527685849).dataset
+    try:
+        profile = brp_sparsest(d, 0.5)
+    except NumericalFailure:
+        return
+    assert profile.margin == strict_margin(d, profile.utilities, profile.costs)

@@ -185,6 +185,34 @@ class TestSynthPredict:
         )
 
 
+# A file that is not JSON, and a profile whose "agents" key is missing.
+BAD_PROFILES = {
+    "malformed": '{"model": "umri", "margin": ',
+    "missing_key": '{"model": "umri", "margin": 0.1, "degenerate": false}',
+}
+
+
+class TestUnreadableProfile:
+    """An unreadable artifact is a domain error: exit 1, "error:" on stderr."""
+
+    @pytest.mark.parametrize("kind", sorted(BAD_PROFILES))
+    def test_cost(self, tmp_path, dataset_file, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_PROFILES[kind])
+        code = run(
+            "cost", "--profile", bad, "--dataset", dataset_file, "--out", tmp_path / "c.csv"
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", sorted(BAD_PROFILES))
+    def test_report(self, tmp_path, capsys, kind):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_PROFILES[kind])
+        assert run("report", "--profiles", bad, "--out-dir", tmp_path / "r") == 1
+        assert "error:" in capsys.readouterr().err
+
+
 class TestReport:
     def test_report_tables(self, tmp_path, dataset_file):
         profile = tmp_path / "profile.json"

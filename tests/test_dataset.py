@@ -242,3 +242,23 @@ class TestFiles:
     def test_dict_round_trip_exact(self, d2):
         again = validate_dataset(dataset_to_dict(d2))
         assert again.approx_equal(d2, tol=0.0)
+
+
+def _loaders():
+    from inattention.brp import load_profile
+    from inattention.predict import load_family
+    from inattention.sbrp import load_solution
+    from inattention.synth import load_ground_truth
+
+    return [load_dataset, load_profile, load_solution, load_family, load_ground_truth]
+
+
+@pytest.mark.parametrize("loader", _loaders(), ids=lambda f: f.__name__)
+@pytest.mark.parametrize("text", ["{not json", "[1, 2]", "{}", "\x00\xff"])
+def test_unreadable_artifacts_are_io_failures(tmp_path, loader, text):
+    path = tmp_path / "artifact.json"
+    path.write_text(text, encoding="latin-1")
+    # An empty mapping is a dataset with no fields: validation rejects it.
+    expected = DimensionMismatch if (loader is load_dataset and text == "{}") else IoFailure
+    with pytest.raises(expected, match="artifact.json" if expected is IoFailure else None):
+        loader(str(path))
