@@ -274,6 +274,17 @@ def _unit_box_program(objective: np.ndarray, with_margin: bool) -> LinearProgram
     return LinearProgram(objective, lower, upper)
 
 
+def _add_rows(
+    lp: LinearProgram, rows: np.ndarray, with_margin: bool, rhs: float
+) -> None:
+    """Add core-variable rows at ``rhs``, with coefficient one on the margin
+    (the last variable) when the program has one."""
+    if with_margin:
+        rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
+    for row in rows:
+        lp.add_leq(row, rhs)
+
+
 class _BrpProgram:
     """Shared LP assembly for the margin and sparsity stages.
 
@@ -321,17 +332,15 @@ class _BrpProgram:
         return row
 
     def build(self, *, with_margin: bool, rhs_offset: float, objective: np.ndarray):
+        """A stage's first program: the best-response rows, then every
+        modelled selection's swap row, grouped by pair."""
         lp = _unit_box_program(objective, with_margin)
         swaps = [
             self.swap_row(j, k, sigma)
             for (j, k), sigmas in self.selections.items()
             for sigma in sigmas
         ]
-        rows = np.vstack([self.nias_rows, *swaps])
-        if with_margin:
-            rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
-        for row in rows:
-            lp.add_leq(row, rhs_offset)
+        _add_rows(lp, np.vstack([self.nias_rows, *swaps]), with_margin, rhs_offset)
         return lp
 
     def extract(self, point: np.ndarray):
@@ -339,29 +348,37 @@ class _BrpProgram:
         utilities = tuple(point[:stack].reshape(self.K, self.X, self.A).copy())
         return utilities, point[stack : stack + self.K].copy()
 
-    def add_violated_selections(self, utilities, costs, bound: float) -> bool:
+    def add_violated_selections(
+        self, utilities, costs, bound: float
+    ) -> list[np.ndarray]:
         """Score the candidate exactly; model any better response found.
 
         ``bound`` is what every swap residual must stay below; a pair whose
         exact residual exceeds it (beyond tolerance) gets its current best
-        response appended as a new row.  Returns True if anything was added.
+        response appended as a new selection.  Returns the new selections'
+        swap rows, in the order found.
         """
         exact = niac_residuals(self.d, utilities, costs)
         best = _swap_scores(self.d, np.array(utilities)).argmax(axis=3)
-        added = False
+        added = []
         for (j, k), sigmas in self.selections.items():
             sigma = tuple(int(b) for b in best[j, k])
             if sigma not in sigmas and exact[j, k] > bound + _CUT_TOL:
                 sigmas.append(sigma)
-                added = True
+                added.append(self.swap_row(j, k, sigma))
         return added
 
     def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float, objective):
+        """Solve the stage's first program, then, while the optimum misses a
+        best response, solve a copy with the new rows appended, warm from the
+        previous optimal basis.  Every round's program is a fresh object that
+        is never changed after it is solved."""
+        lp = self.build(
+            with_margin=with_margin, rhs_offset=rhs_offset, objective=objective
+        )
+        sol = None
         for _ in range(_MAX_CUT_ROUNDS):
-            lp = self.build(
-                with_margin=with_margin, rhs_offset=rhs_offset, objective=objective
-            )
-            sol = solve_lp(lp)
+            sol = solve_lp(lp, start=sol)
             if sol.status is not LpStatus.OPTIMAL:
                 # The all-floor certificate satisfies every residual with
                 # equality, so the margin stage cannot be infeasible; the
@@ -373,8 +390,11 @@ class _BrpProgram:
             utilities, costs = self.extract(sol.point)
             margin = float(sol.point[-1]) if with_margin else None
             bound = -margin if with_margin else rhs_offset
-            if not self.add_violated_selections(utilities, costs, bound):
+            cuts = self.add_violated_selections(utilities, costs, bound)
+            if not cuts:
                 return utilities, costs, margin
+            lp = lp.copy()
+            _add_rows(lp, np.array(cuts), with_margin, rhs_offset)
         raise NumericalFailure("best-response row generation did not converge")
 
     def max_margin(self):
@@ -430,7 +450,12 @@ def brp_sparsest(
         with_margin=False, rhs_offset=target, objective=sparse_objective
     )
     profile = UtilityProfile.from_certificate(d, utilities, costs)
-    return normalize_profile(profile) if normalize else profile
+    if not normalize:
+        return profile
+    # Rescaling the margin rounds differently from recomputing it; the
+    # profile's margin must be the strict margin of what it returns.
+    scaled = normalize_profile(profile)
+    return UtilityProfile.from_certificate(d, scaled.utilities, scaled.costs)
 
 
 def normalize_profile(profile: UtilityProfile) -> UtilityProfile:

@@ -8,6 +8,16 @@ variables, Dantzig pricing with lowest-index tie-breaking, and a switch to
 Bland's rule (pure lowest-index, provably cycle-free) after a run of
 degenerate pivots.  Identical inputs produce bit-identical solutions.
 
+Cutting-plane loops re-solve a program after appending rows.  Such a solve
+can start warm from the earlier optimum (``solve_lp(lp, start=solution)``):
+the old basis is kept, each appended row's slack enters it basic, one
+refactorization rebuilds the tableau, and phase one drives the appended
+slacks that start negative back to zero before optimization resumes on the
+true right-hand side.  A start the new program cannot reuse (an artificial
+left basic) or a warm run that loses its footing numerically falls back to
+the cold solve, which stays the one canonical path for a program solved on
+its own.
+
 Unboundedness cannot occur when every structural variable has finite bounds,
 which is how the rest of the package always calls it; it is still detected
 and reported defensively.
@@ -16,14 +26,14 @@ and reported defensively.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import NumericalFailure
 
-__all__ = ["LinearProgram", "LpSolution", "LpStatus", "solve_lp"]
+__all__ = ["LinearProgram", "LpBasis", "LpSolution", "LpStatus", "solve_lp"]
 
 # Working tolerances.  Feasibility 1e-9 on the rows is what the solution
 # post-check certifies (returned points are clipped exactly into their
@@ -50,9 +60,10 @@ class LpStatus(enum.Enum):
 class LinearProgram:
     """A maximization LP with inequality rows and finite variable boxes.
 
-    Rows are held sparsely as ``(coefficient mapping, rhs)`` pairs; use
-    :meth:`add_leq` / :meth:`add_eq` to build them.  Bounds must be finite in
-    both directions for every variable.
+    Rows are held as ``(coefficients, rhs)`` pairs, the coefficients a dense
+    read-only array over the variables; use :meth:`add_leq` / :meth:`add_eq`
+    to build them.  Bounds must be finite in both directions for every
+    variable.
     """
 
     def __init__(
@@ -77,7 +88,7 @@ class LinearProgram:
         if var_names is not None and len(var_names) != n:
             raise ValueError("var_names length must match variable count")
         self.var_names = list(var_names) if var_names is not None else None
-        self.rows: list[tuple[dict[int, float], float]] = []
+        self.rows: list[tuple[np.ndarray, float]] = []
 
     @property
     def num_vars(self) -> int:
@@ -90,45 +101,86 @@ class LinearProgram:
     def add_leq(self, coeffs: Mapping[int, float] | np.ndarray, rhs: float) -> None:
         """Append one row ``sum_j coeffs[j] * z_j <= rhs``."""
         if isinstance(coeffs, Mapping):
-            row = {int(j): float(v) for j, v in coeffs.items() if v != 0.0}
+            row = np.zeros(self.num_vars)
+            for j, v in coeffs.items():
+                if v == 0.0:
+                    continue
+                if not 0 <= int(j) < self.num_vars:
+                    raise ValueError(f"coefficient index {j} out of range")
+                row[int(j)] = v
         else:
-            dense = np.asarray(coeffs, dtype=float)
-            if dense.shape != (self.num_vars,):
+            row = np.array(coeffs, dtype=float)
+            if row.shape != (self.num_vars,):
                 raise ValueError("dense row has wrong length")
-            row = {int(j): float(dense[j]) for j in np.flatnonzero(dense)}
-        for j in row:
-            if not 0 <= j < self.num_vars:
-                raise ValueError(f"coefficient index {j} out of range")
-        if not np.isfinite(rhs) or not all(np.isfinite(v) for v in row.values()):
+        if not np.isfinite(rhs) or not np.all(np.isfinite(row)):
             raise ValueError("row coefficients and rhs must be finite")
+        row += 0.0  # -0.0 -> +0.0: a zero coefficient is a zero, whatever its sign
+        row.setflags(write=False)
         self.rows.append((row, float(rhs)))
 
     def add_eq(self, coeffs: Mapping[int, float] | np.ndarray, rhs: float) -> None:
         """Equality row, stored as a pair of opposing inequalities."""
         self.add_leq(coeffs, rhs)
-        if isinstance(coeffs, Mapping):
-            flipped = {j: -v for j, v in coeffs.items()}
-        else:
-            flipped = -np.asarray(coeffs, dtype=float)
-        self.add_leq(flipped, -rhs)
+        self.add_leq(-self.rows[-1][0], -rhs)
+
+    def copy(self) -> "LinearProgram":
+        """A new program with the same variables and rows; the read-only row
+        arrays are shared, so rows appended to either stay its own."""
+        out = LinearProgram(self.objective, self.lower, self.upper, self.var_names)
+        out.rows = list(self.rows)
+        return out
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        a = np.zeros((self.num_rows, self.num_vars))
-        b = np.empty(self.num_rows)
-        for i, (row, rhs) in enumerate(self.rows):
-            for j, v in row.items():
-                a[i, j] = v
-            b[i] = rhs
-        return a, b
+        if not self.rows:
+            return np.zeros((0, self.num_vars)), np.zeros(0)
+        coeffs, rhs = zip(*self.rows)
+        return np.array(coeffs), np.array(rhs, dtype=float)
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    out = np.array(values)
+    out.setflags(write=False)
+    return out
+
+
+@dataclass(frozen=True)
+class LpBasis:
+    """The optimal basis a solve ended on, with the program it solved.
+
+    ``basic[r]`` is the column basic at position r, over the extended column
+    set [structural | slack | artificial]; ``status`` holds each structural
+    and slack column's bound code (0 lower, 1 upper), meaningful where the
+    column is nonbasic.  The program is kept as a snapshot: its row pairs
+    are shared read-only arrays, so extending the program later leaves the
+    snapshot as it was solved.
+    """
+
+    basic: np.ndarray
+    status: np.ndarray
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    rows: tuple[tuple[np.ndarray, float], ...]
 
 
 @dataclass(frozen=True)
 class LpSolution:
+    """A solve's outcome.
+
+    ``warm`` says the solve started from an earlier optimal basis and
+    finished from there (after a fallback to the cold solve it is False);
+    ``iterations`` counts every pivot made, a failed warm attempt's included.
+    ``basis`` is set on optimal solutions; pass the solution as ``start`` to
+    re-solve the program with rows appended.
+    """
+
     status: LpStatus
     point: np.ndarray | None = None
     objective_value: float | None = None
     max_violation: float = 0.0
     iterations: int = 0
+    warm: bool = False
+    basis: LpBasis | None = field(default=None, repr=False)
 
     @property
     def is_optimal(self) -> bool:
@@ -144,8 +196,7 @@ class _Simplex:
     """Dense bounded-variable simplex over the extended column set
     [structural | slack | artificial]."""
 
-    def __init__(self, lp: LinearProgram):
-        a, b = lp.dense_rows()
+    def __init__(self, lp: LinearProgram, a: np.ndarray, b: np.ndarray):
         self.m = a.shape[0]
         self.n = lp.num_vars
         n, m = self.n, self.m
@@ -177,12 +228,40 @@ class _Simplex:
         self.iterations = 0
         self.max_iterations = max(2000, 60 * (n + m))
 
+    def warm_start(self, start: LpBasis) -> None:
+        """Take over ``start``'s basis, its rows being this program's first
+        rows; each appended row's slack enters basic at the appended position.
+
+        The true rhs is used (no perturbation).  The basis matrix is block
+        lower-triangular with an identity block for the appended slacks, so
+        it stays nonsingular and the kept basic values are the old optimum's,
+        inside their boxes; only appended slacks can come out negative, which
+        phase one repairs.  Kept values that rounding pushed out of their
+        boxes raise NumericalFailure (the caller then solves cold).
+        """
+        n, m0 = self.n, start.basic.size
+        self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
+        self.in_basis[:] = False
+        self.in_basis[self.basis] = True
+        self.status[: n + m0] = start.status
+        self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        self.b = self.b_true
+        self.perturbed = False
+        self._refactorize()
+        kept = self.basis[:m0]
+        values = self.x[kept]
+        if np.any(values < self.lo[kept] - _FEAS_TOL) or np.any(
+            values > self.hi[kept] + _FEAS_TOL
+        ):
+            raise NumericalFailure("the start's basis is not primal feasible here")
+
     # -- phase drivers ------------------------------------------------------
 
     def run(self) -> LpStatus:
         """Alternate optimization with feasibility restoration.
 
-        The first optimization runs against the perturbed rhs; restoring the
+        The first optimization runs against the perturbed rhs (after a warm
+        start, against the true rhs); restoring the
         true rhs at its optimum keeps the basis dual-feasible, so when the
         basic values still sit inside their boxes the same vertex is optimal
         for the true program and the run ends.  Otherwise (and likewise when
@@ -193,6 +272,8 @@ class _Simplex:
         """
         if not self._phase_one():
             return LpStatus.INFEASIBLE
+        # Phase one on the true rhs (a warm start) certifies feasibility.
+        self.true_feasible_seen = not self.perturbed
         for _ in range(6):
             try:
                 status = self._optimize(self.obj)
@@ -260,14 +341,19 @@ class _Simplex:
     def _phase_one(self) -> bool:
         """Drive negative basic slacks to zero via artificials; True if done.
 
-        Expects a slack basis.  Rows whose slack is negative swap it for an
-        artificial (the basis stays the identity up to sign flips), the sum
-        of artificials is minimized, and the artificials are then pivoted out
-        and frozen.
+        A negative basic slack sits at its own row's basis position: a cold
+        start or a snap restart leaves the slack basis, and a warm start puts
+        the appended rows' slacks at their rows (having checked the kept
+        basic variables against their boxes).  Each such slack swaps for an
+        artificial whose column, in the rows and in the tableau alike, is
+        minus that unit vector; the swap flips the sign of the tableau row.
+        The sum of artificials is minimized, and the artificials are then
+        pivoted out and frozen.
         """
         if self.m == 0:
             return True
-        bad = np.flatnonzero(self.x[self.basis] < -_FEAS_TOL)
+        slack = (self.basis >= self.n) & (self.basis < self.n + self.m)
+        bad = np.flatnonzero(slack & (self.x[self.basis] < -_FEAS_TOL))
         if bad.size == 0:
             return True
         k = bad.size
@@ -532,25 +618,67 @@ class _Simplex:
         self.tableau[row, j] = 1.0
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
+def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis | None:
+    """``start``'s basis if it can seed ``lp``; None when it holds an
+    artificial, which ``lp`` has no column for.  Raises ValueError unless
+    ``lp`` has ``start``'s variables, bounds and objective and its rows begin
+    with ``start``'s rows."""
+    basis = start.basis
+    if basis is None:
+        raise ValueError("a warm start needs an optimal solution")
+    if not (
+        np.array_equal(lp.objective, basis.objective)
+        and np.array_equal(lp.lower, basis.lower)
+        and np.array_equal(lp.upper, basis.upper)
+    ):
+        raise ValueError("the start solved a program over other variables")
+    if lp.num_rows < len(basis.rows) or not all(
+        new is old or (np.array_equal(new[0], old[0]) and new[1] == old[1])
+        for new, old in zip(lp.rows, basis.rows)
+    ):
+        raise ValueError("the program's rows do not begin with the start's rows")
+    if np.any(basis.basic >= lp.num_vars + len(basis.rows)):
+        return None
+    return basis
+
+
+def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs.
+
+    With ``start``, the optimal solution of an earlier program that this one
+    extends by appending rows, the solve starts from that basis (module
+    docstring) and falls back to the cold solve when the start holds an
+    artificial or the warm run fails numerically.  Raises ValueError when
+    ``lp`` does not extend the start's program.
 
     Raises :class:`NumericalFailure` when the pivot tolerances are exhausted;
     that condition is never silently reported as infeasible.
     """
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
-    engine = _Simplex(lp)
-    try:
-        status = engine.run()
-    except _SingularBasis as exc:
-        # Raised where no recovery is attempted (a refactorization inside
-        # phase one outside run's retry loop).
-        raise NumericalFailure("the simplex basis became singular") from exc
-    if status is LpStatus.INFEASIBLE:
-        return LpSolution(status=LpStatus.INFEASIBLE, iterations=engine.iterations)
-    if status is LpStatus.UNBOUNDED:
-        return LpSolution(status=LpStatus.UNBOUNDED, iterations=engine.iterations)
+    a, b = lp.dense_rows()
+    basis = None if start is None else _warm_basis(lp, start)
+    spent = 0
+    if basis is not None:
+        engine = _Simplex(lp, a, b)
+        try:
+            engine.warm_start(basis)
+            status = engine.run()
+        except (NumericalFailure, _SingularBasis):
+            spent = engine.iterations
+            basis = None
+    if basis is None:
+        engine = _Simplex(lp, a, b)
+        try:
+            status = engine.run()
+        except _SingularBasis as exc:
+            # Raised where no recovery is attempted (a refactorization inside
+            # phase one outside run's retry loop).
+            raise NumericalFailure("the simplex basis became singular") from exc
+    warm = basis is not None
+    iterations = spent + engine.iterations
+    if status is not LpStatus.OPTIMAL:
+        return LpSolution(status=status, iterations=iterations, warm=warm)
 
     point = engine.x[: lp.num_vars].copy()
     # Snap values that drifted within certification tolerance back onto the box.
@@ -562,8 +690,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         raise NumericalFailure("optimal point violates variable bounds")
     point = np.clip(point, lp.lower, lp.upper)
 
-    a, b = lp.dense_rows()
-    residual = a @ point - b if lp.num_rows else np.zeros(0)
+    residual = a @ point - b
     max_violation = float(residual.max()) if residual.size else 0.0
     if max_violation > _FEAS_TOL:
         raise NumericalFailure(
@@ -574,5 +701,14 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
         point=point,
         objective_value=float(lp.objective @ point),
         max_violation=max(max_violation, 0.0),
-        iterations=engine.iterations,
+        iterations=iterations,
+        warm=warm,
+        basis=LpBasis(
+            basic=_frozen(engine.basis),
+            status=_frozen(engine.status[: lp.num_vars + lp.num_rows]),
+            objective=_frozen(lp.objective),
+            lower=_frozen(lp.lower),
+            upper=_frozen(lp.upper),
+            rows=tuple(lp.rows),
+        ),
     )

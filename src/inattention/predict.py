@@ -229,7 +229,7 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
     upper = np.concatenate([lp.upper, np.ones(cells)])
     refined = LinearProgram(objective, lower, upper)
     for coeffs, rhs in lp.rows:
-        refined.add_leq(coeffs, rhs)
+        refined.add_leq(np.concatenate([coeffs, np.zeros(cells)]), rhs)
     refined.add_leq(
         {i: -v for i, v in enumerate(lp.objective) if v},
         -(first.objective_value - _OBJECTIVE_SLACK),

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import inattention
 from inattention.brp import (
     MarginReport,
     UtilityProfile,
@@ -14,7 +19,7 @@ from inattention.brp import (
     save_profile,
     strict_margin,
 )
-from inattention import sbrp
+from inattention import brp, sbrp
 from inattention.brp import _BrpProgram
 from inattention.dataset import expected_value, joint_and_posterior, realized_value
 from inattention.errors import (
@@ -23,9 +28,11 @@ from inattention.errors import (
     NumericalFailure,
     ProfileMismatch,
 )
+from inattention.lp import solve_lp
 from inattention.synth import generate_feasible_dataset
 
 from conftest import D2_CERTIFICATE, dataset_from_matrices, random_dataset
+from test_lp import TIGHT_HIGHS, scipy_optimum
 
 
 def stochastic(rng, shape):
@@ -392,3 +399,88 @@ def test_singular_basis_is_a_numerical_failure():
     except NumericalFailure:
         return
     assert profile.margin == strict_margin(d, profile.utilities, profile.costs)
+
+
+def _feasible(seed):
+    return generate_feasible_dataset(5, 4, 4, margin=0.01, seed=seed).dataset
+
+
+def test_normalized_sparse_margin_is_the_strict_margin_of_its_utilities():
+    for seed in range(6):
+        d = _feasible(seed)
+        profile = brp_sparsest(d)
+        assert profile.margin == strict_margin(d, profile.utilities, profile.costs)
+
+
+_STALLED_SPARSE_FIT = """
+from inattention.brp import brp_max_margin, brp_sparsest, strict_margin
+from inattention.synth import generate_feasible_dataset
+
+d = generate_feasible_dataset(5, 4, 4, margin=0.01, seed=2089814968).dataset
+profile = brp_sparsest(d, 0.5, normalize=False)
+best, _ = brp_max_margin(d)
+assert profile.margin == strict_margin(d, profile.utilities, profile.costs)
+assert profile.margin >= 0.5 * best.margin - 1e-9
+"""
+
+
+def test_cut_rounds_that_stalled_the_cold_solver_converge():
+    # With BLAS on one thread, as the benchmark runs it, cold re-solves of
+    # this dataset's sparsity rounds ran into the iteration cap; warm rounds
+    # certify it.  BLAS fixes its thread count at start-up, hence the child.
+    threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, **{name: "1" for name in threads})
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(inattention.__file__))
+    done = subprocess.run(
+        [sys.executable, "-c", _STALLED_SPARSE_FIT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
+class TestWarmCutRounds:
+    """Each cut round re-solves a fresh, extended program from the previous
+    optimal basis."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def spy(lp, start=None):
+            sol = solve_lp(lp, start=start)
+            calls.append((lp, lp.num_rows, start, sol))
+            return sol
+
+        monkeypatch.setattr(brp, "solve_lp", spy)
+        return calls
+
+    def test_rounds_after_the_first_solve_warm(self, solves):
+        for seed in range(3):
+            del solves[:]
+            brp_sparsest(_feasible(seed))
+            starts = [start for _, _, start, _ in solves]
+            # Two stages, the max margin and the sparsity stage; only their
+            # first programs solve cold.
+            assert sum(start is None for start in starts) == 2
+            assert len(solves) > 2
+            for lp, rows, start, sol in solves:
+                assert sol.warm == (start is not None)
+                assert lp.num_rows == rows  # never extended once solved
+            assert len({id(lp) for lp, *_ in solves}) == len(solves)
+
+    def test_warm_rounds_match_cold_and_reference_solves(self, solves):
+        warm_rounds = 0
+        for seed in range(5):
+            del solves[:]
+            brp_max_margin(_feasible(100 + seed))
+            for lp, _, start, sol in solves:
+                if start is None:
+                    continue
+                warm_rounds += 1
+                cold = solve_lp(lp)
+                ref = scipy_optimum(lp, TIGHT_HIGHS)
+                assert ref.status == 0
+                value = sol.objective_value
+                assert value == pytest.approx(cold.objective_value, rel=1e-9)
+                assert value == pytest.approx(-ref.fun, rel=1e-9)
+        assert warm_rounds >= 10

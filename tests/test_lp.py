@@ -4,10 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from inattention import lp as lp_module
+from inattention.errors import NumericalFailure
 from inattention.lp import LinearProgram, LpStatus, solve_lp
 
+# HiGHS at feasibility tolerances near the in-house 1e-9, for comparisons at
+# 1e-9 relative; its 1e-7 default leaves gaps of that order on margin LPs.
+TIGHT_HIGHS = {
+    "primal_feasibility_tolerance": 1e-10,
+    "dual_feasibility_tolerance": 1e-10,
+}
 
-def scipy_optimum(lp):
+
+def scipy_optimum(lp, options=None):
     """Independent optimum from a different solver family (HiGHS)."""
     if lp.num_rows:
         a, b = lp.dense_rows()
@@ -17,12 +26,14 @@ def scipy_optimum(lp):
             b_ub=b,
             bounds=list(zip(lp.lower, lp.upper)),
             method="highs",
+            options=options,
         )
     else:
         res = linprog(
             -lp.objective,
             bounds=list(zip(lp.lower, lp.upper)),
             method="highs",
+            options=options,
         )
     return res
 
@@ -136,3 +147,143 @@ def test_matches_reference_solver(seed):
         assert ref.status == 2
     else:
         pytest.fail("finite boxes cannot be unbounded")
+
+
+def _extended(lp, point, rng, count):
+    """A fresh copy of ``lp`` with ``count`` random rows appended, each
+    violated at ``point`` (the old optimum) by up to 0.5."""
+    out = lp.copy()
+    for _ in range(count):
+        row = rng.normal(size=lp.num_vars)
+        out.add_leq(row, float(row @ point - rng.uniform(0.0, 0.5)))
+    return out
+
+
+class TestRowStorage:
+    def test_mapping_and_array_rows_store_the_same_dense_row(self):
+        a = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        a.add_leq({2: -1.5, 0: 2.0, 1: 0.0}, 1.0)
+        a.add_leq(np.array([2.0, 0.0, -1.5]), 1.0)
+        assert np.array_equal(a.rows[0][0], a.rows[1][0])
+        with pytest.raises(ValueError):
+            a.rows[0][0][0] = 3.0
+
+    def test_equality_rows_negate_without_negative_zeros(self):
+        lp = LinearProgram([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_eq(np.array([1.0, 0.0]), 1.0)
+        a, b = lp.dense_rows()
+        assert np.array_equal(a, [[1.0, 0.0], [-1.0, 0.0]])
+        assert not np.signbit(a[1, 1])
+        assert np.array_equal(b, [1.0, -1.0])
+
+    def test_copy_shares_rows_but_appends_apart(self):
+        lp = LinearProgram([1.0], [0.0], [2.0])
+        lp.add_leq({0: 1.0}, 1.0)
+        copy = lp.copy()
+        copy.add_leq({0: 2.0}, 1.0)
+        assert (lp.num_rows, copy.num_rows) == (1, 2)
+        assert copy.rows[0] is lp.rows[0]
+
+
+class TestWarmStart:
+    def test_appended_row_cuts_off_the_old_optimum(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq({0: 1.0, 1: 2.0}, 2.0)
+        first = solve_lp(lp)
+        cut = lp.copy()
+        cut.add_leq({0: 2.0, 1: 1.0}, 2.0)
+        warm = solve_lp(cut, start=first)
+        assert warm.warm and not first.warm
+        assert warm.objective_value == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert np.allclose(warm.point, [2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
+
+    def test_warm_matches_cold_and_reference_on_random_programs(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(80):
+            lp = random_lp(rng, m=int(rng.integers(1, 6)))
+            first = solve_lp(lp)
+            if first.status is not LpStatus.OPTIMAL:
+                continue
+            grown = _extended(lp, first.point, rng, int(rng.integers(1, 5)))
+            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            assert warm.status is cold.status
+            if cold.status is not LpStatus.OPTIMAL:
+                continue
+            ref = scipy_optimum(grown, TIGHT_HIGHS)
+            scale = max(1.0, abs(ref.fun))
+            tol = 1e-9 * scale
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+            assert warm.objective_value == pytest.approx(-ref.fun, abs=tol)
+            checked += 1
+        assert checked >= 20
+
+    def test_start_must_be_a_row_prefix(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq({0: 1.0, 1: 2.0}, 2.0)
+        lp.add_leq({0: 2.0, 1: 1.0}, 2.0)
+        start = solve_lp(lp)
+        reordered = LinearProgram(lp.objective, lp.lower, lp.upper)
+        reordered.rows = [lp.rows[1], lp.rows[0]]
+        shorter = LinearProgram(lp.objective, lp.lower, lp.upper)
+        shorter.rows = lp.rows[:1]
+        other_rhs = LinearProgram(lp.objective, lp.lower, lp.upper)
+        other_rhs.rows = [lp.rows[0], (lp.rows[1][0], 3.0)]
+        other_objective = LinearProgram([1.0, 2.0], lp.lower, lp.upper)
+        other_objective.rows = list(lp.rows)
+        other_bounds = LinearProgram(lp.objective, lp.lower, [1.0, 2.0])
+        other_bounds.rows = list(lp.rows)
+        for bad in (reordered, shorter, other_rhs, other_objective, other_bounds):
+            with pytest.raises(ValueError):
+                solve_lp(bad, start=start)
+        # An equal row that is a different object still makes a prefix.
+        rebuilt = LinearProgram(lp.objective, lp.lower, lp.upper)
+        rebuilt.add_leq([1.0, 2.0], 2.0)
+        rebuilt.add_leq([2.0, 1.0], 2.0)
+        assert solve_lp(rebuilt, start=start).warm
+
+    def test_start_must_be_optimal(self):
+        lp = LinearProgram([1.0], [0.0], [2.0])
+        lp.add_leq({0: 1.0}, -1.0)
+        infeasible = solve_lp(lp)
+        with pytest.raises(ValueError):
+            solve_lp(lp.copy(), start=infeasible)
+
+    def test_numerical_failure_falls_back_to_the_cold_solve(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        lp = random_lp(rng, n=4, m=0)
+        first = solve_lp(lp)
+        grown = _extended(lp, first.point, rng, 2)
+        cold = solve_lp(grown)
+
+        def fail(self, start):
+            self.iterations = 5
+            raise NumericalFailure("injected")
+
+        monkeypatch.setattr(lp_module._Simplex, "warm_start", fail)
+        retried = solve_lp(grown, start=first)
+        assert not retried.warm
+        assert retried.status is cold.status
+        assert retried.iterations == cold.iterations + 5
+        if cold.status is LpStatus.OPTIMAL:
+            assert np.array_equal(retried.point, cold.point)
+
+    @pytest.mark.parametrize("defect", ["basic artificial", "kept value off its box"])
+    def test_unusable_start_basis_means_a_cold_solve(self, defect):
+        from dataclasses import replace
+
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq({0: 2.0, 1: 1.0}, 2.5)
+        first = solve_lp(lp)  # x = 0.75 basic, y nonbasic at its upper bound
+        assert first.basis.basic.tolist() == [0] and first.basis.status[1] == 1
+        if defect == "basic artificial":
+            # Column n + m is the first artificial phase one would add.
+            basis = replace(first.basis, basic=np.array([lp.num_vars + lp.num_rows]))
+        else:
+            # y at its lower bound puts the basic x at 1.25, above its box.
+            basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
+        grown = lp.copy()
+        grown.add_leq({0: 1.0, 1: 2.0}, 2.0)
+        again = solve_lp(grown, start=replace(first, basis=basis))
+        assert not again.warm
+        assert np.array_equal(again.point, solve_lp(grown).point)
