@@ -21,7 +21,6 @@ from .costs import CostPiece, PiecewiseAffineCost
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
-    SoftmaxRecord,
     expected_value,
     ingest_softmax,
     joint_and_posterior,
@@ -71,7 +70,6 @@ __all__ = [
     "PiecewiseAffineCost",
     "PredictionOutcome",
     "SharedUtilitySolution",
-    "SoftmaxRecord",
     "UtilityProfile",
     "assign_costs",
     "brp_max_margin",

@@ -36,7 +36,6 @@ __all__ = [
     "AgentChoiceMatrix",
     "DecisionDataset",
     "JointPosterior",
-    "SoftmaxRecord",
     "validate_dataset",
     "joint_and_posterior",
     "expected_value",
@@ -170,29 +169,6 @@ class DecisionDataset:
             np.allclose(a.choice_prob, b.choice_prob, rtol=0.0, atol=tol)
             for a, b in zip(self.agents, other.agents)
         )
-
-
-@dataclass(frozen=True)
-class SoftmaxRecord:
-    """One classifier output: true label plus the softmax vector over actions."""
-
-    image_id: str
-    true_label: int
-    softmax: np.ndarray
-
-    def __post_init__(self):
-        vec = np.asarray(self.softmax, dtype=float)
-        if vec.ndim != 1:
-            raise DimensionMismatch(f"record {self.image_id!r}: softmax must be 1-D")
-        if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-            raise NotStochastic(f"record {self.image_id!r}: invalid softmax entries")
-        if abs(float(vec.sum()) - 1.0) > ROW_SUM_TOLERANCE + 1e-12:
-            raise NotStochastic(
-                f"record {self.image_id!r}: softmax sums to {float(vec.sum())!r}"
-            )
-        if self.true_label < 0:
-            raise DimensionMismatch(f"record {self.image_id!r}: negative true label")
-        object.__setattr__(self, "softmax", _frozen_array(vec))
 
 
 @dataclass(frozen=True)
@@ -365,17 +341,24 @@ def realized_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
 
 
 def ingest_softmax(
-    groups: Mapping[str, Sequence[SoftmaxRecord]],
+    groups: Mapping[str, Sequence[tuple[str, int, Sequence[float]]]],
     num_states: int | None = None,
     labels: Sequence[str] | None = None,
 ) -> DecisionDataset:
-    """Aggregate per-image softmax records into a decision dataset.
+    """Aggregate per-image softmax outputs into a decision dataset.
 
     ``groups`` maps agent id to that agent's records over the shared test
-    set.  The prior is the empirical label frequency; agent k's row x is the
-    mean softmax over its records with true label x.  All agents must have
-    scored the same test set, which is enforced as identical per-class record
-    counts; anything else raises :class:`RaggedAgents`.
+    set, each an ``(image_id, true_label, softmax)`` triple as
+    :func:`read_softmax_log` returns them: ``image_id`` names the record in
+    error messages, ``true_label`` is a nonnegative int below ``num_states``,
+    and ``softmax`` is a sequence of finite nonnegative floats, one per
+    action, that sums to 1 within ``ROW_SUM_TOLERANCE``.  This is where the
+    records are validated.
+
+    The prior is the empirical label frequency; agent k's row x is the mean
+    softmax over its records with true label x, summed in record order.  All
+    agents must have scored the same test set, which is enforced as identical
+    per-class record counts; anything else raises :class:`RaggedAgents`.
     """
     if not groups:
         raise RaggedAgents("no agent groups supplied")
@@ -384,17 +367,11 @@ def ingest_softmax(
         if not groups[agent_id]:
             raise RaggedAgents(f"agent {agent_id!r} has no records")
 
-    first = groups[agent_ids[0]]
-    num_actions = first[0].softmax.shape[0]
-    max_label = -1
-    for agent_id in agent_ids:
-        for rec in groups[agent_id]:
-            if rec.softmax.shape[0] != num_actions:
-                raise DimensionMismatch(
-                    f"record {rec.image_id!r} of agent {agent_id!r} has "
-                    f"{rec.softmax.shape[0]} softmax entries, expected {num_actions}"
-                )
-            max_label = max(max_label, rec.true_label)
+    num_actions = np.size(groups[agent_ids[0]][0][2])
+    stacked = [
+        _stack_records(agent_id, groups[agent_id], num_actions) for agent_id in agent_ids
+    ]
+    max_label = max(int(true_labels.max()) for true_labels, _ in stacked)
     if num_states is None:
         num_states = max_label + 1
     elif max_label >= num_states:
@@ -402,17 +379,12 @@ def ingest_softmax(
             f"true label {max_label} outside declared {num_states} states"
         )
 
-    counts = {
-        agent_id: np.bincount(
-            [rec.true_label for rec in groups[agent_id]], minlength=num_states
-        )
-        for agent_id in agent_ids
-    }
-    reference = counts[agent_ids[0]]
-    for agent_id in agent_ids[1:]:
-        if not np.array_equal(counts[agent_id], reference):
+    counts = [np.bincount(true_labels, minlength=num_states) for true_labels, _ in stacked]
+    reference = counts[0]
+    for agent_id, count in zip(agent_ids[1:], counts[1:]):
+        if not np.array_equal(count, reference):
             raise RaggedAgents(
-                f"agent {agent_id!r} saw per-class counts {counts[agent_id].tolist()} "
+                f"agent {agent_id!r} saw per-class counts {count.tolist()} "
                 f"but agent {agent_ids[0]!r} saw {reference.tolist()}; "
                 "all agents must share the test set"
             )
@@ -426,10 +398,10 @@ def ingest_softmax(
     prior = reference.astype(float) / total
 
     agents = []
-    for agent_id in agent_ids:
+    for agent_id, (true_labels, probs) in zip(agent_ids, stacked):
         acc = np.zeros((num_states, num_actions))
-        for rec in groups[agent_id]:
-            acc[rec.true_label] += rec.softmax
+        # Unbuffered and in record order: the same sums as adding row by row.
+        np.add.at(acc, true_labels, probs)
         acc /= reference[:, None]
         agents.append({"agent_id": agent_id, "choice_prob": acc})
 
@@ -442,6 +414,40 @@ def ingest_softmax(
             "agents": agents,
         }
     )
+
+
+def _stack_records(agent_id: str, records, num_actions: int):
+    """One agent's triples as (true labels, softmax rows) arrays, after
+    checking every record; an error names the first bad record."""
+    true_labels = np.array([label for _, label, _ in records])
+    try:
+        probs = np.array([softmax for _, _, softmax in records], dtype=float)
+    except ValueError:  # ragged rows: the loop below names the first
+        probs = None
+    if probs is None or probs.shape != (len(records), num_actions):
+        for image_id, _, softmax in records:
+            if np.ndim(softmax) != 1:
+                raise DimensionMismatch(f"record {image_id!r}: softmax must be 1-D")
+            if len(softmax) != num_actions:
+                raise DimensionMismatch(
+                    f"record {image_id!r} of agent {agent_id!r} has "
+                    f"{len(softmax)} softmax entries, expected {num_actions}"
+                )
+        probs = np.array([softmax for _, _, softmax in records], dtype=float)
+    sums = probs.sum(axis=1)
+    invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)
+    off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE + 1e-12
+    negative = true_labels < 0
+    bad = np.flatnonzero(invalid | off | negative)
+    if bad.size:
+        i = bad[0]
+        image_id = records[i][0]
+        if invalid[i]:
+            raise NotStochastic(f"record {image_id!r}: invalid softmax entries")
+        if off[i]:
+            raise NotStochastic(f"record {image_id!r}: softmax sums to {float(sums[i])!r}")
+        raise DimensionMismatch(f"record {image_id!r}: negative true label")
+    return true_labels, probs
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +521,13 @@ def load_dataset(path: str) -> DecisionDataset:
     return read_json(path, validate_dataset)
 
 
-def read_softmax_log(path: str) -> dict[str, list[SoftmaxRecord]]:
-    """Parse a softmax log CSV: agent_id,image_id,true_label,p0,...,p{A-1}."""
-    groups: dict[str, list[SoftmaxRecord]] = {}
+def read_softmax_log(path: str) -> dict[str, list[tuple[str, int, list[float]]]]:
+    """Parse a softmax log CSV: agent_id,image_id,true_label,p0,...,p{A-1}.
+
+    Returns each agent's ``(image_id, true_label, softmax)`` triples in file
+    order, the input of :func:`ingest_softmax`, which validates them.
+    """
+    groups: dict[str, list[tuple[str, int, list[float]]]] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
@@ -536,10 +546,8 @@ def read_softmax_log(path: str) -> dict[str, list[SoftmaxRecord]]:
                     continue
                 if len(row) != 3 + width:
                     raise IoFailure(f"{path}:{lineno}: expected {3 + width} fields")
-                agent_id, image_id, label = row[0], row[1], int(row[2])
-                vec = np.array([float(v) for v in row[3:]])
-                groups.setdefault(agent_id, []).append(
-                    SoftmaxRecord(image_id=image_id, true_label=label, softmax=vec)
+                groups.setdefault(row[0], []).append(
+                    (row[1], int(row[2]), [float(v) for v in row[3:]])
                 )
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class LinearProgram:
         objective: Sequence[float] | np.ndarray,
         lower: Sequence[float] | np.ndarray,
         upper: Sequence[float] | np.ndarray,
-        var_names: Sequence[str] | None = None,
     ):
         self.objective = np.asarray(objective, dtype=float).copy()
         self.lower = np.asarray(lower, dtype=float).copy()
@@ -85,9 +84,6 @@ class LinearProgram:
             raise ValueError("all variable bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        if var_names is not None and len(var_names) != n:
-            raise ValueError("var_names length must match variable count")
-        self.var_names = list(var_names) if var_names is not None else None
         self.rows: list[tuple[np.ndarray, float]] = []
 
     @property
@@ -98,27 +94,19 @@ class LinearProgram:
     def num_rows(self) -> int:
         return len(self.rows)
 
-    def add_leq(self, coeffs: Mapping[int, float] | np.ndarray, rhs: float) -> None:
-        """Append one row ``sum_j coeffs[j] * z_j <= rhs``."""
-        if isinstance(coeffs, Mapping):
-            row = np.zeros(self.num_vars)
-            for j, v in coeffs.items():
-                if v == 0.0:
-                    continue
-                if not 0 <= int(j) < self.num_vars:
-                    raise ValueError(f"coefficient index {j} out of range")
-                row[int(j)] = v
-        else:
-            row = np.array(coeffs, dtype=float)
-            if row.shape != (self.num_vars,):
-                raise ValueError("dense row has wrong length")
+    def add_leq(self, coeffs: Sequence[float] | np.ndarray, rhs: float) -> None:
+        """Append one row ``coeffs @ z <= rhs``; ``coeffs`` is dense over the
+        variables."""
+        row = np.array(coeffs, dtype=float)
+        if row.shape != (self.num_vars,):
+            raise ValueError("dense row has wrong length")
         if not np.isfinite(rhs) or not np.all(np.isfinite(row)):
             raise ValueError("row coefficients and rhs must be finite")
         row += 0.0  # -0.0 -> +0.0: a zero coefficient is a zero, whatever its sign
         row.setflags(write=False)
         self.rows.append((row, float(rhs)))
 
-    def add_eq(self, coeffs: Mapping[int, float] | np.ndarray, rhs: float) -> None:
+    def add_eq(self, coeffs: Sequence[float] | np.ndarray, rhs: float) -> None:
         """Equality row, stored as a pair of opposing inequalities."""
         self.add_leq(coeffs, rhs)
         self.add_leq(-self.rows[-1][0], -rhs)
@@ -126,7 +114,7 @@ class LinearProgram:
     def copy(self) -> "LinearProgram":
         """A new program with the same variables and rows; the read-only row
         arrays are shared, so rows appended to either stay its own."""
-        out = LinearProgram(self.objective, self.lower, self.upper, self.var_names)
+        out = LinearProgram(self.objective, self.lower, self.upper)
         out.rows = list(self.rows)
         return out
 

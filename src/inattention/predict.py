@@ -191,11 +191,11 @@ def predict_choice(
     objective[-1] = -1.0
     lp = LinearProgram(objective, lower, upper)
     for x in range(X):
-        lp.add_eq({x * A + a: 1.0 for a in range(A)}, 1.0)
+        row = np.zeros(n)
+        row[x * A : (x + 1) * A] = 1.0
+        lp.add_eq(row, 1.0)
     for offset, gradient in zip(offsets, gradients):
-        coeffs = {i: v for i, v in enumerate(gradient.ravel()) if v}
-        coeffs[n - 1] = -1.0
-        lp.add_leq(coeffs, -offset)
+        lp.add_leq(np.append(gradient.ravel(), -1.0), -offset)
     first = solve_lp(lp)
     if first.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"prediction program reported {first.status.value}")
@@ -231,12 +231,14 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
     for coeffs, rhs in lp.rows:
         refined.add_leq(np.concatenate([coeffs, np.zeros(cells)]), rhs)
     refined.add_leq(
-        {i: -v for i, v in enumerate(lp.objective) if v},
+        np.concatenate([-lp.objective, np.zeros(cells)]),
         -(first.objective_value - _OBJECTIVE_SLACK),
     )
+    # |z_i - target_i| <= t_i, as two rows per cell.
+    cell, gap = np.eye(cells, base), -np.eye(cells)
     for i in range(cells):
-        refined.add_leq({i: 1.0, base + i: -1.0}, float(target[i]))
-        refined.add_leq({i: -1.0, base + i: -1.0}, -float(target[i]))
+        refined.add_leq(np.concatenate([cell[i], gap[i]]), float(target[i]))
+        refined.add_leq(np.concatenate([-cell[i], gap[i]]), -float(target[i]))
     second = solve_lp(refined)
     if second.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("prediction refinement failed to solve")

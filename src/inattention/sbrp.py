@@ -256,7 +256,6 @@ def sbrp_max_margin(
     d: DecisionDataset,
     *,
     fix_sensitivities: bool = False,
-    max_rounds: int = _MAX_ROUNDS,
 ) -> tuple[SharedUtilitySolution, MarginReport]:
     """Alternating max-margin fit of the shared-utility model.
 
@@ -272,7 +271,7 @@ def sbrp_max_margin(
     history = [max(_margin_of(*_residual_arrays(d, utility, lam, costs)), 0.0)]
     scheme = "fixed-sensitivities" if fix_sensitivities else "alternating"
     if not fix_sensitivities:
-        for _ in range(max_rounds):
+        for _ in range(_MAX_ROUNDS):
             lam_candidate, margin_b = stages.sensitivity_stage(utility, costs)
             if margin_b - history[-1] < _ALTERNATION_TOL:
                 # No real improvement: keep the incumbent sensitivities

@@ -43,7 +43,6 @@ __all__ = [
     "GroundTruth",
     "OracleResult",
     "generate_strategies",
-    "strategy_from_posteriors",
     "assign_costs",
     "generate_feasible_dataset",
     "generate_boundary_dataset",
@@ -98,55 +97,6 @@ class OracleResult:
 
 # ---------------------------------------------------------------------------
 # Strategy generation
-
-
-def strategy_from_posteriors(prior, posteriors, utility) -> np.ndarray:
-    """Turn candidate posteriors into a choice matrix that best-responds.
-
-    Mixture weights are the projection of the uniform weights onto the
-    affine slice where the posteriors average back to the prior; candidates
-    whose weights leave [0, 1] (or crowd an action out entirely) are
-    rejected.  Actions are then relabelled so each posterior answers with its
-    own best action (ties to the lowest index), which builds the
-    best-response property in; a relabelling that is not one-to-one is
-    rejected too.
-    """
-    mu = np.asarray(prior, dtype=float)
-    q = np.asarray(posteriors, dtype=float)  # columns are posteriors
-    if q.ndim != 2 or q.shape[0] != mu.shape[0]:
-        raise DimensionMismatch("posteriors must be stacked as columns over states")
-    u = np.asarray(utility, dtype=float)
-    if np.any(mu <= 0):
-        raise DimensionMismatch("prior must be strictly positive")
-    num_actions = u.shape[1]
-    m = q.shape[1]
-    if m > num_actions:
-        raise DimensionMismatch("more posteriors than actions")
-
-    if m == 1:
-        weights = np.array([1.0])
-        if not np.allclose(q[:, 0], mu, atol=1e-9):
-            raise RejectionExhausted("a single posterior must equal the prior")
-    else:
-        target = np.full(m, 1.0 / m)
-        correction = np.linalg.pinv(q @ q.T, rcond=1e-10) @ (mu - q @ target)
-        weights = target + q.T @ correction
-        if np.any(weights < _WEIGHT_FLOOR) or np.any(weights > 1.0):
-            raise RejectionExhausted("projected mixture weights leave the box")
-        if not np.allclose(q @ weights, mu, atol=1e-9):
-            raise RejectionExhausted("posteriors cannot average back to the prior")
-
-    scores = q.T @ u  # (m, A)
-    best = scores.argmax(axis=1)
-    if len(set(int(b) for b in best)) != m:
-        raise RejectionExhausted("two posteriors share a best action")
-    strategy = np.zeros((mu.shape[0], num_actions))
-    for i in range(m):
-        strategy[:, int(best[i])] = weights[i] * q[:, i] / mu
-    sums = strategy.sum(axis=1)
-    if np.any(np.abs(sums - 1.0) > 1e-8):
-        raise RejectionExhausted("numerically inconsistent mixture")
-    return np.clip(strategy, 0.0, None) / sums[:, None]
 
 
 def generate_strategies(

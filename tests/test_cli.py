@@ -45,6 +45,34 @@ class TestIngest:
             == 2
         )
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "b,i1,1,-0.1,1.1",  # negative entry
+            "b,i1,1,0.4,0.5",  # row sum off by 0.1
+            "b,i1,-1,0.4,0.6",  # negative label
+            "b,i1,1,0.4",  # wrong field count
+            "b,i1,1,0.4,x",  # malformed number
+            "b,i1,2,0.4,0.6",  # label outside --num-states
+        ],
+    )
+    def test_defective_log_is_domain_error(self, tmp_path, capsys, line):
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "agent_id,image_id,true_label,p0,p1\n"
+            "a,i0,0,0.8,0.2\n"
+            "a,i1,1,0.3,0.7\n"
+            "b,i0,0,0.7,0.3\n"
+            f"{line}\n"
+        )
+        out = tmp_path / "data.json"
+        assert run("ingest", "--softmax", log, "--num-states", 2, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err
+        if line == "b,i1,1,0.4":
+            assert f"{log}:5:" in err  # the field-count error names the line
+        assert not out.exists()
+
 
 class TestTest:
     def test_umri_profile(self, tmp_path, dataset_file):

@@ -1,4 +1,6 @@
+import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inattention.dataset import (
-    SoftmaxRecord,
     dataset_to_dict,
     expected_value,
     ingest_softmax,
@@ -150,12 +151,12 @@ class TestIngest:
     def test_two_record_example(self):
         groups = {
             "net": [
-                SoftmaxRecord("img0", 0, np.array([0.8, 0.2])),
-                SoftmaxRecord("img1", 1, np.array([0.3, 0.7])),
+                ("img0", 0, [0.8, 0.2]),
+                ("img1", 1, [0.3, 0.7]),
             ],
             "net2": [
-                SoftmaxRecord("img0", 0, np.array([0.6, 0.4])),
-                SoftmaxRecord("img1", 1, np.array([0.5, 0.5])),
+                ("img0", 0, [0.6, 0.4]),
+                ("img1", 1, [0.5, 0.5]),
             ],
         }
         d = ingest_softmax(groups)
@@ -164,8 +165,8 @@ class TestIngest:
 
     def test_empty_class_rejected(self):
         groups = {
-            "a": [SoftmaxRecord("i", 0, np.array([0.9, 0.1]))],
-            "b": [SoftmaxRecord("i", 0, np.array([0.9, 0.1]))],
+            "a": [("i", 0, [0.9, 0.1])],
+            "b": [("i", 0, [0.9, 0.1])],
         }
         with pytest.raises(EmptyClass):
             ingest_softmax(groups, num_states=2)
@@ -173,10 +174,10 @@ class TestIngest:
     def test_ragged_agents_rejected(self):
         groups = {
             "a": [
-                SoftmaxRecord("i0", 0, np.array([0.9, 0.1])),
-                SoftmaxRecord("i1", 1, np.array([0.2, 0.8])),
+                ("i0", 0, [0.9, 0.1]),
+                ("i1", 1, [0.2, 0.8]),
             ],
-            "b": [SoftmaxRecord("i0", 0, np.array([0.9, 0.1]))],
+            "b": [("i0", 0, [0.9, 0.1])],
         }
         with pytest.raises(RaggedAgents):
             ingest_softmax(groups)
@@ -187,21 +188,68 @@ class TestIngest:
         for i in range(100):
             label = i % 10
             vec = rng.dirichlet(np.ones(10))
-            records.append(SoftmaxRecord(f"img{i}", label, vec))
+            records.append((f"img{i}", label, vec))
         d = ingest_softmax({"a": records, "b": records})
         assert np.allclose(d.prior, 0.1)
 
     def test_record_order_does_not_matter(self):
         rng = np.random.default_rng(11)
-        records = [
-            SoftmaxRecord(f"img{i}", i % 2, rng.dirichlet(np.ones(2)))
-            for i in range(12)
-        ]
+        records = [(f"img{i}", i % 2, rng.dirichlet(np.ones(2))) for i in range(12)]
         shuffled = list(records)
         rng.shuffle(shuffled)
         d1 = ingest_softmax({"a": records, "b": records})
         d2 = ingest_softmax({"a": shuffled, "b": shuffled})
         assert d1.approx_equal(d2)
+
+    @pytest.mark.parametrize(
+        "record, error, message",
+        [
+            (("i1", 1, [0.1, 0.2, 0.7]), DimensionMismatch, "record 'i1' of agent 'b' has 3"),
+            (("i1", 1, [[0.2, 0.8]]), DimensionMismatch, "record 'i1': softmax must be 1-D"),
+            (("i1", 1, [-0.1, 1.1]), NotStochastic, "record 'i1': invalid softmax entries"),
+            (("i1", 1, [np.nan, 1.0]), NotStochastic, "record 'i1': invalid softmax entries"),
+            (("i1", 1, [0.25, 0.5]), NotStochastic, "record 'i1': softmax sums to 0.75"),
+            (("i1", -1, [0.2, 0.8]), DimensionMismatch, "record 'i1': negative true label"),
+            (("i1", 2, [0.2, 0.8]), DimensionMismatch, "true label 2 outside declared 2 states"),
+        ],
+    )
+    def test_defective_record_is_named(self, record, error, message):
+        good = [("i0", 0, [0.9, 0.1]), ("i1", 1, [0.2, 0.8]), ("i2", 1, [0.4, 0.6])]
+        groups = {"a": good, "b": [good[0], record, good[2]]}
+        with pytest.raises(error, match=re.escape(message)):
+            ingest_softmax(groups, num_states=2)
+
+    def test_rows_are_sums_in_file_order(self, tmp_path):
+        """Bit for bit the mean of each class's rows added one by one in
+        file order, on a log big enough for summation order to show."""
+        rng = np.random.default_rng(5)
+        true_labels = rng.integers(0, 3, size=600)
+        lines = ["agent_id,image_id,true_label,p0,p1,p2"]
+        for agent in ("a", "b"):
+            for i, label in enumerate(true_labels):
+                probs = ",".join(repr(float(p)) for p in rng.dirichlet(np.full(3, 0.3)))
+                lines.append(f"{agent},img{i},{label},{probs}")
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        sums = {"a": np.zeros((3, 3)), "b": np.zeros((3, 3))}
+        with open(path, newline="") as fh:
+            for agent, _, label, *probs in list(csv.reader(fh))[1:]:
+                sums[agent][int(label)] += np.array([float(p) for p in probs])
+        counts = np.bincount(true_labels, minlength=3)
+        reference = validate_dataset(
+            {
+                "prior": counts / counts.sum(),
+                "agents": [
+                    {"agent_id": a, "choice_prob": sums[a] / counts[:, None]} for a in "ab"
+                ],
+            }
+        )
+
+        d = ingest_softmax(read_softmax_log(str(path)))
+        assert np.array_equal(d.prior, reference.prior)
+        for k in range(2):
+            assert np.array_equal(d.choice(k), reference.choice(k))
 
 
 class TestFiles:

@@ -8,7 +8,6 @@ from inattention.dataset import expected_value
 from inattention.errors import (
     InstanceTooLarge,
     NegativeCycle,
-    RejectionExhausted,
 )
 from inattention.synth import (
     assign_costs,
@@ -18,30 +17,12 @@ from inattention.synth import (
     grid_oracle,
     load_ground_truth,
     save_ground_truth,
-    strategy_from_posteriors,
 )
 
 from conftest import D2_CERTIFICATE, dataset_from_matrices
 
 
 class TestStrategyConstruction:
-    def test_vertex_posteriors_give_identity(self):
-        mu = np.full(3, 1 / 3)
-        strategy = strategy_from_posteriors(mu, np.eye(3), np.eye(3))
-        assert np.allclose(strategy, np.eye(3))
-
-    def test_single_posterior_is_uninformative(self):
-        mu = np.array([0.3, 0.7])
-        strategy = strategy_from_posteriors(mu, mu[:, None], np.ones((2, 2)))
-        assert np.allclose(strategy[0], strategy[1])
-        assert np.allclose(strategy.sum(axis=1), 1.0)
-
-    def test_single_posterior_must_be_the_prior(self):
-        with pytest.raises(RejectionExhausted):
-            strategy_from_posteriors(
-                np.array([0.3, 0.7]), np.array([[0.5], [0.5]]), np.ones((2, 2))
-            )
-
     def test_sampled_strategy_best_responds(self):
         rng = np.random.default_rng(42)
         mu = np.full(3, 1 / 3)
