@@ -274,15 +274,15 @@ def _unit_box_program(objective: np.ndarray, with_margin: bool) -> LinearProgram
     return LinearProgram(objective, lower, upper)
 
 
-def _add_rows(
-    lp: LinearProgram, rows: np.ndarray, with_margin: bool, rhs: float
-) -> None:
-    """Add core-variable rows at ``rhs``, with coefficient one on the margin
-    (the last variable) when the program has one."""
+def _margin_rows(lp: LinearProgram, core: np.ndarray, with_margin: bool) -> np.ndarray:
+    """``core`` rows over ``lp``'s leading variables, widened with zeros to
+    all of them, with coefficient one on the margin (the last variable) when
+    ``with_margin``."""
+    rows = np.zeros((core.shape[0], lp.num_vars))
+    rows[:, : core.shape[1]] = core
     if with_margin:
-        rows = np.hstack([rows, np.ones((rows.shape[0], 1))])
-    for row in rows:
-        lp.add_leq(row, rhs)
+        rows[:, -1] = 1.0
+    return rows
 
 
 class _BrpProgram:
@@ -340,7 +340,8 @@ class _BrpProgram:
             for (j, k), sigmas in self.selections.items()
             for sigma in sigmas
         ]
-        _add_rows(lp, np.vstack([self.nias_rows, *swaps]), with_margin, rhs_offset)
+        rows = np.vstack([self.nias_rows, *swaps])
+        lp.add_leq(_margin_rows(lp, rows, with_margin), rhs_offset)
         return lp
 
     def extract(self, point: np.ndarray):
@@ -394,7 +395,7 @@ class _BrpProgram:
             if not cuts:
                 return utilities, costs, margin
             lp = lp.copy()
-            _add_rows(lp, np.array(cuts), with_margin, rhs_offset)
+            lp.add_leq(_margin_rows(lp, np.array(cuts), with_margin), rhs_offset)
         raise NumericalFailure("best-response row generation did not converge")
 
     def max_margin(self):

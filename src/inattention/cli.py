@@ -127,6 +127,8 @@ def cmd_robustness(args) -> int:
 
 
 def cmd_sparse(args) -> int:
+    if not 0.0 < args.margin_fraction < 1.0:
+        raise _Usage(f"--margin-fraction {args.margin_fraction} is not in (0, 1)")
     _require_inputs(args.dataset)
     data = ds.load_dataset(args.dataset)
     meta = _solver_metadata(
@@ -195,24 +197,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _eta_grid(text: str) -> np.ndarray:
+    """The ``--etas`` grid; a usage error unless every entry is a finite number."""
+    try:
+        etas = np.array([float(v) for v in text.split(",")])
+        if np.all(np.isfinite(etas)):
+            return etas
+    except ValueError:
+        pass
+    raise _Usage(f"--etas {text!r} is not a comma-separated list of finite numbers")
+
+
 def cmd_predict(args) -> int:
-    if args.family:
-        _require_inputs(args.family)
-        family = pred.load_family(args.family)
-    else:
-        if not args.dataset or args.etas is None:
-            raise _Usage("predict needs either --family or --dataset with --etas")
-        _require_inputs(args.dataset)
-        data = ds.load_dataset(args.dataset)
-        etas = np.array([float(v) for v in args.etas.split(",")])
-        family = pred.fit_family(data, etas)
-        if args.save_family:
-            pred.save_family(args.save_family, family)
+    # Every argument is checked before the fit, which can take minutes.
+    if not args.family and (not args.dataset or args.etas is None):
+        raise _Usage("predict needs either --family or --dataset with --etas")
+    etas = None if args.family else _eta_grid(args.etas)
     truth = None
     if args.truth_dataset:
         _require_inputs(args.truth_dataset)
         truth_data = ds.load_dataset(args.truth_dataset)
+        agents = truth_data.num_agents
+        if not 0 <= args.truth_agent < agents:
+            raise _Usage(f"--truth-agent {args.truth_agent} is not in [0, {agents})")
         truth = truth_data.choice(args.truth_agent)
+    if args.family:
+        _require_inputs(args.family)
+        family = pred.load_family(args.family)
+    else:
+        _require_inputs(args.dataset)
+        family = pred.fit_family(ds.load_dataset(args.dataset), etas)
+        if args.save_family:
+            pred.save_family(args.save_family, family)
     outcome = pred.predict_at(family, args.eta, truth=truth)
     payload = pred.prediction_to_dict(
         outcome, truth=truth, labels=family.dataset.labels

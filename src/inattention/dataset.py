@@ -194,39 +194,31 @@ class JointPosterior:
 
 
 def validate_dataset(raw) -> DecisionDataset:
-    """Normalize and verify a dataset candidate.
+    """Normalize and verify a dataset mapping in the JSON schema.
 
-    Accepts a :class:`DecisionDataset`, the JSON-schema dict, or a
-    ``(prior, matrices)`` pair.  Choice-matrix rows whose sums deviate from 1
-    by at most 1e-6 are renormalized; larger deviations reject the input.
-    Collections of fewer than two agents are rejected: a single agent is
-    rationalizable by construction, so testing it is vacuous.
+    The mapping holds ``prior``, ``agents`` (each a ``choice_prob`` matrix
+    and an optional ``agent_id``) and optionally ``labels``, ``num_states``
+    and ``num_actions``; input of any other type raises TypeError.
+    Choice-matrix rows whose sums deviate from 1 by at most 1e-6 are
+    renormalized; larger deviations reject the input.  Collections of fewer
+    than two agents are rejected: a single agent is rationalizable by
+    construction, so testing it is vacuous.
     """
-    if isinstance(raw, DecisionDataset):
-        prior = np.asarray(raw.prior, dtype=float)
-        mats = [np.asarray(a.choice_prob, dtype=float) for a in raw.agents]
-        ids = list(raw.agent_ids)
-        labels = raw.labels
-    elif isinstance(raw, Mapping):
-        try:
-            prior = np.asarray(raw["prior"], dtype=float)
-            mats = [np.asarray(a["choice_prob"], dtype=float) for a in raw["agents"]]
-            ids = [str(a.get("agent_id", i)) for i, a in enumerate(raw["agents"])]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DimensionMismatch(f"malformed dataset mapping: {exc}") from exc
-        labels = tuple(raw["labels"]) if raw.get("labels") else None
-        declared = (raw.get("num_states"), raw.get("num_actions"))
-        if declared[0] is not None and mats and mats[0].ndim == 2:
-            if (declared[0], declared[1]) != mats[0].shape:
-                raise DimensionMismatch(
-                    f"declared shape {declared} does not match matrices {mats[0].shape}"
-                )
-    else:
-        prior, raw_mats = raw
-        prior = np.asarray(prior, dtype=float)
-        mats = [np.asarray(m, dtype=float) for m in raw_mats]
-        ids = [str(i) for i in range(len(mats))]
-        labels = None
+    if not isinstance(raw, Mapping):
+        raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
+    try:
+        prior = np.asarray(raw["prior"], dtype=float)
+        mats = [np.asarray(a["choice_prob"], dtype=float) for a in raw["agents"]]
+        ids = [str(a.get("agent_id", i)) for i, a in enumerate(raw["agents"])]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(f"malformed dataset mapping: {exc}") from exc
+    labels = tuple(raw["labels"]) if raw.get("labels") else None
+    declared = (raw.get("num_states"), raw.get("num_actions"))
+    if declared[0] is not None and mats and mats[0].ndim == 2:
+        if (declared[0], declared[1]) != mats[0].shape:
+            raise DimensionMismatch(
+                f"declared shape {declared} does not match matrices {mats[0].shape}"
+            )
 
     if len(mats) < 2:
         raise TooFewAgents(

@@ -8,6 +8,10 @@ variables, Dantzig pricing with lowest-index tie-breaking, and a switch to
 Bland's rule (pure lowest-index, provably cycle-free) after a run of
 degenerate pivots.  Identical inputs produce bit-identical solutions.
 
+Only this module knows how a program stores its rows: one read-only matrix
+``a`` and rhs vector ``b``, grown a whole block at a time (see
+:class:`LinearProgram`) and read by the solver and its post-check as stored.
+
 Cutting-plane loops re-solve a program after appending rows.  Such a solve
 can start warm from the earlier optimum (``solve_lp(lp, start=solution)``):
 the old basis is kept, each appended row's slack enters it basic, one
@@ -25,6 +29,7 @@ and reported defensively.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -60,10 +65,12 @@ class LpStatus(enum.Enum):
 class LinearProgram:
     """A maximization LP with inequality rows and finite variable boxes.
 
-    Rows are held as ``(coefficients, rhs)`` pairs, the coefficients a dense
-    read-only array over the variables; use :meth:`add_leq` / :meth:`add_eq`
-    to build them.  Bounds must be finite in both directions for every
-    variable.
+    The rows are one read-only matrix ``a`` and rhs vector ``b``, the program
+    being ``a @ z <= b``.  :meth:`add_leq` / :meth:`add_eq` append a whole
+    block of dense rows (one row is a one-row block) by binding new arrays,
+    never writing into the old ones, so a :meth:`copy` or a solve's
+    :class:`LpBasis` shares them as they stood.  The objective and bounds
+    are read-only too; every bound must be finite.
     """
 
     def __init__(
@@ -72,9 +79,9 @@ class LinearProgram:
         lower: Sequence[float] | np.ndarray,
         upper: Sequence[float] | np.ndarray,
     ):
-        self.objective = np.asarray(objective, dtype=float).copy()
-        self.lower = np.asarray(lower, dtype=float).copy()
-        self.upper = np.asarray(upper, dtype=float).copy()
+        self.objective = _frozen(np.array(objective, dtype=float))
+        self.lower = _frozen(np.array(lower, dtype=float))
+        self.upper = _frozen(np.array(upper, dtype=float))
         n = self.objective.shape[0]
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("objective and bounds must have the same length")
@@ -84,7 +91,8 @@ class LinearProgram:
             raise ValueError("all variable bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("lower bound exceeds upper bound")
-        self.rows: list[tuple[np.ndarray, float]] = []
+        self.a = _frozen(np.zeros((0, n)))
+        self.b = _frozen(np.zeros(0))
 
     @property
     def num_vars(self) -> int:
@@ -92,43 +100,49 @@ class LinearProgram:
 
     @property
     def num_rows(self) -> int:
-        return len(self.rows)
+        return self.b.shape[0]
 
-    def add_leq(self, coeffs: Sequence[float] | np.ndarray, rhs: float) -> None:
-        """Append one row ``coeffs @ z <= rhs``; ``coeffs`` is dense over the
-        variables."""
-        row = np.array(coeffs, dtype=float)
-        if row.shape != (self.num_vars,):
+    def _block(self, coeffs, rhs) -> tuple[np.ndarray, np.ndarray]:
+        """``coeffs`` as a (rows, variables) block, -0.0 made +0.0, and ``rhs``
+        as one value per row, a scalar standing for every row."""
+        block = np.array(coeffs, dtype=float, ndmin=2)
+        if block.ndim != 2 or block.shape[1] != self.num_vars:
             raise ValueError("dense row has wrong length")
-        if not np.isfinite(rhs) or not np.all(np.isfinite(row)):
+        bound = np.asarray(rhs, dtype=float)
+        if bound.ndim == 0:
+            bound = np.full(block.shape[0], bound)
+        elif bound.shape != block.shape[:1]:
+            raise ValueError("need one rhs per row")
+        if not (np.all(np.isfinite(block)) and np.all(np.isfinite(bound))):
             raise ValueError("row coefficients and rhs must be finite")
-        row += 0.0  # -0.0 -> +0.0: a zero coefficient is a zero, whatever its sign
-        row.setflags(write=False)
-        self.rows.append((row, float(rhs)))
+        block += 0.0
+        return block, bound
 
-    def add_eq(self, coeffs: Sequence[float] | np.ndarray, rhs: float) -> None:
-        """Equality row, stored as a pair of opposing inequalities."""
-        self.add_leq(coeffs, rhs)
-        self.add_leq(-self.rows[-1][0], -rhs)
+    def add_leq(self, coeffs: Sequence | np.ndarray, rhs) -> None:
+        """Append ``coeffs @ z <= rhs``: one dense row over the variables or a
+        block of them, with one rhs per row or a scalar rhs for every row."""
+        block, bound = self._block(coeffs, rhs)
+        self.a = _frozen(np.concatenate([self.a, block]))
+        self.b = _frozen(np.concatenate([self.b, bound]))
+
+    def add_eq(self, coeffs: Sequence | np.ndarray, rhs) -> None:
+        """Append equality rows, each stored as the row then its negation."""
+        block, bound = self._block(coeffs, rhs)
+        pairs = np.stack([block, -block], axis=1).reshape(-1, self.num_vars)
+        self.add_leq(pairs, np.stack([bound, -bound], axis=1).ravel())
 
     def copy(self) -> "LinearProgram":
-        """A new program with the same variables and rows; the read-only row
-        arrays are shared, so rows appended to either stay its own."""
-        out = LinearProgram(self.objective, self.lower, self.upper)
-        out.rows = list(self.rows)
-        return out
+        """A new program sharing these read-only arrays; appends stay apart."""
+        return copy.copy(self)
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        if not self.rows:
-            return np.zeros((0, self.num_vars)), np.zeros(0)
-        coeffs, rhs = zip(*self.rows)
-        return np.array(coeffs), np.array(rhs, dtype=float)
+        return self.a, self.b
 
 
 def _frozen(values: np.ndarray) -> np.ndarray:
-    out = np.array(values)
-    out.setflags(write=False)
-    return out
+    """``values``, an array nothing else writes to, made read-only."""
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -138,17 +152,14 @@ class LpBasis:
     ``basic[r]`` is the column basic at position r, over the extended column
     set [structural | slack | artificial]; ``status`` holds each structural
     and slack column's bound code (0 lower, 1 upper), meaningful where the
-    column is nonbasic.  The program is kept as a snapshot: its row pairs
-    are shared read-only arrays, so extending the program later leaves the
-    snapshot as it was solved.
+    column is nonbasic.  ``program`` is a copy of the program solved; it
+    shares that program's read-only arrays, so extending the program later
+    leaves the copy as it was solved.
     """
 
     basic: np.ndarray
     status: np.ndarray
-    objective: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    rows: tuple[tuple[np.ndarray, float], ...]
+    program: LinearProgram
 
 
 @dataclass(frozen=True)
@@ -614,18 +625,17 @@ def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis | None:
     basis = start.basis
     if basis is None:
         raise ValueError("a warm start needs an optimal solution")
+    old = basis.program
     if not (
-        np.array_equal(lp.objective, basis.objective)
-        and np.array_equal(lp.lower, basis.lower)
-        and np.array_equal(lp.upper, basis.upper)
+        np.array_equal(lp.objective, old.objective)
+        and np.array_equal(lp.lower, old.lower)
+        and np.array_equal(lp.upper, old.upper)
     ):
         raise ValueError("the start solved a program over other variables")
-    if lp.num_rows < len(basis.rows) or not all(
-        new is old or (np.array_equal(new[0], old[0]) and new[1] == old[1])
-        for new, old in zip(lp.rows, basis.rows)
-    ):
+    m0 = old.num_rows
+    if not (np.array_equal(lp.a[:m0], old.a) and np.array_equal(lp.b[:m0], old.b)):
         raise ValueError("the program's rows do not begin with the start's rows")
-    if np.any(basis.basic >= lp.num_vars + len(basis.rows)):
+    if np.any(basis.basic >= lp.num_vars + m0):
         return None
     return basis
 
@@ -694,9 +704,6 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         basis=LpBasis(
             basic=_frozen(engine.basis),
             status=_frozen(engine.status[: lp.num_vars + lp.num_rows]),
-            objective=_frozen(lp.objective),
-            lower=_frozen(lp.lower),
-            upper=_frozen(lp.upper),
-            rows=tuple(lp.rows),
+            program=lp.copy(),
         ),
     )

@@ -173,7 +173,7 @@ def predict_choice(
     if not np.all(np.isfinite(u_hat)) or np.any(u_hat < 0):
         raise DimensionMismatch("interpolated utility must be finite and nonnegative")
 
-    gradients = [piece.gradient for piece in f.cost.pieces]
+    gradients = np.array([piece.gradient.ravel() for piece in f.cost.pieces])
     offsets = [
         piece.offset - float((piece.gradient * piece.anchor).sum())
         for piece in f.cost.pieces
@@ -182,20 +182,14 @@ def predict_choice(
         abs(o) + float(np.abs(g).sum()) for o, g in zip(offsets, gradients)
     ) + 1.0
 
-    n = X * A + 1
-    lower = np.zeros(n)
-    upper = np.ones(n)
-    lower[-1], upper[-1] = -bound, bound
-    objective = np.zeros(n)
-    objective[: X * A] = (f.dataset.prior[:, None] * u_hat).ravel()
-    objective[-1] = -1.0
-    lp = LinearProgram(objective, lower, upper)
-    for x in range(X):
-        row = np.zeros(n)
-        row[x * A : (x + 1) * A] = 1.0
-        lp.add_eq(row, 1.0)
-    for offset, gradient in zip(offsets, gradients):
-        lp.add_leq(np.append(gradient.ravel(), -1.0), -offset)
+    lp = LinearProgram(
+        np.append((f.dataset.prior[:, None] * u_hat).ravel(), -1.0),
+        np.append(np.zeros(X * A), -bound),
+        np.append(np.ones(X * A), bound),
+    )
+    # One simplex row per state, then one epigraph row per cost piece.
+    lp.add_eq(np.hstack([np.repeat(np.eye(X), A, axis=1), np.zeros((X, 1))]), 1.0)
+    lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -np.array(offsets))
     first = solve_lp(lp)
     if first.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"prediction program reported {first.status.value}")
@@ -223,22 +217,22 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
 
     base = lp.num_vars
     cells = target.shape[0]
-    objective = np.zeros(base + cells)
-    objective[base:] = -1.0
-    lower = np.concatenate([lp.lower, np.zeros(cells)])
-    upper = np.concatenate([lp.upper, np.ones(cells)])
-    refined = LinearProgram(objective, lower, upper)
-    for coeffs, rhs in lp.rows:
-        refined.add_leq(np.concatenate([coeffs, np.zeros(cells)]), rhs)
-    refined.add_leq(
-        np.concatenate([-lp.objective, np.zeros(cells)]),
-        -(first.objective_value - _OBJECTIVE_SLACK),
+    refined = LinearProgram(
+        np.append(np.zeros(base), -np.ones(cells)),
+        np.append(lp.lower, np.zeros(cells)),
+        np.append(lp.upper, np.ones(cells)),
     )
-    # |z_i - target_i| <= t_i, as two rows per cell.
+    # The first program's rows and its objective kept within the slack ...
+    kept = np.vstack([lp.a, -lp.objective])
+    refined.add_leq(
+        np.hstack([kept, np.zeros((kept.shape[0], cells))]),
+        np.append(lp.b, -(first.objective_value - _OBJECTIVE_SLACK)),
+    )
+    # ... then |z_i - target_i| <= t_i, as two adjacent rows per cell.
     cell, gap = np.eye(cells, base), -np.eye(cells)
-    for i in range(cells):
-        refined.add_leq(np.concatenate([cell[i], gap[i]]), float(target[i]))
-        refined.add_leq(np.concatenate([-cell[i], gap[i]]), -float(target[i]))
+    pairs = np.stack([np.hstack([cell, gap]), np.hstack([-cell, gap])], axis=1)
+    bounds = np.stack([target, -target], axis=1)
+    refined.add_leq(pairs.reshape(2 * cells, -1), bounds.ravel())
     second = solve_lp(refined)
     if second.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("prediction refinement failed to solve")

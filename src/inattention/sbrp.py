@@ -20,6 +20,7 @@ import numpy as np
 from .brp import (
     MarginReport,
     _margin_of,
+    _margin_rows,
     _nias_rows,
     _realized,
     _unit_box_program,
@@ -157,15 +158,6 @@ class _SbrpStages:
         # All agents' best-response rows act on the one shared utility block.
         self.nias_rows = _nias_rows(d)[1]
 
-    def _rows(self, n: int, core: np.ndarray, margin: bool) -> np.ndarray:
-        """``core`` rows over the utility block widened to ``n`` variables,
-        with coefficient one on the margin (the last variable) if asked."""
-        rows = np.zeros((core.shape[0], n))
-        rows[:, : self.block] = core
-        if margin:
-            rows[:, -1] = 1.0
-        return rows
-
     def _program(self, *, margin: bool, rhs: float) -> LinearProgram:
         """Shared utility, K costs and, with ``margin``, the margin variable
         (maximized; without it the utility mass is minimized), holding the
@@ -176,8 +168,7 @@ class _SbrpStages:
         else:
             objective[: self.block] = -1.0
         lp = _unit_box_program(objective, margin)
-        for row in self._rows(lp.num_vars, self.nias_rows, margin):
-            lp.add_leq(row, rhs)
+        lp.add_leq(_margin_rows(lp, self.nias_rows, margin), rhs)
         return lp
 
     def _solve(self, lp: LinearProgram, failure: str):
@@ -200,11 +191,11 @@ class _SbrpStages:
         face, which is what gives the sensitivity stage traction.
         """
         lp = self._program(margin=True, rhs=0.0)
-        equal = self._rows(lp.num_vars, self.joints[:-1] - self.joints[1:], False)
-        for k, row in enumerate(equal):
-            row[self.block + k + 1] = 1.0
-            row[self.block + k] = -1.0
-            lp.add_eq(row, 0.0)
+        equal = _margin_rows(lp, self.joints[:-1] - self.joints[1:], False)
+        k = np.arange(self.K - 1)
+        equal[k, self.block + k + 1] = 1.0
+        equal[k, self.block + k] = -1.0
+        lp.add_eq(equal, 0.0)
         utility, costs, _ = self._solve(
             lp, "anchor stage failed; the all-floor point is feasible"
         )
@@ -216,11 +207,10 @@ class _SbrpStages:
         lp = self._program(margin=not sparse, rhs=rhs_offset)
         # One swap row per ordered pair j != k, in that order.
         j, k = np.nonzero(~np.eye(self.K, dtype=bool))
-        swaps = self._rows(lp.num_vars, self.joints[j] - self.joints[k], not sparse)
-        for row, jj, kk in zip(swaps, j, k):
-            row[self.block + kk] = sensitivities[kk]
-            row[self.block + jj] = -sensitivities[kk]
-            lp.add_leq(row, rhs_offset)
+        swaps = _margin_rows(lp, self.joints[j] - self.joints[k], not sparse)
+        swaps[np.arange(j.size), self.block + k] = sensitivities[k]
+        swaps[np.arange(j.size), self.block + j] = -sensitivities[k]
+        lp.add_leq(swaps, rhs_offset)
         utility, costs, point = self._solve(
             lp,
             "shared-utility stage reported {}; the all-floor certificate is "
@@ -230,22 +220,19 @@ class _SbrpStages:
 
     def sensitivity_stage(self, utility, costs):
         """Fix (utility, costs); optimize the sensitivities and the margin."""
-        n = self.K + 1
-        lower = np.full(n, LAMBDA_LO)
-        upper = np.full(n, LAMBDA_HI)
-        lower[-1], upper[-1] = 0.0, MARGIN_CAP
-        objective = np.zeros(n)
-        objective[-1] = 1.0
-        lp = LinearProgram(objective, lower, upper)
+        lp = LinearProgram(
+            np.append(np.zeros(self.K), 1.0),
+            np.append(np.full(self.K, LAMBDA_LO), 0.0),
+            np.append(np.full(self.K, LAMBDA_HI), MARGIN_CAP),
+        )
         worst = _worst_nias(nias_residuals(self.d, [utility] * self.K)).max()
         realized = _realized(self.d, utility)
         j, k = np.nonzero(~np.eye(self.K, dtype=bool))
-        rows = np.zeros((j.size + 1, n))
+        rows = np.zeros((j.size + 1, lp.num_vars))
         rows[:, -1] = 1.0
         rows[np.arange(1, j.size + 1), k] = costs[k] - costs[j]
-        rhs = [-worst if np.isfinite(worst) else MARGIN_CAP, *(realized[k] - realized[j])]
-        for row, bound in zip(rows, rhs):
-            lp.add_leq(row, float(bound))
+        first = -worst if np.isfinite(worst) else MARGIN_CAP
+        lp.add_leq(rows, np.append(first, realized[k] - realized[j]))
         sol = solve_lp(lp)
         if sol.status is not LpStatus.OPTIMAL:
             raise NumericalFailure("sensitivity stage failed to solve")

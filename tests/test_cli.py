@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from inattention import brp, predict as pred
 from inattention.cli import main
 from inattention.dataset import load_dataset, save_dataset
 
@@ -138,6 +139,20 @@ class TestSparseAndCost:
             == 1
         )
 
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.2])
+    def test_margin_fraction_outside_unit_interval_is_usage_error(
+        self, tmp_path, dataset_file, capsys, monkeypatch, fraction
+    ):
+        monkeypatch.setattr(brp, "brp_sparsest", _no_fit)
+        out = tmp_path / "s.json"
+        code = run(
+            "sparse", "--dataset", dataset_file, "--margin-fraction", fraction,
+            "--out", out,
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_cost_curve(self, tmp_path, dataset_file):
         profile = tmp_path / "profile.json"
         run("test", "--dataset", dataset_file, "--out", profile)
@@ -211,6 +226,49 @@ class TestSynthPredict:
             )
             == 1
         )
+
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--etas", "1.0,x"],
+            ["--etas", "1.0,,1.1"],
+            ["--etas", "1.0,nan"],
+            ["--etas", "1.0,1.1", "--truth-agent", 7],
+            ["--etas", "1.0,1.1", "--truth-agent", 2],
+            ["--etas", "1.0,1.1", "--truth-agent", -1],
+        ],
+        ids=["letter", "empty entry", "nan", "agent 7", "agent K", "agent -1"],
+    )
+    def test_bad_grid_or_truth_agent_is_usage_error_before_any_fit(
+        self, tmp_path, dataset_file, capsys, monkeypatch, args
+    ):
+        monkeypatch.setattr(pred, "fit_family", _no_fit)
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        code = run(
+            "predict", "--dataset", dataset_file, "--eta", 1.05,
+            "--truth-dataset", dataset_file, "--save-family", family,
+            "--out", out, *args,
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not family.exists()
+
+
+    def test_truth_agent_scores_against_that_agent(self, tmp_path, dataset_file):
+        out = tmp_path / "p.json"
+        code = run(
+            "predict", "--dataset", dataset_file, "--etas", "1.0,1.1", "--eta", 1.05,
+            "--truth-dataset", dataset_file, "--truth-agent", 1, "--out", out,
+        )
+        assert code == 0
+        truth = load_dataset(str(dataset_file)).choice(1)
+        rows = json.loads(out.read_text())["per_class"]
+        assert [row["true_diag"] for row in rows] == truth.diagonal().tolist()
+
+
+def _no_fit(*args, **kwargs):
+    raise AssertionError("a fit ran before the arguments were checked")
 
 
 # A file that is not JSON, and a profile whose "agents" key is missing.

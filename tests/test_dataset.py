@@ -69,6 +69,11 @@ class TestValidate:
         with pytest.raises(NotStochastic):
             dataset_from_matrices([0.5, 0.5], [p, p])
 
+    def test_only_the_mapping_form_is_accepted(self, d2):
+        for other in (d2, (d2.prior, [d2.choice(0), d2.choice(1)])):
+            with pytest.raises(TypeError):
+                validate_dataset(other)
+
 
 class TestJointPosterior:
     def test_hand_example(self):

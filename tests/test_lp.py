@@ -78,7 +78,7 @@ class TestInvariants:
         for _ in range(10):
             lp1 = random_lp(rng)
             lp2 = LinearProgram(3.0 * lp1.objective, lp1.lower, lp1.upper)
-            lp2.rows = list(lp1.rows)
+            lp2.add_leq(lp1.a, lp1.b)
             s1, s2 = solve_lp(lp1), solve_lp(lp2)
             if s1.status is LpStatus.OPTIMAL:
                 assert s2.status is LpStatus.OPTIMAL
@@ -92,7 +92,8 @@ class TestInvariants:
         for _ in range(10):
             lp1 = random_lp(rng)
             lp2 = LinearProgram(lp1.objective, lp1.lower, lp1.upper)
-            lp2.rows = list(lp1.rows) + [lp1.rows[0]]
+            lp2.add_leq(lp1.a, lp1.b)
+            lp2.add_leq(lp1.a[:1], lp1.b[:1])
             s1, s2 = solve_lp(lp1), solve_lp(lp2)
             assert s1.status == s2.status
             if s1.status is LpStatus.OPTIMAL:
@@ -161,12 +162,44 @@ def _extended(lp, point, rng, count):
 
 class TestRowStorage:
     def test_rows_are_read_only_and_full_length(self):
-        a = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
-        a.add_leq(np.array([2.0, 0.0, -1.5]), 1.0)
+        lp = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        lp.add_leq(np.array([2.0, 0.0, -1.5]), 1.0)
+        for stored in (lp.a, lp.b, lp.objective, lp.lower, lp.upper):
+            with pytest.raises(ValueError):
+                stored[0] = 3.0
         with pytest.raises(ValueError):
-            a.rows[0][0][0] = 3.0
+            lp.add_leq([2.0, 0.0], 1.0)
         with pytest.raises(ValueError):
-            a.add_leq([2.0, 0.0], 1.0)
+            lp.add_leq(np.zeros((2, 2)), 1.0)
+
+    def test_block_rows_match_rows_appended_one_at_a_time(self):
+        rows = np.array([[2.0, -0.0, -1.5], [0.0, 1.0, -0.0], [-3.0, 0.5, 4.0]])
+        rhs = np.array([1.0, -0.0, 2.5])
+        block = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        block.add_leq(rows[:1], rhs[:1])
+        block.add_leq(rows[1:], rhs[1:])
+        single = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        for row, bound in zip(rows, rhs):
+            single.add_leq(row, bound)
+        assert block.a.tobytes() == single.a.tobytes()
+        assert block.b.tobytes() == single.b.tobytes()
+        assert not np.any(np.signbit(block.a[block.a == 0.0]))
+        # A scalar rhs stands for every row of the block.
+        shared = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        shared.add_leq(rows, 2.0)
+        assert np.array_equal(shared.b, [2.0, 2.0, 2.0])
+
+    def test_rhs_needs_one_value_per_row(self):
+        lp = LinearProgram([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError):
+            lp.add_leq(np.eye(2), [1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            lp.add_leq(np.eye(2), [1.0])
+        with pytest.raises(ValueError):
+            lp.add_eq(np.eye(2), [1.0])
+        with pytest.raises(ValueError):
+            lp.add_leq([1.0, 0.0], [1.0, 2.0])
+        assert lp.num_rows == 0
 
     def test_equality_rows_negate_without_negative_zeros(self):
         lp = LinearProgram([1.0, 0.0], [0.0, 0.0], [1.0, 1.0])
@@ -176,13 +209,30 @@ class TestRowStorage:
         assert not np.signbit(a[1, 1])
         assert np.array_equal(b, [1.0, -1.0])
 
+    def test_equality_block_interleaves_each_row_with_its_negation(self):
+        lp = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        lp.add_eq(np.array([[1.0, 0.0, -0.0], [0.0, 2.0, 1.0]]), [1.0, 0.5])
+        a, b = lp.dense_rows()
+        assert np.array_equal(
+            a,
+            [[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 2.0, 1.0], [0.0, -2.0, -1.0]],
+        )
+        assert not np.any(np.signbit(a[a == 0.0]))
+        assert np.array_equal(b, [1.0, -1.0, 0.5, -0.5])
+
     def test_copy_shares_rows_but_appends_apart(self):
         lp = LinearProgram([1.0], [0.0], [2.0])
         lp.add_leq([1.0], 1.0)
+        solved = solve_lp(lp)
         copy = lp.copy()
+        assert copy.a is lp.a and copy.b is lp.b
+        assert solved.basis.program.a is lp.a
         copy.add_leq([2.0], 1.0)
-        assert (lp.num_rows, copy.num_rows) == (1, 2)
-        assert copy.rows[0] is lp.rows[0]
+        copy.add_eq([1.0], 0.25)
+        assert (lp.num_rows, copy.num_rows) == (1, 4)
+        assert np.array_equal(copy.a[:1], lp.a)
+        for kept in (lp, solved.basis.program):
+            assert np.array_equal(kept.a, [[1.0]]) and np.array_equal(kept.b, [1.0])
 
 
 class TestWarmStart:
@@ -223,17 +273,21 @@ class TestWarmStart:
         lp.add_leq([1.0, 2.0], 2.0)
         lp.add_leq([2.0, 1.0], 2.0)
         start = solve_lp(lp)
-        reordered = LinearProgram(lp.objective, lp.lower, lp.upper)
-        reordered.rows = [lp.rows[1], lp.rows[0]]
-        shorter = LinearProgram(lp.objective, lp.lower, lp.upper)
-        shorter.rows = lp.rows[:1]
-        other_rhs = LinearProgram(lp.objective, lp.lower, lp.upper)
-        other_rhs.rows = [lp.rows[0], (lp.rows[1][0], 3.0)]
-        other_objective = LinearProgram([1.0, 2.0], lp.lower, lp.upper)
-        other_objective.rows = list(lp.rows)
-        other_bounds = LinearProgram(lp.objective, lp.lower, [1.0, 2.0])
-        other_bounds.rows = list(lp.rows)
-        for bad in (reordered, shorter, other_rhs, other_objective, other_bounds):
+
+        def program(rows, rhs, objective=lp.objective, upper=lp.upper):
+            out = LinearProgram(objective, lp.lower, upper)
+            out.add_leq(rows, rhs)
+            return out
+
+        non_prefix = program([[1.0, 1.0], *lp.a], [1.5, *lp.b])
+        reordered = program(lp.a[::-1], lp.b[::-1])
+        shorter = program(lp.a[:1], lp.b[:1])
+        other_rhs = program(lp.a, [lp.b[0], 3.0])
+        other_objective = program(lp.a, lp.b, objective=[1.0, 2.0])
+        other_bounds = program(lp.a, lp.b, upper=[1.0, 2.0])
+        for bad in (
+            non_prefix, reordered, shorter, other_rhs, other_objective, other_bounds
+        ):
             with pytest.raises(ValueError):
                 solve_lp(bad, start=start)
         # An equal row that is a different object still makes a prefix.
