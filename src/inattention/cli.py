@@ -198,18 +198,22 @@ def cmd_synth(args) -> int:
 
 
 def _eta_grid(text: str) -> np.ndarray:
-    """The ``--etas`` grid; a usage error unless every entry is a finite number."""
+    """The ``--etas`` grid; a usage error unless its entries are finite
+    numbers in strictly increasing order."""
     try:
         etas = np.array([float(v) for v in text.split(",")])
-        if np.all(np.isfinite(etas)):
-            return etas
     except ValueError:
-        pass
-    raise _Usage(f"--etas {text!r} is not a comma-separated list of finite numbers")
+        etas = None
+    if etas is None or not np.all(np.isfinite(etas)):
+        raise _Usage(f"--etas {text!r} is not a comma-separated list of finite numbers")
+    if np.any(np.diff(etas) <= 0):
+        raise _Usage(f"--etas {text!r} is not strictly increasing")
+    return etas
 
 
 def cmd_predict(args) -> int:
-    # Every argument is checked before the fit, which can take minutes.
+    # Every argument is checked before the fit, which can take minutes, and
+    # before anything is written.
     if not args.family and (not args.dataset or args.etas is None):
         raise _Usage("predict needs either --family or --dataset with --etas")
     etas = None if args.family else _eta_grid(args.etas)
@@ -221,12 +225,26 @@ def cmd_predict(args) -> int:
         if not 0 <= args.truth_agent < agents:
             raise _Usage(f"--truth-agent {args.truth_agent} is not in [0, {agents})")
         truth = truth_data.choice(args.truth_agent)
+    family = None
     if args.family:
         _require_inputs(args.family)
         family = pred.load_family(args.family)
+        data = family.dataset
     else:
         _require_inputs(args.dataset)
-        family = pred.fit_family(ds.load_dataset(args.dataset), etas)
+        data = ds.load_dataset(args.dataset)
+        if etas.shape[0] != data.num_agents:
+            raise _Usage(
+                f"--etas has {etas.shape[0]} levels for {data.num_agents} agents"
+            )
+    shape = (data.num_states, data.num_actions)
+    if truth is not None and truth.shape != shape:
+        raise _Usage(
+            f"--truth-dataset is {truth.shape[0]}x{truth.shape[1]}, "
+            f"the fitted dataset {shape[0]}x{shape[1]}"
+        )
+    if family is None:
+        family = pred.fit_family(data, etas)
         if args.save_family:
             pred.save_family(args.save_family, family)
     outcome = pred.predict_at(family, args.eta, truth=truth)
@@ -386,9 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     level = logging.WARNING - 10 * min(args.verbose, 2)
-    env_level = os.environ.get("INATTENTION_LOG")
-    if env_level:
-        level = getattr(logging, env_level.upper(), level)
     logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
     try:
         return args.func(args)

@@ -22,9 +22,13 @@ left basic) or a warm run that loses its footing numerically falls back to
 the cold solve, which stays the one canonical path for a program solved on
 its own.
 
-Unboundedness cannot occur when every structural variable has finite bounds,
-which is how the rest of the package always calls it; it is still detected
-and reported defensively.
+A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
+Every variable is boxed, so no program is unbounded: an improving direction
+without limit, a singular basis or a phase one that cannot evict its
+artificials can only come from rounding, and each raises.  Two recovery
+paths stay: a run whose optimum leaves rows violated snaps onto the slack
+basis and restarts phase one (up to six rounds), and a warm run that raises
+falls back to the cold solve.
 """
 
 from __future__ import annotations
@@ -52,14 +56,9 @@ _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
 
 
-class _SingularBasis(Exception):
-    """Internal: the working basis lost invertibility; recover and retry."""
-
-
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    UNBOUNDED = "unbounded"
 
 
 class LinearProgram:
@@ -155,6 +154,11 @@ class LpBasis:
     column is nonbasic.  ``program`` is a copy of the program solved; it
     shares that program's read-only arrays, so extending the program later
     leaves the copy as it was solved.
+
+    Only an optimal solve has a basis.  A warm solve from it ends optimal or
+    infeasible like a cold one; where the warm run raises
+    :class:`NumericalFailure`, the cold solve takes over, and only the cold
+    solve's failure reaches the caller.
     """
 
     basic: np.ndarray
@@ -166,11 +170,12 @@ class LpBasis:
 class LpSolution:
     """A solve's outcome.
 
-    ``warm`` says the solve started from an earlier optimal basis and
-    finished from there (after a fallback to the cold solve it is False);
-    ``iterations`` counts every pivot made, a failed warm attempt's included.
-    ``basis`` is set on optimal solutions; pass the solution as ``start`` to
-    re-solve the program with rows appended.
+    ``status`` is optimal or infeasible; a solve that fails numerically
+    raises instead.  ``warm`` says the solve started from an earlier optimal
+    basis and finished from there (after a fallback to the cold solve it is
+    False); ``iterations`` counts every pivot made, a failed warm attempt's
+    included.  ``basis`` is set on optimal solutions; pass the solution as
+    ``start`` to re-solve the program with rows appended.
     """
 
     status: LpStatus
@@ -195,14 +200,13 @@ class _Simplex:
     """Dense bounded-variable simplex over the extended column set
     [structural | slack | artificial]."""
 
-    def __init__(self, lp: LinearProgram, a: np.ndarray, b: np.ndarray):
-        self.m = a.shape[0]
+    def __init__(self, lp: LinearProgram):
+        self.m = lp.num_rows
         self.n = lp.num_vars
         n, m = self.n, self.m
         self.lo = np.concatenate([lp.lower, np.zeros(m)])
         self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
-        self.cols = np.hstack([a, np.eye(m)]) if m else np.zeros((0, n))
-        self.b = b
+        self.cols = np.hstack([lp.a, np.eye(m)])
         self.obj = np.concatenate([lp.objective, np.zeros(m)])
         self.total = n + m
         # Nonbasic structural variables start at their lower bound; slacks
@@ -219,11 +223,10 @@ class _Simplex:
         # Distinct tiny offsets break the ties; the true rhs is restored at
         # optimality, where the basis stays optimal because reduced costs do
         # not involve the rhs.
-        self.b_true = b.copy()
-        self.b = b + _PERTURBATION * (np.arange(m) + 1.0)
-        self.perturbed = True
-        self.true_feasible_seen = False
-        self.x[self.basis] = self.b - a @ self.x[:n]
+        self.b_true = lp.b
+        self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
+        self.warm = False
+        self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
         self.max_iterations = max(2000, 60 * (n + m))
 
@@ -245,56 +248,41 @@ class _Simplex:
         self.status[: n + m0] = start.status
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self.b = self.b_true
-        self.perturbed = False
+        self.warm = True
         self._refactorize()
-        kept = self.basis[:m0]
-        values = self.x[kept]
-        if np.any(values < self.lo[kept] - _FEAS_TOL) or np.any(
-            values > self.hi[kept] + _FEAS_TOL
-        ):
+        if np.any(self._violated_rows() < m0):
             raise NumericalFailure("the start's basis is not primal feasible here")
 
     # -- phase drivers ------------------------------------------------------
 
     def run(self) -> LpStatus:
-        """Alternate optimization with feasibility restoration.
+        """Optimal or infeasible; raises NumericalFailure otherwise.
 
         The first optimization runs against the perturbed rhs (after a warm
-        start, against the true rhs); restoring the
-        true rhs at its optimum keeps the basis dual-feasible, so when the
-        basic values still sit inside their boxes the same vertex is optimal
-        for the true program and the run ends.  Otherwise (and likewise when
-        degenerate pivot runs leave the exact vertex slightly outside a box,
-        or a chain of unavoidable small pivots wrecks the basis) the point is
-        snapped onto the slack basis, phase one restores feasibility, and
-        optimization resumes on the true program.
+        start, against the true rhs); restoring the true rhs at its optimum
+        keeps the basis dual-feasible, so when the basic values still sit
+        inside their boxes the same vertex is optimal for the true program
+        and the run ends.  Otherwise (and likewise when degenerate pivot runs
+        leave the exact vertex slightly outside a box) the point is snapped
+        onto the slack basis, phase one restores feasibility, and
+        optimization resumes on the true program, for up to six rounds.  That
+        restart is one of the two recovery paths; the other, the cold solve
+        after a warm run raises, is :func:`solve_lp`'s.
         """
         if not self._phase_one():
             return LpStatus.INFEASIBLE
-        # Phase one on the true rhs (a warm start) certifies feasibility.
-        self.true_feasible_seen = not self.perturbed
         for _ in range(6):
-            try:
-                status = self._optimize(self.obj)
-                if status is not LpStatus.OPTIMAL:
-                    return status
-                if self.perturbed:
-                    self.b = self.b_true
-                    self.perturbed = False
-                self._refactorize()
-            except _SingularBasis:
-                self._snap_restart()
-                if not self._phase_one():
-                    raise NumericalFailure("recovery from singular basis failed")
-                continue
+            self._optimize(self.obj)
+            self.b = self.b_true
+            self._refactorize()
             if self._violated_rows().size == 0:
-                self.true_feasible_seen = True
                 return LpStatus.OPTIMAL
             self._snap_restart()
             if not self._phase_one():
-                if self.true_feasible_seen:
-                    # The program was feasible a moment ago; losing that is a
-                    # numerical event, not a property of the input.
+                if self.warm:
+                    # Phase one on the true rhs certified feasibility at the
+                    # start; losing it is a numerical event, not a property
+                    # of the input.
                     raise NumericalFailure("feasibility restoration failed")
                 # Feasible only under the perturbation: the true program is
                 # infeasible (phase one just certified it from a clean basis).
@@ -302,8 +290,7 @@ class _Simplex:
         raise NumericalFailure("feasibility restoration did not converge")
 
     def _violated_rows(self) -> np.ndarray:
-        if self.m == 0:
-            return np.zeros(0, dtype=int)
+        """Basis positions whose value lies outside its box."""
         values = self.x[self.basis]
         below = values < self.lo[self.basis] - _FEAS_TOL
         above = values > self.hi[self.basis] + _FEAS_TOL
@@ -349,8 +336,6 @@ class _Simplex:
         The sum of artificials is minimized, and the artificials are then
         pivoted out and frozen.
         """
-        if self.m == 0:
-            return True
         slack = (self.basis >= self.n) & (self.basis < self.n + self.m)
         bad = np.flatnonzero(slack & (self.x[self.basis] < -_FEAS_TOL))
         if bad.size == 0:
@@ -382,9 +367,7 @@ class _Simplex:
             self.in_basis[j] = True
             self.x[j] = -value
             self.tableau[i, :] *= -1.0
-        status = self._optimize(art_cost)
-        if status is not LpStatus.OPTIMAL:
-            raise NumericalFailure("phase-1 subproblem did not terminate cleanly")
+        self._optimize(art_cost)
         infeasibility = float(self.x[first_art:].sum())
         if infeasibility > _FEAS_TOL * max(1.0, float(np.abs(self.b).sum())):
             return False
@@ -403,9 +386,9 @@ class _Simplex:
                 & (self.hi[candidates] > self.lo[candidates])
             ]
             if candidates.size == 0:
-                # Redundant row; the artificial stays basic at (numerical)
-                # zero and is frozen below so it can never move again.
-                continue
+                # The row's own slack is parallel to its artificial, so it is
+                # nonbasic with entry -1 here; only rounding can hide it.
+                raise NumericalFailure("an artificial cannot leave the basis")
             entering = int(candidates[0])
             # Zero-length pivot: shift exactly enough to park the artificial
             # at 0, then swap it out of the basis.
@@ -428,9 +411,9 @@ class _Simplex:
         Rank-one pivot updates drift; long degenerate runs accumulate enough
         error to flip reduced-cost signs, so the tableau is recomputed from
         scratch at intervals and whenever the anti-cycling rule is active.
+        A singular basis can only come from rounding and raises
+        NumericalFailure.
         """
-        if self.m == 0:
-            return
         basis_matrix = self.cols[:, self.basis]
         nonbasic_x = self.x.copy()
         nonbasic_x[self.basis] = 0.0
@@ -440,11 +423,12 @@ class _Simplex:
                 basis_matrix, np.concatenate([self.cols, rhs[:, None]], axis=1)
             )
         except np.linalg.LinAlgError as exc:
-            raise _SingularBasis from exc
+            raise NumericalFailure("the simplex basis became singular") from exc
         self.tableau = solved[:, :-1]
         self.x[self.basis] = solved[:, -1]
 
-    def _optimize(self, cost: np.ndarray) -> LpStatus:
+    def _optimize(self, cost: np.ndarray) -> None:
+        """Maximize ``cost`` from the current feasible basis."""
         reduced = self._reduced_costs(cost)
         best_value = float(cost @ self.x)
         stall = 0
@@ -468,8 +452,6 @@ class _Simplex:
                     direction = 1 if self.status[j] == _AT_LOWER else -1
                     column = self.tableau[:, j]
                     step, row, flip = self._ratio_test(j, direction, column)
-                    if step is None:
-                        return LpStatus.UNBOUNDED
                     if flip or abs(column[row]) >= _SAFE_PIVOT:
                         break
                     if since_refactor > 0:
@@ -479,8 +461,6 @@ class _Simplex:
                         self._refactorize()
                         reduced = self._reduced_costs(cost)
                         since_refactor = 0
-                        banned = None
-                        fallback = None
                         continue
                     # Exact but tiny: prefer any entering candidate with a
                     # healthy pivot; keep the least-bad as a fallback.
@@ -497,15 +477,13 @@ class _Simplex:
                 # Confirm on an exactly rebuilt tableau before declaring
                 # optimality; incremental updates drift, and the returned
                 # point must satisfy the rows at certification tolerance.
-                if since_refactor > 0 or banned is not None:
+                if since_refactor > 0:
                     self._refactorize()
                     reduced = self._reduced_costs(cost)
                     since_refactor = 0
-                    banned = None
-                    fallback = None
                 j = self._select_entering(reduced, bland, None)
                 if j is None:
-                    return LpStatus.OPTIMAL
+                    return
             if flip:
                 self.x[self.basis] -= direction * step * column
                 self.x[j] = self.hi[j] if self.status[j] == _AT_LOWER else self.lo[j]
@@ -536,8 +514,6 @@ class _Simplex:
                     since_refactor = 0
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        if self.m == 0:
-            return cost.copy()
         cb = cost[self.basis]
         if not np.any(cb):
             return cost.copy()
@@ -562,7 +538,10 @@ class _Simplex:
         return int(idx[int(np.argmax(gains))])
 
     def _ratio_test(self, j: int, direction: int, column: np.ndarray):
-        """Largest step for entering variable j; returns (step, row, flip)."""
+        """Largest step for entering variable j; returns (step, row, flip).
+
+        Every variable is boxed, so a step without limit can only come from
+        rounding and raises NumericalFailure."""
         d = direction * column
         values = self.x[self.basis]
         lo_b = self.lo[self.basis]
@@ -575,10 +554,10 @@ class _Simplex:
             -d[toward_upper]
         )
         steps = np.maximum(steps, 0.0)
-        row_step = float(steps.min()) if self.m else np.inf
+        row_step = float(steps.min(initial=np.inf))
         flip_step = self.hi[j] - self.lo[j]
         if not np.isfinite(row_step) and not np.isfinite(flip_step):
-            return None, -1, False
+            raise NumericalFailure("an improving direction has no limit")
         if flip_step <= row_step:
             return float(flip_step), -1, True
         ties = np.flatnonzero(steps <= row_step + 1e-12 * (1.0 + row_step))
@@ -649,30 +628,26 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     artificial or the warm run fails numerically.  Raises ValueError when
     ``lp`` does not extend the start's program.
 
-    Raises :class:`NumericalFailure` when the pivot tolerances are exhausted;
-    that condition is never silently reported as infeasible.
+    The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
+    when the cold solve fails numerically (a singular basis, a pivot or
+    direction that rounding produced, the iteration cap, restoration that
+    does not converge); that condition is never reported as infeasible.
     """
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
-    a, b = lp.dense_rows()
     basis = None if start is None else _warm_basis(lp, start)
     spent = 0
     if basis is not None:
-        engine = _Simplex(lp, a, b)
+        engine = _Simplex(lp)
         try:
             engine.warm_start(basis)
             status = engine.run()
-        except (NumericalFailure, _SingularBasis):
+        except NumericalFailure:
             spent = engine.iterations
             basis = None
     if basis is None:
-        engine = _Simplex(lp, a, b)
-        try:
-            status = engine.run()
-        except _SingularBasis as exc:
-            # Raised where no recovery is attempted (a refactorization inside
-            # phase one outside run's retry loop).
-            raise NumericalFailure("the simplex basis became singular") from exc
+        engine = _Simplex(lp)
+        status = engine.run()
     warm = basis is not None
     iterations = spent + engine.iterations
     if status is not LpStatus.OPTIMAL:
@@ -688,8 +663,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         raise NumericalFailure("optimal point violates variable bounds")
     point = np.clip(point, lp.lower, lp.upper)
 
-    residual = a @ point - b
-    max_violation = float(residual.max()) if residual.size else 0.0
+    max_violation = float((lp.a @ point - lp.b).max(initial=0.0))
     if max_violation > _FEAS_TOL:
         raise NumericalFailure(
             f"optimal point violates a constraint by {max_violation:.3e}"
@@ -698,7 +672,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         status=LpStatus.OPTIMAL,
         point=point,
         objective_value=float(lp.objective @ point),
-        max_violation=max(max_violation, 0.0),
+        max_violation=max_violation,
         iterations=iterations,
         warm=warm,
         basis=LpBasis(

@@ -424,18 +424,48 @@ assert profile.margin >= 0.5 * best.margin - 1e-9
 """
 
 
-def test_cut_rounds_that_stalled_the_cold_solver_converge():
-    # With BLAS on one thread, as the benchmark runs it, cold re-solves of
-    # this dataset's sparsity rounds ran into the iteration cap; warm rounds
-    # certify it.  BLAS fixes its thread count at start-up, hence the child.
+def _run_on_one_blas_thread(code):
+    """Run ``code`` in a child with BLAS on one thread, as the benchmark
+    runs; BLAS fixes its thread count at start-up, hence the child."""
     threads = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     env = dict(os.environ, **{name: "1" for name in threads})
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(inattention.__file__))
     done = subprocess.run(
-        [sys.executable, "-c", _STALLED_SPARSE_FIT],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_cut_rounds_that_stalled_the_cold_solver_converge():
+    # With BLAS on one thread, cold re-solves of this dataset's sparsity
+    # rounds ran into the iteration cap; warm rounds certify it.
+    _run_on_one_blas_thread(_STALLED_SPARSE_FIT)
+
+
+_RECOVERED_SPARSE_FIT = """
+from inattention.brp import brp_max_margin, brp_sparsest
+from inattention.synth import generate_feasible_dataset
+
+d = generate_feasible_dataset(5, 4, 4, margin=0.01, seed={seed}).dataset
+profile = brp_sparsest(d, 0.5)
+best, _ = brp_max_margin(d)
+assert profile.margin >= 0.5 * best.margin - 1e-9
+"""
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [
+        # A warm sparsity round ends with rows violated; the snap restart
+        # and phase one recover it.
+        2279322413,
+        # A warm round spends all six restarts and the cold solve takes over.
+        1417942177,
+    ],
+)
+def test_sparse_fits_that_need_the_solver_recovery_paths(seed):
+    _run_on_one_blas_thread(_RECOVERED_SPARSE_FIT.format(seed=seed))
 
 
 class TestWarmCutRounds:

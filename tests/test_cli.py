@@ -5,6 +5,7 @@ import pytest
 from inattention import brp, predict as pred
 from inattention.cli import main
 from inattention.dataset import load_dataset, save_dataset
+from inattention.synth import generate_feasible_dataset
 
 
 def run(*argv):
@@ -237,8 +238,14 @@ class TestSynthPredict:
             ["--etas", "1.0,1.1", "--truth-agent", 7],
             ["--etas", "1.0,1.1", "--truth-agent", 2],
             ["--etas", "1.0,1.1", "--truth-agent", -1],
+            ["--etas", "1.1,1.0"],
+            ["--etas", "1.0,1.0"],
+            ["--etas", "1.0,1.1,1.2"],
         ],
-        ids=["letter", "empty entry", "nan", "agent 7", "agent K", "agent -1"],
+        ids=[
+            "letter", "empty entry", "nan", "agent 7", "agent K", "agent -1",
+            "decreasing", "repeated", "one level too many",
+        ],
     )
     def test_bad_grid_or_truth_agent_is_usage_error_before_any_fit(
         self, tmp_path, dataset_file, capsys, monkeypatch, args
@@ -254,6 +261,28 @@ class TestSynthPredict:
         assert "error:" in capsys.readouterr().err
         assert not out.exists() and not family.exists()
 
+
+    @pytest.mark.parametrize("source", ["--dataset", "--family"])
+    def test_truth_of_another_shape_is_usage_error_before_any_fit(
+        self, tmp_path, dataset_file, capsys, monkeypatch, source
+    ):
+        d3 = generate_feasible_dataset(3, 3, 3, margin=0.01, seed=2).dataset
+        data = tmp_path / "d3.json"
+        save_dataset(d3, str(data))
+        inputs = ["--dataset", data, "--etas", "1.0,1.1,1.2"]
+        if source == "--family":
+            fitted = tmp_path / "fitted.json"
+            pred.save_family(str(fitted), pred.fit_family(d3, [1.0, 1.1, 1.2]))
+            inputs = ["--family", fitted]
+        monkeypatch.setattr(pred, "fit_family", _no_fit)
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        code = run(
+            "predict", *inputs, "--eta", 1.05, "--truth-dataset", dataset_file,
+            "--save-family", family, "--out", out,
+        )
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists() and not family.exists()
 
     def test_truth_agent_scores_against_that_agent(self, tmp_path, dataset_file):
         out = tmp_path / "p.json"

@@ -60,6 +60,11 @@ class TestExamples:
         assert sol.objective_value == pytest.approx(1.0, abs=1e-9)
         assert np.allclose(sol.point, [1.0, 0.0], atol=1e-12)
 
+    def test_a_solve_ends_optimal_or_infeasible(self):
+        # Every variable is boxed, so no program is unbounded; numerical
+        # trouble raises NumericalFailure instead of taking a status.
+        assert [status.name for status in LpStatus] == ["OPTIMAL", "INFEASIBLE"]
+
     def test_infinite_bounds_rejected(self):
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], lower=[0.0], upper=[np.inf])
@@ -341,3 +346,56 @@ class TestWarmStart:
         again = solve_lp(grown, start=replace(first, basis=basis))
         assert not again.warm
         assert np.array_equal(again.point, solve_lp(grown).point)
+
+
+class TestSingularBasis:
+    """A basis that turns singular after phase one is a numerical failure:
+    the warm solve falls back to the cold one, and the cold solve raises."""
+
+    @staticmethod
+    def _cut_program():
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        grown = lp.copy()
+        grown.add_leq([2.0, 1.0], 2.0)
+        return solve_lp(lp), grown
+
+    @staticmethod
+    def _fail_once_after_phase_one(monkeypatch):
+        """Make the first ``np.linalg.solve`` after a phase one raise
+        LinAlgError; returns the pivots its engine had made by then."""
+        failed, armed = [], []
+        phase_one, solve = lp_module._Simplex._phase_one, np.linalg.solve
+
+        def arming_phase_one(self):
+            done = phase_one(self)
+            if not failed:
+                armed[:] = [self]
+            return done
+
+        def failing_solve(*args, **kwargs):
+            if armed:
+                failed.append(armed.pop().iterations)
+                raise np.linalg.LinAlgError("injected singular basis")
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(lp_module._Simplex, "_phase_one", arming_phase_one)
+        monkeypatch.setattr(np.linalg, "solve", failing_solve)
+        return failed
+
+    def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
+        first, grown = self._cut_program()
+        cold = solve_lp(grown)
+        failed = self._fail_once_after_phase_one(monkeypatch)
+        again = solve_lp(grown, start=first)
+        [spent] = failed  # in the warm attempt, which runs first
+        assert not again.warm
+        assert again.iterations == spent + cold.iterations
+        assert again.point.tobytes() == cold.point.tobytes()
+
+    def test_cold_solve_raises(self, monkeypatch):
+        _, grown = self._cut_program()
+        failed = self._fail_once_after_phase_one(monkeypatch)
+        with pytest.raises(NumericalFailure):
+            solve_lp(grown)
+        assert len(failed) == 1
