@@ -243,6 +243,7 @@ def cmd_predict(args) -> int:
             f"--truth-dataset is {truth.shape[0]}x{truth.shape[1]}, "
             f"the fitted dataset {shape[0]}x{shape[1]}"
         )
+    pred.check_eta(etas if family is None else family.etas, args.eta)
     if family is None:
         family = pred.fit_family(data, etas)
         if args.save_family:

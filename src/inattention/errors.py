@@ -61,7 +61,7 @@ class NegativeCycle(InfeasibleCosts):
 
 
 class InstanceTooLarge(InattentionError):
-    """The brute-force oracle only runs on tiny instances."""
+    """The brute-force oracle only runs on tiny two-agent instances."""
 
 
 class OutOfRange(InattentionError):

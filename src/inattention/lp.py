@@ -13,14 +13,14 @@ Only this module knows how a program stores its rows: one read-only matrix
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
 Cutting-plane loops re-solve a program after appending rows.  Such a solve
-can start warm from the earlier optimum (``solve_lp(lp, start=solution)``):
-the old basis is kept, each appended row's slack enters it basic, one
-refactorization rebuilds the tableau, and phase one drives the appended
-slacks that start negative back to zero before optimization resumes on the
-true right-hand side.  A start the new program cannot reuse (an artificial
-left basic) or a warm run that loses its footing numerically falls back to
-the cold solve, which stays the one canonical path for a program solved on
-its own.
+can start warm from the earlier optimum (``solve_lp(lp, start=solution)``).
+A warm solve is the cold solve started from another basis: the old basis is
+kept, each appended row's slack enters it basic, and from there the run
+optimizes the same perturbed right-hand side, restores the true one and
+checks the optimum exactly as a cold run does.  A start the new program
+cannot reuse (an artificial left basic) or a warm run that loses its footing
+numerically falls back to the cold solve, which stays the one canonical path
+for a program solved on its own.
 
 A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
 Every variable is boxed, so no program is unbounded: an improving direction
@@ -155,8 +155,9 @@ class LpBasis:
     shares that program's read-only arrays, so extending the program later
     leaves the copy as it was solved.
 
-    Only an optimal solve has a basis.  A warm solve from it ends optimal or
-    infeasible like a cold one; where the warm run raises
+    Only an optimal solve has a basis.  A warm solve from it is the cold
+    solve started from this basis, on the same perturbed rhs, and ends
+    optimal or infeasible like a cold one; where the warm run raises
     :class:`NumericalFailure`, the cold solve takes over, and only the cold
     solve's failure reaches the caller.
     """
@@ -225,7 +226,6 @@ class _Simplex:
         # not involve the rhs.
         self.b_true = lp.b
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
-        self.warm = False
         self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
         self.max_iterations = max(2000, 60 * (n + m))
@@ -234,12 +234,14 @@ class _Simplex:
         """Take over ``start``'s basis, its rows being this program's first
         rows; each appended row's slack enters basic at the appended position.
 
-        The true rhs is used (no perturbation).  The basis matrix is block
+        The perturbed rhs that ``__init__`` set stays, so the run that follows
+        is the cold run from another basis.  The basis matrix is block
         lower-triangular with an identity block for the appended slacks, so
-        it stays nonsingular and the kept basic values are the old optimum's,
-        inside their boxes; only appended slacks can come out negative, which
-        phase one repairs.  Kept values that rounding pushed out of their
-        boxes raise NumericalFailure (the caller then solves cold).
+        it stays nonsingular; the first rows carry the perturbation of the
+        start's own solve, so only appended slacks should leave their boxes,
+        which phase one repairs.  A kept value outside its box (a start found
+        after a snap restart, on the true rhs, can leave one) raises
+        NumericalFailure, and the caller solves cold.
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
@@ -247,8 +249,6 @@ class _Simplex:
         self.in_basis[self.basis] = True
         self.status[: n + m0] = start.status
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
-        self.b = self.b_true
-        self.warm = True
         self._refactorize()
         if np.any(self._violated_rows() < m0):
             raise NumericalFailure("the start's basis is not primal feasible here")
@@ -258,13 +258,13 @@ class _Simplex:
     def run(self) -> LpStatus:
         """Optimal or infeasible; raises NumericalFailure otherwise.
 
-        The first optimization runs against the perturbed rhs (after a warm
-        start, against the true rhs); restoring the true rhs at its optimum
-        keeps the basis dual-feasible, so when the basic values still sit
-        inside their boxes the same vertex is optimal for the true program
-        and the run ends.  Otherwise (and likewise when degenerate pivot runs
-        leave the exact vertex slightly outside a box) the point is snapped
-        onto the slack basis, phase one restores feasibility, and
+        Cold or warm, the first phase one and optimization run against the
+        perturbed rhs; restoring the true rhs at its optimum keeps the basis
+        dual-feasible, so when the basic values still sit inside their boxes
+        the same vertex is optimal for the true program and the run ends.
+        Otherwise (and likewise when degenerate pivot runs leave the exact
+        vertex slightly outside a box) the point is snapped onto the slack
+        basis, phase one restores feasibility on the true rhs, and
         optimization resumes on the true program, for up to six rounds.  That
         restart is one of the two recovery paths; the other, the cold solve
         after a warm run raises, is :func:`solve_lp`'s.
@@ -279,11 +279,6 @@ class _Simplex:
                 return LpStatus.OPTIMAL
             self._snap_restart()
             if not self._phase_one():
-                if self.warm:
-                    # Phase one on the true rhs certified feasibility at the
-                    # start; losing it is a numerical event, not a property
-                    # of the input.
-                    raise NumericalFailure("feasibility restoration failed")
                 # Feasible only under the perturbation: the true program is
                 # infeasible (phase one just certified it from a clean basis).
                 return LpStatus.INFEASIBLE

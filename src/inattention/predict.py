@@ -49,6 +49,7 @@ __all__ = [
     "NoiseFamily",
     "PredictionOutcome",
     "fit_family",
+    "check_eta",
     "interpolate_utility",
     "predict_choice",
     "predict_at",
@@ -125,14 +126,20 @@ def _family(etas, d: DecisionDataset, profile: UtilityProfile) -> NoiseFamily:
     return NoiseFamily(etas=etas, dataset=d, fitted=profile, cost=cost)
 
 
-def _bracket(f: NoiseFamily, eta: float) -> tuple[int, float]:
-    """Grid interval g holding ``eta``, and eta's weight on its upper end."""
-    etas = f.etas
-    if eta < etas[0] or eta > etas[-1]:
+def check_eta(etas: np.ndarray, eta: float) -> None:
+    """Raise OutOfRange unless ``eta`` lies in the increasing noise grid
+    ``etas``; NaN lies nowhere in it."""
+    if not etas[0] <= eta <= etas[-1]:
         raise OutOfRange(
             f"noise level {eta} outside the fitted grid "
             f"[{etas[0]}, {etas[-1]}]; no extrapolation"
         )
+
+
+def _bracket(f: NoiseFamily, eta: float) -> tuple[int, float]:
+    """Grid interval g holding ``eta``, and eta's weight on its upper end."""
+    etas = f.etas
+    check_eta(etas, eta)
     g = min(int(np.searchsorted(etas, eta, side="right") - 1), etas.shape[0] - 2)
     return g, (eta - etas[g]) / (etas[g + 1] - etas[g])
 

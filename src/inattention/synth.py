@@ -4,8 +4,9 @@ Everything here exists to exercise the fitting code from the outside: build
 datasets whose rationality status is known by construction (feasible at a
 target margin, exactly on the boundary, or degenerate), assign costs through
 a shortest-path potential argument rather than the LP engine, and brute-force
-tiny instances over a utility grid.  The cost machinery and the grid oracle
-deliberately share no code path with the LP solver so they can check it.
+tiny two-agent instances over a utility grid.  The cost machinery and the
+grid oracle deliberately share no code path with the LP solver so they can
+check it.
 
 All generators take explicit seeds and are bit-for-bit reproducible.
 """
@@ -53,7 +54,6 @@ __all__ = [
 
 _DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0)
 _ORACLE_SIZE_CAP = 20
-_ORACLE_COMBO_CAP = 300_000
 _WEIGHT_FLOOR = 1e-3
 
 
@@ -432,22 +432,20 @@ def _enumerate_utilities(levels, num_states, num_actions):
 def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
     """Exhaustive search over utilities restricted to a small value grid.
 
-    For every assignment of grid values the best-response slack is computed
-    directly and cost feasibility is decided through the potential system of
-    :func:`assign_costs` (with its cost box), so the result is a fully
-    independent lower bound on what the LP search can achieve.  Tiny
-    instances only.
+    For every pair of grid utilities the best-response slack is computed
+    directly and the cost margin is read off the two-agent cycle and the
+    cost box of :func:`assign_costs`, so the result is a fully independent
+    lower bound on what the LP search can achieve.  Tiny two-agent instances
+    only; any other agent count raises InstanceTooLarge.
     """
     levels = tuple(sorted(grid_levels)) if grid_levels else _DEFAULT_GRID
     K, X, A = d.num_agents, d.num_states, d.num_actions
     if X * A * K > _ORACLE_SIZE_CAP:
         raise InstanceTooLarge(f"oracle limit is {_ORACLE_SIZE_CAP} total cells")
+    if K != 2:
+        raise InstanceTooLarge(f"the oracle handles two agents, not {K}")
     options = _enumerate_utilities(levels, X, A)
     m = options.shape[0]
-    if m**K > _ORACLE_COMBO_CAP and K != 2:
-        raise InstanceTooLarge(
-            f"{m}^{K} grid combinations exceed the enumeration cap"
-        )
 
     # Per agent and option: the best-response margin, the value the agent
     # realizes, and the value of its information with re-optimized actions.
@@ -464,37 +462,21 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
         gain[k] = np.einsum("xa,mxb->mab", jp.joint[k], options).max(axis=2).sum(axis=1)
 
     box_span = 1.0 - SYNTH_COST_FLOOR
+    head = realized[1][None, :] - gain[0][None, :]  # depends on m2
+    tail = realized[0][:, None] - gain[1][:, None]  # depends on m1
+    cycle_cap = (head + tail) / 2.0
+    margin_cap = np.minimum(cycle_cap, np.minimum(head + box_span, tail + box_span))
+    margin_grid = np.minimum(
+        margin_cap, np.minimum(nias_margin[0][:, None], nias_margin[1][None, :])
+    )
+    best = float(margin_grid.max())
+    flat = int(margin_grid.argmax())
+    pick = (flat // margin_grid.shape[1], flat % margin_grid.shape[1])
+    best_utils = [options[pick[0]], options[pick[1]]]
 
-    if K == 2:
-        head = realized[1][None, :] - gain[0][None, :]  # depends on m2
-        tail = realized[0][:, None] - gain[1][:, None]  # depends on m1
-        cycle_cap = (head + tail) / 2.0
-        margin_cap = np.minimum(cycle_cap, np.minimum(head + box_span, tail + box_span))
-        margin_grid = np.minimum(
-            margin_cap, np.minimum(nias_margin[0][:, None], nias_margin[1][None, :])
-        )
-        best = float(margin_grid.max())
-        flat = int(margin_grid.argmax())
-        pick = (flat // margin_grid.shape[1], flat % margin_grid.shape[1])
-        best_utils = [options[pick[0]], options[pick[1]]]
-    else:
-        best = -np.inf
-        best_utils = None
-        for combo in itertools.product(range(m), repeat=K):
-            floor_margin = float(min(nias_margin[k][combo[k]] for k in range(K)))
-            if floor_margin <= best:
-                continue
-            feasible_at = _max_cost_margin(
-                gain, realized, combo, ceiling=floor_margin, box_span=box_span
-            )
-            if feasible_at > best:
-                best = feasible_at
-                best_utils = [options[i] for i in combo]
-
-    best = float(best)
     feasible = best >= 0.0
     witness = None
-    if feasible and best_utils is not None:
+    if feasible:
         try:
             costs = assign_costs(d, best_utils, max(best, 0.0))
         except InfeasibleCosts as exc:  # pragma: no cover - caps prevent this
@@ -507,35 +489,6 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
     return OracleResult(
         feasible=feasible, best_margin=max(best, 0.0), witness=witness
     )
-
-
-def _max_cost_margin(gain, realized, combo, ceiling, box_span):
-    """Largest margin at which costs exist for this utility assignment."""
-    K = len(combo)
-    pick = np.array(combo)
-    diff = realized[np.arange(K), pick][None, :] - gain[:, pick]
-    np.fill_diagonal(diff, 0.0)
-
-    def feasible(margin):
-        weights = diff - margin
-        np.fill_diagonal(weights, 0.0)
-        dist = _potentials(weights)
-        return dist is not None and dist.max() - dist.min() <= box_span
-
-    if not feasible(0.0):
-        return -np.inf
-    if ceiling <= 0.0:
-        return 0.0
-    if feasible(ceiling):
-        return ceiling
-    lo, hi = 0.0, ceiling
-    for _ in range(50):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 # ---------------------------------------------------------------------------

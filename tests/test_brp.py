@@ -457,10 +457,11 @@ assert profile.margin >= 0.5 * best.margin - 1e-9
 @pytest.mark.parametrize(
     "seed",
     [
-        # A warm sparsity round ends with rows violated; the snap restart
-        # and phase one recover it.
+        # Warm sparsity rounds end with rows violated: the snap restart and
+        # phase one recover some, and two fall back to the cold solve.
         2279322413,
-        # A warm round spends all six restarts and the cold solve takes over.
+        # Should warm runs drop the rhs perturbation, a warm sparsity round
+        # here uses up all six restarts and falls back to the cold solve.
         1417942177,
     ],
 )

@@ -5,7 +5,8 @@ import pytest
 from inattention import brp, predict as pred
 from inattention.cli import main
 from inattention.dataset import load_dataset, save_dataset
-from inattention.synth import generate_feasible_dataset
+from inattention.errors import NumericalFailure
+from inattention.synth import generate_feasible_dataset, load_ground_truth
 
 
 def run(*argv):
@@ -100,6 +101,18 @@ class TestTest:
         assert raw["model"] == "s-umri"
         assert "utility" in raw
 
+    def test_numerical_failure_exits_three_and_writes_nothing(
+        self, tmp_path, dataset_file, capsys, monkeypatch
+    ):
+        def fail(*args, **kwargs):
+            raise NumericalFailure("injected")
+
+        monkeypatch.setattr(brp, "brp_max_margin", fail)
+        out = tmp_path / "profile.json"
+        assert run("test", "--dataset", dataset_file, "--out", out) == 3
+        assert "numerical failure: injected" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestRobustness:
     def test_two_fixtures_two_rows(self, tmp_path, dataset_file, identical_file):
@@ -133,6 +146,22 @@ class TestSparseAndCost:
         lines = table.read_text().strip().splitlines()
         # header + K * X * A rows
         assert len(lines) == 1 + 2 * 2 * 2
+
+    def test_s_umri_sparse_table_has_shared_rows(self, tmp_path, dataset_file):
+        out = tmp_path / "sparse.json"
+        table = tmp_path / "sparse.csv"
+        code = run(
+            "sparse", "--dataset", dataset_file, "--model", "s-umri",
+            "--out", out, "--table", table,
+        )
+        assert code == 0
+        lines = table.read_text().strip().splitlines()
+        assert lines[0] == "agent_id,state,action,value"
+        # header + X * A rows of the one shared utility
+        assert len(lines) == 1 + 2 * 2
+        assert {line.split(",")[0] for line in lines[1:]} == {"shared"}
+        utility = json.loads(out.read_text())["utility"]
+        assert [float(line.split(",")[3]) for line in lines[1:]] == sum(utility, [])
 
     def test_sparse_on_degenerate_exits_one(self, tmp_path, identical_file):
         assert (
@@ -171,6 +200,23 @@ class TestSparseAndCost:
             agent_id, value = line.split(",")
             assert float(value) == pytest.approx(fitted[agent_id], abs=1e-8)
 
+    def test_cost_curve_of_an_s_umri_solution(self, tmp_path, dataset_file):
+        solution = tmp_path / "solution.json"
+        run("test", "--dataset", dataset_file, "--model", "s-umri", "--out", solution)
+        out = tmp_path / "cost.csv"
+        assert (
+            run("cost", "--profile", solution, "--dataset", dataset_file, "--out", out)
+            == 0
+        )
+        lines = out.read_text().strip().splitlines()
+        assert lines[0] == "agent_id,cost"
+        agents = json.loads(solution.read_text())["agents"]
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            a["agent_id"] for a in agents
+        ]
+        for line, agent in zip(lines[1:], agents):
+            assert float(line.split(",")[1]) == pytest.approx(agent["cost"], abs=1e-8)
+
 
 class TestSynthPredict:
     def test_synth_and_predict_pipeline(self, tmp_path):
@@ -203,6 +249,46 @@ class TestSynthPredict:
         assert len(raw["per_class"]) == 3
         lines = table.read_text().strip().splitlines()
         assert lines[0] == "eta,class,predicted_diag,true_diag,delta"
+
+    def test_boundary_synth_writes_both_files(self, tmp_path):
+        gt, data = tmp_path / "gt.json", tmp_path / "data.json"
+        code = run(
+            "synth", "--kind", "boundary", "--agents", 3, "--states", 2,
+            "--actions", 2, "--seed", 13, "--out", gt, "--dataset-out", data,
+        )
+        assert code == 0
+        truth = load_ground_truth(str(gt))
+        assert truth.construction_margin == 0.0
+        assert load_dataset(str(data)).approx_equal(truth.dataset)
+
+    def test_predict_without_family_or_dataset_is_usage_error(
+        self, tmp_path, capsys
+    ):
+        out = tmp_path / "p.json"
+        assert run("predict", "--eta", 1.05, "--out", out) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["--dataset", "--family"])
+    @pytest.mark.parametrize("eta", ["1.5", "nan", "0.5"])
+    def test_eta_off_the_grid_exits_one_before_any_fit(
+        self, tmp_path, d2, dataset_file, capsys, monkeypatch, source, eta
+    ):
+        inputs = ["--dataset", dataset_file, "--etas", "1.0,1.1"]
+        if source == "--family":
+            fitted = tmp_path / "fitted.json"
+            pred.save_family(str(fitted), pred.fit_family(d2, [1.0, 1.1]))
+            inputs = ["--family", fitted]
+        monkeypatch.setattr(pred, "fit_family", _no_fit)
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        code = run(
+            "predict", *inputs, "--eta", eta, "--save-family", family,
+            "--out", out,
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"error: noise level {float(eta)} outside the fitted grid" in err
+        assert not out.exists() and not family.exists()
 
     def test_out_of_range_eta_exits_one(self, tmp_path):
         data = tmp_path / "data.json"

@@ -273,6 +273,17 @@ class TestWarmStart:
             checked += 1
         assert checked >= 20
 
+    def test_warm_run_optimizes_the_cold_runs_perturbed_rhs(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        first = solve_lp(lp)
+        cut = lp.copy()
+        cut.add_leq([2.0, 1.0], 2.0)
+        cold, warm = lp_module._Simplex(cut), lp_module._Simplex(cut)
+        warm.warm_start(first.basis)
+        assert np.array_equal(warm.b, cold.b)
+        assert not np.array_equal(warm.b, cut.b)
+
     def test_start_must_be_a_row_prefix(self):
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)

@@ -81,6 +81,8 @@ class TestInterpolate:
             interpolate_utility(fam, 2.01)
         with pytest.raises(OutOfRange):
             interpolate_utility(fam, 0.99)
+        with pytest.raises(OutOfRange):
+            interpolate_utility(fam, float("nan"))
 
 
 def zero_cost_family():

@@ -168,6 +168,14 @@ class TestGridOracle:
         with pytest.raises(InstanceTooLarge):
             grid_oracle(d)  # 3 * 3 * 3 = 27 > 20 cells
 
+    def test_only_two_agents(self):
+        # Three 2x2 agents stay under the cell cap; the agent count rejects them.
+        rng = np.random.default_rng(1)
+        mats = [rng.dirichlet(np.ones(2), size=2) for _ in range(3)]
+        d = dataset_from_matrices([0.5, 0.5], mats)
+        with pytest.raises(InstanceTooLarge):
+            grid_oracle(d, grid_levels=(0.5, 1.0))
+
 
 class TestGroundTruthFiles:
     def test_round_trip(self, tmp_path):
