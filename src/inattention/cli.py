@@ -82,7 +82,7 @@ def cmd_ingest(args) -> int:
 
 
 def _analyze(data, model: str, dataset_path: str):
-    meta = _solver_metadata(dataset=dataset_path)
+    meta = _solver_metadata(dataset=os.path.basename(dataset_path))
     if model == "umri":
         profile, report = brp.brp_max_margin(data)
         return brp.profile_to_dict(data, profile, report, metadata=meta), report
@@ -115,7 +115,7 @@ def cmd_robustness(args) -> int:
             _, report = _analyze(data, model, path)
             rows.append(
                 [
-                    path,
+                    os.path.basename(path),
                     model,
                     float(report.epsilon_star),
                     float(report.robustness),
@@ -132,7 +132,7 @@ def cmd_sparse(args) -> int:
     _require_inputs(args.dataset)
     data = ds.load_dataset(args.dataset)
     meta = _solver_metadata(
-        dataset=args.dataset, margin_fraction=args.margin_fraction
+        dataset=os.path.basename(args.dataset), margin_fraction=args.margin_fraction
     )
     if args.model == "umri":
         profile = brp.brp_sparsest(data, args.margin_fraction)
@@ -261,7 +261,7 @@ def cmd_predict(args) -> int:
 def _profile_rows(raw, path: str):
     """(robustness row, utility rows, cost rows) of one profile/solution file."""
     robustness = [
-        raw.get("metadata", {}).get("dataset", path),
+        raw.get("metadata", {}).get("dataset", os.path.basename(path)),
         raw.get("model", "?"),
         float(raw["margin"]),
         float(raw["robustness"]) if raw.get("robustness") is not None else None,

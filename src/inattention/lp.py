@@ -6,29 +6,34 @@ through this engine, so the priorities are correctness and determinism at
 desk scale, not raw speed: dense two-phase primal simplex over bounded
 variables, Dantzig pricing with lowest-index tie-breaking, and a switch to
 Bland's rule (pure lowest-index, provably cycle-free) after a run of
-degenerate pivots.  Identical inputs produce bit-identical solutions.
+degenerate pivots, plus a bounded dual simplex that repairs rows from a
+dual-feasible basis.  Identical inputs produce bit-identical solutions.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
+Every run optimizes a slightly perturbed rhs and then restores the true one.
+The optimal basis stays dual feasible there (reduced costs do not involve
+the rhs), so a bounded dual simplex pivots any basic value the true rhs
+leaves outside its box back inside, ending at the true program's optimum or
+proving it infeasible.
+
 Cutting-plane loops re-solve a program after appending rows.  Such a solve
 can start warm from the earlier optimum (``solve_lp(lp, start=solution)``).
-A warm solve is the cold solve started from another basis: the old basis is
-kept, each appended row's slack enters it basic, and from there the run
-optimizes the same perturbed right-hand side, restores the true one and
-checks the optimum exactly as a cold run does.  A start the new program
-cannot reuse (an artificial left basic) or a warm run that loses its footing
-numerically falls back to the cold solve, which stays the one canonical path
-for a program solved on its own.
+A warm solve keeps the old basis, each appended row's slack entering it
+basic; that basis is dual feasible, so the dual simplex, not phase one,
+repairs the rows the old optimum violates, and the run goes on as a cold
+one does.  A start the new program cannot reuse (an artificial left basic,
+or a basis not dual feasible) or a warm run that loses its footing
+numerically falls back to the cold solve, which stays the one canonical
+path for a program solved on its own.
 
 A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
 Every variable is boxed, so no program is unbounded: an improving direction
 without limit, a singular basis or a phase one that cannot evict its
-artificials can only come from rounding, and each raises.  Two recovery
-paths stay: a run whose optimum leaves rows violated snaps onto the slack
-basis and restarts phase one (up to six rounds), and a warm run that raises
-falls back to the cold solve.
+artificials can only come from rounding, and each raises.  The one
+recovery path is the cold solve that takes over when a warm run raises.
 """
 
 from __future__ import annotations
@@ -155,11 +160,12 @@ class LpBasis:
     shares that program's read-only arrays, so extending the program later
     leaves the copy as it was solved.
 
-    Only an optimal solve has a basis.  A warm solve from it is the cold
-    solve started from this basis, on the same perturbed rhs, and ends
-    optimal or infeasible like a cold one; where the warm run raises
-    :class:`NumericalFailure`, the cold solve takes over, and only the cold
-    solve's failure reaches the caller.
+    Only an optimal solve has a basis.  A warm solve from it keeps this
+    basis, which stays dual feasible with rows appended, and repairs the
+    appended rows by the dual simplex before it goes on as the cold solve
+    does, on the same perturbed rhs; it ends optimal or infeasible like a
+    cold one.  Where the warm run raises :class:`NumericalFailure`, the cold
+    solve takes over, and only the cold solve's failure reaches the caller.
     """
 
     basic: np.ndarray
@@ -173,10 +179,11 @@ class LpSolution:
 
     ``status`` is optimal or infeasible; a solve that fails numerically
     raises instead.  ``warm`` says the solve started from an earlier optimal
-    basis and finished from there (after a fallback to the cold solve it is
-    False); ``iterations`` counts every pivot made, a failed warm attempt's
-    included.  ``basis`` is set on optimal solutions; pass the solution as
-    ``start`` to re-solve the program with rows appended.
+    basis and finished from there, whether optimal or infeasible (after a
+    fallback to the cold solve it is False); ``iterations`` counts every
+    pivot made, dual pivots and a failed warm attempt's included.  ``basis``
+    is set on optimal solutions; pass the solution as ``start`` to re-solve
+    the program with rows appended.
     """
 
     status: LpStatus
@@ -234,14 +241,15 @@ class _Simplex:
         """Take over ``start``'s basis, its rows being this program's first
         rows; each appended row's slack enters basic at the appended position.
 
-        The perturbed rhs that ``__init__`` set stays, so the run that follows
-        is the cold run from another basis.  The basis matrix is block
-        lower-triangular with an identity block for the appended slacks, so
-        it stays nonsingular; the first rows carry the perturbation of the
-        start's own solve, so only appended slacks should leave their boxes,
-        which phase one repairs.  A kept value outside its box (a start found
-        after a snap restart, on the true rhs, can leave one) raises
-        NumericalFailure, and the caller solves cold.
+        The perturbed rhs that ``__init__`` set stays, so the run that
+        follows optimizes the program the cold run optimizes.  The basis
+        matrix is block lower-triangular with an identity block for the
+        appended slacks, so it stays nonsingular, and the appended slacks
+        carry no cost, so the start's reduced costs are this basis's: it stays
+        dual feasible.  Basic values may lie outside their boxes (appended
+        rows the old optimum violates, or kept values off their boxes at this
+        rhs); :meth:`_dual` repairs them.  A basis that is not dual feasible
+        at ``_COST_TOL`` raises NumericalFailure, and the caller solves cold.
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
@@ -250,89 +258,172 @@ class _Simplex:
         self.status[: n + m0] = start.status
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self._refactorize()
-        if np.any(self._violated_rows() < m0):
-            raise NumericalFailure("the start's basis is not primal feasible here")
+        reduced = self._reduced_costs(self.obj)
+        if self._select_entering(reduced, bland=False) is not None:
+            raise NumericalFailure("the start's basis is not dual feasible here")
 
     # -- phase drivers ------------------------------------------------------
 
-    def run(self) -> LpStatus:
+    def run(self, start: LpBasis | None = None) -> LpStatus:
         """Optimal or infeasible; raises NumericalFailure otherwise.
 
-        Cold or warm, the first phase one and optimization run against the
-        perturbed rhs; restoring the true rhs at its optimum keeps the basis
-        dual-feasible, so when the basic values still sit inside their boxes
-        the same vertex is optimal for the true program and the run ends.
-        Otherwise (and likewise when degenerate pivot runs leave the exact
-        vertex slightly outside a box) the point is snapped onto the slack
-        basis, phase one restores feasibility on the true rhs, and
-        optimization resumes on the true program, for up to six rounds.  That
-        restart is one of the two recovery paths; the other, the cold solve
-        after a warm run raises, is :func:`solve_lp`'s.
+        A cold run reaches a feasible basis by phase one; a run from
+        ``start`` (see :meth:`warm_start`) by the dual simplex.  Either way
+        the run then optimizes against the perturbed rhs and restores the
+        true one at the optimum.  Reduced costs do not involve the rhs, so
+        the basis stays dual feasible, and where the restored rhs leaves
+        basic values outside their boxes the dual simplex repairs them,
+        which ends at an optimum of the true program or proves it
+        infeasible.
         """
-        if not self._phase_one():
+        if start is None:
+            feasible = self._phase_one()
+        else:
+            self.warm_start(start)
+            feasible = self._dual(self.obj)
+        if not feasible:
             return LpStatus.INFEASIBLE
-        for _ in range(6):
-            self._optimize(self.obj)
-            self.b = self.b_true
-            self._refactorize()
-            if self._violated_rows().size == 0:
-                return LpStatus.OPTIMAL
-            self._snap_restart()
-            if not self._phase_one():
-                # Feasible only under the perturbation: the true program is
-                # infeasible (phase one just certified it from a clean basis).
-                return LpStatus.INFEASIBLE
-        raise NumericalFailure("feasibility restoration did not converge")
+        self._optimize(self.obj)
+        self.b = self.b_true
+        self._refactorize()
+        if not self._dual(self.obj):
+            # Feasible only under the perturbation: the true program is not.
+            return LpStatus.INFEASIBLE
+        return LpStatus.OPTIMAL
 
-    def _violated_rows(self) -> np.ndarray:
-        """Basis positions whose value lies outside its box."""
-        values = self.x[self.basis]
-        below = values < self.lo[self.basis] - _FEAS_TOL
-        above = values > self.hi[self.basis] + _FEAS_TOL
-        return np.flatnonzero(below | above)
+    def _dual(self, cost: np.ndarray) -> bool:
+        """Bounded dual simplex: from a basis dual feasible for ``cost``,
+        pivot every basic value into its box; False when a violated row
+        proves the program infeasible.
 
-    def _snap_restart(self) -> None:
-        """Rebuild the slack basis at the nearest-bound snap of the point.
-
-        Basic structural variables move to their nearest finite bound, every
-        slack re-enters the basis (identity, trivially nonsingular), and any
-        rows left violated are handed back to phase one.
+        The leaving row holds the basic value furthest outside its box, and
+        the leaving variable lands on the bound it violated.  The entering
+        column is the one that moves that value toward its box at the
+        smallest ratio |d_j / alpha_rj|, so no reduced cost changes sign;
+        near-ties go to the largest |alpha_rj|, then the lowest index.  A
+        missing or tiny pivot on an updated tableau is redone on a rebuilt
+        one; a tiny pivot on a rebuilt one sets its row aside for this
+        iteration, the least-bad such pivot being taken when no row offers
+        a healthy one.  These programs are dual degenerate too (many zero
+        reduced costs), so after a run of pivots that leave the objective
+        where it was, Bland's rule takes over (lowest basic index among the
+        violated rows, lowest index among the ratio ties) until it moves.
         """
-        for i in range(self.m):
-            v = int(self.basis[i])
-            self.in_basis[v] = False
-            if v < self.n:
-                near_upper = (
-                    np.isfinite(self.hi[v])
-                    and self.hi[v] - self.x[v] < self.x[v] - self.lo[v]
-                )
-                self.x[v] = self.hi[v] if near_upper else self.lo[v]
-                self.status[v] = _AT_UPPER if near_upper else _AT_LOWER
+        reduced = self._reduced_costs(cost)
+        best_value = float(cost @ self.x)
+        stall = 0
+        bland = False
+        since_refactor = 0
+        banned = np.zeros(self.m, dtype=bool)
+        fallback = None
+        while True:
+            if since_refactor >= _REFACTOR_EVERY:
+                self._refactorize()
+                reduced = self._reduced_costs(cost)
+                since_refactor = 0
+            values = self.x[self.basis]
+            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+            excess = np.maximum(lo_b - values, values - hi_b)
+            excess[banned] = 0.0
+            violated = np.flatnonzero(excess > _FEAS_TOL)
+            if violated.size:
+                if bland:
+                    row = int(violated[np.argmin(self.basis[violated])])
+                else:
+                    row = int(np.argmax(excess))
+                below = values[row] < lo_b[row]
+                j = self._dual_ratio_test(row, below, reduced, bland)
+                if since_refactor > 0 and (
+                    j is None or abs(self.tableau[row, j]) < _SAFE_PIVOT
+                ):
+                    # Maybe drift on the updated tableau; decide on exact data.
+                    self._refactorize()
+                    reduced = self._reduced_costs(cost)
+                    since_refactor = 0
+                    continue
+                if j is None:
+                    return False
+                size = abs(float(self.tableau[row, j]))
+                if size < _SAFE_PIVOT:
+                    banned[row] = True
+                    if fallback is None or size > fallback[0]:
+                        fallback = (size, row, j)
+                    continue
+            elif fallback is not None:
+                _, row, j = fallback
+            elif since_refactor > 0:
+                # Confirm on an exactly rebuilt tableau before declaring the
+                # basis feasible.
+                self._refactorize()
+                reduced = self._reduced_costs(cost)
+                since_refactor = 0
+                continue
             else:
-                self.x[v] = self.lo[v]
-                self.status[v] = _AT_LOWER
-        self.basis = np.arange(self.n, self.n + self.m)
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.x[self.n : self.n + self.m] = 0.0
-        self.status[self.n : self.n + self.m] = _AT_LOWER
-        self.tableau = self.cols.copy()
-        self.x[self.basis] = self.b - self.cols[:, : self.n] @ self.x[: self.n]
+                return True
+            banned[:] = False
+            fallback = None
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise NumericalFailure(
+                    f"simplex exceeded {self.max_iterations} iterations"
+                )
+            leaving = self.basis[row]
+            above = bool(self.x[leaving] > self.hi[leaving])
+            bound = self.hi[leaving] if above else self.lo[leaving]
+            direction = 1 if self.status[j] == _AT_LOWER else -1
+            column = self.tableau[:, j]
+            step = (self.x[leaving] - bound) / (direction * column[row])
+            self._apply_step(j, direction, step, row, column, above)
+            reduced = reduced - reduced[j] * self.tableau[row, :]
+            reduced[j] = 0.0
+            since_refactor += 1
+            if bland:
+                reduced = self._reduced_costs(cost)
+            # Each pivot lowers the objective or, dual degenerate, keeps it.
+            value = float(cost @ self.x)
+            if value < best_value - 1e-12 * (1.0 + abs(best_value)):
+                best_value = value
+                stall = 0
+                bland = False
+            else:
+                stall += 1
+                if stall > _BLAND_TRIGGER and not bland:
+                    bland = True
+                    self._refactorize()
+                    reduced = self._reduced_costs(cost)
+                    since_refactor = 0
+
+    def _dual_ratio_test(
+        self, row: int, below: bool, reduced: np.ndarray, bland: bool
+    ) -> int | None:
+        """Entering column for the dual simplex's leaving ``row``; None when
+        no nonbasic column moves the row's basic value toward its box."""
+        alpha = self.tableau[row, :]
+        direction = np.where(self.status == _AT_LOWER, 1.0, -1.0)
+        moves = direction * alpha
+        toward = moves < -_PIVOT_TOL if below else moves > _PIVOT_TOL
+        idx = np.flatnonzero(~self.in_basis & (self.hi > self.lo) & toward)
+        if idx.size == 0:
+            return None
+        magnitudes = np.abs(alpha[idx])
+        ratios = np.maximum(-direction[idx] * reduced[idx], 0.0) / magnitudes
+        best = float(ratios.min())
+        ties = ratios <= best + 1e-12 * (1.0 + best)
+        if bland:
+            return int(idx[ties][0])
+        return int(idx[ties][int(np.argmax(magnitudes[ties]))])
 
     def _phase_one(self) -> bool:
         """Drive negative basic slacks to zero via artificials; True if done.
 
-        A negative basic slack sits at its own row's basis position: a cold
-        start or a snap restart leaves the slack basis, and a warm start puts
-        the appended rows' slacks at their rows (having checked the kept
-        basic variables against their boxes).  Each such slack swaps for an
-        artificial whose column, in the rows and in the tableau alike, is
-        minus that unit vector; the swap flips the sign of the tableau row.
-        The sum of artificials is minimized, and the artificials are then
-        pivoted out and frozen.
+        Only a cold run calls it, on the slack basis, so each basic variable
+        is its own row's slack.  Each negative one swaps for an artificial
+        whose column, in the rows and in the tableau alike, is minus that
+        unit vector; the swap flips the sign of the tableau row.  The sum of
+        artificials is minimized, and the artificials are then pivoted out
+        and frozen.
         """
-        slack = (self.basis >= self.n) & (self.basis < self.n + self.m)
-        bad = np.flatnonzero(slack & (self.x[self.basis] < -_FEAS_TOL))
+        bad = np.flatnonzero(self.x[self.basis] < -_FEAS_TOL)
         if bad.size == 0:
             return True
         k = bad.size
@@ -484,7 +575,8 @@ class _Simplex:
                 self.x[j] = self.hi[j] if self.status[j] == _AT_LOWER else self.lo[j]
                 self.status[j] ^= 1
             else:
-                self._apply_step(j, direction, step, row, column)
+                leaves_at_upper = direction * column[row] < 0
+                self._apply_step(j, direction, step, row, column, leaves_at_upper)
                 dj = reduced[j]
                 reduced = reduced - dj * self.tableau[row, :]
                 reduced[j] = 0.0
@@ -565,12 +657,19 @@ class _Simplex:
         return row_step, row, False
 
     def _apply_step(
-        self, j: int, direction: int, step: float, row: int, column: np.ndarray
+        self,
+        j: int,
+        direction: int,
+        step: float,
+        row: int,
+        column: np.ndarray,
+        leaves_at_upper: bool,
     ) -> None:
+        """Move entering ``j`` by ``step`` in ``direction`` and swap it for
+        the basic variable at ``row``, which leaves at the given bound."""
         self.x[self.basis] -= direction * step * column
         entering_value = self.x[j] + direction * step
         leaving = self.basis[row]
-        leaves_at_upper = direction * column[row] < 0
         self.x[leaving] = self.hi[leaving] if leaves_at_upper else self.lo[leaving]
         self.status[leaving] = _AT_UPPER if leaves_at_upper else _AT_LOWER
         self.in_basis[leaving] = False
@@ -618,15 +717,16 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs.
 
     With ``start``, the optimal solution of an earlier program that this one
-    extends by appending rows, the solve starts from that basis (module
-    docstring) and falls back to the cold solve when the start holds an
-    artificial or the warm run fails numerically.  Raises ValueError when
-    ``lp`` does not extend the start's program.
+    extends by appending rows, the solve keeps that basis and repairs the
+    appended rows by the dual simplex (module docstring); it falls back to
+    the cold solve when the start holds an artificial or is not dual
+    feasible, or when the warm run fails numerically.  Raises ValueError
+    when ``lp`` does not extend the start's program.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
-    direction that rounding produced, the iteration cap, restoration that
-    does not converge); that condition is never reported as infeasible.
+    direction that rounding produced, the iteration cap); that condition is
+    never reported as infeasible.
     """
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
@@ -635,8 +735,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     if basis is not None:
         engine = _Simplex(lp)
         try:
-            engine.warm_start(basis)
-            status = engine.run()
+            status = engine.run(basis)
         except NumericalFailure:
             spent = engine.iterations
             basis = None

@@ -5,9 +5,9 @@ Fitting recovers per-agent utilities and costs plus the anchored cost
 envelope; a query at a new noise level linearly interpolates the two
 surrounding utilities and re-solves the strategy choice problem against the
 cost envelope, a single LP once the value term scores each observation with
-its labelled action.  That surrogate is exact whenever the optimizer's best
-responses agree with its labels, which is certified after the fact rather
-than assumed.
+its labelled action.  That surrogate is exact when every labelled action is
+a best response to its posterior; the LP holds the best-response rows that
+make it so, and a certificate re-checks it after the fact.
 """
 
 from __future__ import annotations
@@ -165,13 +165,16 @@ def predict_choice(
     """Strategy maximizing interpolated value minus the fitted cost envelope.
 
     Variables are the choice probabilities plus the envelope's epigraph
-    scalar.  The optimum is often a face rather than a point (exactly at
-    grid etas the whole piece-dominance region ties), so when ``eta`` is
-    given, a second stage picks the optimal strategy closest (entrywise L1)
-    to the noise-interpolated in-sample strategy, which keeps grid queries
-    pinned to the observed behavior.  The returned flag certifies that the
-    labelled-action value surrogate agreed with re-optimized actions at the
-    optimum.
+    scalar.  Best-response rows (linear in the strategy at the fixed
+    ``interpolated`` utility) keep every action the strategy takes a best
+    response to its posterior, so the strategy is NIAS-consistent by
+    construction and the labelled-action value surrogate is exact.  The
+    optimum is often a face rather than a point (exactly at grid etas the
+    whole piece-dominance region ties), so when ``eta`` is given, a second
+    stage picks the optimal strategy closest (entrywise L1) to the
+    noise-interpolated in-sample strategy, within the same rows, which keeps
+    grid queries pinned to the observed behavior.  The returned flag is the
+    independent re-check of NIAS consistency on the returned strategy.
     """
     u_hat = np.asarray(interpolated, dtype=float)
     X, A = f.dataset.num_states, f.dataset.num_actions
@@ -194,9 +197,18 @@ def predict_choice(
         np.append(np.zeros(X * A), -bound),
         np.append(np.ones(X * A), bound),
     )
-    # One simplex row per state, then one epigraph row per cost piece.
+    # One simplex row per state, then one epigraph row per cost piece, then
+    # one best-response row per action a and deviation b != a:
+    # sum_x mu(x) P(x, a) (u(x, b) - u(x, a)) <= 0.
     lp.add_eq(np.hstack([np.repeat(np.eye(X), A, axis=1), np.zeros((X, 1))]), 1.0)
     lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -np.array(offsets))
+    taken, deviation = np.nonzero(~np.eye(A, dtype=bool))
+    pairs = taken.size
+    nias = np.zeros((pairs, X, A))
+    nias[np.arange(pairs), :, taken] = (
+        f.dataset.prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
+    ).T
+    lp.add_leq(np.hstack([nias.reshape(pairs, X * A), np.zeros((pairs, 1))]), 0.0)
     first = solve_lp(lp)
     if first.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"prediction program reported {first.status.value}")

@@ -31,7 +31,12 @@ from inattention.errors import (
 from inattention.lp import solve_lp
 from inattention.synth import generate_feasible_dataset
 
-from conftest import D2_CERTIFICATE, dataset_from_matrices, random_dataset
+from conftest import (
+    D2_CERTIFICATE,
+    dataset_from_matrices,
+    make_noise_family,
+    random_dataset,
+)
 from test_lp import TIGHT_HIGHS, scipy_optimum
 
 
@@ -457,11 +462,12 @@ assert profile.margin >= 0.5 * best.margin - 1e-9
 @pytest.mark.parametrize(
     "seed",
     [
-        # Warm sparsity rounds end with rows violated: the snap restart and
-        # phase one recover some, and two fall back to the cold solve.
+        # Three warm sparsity rounds leave a row violated once the true rhs
+        # is restored, and the dual simplex repairs it there.
         2279322413,
-        # Should warm runs drop the rhs perturbation, a warm sparsity round
-        # here uses up all six restarts and falls back to the cold solve.
+        # A warm sparsity round here once used up all six snap restarts of
+        # the primal-only solver and fell back to the cold solve; it now
+        # needs no recovery path and stays as a regression case.
         1417942177,
     ],
 )
@@ -515,3 +521,24 @@ class TestWarmCutRounds:
                 assert value == pytest.approx(cold.objective_value, rel=1e-9)
                 assert value == pytest.approx(-ref.fun, rel=1e-9)
         assert warm_rounds >= 10
+
+    def test_dual_degenerate_rounds_stay_warm(self, solves):
+        # A warm round of this fit cycles through zero reduced costs in the
+        # dual simplex until Bland's rule takes over; without it the round
+        # runs into the iteration cap and is re-solved cold.
+        d = generate_feasible_dataset(5, 6, 6, margin=0.01, seed=0).dataset
+        brp_max_margin(d)
+        assert len(solves) > 5
+        assert all(sol.warm == (start is not None) for _, _, start, sol in solves)
+
+    def test_small_margin_rounds_reach_the_reference_optimum(self, solves):
+        # Family 19 of the noise-family benchmark pool at seed 7: its margin
+        # is about 1e-3, so an improving reduced cost under the absolute
+        # optimality tolerance can stop a round 1e-8 relative short.
+        _, d, _ = make_noise_family(2727964093, 11, 3)
+        profile, _ = brp_max_margin(d)
+        for lp, _, _, sol in solves:
+            ref = scipy_optimum(lp, TIGHT_HIGHS)
+            assert ref.status == 0
+            assert sol.objective_value == pytest.approx(-ref.fun, rel=1e-9)
+        assert profile.margin == pytest.approx(-ref.fun, rel=1e-9)

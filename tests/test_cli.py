@@ -85,7 +85,7 @@ class TestTest:
         assert raw["model"] == "umri"
         assert raw["margin"] >= 0.04
         assert raw["degenerate"] is False
-        assert raw["metadata"]["dataset"] == str(dataset_file)
+        assert raw["metadata"]["dataset"] == dataset_file.name == "d2.json"
 
     def test_degenerate_dataset_still_exits_zero(self, tmp_path, identical_file):
         out = tmp_path / "profile.json"
@@ -429,23 +429,35 @@ class TestReport:
 
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, tmp_path):
-        files = {}
-        for tag in ("first", "second"):
+        # The two runs sit in directories whose paths differ in length; the
+        # outputs name inputs by file name only, so every byte matches.
+        outputs = {}
+        for tag in ("a", "a-much-longer-directory-name"):
             base = tmp_path / tag
             base.mkdir()
-            run(
-                "synth", "--agents", 3, "--states", 2, "--actions", 2,
-                "--margin", 0.01, "--seed", 42,
-                "--out", base / "gt.json", "--dataset-out", base / "data.json",
-            )
-            run("test", "--dataset", base / "data.json", "--out", base / "profile.json")
-            files[tag] = [
-                (base / "gt.json").read_bytes(),
-                (base / "data.json").read_bytes(),
+
+            def p(name):
+                return base / name
+
+            steps = [
+                ("synth", "--agents", 3, "--states", 2, "--actions", 2,
+                 "--margin", 0.01, "--seed", 42,
+                 "--out", p("gt.json"), "--dataset-out", p("data.json")),
+                ("test", "--dataset", p("data.json"), "--out", p("profile.json")),
+                ("robustness", "--datasets", p("data.json"), "--out", p("rob.csv")),
+                ("sparse", "--dataset", p("data.json"), "--out", p("sparse.json"),
+                 "--table", p("sparse.csv")),
+                ("cost", "--profile", p("profile.json"), "--dataset", p("data.json"),
+                 "--out", p("cost.csv")),
+                ("report", "--profiles", p("profile.json"), p("sparse.json"),
+                 "--out-dir", p("report")),
             ]
-            # Metadata embeds the dataset path, which differs across the two
-            # directories by construction, so compare the profile without it.
-            raw = json.loads((base / "profile.json").read_text())
-            raw["metadata"].pop("dataset")
-            files[tag].append(json.dumps(raw, sort_keys=True))
-        assert files["first"] == files["second"]
+            for argv in steps:
+                assert run(*argv) == 0
+            outputs[tag] = {
+                str(path.relative_to(base)): path.read_bytes()
+                for path in sorted(base.rglob("*")) if path.is_file()
+            }
+        first, second = outputs.values()
+        assert len(first) == 10
+        assert first == second

@@ -338,7 +338,7 @@ class TestWarmStart:
         if cold.status is LpStatus.OPTIMAL:
             assert np.array_equal(retried.point, cold.point)
 
-    @pytest.mark.parametrize("defect", ["basic artificial", "kept value off its box"])
+    @pytest.mark.parametrize("defect", ["basic artificial", "not dual feasible"])
     def test_unusable_start_basis_means_a_cold_solve(self, defect):
         from dataclasses import replace
 
@@ -350,7 +350,7 @@ class TestWarmStart:
             # Column n + m is the first artificial phase one would add.
             basis = replace(first.basis, basic=np.array([lp.num_vars + lp.num_rows]))
         else:
-            # y at its lower bound puts the basic x at 1.25, above its box.
+            # y at its lower bound, where raising it gains 1 - 1/2 per unit.
             basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
         grown = lp.copy()
         grown.add_leq([1.0, 2.0], 2.0)
@@ -358,10 +358,43 @@ class TestWarmStart:
         assert not again.warm
         assert np.array_equal(again.point, solve_lp(grown).point)
 
+    def test_kept_value_off_its_box_is_repaired_warm(self):
+        from dataclasses import replace
+
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([2.0, 1.0], 2.5)
+        first = solve_lp(lp)
+        # The slack basic with x and y at their upper bounds: dual feasible,
+        # but the kept slack is 2.5 - 3 = -0.5, below its box.
+        basis = replace(
+            first.basis, basic=np.array([2]), status=np.array([1, 1, 0], dtype=np.int8)
+        )
+        grown = lp.copy()
+        grown.add_leq([1.0, 2.0], 2.0)
+        again = solve_lp(grown, start=replace(first, basis=basis))
+        cold = solve_lp(grown)
+        ref = scipy_optimum(grown, TIGHT_HIGHS)
+        assert again.warm
+        assert np.allclose(again.point, cold.point, rtol=0.0, atol=1e-12)
+        assert np.allclose(again.point, ref.x, rtol=0.0, atol=1e-9)
+        assert again.objective_value == pytest.approx(1.5, abs=1e-12)
+
+    def test_appended_row_that_empties_the_program_is_infeasible_warm(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        first = solve_lp(lp)
+        grown = lp.copy()
+        grown.add_leq([-1.0, -1.0], -2.5)  # x + y >= 2.5 in the unit box
+        warm = solve_lp(grown, start=first)
+        assert warm.warm and warm.status is LpStatus.INFEASIBLE
+        assert solve_lp(grown).status is LpStatus.INFEASIBLE
+        assert scipy_optimum(grown).status == 2
+
 
 class TestSingularBasis:
-    """A basis that turns singular after phase one is a numerical failure:
-    the warm solve falls back to the cold one, and the cold solve raises."""
+    """A basis that turns singular once a run is feasible is a numerical
+    failure: the warm solve falls back to the cold one, and the cold solve
+    raises."""
 
     @staticmethod
     def _cut_program():
@@ -372,14 +405,16 @@ class TestSingularBasis:
         return solve_lp(lp), grown
 
     @staticmethod
-    def _fail_once_after_phase_one(monkeypatch):
-        """Make the first ``np.linalg.solve`` after a phase one raise
-        LinAlgError; returns the pivots its engine had made by then."""
+    def _fail_once_after(monkeypatch, method):
+        """Make the first ``np.linalg.solve`` after the ``_Simplex`` method
+        ``method`` (the pass that makes a run feasible: ``_phase_one`` cold,
+        ``_dual`` warm) raise LinAlgError; returns the pivots its engine had
+        made by then."""
         failed, armed = [], []
-        phase_one, solve = lp_module._Simplex._phase_one, np.linalg.solve
+        feasible, solve = getattr(lp_module._Simplex, method), np.linalg.solve
 
-        def arming_phase_one(self):
-            done = phase_one(self)
+        def arming(self, *args):
+            done = feasible(self, *args)
             if not failed:
                 armed[:] = [self]
             return done
@@ -390,23 +425,24 @@ class TestSingularBasis:
                 raise np.linalg.LinAlgError("injected singular basis")
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(lp_module._Simplex, "_phase_one", arming_phase_one)
+        monkeypatch.setattr(lp_module._Simplex, method, arming)
         monkeypatch.setattr(np.linalg, "solve", failing_solve)
         return failed
 
     def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
         first, grown = self._cut_program()
         cold = solve_lp(grown)
-        failed = self._fail_once_after_phase_one(monkeypatch)
+        failed = self._fail_once_after(monkeypatch, "_dual")
         again = solve_lp(grown, start=first)
         [spent] = failed  # in the warm attempt, which runs first
+        assert spent > 0  # after the dual pass repaired the appended row
         assert not again.warm
         assert again.iterations == spent + cold.iterations
         assert again.point.tobytes() == cold.point.tobytes()
 
     def test_cold_solve_raises(self, monkeypatch):
         _, grown = self._cut_program()
-        failed = self._fail_once_after_phase_one(monkeypatch)
+        failed = self._fail_once_after(monkeypatch, "_phase_one")
         with pytest.raises(NumericalFailure):
             solve_lp(grown)
         assert len(failed) == 1

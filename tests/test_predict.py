@@ -139,6 +139,16 @@ class TestPredictChoice:
             assert float(tv.max()) <= 2e-2
             assert outcome.nias_consistent
 
+    @pytest.mark.parametrize("seed", [4, 5, 6, 7])
+    def test_off_grid_predictions_are_nias_consistent(self, seed):
+        # The prediction program holds the best-response rows, so every
+        # query's predicted actions are best responses to their posteriors.
+        etas, dataset, _ = make_noise_family(seed=seed)
+        fam = fit_family(dataset, etas)
+        for eta in etas[:-1]:
+            for offset in (0.025, 0.075):
+                assert predict_at(fam, round(eta + offset, 3)).nias_consistent
+
     def test_rows_are_stochastic(self, family):
         fam, _, _ = family
         outcome = predict_at(fam, 1.41)
