@@ -226,9 +226,11 @@ def _worst_nias(nias: np.ndarray) -> np.ndarray:
 
 
 def _margin_of(nias: np.ndarray, swaps: np.ndarray) -> float:
-    """Negated maximum residual over the strict sets (b != a, j != k)."""
+    """Negated maximum residual over the strict sets (b != a, j != k); a
+    lone agent has no swap residual."""
     off_agent = ~np.eye(swaps.shape[0], dtype=bool)
-    return -float(max(_worst_nias(nias).max(), swaps[off_agent].max()))
+    worst_swap = swaps[off_agent].max(initial=-np.inf)
+    return -float(max(_worst_nias(nias).max(), worst_swap))
 
 
 def strict_margin(d: DecisionDataset, utilities, costs) -> float:

@@ -3,37 +3,41 @@
 Maximizes ``c @ z`` subject to ``A z <= b`` and finite per-variable boxes.
 Every feasibility, margin, and sparsity computation in the package runs
 through this engine, so the priorities are correctness and determinism at
-desk scale, not raw speed: dense two-phase primal simplex over bounded
-variables, Dantzig pricing with lowest-index tie-breaking, and a switch to
-Bland's rule (pure lowest-index, provably cycle-free) after a run of
-degenerate pivots, plus a bounded dual simplex that repairs rows from a
-dual-feasible basis.  Identical inputs produce bit-identical solutions.
+desk scale, not raw speed: a dense bounded dual simplex reaches a feasible
+basis and a dense bounded primal simplex optimizes from it, each with
+largest-violation or Dantzig pricing and a switch to Bland's rule (pure
+lowest-index, provably cycle-free) after a run of degenerate pivots.
+Identical inputs produce bit-identical solutions.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
-Every run optimizes a slightly perturbed rhs and then restores the true one.
-The optimal basis stays dual feasible there (reduced costs do not involve
-the rhs), so a bounded dual simplex pivots any basic value the true rhs
-leaves outside its box back inside, ending at the true program's optimum or
-proving it infeasible.
+A cold run starts from the slack basis, every variable at its lower bound.
+There the reduced costs are the costs, so the basis is dual feasible for
+``min(c, 0)``, the objective's nonpositive part, and the dual simplex on
+that cost pivots every slack the rows leave negative back into its box, or
+proves the program infeasible, with no artificial column.  The run then
+optimizes ``c`` on a slightly perturbed rhs and restores the true one.  The
+optimal basis stays dual feasible there (reduced costs do not involve the
+rhs), so the dual simplex pivots any basic value the true rhs leaves outside
+its box back inside, ending at the true program's optimum or proving it
+infeasible.
 
 Cutting-plane loops re-solve a program after appending rows.  Such a solve
 can start warm from the earlier optimum (``solve_lp(lp, start=solution)``).
 A warm solve keeps the old basis, each appended row's slack entering it
-basic; that basis is dual feasible, so the dual simplex, not phase one,
+basic; that basis is dual feasible for ``c`` itself, so the dual simplex
 repairs the rows the old optimum violates, and the run goes on as a cold
-one does.  A start the new program cannot reuse (an artificial left basic,
-or a basis not dual feasible) or a warm run that loses its footing
-numerically falls back to the cold solve, which stays the one canonical
-path for a program solved on its own.
+one does.  A start whose basis is not dual feasible, or a warm run that
+loses its footing numerically, falls back to the cold solve, which stays
+the one canonical path for a program solved on its own.
 
 A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
 Every variable is boxed, so no program is unbounded: an improving direction
-without limit, a singular basis or a phase one that cannot evict its
-artificials can only come from rounding, and each raises.  The one
-recovery path is the cold solve that takes over when a warm run raises.
+without limit or a singular basis can only come from rounding, and each
+raises.  The one recovery path is the cold solve that takes over when a
+warm run raises.
 """
 
 from __future__ import annotations
@@ -153,12 +157,11 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 class LpBasis:
     """The optimal basis a solve ended on, with the program it solved.
 
-    ``basic[r]`` is the column basic at position r, over the extended column
-    set [structural | slack | artificial]; ``status`` holds each structural
-    and slack column's bound code (0 lower, 1 upper), meaningful where the
-    column is nonbasic.  ``program`` is a copy of the program solved; it
-    shares that program's read-only arrays, so extending the program later
-    leaves the copy as it was solved.
+    ``basic[r]`` is the column basic at position r, over the column set
+    [structural | slack]; ``status`` holds each column's bound code (0
+    lower, 1 upper), meaningful where the column is nonbasic.  ``program``
+    is a copy of the program solved; it shares that program's read-only
+    arrays, so extending the program later leaves the copy as it was solved.
 
     Only an optimal solve has a basis.  A warm solve from it keeps this
     basis, which stays dual feasible with rows appended, and repairs the
@@ -181,9 +184,9 @@ class LpSolution:
     raises instead.  ``warm`` says the solve started from an earlier optimal
     basis and finished from there, whether optimal or infeasible (after a
     fallback to the cold solve it is False); ``iterations`` counts every
-    pivot made, dual pivots and a failed warm attempt's included.  ``basis``
-    is set on optimal solutions; pass the solution as ``start`` to re-solve
-    the program with rows appended.
+    step made, pivots and bound flips, a failed warm attempt's included.
+    ``basis`` is set on optimal solutions; pass the solution as ``start`` to
+    re-solve the program with rows appended.
     """
 
     status: LpStatus
@@ -205,8 +208,8 @@ _AT_UPPER = 1
 
 
 class _Simplex:
-    """Dense bounded-variable simplex over the extended column set
-    [structural | slack | artificial]."""
+    """Dense bounded-variable simplex over the column set [structural |
+    slack], which stays n + m columns for the whole run."""
 
     def __init__(self, lp: LinearProgram):
         self.m = lp.num_rows
@@ -216,13 +219,12 @@ class _Simplex:
         self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.cols = np.hstack([lp.a, np.eye(m)])
         self.obj = np.concatenate([lp.objective, np.zeros(m)])
-        self.total = n + m
         # Nonbasic structural variables start at their lower bound; slacks
         # start basic.  This is the canonical deterministic start.
-        self.status = np.zeros(self.total, dtype=np.int8)
+        self.status = np.zeros(n + m, dtype=np.int8)
         self.x = self.lo.copy()
         self.basis = np.arange(n, n + m)
-        self.in_basis = np.zeros(self.total, dtype=bool)
+        self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
         self.tableau = self.cols.copy()  # B^{-1} A, with B = I initially
         # Deterministic right-hand-side perturbation: the margin programs
@@ -267,23 +269,24 @@ class _Simplex:
     def run(self, start: LpBasis | None = None) -> LpStatus:
         """Optimal or infeasible; raises NumericalFailure otherwise.
 
-        A cold run reaches a feasible basis by phase one; a run from
-        ``start`` (see :meth:`warm_start`) by the dual simplex.  Either way
-        the run then optimizes against the perturbed rhs and restores the
-        true one at the optimum.  Reduced costs do not involve the rhs, so
-        the basis stays dual feasible, and where the restored rhs leaves
+        Both reach a feasible basis by the dual simplex: a cold run from the
+        slack basis on ``min(c, 0)``, for which that basis is dual feasible,
+        a run from ``start`` (see :meth:`warm_start`) on ``c``.  Either way
+        the run then optimizes ``c`` against the perturbed rhs and restores
+        the true one at the optimum.  Reduced costs do not involve the rhs,
+        so the basis stays dual feasible, and where the restored rhs leaves
         basic values outside their boxes the dual simplex repairs them,
         which ends at an optimum of the true program or proves it
         infeasible.
         """
         if start is None:
-            feasible = self._phase_one()
+            feasible = self._dual(np.minimum(self.obj, 0.0))
         else:
             self.warm_start(start)
             feasible = self._dual(self.obj)
         if not feasible:
             return LpStatus.INFEASIBLE
-        self._optimize(self.obj)
+        self._optimize()
         self.b = self.b_true
         self._refactorize()
         if not self._dual(self.obj):
@@ -294,7 +297,9 @@ class _Simplex:
     def _dual(self, cost: np.ndarray) -> bool:
         """Bounded dual simplex: from a basis dual feasible for ``cost``,
         pivot every basic value into its box; False when a violated row
-        proves the program infeasible.
+        proves the program infeasible.  ``cost`` is the objective on a warm
+        run and on the restored rhs, and its nonpositive part ``min(c, 0)``
+        at a cold run's slack basis.
 
         The leaving row holds the basic value furthest outside its box, and
         the leaving variable lands on the bound it violated.  The entering
@@ -413,82 +418,6 @@ class _Simplex:
             return int(idx[ties][0])
         return int(idx[ties][int(np.argmax(magnitudes[ties]))])
 
-    def _phase_one(self) -> bool:
-        """Drive negative basic slacks to zero via artificials; True if done.
-
-        Only a cold run calls it, on the slack basis, so each basic variable
-        is its own row's slack.  Each negative one swaps for an artificial
-        whose column, in the rows and in the tableau alike, is minus that
-        unit vector; the swap flips the sign of the tableau row.  The sum of
-        artificials is minimized, and the artificials are then pivoted out
-        and frozen.
-        """
-        bad = np.flatnonzero(self.x[self.basis] < -_FEAS_TOL)
-        if bad.size == 0:
-            return True
-        k = bad.size
-        art = np.zeros((self.m, k))
-        art_cost = np.zeros(self.total + k)
-        first_art = self.total
-        for slot, i in enumerate(bad):
-            art[i, slot] = -1.0
-            art_cost[first_art + slot] = -1.0
-        self.cols = np.hstack([self.cols, art])
-        self.tableau = np.hstack([self.tableau, art])
-        self.lo = np.concatenate([self.lo, np.zeros(k)])
-        self.hi = np.concatenate([self.hi, np.full(k, np.inf)])
-        self.obj = np.concatenate([self.obj, np.zeros(k)])
-        self.x = np.concatenate([self.x, np.zeros(k)])
-        self.status = np.concatenate([self.status, np.zeros(k, dtype=np.int8)])
-        self.in_basis = np.concatenate([self.in_basis, np.zeros(k, dtype=bool)])
-        self.total += k
-        for slot, i in enumerate(bad):
-            slack = self.basis[i]
-            value = self.x[slack]
-            self.x[slack] = 0.0
-            self.status[slack] = _AT_LOWER
-            self.in_basis[slack] = False
-            j = first_art + slot
-            self.basis[i] = j
-            self.in_basis[j] = True
-            self.x[j] = -value
-            self.tableau[i, :] *= -1.0
-        self._optimize(art_cost)
-        infeasibility = float(self.x[first_art:].sum())
-        if infeasibility > _FEAS_TOL * max(1.0, float(np.abs(self.b).sum())):
-            return False
-        self._evict_artificials(first_art)
-        return True
-
-    def _evict_artificials(self, first_art: int) -> None:
-        for i in range(self.m):
-            leaving = self.basis[i]
-            if leaving < first_art:
-                continue
-            row = self.tableau[i, :first_art]
-            candidates = np.flatnonzero(np.abs(row) > _PIVOT_TOL)
-            candidates = candidates[
-                ~self.in_basis[candidates]
-                & (self.hi[candidates] > self.lo[candidates])
-            ]
-            if candidates.size == 0:
-                # The row's own slack is parallel to its artificial, so it is
-                # nonbasic with entry -1 here; only rounding can hide it.
-                raise NumericalFailure("an artificial cannot leave the basis")
-            entering = int(candidates[0])
-            # Zero-length pivot: shift exactly enough to park the artificial
-            # at 0, then swap it out of the basis.
-            theta = self.x[leaving] / self.tableau[i, entering]
-            self.x[self.basis] -= theta * self.tableau[:, entering]
-            entering_value = self.x[entering] + theta
-            self.in_basis[leaving] = False
-            self.x[leaving] = 0.0
-            self.status[leaving] = _AT_LOWER
-            self._pivot(i, entering, entering_value)
-        self.lo[first_art:] = 0.0
-        self.hi[first_art:] = 0.0
-        self.obj[first_art:] = 0.0
-
     # -- core iteration -----------------------------------------------------
 
     def _refactorize(self) -> None:
@@ -513,19 +442,16 @@ class _Simplex:
         self.tableau = solved[:, :-1]
         self.x[self.basis] = solved[:, -1]
 
-    def _optimize(self, cost: np.ndarray) -> None:
-        """Maximize ``cost`` from the current feasible basis."""
+    def _optimize(self) -> None:
+        """Maximize the objective from the current feasible basis; each
+        pivot or bound flip counts one iteration."""
+        cost = self.obj
         reduced = self._reduced_costs(cost)
         best_value = float(cost @ self.x)
         stall = 0
         bland = False
         since_refactor = 0
         while True:
-            self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise NumericalFailure(
-                    f"simplex exceeded {self.max_iterations} iterations"
-                )
             if since_refactor >= _REFACTOR_EVERY:
                 self._refactorize()
                 reduced = self._reduced_costs(cost)
@@ -551,7 +477,7 @@ class _Simplex:
                     # Exact but tiny: prefer any entering candidate with a
                     # healthy pivot; keep the least-bad as a fallback.
                     if banned is None:
-                        banned = np.zeros(self.total, dtype=bool)
+                        banned = np.zeros_like(self.in_basis)
                     banned[j] = True
                     size = abs(float(column[row]))
                     if fallback is None or size > fallback[0]:
@@ -570,6 +496,11 @@ class _Simplex:
                 j = self._select_entering(reduced, bland, None)
                 if j is None:
                     return
+            self.iterations += 1
+            if self.iterations > self.max_iterations:
+                raise NumericalFailure(
+                    f"simplex exceeded {self.max_iterations} iterations"
+                )
             if flip:
                 self.x[self.basis] -= direction * step * column
                 self.x[j] = self.hi[j] if self.status[j] == _AT_LOWER else self.lo[j]
@@ -673,9 +604,6 @@ class _Simplex:
         self.x[leaving] = self.hi[leaving] if leaves_at_upper else self.lo[leaving]
         self.status[leaving] = _AT_UPPER if leaves_at_upper else _AT_LOWER
         self.in_basis[leaving] = False
-        self._pivot(row, j, entering_value)
-
-    def _pivot(self, row: int, j: int, entering_value: float) -> None:
         self.basis[row] = j
         self.in_basis[j] = True
         self.x[j] = entering_value
@@ -690,11 +618,10 @@ class _Simplex:
         self.tableau[row, j] = 1.0
 
 
-def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis | None:
-    """``start``'s basis if it can seed ``lp``; None when it holds an
-    artificial, which ``lp`` has no column for.  Raises ValueError unless
-    ``lp`` has ``start``'s variables, bounds and objective and its rows begin
-    with ``start``'s rows."""
+def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:
+    """``start``'s basis, to seed ``lp``.  Raises ValueError unless ``lp``
+    has ``start``'s variables, bounds and objective and its rows begin with
+    ``start``'s rows."""
     basis = start.basis
     if basis is None:
         raise ValueError("a warm start needs an optimal solution")
@@ -708,8 +635,6 @@ def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis | None:
     m0 = old.num_rows
     if not (np.array_equal(lp.a[:m0], old.a) and np.array_equal(lp.b[:m0], old.b)):
         raise ValueError("the program's rows do not begin with the start's rows")
-    if np.any(basis.basic >= lp.num_vars + m0):
-        return None
     return basis
 
 
@@ -719,9 +644,10 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     With ``start``, the optimal solution of an earlier program that this one
     extends by appending rows, the solve keeps that basis and repairs the
     appended rows by the dual simplex (module docstring); it falls back to
-    the cold solve when the start holds an artificial or is not dual
-    feasible, or when the warm run fails numerically.  Raises ValueError
-    when ``lp`` does not extend the start's program.
+    the cold solve when the start's basis is not dual feasible here, or when
+    the warm run fails numerically.  Without ``start`` the solve is cold:
+    the dual simplex from the slack basis, then optimization.  Raises
+    ValueError when ``lp`` does not extend the start's program.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -771,7 +697,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         warm=warm,
         basis=LpBasis(
             basic=_frozen(engine.basis),
-            status=_frozen(engine.status[: lp.num_vars + lp.num_rows]),
+            status=_frozen(engine.status),
             program=lp.copy(),
         ),
     )

@@ -232,6 +232,17 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
     return u
 
 
+def _check_request(num_agents: int, num_states: int, num_actions: int, seed: int):
+    """Raise DimensionMismatch unless the generators can draw this shape
+    from this seed."""
+    if num_agents < 1:
+        raise DimensionMismatch("need at least one agent")
+    if num_states < 1 or num_actions < 1:
+        raise DimensionMismatch("need at least one state and one action")
+    if seed < 0:
+        raise DimensionMismatch("seed must be nonnegative")
+
+
 def generate_feasible_dataset(
     num_agents: int,
     num_states: int,
@@ -254,10 +265,9 @@ def generate_feasible_dataset(
     rejected and resampled.  With ``margin`` zero a constant-utility
     fallback makes failure impossible.
     """
-    if num_agents < 1:
-        raise DimensionMismatch("need at least one agent")
-    if margin < 0:
-        raise DimensionMismatch("margin must be nonnegative")
+    _check_request(num_agents, num_states, num_actions, seed)
+    if not (np.isfinite(margin) and margin >= 0):
+        raise DimensionMismatch("margin must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     prior = np.full(num_states, 1.0 / num_states)
     if num_agents > 1:
@@ -359,8 +369,7 @@ def generate_boundary_dataset(
     differences so every agent nets the same payoff.  All swap residuals are
     then exactly zero: feasible, with no slack to spare.
     """
-    if num_agents < 1:
-        raise DimensionMismatch("need at least one agent")
+    _check_request(num_agents, num_states, num_actions, seed)
     rng = np.random.default_rng(seed)
     prior = np.full(num_states, 1.0 / num_states)
     utility = None

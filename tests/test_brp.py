@@ -466,9 +466,15 @@ assert profile.margin >= 0.5 * best.margin - 1e-9
         # is restored, and the dual simplex repairs it there.
         2279322413,
         # A warm sparsity round here once used up all six snap restarts of
-        # the primal-only solver and fell back to the cold solve; it now
-        # needs no recovery path and stays as a regression case.
+        # the primal-only solver and fell back to the cold solve.  A cold
+        # dual feasibility pass on a zero cost, all its ratios tied, pivots
+        # on 1e-6 once Bland's rule takes over and loses the basis.
         1417942177,
+        # A cold dual feasibility pass whose Bland rule skips small pivots
+        # cycles here with period 26 until the iteration cap; the pass on
+        # the objective's nonpositive part keeps Bland's rule as it is.
+        3580069461,
+        2491704864,
     ],
 )
 def test_sparse_fits_that_need_the_solver_recovery_paths(seed):

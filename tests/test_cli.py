@@ -261,6 +261,35 @@ class TestSynthPredict:
         assert truth.construction_margin == 0.0
         assert load_dataset(str(data)).approx_equal(truth.dataset)
 
+    @pytest.mark.parametrize("kind", ["feasible", "boundary"])
+    def test_synth_of_a_lone_agent(self, tmp_path, kind):
+        gt = tmp_path / "gt.json"
+        code = run(
+            "synth", "--kind", kind, "--agents", 1, "--states", 3,
+            "--actions", 3, "--seed", 1, "--out", gt,
+        )
+        assert code == 0
+        # Rationality tests need two agents, so the file is read as JSON.
+        assert len(json.loads(gt.read_text())["dataset"]["agents"]) == 1
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            ("--states", 0),
+            ("--actions", 0),
+            ("--seed", -5),
+        ],
+    )
+    def test_synth_of_a_bad_shape_exits_one(self, tmp_path, capsys, bad):
+        gt = tmp_path / "gt.json"
+        code = run(
+            "synth", "--agents", 2, "--states", 3, "--actions", 3,
+            "--seed", 1, *bad, "--out", gt,
+        )
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+        assert not gt.exists()
+
     def test_predict_without_family_or_dataset_is_usage_error(
         self, tmp_path, capsys
     ):

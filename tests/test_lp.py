@@ -65,6 +65,10 @@ class TestExamples:
         # trouble raises NumericalFailure instead of taking a status.
         assert [status.name for status in LpStatus] == ["OPTIMAL", "INFEASIBLE"]
 
+    def test_a_solve_optimal_at_its_start_counts_no_iteration(self):
+        # Iterations count steps (pivots and bound flips), not pricing passes.
+        assert solve_lp(LinearProgram([-1.0], [0.0], [1.0])).iterations == 0
+
     def test_infinite_bounds_rejected(self):
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], lower=[0.0], upper=[np.inf])
@@ -138,11 +142,27 @@ def random_lp(rng, n=None, m=None):
     return lp
 
 
-@settings(max_examples=120, deadline=None)
-@given(seed=st.integers(0, 100_000))
-def test_matches_reference_solver(seed):
-    rng = np.random.default_rng(seed)
-    lp = random_lp(rng)
+def larger_lp(rng):
+    """Up to 12 variables and 30 rows, up to three of them equality pairs.
+    Every row holds at a random point of the box up to an offset drawn
+    around +0.5, so the equality rows hold there and some inequality rows
+    may not: a little over half the draws are feasible."""
+    n = int(rng.integers(1, 13))
+    lower = rng.uniform(-2.0, 0.0, size=n)
+    upper = lower + rng.uniform(0.1, 3.0, size=n)
+    lp = LinearProgram(rng.normal(size=n), lower, upper)
+    center = rng.uniform(lower, upper)
+    pairs = int(rng.integers(0, 4))
+    rows = rng.normal(size=(int(rng.integers(0, 31 - 2 * pairs)), n))
+    rows[rng.random(rows.shape) < 0.3] = 0.0
+    lp.add_leq(rows, rows @ center + rng.normal(0.5, 0.5, size=rows.shape[0]))
+    equal = rng.normal(size=(pairs, n))
+    lp.add_eq(equal, equal @ center)
+    return lp
+
+
+def _matches_reference_solver(lp):
+    """Assert the solve's status and optimum are HiGHS's; returns the status."""
     sol = solve_lp(lp)
     ref = scipy_optimum(lp)
     if sol.status is LpStatus.OPTIMAL:
@@ -153,6 +173,24 @@ def test_matches_reference_solver(seed):
         assert ref.status == 2
     else:
         pytest.fail("finite boxes cannot be unbounded")
+    return sol.status
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 100_000))
+def test_matches_reference_solver(seed):
+    _matches_reference_solver(random_lp(np.random.default_rng(seed)))
+
+
+def test_matches_reference_solver_on_larger_programs():
+    statuses = [
+        _matches_reference_solver(larger_lp(np.random.default_rng(seed)))
+        for seed in range(60)
+    ]
+    # Both ends of a solve are exercised: the optimum and the proof that
+    # no point satisfies the rows.
+    assert statuses.count(LpStatus.OPTIMAL) >= 20
+    assert statuses.count(LpStatus.INFEASIBLE) >= 20
 
 
 def _extended(lp, point, rng, count):
@@ -338,7 +376,7 @@ class TestWarmStart:
         if cold.status is LpStatus.OPTIMAL:
             assert np.array_equal(retried.point, cold.point)
 
-    @pytest.mark.parametrize("defect", ["basic artificial", "not dual feasible"])
+    @pytest.mark.parametrize("defect", ["not dual feasible"])
     def test_unusable_start_basis_means_a_cold_solve(self, defect):
         from dataclasses import replace
 
@@ -346,12 +384,8 @@ class TestWarmStart:
         lp.add_leq([2.0, 1.0], 2.5)
         first = solve_lp(lp)  # x = 0.75 basic, y nonbasic at its upper bound
         assert first.basis.basic.tolist() == [0] and first.basis.status[1] == 1
-        if defect == "basic artificial":
-            # Column n + m is the first artificial phase one would add.
-            basis = replace(first.basis, basic=np.array([lp.num_vars + lp.num_rows]))
-        else:
-            # y at its lower bound, where raising it gains 1 - 1/2 per unit.
-            basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
+        # y at its lower bound, where raising it gains 1 - 1/2 per unit.
+        basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
         grown = lp.copy()
         grown.add_leq([1.0, 2.0], 2.0)
         again = solve_lp(grown, start=replace(first, basis=basis))
@@ -378,6 +412,16 @@ class TestWarmStart:
         assert np.allclose(again.point, cold.point, rtol=0.0, atol=1e-12)
         assert np.allclose(again.point, ref.x, rtol=0.0, atol=1e-9)
         assert again.objective_value == pytest.approx(1.5, abs=1e-12)
+
+    def test_appended_row_that_already_holds_costs_no_iteration(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        first = solve_lp(lp)
+        grown = lp.copy()
+        grown.add_leq([1.0, 1.0], 5.0)
+        again = solve_lp(grown, start=first)
+        assert again.warm and again.iterations == 0
+        assert again.point.tobytes() == first.point.tobytes()
 
     def test_appended_row_that_empties_the_program_is_infeasible_warm(self):
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
@@ -406,10 +450,10 @@ class TestSingularBasis:
 
     @staticmethod
     def _fail_once_after(monkeypatch, method):
-        """Make the first ``np.linalg.solve`` after the ``_Simplex`` method
-        ``method`` (the pass that makes a run feasible: ``_phase_one`` cold,
-        ``_dual`` warm) raise LinAlgError; returns the pivots its engine had
-        made by then."""
+        """Make the first ``np.linalg.solve`` after the first call of the
+        ``_Simplex`` method ``method`` (``_dual``: the pass that makes a run,
+        cold or warm, feasible) raise LinAlgError; returns the pivots its
+        engine had made by then."""
         failed, armed = [], []
         feasible, solve = getattr(lp_module._Simplex, method), np.linalg.solve
 
@@ -442,7 +486,7 @@ class TestSingularBasis:
 
     def test_cold_solve_raises(self, monkeypatch):
         _, grown = self._cut_program()
-        failed = self._fail_once_after(monkeypatch, "_phase_one")
+        failed = self._fail_once_after(monkeypatch, "_dual")
         with pytest.raises(NumericalFailure):
             solve_lp(grown)
         assert len(failed) == 1

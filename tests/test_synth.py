@@ -6,6 +6,7 @@ import pytest
 from inattention.brp import brp_max_margin, nias_residuals, niac_residuals, strict_margin
 from inattention.dataset import expected_value
 from inattention.errors import (
+    DimensionMismatch,
     InstanceTooLarge,
     NegativeCycle,
 )
@@ -93,6 +94,31 @@ class TestFeasibleGenerator:
         assert a.dataset.approx_equal(b.dataset, tol=0.0)
         assert all(np.array_equal(x, y) for x, y in zip(a.utilities, b.utilities))
         assert np.array_equal(a.costs, b.costs)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda *shape, seed: generate_feasible_dataset(*shape, 0.01, seed=seed),
+    lambda *shape, seed: generate_boundary_dataset(*shape, seed=seed),
+], ids=["feasible", "boundary"])
+class TestGeneratorRequests:
+    def test_a_lone_agent_keeps_the_construction_margin(self, generate):
+        gt = generate(1, 3, 3, seed=1)
+        assert gt.dataset.num_agents == 1
+        margin = strict_margin(gt.dataset, gt.utilities, gt.costs)
+        assert margin >= gt.construction_margin - 1e-9
+
+    @pytest.mark.parametrize(
+        "shape, seed", [((2, 0, 3), 1), ((2, 3, 0), 1), ((2, 3, 3), -5)]
+    )
+    def test_a_shape_or_seed_it_cannot_draw_is_rejected(self, generate, shape, seed):
+        with pytest.raises(DimensionMismatch):
+            generate(*shape, seed=seed)
+
+
+@pytest.mark.parametrize("margin", [np.nan, np.inf])
+def test_a_non_finite_margin_is_rejected(margin):
+    with pytest.raises(DimensionMismatch):
+        generate_feasible_dataset(2, 3, 3, margin, seed=1)
 
 
 class TestBoundaryGenerator:
