@@ -193,7 +193,7 @@ class JointPosterior:
         return bool(np.any(~self.defined_actions))
 
 
-def validate_dataset(raw) -> DecisionDataset:
+def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     """Normalize and verify a dataset mapping in the JSON schema.
 
     The mapping holds ``prior``, ``agents`` (each a ``choice_prob`` matrix
@@ -201,8 +201,8 @@ def validate_dataset(raw) -> DecisionDataset:
     and ``num_actions``; input of any other type raises TypeError.
     Choice-matrix rows whose sums deviate from 1 by at most 1e-6 are
     renormalized; larger deviations reject the input.  Collections of fewer
-    than two agents are rejected: a single agent is rationalizable by
-    construction, so testing it is vacuous.
+    than ``min_agents`` agents are rejected: by default two, since a single
+    agent is rationalizable by construction, so testing it is vacuous.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
@@ -220,9 +220,9 @@ def validate_dataset(raw) -> DecisionDataset:
                 f"declared shape {declared} does not match matrices {mats[0].shape}"
             )
 
-    if len(mats) < 2:
+    if len(mats) < min_agents:
         raise TooFewAgents(
-            f"got {len(mats)} agent(s); rationality tests need a collection of at least 2"
+            f"got {len(mats)} agent(s); need a collection of at least {min_agents}"
         )
     if prior.ndim != 1:
         raise DimensionMismatch("prior must be a vector")

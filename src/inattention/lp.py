@@ -7,7 +7,9 @@ desk scale, not raw speed: a dense bounded dual simplex reaches a feasible
 basis and a dense bounded primal simplex optimizes from it, each with
 largest-violation or Dantzig pricing and a switch to Bland's rule (pure
 lowest-index, provably cycle-free) after a run of degenerate pivots.
-Identical inputs produce bit-identical solutions.
+A rebuild of the tableau solves only the basis's r×r basic-structural
+block, basic slacks being unit columns.  Identical inputs produce
+bit-identical solutions.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
@@ -184,7 +186,8 @@ class LpSolution:
     raises instead.  ``warm`` says the solve started from an earlier optimal
     basis and finished from there, whether optimal or infeasible (after a
     fallback to the cold solve it is False); ``iterations`` counts every
-    step made, pivots and bound flips, a failed warm attempt's included.
+    step made, pivots and bound flips, and ``refactorizations`` every
+    rebuild of the tableau, a failed warm attempt's included in both.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
     re-solve the program with rows appended.
     """
@@ -194,6 +197,7 @@ class LpSolution:
     objective_value: float | None = None
     max_violation: float = 0.0
     iterations: int = 0
+    refactorizations: int = 0
     warm: bool = False
     basis: LpBasis | None = field(default=None, repr=False)
 
@@ -217,7 +221,7 @@ class _Simplex:
         n, m = self.n, self.m
         self.lo = np.concatenate([lp.lower, np.zeros(m)])
         self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
-        self.cols = np.hstack([lp.a, np.eye(m)])
+        self.a = lp.a
         self.obj = np.concatenate([lp.objective, np.zeros(m)])
         # Nonbasic structural variables start at their lower bound; slacks
         # start basic.  This is the canonical deterministic start.
@@ -226,7 +230,7 @@ class _Simplex:
         self.basis = np.arange(n, n + m)
         self.in_basis = np.zeros(n + m, dtype=bool)
         self.in_basis[self.basis] = True
-        self.tableau = self.cols.copy()  # B^{-1} A, with B = I initially
+        self.tableau = np.hstack([lp.a, np.eye(m)])  # B^{-1} [A | I], B = I
         # Deterministic right-hand-side perturbation: the margin programs
         # here are massively primal-degenerate (whole residual families tie
         # at zero), and unperturbed pivoting crawls through the tie plateaus.
@@ -237,6 +241,7 @@ class _Simplex:
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
         self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
+        self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
 
     def warm_start(self, start: LpBasis) -> None:
@@ -426,20 +431,36 @@ class _Simplex:
         Rank-one pivot updates drift; long degenerate runs accumulate enough
         error to flip reduced-cost signs, so the tableau is recomputed from
         scratch at intervals and whenever the anti-cycling rule is active.
-        A singular basis can only come from rounding and raises
+        Basic slacks are unit columns, so only the r×r block A[R, S] of the
+        basis is solved: R the rows whose slack is nonbasic, S the basic
+        structurals.  Solved against [A_R | I_r | rhs_R], it gives Z, the
+        structural rows of B⁻¹[A | I | rhs], zero under the basic slacks'
+        columns; the basic slack of row i has row [A_i | e_i | rhs_i] −
+        A[i, S] Z.  A singular basis can only come from rounding and raises
         NumericalFailure.
         """
-        basis_matrix = self.cols[:, self.basis]
-        nonbasic_x = self.x.copy()
-        nonbasic_x[self.basis] = 0.0
-        rhs = self.b - self.cols @ nonbasic_x
+        self.refactorizations += 1
+        n, m = self.n, self.m
+        slack = self.basis >= n
+        rows_l, rows_r = self.basis[slack] - n, np.flatnonzero(~self.in_basis[n:])
+        r = rows_r.size
+        a_s = self.a[:, self.basis[~slack]]
+        nonbasic_x = np.where(self.in_basis, 0.0, self.x)
+        rhs = self.b - self.a @ nonbasic_x[:n] - nonbasic_x[n:]
+        narrow = np.concatenate([self.a[rows_r], np.eye(r), rhs[rows_r, None]], axis=1)
         try:
-            solved = np.linalg.solve(
-                basis_matrix, np.concatenate([self.cols, rhs[:, None]], axis=1)
-            )
+            z = np.linalg.solve(a_s[rows_r], narrow)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("the simplex basis became singular") from exc
-        self.tableau = solved[:, :-1]
+        solved = np.empty((m, n + r + 1))
+        solved[~slack] = z
+        solved[slack] = np.concatenate(
+            [self.a[rows_l], np.zeros((m - r, r)), rhs[rows_l, None]], axis=1
+        ) - a_s[rows_l] @ z
+        self.tableau[:, n:] = 0.0
+        self.tableau[:, :n] = solved[:, :n]
+        self.tableau[:, n + rows_r] = solved[:, n:-1]
+        self.tableau[np.flatnonzero(slack), n + rows_l] = 1.0
         self.x[self.basis] = solved[:, -1]
 
     def _optimize(self) -> None:
@@ -657,21 +678,24 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
     basis = None if start is None else _warm_basis(lp, start)
-    spent = 0
+    spent = (0, 0)
     if basis is not None:
         engine = _Simplex(lp)
         try:
             status = engine.run(basis)
         except NumericalFailure:
-            spent = engine.iterations
+            spent = (engine.iterations, engine.refactorizations)
             basis = None
     if basis is None:
         engine = _Simplex(lp)
         status = engine.run()
-    warm = basis is not None
-    iterations = spent + engine.iterations
+    counts = dict(
+        iterations=spent[0] + engine.iterations,
+        refactorizations=spent[1] + engine.refactorizations,
+        warm=basis is not None,
+    )
     if status is not LpStatus.OPTIMAL:
-        return LpSolution(status=status, iterations=iterations, warm=warm)
+        return LpSolution(status=status, **counts)
 
     point = engine.x[: lp.num_vars].copy()
     # Snap values that drifted within certification tolerance back onto the box.
@@ -693,8 +717,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         point=point,
         objective_value=float(lp.objective @ point),
         max_violation=max_violation,
-        iterations=iterations,
-        warm=warm,
+        **counts,
         basis=LpBasis(
             basic=_frozen(engine.basis),
             status=_frozen(engine.status),

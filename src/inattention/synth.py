@@ -516,8 +516,9 @@ def save_ground_truth(gt: GroundTruth, path: str) -> None:
 
 
 def _ground_truth_from_dict(raw: dict) -> GroundTruth:
+    # A generator's truth may hold one agent; only rationality tests need two.
     return GroundTruth(
-        dataset=validate_dataset(raw["dataset"]),
+        dataset=validate_dataset(raw["dataset"], min_agents=1),
         utilities=tuple(np.asarray(u, dtype=float) for u in raw["utilities"]),
         costs=np.asarray(raw["costs"], dtype=float),
         construction_margin=float(raw["construction_margin"]),

@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from inattention import brp, predict as pred
+from inattention import brp, predict as pred, sbrp
 from inattention.cli import main
 from inattention.dataset import load_dataset, save_dataset
-from inattention.errors import NumericalFailure
+from inattention.errors import NumericalFailure, TooFewAgents
 from inattention.synth import generate_feasible_dataset, load_ground_truth
 
 
@@ -269,8 +269,13 @@ class TestSynthPredict:
             "--actions", 3, "--seed", 1, "--out", gt,
         )
         assert code == 0
-        # Rationality tests need two agents, so the file is read as JSON.
-        assert len(json.loads(gt.read_text())["dataset"]["agents"]) == 1
+        truth = load_ground_truth(str(gt))
+        assert truth.dataset.num_agents == 1 and len(truth.utilities) == 1
+        # The file reads back, but rationality tests still need two agents.
+        with pytest.raises(TooFewAgents):
+            brp.brp_max_margin(truth.dataset)
+        with pytest.raises(TooFewAgents):
+            sbrp.sbrp_max_margin(truth.dataset)
 
     @pytest.mark.parametrize(
         "bad",

@@ -365,7 +365,7 @@ class TestWarmStart:
         cold = solve_lp(grown)
 
         def fail(self, start):
-            self.iterations = 5
+            self.iterations, self.refactorizations = 5, 2
             raise NumericalFailure("injected")
 
         monkeypatch.setattr(lp_module._Simplex, "warm_start", fail)
@@ -373,6 +373,7 @@ class TestWarmStart:
         assert not retried.warm
         assert retried.status is cold.status
         assert retried.iterations == cold.iterations + 5
+        assert retried.refactorizations == cold.refactorizations + 2
         if cold.status is LpStatus.OPTIMAL:
             assert np.array_equal(retried.point, cold.point)
 
@@ -433,6 +434,88 @@ class TestWarmStart:
         assert warm.warm and warm.status is LpStatus.INFEASIBLE
         assert solve_lp(grown).status is LpStatus.INFEASIBLE
         assert scipy_optimum(grown).status == 2
+
+
+def _all_rows_binding_lp(rng, m):
+    """m variables and m rows, all binding at the unique optimum, a point
+    inside the box: the optimal basis holds every structural and no slack."""
+    rows = rng.normal(size=(m, m))
+    center = rng.uniform(0.2, 0.8, size=m)
+    lp = LinearProgram(rows.T @ rng.uniform(0.5, 1.5, size=m), np.zeros(m), np.ones(m))
+    lp.add_leq(rows, rows @ center)
+    return lp
+
+
+class TestBlockRebuild:
+    """The rebuild through the basic-structural block gives the tableau and
+    basic values of a dense solve with the whole basis matrix."""
+
+    @staticmethod
+    def _rebuild_matches_dense(engine):
+        """Rebuild ``engine``'s tableau and assert it and the basic values
+        match the dense solve; returns r, the basic structurals' count."""
+        cols = np.hstack([engine.a, np.eye(engine.m)])
+        nonbasic = engine.x.copy()
+        nonbasic[engine.basis] = 0.0
+        rhs = engine.b - cols @ nonbasic
+        dense = np.linalg.solve(cols[:, engine.basis], np.column_stack([cols, rhs]))
+        # The rebuild reads neither the old tableau nor the old basic values.
+        engine.tableau[:] = np.nan
+        engine.x[engine.basis] = np.nan
+        engine._refactorize()
+        assert np.allclose(engine.tableau, dense[:, :-1], rtol=0.0, atol=1e-9)
+        assert np.allclose(engine.x[engine.basis], dense[:, -1], rtol=0.0, atol=1e-9)
+        return int(np.count_nonzero(engine.basis < engine.n))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_slack_basis(self, seed):
+        lp = random_lp(np.random.default_rng(seed), n=4, m=6)
+        assert self._rebuild_matches_dense(lp_module._Simplex(lp)) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_slack_nonbasic(self, seed):
+        lp = _all_rows_binding_lp(np.random.default_rng(seed), 6)
+        solution = solve_lp(lp)
+        engine = lp_module._Simplex(lp)
+        engine.warm_start(solution.basis)
+        assert self._rebuild_matches_dense(engine) == lp.num_rows
+
+    def test_warm_basis_with_appended_rows(self):
+        rng = np.random.default_rng(5)
+        checked = 0
+        for _ in range(40):
+            lp = random_lp(rng, m=int(rng.integers(1, 6)))
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            grown = _extended(lp, first.point, rng, int(rng.integers(1, 5)))
+            engine = lp_module._Simplex(grown)
+            engine.warm_start(first.basis)
+            # The appended rows' slacks are basic, so r <= the old row count.
+            assert 0 <= self._rebuild_matches_dense(engine) <= lp.num_rows
+            checked += 1
+        assert checked >= 10
+
+    def test_refactorizations_count_every_rebuild(self, monkeypatch):
+        rebuilds = []
+        rebuild = lp_module._Simplex._refactorize
+
+        def counted(self):
+            rebuilds.append(self)
+            rebuild(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", counted)
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        first = solve_lp(lp)
+        # The restored rhs is always rebuilt.
+        assert first.refactorizations == len(rebuilds) >= 1
+        grown = lp.copy()
+        grown.add_leq([2.0, 1.0], 2.0)
+        rebuilds.clear()
+        again = solve_lp(grown, start=first)
+        # The warm start is rebuilt too.
+        assert again.warm and again.refactorizations == len(rebuilds) >= 2
 
 
 class TestSingularBasis:
