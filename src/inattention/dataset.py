@@ -213,12 +213,13 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed dataset mapping: {exc}") from exc
     labels = tuple(raw["labels"]) if raw.get("labels") else None
-    declared = (raw.get("num_states"), raw.get("num_actions"))
-    if declared[0] is not None and mats and mats[0].ndim == 2:
-        if (declared[0], declared[1]) != mats[0].shape:
-            raise DimensionMismatch(
-                f"declared shape {declared} does not match matrices {mats[0].shape}"
-            )
+    if mats and mats[0].ndim == 2:
+        for name, size in zip(("num_states", "num_actions"), mats[0].shape):
+            if raw.get(name) is not None and raw[name] != size:
+                raise DimensionMismatch(
+                    f"declared {name} {raw[name]!r} does not match matrices "
+                    f"{mats[0].shape}"
+                )
 
     if len(mats) < min_agents:
         raise TooFewAgents(

@@ -3,43 +3,47 @@
 Maximizes ``c @ z`` subject to ``A z <= b`` and finite per-variable boxes.
 Every feasibility, margin, and sparsity computation in the package runs
 through this engine, so the priorities are correctness and determinism at
-desk scale, not raw speed: a dense bounded dual simplex reaches a feasible
-basis and a dense bounded primal simplex optimizes from it, each with
-largest-violation or Dantzig pricing and a switch to Bland's rule (pure
-lowest-index, provably cycle-free) after a run of degenerate pivots.
-A rebuild of the tableau solves only the basis's r×r basic-structural
-block, basic slacks being unit columns.  Identical inputs produce
-bit-identical solutions.
+desk scale, not raw speed.  Identical inputs produce bit-identical solutions.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
-A cold run starts from the slack basis, every variable at its lower bound.
-There the reduced costs are the costs, so the basis is dual feasible for
-``min(c, 0)``, the objective's nonpositive part, and the dual simplex on
-that cost pivots every slack the rows leave negative back into its box, or
-proves the program infeasible, with no artificial column.  The run then
-optimizes ``c`` on a slightly perturbed rhs and restores the true one.  The
-optimal basis stays dual feasible there (reduced costs do not involve the
-rhs), so the dual simplex pivots any basic value the true rhs leaves outside
-its box back inside, ending at the true program's optimum or proving it
-infeasible.
+A run is three passes of a dense bounded simplex over the columns
+[structural | slack].  A dual pass reaches a feasible basis; a primal pass
+optimizes ``c`` on a slightly perturbed rhs; once the true rhs is restored, a
+second dual pass pivots back into its box any basic value it moves out,
+ending at the true program's optimum or proving it infeasible (the basis
+stays dual feasible, as reduced costs do not involve the rhs).  A cold run
+starts from the slack basis, every variable at its lower bound, where the
+reduced costs are the costs: the basis is dual feasible for ``min(c, 0)``,
+and the first dual pass runs on that cost, with no artificial column.  A
+warm run (``solve_lp(lp, start=solution)``) keeps an earlier optimum's
+basis, each appended row's slack entering it basic, and runs every pass on
+``c``; when that basis is not dual feasible or the run fails numerically,
+the cold run takes over.
 
-Cutting-plane loops re-solve a program after appending rows.  Such a solve
-can start warm from the earlier optimum (``solve_lp(lp, start=solution)``).
-A warm solve keeps the old basis, each appended row's slack entering it
-basic; that basis is dual feasible for ``c`` itself, so the dual simplex
-repairs the rows the old optimum violates, and the run goes on as a cold
-one does.  A start whose basis is not dual feasible, or a warm run that
-loses its footing numerically, falls back to the cold solve, which stays
-the one canonical path for a program solved on its own.
+Every pass runs one pivot loop, which owns the numerical policy; the passes
+differ only in how they choose a pivot.  The policy:
+
+- the tableau is rebuilt every ``_REFACTOR_EVERY`` pivots, rank-one updates
+  drifting, and a verdict or a pivot below ``_SAFE_PIVOT`` found on an
+  updated tableau is redone on a rebuilt one;
+- a pivot that tiny on a rebuilt tableau is set aside while another
+  candidate offers a healthy one, the least-bad being taken when none does;
+- the programs here are massively degenerate, so after ``_BLAND_TRIGGER``
+  pivots that leave the objective where it was, Bland's rule (lowest index,
+  provably cycle-free) takes over until it moves;
+- past the iteration cap the run raises.
+
+A rebuild solves only the basis's r×r basic-structural block, basic slacks
+being unit columns.
 
 A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
 Every variable is boxed, so no program is unbounded: an improving direction
 without limit or a singular basis can only come from rounding, and each
-raises.  The one recovery path is the cold solve that takes over when a
-warm run raises.
+raises.  The one recovery path is the cold run that takes over when a warm
+run raises.
 """
 
 from __future__ import annotations
@@ -165,12 +169,7 @@ class LpBasis:
     is a copy of the program solved; it shares that program's read-only
     arrays, so extending the program later leaves the copy as it was solved.
 
-    Only an optimal solve has a basis.  A warm solve from it keeps this
-    basis, which stays dual feasible with rows appended, and repairs the
-    appended rows by the dual simplex before it goes on as the cold solve
-    does, on the same perturbed rhs; it ends optimal or infeasible like a
-    cold one.  Where the warm run raises :class:`NumericalFailure`, the cold
-    solve takes over, and only the cold solve's failure reaches the caller.
+    Only an optimal solve has a basis; a warm solve starts from it.
     """
 
     basic: np.ndarray
@@ -248,15 +247,12 @@ class _Simplex:
         """Take over ``start``'s basis, its rows being this program's first
         rows; each appended row's slack enters basic at the appended position.
 
-        The perturbed rhs that ``__init__`` set stays, so the run that
-        follows optimizes the program the cold run optimizes.  The basis
-        matrix is block lower-triangular with an identity block for the
-        appended slacks, so it stays nonsingular, and the appended slacks
-        carry no cost, so the start's reduced costs are this basis's: it stays
-        dual feasible.  Basic values may lie outside their boxes (appended
-        rows the old optimum violates, or kept values off their boxes at this
-        rhs); :meth:`_dual` repairs them.  A basis that is not dual feasible
-        at ``_COST_TOL`` raises NumericalFailure, and the caller solves cold.
+        The rhs stays the cold run's perturbed one.  The basis matrix is
+        block lower-triangular with an identity block for the appended
+        slacks, so it stays nonsingular, and the appended slacks carry no
+        cost, so it stays dual feasible; basic values it leaves outside their
+        boxes are the first dual pass's to repair.  A basis that is not dual
+        feasible at ``_COST_TOL`` raises NumericalFailure.
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
@@ -269,21 +265,13 @@ class _Simplex:
         if self._select_entering(reduced, bland=False) is not None:
             raise NumericalFailure("the start's basis is not dual feasible here")
 
-    # -- phase drivers ------------------------------------------------------
+    # -- passes -------------------------------------------------------------
 
     def run(self, start: LpBasis | None = None) -> LpStatus:
-        """Optimal or infeasible; raises NumericalFailure otherwise.
-
-        Both reach a feasible basis by the dual simplex: a cold run from the
-        slack basis on ``min(c, 0)``, for which that basis is dual feasible,
-        a run from ``start`` (see :meth:`warm_start`) on ``c``.  Either way
-        the run then optimizes ``c`` against the perturbed rhs and restores
-        the true one at the optimum.  Reduced costs do not involve the rhs,
-        so the basis stays dual feasible, and where the restored rhs leaves
-        basic values outside their boxes the dual simplex repairs them,
-        which ends at an optimum of the true program or proves it
-        infeasible.
-        """
+        """Optimal or infeasible; raises NumericalFailure otherwise.  The
+        passes are the module docstring's: dual to a feasible basis (cold on
+        ``min(c, 0)``, warm from ``start`` on ``c``), primal on the perturbed
+        rhs, dual again on the true one."""
         if start is None:
             feasible = self._dual(np.minimum(self.obj, 0.0))
         else:
@@ -299,129 +287,133 @@ class _Simplex:
             return LpStatus.INFEASIBLE
         return LpStatus.OPTIMAL
 
-    def _dual(self, cost: np.ndarray) -> bool:
-        """Bounded dual simplex: from a basis dual feasible for ``cost``,
-        pivot every basic value into its box; False when a violated row
-        proves the program infeasible.  ``cost`` is the objective on a warm
-        run and on the restored rhs, and its nonpositive part ``min(c, 0)``
-        at a cold run's slack basis.
+    def _pass(self, cost: np.ndarray, sense: int, choose) -> bool:
+        """Pivot by ``choose`` under the module's policy until it gives a
+        verdict, and return the verdict.
 
-        The leaving row holds the basic value furthest outside its box, and
-        the leaving variable lands on the bound it violated.  The entering
-        column is the one that moves that value toward its box at the
-        smallest ratio |d_j / alpha_rj|, so no reduced cost changes sign;
-        near-ties go to the largest |alpha_rj|, then the lowest index.  A
-        missing or tiny pivot on an updated tableau is redone on a rebuilt
-        one; a tiny pivot on a rebuilt one sets its row aside for this
-        iteration, the least-bad such pivot being taken when no row offers
-        a healthy one.  These programs are dual degenerate too (many zero
-        reduced costs), so after a run of pivots that leave the objective
-        where it was, Bland's rule takes over (lowest basic index among the
-        violated rows, lowest index among the ratio ties) until it moves.
+        ``sense`` is +1 for a pass that raises ``cost @ x`` (primal) and -1
+        for one that lowers it (dual).  ``choose(reduced, bland, banned)``
+        returns True (done) or False (infeasible), or a step ``(j, row, step,
+        upper)``: column j moves ``step`` away from its bound and enters at
+        ``row``, whose basic variable leaves at its upper bound if ``upper``,
+        else its lower; ``row`` None moves j to its other bound instead.  It
+        picks by lowest index under ``bland`` and passes over the columns
+        ``banned`` marks (None while there are none), where a tiny pivot bans
+        both of its columns.
         """
         reduced = self._reduced_costs(cost)
-        best_value = float(cost @ self.x)
-        stall = 0
-        bland = False
-        since_refactor = 0
-        banned = np.zeros(self.m, dtype=bool)
-        fallback = None
+        best = float(cost @ self.x)
+        stall = since_rebuild = 0
+        bland = rebuild = False
+        banned = fallback = None
         while True:
-            if since_refactor >= _REFACTOR_EVERY:
+            if rebuild or since_rebuild >= _REFACTOR_EVERY:
                 self._refactorize()
                 reduced = self._reduced_costs(cost)
-                since_refactor = 0
-            values = self.x[self.basis]
-            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-            excess = np.maximum(lo_b - values, values - hi_b)
-            excess[banned] = 0.0
-            violated = np.flatnonzero(excess > _FEAS_TOL)
-            if violated.size:
-                if bland:
-                    row = int(violated[np.argmin(self.basis[violated])])
-                else:
-                    row = int(np.argmax(excess))
-                below = values[row] < lo_b[row]
-                j = self._dual_ratio_test(row, below, reduced, bland)
-                if since_refactor > 0 and (
-                    j is None or abs(self.tableau[row, j]) < _SAFE_PIVOT
-                ):
-                    # Maybe drift on the updated tableau; decide on exact data.
-                    self._refactorize()
-                    reduced = self._reduced_costs(cost)
-                    since_refactor = 0
-                    continue
-                if j is None:
-                    return False
-                size = abs(float(self.tableau[row, j]))
-                if size < _SAFE_PIVOT:
-                    banned[row] = True
-                    if fallback is None or size > fallback[0]:
-                        fallback = (size, row, j)
-                    continue
-            elif fallback is not None:
-                _, row, j = fallback
-            elif since_refactor > 0:
-                # Confirm on an exactly rebuilt tableau before declaring the
-                # basis feasible.
-                self._refactorize()
-                reduced = self._reduced_costs(cost)
-                since_refactor = 0
-                continue
+                since_rebuild, rebuild = 0, False
+            choice = choose(reduced, bland, banned)
+            if isinstance(choice, bool):
+                size = None
             else:
-                return True
-            banned[:] = False
-            fallback = None
+                j, row = choice[:2]
+                size = np.inf if row is None else abs(float(self.tableau[row, j]))
+            # A proof of infeasibility stands over a tiny pivot set aside.
+            if choice is True and fallback is not None:
+                choice = fallback[1]
+            elif size is None or size < _SAFE_PIVOT:
+                if since_rebuild > 0:
+                    # Maybe drift on the updated tableau; decide on exact data.
+                    rebuild = True
+                    continue
+                if size is None:
+                    return choice
+                if banned is None:
+                    banned = np.zeros(self.n + self.m, dtype=bool)
+                banned[[j, self.basis[row]]] = True
+                if fallback is None or size > fallback[0]:
+                    fallback = (size, choice)
+                continue
+            banned = fallback = None
             self.iterations += 1
             if self.iterations > self.max_iterations:
                 raise NumericalFailure(
                     f"simplex exceeded {self.max_iterations} iterations"
                 )
-            leaving = self.basis[row]
-            above = bool(self.x[leaving] > self.hi[leaving])
-            bound = self.hi[leaving] if above else self.lo[leaving]
-            direction = 1 if self.status[j] == _AT_LOWER else -1
-            column = self.tableau[:, j]
-            step = (self.x[leaving] - bound) / (direction * column[row])
-            self._apply_step(j, direction, step, row, column, above)
-            reduced = reduced - reduced[j] * self.tableau[row, :]
-            reduced[j] = 0.0
-            since_refactor += 1
+            j, row, step, upper = choice
+            self._apply_step(j, step, row, upper)
+            if row is not None:
+                reduced = reduced - reduced[j] * self.tableau[row, :]
+                reduced[j] = 0.0
+                since_rebuild += 1
             if bland:
+                # Bland's termination guarantee needs exact reduced costs;
+                # incremental updates drift on long degenerate runs.
                 reduced = self._reduced_costs(cost)
-            # Each pivot lowers the objective or, dual degenerate, keeps it.
             value = float(cost @ self.x)
-            if value < best_value - 1e-12 * (1.0 + abs(best_value)):
-                best_value = value
-                stall = 0
-                bland = False
+            if sense * value > sense * best + 1e-12 * (1.0 + abs(best)):
+                best, stall, bland = value, 0, False
             else:
                 stall += 1
                 if stall > _BLAND_TRIGGER and not bland:
-                    bland = True
-                    self._refactorize()
-                    reduced = self._reduced_costs(cost)
-                    since_refactor = 0
+                    bland = rebuild = True
 
-    def _dual_ratio_test(
-        self, row: int, below: bool, reduced: np.ndarray, bland: bool
-    ) -> int | None:
-        """Entering column for the dual simplex's leaving ``row``; None when
-        no nonbasic column moves the row's basic value toward its box."""
-        alpha = self.tableau[row, :]
-        direction = np.where(self.status == _AT_LOWER, 1.0, -1.0)
-        moves = direction * alpha
-        toward = moves < -_PIVOT_TOL if below else moves > _PIVOT_TOL
-        idx = np.flatnonzero(~self.in_basis & (self.hi > self.lo) & toward)
-        if idx.size == 0:
-            return None
-        magnitudes = np.abs(alpha[idx])
-        ratios = np.maximum(-direction[idx] * reduced[idx], 0.0) / magnitudes
-        best = float(ratios.min())
-        ties = ratios <= best + 1e-12 * (1.0 + best)
-        if bland:
-            return int(idx[ties][0])
-        return int(idx[ties][int(np.argmax(magnitudes[ties]))])
+    def _dual(self, cost: np.ndarray) -> bool:
+        """Dual pass: from a basis dual feasible for ``cost``, pivot every
+        basic value into its box; False when a violated row proves the
+        program infeasible.
+
+        The leaving row holds the basic value furthest outside its box (under
+        Bland, the lowest basic index among the violated rows) and leaves at
+        the bound it violates.  The entering column moves that value toward
+        its box at the smallest ratio |d_j / alpha_rj|, so no reduced cost
+        changes sign; near-ties go to the largest |alpha_rj| (under Bland, the
+        lowest index).
+        """
+
+        def choose(reduced, bland, banned):
+            values = self.x[self.basis]
+            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
+            excess = np.maximum(lo_b - values, values - hi_b)
+            if banned is not None:
+                excess[banned[self.basis]] = 0.0
+            violated = np.flatnonzero(excess > _FEAS_TOL)
+            if violated.size == 0:
+                return True
+            if bland:
+                row = int(violated[np.argmin(self.basis[violated])])
+            else:
+                row = int(np.argmax(excess))
+            upper = bool(values[row] > hi_b[row])
+            alpha = self.tableau[row, :]
+            direction = np.where(self.status == _AT_LOWER, 1.0, -1.0)
+            moves = direction * alpha
+            toward = moves > _PIVOT_TOL if upper else moves < -_PIVOT_TOL
+            idx = np.flatnonzero(~self.in_basis & (self.hi > self.lo) & toward)
+            if idx.size == 0:
+                return False
+            magnitudes = np.abs(alpha[idx])
+            ratios = np.maximum(-direction[idx] * reduced[idx], 0.0) / magnitudes
+            least = float(ratios.min())
+            ties = ratios <= least + 1e-12 * (1.0 + least)
+            if bland:
+                j = int(idx[ties][0])
+            else:
+                j = int(idx[ties][int(np.argmax(magnitudes[ties]))])
+            bound = hi_b[row] if upper else lo_b[row]
+            return j, row, (values[row] - bound) / moves[j], upper
+
+        return self._pass(cost, -1, choose)
+
+    def _optimize(self) -> None:
+        """Primal pass: from a feasible basis, maximize the objective.  The
+        entering column has the largest improving reduced cost (under Bland,
+        the lowest index); :meth:`_ratio_test` picks the leaving row."""
+
+        def choose(reduced, bland, banned):
+            j = self._select_entering(reduced, bland, banned)
+            return True if j is None else (j, *self._ratio_test(j))
+
+        self._pass(self.obj, 1, choose)
 
     # -- core iteration -----------------------------------------------------
 
@@ -463,95 +455,6 @@ class _Simplex:
         self.tableau[np.flatnonzero(slack), n + rows_l] = 1.0
         self.x[self.basis] = solved[:, -1]
 
-    def _optimize(self) -> None:
-        """Maximize the objective from the current feasible basis; each
-        pivot or bound flip counts one iteration."""
-        cost = self.obj
-        reduced = self._reduced_costs(cost)
-        best_value = float(cost @ self.x)
-        stall = 0
-        bland = False
-        since_refactor = 0
-        while True:
-            if since_refactor >= _REFACTOR_EVERY:
-                self._refactorize()
-                reduced = self._reduced_costs(cost)
-                since_refactor = 0
-            banned = None
-            fallback = None
-            while True:
-                j = self._select_entering(reduced, bland, banned)
-                if j is not None:
-                    direction = 1 if self.status[j] == _AT_LOWER else -1
-                    column = self.tableau[:, j]
-                    step, row, flip = self._ratio_test(j, direction, column)
-                    if flip or abs(column[row]) >= _SAFE_PIVOT:
-                        break
-                    if since_refactor > 0:
-                        # A pivot this small is untrustworthy on an
-                        # incrementally updated tableau (it may be an exact
-                        # zero that drifted); redo selection on exact data.
-                        self._refactorize()
-                        reduced = self._reduced_costs(cost)
-                        since_refactor = 0
-                        continue
-                    # Exact but tiny: prefer any entering candidate with a
-                    # healthy pivot; keep the least-bad as a fallback.
-                    if banned is None:
-                        banned = np.zeros_like(self.in_basis)
-                    banned[j] = True
-                    size = abs(float(column[row]))
-                    if fallback is None or size > fallback[0]:
-                        fallback = (size, j, direction, step, row, flip, column.copy())
-                    continue
-                if fallback is not None:
-                    _, j, direction, step, row, flip, column = fallback
-                    break
-                # Confirm on an exactly rebuilt tableau before declaring
-                # optimality; incremental updates drift, and the returned
-                # point must satisfy the rows at certification tolerance.
-                if since_refactor > 0:
-                    self._refactorize()
-                    reduced = self._reduced_costs(cost)
-                    since_refactor = 0
-                j = self._select_entering(reduced, bland, None)
-                if j is None:
-                    return
-            self.iterations += 1
-            if self.iterations > self.max_iterations:
-                raise NumericalFailure(
-                    f"simplex exceeded {self.max_iterations} iterations"
-                )
-            if flip:
-                self.x[self.basis] -= direction * step * column
-                self.x[j] = self.hi[j] if self.status[j] == _AT_LOWER else self.lo[j]
-                self.status[j] ^= 1
-            else:
-                leaves_at_upper = direction * column[row] < 0
-                self._apply_step(j, direction, step, row, column, leaves_at_upper)
-                dj = reduced[j]
-                reduced = reduced - dj * self.tableau[row, :]
-                reduced[j] = 0.0
-                since_refactor += 1
-            if bland:
-                # Bland's termination guarantee needs exact reduced costs;
-                # incremental updates drift on long degenerate runs.
-                reduced = self._reduced_costs(cost)
-            # Dantzig pricing can stall on degenerate vertices; switch to the
-            # cycle-free lowest-index rule until the objective moves again.
-            value = float(cost @ self.x)
-            if value > best_value + 1e-12 * (1.0 + abs(best_value)):
-                best_value = value
-                stall = 0
-                bland = False
-            else:
-                stall += 1
-                if stall > _BLAND_TRIGGER and not bland:
-                    bland = True
-                    self._refactorize()
-                    reduced = self._reduced_costs(cost)
-                    since_refactor = 0
-
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         cb = cost[self.basis]
         if not np.any(cb):
@@ -576,12 +479,14 @@ class _Simplex:
         gains = np.abs(reduced[idx])
         return int(idx[int(np.argmax(gains))])
 
-    def _ratio_test(self, j: int, direction: int, column: np.ndarray):
-        """Largest step for entering variable j; returns (step, row, flip).
+    def _ratio_test(self, j: int) -> tuple[int | None, float, bool]:
+        """(row, step, upper) of entering column j, as ``_pass`` takes them;
+        ``row`` None when j reaches its other bound first.
 
         Every variable is boxed, so a step without limit can only come from
         rounding and raises NumericalFailure."""
-        d = direction * column
+        direction = 1 if self.status[j] == _AT_LOWER else -1
+        d = direction * self.tableau[:, j]
         values = self.x[self.basis]
         lo_b = self.lo[self.basis]
         hi_b = self.hi[self.basis]
@@ -598,7 +503,7 @@ class _Simplex:
         if not np.isfinite(row_step) and not np.isfinite(flip_step):
             raise NumericalFailure("an improving direction has no limit")
         if flip_step <= row_step:
-            return float(flip_step), -1, True
+            return None, float(flip_step), False
         ties = np.flatnonzero(steps <= row_step + 1e-12 * (1.0 + row_step))
         # Degenerate vertices produce large tie sets; pivoting on a tiny
         # element there wrecks the tableau, so stability comes first: take
@@ -606,24 +511,22 @@ class _Simplex:
         magnitudes = np.abs(d[ties])
         stable = ties[magnitudes >= 0.5 * float(magnitudes.max())]
         row = int(stable[int(np.argmin(self.basis[stable]))])
-        return row_step, row, False
+        return row, row_step, bool(d[row] < 0)
 
-    def _apply_step(
-        self,
-        j: int,
-        direction: int,
-        step: float,
-        row: int,
-        column: np.ndarray,
-        leaves_at_upper: bool,
-    ) -> None:
-        """Move entering ``j`` by ``step`` in ``direction`` and swap it for
-        the basic variable at ``row``, which leaves at the given bound."""
-        self.x[self.basis] -= direction * step * column
+    def _apply_step(self, j: int, step: float, row: int | None, upper: bool) -> None:
+        """Move ``j`` by ``step`` away from its bound.  With ``row`` None, j
+        lands on its other bound; otherwise it enters the basis at ``row``,
+        whose variable leaves at its upper bound if ``upper``, else its lower."""
+        direction = 1 if self.status[j] == _AT_LOWER else -1
+        self.x[self.basis] -= direction * step * self.tableau[:, j]
+        if row is None:
+            self.x[j] = self.hi[j] if direction > 0 else self.lo[j]
+            self.status[j] ^= 1
+            return
         entering_value = self.x[j] + direction * step
         leaving = self.basis[row]
-        self.x[leaving] = self.hi[leaving] if leaves_at_upper else self.lo[leaving]
-        self.status[leaving] = _AT_UPPER if leaves_at_upper else _AT_LOWER
+        self.x[leaving] = self.hi[leaving] if upper else self.lo[leaving]
+        self.status[leaving] = _AT_UPPER if upper else _AT_LOWER
         self.in_basis[leaving] = False
         self.basis[row] = j
         self.in_basis[j] = True
@@ -662,13 +565,9 @@ def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:
 def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs.
 
-    With ``start``, the optimal solution of an earlier program that this one
-    extends by appending rows, the solve keeps that basis and repairs the
-    appended rows by the dual simplex (module docstring); it falls back to
-    the cold solve when the start's basis is not dual feasible here, or when
-    the warm run fails numerically.  Without ``start`` the solve is cold:
-    the dual simplex from the slack basis, then optimization.  Raises
-    ValueError when ``lp`` does not extend the start's program.
+    ``start``, the optimal solution of an earlier program that this one
+    extends by appending rows, makes the solve warm (module docstring).
+    Raises ValueError when ``lp`` does not extend the start's program.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or

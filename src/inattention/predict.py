@@ -73,11 +73,7 @@ class NoiseFamily:
     cost: PiecewiseAffineCost
 
     def __post_init__(self):
-        etas = np.asarray(self.etas, dtype=float)
-        if etas.ndim != 1 or etas.shape[0] != self.dataset.num_agents:
-            raise DimensionMismatch("need one noise level per agent")
-        if np.any(np.diff(etas) <= 0):
-            raise DimensionMismatch("noise levels must be strictly increasing")
+        etas = _noise_grid(self.etas, self.dataset.num_agents)
         etas.setflags(write=False)
         object.__setattr__(self, "etas", etas)
 
@@ -105,20 +101,29 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
     fitted cost, gradient prior-weighted fitted utility), which is what the
     prediction LP optimizes against.
     """
-    etas = np.asarray(etas, dtype=float)
-    if etas.shape != (d.num_agents,):
-        raise DimensionMismatch(
-            f"{etas.shape[0] if etas.ndim == 1 else 'malformed'} noise levels "
-            f"for {d.num_agents} agents"
-        )
-    if np.any(np.diff(etas) <= 0):
-        raise DimensionMismatch("noise levels must be strictly increasing")
+    etas = _noise_grid(etas, d.num_agents)
     profile, report = brp_max_margin(d)
     if report.degenerate:
         raise DegenerateDataset(
             "max-margin fit is numerically zero; predictions are meaningless"
         )
     return _family(etas, d, profile)
+
+
+def _noise_grid(etas, num_agents: int) -> np.ndarray:
+    """``etas`` as floats; raises DimensionMismatch unless they are one
+    finite noise level per agent, strictly increasing."""
+    etas = np.asarray(etas, dtype=float)
+    if etas.shape != (num_agents,):
+        raise DimensionMismatch(
+            f"{etas.shape[0] if etas.ndim == 1 else 'malformed'} noise levels "
+            f"for {num_agents} agents"
+        )
+    if not np.all(np.isfinite(etas)):
+        raise DimensionMismatch("noise levels must be finite")
+    if np.any(np.diff(etas) <= 0):
+        raise DimensionMismatch("noise levels must be strictly increasing")
+    return etas
 
 
 def _family(etas, d: DecisionDataset, profile: UtilityProfile) -> NoiseFamily:

@@ -324,6 +324,19 @@ class TestSynthPredict:
         assert f"error: noise level {float(eta)} outside the fitted grid" in err
         assert not out.exists() and not family.exists()
 
+    @pytest.mark.parametrize("index, bad", [(1, "nan"), (2, "inf")])
+    def test_family_with_non_finite_grid_exits_one(self, tmp_path, capsys, index, bad):
+        d3 = generate_feasible_dataset(3, 3, 3, margin=0.01, seed=2).dataset
+        fitted = tmp_path / "fitted.json"
+        pred.save_family(str(fitted), pred.fit_family(d3, [1.0, 1.1, 1.2]))
+        raw = json.loads(fitted.read_text())
+        raw["etas"][index] = float(bad)
+        fitted.write_text(json.dumps(raw))
+        out = tmp_path / "p.json"
+        assert run("predict", "--family", fitted, "--eta", 1.05, "--out", out) == 1
+        assert "noise levels must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_out_of_range_eta_exits_one(self, tmp_path):
         data = tmp_path / "data.json"
         run(

@@ -64,6 +64,19 @@ class TestValidate:
                 [[[0.9, 0.1], [0.1, 0.9]], [[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]],
             )
 
+    def test_declared_num_actions_checked_on_its_own(self):
+        p = [[0.9, 0.1], [0.1, 0.9]]
+        raw = {"num_actions": 3, "prior": [0.5, 0.5], "agents": [{"choice_prob": p}] * 2}
+        with pytest.raises(DimensionMismatch, match="num_actions 3"):
+            validate_dataset(raw)
+
+    def test_declared_num_states_alone_is_enough(self):
+        p = [[0.9, 0.1], [0.1, 0.9]]
+        raw = {"num_states": 2, "prior": [0.5, 0.5], "agents": [{"choice_prob": p}] * 2}
+        assert validate_dataset(raw).num_actions == 2
+        with pytest.raises(DimensionMismatch, match="num_states 3"):
+            validate_dataset({**raw, "num_states": 3})
+
     def test_negative_entry_rejected(self):
         p = np.array([[1.1, -0.1], [0.1, 0.9]])
         with pytest.raises(NotStochastic):

@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -573,3 +575,132 @@ class TestSingularBasis:
         with pytest.raises(NumericalFailure):
             solve_lp(grown)
         assert len(failed) == 1
+
+
+def _branch_spy(monkeypatch):
+    """Count what the pivot loop does: ``pivots`` and ``rebuilds`` over every
+    pass, and by pass sense (+1 primal, -1 dual) the choices made under
+    Bland's rule and the pivots taken below the safe size, which only the
+    least-bad fallback takes."""
+    seen = collections.Counter()
+    senses = []
+    simplex = lp_module._Simplex
+    run_pass, apply_step, rebuild = simplex._pass, simplex._apply_step, simplex._refactorize
+
+    def spied_pass(self, cost, sense, choose):
+        def spied_choose(reduced, bland, banned):
+            seen["bland", sense] += bland
+            return choose(reduced, bland, banned)
+
+        senses.append(sense)
+        try:
+            return run_pass(self, cost, sense, spied_choose)
+        finally:
+            senses.pop()
+
+    def spied_apply_step(self, j, step, row, upper):
+        if row is not None:
+            seen["pivots"] += 1
+            seen["tiny", senses[-1]] += abs(self.tableau[row, j]) < lp_module._SAFE_PIVOT
+        apply_step(self, j, step, row, upper)
+
+    def spied_rebuild(self):
+        seen["rebuilds"] += 1
+        rebuild(self)
+
+    monkeypatch.setattr(simplex, "_pass", spied_pass)
+    monkeypatch.setattr(simplex, "_apply_step", spied_apply_step)
+    monkeypatch.setattr(simplex, "_refactorize", spied_rebuild)
+    return seen
+
+
+class TestRareBranches:
+    """Policy constants set so that the pivot loop takes the branches the
+    solver's own traffic rarely reaches; every solve still agrees with
+    HiGHS."""
+
+    @pytest.mark.parametrize(
+        "constant, value, reached",
+        [
+            # Bland's rule from the first stalled pivot on.
+            ("_BLAND_TRIGGER", 0, lambda seen: seen["bland", -1] > 0),
+            # Most pivots count as tiny: bans and the least-bad fallback.
+            ("_SAFE_PIVOT", 0.3, lambda seen: seen["tiny", 1] * seen["tiny", -1] > 0),
+            # A rebuild after every pivot.
+            ("_REFACTOR_EVERY", 1, lambda seen: seen["rebuilds"] >= seen["pivots"] > 0),
+        ],
+    )
+    def test_solves_match_the_reference(self, monkeypatch, constant, value, reached):
+        monkeypatch.setattr(lp_module, constant, value)
+        seen = _branch_spy(monkeypatch)
+        statuses = [
+            _matches_reference_solver(make(np.random.default_rng(seed)))
+            for seed in range(200)
+            for make in (random_lp, larger_lp)
+        ]
+        assert reached(seen), seen
+        assert statuses.count(LpStatus.OPTIMAL) >= 150
+        assert statuses.count(LpStatus.INFEASIBLE) >= 150
+
+    def test_primal_pass_switches_to_bland(self, monkeypatch):
+        # The first larger_lp draw whose primal pass stalls: the perturbed
+        # rhs makes a stalled primal pivot rare.
+        monkeypatch.setattr(lp_module, "_BLAND_TRIGGER", 0)
+        seen = _branch_spy(monkeypatch)
+        _matches_reference_solver(larger_lp(np.random.default_rng(218)))
+        assert seen["bland", 1] > 0
+
+
+class TestIterationCap:
+    """Past ``max_iterations`` a run raises; a warm run that does falls back
+    to the cold one."""
+
+    @staticmethod
+    def _cap_first_engine(monkeypatch, cap):
+        """Cap the first engine made at ``cap`` iterations; returns it."""
+        made = []
+        init = lp_module._Simplex.__init__
+
+        def capped(self, lp):
+            init(self, lp)
+            if not made:
+                self.max_iterations = cap
+            made.append(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "__init__", capped)
+        return made
+
+    @staticmethod
+    def _warm_case():
+        """A program, its optimum, and the program with rows appended, whose
+        warm and cold solves each take more than two iterations."""
+        rng = np.random.default_rng(0)
+        while True:
+            lp = larger_lp(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal or first.iterations <= 2:
+                continue
+            grown = _extended(lp, first.point, rng, 3)
+            warm = solve_lp(grown, start=first)
+            if warm.is_optimal and warm.warm and warm.iterations > 2:
+                return lp, first, grown
+
+    def test_cold_solve_raises(self, monkeypatch):
+        lp, _, _ = self._warm_case()
+        self._cap_first_engine(monkeypatch, 2)
+        with pytest.raises(NumericalFailure, match="exceeded 2 iterations"):
+            solve_lp(lp)
+
+    def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
+        _, first, grown = self._warm_case()
+        cold = solve_lp(grown)
+        made = self._cap_first_engine(monkeypatch, 2)
+        again = solve_lp(grown, start=first)
+        warm_attempt, _ = made
+        assert warm_attempt.iterations == 3
+        assert not again.warm
+        assert again.iterations == 3 + cold.iterations
+        assert again.refactorizations == (
+            warm_attempt.refactorizations + cold.refactorizations
+        )
+        assert again.point.tobytes() == cold.point.tobytes()

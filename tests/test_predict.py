@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from inattention import predict as predict_module
 from inattention.brp import UtilityProfile
 from inattention.costs import CostPiece, PiecewiseAffineCost
 from inattention.errors import (
@@ -30,6 +33,10 @@ def family():
     return fit_family(dataset, etas), dataset, truth_at
 
 
+# (position, value) of a non-finite noise level in an 11-point grid.
+NON_FINITE_GRIDS = [(5, np.nan), (10, np.inf), (0, -np.inf)]
+
+
 class TestFitFamily:
     def test_eleven_point_grid_gives_eleven_pieces(self, family):
         fam, dataset, _ = family
@@ -49,6 +56,36 @@ class TestFitFamily:
         bad[3] = bad[2]
         with pytest.raises(DimensionMismatch):
             fit_family(dataset, bad)
+
+    @pytest.mark.parametrize("index, bad", NON_FINITE_GRIDS, ids=["nan", "inf", "-inf"])
+    def test_non_finite_grid_rejected_before_the_fit(
+        self, family, monkeypatch, index, bad
+    ):
+        _, dataset, _ = family
+        etas = np.array([1.0 + 0.1 * g for g in range(11)])
+        etas[index] = bad
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("the fit ran on a non-finite grid")
+
+        monkeypatch.setattr(predict_module, "brp_max_margin", no_fit)
+        with pytest.raises(DimensionMismatch, match="finite"):
+            fit_family(dataset, etas)
+
+    @pytest.mark.parametrize("index, bad", NON_FINITE_GRIDS, ids=["nan", "inf", "-inf"])
+    def test_family_with_non_finite_grid_rejected(self, family, tmp_path, index, bad):
+        fam, _, _ = family
+        etas = fam.etas.copy()
+        etas[index] = bad
+        with pytest.raises(DimensionMismatch, match="finite"):
+            NoiseFamily(etas=etas, dataset=fam.dataset, fitted=fam.fitted, cost=fam.cost)
+        path = tmp_path / "family.json"
+        save_family(str(path), fam)
+        raw = json.loads(path.read_text())
+        raw["etas"] = etas.tolist()
+        path.write_text(json.dumps(raw))
+        with pytest.raises(DimensionMismatch, match="finite"):
+            load_family(str(path))
 
     def test_degenerate_dataset_rejected(self, identical_pair):
         with pytest.raises(DegenerateDataset):
