@@ -9,41 +9,41 @@ Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
-A run is three passes of a dense bounded simplex over the columns
-[structural | slack].  A dual pass reaches a feasible basis; a primal pass
-optimizes ``c`` on a slightly perturbed rhs; once the true rhs is restored, a
-second dual pass pivots back into its box any basic value it moves out,
-ending at the true program's optimum or proving it infeasible (the basis
-stays dual feasible, as reduced costs do not involve the rhs).  A cold run
-starts from the slack basis, every variable at its lower bound, where the
-reduced costs are the costs: the basis is dual feasible for ``min(c, 0)``,
-and the first dual pass runs on that cost, with no artificial column.  A
-warm run (``solve_lp(lp, start=solution)``) keeps an earlier optimum's
-basis, each appended row's slack entering it basic, and runs every pass on
-``c``; when that basis is not dual feasible or the run fails numerically,
-the cold run takes over.
+A run is three passes of a dense bounded simplex whose tableau is B⁻¹N over
+the n nonbasic columns of [structural | slack].  A dual pass reaches a
+feasible basis; a primal pass optimizes ``c`` on a slightly perturbed rhs;
+the true rhs restored (only the basic values change), a second dual pass
+pivots back into its box any basic value it moves out, ending at the true
+program's optimum or proving it infeasible (reduced costs do not involve
+the rhs, so the basis stays dual feasible).  A cold run starts from the
+slack basis, every variable at its lower bound, where the reduced costs are
+the costs: the basis is dual feasible for ``min(c, 0)``, and the first dual
+pass runs on that cost, with no artificial column.  A warm run
+(``solve_lp(lp, start=solution)``) keeps an earlier optimum's basis, each
+appended row's slack entering it basic, and runs every pass on ``c``; when
+that basis is not dual feasible or the run fails numerically, the cold run
+takes over.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
 
-- the tableau is rebuilt every ``_REFACTOR_EVERY`` pivots, rank-one updates
-  drifting, and a verdict or a pivot below ``_SAFE_PIVOT`` found on an
-  updated tableau is redone on a rebuilt one;
-- a pivot that tiny on a rebuilt tableau is set aside while another
-  candidate offers a healthy one, the least-bad being taken when none does;
+- a pivot is tiny below ``_SAFE_PIVOT`` times its row's largest magnitude
+  (the basic column's 1 included): rounding there can pass for a true zero;
+- the tableau is rebuilt every ``_REFACTOR_EVERY`` pivots, and a verdict or
+  a tiny pivot found on an updated tableau is redone on a rebuilt one;
+- a tiny pivot on a rebuilt tableau is set aside while another candidate
+  offers a healthy one, the least-bad being taken when none does;
 - the programs here are massively degenerate, so after ``_BLAND_TRIGGER``
-  pivots that leave the objective where it was, Bland's rule (lowest index,
-  provably cycle-free) takes over until it moves;
+  pivots that leave the objective where it was, Bland's rule (lowest column
+  id, provably cycle-free) takes over until it moves;
 - past the iteration cap the run raises.
 
-A rebuild solves only the basis's r×r basic-structural block, basic slacks
-being unit columns.
-
-A solve ends optimal or infeasible, or raises :class:`NumericalFailure`.
-Every variable is boxed, so no program is unbounded: an improving direction
-without limit or a singular basis can only come from rounding, and each
-raises.  The one recovery path is the cold run that takes over when a warm
-run raises.
+A rebuild and the rhs restore solve only the basis's r×r basic-structural
+block, basic slacks being unit columns.  A solve ends optimal or infeasible,
+or raises :class:`NumericalFailure`.  Every variable is boxed, so no program
+is unbounded: an improving direction without limit or a singular basis can
+only come from rounding, and each raises.  The one recovery path is the
+cold run that takes over when a warm run raises.
 """
 
 from __future__ import annotations
@@ -186,7 +186,8 @@ class LpSolution:
     basis and finished from there, whether optimal or infeasible (after a
     fallback to the cold solve it is False); ``iterations`` counts every
     step made, pivots and bound flips, and ``refactorizations`` every
-    rebuild of the tableau, a failed warm attempt's included in both.
+    rebuild of the tableau (not the restore of the true rhs, which solves
+    for the basic values alone), a failed warm attempt's included in both.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
     re-solve the program with rows appended.
     """
@@ -211,8 +212,15 @@ _AT_UPPER = 1
 
 
 class _Simplex:
-    """Dense bounded-variable simplex over the column set [structural |
-    slack], which stays n + m columns for the whole run."""
+    """Dense bounded-variable simplex over the columns [structural | slack].
+
+    ``basis[r]`` is the column basic at row position r, ``nonbasic[k]`` the
+    column at nonbasic position k, and ``tableau`` B⁻¹N over the nonbasic
+    positions.  A pivot swaps the entering and leaving columns' positions,
+    so ties go by column id, the order Bland's rule and determinism need.
+    Each step keeps ``direction`` (+1 at the lower bound, -1 at the upper)
+    and ``movable`` (a box of positive width) of each nonbasic position and
+    ``lo_b``/``hi_b`` of each basic one current."""
 
     def __init__(self, lp: LinearProgram):
         self.m = lp.num_rows
@@ -222,14 +230,13 @@ class _Simplex:
         self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.a = lp.a
         self.obj = np.concatenate([lp.objective, np.zeros(m)])
-        # Nonbasic structural variables start at their lower bound; slacks
-        # start basic.  This is the canonical deterministic start.
+        # The canonical deterministic start: slacks basic, the rest at lower.
         self.status = np.zeros(n + m, dtype=np.int8)
         self.x = self.lo.copy()
         self.basis = np.arange(n, n + m)
-        self.in_basis = np.zeros(n + m, dtype=bool)
-        self.in_basis[self.basis] = True
-        self.tableau = np.hstack([lp.a, np.eye(m)])  # B^{-1} [A | I], B = I
+        self.nonbasic = np.arange(n)
+        self.tableau = lp.a.copy()  # B^{-1} N, B = I and N = A
+        self._index_positions()
         # Deterministic right-hand-side perturbation: the margin programs
         # here are massively primal-degenerate (whole residual families tie
         # at zero), and unperturbed pivoting crawls through the tie plateaus.
@@ -242,6 +249,12 @@ class _Simplex:
         self.iterations = 0
         self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
+
+    def _index_positions(self) -> None:
+        """Set the per-position state from ``basis``, ``nonbasic``, ``status``."""
+        self.direction = np.where(self.status[self.nonbasic] == _AT_LOWER, 1.0, -1.0)
+        self.movable = self.hi[self.nonbasic] > self.lo[self.nonbasic]
+        self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
 
     def warm_start(self, start: LpBasis) -> None:
         """Take over ``start``'s basis, its rows being this program's first
@@ -256,22 +269,19 @@ class _Simplex:
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
+        self.nonbasic = np.setdiff1d(np.arange(n + self.m), self.basis)
         self.status[: n + m0] = start.status
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        self._index_positions()
         self._refactorize()
-        reduced = self._reduced_costs(self.obj)
-        if self._select_entering(reduced, bland=False) is not None:
+        if self._select_entering(self._reduced_costs(self.obj), False) is not None:
             raise NumericalFailure("the start's basis is not dual feasible here")
 
     # -- passes -------------------------------------------------------------
 
     def run(self, start: LpBasis | None = None) -> LpStatus:
-        """Optimal or infeasible; raises NumericalFailure otherwise.  The
-        passes are the module docstring's: dual to a feasible basis (cold on
-        ``min(c, 0)``, warm from ``start`` on ``c``), primal on the perturbed
-        rhs, dual again on the true one."""
+        """Optimal or infeasible, else raises NumericalFailure; the passes
+        are the module docstring's."""
         if start is None:
             feasible = self._dual(np.minimum(self.obj, 0.0))
         else:
@@ -280,26 +290,25 @@ class _Simplex:
         if not feasible:
             return LpStatus.INFEASIBLE
         self._optimize()
-        self.b = self.b_true
-        self._refactorize()
+        self.b = self.b_true  # the tableau, rebuilt by the primal pass, stays
+        self.x[self.basis] = self._basis_solve(self._nonbasic_rhs()[:, None])[:, 0]
         if not self._dual(self.obj):
             # Feasible only under the perturbation: the true program is not.
             return LpStatus.INFEASIBLE
         return LpStatus.OPTIMAL
 
     def _pass(self, cost: np.ndarray, sense: int, choose) -> bool:
-        """Pivot by ``choose`` under the module's policy until it gives a
-        verdict, and return the verdict.
+        """Pivot by ``choose`` under the module's policy to its verdict.
 
         ``sense`` is +1 for a pass that raises ``cost @ x`` (primal) and -1
-        for one that lowers it (dual).  ``choose(reduced, bland, banned)``
-        returns True (done) or False (infeasible), or a step ``(j, row, step,
-        upper)``: column j moves ``step`` away from its bound and enters at
+        for one that lowers it (dual).  ``choose(reduced, bland, banned)``,
+        ``reduced`` being over the nonbasic positions, returns True (done) or
+        False (infeasible), or a step ``(k, row, step, upper)``: the column at
+        nonbasic position k moves ``step`` away from its bound and enters at
         ``row``, whose basic variable leaves at its upper bound if ``upper``,
-        else its lower; ``row`` None moves j to its other bound instead.  It
-        picks by lowest index under ``bland`` and passes over the columns
-        ``banned`` marks (None while there are none), where a tiny pivot bans
-        both of its columns.
+        else its lower (``row`` None: to its other bound instead).  Under
+        ``bland`` it picks the lowest column id, and it passes over the
+        columns ``banned`` marks (None if none), a tiny pivot banning both.
         """
         reduced = self._reduced_costs(cost)
         best = float(cost @ self.x)
@@ -312,15 +321,17 @@ class _Simplex:
                 reduced = self._reduced_costs(cost)
                 since_rebuild, rebuild = 0, False
             choice = choose(reduced, bland, banned)
-            if isinstance(choice, bool):
-                size = None
-            else:
-                j, row = choice[:2]
-                size = np.inf if row is None else abs(float(self.tableau[row, j]))
+            size, tiny = None, False
+            if not isinstance(choice, bool):
+                (k, row), size = choice[:2], np.inf
+                if row is not None:  # tiny (module docstring): maybe a zero
+                    alpha = np.abs(self.tableau[row])
+                    size = float(alpha[k])
+                    tiny = size < _SAFE_PIVOT * max(1.0, float(alpha.max()))
             # A proof of infeasibility stands over a tiny pivot set aside.
             if choice is True and fallback is not None:
                 choice = fallback[1]
-            elif size is None or size < _SAFE_PIVOT:
+            elif size is None or tiny:
                 if since_rebuild > 0:
                     # Maybe drift on the updated tableau; decide on exact data.
                     rebuild = True
@@ -329,7 +340,7 @@ class _Simplex:
                     return choice
                 if banned is None:
                     banned = np.zeros(self.n + self.m, dtype=bool)
-                banned[[j, self.basis[row]]] = True
+                banned[[self.nonbasic[k], self.basis[row]]] = True
                 if fallback is None or size > fallback[0]:
                     fallback = (size, choice)
                 continue
@@ -339,11 +350,12 @@ class _Simplex:
                 raise NumericalFailure(
                     f"simplex exceeded {self.max_iterations} iterations"
                 )
-            j, row, step, upper = choice
-            self._apply_step(j, step, row, upper)
+            k, row, step, upper = choice
+            entering = reduced[k]
+            self._apply_step(k, step, row, upper)
             if row is not None:
-                reduced = reduced - reduced[j] * self.tableau[row, :]
-                reduced[j] = 0.0
+                reduced = reduced - entering * self.tableau[row]
+                reduced[k] = -entering * self.tableau[row, k]
                 since_rebuild += 1
             if bland:
                 # Bland's termination guarantee needs exact reduced costs;
@@ -360,146 +372,130 @@ class _Simplex:
     def _dual(self, cost: np.ndarray) -> bool:
         """Dual pass: from a basis dual feasible for ``cost``, pivot every
         basic value into its box; False when a violated row proves the
-        program infeasible.
-
-        The leaving row holds the basic value furthest outside its box (under
-        Bland, the lowest basic index among the violated rows) and leaves at
-        the bound it violates.  The entering column moves that value toward
-        its box at the smallest ratio |d_j / alpha_rj|, so no reduced cost
-        changes sign; near-ties go to the largest |alpha_rj| (under Bland, the
-        lowest index).
-        """
+        program infeasible.  The leaving row holds the basic value furthest
+        outside its box (under Bland, the lowest basic column id among the
+        violated rows) and leaves at the bound it violates.  The entering
+        column moves that value toward its box at the smallest ratio
+        |d_j / alpha_rj|, so no reduced cost changes sign; near-ties go to the
+        largest |alpha_rj| (not under Bland), then to the lowest column id."""
 
         def choose(reduced, bland, banned):
             values = self.x[self.basis]
-            lo_b, hi_b = self.lo[self.basis], self.hi[self.basis]
-            excess = np.maximum(lo_b - values, values - hi_b)
+            excess = np.maximum(self.lo_b - values, values - self.hi_b)
             if banned is not None:
                 excess[banned[self.basis]] = 0.0
             violated = np.flatnonzero(excess > _FEAS_TOL)
             if violated.size == 0:
                 return True
-            if bland:
-                row = int(violated[np.argmin(self.basis[violated])])
-            else:
-                row = int(np.argmax(excess))
-            upper = bool(values[row] > hi_b[row])
-            alpha = self.tableau[row, :]
-            direction = np.where(self.status == _AT_LOWER, 1.0, -1.0)
-            moves = direction * alpha
+            row = violated[self.basis[violated].argmin()] if bland else excess.argmax()
+            row, upper = int(row), bool(values[row] > self.hi_b[row])
+            alpha = self.tableau[row]
+            moves = self.direction * alpha
             toward = moves > _PIVOT_TOL if upper else moves < -_PIVOT_TOL
-            idx = np.flatnonzero(~self.in_basis & (self.hi > self.lo) & toward)
+            idx = np.flatnonzero(self.movable & toward)
             if idx.size == 0:
                 return False
-            magnitudes = np.abs(alpha[idx])
-            ratios = np.maximum(-direction[idx] * reduced[idx], 0.0) / magnitudes
+            ratios = np.maximum(-self.direction[idx] * reduced[idx], 0.0)
+            ratios /= np.abs(alpha[idx])
             least = float(ratios.min())
-            ties = ratios <= least + 1e-12 * (1.0 + least)
-            if bland:
-                j = int(idx[ties][0])
-            else:
-                j = int(idx[ties][int(np.argmax(magnitudes[ties]))])
-            bound = hi_b[row] if upper else lo_b[row]
-            return j, row, (values[row] - bound) / moves[j], upper
+            ties = idx[ratios <= least + 1e-12 * (1.0 + least)]
+            if not bland:
+                magnitudes = np.abs(alpha[ties])
+                ties = ties[magnitudes == magnitudes.max()]
+            k = int(ties[np.argmin(self.nonbasic[ties])])
+            bound = self.hi_b[row] if upper else self.lo_b[row]
+            return k, row, (values[row] - bound) / moves[k], upper
 
         return self._pass(cost, -1, choose)
 
     def _optimize(self) -> None:
-        """Primal pass: from a feasible basis, maximize the objective.  The
-        entering column has the largest improving reduced cost (under Bland,
-        the lowest index); :meth:`_ratio_test` picks the leaving row."""
+        """Primal pass: from a feasible basis, maximize the objective, entering
+        the largest improving reduced cost (not under Bland), then the lowest
+        column id; :meth:`_ratio_test` picks the leaving row."""
 
         def choose(reduced, bland, banned):
-            j = self._select_entering(reduced, bland, banned)
-            return True if j is None else (j, *self._ratio_test(j))
+            k = self._select_entering(reduced, bland, banned)
+            return True if k is None else (k, *self._ratio_test(k))
 
         self._pass(self.obj, 1, choose)
 
     # -- core iteration -----------------------------------------------------
 
-    def _refactorize(self) -> None:
-        """Rebuild the tableau and basic values from the basis.
+    def _nonbasic_rhs(self) -> np.ndarray:
+        """b less the nonbasic columns at their values: B times x_B."""
+        nonbasic_x = np.zeros(self.n + self.m)
+        nonbasic_x[self.nonbasic] = self.x[self.nonbasic]
+        return self.b - self.a @ nonbasic_x[: self.n] - nonbasic_x[self.n :]
 
-        Rank-one pivot updates drift; long degenerate runs accumulate enough
-        error to flip reduced-cost signs, so the tableau is recomputed from
-        scratch at intervals and whenever the anti-cycling rule is active.
-        Basic slacks are unit columns, so only the r×r block A[R, S] of the
-        basis is solved: R the rows whose slack is nonbasic, S the basic
-        structurals.  Solved against [A_R | I_r | rhs_R], it gives Z, the
-        structural rows of B⁻¹[A | I | rhs], zero under the basic slacks'
-        columns; the basic slack of row i has row [A_i | e_i | rhs_i] −
-        A[i, S] Z.  A singular basis can only come from rounding and raises
-        NumericalFailure.
-        """
-        self.refactorizations += 1
-        n, m = self.n, self.m
+    def _basis_solve(self, columns: np.ndarray) -> np.ndarray:
+        """B⁻¹ ``columns`` through the r×r block A[R, S], R the rows whose
+        slack is nonbasic and S the basic structurals: basic slacks being unit
+        columns, S's rows are Z = A[R, S]⁻¹ columns[R] and row i's basic
+        slack's is columns[i] − A[i, S] Z.  A singular basis can only come
+        from rounding and raises NumericalFailure."""
+        n = self.n
         slack = self.basis >= n
-        rows_l, rows_r = self.basis[slack] - n, np.flatnonzero(~self.in_basis[n:])
-        r = rows_r.size
+        rows_l = self.basis[slack] - n
+        rows_r = np.sort(self.nonbasic[self.nonbasic >= n]) - n
         a_s = self.a[:, self.basis[~slack]]
-        nonbasic_x = np.where(self.in_basis, 0.0, self.x)
-        rhs = self.b - self.a @ nonbasic_x[:n] - nonbasic_x[n:]
-        narrow = np.concatenate([self.a[rows_r], np.eye(r), rhs[rows_r, None]], axis=1)
         try:
-            z = np.linalg.solve(a_s[rows_r], narrow)
+            z = np.linalg.solve(a_s[rows_r], columns[rows_r])
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("the simplex basis became singular") from exc
-        solved = np.empty((m, n + r + 1))
+        solved = np.empty_like(columns)
         solved[~slack] = z
-        solved[slack] = np.concatenate(
-            [self.a[rows_l], np.zeros((m - r, r)), rhs[rows_l, None]], axis=1
-        ) - a_s[rows_l] @ z
-        self.tableau[:, n:] = 0.0
-        self.tableau[:, :n] = solved[:, :n]
-        self.tableau[:, n + rows_r] = solved[:, n:-1]
-        self.tableau[np.flatnonzero(slack), n + rows_l] = 1.0
-        self.x[self.basis] = solved[:, -1]
+        solved[slack] = columns[rows_l] - a_s[rows_l] @ z
+        return solved
+
+    def _refactorize(self) -> None:
+        """Rebuild the tableau and basic values from the basis: one
+        :meth:`_basis_solve` of the n nonbasic columns (a slack's being a unit
+        column) and the rhs.  Rank-one updates drift; long degenerate runs
+        gather enough error to flip reduced-cost signs."""
+        self.refactorizations += 1
+        n, m = self.n, self.m
+        structural = self.nonbasic < n
+        columns = np.zeros((m, n + 1))
+        columns[:, np.flatnonzero(structural)] = self.a[:, self.nonbasic[structural]]
+        columns[self.nonbasic[~structural] - n, np.flatnonzero(~structural)] = 1.0
+        columns[:, n] = self._nonbasic_rhs()
+        solved = self._basis_solve(columns)
+        self.tableau[:] = solved[:, :n]
+        self.x[self.basis] = solved[:, n]
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+        """Reduced costs of the nonbasic positions."""
         cb = cost[self.basis]
         if not np.any(cb):
-            return cost.copy()
-        return cost - cb @ self.tableau
+            return cost[self.nonbasic]
+        return cost[self.nonbasic] - cb @ self.tableau
 
-    def _select_entering(
-        self, reduced: np.ndarray, bland: bool, banned: np.ndarray | None = None
-    ) -> int | None:
-        free = ~self.in_basis & (self.hi > self.lo)
-        improving = free & (
-            ((self.status == _AT_LOWER) & (reduced > _COST_TOL))
-            | ((self.status == _AT_UPPER) & (reduced < -_COST_TOL))
-        )
+    def _select_entering(self, reduced, bland: bool, banned=None) -> int | None:
+        improving = self.movable & (self.direction * reduced > _COST_TOL)
         if banned is not None:
-            improving &= ~banned
+            improving &= ~banned[self.nonbasic]
         idx = np.flatnonzero(improving)
         if idx.size == 0:
             return None
-        if bland:
-            return int(idx[0])
-        gains = np.abs(reduced[idx])
-        return int(idx[int(np.argmax(gains))])
+        if not bland:
+            gains = np.abs(reduced[idx])
+            idx = idx[gains == gains.max()]
+        return int(idx[np.argmin(self.nonbasic[idx])])
 
-    def _ratio_test(self, j: int) -> tuple[int | None, float, bool]:
-        """(row, step, upper) of entering column j, as ``_pass`` takes them;
-        ``row`` None when j reaches its other bound first.
-
-        Every variable is boxed, so a step without limit can only come from
-        rounding and raises NumericalFailure."""
-        direction = 1 if self.status[j] == _AT_LOWER else -1
-        d = direction * self.tableau[:, j]
-        values = self.x[self.basis]
-        lo_b = self.lo[self.basis]
-        hi_b = self.hi[self.basis]
+    def _ratio_test(self, k: int) -> tuple[int | None, float, bool]:
+        """(row, step, upper) of the column entering from nonbasic position
+        k, as ``_pass`` takes them; ``row`` None when it reaches its other
+        bound first.  Every variable is boxed, so a step without limit can
+        only come from rounding and raises NumericalFailure."""
+        d = self.direction[k] * self.tableau[:, k]
+        values, lo_b, hi_b = self.x[self.basis], self.lo_b, self.hi_b
         steps = np.full(self.m, np.inf)
-        toward_lower = d > _PIVOT_TOL
-        steps[toward_lower] = (values[toward_lower] - lo_b[toward_lower]) / d[toward_lower]
-        toward_upper = (d < -_PIVOT_TOL) & np.isfinite(hi_b)
-        steps[toward_upper] = (hi_b[toward_upper] - values[toward_upper]) / (
-            -d[toward_upper]
-        )
+        down, up = d > _PIVOT_TOL, (d < -_PIVOT_TOL) & np.isfinite(hi_b)
+        steps[down] = (values[down] - lo_b[down]) / d[down]
+        steps[up] = (hi_b[up] - values[up]) / -d[up]
         steps = np.maximum(steps, 0.0)
         row_step = float(steps.min(initial=np.inf))
-        flip_step = self.hi[j] - self.lo[j]
+        flip_step = self.hi[self.nonbasic[k]] - self.lo[self.nonbasic[k]]
         if not np.isfinite(row_step) and not np.isfinite(flip_step):
             raise NumericalFailure("an improving direction has no limit")
         if flip_step <= row_step:
@@ -507,39 +503,43 @@ class _Simplex:
         ties = np.flatnonzero(steps <= row_step + 1e-12 * (1.0 + row_step))
         # Degenerate vertices produce large tie sets; pivoting on a tiny
         # element there wrecks the tableau, so stability comes first: take
-        # the largest pivot magnitude, then the lowest basic-variable index.
+        # the largest pivot magnitude, then the lowest basic column id.
         magnitudes = np.abs(d[ties])
         stable = ties[magnitudes >= 0.5 * float(magnitudes.max())]
         row = int(stable[int(np.argmin(self.basis[stable]))])
         return row, row_step, bool(d[row] < 0)
 
-    def _apply_step(self, j: int, step: float, row: int | None, upper: bool) -> None:
-        """Move ``j`` by ``step`` away from its bound.  With ``row`` None, j
-        lands on its other bound; otherwise it enters the basis at ``row``,
-        whose variable leaves at its upper bound if ``upper``, else its lower."""
-        direction = 1 if self.status[j] == _AT_LOWER else -1
-        self.x[self.basis] -= direction * step * self.tableau[:, j]
+    def _apply_step(self, k: int, step: float, row: int | None, upper: bool) -> None:
+        """Move the column at nonbasic position ``k`` by ``step`` away from
+        its bound.  With ``row`` None, it lands on its other bound; otherwise
+        it enters the basis at ``row``, whose variable leaves at its upper
+        bound if ``upper``, else its lower, taking position k."""
+        j = int(self.nonbasic[k])
+        direction = self.direction[k]
+        column = self.tableau[:, k].copy()
+        self.x[self.basis] -= direction * step * column
         if row is None:
             self.x[j] = self.hi[j] if direction > 0 else self.lo[j]
             self.status[j] ^= 1
+            self.direction[k] = -direction
             return
-        entering_value = self.x[j] + direction * step
-        leaving = self.basis[row]
-        self.x[leaving] = self.hi[leaving] if upper else self.lo[leaving]
-        self.status[leaving] = _AT_UPPER if upper else _AT_LOWER
-        self.in_basis[leaving] = False
-        self.basis[row] = j
-        self.in_basis[j] = True
-        self.x[j] = entering_value
-        piv = self.tableau[row, j]
+        piv = column[row]
         if abs(piv) < _PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
-        self.tableau[row, :] /= piv
-        col = self.tableau[:, j].copy()
-        col[row] = 0.0
-        self.tableau -= np.outer(col, self.tableau[row, :])
-        self.tableau[:, j] = 0.0
-        self.tableau[row, j] = 1.0
+        self.x[j] += direction * step
+        leaving = int(self.basis[row])
+        self.x[leaving] = self.hi[leaving] if upper else self.lo[leaving]
+        self.status[leaving] = _AT_UPPER if upper else _AT_LOWER
+        self.basis[row], self.nonbasic[k] = j, leaving
+        self.direction[k] = -1.0 if upper else 1.0
+        self.movable[k] = self.hi[leaving] > self.lo[leaving]
+        self.lo_b[row], self.hi_b[row] = self.lo[j], self.hi[j]
+        # Position k takes the leaving column: e_row pushed through the pivot.
+        self.tableau[row] /= piv
+        column[row] = 0.0
+        self.tableau -= np.outer(column, self.tableau[row])
+        self.tableau[:, k] = column / -piv
+        self.tableau[row, k] = 1.0 / piv
 
 
 def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:

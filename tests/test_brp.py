@@ -475,6 +475,11 @@ assert profile.margin >= 0.5 * best.margin - 1e-9
         # the objective's nonpositive part keeps Bland's rule as it is.
         3580069461,
         2491704864,
+        # Dataset 38 of the umri-cuts pool at workload seed 2001: a dual pass
+        # pivoted on 6.2e-7, small against its row, on an updated tableau
+        # where the true value is 0 (the basis block has rank 29 of 30), and
+        # the next rebuild found the basis singular.
+        805974902,
     ],
 )
 def test_sparse_fits_that_need_the_solver_recovery_paths(seed):
@@ -537,14 +542,25 @@ class TestWarmCutRounds:
         assert len(solves) > 5
         assert all(sol.warm == (start is not None) for _, _, start, sol in solves)
 
-    def test_small_margin_rounds_reach_the_reference_optimum(self, solves):
-        # Family 19 of the noise-family benchmark pool at seed 7: its margin
-        # is about 1e-3, so an improving reduced cost under the absolute
-        # optimality tolerance can stop a round 1e-8 relative short.
-        _, d, _ = make_noise_family(2727964093, 11, 3)
+    @staticmethod
+    def _rounds_match_the_reference(solves, d):
+        """Fit ``d``; every round and the margin agree with tight HiGHS."""
         profile, _ = brp_max_margin(d)
         for lp, _, _, sol in solves:
             ref = scipy_optimum(lp, TIGHT_HIGHS)
             assert ref.status == 0
             assert sol.objective_value == pytest.approx(-ref.fun, rel=1e-9)
         assert profile.margin == pytest.approx(-ref.fun, rel=1e-9)
+
+    def test_small_margin_rounds_reach_the_reference_optimum(self, solves):
+        # Family 19 of the noise-family benchmark pool at seed 7: its margin
+        # is about 1e-3, so an improving reduced cost under the absolute
+        # optimality tolerance can stop a round 1e-8 relative short.
+        _, d, _ = make_noise_family(2727964093, 11, 3)
+        self._rounds_match_the_reference(solves, d)
+
+    def test_rounds_at_11_agents_by_6_classes_match_the_reference(self, solves):
+        # 408 variables; the rounds grow from 440 rows to over 700.
+        _, d, _ = make_noise_family(0, 11, 6)
+        self._rounds_match_the_reference(solves, d)
+        assert len(solves) > 10

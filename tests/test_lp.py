@@ -448,6 +448,19 @@ def _all_rows_binding_lp(rng, m):
     return lp
 
 
+def _dense(engine):
+    """B⁻¹N and the basic values of ``engine``'s basis, from a dense solve
+    with the whole basis matrix."""
+    cols = np.hstack([engine.a, np.eye(engine.m)])
+    nonbasic = engine.x.copy()
+    nonbasic[engine.basis] = 0.0
+    rhs = engine.b - cols @ nonbasic
+    dense = np.linalg.solve(
+        cols[:, engine.basis], np.column_stack([cols[:, engine.nonbasic], rhs])
+    )
+    return dense[:, :-1], dense[:, -1]
+
+
 class TestBlockRebuild:
     """The rebuild through the basic-structural block gives the tableau and
     basic values of a dense solve with the whole basis matrix."""
@@ -456,17 +469,14 @@ class TestBlockRebuild:
     def _rebuild_matches_dense(engine):
         """Rebuild ``engine``'s tableau and assert it and the basic values
         match the dense solve; returns r, the basic structurals' count."""
-        cols = np.hstack([engine.a, np.eye(engine.m)])
-        nonbasic = engine.x.copy()
-        nonbasic[engine.basis] = 0.0
-        rhs = engine.b - cols @ nonbasic
-        dense = np.linalg.solve(cols[:, engine.basis], np.column_stack([cols, rhs]))
+        tableau, values = _dense(engine)
         # The rebuild reads neither the old tableau nor the old basic values.
         engine.tableau[:] = np.nan
         engine.x[engine.basis] = np.nan
         engine._refactorize()
-        assert np.allclose(engine.tableau, dense[:, :-1], rtol=0.0, atol=1e-9)
-        assert np.allclose(engine.x[engine.basis], dense[:, -1], rtol=0.0, atol=1e-9)
+        assert engine.tableau.shape == (engine.m, engine.n)
+        assert np.allclose(engine.tableau, tableau, rtol=0.0, atol=1e-9)
+        assert np.allclose(engine.x[engine.basis], values, rtol=0.0, atol=1e-9)
         return int(np.count_nonzero(engine.basis < engine.n))
 
     @pytest.mark.parametrize("seed", range(5))
@@ -498,6 +508,49 @@ class TestBlockRebuild:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("make", [random_lp, larger_lp])
+    def test_tableau_after_every_pivot(self, monkeypatch, make):
+        # Rank-one updates, not only rebuilds, keep the tableau at B⁻¹N.
+        pivots = []
+        apply_step = lp_module._Simplex._apply_step
+
+        def checked(self, k, step, row, upper):
+            apply_step(self, k, step, row, upper)
+            if row is not None:
+                tableau, _ = _dense(self)
+                assert np.allclose(self.tableau, tableau, rtol=0.0, atol=1e-9)
+                pivots.append(self)
+
+        monkeypatch.setattr(lp_module._Simplex, "_apply_step", checked)
+        for seed in range(100):
+            solve_lp(make(np.random.default_rng(seed)))
+        assert len(pivots) >= 200
+
+    def test_basic_values_after_the_rhs_restore(self, monkeypatch):
+        # Only the final dual pass runs on the true rhs; on entry its basic
+        # values are solved afresh while the tableau is kept, not rebuilt.
+        restored = []
+        optimize, dual = lp_module._Simplex._optimize, lp_module._Simplex._dual
+
+        def optimized(self):
+            optimize(self)
+            self.rebuilt_by_primal = self.refactorizations
+
+        def checked(self, cost):
+            if self.b is self.b_true:
+                _, values = _dense(self)
+                assert np.allclose(self.x[self.basis], values, rtol=0.0, atol=1e-9)
+                assert self.refactorizations == self.rebuilt_by_primal
+                restored.append(self)
+            return dual(self, cost)
+
+        monkeypatch.setattr(lp_module._Simplex, "_optimize", optimized)
+        monkeypatch.setattr(lp_module._Simplex, "_dual", checked)
+        for seed in range(100):
+            for make in (random_lp, larger_lp):
+                solve_lp(make(np.random.default_rng(seed)))
+        assert len(restored) >= 100
+
     def test_refactorizations_count_every_rebuild(self, monkeypatch):
         rebuilds = []
         rebuild = lp_module._Simplex._refactorize
@@ -510,7 +563,9 @@ class TestBlockRebuild:
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         first = solve_lp(lp)
-        # The restored rhs is always rebuilt.
+        # The primal pass's pivot is confirmed on a rebuilt tableau; the
+        # restore of the true rhs solves for the basic values and is no
+        # rebuild.
         assert first.refactorizations == len(rebuilds) >= 1
         grown = lp.copy()
         grown.add_leq([2.0, 1.0], 2.0)
@@ -598,11 +653,11 @@ def _branch_spy(monkeypatch):
         finally:
             senses.pop()
 
-    def spied_apply_step(self, j, step, row, upper):
+    def spied_apply_step(self, k, step, row, upper):
         if row is not None:
             seen["pivots"] += 1
-            seen["tiny", senses[-1]] += abs(self.tableau[row, j]) < lp_module._SAFE_PIVOT
-        apply_step(self, j, step, row, upper)
+            seen["tiny", senses[-1]] += abs(self.tableau[row, k]) < lp_module._SAFE_PIVOT
+        apply_step(self, k, step, row, upper)
 
     def spied_rebuild(self):
         seen["rebuilds"] += 1
@@ -642,6 +697,33 @@ class TestRareBranches:
         assert statuses.count(LpStatus.OPTIMAL) >= 150
         assert statuses.count(LpStatus.INFEASIBLE) >= 150
 
+    def test_bland_takes_the_lowest_column_id(self, monkeypatch):
+        # Pivots permute the nonbasic positions; Bland's cycle-free guarantee
+        # needs the lowest column id among the candidates, not position.
+        monkeypatch.setattr(lp_module, "_BLAND_TRIGGER", 0)
+        # Without the rhs perturbation primal pivots stall too.
+        monkeypatch.setattr(lp_module, "_PERTURBATION", 0.0)
+        checked = collections.Counter()
+        run_pass = lp_module._Simplex._pass
+
+        def spied_pass(self, cost, sense, choose):
+            def checked_choose(reduced, bland, banned):
+                choice = choose(reduced, bland, banned)
+                if bland and not isinstance(choice, bool):
+                    k, row = choice[:2]
+                    pick = _bland_pick(self, sense, reduced, banned, row)
+                    assert self.nonbasic[k] == pick
+                    checked[sense, bool(np.any(np.diff(self.nonbasic) < 0))] += 1
+                return choice
+
+            return run_pass(self, cost, sense, checked_choose)
+
+        monkeypatch.setattr(lp_module._Simplex, "_pass", spied_pass)
+        for seed in range(200):
+            for make in (random_lp, larger_lp):
+                solve_lp(make(np.random.default_rng(seed)))
+        assert checked[1, True] > 0 and checked[-1, True] > 0, checked
+
     def test_primal_pass_switches_to_bland(self, monkeypatch):
         # The first larger_lp draw whose primal pass stalls: the perturbed
         # rhs makes a stalled primal pivot rare.
@@ -649,6 +731,34 @@ class TestRareBranches:
         seen = _branch_spy(monkeypatch)
         _matches_reference_solver(larger_lp(np.random.default_rng(218)))
         assert seen["bland", 1] > 0
+
+
+def _bland_pick(engine, sense, reduced, banned, row):
+    """The lowest column id Bland's rule may enter, read column by column
+    from the bounds and values; for a dual pass (``sense`` -1) also check
+    that ``row`` holds the lowest violated basic column id."""
+    banned = np.zeros(engine.n + engine.m, bool) if banned is None else banned
+    columns = engine.nonbasic
+    lo, hi = engine.lo[columns], engine.hi[columns]
+    at_upper = engine.x[columns] == hi
+    gain = np.where(at_upper, -reduced, reduced)
+    movable = hi > lo
+    if sense == 1:  # a primal ban bars the entering column, a dual one the row
+        improving = movable & ~banned[columns] & (gain > lp_module._COST_TOL)
+        return columns[improving].min()
+    values = engine.x[engine.basis]
+    lo_b, hi_b = engine.lo[engine.basis], engine.hi[engine.basis]
+    excess = np.maximum(lo_b - values, values - hi_b)
+    violated = (excess > lp_module._FEAS_TOL) & ~banned[engine.basis]
+    assert engine.basis[row] == engine.basis[violated].min()
+    # Columns that move the leaving value toward its box, by their ratios.
+    moves = np.where(at_upper, -1.0, 1.0) * engine.tableau[row]
+    up = values[row] > hi_b[row]
+    tol = lp_module._PIVOT_TOL
+    toward = movable & ((moves > tol) if up else (moves < -tol))
+    ratios = np.maximum(-gain[toward], 0.0) / np.abs(engine.tableau[row, toward])
+    least = ratios.min()
+    return columns[toward][ratios <= least + 1e-12 * (1.0 + least)].min()
 
 
 class TestIterationCap:
