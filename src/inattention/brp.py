@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import DEGENERATE_MARGIN, MARGIN_CAP, UNIT_FLOOR
 from .costs import PiecewiseAffineCost, _anchored_cost
-from .dataset import DecisionDataset, read_json, write_json
+from .dataset import DecisionDataset, _frozen_array, read_json, write_json
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
@@ -66,18 +66,13 @@ class UtilityProfile:
     margin: float
 
     def __post_init__(self):
-        utilities = []
-        for u in self.utilities:
-            arr = np.asarray(u, dtype=float)
-            if arr.ndim != 2 or not np.all(np.isfinite(arr)):
-                raise DimensionMismatch("utilities must be finite 2-D matrices")
-            arr.setflags(write=False)
-            utilities.append(arr)
-        costs = np.asarray(self.costs, dtype=float)
+        utilities = tuple(_frozen_array(u) for u in self.utilities)
+        if any(u.ndim != 2 or not np.all(np.isfinite(u)) for u in utilities):
+            raise DimensionMismatch("utilities must be finite 2-D matrices")
+        costs = _frozen_array(self.costs)
         if costs.shape != (len(utilities),) or not np.all(np.isfinite(costs)):
             raise DimensionMismatch("need one finite cost per agent")
-        costs.setflags(write=False)
-        object.__setattr__(self, "utilities", tuple(utilities))
+        object.__setattr__(self, "utilities", utilities)
         object.__setattr__(self, "costs", costs)
         object.__setattr__(self, "margin", float(self.margin))
 
@@ -125,19 +120,16 @@ class MarginReport:
     ``robustness`` is the margin normalized by the mean squared utility norm
     at the optimizer.  The margin itself is maximized inside the unit boxes
     and the ratio is evaluated afterwards; maximizing the ratio directly is
-    scale-degenerate, see ``method``.
+    scale-degenerate.
     """
 
     epsilon_star: float
     robustness: float
     utility_norms: np.ndarray
     degenerate: bool
-    method: str = "max margin in unit box, ratio reported at optimizer"
 
     def __post_init__(self):
-        norms = np.asarray(self.utility_norms, dtype=float)
-        norms.setflags(write=False)
-        object.__setattr__(self, "utility_norms", norms)
+        object.__setattr__(self, "utility_norms", _frozen_array(self.utility_norms))
 
     @classmethod
     def from_solution(
@@ -149,7 +141,7 @@ class MarginReport:
         return cls(
             epsilon_star=eps,
             robustness=robustness,
-            utility_norms=np.asarray(utility_norms, dtype=float),
+            utility_norms=utility_norms,
             degenerate=eps <= DEGENERATE_MARGIN,
         )
 

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import _frozen_array
 from .errors import ProfileMismatch
 
 __all__ = ["CostPiece", "PiecewiseAffineCost"]
@@ -34,8 +35,8 @@ class CostPiece:
     gradient: np.ndarray
 
     def __post_init__(self):
-        anchor = np.asarray(self.anchor, dtype=float)
-        gradient = np.asarray(self.gradient, dtype=float)
+        anchor = _frozen_array(self.anchor)
+        gradient = _frozen_array(self.gradient)
         if anchor.shape != gradient.shape or anchor.ndim != 2:
             raise ProfileMismatch(
                 f"piece anchor {anchor.shape} and gradient {gradient.shape} disagree"
@@ -43,7 +44,6 @@ class CostPiece:
         for name, arr in (("anchor", anchor), ("gradient", gradient)):
             if not np.all(np.isfinite(arr)):
                 raise ProfileMismatch(f"piece {name} has non-finite entries")
-            arr.setflags(write=False)
         object.__setattr__(self, "anchor", anchor)
         object.__setattr__(self, "gradient", gradient)
         object.__setattr__(self, "offset", float(self.offset))

@@ -48,6 +48,11 @@ __all__ = [
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:
+    """A read-only copy of ``values``.
+
+    Every value type takes its array fields through here, so it holds
+    read-only copies and never touches the caller's arrays.
+    """
     arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
@@ -100,9 +105,10 @@ class DecisionDataset:
     :func:`validate_dataset` (synthetic machinery occasionally builds
     single-agent datasets for cost assignment).
 
-    Construction also stacks every agent's :func:`joint_and_posterior` into
-    one (K, X, A) :class:`JointPosterior`, held as ``_stack``: the residual
-    kernel in ``brp`` and every LP builder read it instead of recomputing.
+    Construction also computes the joints, posteriors and marginals of all
+    agents in one batched pass, held as the (K, X, A) :class:`JointPosterior`
+    ``_stack``: the residual kernel in ``brp`` and every LP builder read it,
+    and :func:`joint_and_posterior` returns one agent's slices of it.
     """
 
     num_states: int
@@ -139,10 +145,12 @@ class DecisionDataset:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", _frozen_array(prior))
         object.__setattr__(self, "agents", agents)
-        jps = [joint_and_posterior(self, k) for k in range(len(agents))]
-        fields = ("joint", "posterior", "action_marginal")
-        stack = {f: _frozen_array([getattr(jp, f) for jp in jps]) for f in fields}
-        object.__setattr__(self, "_stack", JointPosterior(**stack))
+        joint = prior[None, :, None] * np.stack([a.choice_prob for a in agents])
+        marginal = joint.sum(axis=1)[:, None, :]
+        posterior = np.full_like(joint, np.nan)
+        np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
+        stack = (_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
+        object.__setattr__(self, "_stack", JointPosterior(*stack))
 
     @property
     def num_agents(self) -> int:
@@ -284,20 +292,13 @@ def joint_and_posterior(d: DecisionDataset, k: int) -> JointPosterior:
 
     joint(x, a) = prior(x) * choice(a | x).  The posterior column for action a
     is joint(:, a) / marginal(a) when marginal(a) > 0; a never-chosen action
-    has no revealed posterior and its column is NaN.
+    has no revealed posterior and its column is NaN.  The arrays are agent
+    k's read-only slices of the dataset's ``_stack``.
     """
     if not 0 <= k < d.num_agents:
         raise DimensionMismatch(f"agent index {k} out of range for K={d.num_agents}")
-    joint = d.prior[:, None] * d.choice(k)
-    marginal = joint.sum(axis=0)
-    posterior = np.full_like(joint, np.nan)
-    defined = marginal > 0.0
-    posterior[:, defined] = joint[:, defined] / marginal[defined]
-    return JointPosterior(
-        joint=_frozen_array(joint),
-        posterior=_frozen_array(posterior),
-        action_marginal=_frozen_array(marginal),
-    )
+    s = d._stack
+    return JointPosterior(s.joint[k], s.posterior[k], s.action_marginal[k])
 
 
 def _check_utility(d: DecisionDataset, utility: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
+    _frozen_array,
     dataset_to_dict,
     read_json,
     validate_dataset,
@@ -41,6 +42,7 @@ from .errors import (
     NonSquare,
     NumericalFailure,
     OutOfRange,
+    ProfileMismatch,
     ShapeMismatch,
 )
 from .lp import LinearProgram, LpStatus, solve_lp
@@ -65,7 +67,8 @@ _OBJECTIVE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class NoiseFamily:
-    """Fitted model for agents indexed by an increasing noise grid."""
+    """Fitted model for agents indexed by an increasing noise grid; ``fitted``
+    holds one utility of the dataset's shape per agent (ProfileMismatch)."""
 
     etas: np.ndarray
     dataset: DecisionDataset
@@ -73,9 +76,14 @@ class NoiseFamily:
     cost: PiecewiseAffineCost
 
     def __post_init__(self):
-        etas = _noise_grid(self.etas, self.dataset.num_agents)
-        etas.setflags(write=False)
-        object.__setattr__(self, "etas", etas)
+        d = self.dataset
+        shape = (d.num_states, d.num_actions)
+        if [u.shape for u in self.fitted.utilities] != [shape] * d.num_agents:
+            raise ProfileMismatch(
+                f"the profile's {self.fitted.num_agents} utilities do not match "
+                f"the dataset's {d.num_agents} agents of shape {shape}"
+            )
+        object.__setattr__(self, "etas", _noise_grid(self.etas, d.num_agents))
 
     @property
     def num_agents(self) -> int:
@@ -111,9 +119,9 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
 
 
 def _noise_grid(etas, num_agents: int) -> np.ndarray:
-    """``etas`` as floats; raises DimensionMismatch unless they are one
-    finite noise level per agent, strictly increasing."""
-    etas = np.asarray(etas, dtype=float)
+    """A read-only float copy of ``etas``; raises DimensionMismatch unless
+    they are one finite noise level per agent, strictly increasing."""
+    etas = _frozen_array(etas)
     if etas.shape != (num_agents,):
         raise DimensionMismatch(
             f"{etas.shape[0] if etas.ndim == 1 else 'malformed'} noise levels "
@@ -152,15 +160,12 @@ def _bracket(f: NoiseFamily, eta: float) -> tuple[int, float]:
 def interpolate_utility(f: NoiseFamily, eta: float) -> np.ndarray:
     """Linear interpolation of the fitted utilities at ``eta``.
 
-    Grid points reproduce their fitted utility exactly; interior points mix
-    the two bracketing utilities with weights proportional to distance over
-    the local spacing (so non-uniform grids work unchanged).
+    The two bracketing utilities mix with weights proportional to distance
+    over the local spacing (so non-uniform grids work unchanged).  At a grid
+    point the weight is exactly 0 or 1, so the fitted utility comes back bit
+    for bit.
     """
     g, w_hi = _bracket(f, eta)
-    if eta == f.etas[g]:
-        return f.fitted.utilities[g].copy()
-    if eta == f.etas[g + 1]:
-        return f.fitted.utilities[g + 1].copy()
     return (1.0 - w_hi) * f.fitted.utilities[g] + w_hi * f.fitted.utilities[g + 1]
 
 

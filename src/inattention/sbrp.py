@@ -29,7 +29,7 @@ from .brp import (
 )
 from .constants import DEGENERATE_MARGIN, LAMBDA_HI, LAMBDA_LO, MARGIN_CAP
 from .costs import PiecewiseAffineCost, _anchored_cost
-from .dataset import DecisionDataset, read_json, write_json
+from .dataset import DecisionDataset, _frozen_array, read_json, write_json
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
@@ -72,17 +72,15 @@ class SharedUtilitySolution:
     margin_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        u = np.asarray(self.utility, dtype=float)
-        lam = np.asarray(self.sensitivities, dtype=float)
-        c = np.asarray(self.costs, dtype=float)
+        u = _frozen_array(self.utility)
+        lam = _frozen_array(self.sensitivities)
+        c = _frozen_array(self.costs)
         if u.ndim != 2 or not np.all(np.isfinite(u)):
             raise DimensionMismatch("utility must be a finite matrix")
         if lam.shape != c.shape or lam.ndim != 1:
             raise DimensionMismatch("need one sensitivity and one cost per agent")
         if np.any(lam <= 0):
             raise DimensionMismatch("sensitivities must be positive")
-        for arr in (u, lam, c):
-            arr.setflags(write=False)
         object.__setattr__(self, "utility", u)
         object.__setattr__(self, "sensitivities", lam)
         object.__setattr__(self, "costs", c)

@@ -23,6 +23,7 @@ from .constants import SYNTH_COST_FLOOR
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
+    _frozen_array,
     dataset_to_dict,
     expected_value,
     read_json,
@@ -73,11 +74,8 @@ class GroundTruth:
     seed: int
 
     def __post_init__(self):
-        utilities = tuple(np.asarray(u, dtype=float) for u in self.utilities)
-        for u in utilities:
-            u.setflags(write=False)
-        costs = np.asarray(self.costs, dtype=float)
-        costs.setflags(write=False)
+        utilities = tuple(_frozen_array(u) for u in self.utilities)
+        costs = _frozen_array(self.costs)
         object.__setattr__(self, "utilities", utilities)
         object.__setattr__(self, "costs", costs)
         achieved = strict_margin(self.dataset, utilities, costs)

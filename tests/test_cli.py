@@ -337,6 +337,27 @@ class TestSynthPredict:
         assert "noise levels must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_family_whose_profile_is_one_agent_short_exits_one(self, tmp_path, capsys):
+        data, family = tmp_path / "data.json", tmp_path / "family.json"
+        run(
+            "synth", "--agents", 3, "--states", 2, "--actions", 2, "--seed", 1,
+            "--out", tmp_path / "gt.json", "--dataset-out", data,
+        )
+        code = run(
+            "predict", "--dataset", data, "--etas", "1,1.5,2", "--eta", 1.25,
+            "--save-family", family, "--out", tmp_path / "fit.json",
+        )
+        assert code == 0
+        raw = json.loads(family.read_text())
+        raw["profile"]["agents"].pop()
+        short = tmp_path / "short.json"
+        short.write_text(json.dumps(raw))
+        out = tmp_path / "p.json"
+        assert run("predict", "--family", short, "--eta", 1.75, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert "error: the profile's 2 utilities do not match" in err
+        assert not out.exists()
+
     def test_out_of_range_eta_exits_one(self, tmp_path):
         data = tmp_path / "data.json"
         run(

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import re
 
@@ -7,7 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from inattention.brp import MarginReport, UtilityProfile
+from inattention.costs import CostPiece, PiecewiseAffineCost
 from inattention.dataset import (
+    AgentChoiceMatrix,
+    DecisionDataset,
     dataset_to_dict,
     expected_value,
     ingest_softmax,
@@ -26,6 +31,9 @@ from inattention.errors import (
     RaggedAgents,
     TooFewAgents,
 )
+from inattention.predict import NoiseFamily
+from inattention.sbrp import SharedUtilitySolution
+from inattention.synth import GroundTruth
 
 from conftest import dataset_from_matrices, random_dataset
 
@@ -121,6 +129,94 @@ class TestJointPosterior:
             defined = jp.defined_actions
             rebuilt = jp.posterior[:, defined] * jp.action_marginal[defined]
             assert np.allclose(rebuilt, jp.joint[:, defined], atol=1e-12)
+
+    def test_slices_match_the_per_agent_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        mats = [stochastic_rows(rng, (4, 3)) for _ in range(3)]
+        mats[1][:, 2] = 0.0  # agent 1 never takes action 2
+        mats[1] /= mats[1].sum(axis=1, keepdims=True)
+        d = dataset_from_matrices(rng.dirichlet(np.ones(4)), mats)
+        for k in range(d.num_agents):
+            joint = d.prior[:, None] * d.choice(k)
+            marginal = joint.sum(axis=0)
+            posterior = np.full_like(joint, np.nan)
+            defined = marginal > 0.0
+            posterior[:, defined] = joint[:, defined] / marginal[defined]
+            jp = joint_and_posterior(d, k)
+            for got, want in (
+                (jp.joint, joint),
+                (jp.posterior, posterior),
+                (jp.action_marginal, marginal),
+            ):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+        assert joint_and_posterior(d, 1).has_zero_marginal
+
+
+def _value_types():
+    """One case per value type: ``build(d2)`` returns an object made from
+    caller-owned float64 arrays, and those arrays."""
+
+    def profile(d):
+        u0, u1, c = np.eye(2), np.array([[0.6, 0.4], [0.4, 0.6]]), np.array([0.2, 0.05])
+        return UtilityProfile(utilities=(u0, u1), costs=c, margin=0.04), [u0, u1, c]
+
+    def report(d):
+        norms = np.array([1.0, 2.0])
+        return MarginReport(0.1, 0.1, utility_norms=norms, degenerate=False), [norms]
+
+    def shared(d):
+        u, lam, c = np.eye(2), np.array([1.0, 2.0]), np.array([0.2, 0.05])
+        sol = SharedUtilitySolution(utility=u, sensitivities=lam, costs=c, margin=0.01)
+        return sol, [u, lam, c]
+
+    def piece(d):
+        anchor, gradient = np.array(d.choice(0)), np.eye(2)
+        return CostPiece(0.5, anchor=anchor, gradient=gradient), [anchor, gradient]
+
+    def ground_truth(d):
+        _, (u0, u1, c) = profile(d)  # the d2 certificate
+        gt = GroundTruth(d, (u0, u1), c, construction_margin=0.0, seed=0)
+        return gt, [u0, u1, c]
+
+    def family(d):
+        fitted, _ = profile(d)
+        cost = PiecewiseAffineCost((CostPiece(0.0, d.choice(0), np.zeros((2, 2))),))
+        etas = np.array([1.0, 1.1])
+        return NoiseFamily(etas=etas, dataset=d, fitted=fitted, cost=cost), [etas]
+
+    def choice_matrix(d):
+        p = np.array([[0.9, 0.1], [0.1, 0.9]])
+        return AgentChoiceMatrix("a", choice_prob=p), [p]
+
+    def dataset(d):
+        prior, p = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]])
+        agents = (AgentChoiceMatrix("a", p), AgentChoiceMatrix("b", p))
+        return DecisionDataset(2, 2, prior=prior, agents=agents), [prior, p]
+
+    builders = [
+        profile, report, shared, piece, ground_truth, family, choice_matrix, dataset,
+    ]
+    return [pytest.param(build, id=build.__name__) for build in builders]
+
+
+def _stored_arrays(obj):
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        for item in value if isinstance(value, tuple) else (value,):
+            if isinstance(item, np.ndarray):
+                yield f.name, item
+
+
+@pytest.mark.parametrize("build", _value_types())
+def test_value_types_hold_read_only_copies(d2, build):
+    obj, caller = build(d2)
+    assert all(arr.dtype == np.float64 and arr.flags.writeable for arr in caller)
+    stored = list(_stored_arrays(obj))
+    assert stored
+    for name, arr in stored:
+        assert not arr.flags.writeable, name
+        assert not any(np.shares_memory(arr, c) for c in caller), name
 
 
 class TestValues:

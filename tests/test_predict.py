@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from inattention import predict as predict_module
-from inattention.brp import UtilityProfile
+from inattention.brp import UtilityProfile, profile_to_dict
 from inattention.costs import CostPiece, PiecewiseAffineCost
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
     NonSquare,
     OutOfRange,
+    ProfileMismatch,
     ShapeMismatch,
 )
 from inattention.predict import (
@@ -87,6 +88,27 @@ class TestFitFamily:
         with pytest.raises(DimensionMismatch, match="finite"):
             load_family(str(path))
 
+    @pytest.mark.parametrize("mismatch", ["one agent short", "another shape"])
+    def test_profile_that_does_not_match_the_dataset_is_rejected(
+        self, family, tmp_path, mismatch
+    ):
+        fam, dataset, _ = family
+        utilities, costs = fam.fitted.utilities, fam.fitted.costs
+        if mismatch == "one agent short":
+            utilities, costs = utilities[:-1], costs[:-1]
+        else:
+            utilities = tuple(u[:, :-1] for u in utilities)
+        profile = UtilityProfile(utilities=utilities, costs=costs, margin=1.0)
+        with pytest.raises(ProfileMismatch):
+            NoiseFamily(etas=fam.etas, dataset=dataset, fitted=profile, cost=fam.cost)
+        path = tmp_path / "family.json"
+        save_family(str(path), fam)
+        raw = json.loads(path.read_text())
+        raw["profile"] = profile_to_dict(dataset, profile)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ProfileMismatch):
+            load_family(str(path))
+
     def test_degenerate_dataset_rejected(self, identical_pair):
         with pytest.raises(DegenerateDataset):
             fit_family(identical_pair, np.array([1.0, 1.1]))
@@ -95,7 +117,7 @@ class TestFitFamily:
 class TestInterpolate:
     def test_grid_point_is_exact(self, family):
         fam, _, _ = family
-        for g in (0, 4, 10):
+        for g in range(fam.num_agents):
             u = interpolate_utility(fam, float(fam.etas[g]))
             assert np.array_equal(u, fam.fitted.utilities[g])
 
