@@ -17,7 +17,7 @@ from .brp import (
     nias_residuals,
     reconstruct_cost,
 )
-from .costs import CostPiece, PiecewiseAffineCost
+from .costs import PiecewiseAffineCost
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
@@ -58,7 +58,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AgentChoiceMatrix",
-    "CostPiece",
     "DecisionDataset",
     "GroundTruth",
     "LinearProgram",

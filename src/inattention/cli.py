@@ -20,7 +20,7 @@ import numpy as np
 
 from . import brp, dataset as ds, predict as pred, sbrp, synth
 from .constants import DEGENERATE_MARGIN, UNIT_FLOOR
-from .errors import InattentionError, NumericalFailure
+from .errors import InattentionError, IoFailure, NumericalFailure
 
 log = logging.getLogger("inattention")
 
@@ -160,9 +160,12 @@ def _utility_rows(tables) -> list[list]:
 
 def _fitted_model(raw):
     """The profile or solution a ``test``/``sparse`` output file holds."""
-    if raw.get("model") == "umri":
+    model = raw.get("model")
+    if model == "umri":
         return brp._profile_from_dict(raw)
-    return sbrp._solution_from_dict(raw)
+    if model == "s-umri":
+        return sbrp._solution_from_dict(raw)
+    raise IoFailure(f"field 'model' is {model!r}, neither 'umri' nor 's-umri'")
 
 
 def cmd_cost(args) -> int:
@@ -214,7 +217,11 @@ def _eta_grid(text: str) -> np.ndarray:
 def cmd_predict(args) -> int:
     # Every argument is checked before the fit, which can take minutes, and
     # before anything is written.
-    if not args.family and (not args.dataset or args.etas is None):
+    if args.family:
+        for flag in ("dataset", "etas", "save_family"):
+            if getattr(args, flag) is not None:
+                raise _Usage(f"--{flag.replace('_', '-')} does not apply with --family")
+    elif not args.dataset or args.etas is None:
         raise _Usage("predict needs either --family or --dataset with --etas")
     etas = None if args.family else _eta_grid(args.etas)
     truth = None

@@ -1,13 +1,14 @@
 """Prediction across a noise-indexed family of agents.
 
 The family's agents are classifiers trained at increasing noise variances.
-Fitting recovers per-agent utilities and costs plus the anchored cost
-envelope; a query at a new noise level linearly interpolates the two
-surrounding utilities and re-solves the strategy choice problem against the
-cost envelope, a single LP once the value term scores each observation with
-its labelled action.  That surrogate is exact when every labelled action is
-a best response to its posterior; the LP holds the best-response rows that
-make it so, and a certificate re-checks it after the fact.
+Fitting recovers per-agent utilities and costs; a query at a new noise level
+linearly interpolates the two surrounding utilities and re-solves the
+strategy choice problem against the cost envelope anchored at the fitted
+profile, read directly from it.  The choice is a single LP once the value
+term scores each observation with its labelled action.  That surrogate is
+exact when every labelled action is a best response to its posterior; the LP
+holds the best-response rows that make it so, and a certificate re-checks it
+after the fact.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .brp import (
     nias_residuals,
     profile_to_dict,
 )
-from .costs import PiecewiseAffineCost, _anchored_cost
+from .costs import _anchored_cost
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
@@ -73,7 +74,6 @@ class NoiseFamily:
     etas: np.ndarray
     dataset: DecisionDataset
     fitted: UtilityProfile
-    cost: PiecewiseAffineCost
 
     def __post_init__(self):
         d = self.dataset
@@ -103,11 +103,11 @@ class PredictionOutcome:
 
 
 def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
-    """Fit the family: max-margin utilities plus the anchored cost envelope.
+    """Fit the family: max-margin utilities and costs, one per agent.
 
-    The envelope pieces are the per-agent linearized ones (offset at the
-    fitted cost, gradient prior-weighted fitted utility), which is what the
-    prediction LP optimizes against.
+    Prediction reads the fitted profile directly: its cost envelope has one
+    piece per agent, offset at the fitted cost with gradient the
+    prior-weighted fitted utility.
     """
     etas = _noise_grid(etas, d.num_agents)
     profile, report = brp_max_margin(d)
@@ -115,7 +115,7 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
         raise DegenerateDataset(
             "max-margin fit is numerically zero; predictions are meaningless"
         )
-    return _family(etas, d, profile)
+    return NoiseFamily(etas=etas, dataset=d, fitted=profile)
 
 
 def _noise_grid(etas, num_agents: int) -> np.ndarray:
@@ -132,11 +132,6 @@ def _noise_grid(etas, num_agents: int) -> np.ndarray:
     if np.any(np.diff(etas) <= 0):
         raise DimensionMismatch("noise levels must be strictly increasing")
     return etas
-
-
-def _family(etas, d: DecisionDataset, profile: UtilityProfile) -> NoiseFamily:
-    cost = _anchored_cost(d, profile.utilities, profile.costs, linearized=True)
-    return NoiseFamily(etas=etas, dataset=d, fitted=profile, cost=cost)
 
 
 def check_eta(etas: np.ndarray, eta: float) -> None:
@@ -193,25 +188,23 @@ def predict_choice(
     if not np.all(np.isfinite(u_hat)) or np.any(u_hat < 0):
         raise DimensionMismatch("interpolated utility must be finite and nonnegative")
 
-    gradients = np.array([piece.gradient.ravel() for piece in f.cost.pieces])
-    offsets = [
-        piece.offset - float((piece.gradient * piece.anchor).sum())
-        for piece in f.cost.pieces
-    ]
-    bound = max(
-        abs(o) + float(np.abs(g).sum()) for o, g in zip(offsets, gradients)
-    ) + 1.0
+    cost = _anchored_cost(f.dataset, f.fitted.utilities, f.fitted.costs)
+    gradients = cost.gradients.reshape(-1, X * A)
+    anchored = (gradients * cost.anchors.reshape(-1, X * A)).sum(axis=1)
+    offsets = cost.offsets - anchored
+    bound = float((np.abs(offsets) + np.abs(gradients).sum(axis=1)).max()) + 1.0
 
     lp = LinearProgram(
         np.append((f.dataset.prior[:, None] * u_hat).ravel(), -1.0),
         np.append(np.zeros(X * A), -bound),
         np.append(np.ones(X * A), bound),
     )
-    # One simplex row per state, then one epigraph row per cost piece, then
-    # one best-response row per action a and deviation b != a:
+    # One simplex row per state, then one epigraph row per cost piece (its
+    # labelled-action value, linear in the strategy), then one best-response
+    # row per action a and deviation b != a:
     # sum_x mu(x) P(x, a) (u(x, b) - u(x, a)) <= 0.
     lp.add_eq(np.hstack([np.repeat(np.eye(X), A, axis=1), np.zeros((X, 1))]), 1.0)
-    lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -np.array(offsets))
+    lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -offsets)
     taken, deviation = np.nonzero(~np.eye(A, dtype=bool))
     pairs = taken.size
     nias = np.zeros((pairs, X, A))
@@ -334,8 +327,8 @@ def save_family(path: str, f: NoiseFamily) -> None:
 def load_family(path: str) -> NoiseFamily:
     def build(raw):
         d = validate_dataset(raw["dataset"])
-        return _family(
-            np.asarray(raw["etas"], dtype=float), d, _profile_from_dict(raw["profile"])
+        return NoiseFamily(
+            etas=raw["etas"], dataset=d, fitted=_profile_from_dict(raw["profile"])
         )
 
     return read_json(path, build)

@@ -217,6 +217,18 @@ class TestSparseAndCost:
         for line, agent in zip(lines[1:], agents):
             assert float(line.split(",")[1]) == pytest.approx(agent["cost"], abs=1e-8)
 
+    def test_cost_of_a_file_of_neither_model_exits_one(
+        self, tmp_path, d2, dataset_file, capsys
+    ):
+        family = tmp_path / "family.json"
+        pred.save_family(str(family), pred.fit_family(d2, [1.0, 1.1]))
+        out = tmp_path / "cost.csv"
+        code = run("cost", "--profile", family, "--dataset", dataset_file, "--out", out)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "field 'model' is None" in err
+        assert not out.exists()
+
 
 class TestSynthPredict:
     def test_synth_and_predict_pipeline(self, tmp_path):
@@ -308,17 +320,14 @@ class TestSynthPredict:
     def test_eta_off_the_grid_exits_one_before_any_fit(
         self, tmp_path, d2, dataset_file, capsys, monkeypatch, source, eta
     ):
-        inputs = ["--dataset", dataset_file, "--etas", "1.0,1.1"]
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        inputs = ["--dataset", dataset_file, "--etas", "1.0,1.1", "--save-family", family]
         if source == "--family":
             fitted = tmp_path / "fitted.json"
             pred.save_family(str(fitted), pred.fit_family(d2, [1.0, 1.1]))
             inputs = ["--family", fitted]
         monkeypatch.setattr(pred, "fit_family", _no_fit)
-        out, family = tmp_path / "p.json", tmp_path / "family.json"
-        code = run(
-            "predict", *inputs, "--eta", eta, "--save-family", family,
-            "--out", out,
-        )
+        code = run("predict", *inputs, "--eta", eta, "--out", out)
         assert code == 1
         err = capsys.readouterr().err
         assert f"error: noise level {float(eta)} outside the fitted grid" in err
@@ -337,7 +346,10 @@ class TestSynthPredict:
         assert "noise levels must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_family_whose_profile_is_one_agent_short_exits_one(self, tmp_path, capsys):
+    @pytest.mark.parametrize("miscount", ["one agent short", "one agent more"])
+    def test_family_whose_profile_miscounts_the_agents_exits_one(
+        self, tmp_path, capsys, miscount
+    ):
         data, family = tmp_path / "data.json", tmp_path / "family.json"
         run(
             "synth", "--agents", 3, "--states", 2, "--actions", 2, "--seed", 1,
@@ -349,14 +361,38 @@ class TestSynthPredict:
         )
         assert code == 0
         raw = json.loads(family.read_text())
-        raw["profile"]["agents"].pop()
-        short = tmp_path / "short.json"
-        short.write_text(json.dumps(raw))
+        agents = raw["profile"]["agents"]
+        if miscount == "one agent short":
+            agents.pop()
+        else:
+            agents.append(dict(agents[-1], agent_id="extra"))
+        miscounted = tmp_path / "miscounted.json"
+        miscounted.write_text(json.dumps(raw))
         out = tmp_path / "p.json"
-        assert run("predict", "--family", short, "--eta", 1.75, "--out", out) == 1
+        assert run("predict", "--family", miscounted, "--eta", 1.75, "--out", out) == 1
         err = capsys.readouterr().err
-        assert "error: the profile's 2 utilities do not match" in err
+        assert f"error: the profile's {len(agents)} utilities do not match" in err
+        assert "IndexError" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--dataset", "--etas", "--save-family"])
+    def test_fit_flag_next_to_family_is_usage_error(
+        self, tmp_path, d2, dataset_file, capsys, monkeypatch, flag
+    ):
+        fitted, saved, out = (tmp_path / n for n in ("fitted.json", "fam2.json", "p.json"))
+        pred.save_family(str(fitted), pred.fit_family(d2, [1.0, 1.1]))
+        value = {"--dataset": dataset_file, "--etas": "5,6,7", "--save-family": saved}
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the family was read before the arguments were checked")
+
+        monkeypatch.setattr(pred, "load_family", no_read)
+        code = run(
+            "predict", "--family", fitted, flag, value[flag], "--eta", 1.05, "--out", out
+        )
+        assert code == 2
+        assert f"error: {flag} does not apply with --family" in capsys.readouterr().err
+        assert not out.exists() and not saved.exists()
 
     def test_out_of_range_eta_exits_one(self, tmp_path):
         data = tmp_path / "data.json"
@@ -423,16 +459,16 @@ class TestSynthPredict:
         d3 = generate_feasible_dataset(3, 3, 3, margin=0.01, seed=2).dataset
         data = tmp_path / "d3.json"
         save_dataset(d3, str(data))
-        inputs = ["--dataset", data, "--etas", "1.0,1.1,1.2"]
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        inputs = ["--dataset", data, "--etas", "1.0,1.1,1.2", "--save-family", family]
         if source == "--family":
             fitted = tmp_path / "fitted.json"
             pred.save_family(str(fitted), pred.fit_family(d3, [1.0, 1.1, 1.2]))
             inputs = ["--family", fitted]
         monkeypatch.setattr(pred, "fit_family", _no_fit)
-        out, family = tmp_path / "p.json", tmp_path / "family.json"
         code = run(
             "predict", *inputs, "--eta", 1.05, "--truth-dataset", dataset_file,
-            "--save-family", family, "--out", out,
+            "--out", out,
         )
         assert code == 2
         assert "error:" in capsys.readouterr().err

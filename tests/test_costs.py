@@ -3,27 +3,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inattention.costs import CostPiece, PiecewiseAffineCost
+from inattention.brp import brp_max_margin, reconstruct_cost
+from inattention.costs import PiecewiseAffineCost
 from inattention.errors import ProfileMismatch
+from inattention.sbrp import reconstruct_cost_compact, sbrp_max_margin
+from inattention.synth import generate_feasible_dataset
 
 
-def build_cost(rng, num_pieces=3, shape=(3, 3), linearized=False):
-    pieces = []
-    for _ in range(num_pieces):
-        anchor = rng.uniform(0.05, 1.0, size=shape)
-        anchor /= anchor.sum(axis=1, keepdims=True)
-        gradient = rng.uniform(0.0, 0.4, size=shape)
-        pieces.append(
-            CostPiece(offset=float(rng.uniform(0.05, 0.8)), anchor=anchor, gradient=gradient)
-        )
-    return PiecewiseAffineCost(pieces=tuple(pieces), linearized=linearized)
+def build_cost(rng, num_pieces=3, shape=(3, 3)):
+    anchors = rng.uniform(0.05, 1.0, size=(num_pieces, *shape))
+    anchors /= anchors.sum(axis=2, keepdims=True)
+    gradients = rng.uniform(0.0, 0.4, size=(num_pieces, *shape))
+    offsets = rng.uniform(0.05, 0.8, size=num_pieces)
+    return PiecewiseAffineCost(offsets=offsets, anchors=anchors, gradients=gradients)
 
 
 def test_shape_validation():
+    one, empty = [np.eye(2)], np.zeros((0, 2, 2))
     with pytest.raises(ProfileMismatch):
-        CostPiece(offset=0.1, anchor=np.eye(2), gradient=np.ones((2, 3)))
+        PiecewiseAffineCost(offsets=[0.1], anchors=one, gradients=np.ones((1, 2, 3)))
     with pytest.raises(ProfileMismatch):
-        PiecewiseAffineCost(pieces=())
+        PiecewiseAffineCost(offsets=[0.1, 0.2], anchors=one, gradients=one)
+    with pytest.raises(ProfileMismatch):
+        PiecewiseAffineCost(offsets=[], anchors=empty, gradients=empty)
     cost = build_cost(np.random.default_rng(0))
     with pytest.raises(ProfileMismatch):
         cost.value(np.eye(2))
@@ -39,10 +41,10 @@ def test_envelope_dominates_every_piece():
 
 
 @settings(max_examples=50, deadline=None)
-@given(seed=st.integers(0, 10_000), linearized=st.booleans(), theta=st.floats(0.0, 1.0))
-def test_convex_along_segments(seed, linearized, theta):
+@given(seed=st.integers(0, 10_000), theta=st.floats(0.0, 1.0))
+def test_convex_along_segments(seed, theta):
     rng = np.random.default_rng(seed)
-    cost = build_cost(rng, linearized=linearized)
+    cost = build_cost(rng)
     p = rng.uniform(0.05, 1.0, size=(3, 3))
     p /= p.sum(axis=1, keepdims=True)
     q = rng.uniform(0.05, 1.0, size=(3, 3))
@@ -51,13 +53,39 @@ def test_convex_along_segments(seed, linearized, theta):
     assert cost.value(blend) <= theta * cost.value(p) + (1 - theta) * cost.value(q) + 1e-10
 
 
-def test_linearized_rule_is_below_the_reoptimized_rule():
-    # Re-optimizing the response per observation can only raise a piece.
-    rng = np.random.default_rng(5)
-    pieces = build_cost(rng).pieces
-    affine = PiecewiseAffineCost(pieces=pieces, linearized=True)
-    exact = PiecewiseAffineCost(pieces=pieces, linearized=False)
-    for _ in range(20):
-        p = rng.uniform(0.05, 1.0, size=(3, 3))
-        p /= p.sum(axis=1, keepdims=True)
-        assert affine.value(p) <= exact.value(p) + 1e-12
+def per_piece_values(d, utilities, costs, scales, p):
+    """The envelope one piece at a time: offset c_k plus the best-response
+    score of ``p`` against gradient prior * u_k / s_k, minus that gradient's
+    score at agent k's strategy."""
+    out = np.empty(len(costs))
+    for k, (u, c, s) in enumerate(zip(utilities, costs, scales)):
+        gradient = d.prior[:, None] * u / float(s)
+        anchored = float((gradient * d.choice(k)).sum())
+        moved = float((p.T @ gradient).max(axis=1).sum())
+        out[k] = float(c) + moved - anchored
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_pieces_match_the_per_piece_loop_bit_for_bit(seed):
+    d = generate_feasible_dataset(4, 3, 3, margin=0.01, seed=seed).dataset
+    profile, _ = brp_max_margin(d)
+    solution, _ = sbrp_max_margin(d)
+    cases = [
+        (reconstruct_cost(d, profile), profile.utilities, profile.costs, np.ones(4)),
+        (
+            reconstruct_cost_compact(d, solution),
+            [solution.utility] * 4,
+            solution.costs,
+            solution.sensitivities,
+        ),
+    ]
+    rng = np.random.default_rng(seed)
+    strategies = [d.choice(k) for k in range(d.num_agents)]
+    for _ in range(10):
+        p = rng.uniform(0.0, 1.0, size=(3, 3))
+        strategies.append(p / p.sum(axis=1, keepdims=True))
+    for cost, utilities, costs, scales in cases:
+        for p in strategies:
+            want = per_piece_values(d, utilities, costs, scales, p)
+            assert cost.piece_values(p).tobytes() == want.tobytes()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inattention.brp import MarginReport, UtilityProfile
-from inattention.costs import CostPiece, PiecewiseAffineCost
+from inattention.costs import PiecewiseAffineCost
 from inattention.dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
@@ -170,9 +170,9 @@ def _value_types():
         sol = SharedUtilitySolution(utility=u, sensitivities=lam, costs=c, margin=0.01)
         return sol, [u, lam, c]
 
-    def piece(d):
-        anchor, gradient = np.array(d.choice(0)), np.eye(2)
-        return CostPiece(0.5, anchor=anchor, gradient=gradient), [anchor, gradient]
+    def cost(d):
+        arrays = np.array([0.5]), np.array([d.choice(0)]), np.eye(2)[None]
+        return PiecewiseAffineCost(*arrays), list(arrays)
 
     def ground_truth(d):
         _, (u0, u1, c) = profile(d)  # the d2 certificate
@@ -181,9 +181,8 @@ def _value_types():
 
     def family(d):
         fitted, _ = profile(d)
-        cost = PiecewiseAffineCost((CostPiece(0.0, d.choice(0), np.zeros((2, 2))),))
         etas = np.array([1.0, 1.1])
-        return NoiseFamily(etas=etas, dataset=d, fitted=fitted, cost=cost), [etas]
+        return NoiseFamily(etas=etas, dataset=d, fitted=fitted), [etas]
 
     def choice_matrix(d):
         p = np.array([[0.9, 0.1], [0.1, 0.9]])
@@ -195,7 +194,7 @@ def _value_types():
         return DecisionDataset(2, 2, prior=prior, agents=agents), [prior, p]
 
     builders = [
-        profile, report, shared, piece, ground_truth, family, choice_matrix, dataset,
+        profile, report, shared, cost, ground_truth, family, choice_matrix, dataset,
     ]
     return [pytest.param(build, id=build.__name__) for build in builders]
 

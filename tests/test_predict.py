@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from inattention import predict as predict_module
-from inattention.brp import UtilityProfile, profile_to_dict
-from inattention.costs import CostPiece, PiecewiseAffineCost
+from inattention.brp import UtilityProfile
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -38,16 +37,22 @@ def family():
 NON_FINITE_GRIDS = [(5, np.nan), (10, np.inf), (0, -np.inf)]
 
 
-class TestFitFamily:
-    def test_eleven_point_grid_gives_eleven_pieces(self, family):
-        fam, dataset, _ = family
-        assert len(fam.cost.pieces) == 11
-        assert fam.cost.linearized
+def linearized_cost(fam, p):
+    """The envelope the prediction program optimizes against: the max over
+    agents k of c_k + <prior * u_k, p - choice_k>, each observation scored
+    with its labelled action."""
+    d, fitted = fam.dataset, fam.fitted
+    return max(
+        float(c) + float((d.prior[:, None] * u * (p - d.choice(k))).sum())
+        for k, (u, c) in enumerate(zip(fitted.utilities, fitted.costs))
+    )
 
+
+class TestFitFamily:
     def test_in_sample_cost_anchoring(self, family):
         fam, dataset, _ = family
         for k in range(dataset.num_agents):
-            assert fam.cost.value(dataset.choice(k)) == pytest.approx(
+            assert linearized_cost(fam, dataset.choice(k)) == pytest.approx(
                 float(fam.fitted.costs[k]), abs=1e-8
             )
 
@@ -79,7 +84,7 @@ class TestFitFamily:
         etas = fam.etas.copy()
         etas[index] = bad
         with pytest.raises(DimensionMismatch, match="finite"):
-            NoiseFamily(etas=etas, dataset=fam.dataset, fitted=fam.fitted, cost=fam.cost)
+            NoiseFamily(etas=etas, dataset=fam.dataset, fitted=fam.fitted)
         path = tmp_path / "family.json"
         save_family(str(path), fam)
         raw = json.loads(path.read_text())
@@ -88,7 +93,9 @@ class TestFitFamily:
         with pytest.raises(DimensionMismatch, match="finite"):
             load_family(str(path))
 
-    @pytest.mark.parametrize("mismatch", ["one agent short", "another shape"])
+    @pytest.mark.parametrize(
+        "mismatch", ["one agent short", "one agent more", "another shape"]
+    )
     def test_profile_that_does_not_match_the_dataset_is_rejected(
         self, family, tmp_path, mismatch
     ):
@@ -96,15 +103,20 @@ class TestFitFamily:
         utilities, costs = fam.fitted.utilities, fam.fitted.costs
         if mismatch == "one agent short":
             utilities, costs = utilities[:-1], costs[:-1]
+        elif mismatch == "one agent more":
+            utilities, costs = utilities + utilities[-1:], np.append(costs, costs[-1])
         else:
             utilities = tuple(u[:, :-1] for u in utilities)
         profile = UtilityProfile(utilities=utilities, costs=costs, margin=1.0)
         with pytest.raises(ProfileMismatch):
-            NoiseFamily(etas=fam.etas, dataset=dataset, fitted=profile, cost=fam.cost)
+            NoiseFamily(etas=fam.etas, dataset=dataset, fitted=profile)
         path = tmp_path / "family.json"
         save_family(str(path), fam)
         raw = json.loads(path.read_text())
-        raw["profile"] = profile_to_dict(dataset, profile)
+        raw["profile"]["agents"] = [
+            {"agent_id": f"a{k}", "utility": u.tolist(), "cost": float(c)}
+            for k, (u, c) in enumerate(zip(utilities, costs))
+        ]
         path.write_text(json.dumps(raw))
         with pytest.raises(ProfileMismatch):
             load_family(str(path))
@@ -150,13 +162,8 @@ def zero_cost_family():
     profile = UtilityProfile.from_certificate(
         d, [np.full((2, 2), 0.5)] * 2, np.array([0.5, 0.5])
     )
-    pieces = (
-        CostPiece(offset=0.0, anchor=d.choice(0), gradient=np.zeros((2, 2))),
-    )
-    cost = PiecewiseAffineCost(pieces=pieces, linearized=True)
-    return NoiseFamily(
-        etas=np.array([1.0, 1.1]), dataset=d, fitted=profile, cost=cost
-    )
+    # Constant utilities at equal costs: the envelope is flat on strategies.
+    return NoiseFamily(etas=np.array([1.0, 1.1]), dataset=d, fitted=profile)
 
 
 class TestPredictChoice:
@@ -172,7 +179,7 @@ class TestPredictChoice:
         # The value term is flat, so the optimizer must sit at the bottom of
         # the envelope, at or below every in-sample cost.
         floor = min(float(c) for c in fam.fitted.costs)
-        assert fam.cost.value(strategy) <= floor + 1e-9
+        assert linearized_cost(fam, strategy) <= floor + 1e-9
         assert np.allclose(strategy.sum(axis=1), 1.0, atol=1e-9)
 
     def test_objective_dominates_in_sample_strategies(self, family):
@@ -180,12 +187,12 @@ class TestPredictChoice:
         u_hat = interpolate_utility(fam, 1.23)
         strategy, _ = predict_choice(fam, u_hat, eta=1.23)
         mu = dataset.prior
-        achieved = float((mu[:, None] * u_hat * strategy).sum()) - fam.cost.value(
-            strategy
+        achieved = float((mu[:, None] * u_hat * strategy).sum()) - linearized_cost(
+            fam, strategy
         )
         for k in range(dataset.num_agents):
             p_k = dataset.choice(k)
-            alt = float((mu[:, None] * u_hat * p_k).sum()) - fam.cost.value(p_k)
+            alt = float((mu[:, None] * u_hat * p_k).sum()) - linearized_cost(fam, p_k)
             assert achieved >= alt - 1e-8
 
     def test_grid_query_reproduces_observed_behavior(self, family):
