@@ -346,10 +346,8 @@ class TestSynthPredict:
         assert "noise levels must be finite" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("miscount", ["one agent short", "one agent more"])
-    def test_family_whose_profile_miscounts_the_agents_exits_one(
-        self, tmp_path, capsys, miscount
-    ):
+    @staticmethod
+    def _predict_from_miscounted_family(tmp_path, capsys, miscount):
         data, family = tmp_path / "data.json", tmp_path / "family.json"
         run(
             "synth", "--agents", 3, "--states", 2, "--actions", 2, "--seed", 1,
@@ -362,10 +360,7 @@ class TestSynthPredict:
         assert code == 0
         raw = json.loads(family.read_text())
         agents = raw["profile"]["agents"]
-        if miscount == "one agent short":
-            agents.pop()
-        else:
-            agents.append(dict(agents[-1], agent_id="extra"))
+        miscount(agents)
         miscounted = tmp_path / "miscounted.json"
         miscounted.write_text(json.dumps(raw))
         out = tmp_path / "p.json"
@@ -374,6 +369,14 @@ class TestSynthPredict:
         assert f"error: the profile's {len(agents)} utilities do not match" in err
         assert "IndexError" not in err
         assert not out.exists()
+
+    def test_family_whose_profile_is_one_agent_short_exits_one(self, tmp_path, capsys):
+        self._predict_from_miscounted_family(tmp_path, capsys, lambda agents: agents.pop())
+
+    def test_family_whose_profile_is_one_agent_more_exits_one(self, tmp_path, capsys):
+        self._predict_from_miscounted_family(
+            tmp_path, capsys, lambda agents: agents.append(dict(agents[-1], agent_id="extra"))
+        )
 
     @pytest.mark.parametrize("flag", ["--dataset", "--etas", "--save-family"])
     def test_fit_flag_next_to_family_is_usage_error(
