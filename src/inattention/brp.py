@@ -461,13 +461,8 @@ def normalize_profile(profile: UtilityProfile) -> UtilityProfile:
     return profile.scaled(float(np.sqrt(profile.num_agents / total)))
 
 
-def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffineCost:
-    """Anchor one cost piece at each agent's strategy.
-
-    Evaluating the result at an in-sample strategy returns that agent's
-    fitted cost exactly, and each agent's strategy maximizes value minus
-    cost over all strategies (the envelope uses re-optimized actions).
-    """
+def _check_fits(d: DecisionDataset, prof: UtilityProfile) -> None:
+    """ProfileMismatch unless ``prof`` has one utility of ``d``'s shape per agent."""
     if prof.num_agents != d.num_agents:
         raise ProfileMismatch(
             f"profile has {prof.num_agents} agents, dataset {d.num_agents}"
@@ -475,6 +470,16 @@ def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffin
     for u in prof.utilities:
         if u.shape != (d.num_states, d.num_actions):
             raise ProfileMismatch("profile utilities do not match dataset shape")
+
+
+def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffineCost:
+    """Anchor one cost piece at each agent's strategy.
+
+    Evaluating the result at an in-sample strategy returns that agent's
+    fitted cost exactly, and each agent's strategy maximizes value minus
+    cost over all strategies (the envelope uses re-optimized actions).
+    """
+    _check_fits(d, prof)
     if strict_margin(d, prof.utilities, prof.costs) < -1e-7:
         raise ProfileMismatch(
             "profile violates the feasibility residuals; its cost is not defined"
@@ -490,6 +495,7 @@ def profile_to_dict(
     d: DecisionDataset, prof: UtilityProfile, report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> dict:
+    _check_fits(d, prof)
     out = {
         "model": "umri",
         "margin": prof.margin,

@@ -17,6 +17,7 @@ import csv
 import json
 import os
 import tempfile
+import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping, Sequence
 
@@ -335,19 +336,18 @@ def realized_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
 
 
 def ingest_softmax(
-    groups: Mapping[str, Sequence[tuple[str, int, Sequence[float]]]],
+    groups: Mapping[str, Sequence[tuple[str, int, Sequence[float]]] | np.ndarray],
     num_states: int | None = None,
     labels: Sequence[str] | None = None,
 ) -> DecisionDataset:
     """Aggregate per-image softmax outputs into a decision dataset.
 
     ``groups`` maps agent id to that agent's records over the shared test
-    set, each an ``(image_id, true_label, softmax)`` triple as
-    :func:`read_softmax_log` returns them: ``image_id`` names the record in
-    error messages, ``true_label`` is a nonnegative int below ``num_states``,
-    and ``softmax`` is a sequence of finite nonnegative floats, one per
-    action, that sums to 1 within ``ROW_SUM_TOLERANCE``.  This is where the
-    records are validated.
+    set, as :func:`read_softmax_log` returns them or as sequences of
+    ``(image_id, true_label, softmax)`` triples: ``image_id`` names the
+    record in errors, ``true_label`` is an integer in [0, ``num_states``),
+    and ``softmax`` holds finite nonnegative floats, one per action, summing
+    to 1 within ``ROW_SUM_TOLERANCE``.  This is where records are validated.
 
     The prior is the empirical label frequency; agent k's row x is the mean
     softmax over its records with true label x, summed in record order.  All
@@ -358,7 +358,7 @@ def ingest_softmax(
         raise RaggedAgents("no agent groups supplied")
     agent_ids = list(groups.keys())
     for agent_id in agent_ids:
-        if not groups[agent_id]:
+        if not len(groups[agent_id]):
             raise RaggedAgents(f"agent {agent_id!r} has no records")
 
     num_actions = np.size(groups[agent_ids[0]][0][2])
@@ -411,37 +411,45 @@ def ingest_softmax(
 
 
 def _stack_records(agent_id: str, records, num_actions: int):
-    """One agent's triples as (true labels, softmax rows) arrays, after
-    checking every record; an error names the first bad record."""
-    true_labels = np.array([label for _, label, _ in records])
+    """One agent's records, the reader's structured array or triples, as checked
+    (true labels, softmax rows) columns; an error names the first bad record."""
+    if isinstance(records, np.ndarray) and records.dtype.names:
+        image_ids, true_labels, softmax = (records[name] for name in records.dtype.names)
+    else:
+        image_ids, true_labels, softmax = zip(*records)
+        true_labels = np.array(true_labels)
     try:
-        probs = np.array([softmax for _, _, softmax in records], dtype=float)
+        probs = np.asarray(softmax, dtype=float)
     except ValueError:  # ragged rows: the loop below names the first
         probs = None
-    if probs is None or probs.shape != (len(records), num_actions):
-        for image_id, _, softmax in records:
-            if np.ndim(softmax) != 1:
+    if probs is None or probs.shape != (len(image_ids), num_actions):
+        for image_id, row in zip(image_ids, softmax):
+            if np.ndim(row) != 1:
                 raise DimensionMismatch(f"record {image_id!r}: softmax must be 1-D")
-            if len(softmax) != num_actions:
+            if len(row) != num_actions:
                 raise DimensionMismatch(
                     f"record {image_id!r} of agent {agent_id!r} has "
-                    f"{len(softmax)} softmax entries, expected {num_actions}"
+                    f"{len(row)} softmax entries, expected {num_actions}"
                 )
-        probs = np.array([softmax for _, _, softmax in records], dtype=float)
+        probs = np.asarray(softmax, dtype=float)
     sums = probs.sum(axis=1)
     invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE + 1e-12
-    negative = true_labels < 0
-    bad = np.flatnonzero(invalid | off | negative)
+    fractional = ~np.isfinite(true_labels) | (true_labels != np.round(true_labels))
+    bad = np.flatnonzero(invalid | off | fractional | (true_labels < 0))
     if bad.size:
         i = bad[0]
-        image_id = records[i][0]
+        image_id = image_ids[i]
         if invalid[i]:
             raise NotStochastic(f"record {image_id!r}: invalid softmax entries")
         if off[i]:
             raise NotStochastic(f"record {image_id!r}: softmax sums to {float(sums[i])!r}")
+        if fractional[i]:
+            raise DimensionMismatch(
+                f"record {image_id!r}: true label {true_labels[i]} is not an integer"
+            )
         raise DimensionMismatch(f"record {image_id!r}: negative true label")
-    return true_labels, probs
+    return true_labels.astype(np.int64, copy=False), probs
 
 
 # ---------------------------------------------------------------------------
@@ -515,17 +523,16 @@ def load_dataset(path: str) -> DecisionDataset:
     return read_json(path, validate_dataset)
 
 
-def read_softmax_log(path: str) -> dict[str, list[tuple[str, int, list[float]]]]:
+def read_softmax_log(path: str) -> dict[str, np.ndarray]:
     """Parse a softmax log CSV: agent_id,image_id,true_label,p0,...,p{A-1}.
 
-    Returns each agent's ``(image_id, true_label, softmax)`` triples in file
-    order, the input of :func:`ingest_softmax`, which validates them.
+    One ``np.loadtxt`` pass parses the body.  Returns each agent, in first-seen
+    order, with its ``(image_id, true_label, softmax)`` records in file order as
+    a structured array, the input of :func:`ingest_softmax`, which validates them.
     """
-    groups: dict[str, list[tuple[str, int, list[float]]]] = {}
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            header = next(csv.reader(fh), None)
             if header is None or len(header) < 4 or header[:3] != [
                 "agent_id",
                 "image_id",
@@ -535,16 +542,30 @@ def read_softmax_log(path: str) -> dict[str, list[tuple[str, int, list[float]]]]
                     f"{path}: expected header agent_id,image_id,true_label,p0,..."
                 )
             width = len(header) - 3
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != 3 + width:
-                    raise IoFailure(f"{path}:{lineno}: expected {3 + width} fields")
-                groups.setdefault(row[0], []).append(
-                    (row[1], int(row[2]), [float(v) for v in row[3:]])
-                )
+            record = [("image_id", object), ("true_label", "i8"), ("softmax", "f8", (width,))]
+            dtype = [("agent_id", object), ("record", record)]
+            try:
+                with warnings.catch_warnings():
+                    # A header-only log has no records.  numpy 1.23-1.26 parse
+                    # an integer field of 1.5 as 1 with a DeprecationWarning.
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    warnings.filterwarnings("error", category=DeprecationWarning)
+                    rows = np.loadtxt(
+                        fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                    )
+            except ValueError:
+                # loadtxt counts records, not lines: parse row by row up to the
+                # first defect, so its error names the line as csv.reader does.
+                fh.seek(0)
+                for lineno, row in enumerate(csv.reader(fh), start=1):
+                    if lineno > 1 and row:
+                        if len(row) != 3 + width:
+                            raise IoFailure(f"{path}:{lineno}: expected {3 + width} fields")
+                        int(row[2]), [float(v) for v in row[3:]]
+                raise
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc
     except ValueError as exc:
         raise IoFailure(f"{path}: malformed numeric field: {exc}") from exc
-    return groups
+    ids, first, group = np.unique(rows["agent_id"], return_index=True, return_inverse=True)
+    return {ids[g]: rows["record"][group == g] for g in np.argsort(first)}

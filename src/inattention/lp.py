@@ -35,7 +35,11 @@ differ only in how they choose a pivot.  The policy:
   offers a healthy one, the least-bad being taken when none does;
 - the programs here are massively degenerate, so after ``_BLAND_TRIGGER``
   pivots that leave the objective where it was, Bland's rule (lowest column
-  id, provably cycle-free) takes over until it moves;
+  id) takes over until it moves.  Its proof of finiteness holds only for
+  exact pivots on one unchanged tableau, and the bans on tiny pivots and
+  the rebuild every ``_REFACTOR_EVERY`` pivots void it: here Bland's rule
+  makes cycling unlikely, not impossible, and the iteration cap is the
+  backstop;
 - past the iteration cap the run raises.
 
 A rebuild and the rhs restore solve only the basis's r×r basic-structural

@@ -350,6 +350,7 @@ def solution_to_dict(
     d: DecisionDataset, sol: SharedUtilitySolution, report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> dict:
+    _check_solution(d, sol)
     out = {
         "model": "s-umri",
         "margin": sol.margin,

@@ -296,6 +296,21 @@ class TestProfileFiles:
         assert np.array_equal(again.costs, prof.costs)
         assert all(np.array_equal(a, b) for a, b in zip(again.utilities, prof.utilities))
 
+    @pytest.mark.parametrize("extra", [1, -1], ids=["one agent more", "one agent short"])
+    def test_profile_of_another_agent_count_is_rejected(self, tmp_path, extra):
+        d = generate_feasible_dataset(3, 2, 2, margin=0.01, seed=1).dataset
+        prof, report = brp_max_margin(d)
+        keep = [0, 1, 2, 2][: 3 + extra]
+        other = UtilityProfile(
+            utilities=tuple(prof.utilities[k] for k in keep),
+            costs=prof.costs[keep],
+            margin=prof.margin,
+        )
+        path = tmp_path / "profile.json"
+        with pytest.raises(ProfileMismatch, match=f"profile has {3 + extra} agents, dataset 3"):
+            save_profile(str(path), d, other, report)
+        assert not path.exists()
+
 
 def _row_draws():
     """Seeded random datasets (K = 2-4, X = A = 2-4) with random utilities,

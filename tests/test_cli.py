@@ -57,6 +57,7 @@ class TestIngest:
             "b,i1,1,0.4",  # wrong field count
             "b,i1,1,0.4,x",  # malformed number
             "b,i1,2,0.4,0.6",  # label outside --num-states
+            "b,i1,1.5,0.4,0.6",  # fractional label, not truncated to 1
         ],
     )
     def test_defective_log_is_domain_error(self, tmp_path, capsys, line):

@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -324,6 +326,7 @@ class TestIngest:
             (("i1", 1, [0.25, 0.5]), NotStochastic, "record 'i1': softmax sums to 0.75"),
             (("i1", -1, [0.2, 0.8]), DimensionMismatch, "record 'i1': negative true label"),
             (("i1", 2, [0.2, 0.8]), DimensionMismatch, "true label 2 outside declared 2 states"),
+            (("i1", 1.5, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1.5 is not"),
         ],
     )
     def test_defective_record_is_named(self, record, error, message):
@@ -334,35 +337,149 @@ class TestIngest:
 
     def test_rows_are_sums_in_file_order(self, tmp_path):
         """Bit for bit the mean of each class's rows added one by one in
-        file order, on a log big enough for summation order to show."""
+        file order, on logs big enough for summation order to show."""
         rng = np.random.default_rng(5)
-        true_labels = rng.integers(0, 3, size=600)
-        lines = ["agent_id,image_id,true_label,p0,p1,p2"]
-        for agent in ("a", "b"):
-            for i, label in enumerate(true_labels):
-                probs = ",".join(repr(float(p)) for p in rng.dirichlet(np.full(3, 0.3)))
-                lines.append(f"{agent},img{i},{label},{probs}")
+        for num_classes in (3, 10):
+            true_labels = rng.integers(0, num_classes, size=600)
+            columns = ",".join(f"p{a}" for a in range(num_classes))
+            lines = [f"agent_id,image_id,true_label,{columns}"]
+            for agent in ("a", "b"):
+                for i, label in enumerate(true_labels):
+                    probs = rng.dirichlet(np.full(num_classes, 0.3))
+                    lines.append(f"{agent},img{i},{label}," + ",".join(map(repr, probs.tolist())))
+            path = tmp_path / f"log{num_classes}.csv"
+            path.write_text("\n".join(lines) + "\n")
+
+            sums = {a: np.zeros((num_classes, num_classes)) for a in "ab"}
+            for agent, records in csv_reader_groups(path).items():
+                for _, label, probs in records:
+                    sums[agent][label] += np.array(probs)
+            counts = np.bincount(true_labels, minlength=num_classes)
+            reference = validate_dataset(
+                {
+                    "prior": counts / counts.sum(),
+                    "agents": [
+                        {"agent_id": a, "choice_prob": sums[a] / counts[:, None]}
+                        for a in "ab"
+                    ],
+                }
+            )
+
+            d = ingest_softmax(read_softmax_log(str(path)))
+            assert np.array_equal(d.prior, reference.prior)
+            for k in range(2):
+                assert np.array_equal(d.choice(k), reference.choice(k))
+
+
+def csv_reader_groups(path):
+    """A softmax log as ``csv.reader``, ``int()`` and ``float()`` read it:
+    each agent's (image_id, label, softmax) triples in file order."""
+    groups = {}
+    with open(path, newline="", encoding="utf-8") as fh:
+        for agent, image_id, label, *probs in filter(None, list(csv.reader(fh))[1:]):
+            groups.setdefault(agent, []).append((image_id, int(label), list(map(float, probs))))
+    return groups
+
+
+HEADER = "agent_id,image_id,true_label,p0,p1"
+
+
+class TestSoftmaxLogParse:
+    """``read_softmax_log`` gives what ``csv.reader`` with ``int()`` and
+    ``float()`` gives, and names the line of a misshapen row."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            '"q""r,s",img0,0,0.8,0.2\n"q""r,s",img1,1,0.3,0.7\nb,img0,0,0.7,0.3\nb,img1,1,0.4,0.6\n',
+            "\r\na,img0,0,0.8,0.2\r\n\r\na,img1,1,0.3,0.7\r\nb,img0,0,0.7,0.3\r\n"
+            "\r\n\r\nb,img1,1,0.4,0.6\r\n\r\n",
+            " a , img0 ,0, 0.8 ,0.2\n a , img1 , 1 ,0.3 , 0.7\nb,img0,0,0.7,0.3\nb,img1,1,0.4,0.6",
+        ],
+        ids=["quoted id", "crlf and blank lines", "padded fields"],
+    )
+    def test_parse_matches_csv_reader(self, tmp_path, body):
+        newline = "\r\n" if "\r\n" in body else "\n"
         path = tmp_path / "log.csv"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_bytes((HEADER + newline + body).encode())
+        want = csv_reader_groups(path)
+        groups = read_softmax_log(str(path))
+        assert list(groups) == list(want)
+        for agent, records in groups.items():
+            got = [(image_id, int(label), softmax.tolist()) for image_id, label, softmax in records]
+            assert got == want[agent]
+            probs = np.array([softmax for _, _, softmax in want[agent]])
+            assert records["softmax"].tobytes() == probs.tobytes()
+        assert ingest_softmax(groups).agent_ids == tuple(want)
 
-        sums = {"a": np.zeros((3, 3)), "b": np.zeros((3, 3))}
-        with open(path, newline="") as fh:
-            for agent, _, label, *probs in list(csv.reader(fh))[1:]:
-                sums[agent][int(label)] += np.array([float(p) for p in probs])
-        counts = np.bincount(true_labels, minlength=3)
-        reference = validate_dataset(
-            {
-                "prior": counts / counts.sum(),
-                "agents": [
-                    {"agent_id": a, "choice_prob": sums[a] / counts[:, None]} for a in "ab"
-                ],
-            }
-        )
+    def test_field_count_error_names_the_line_counting_blank_lines(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\na,i0,0,0.5,0.5\n\n\na,i1,1,0.5\nb,i0,0,0.5,0.5\n")
+        with pytest.raises(IoFailure, match=re.escape(f"{path}:5: expected 5 fields")):
+            read_softmax_log(str(path))
 
-        d = ingest_softmax(read_softmax_log(str(path)))
-        assert np.array_equal(d.prior, reference.prior)
-        for k in range(2):
-            assert np.array_equal(d.choice(k), reference.choice(k))
+    @pytest.mark.parametrize("row", ["a,i0,0,0.5,half", "a,i0,1.5,0.5,0.5", "a,i0,,0.5,0.5"])
+    def test_malformed_number_is_io_failure(self, tmp_path, row):
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\nb,i0,0,0.5,0.5\n{row}\n")
+        with pytest.raises(IoFailure, match="malformed numeric field"):
+            read_softmax_log(str(path))
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("a,i0,0,0.5,half\n\na,i1,1,0.5\n", "could not convert string to float: 'half'"),
+            ("a,i0,1.5,0.5,0.5\n\na,i1,1,0.5\n", "invalid literal for int() with base 10: '1.5'"),
+            ("a,i1,1,0.5\n\na,i0,0,0.5,half\n", "log.csv:2: expected 5 fields"),
+        ],
+        ids=["number first", "label first", "field count first"],
+    )
+    def test_first_defect_in_file_order_is_named(self, tmp_path, body, message):
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\n{body}")
+        with pytest.raises(IoFailure, match=re.escape(message)):
+            read_softmax_log(str(path))
+
+    @pytest.mark.parametrize("int_via_float", [False, True], ids=["this numpy", "numpy 1.23-1.26"])
+    def test_fractional_label_fails_under_default_warning_filters(
+        self, tmp_path, monkeypatch, int_via_float
+    ):
+        """numpy 1.23-1.26 parse an integer field of 1.5 as 1 after a
+        DeprecationWarning, which Python hides by default in library code."""
+        real_loadtxt = np.loadtxt
+
+        def int_via_float_loadtxt(fh, dtype, **kwargs):
+            text = fh.read()
+            try:
+                warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
+            except DeprecationWarning as exc:  # how loadtxt reports a failed field
+                raise ValueError("could not convert string '1.5' to int64") from exc
+            return real_loadtxt(io.StringIO(text.replace(",1.5,", ",1,")), dtype, **kwargs)
+
+        if int_via_float:
+            monkeypatch.setattr(np, "loadtxt", int_via_float_loadtxt)
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\na,i0,0,0.5,0.5\na,i1,1.5,0.5,0.5\n")
+        with warnings.catch_warnings():
+            warnings.resetwarnings()
+            warnings.simplefilter("ignore", DeprecationWarning)
+            with pytest.raises(IoFailure, match=re.escape("base 10: '1.5'")):
+                read_softmax_log(str(path))
+
+    def test_text_that_is_not_utf8_is_io_failure(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_bytes(f"{HEADER}\na,i0,0,0.5,0.5\n".encode() + b"\xff,i1,1,0.5,0.5\n")
+        with pytest.raises(IoFailure, match="log.csv"):
+            read_softmax_log(str(path))
+
+    @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["empty", "blank", "crlf"])
+    def test_header_only_log_has_no_agents(self, tmp_path, body):
+        path = tmp_path / "log.csv"
+        path.write_text(HEADER + "\n" + body, newline="")
+        groups = read_softmax_log(str(path))  # no loadtxt warning: warnings are errors
+        assert groups == {}
+        with pytest.raises(RaggedAgents, match="no agent groups"):
+            ingest_softmax(groups)
 
 
 class TestFiles:

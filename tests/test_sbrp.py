@@ -186,3 +186,13 @@ class TestSolutionFiles:
         assert np.array_equal(again.utility, sol.utility)
         assert np.array_equal(again.sensitivities, sol.sensitivities)
         assert again.margin == sol.margin
+
+    def test_solution_with_one_agent_more_is_rejected(self, tmp_path, d2):
+        sol, report = sbrp_max_margin(d2)
+        more = make_solution(
+            sol.utility, [*sol.sensitivities, 1.0], [*sol.costs, 0.0], sol.margin
+        )
+        path = tmp_path / "solution.json"
+        with pytest.raises(DimensionMismatch, match="solution covers 3 agents"):
+            save_solution(str(path), d2, more, report)
+        assert not path.exists()
