@@ -81,25 +81,25 @@ def cmd_ingest(args) -> int:
     return 0
 
 
-def _analyze(data, model: str, dataset_path: str):
+def _analyze(data, model: str, dataset_path: str) -> dict:
+    """The profile/solution payload ``test`` writes for ``model``."""
     meta = _solver_metadata(dataset=os.path.basename(dataset_path))
     if model == "umri":
         profile, report = brp.brp_max_margin(data)
-        return brp.profile_to_dict(data, profile, report, metadata=meta), report
+        return brp.profile_to_dict(data, profile, report, metadata=meta)
     solution, report = sbrp.sbrp_max_margin(data)
-    return sbrp.solution_to_dict(data, solution, report, metadata=meta), report
+    return sbrp.solution_to_dict(data, solution, report, metadata=meta)
 
 
 def cmd_test(args) -> int:
     _require_inputs(args.dataset)
-    data = ds.load_dataset(args.dataset)
-    payload, report = _analyze(data, args.model, args.dataset)
+    payload = _analyze(ds.load_dataset(args.dataset), args.model, args.dataset)
     ds.write_json(args.out, payload)
     log.info(
         "%s margin %.3e (degenerate=%s) -> %s",
         args.model,
-        report.epsilon_star,
-        report.degenerate,
+        payload["margin"],
+        payload["degenerate"],
         args.out,
     )
     return 0
@@ -111,17 +111,7 @@ def cmd_robustness(args) -> int:
     rows = []
     for path in args.datasets:
         data = ds.load_dataset(path)
-        for model in models:
-            _, report = _analyze(data, model, path)
-            rows.append(
-                [
-                    os.path.basename(path),
-                    model,
-                    float(report.epsilon_star),
-                    float(report.robustness),
-                    bool(report.degenerate),
-                ]
-            )
+        rows += [_profile_rows(_analyze(data, model, path), path)[0] for model in models]
     _write_csv(args.out, _ROBUSTNESS_COLUMNS, rows)
     return 0
 
@@ -137,25 +127,13 @@ def cmd_sparse(args) -> int:
     if args.model == "umri":
         profile = brp.brp_sparsest(data, args.margin_fraction)
         payload = brp.profile_to_dict(data, profile, metadata=meta)
-        tables = list(zip(data.agent_ids, profile.utilities))
     else:
         solution = sbrp.sbrp_sparsest(data, args.margin_fraction)
         payload = sbrp.solution_to_dict(data, solution, metadata=meta)
-        tables = [("shared", solution.utility)]
     ds.write_json(args.out, payload)
     if args.table:
-        _write_csv(args.table, _UTILITY_COLUMNS, _utility_rows(tables))
+        _write_csv(args.table, _UTILITY_COLUMNS, _profile_rows(payload, args.dataset)[1])
     return 0
-
-
-def _utility_rows(tables) -> list[list]:
-    """(agent_id, state, action, value) rows of (agent_id, utility) pairs."""
-    rows = []
-    for agent_id, utility in tables:
-        u = np.asarray(utility)
-        for x in range(u.shape[0]):
-            rows += [[agent_id, x, a, float(u[x, a])] for a in range(u.shape[1])]
-    return rows
 
 
 def _fitted_model(raw):
@@ -266,20 +244,30 @@ def cmd_predict(args) -> int:
 
 
 def _profile_rows(raw, path: str):
-    """(robustness row, utility rows, cost rows) of one profile/solution file."""
+    """(robustness row, utility rows, cost rows) of a profile/solution
+    payload, just fitted or read back from a file, which must read as
+    ``cost`` reads it.  The epsilon cell is eps* = max(margin, 0), as in
+    ``MarginReport.from_solution``; the payload's margin is the strict one."""
+    _fitted_model(raw)
     robustness = [
         raw.get("metadata", {}).get("dataset", os.path.basename(path)),
-        raw.get("model", "?"),
-        float(raw["margin"]),
+        raw["model"],
+        max(float(raw["margin"]), 0.0),
         float(raw["robustness"]) if raw.get("robustness") is not None else None,
-        bool(raw.get("degenerate", False)),
+        bool(raw["degenerate"]),
     ]
-    if raw.get("model") == "s-umri":
+    if raw["model"] == "s-umri":
         tables = [("shared", raw["utility"])]
     else:
         tables = [(agent["agent_id"], agent["utility"]) for agent in raw["agents"]]
+    utilities = [
+        [agent_id, x, a, float(v)]
+        for agent_id, utility in tables
+        for x, values in enumerate(utility)
+        for a, v in enumerate(values)
+    ]
     costs = [[agent["agent_id"], float(agent["cost"])] for agent in raw["agents"]]
-    return robustness, _utility_rows(tables), costs
+    return robustness, utilities, costs
 
 
 def _prediction_rows(raw) -> list[list]:
@@ -293,37 +281,24 @@ def _prediction_rows(raw) -> list[list]:
 def cmd_report(args) -> int:
     _require_inputs(*(args.profiles + args.predictions))
     os.makedirs(args.out_dir, exist_ok=True)
-    robustness_rows = []
-    utility_rows = []
-    cost_rows = []
-    for path in args.profiles:
-        robustness, utilities, costs = ds.read_json(
-            path, lambda raw: _profile_rows(raw, path)
-        )
-        robustness_rows.append(robustness)
-        utility_rows += utilities
-        cost_rows += costs
-    prediction_rows = []
-    for path in args.predictions:
-        prediction_rows += ds.read_json(path, _prediction_rows)
-    if robustness_rows:
-        _write_csv(
-            os.path.join(args.out_dir, "robustness.csv"),
-            _ROBUSTNESS_COLUMNS,
-            robustness_rows,
-        )
-        _write_csv(
-            os.path.join(args.out_dir, "sparse_utility.csv"),
-            _UTILITY_COLUMNS,
-            utility_rows,
-        )
-        _write_csv(os.path.join(args.out_dir, "cost_curve.csv"), _COST_COLUMNS, cost_rows)
-    if prediction_rows:
-        _write_csv(
-            os.path.join(args.out_dir, "predictions.csv"),
-            _PREDICTION_COLUMNS,
-            prediction_rows,
-        )
+    profiles = [
+        ds.read_json(path, lambda raw: _profile_rows(raw, path)) for path in args.profiles
+    ]
+    predictions = [
+        row for path in args.predictions for row in ds.read_json(path, _prediction_rows)
+    ]
+    tables = []
+    if profiles:
+        robustness, utilities, costs = zip(*profiles)
+        tables += [
+            ("robustness", _ROBUSTNESS_COLUMNS, list(robustness)),
+            ("sparse_utility", _UTILITY_COLUMNS, [r for rows in utilities for r in rows]),
+            ("cost_curve", _COST_COLUMNS, [r for rows in costs for r in rows]),
+        ]
+    if predictions:
+        tables.append(("predictions", _PREDICTION_COLUMNS, predictions))
+    for name, columns, rows in tables:
+        _write_csv(os.path.join(args.out_dir, f"{name}.csv"), columns, rows)
     return 0
 
 

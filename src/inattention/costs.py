@@ -9,6 +9,13 @@ a of the strategy is scored against the best gradient column, so the piece is
 still piecewise affine, and each agent's own strategy is optimal net of cost
 against *every* alternative strategy, not just convex combinations of the
 anchors.
+
+This is the rule of :meth:`PiecewiseAffineCost.value`.  The prediction
+program (``predict.predict_choice``) keeps each piece linear instead, scoring
+column a against gradient column a, the labelled action.  That envelope is
+never above this one and meets it at the anchors of a fit whose labelled
+actions are best responses, but between anchors it can be lower, so a
+predicted strategy is chosen against a cost below the one ``value`` reports.
 """
 
 from __future__ import annotations

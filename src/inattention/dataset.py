@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import os
 import tempfile
 import warnings
@@ -415,9 +416,15 @@ def _stack_records(agent_id: str, records, num_actions: int):
     (true labels, softmax rows) columns; an error names the first bad record."""
     if isinstance(records, np.ndarray) and records.dtype.names:
         image_ids, true_labels, softmax = (records[name] for name in records.dtype.names)
+        labels = true_labels
     else:
-        image_ids, true_labels, softmax = zip(*records)
-        true_labels = np.array(true_labels)
+        image_ids, labels, softmax = zip(*records)
+        # A label that is no real number, or too large for a float to hold
+        # exactly, reads as NaN, which the integrality check below names.
+        true_labels = np.array(
+            [v if isinstance(v, numbers.Real) and abs(v) < 2**53 else np.nan for v in labels],
+            dtype=float,
+        )
     try:
         probs = np.asarray(softmax, dtype=float)
     except ValueError:  # ragged rows: the loop below names the first
@@ -446,7 +453,7 @@ def _stack_records(agent_id: str, records, num_actions: int):
             raise NotStochastic(f"record {image_id!r}: softmax sums to {float(sums[i])!r}")
         if fractional[i]:
             raise DimensionMismatch(
-                f"record {image_id!r}: true label {true_labels[i]} is not an integer"
+                f"record {image_id!r}: true label {labels[i]!r} is not a class index"
             )
         raise DimensionMismatch(f"record {image_id!r}: negative true label")
     return true_labels.astype(np.int64, copy=False), probs

@@ -8,7 +8,9 @@ profile, read directly from it.  The choice is a single LP once the value
 term scores each observation with its labelled action.  That surrogate is
 exact when every labelled action is a best response to its posterior; the LP
 holds the best-response rows that make it so, and a certificate re-checks it
-after the fact.
+after the fact.  The cost pieces are scored with the labelled action too, so
+the envelope the LP optimizes meets ``PiecewiseAffineCost.value`` (scored
+with the best response) at the anchors and can lie below it between them.
 """
 
 from __future__ import annotations
@@ -170,16 +172,19 @@ def predict_choice(
     """Strategy maximizing interpolated value minus the fitted cost envelope.
 
     Variables are the choice probabilities plus the envelope's epigraph
-    scalar.  Best-response rows (linear in the strategy at the fixed
-    ``interpolated`` utility) keep every action the strategy takes a best
-    response to its posterior, so the strategy is NIAS-consistent by
-    construction and the labelled-action value surrogate is exact.  The
-    optimum is often a face rather than a point (exactly at grid etas the
-    whole piece-dominance region ties), so when ``eta`` is given, a second
-    stage picks the optimal strategy closest (entrywise L1) to the
-    noise-interpolated in-sample strategy, within the same rows, which keeps
-    grid queries pinned to the observed behavior.  The returned flag is the
-    independent re-check of NIAS consistency on the returned strategy.
+    scalar.  Each epigraph row scores its piece with the labelled action, so
+    the envelope optimized here equals ``PiecewiseAffineCost.value`` at the
+    anchors and can lie below it elsewhere.  Best-response rows (linear in
+    the strategy at the fixed ``interpolated`` utility) keep every action
+    the strategy takes a best response to its posterior, so the strategy is
+    NIAS-consistent by construction and the labelled-action value surrogate
+    is exact.  The optimum is often a face rather than a point (exactly at
+    grid etas the whole piece-dominance region ties), so when ``eta`` is
+    given, a second stage picks the optimal strategy closest (entrywise L1)
+    to the noise-interpolated in-sample strategy, within the same rows,
+    which keeps grid queries pinned to the observed behavior.  The returned
+    flag is the independent re-check of NIAS consistency on the returned
+    strategy.
     """
     u_hat = np.asarray(interpolated, dtype=float)
     X, A = f.dataset.num_states, f.dataset.num_actions

@@ -215,6 +215,15 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
     garbled agent is exactly indifferent, so degrading a best-responding
     strategy toward noise never flips a best response; without it, deep
     garbling always breaks some action's optimality.
+
+    It also means that, under the generators' uniform prior, with more
+    actions than states and at most six states, an action a >= X is never a
+    posterior's strict best response, and argmax ties go to the diagonal
+    columns.  At a posterior mu + d, such a column gains at most 0.03 |d|_1
+    over its prior value (its entries differ by under 0.06), while the
+    diagonal column of the state with the largest d_x gains at least
+    0.63 max(d) - 0.03 |d|_1 (diagonal at least 0.85, balancing shift at
+    most 0.2), and max(d) >= |d|_1 / (2 (X - 1)).
     """
     u = rng.uniform(0.02, 0.08, size=(num_states, num_actions))
     for x in range(min(num_states, num_actions)):
@@ -223,8 +232,8 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
     target = float(col.max()) + 0.02
     for a in range(num_actions):
         off = np.array([x != a for x in range(num_states)], dtype=bool)
-        mass = float(prior[off].sum())
-        u[off, a] += (target - col[a]) / mass
+        if off.any():  # a lone state's own column has nothing to balance
+            u[off, a] += (target - col[a]) / float(prior[off].sum())
     if np.any(u <= 0.0) or np.any(u > 1.0):
         return None
     return u
@@ -237,6 +246,13 @@ def _check_request(num_agents: int, num_states: int, num_actions: int, seed: int
         raise DimensionMismatch("need at least one agent")
     if num_states < 1 or num_actions < 1:
         raise DimensionMismatch("need at least one state and one action")
+    # Every action must be the best response to some posterior; see
+    # _sample_base_utility for why that fails with more actions than states.
+    if num_states < num_actions and num_states <= 6:
+        raise DimensionMismatch(
+            f"{num_actions} actions cannot all be best responses over "
+            f"{num_states} states"
+        )
     if seed < 0:
         raise DimensionMismatch("seed must be nonnegative")
 
@@ -261,9 +277,15 @@ def generate_feasible_dataset(
     of :func:`assign_costs` exactly the slack the margin demands.  Draws
     failing any of the verified gap, range, or potential checks are
     rejected and resampled.  With ``margin`` zero a constant-utility
-    fallback makes failure impossible.
+    fallback takes over once a draw passes the best-response and
+    information-value checks.  A shape no draw passes raises
+    :class:`DimensionMismatch`: a single action (no information value), or
+    more actions than states at up to six states (see
+    :func:`_check_request`).
     """
     _check_request(num_agents, num_states, num_actions, seed)
+    if num_actions < 2:
+        raise DimensionMismatch("one action carries no information value")
     if not (np.isfinite(margin) and margin >= 0):
         raise DimensionMismatch("margin must be finite and nonnegative")
     rng = np.random.default_rng(seed)

@@ -133,6 +133,24 @@ class TestRobustness:
         assert lines[0] == "dataset,model,epsilon,robustness,degenerate"
         assert len(lines) == 3
 
+    def test_table_equals_the_report_of_the_test_outputs(self, tmp_path):
+        d = tmp_path / "d.json"
+        assert run(
+            "synth", "--agents", 3, "--states", 2, "--actions", 2, "--seed", 1,
+            "--out", tmp_path / "gt.json", "--dataset-out", d,
+        ) == 0
+        profiles = [tmp_path / "umri.json", tmp_path / "s-umri.json"]
+        for path in profiles:
+            assert run("test", "--dataset", d, "--model", path.stem, "--out", path) == 0
+        # The degenerate s-UMRI fit's strict margin is a rounding error
+        # below zero; its epsilon cell reads eps* = 0.0 in both tables.
+        assert json.loads(profiles[1].read_text())["margin"] < 0
+        rob = tmp_path / "rob.csv"
+        assert run("robustness", "--datasets", d, "--model", "both", "--out", rob) == 0
+        assert run("report", "--profiles", *profiles, "--out-dir", tmp_path / "r") == 0
+        assert rob.read_bytes() == (tmp_path / "r" / "robustness.csv").read_bytes()
+        assert rob.read_text().splitlines()[2].split(",")[2] == "0.0"
+
 
 class TestSparseAndCost:
     def test_sparse_table_shape(self, tmp_path, dataset_file):
@@ -494,10 +512,18 @@ def _no_fit(*args, **kwargs):
     raise AssertionError("a fit ran before the arguments were checked")
 
 
-# A file that is not JSON, and a profile whose "agents" key is missing.
+# A file that is not JSON, a profile whose "agents" key is missing, and a
+# table-ready profile whose "model" is missing or neither "umri" nor "s-umri".
+_TABLE_READY = {
+    "margin": 0.1,
+    "degenerate": False,
+    "agents": [{"agent_id": "a", "utility": [[0.5, 0.1], [0.1, 0.5]], "cost": 0.1}],
+}
 BAD_PROFILES = {
     "malformed": '{"model": "umri", "margin": ',
     "missing_key": '{"model": "umri", "margin": 0.1, "degenerate": false}',
+    "no_model": json.dumps(_TABLE_READY),
+    "unknown_model": json.dumps({"model": "xyz", **_TABLE_READY}),
 }
 
 
@@ -515,11 +541,15 @@ class TestUnreadableProfile:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("kind", sorted(BAD_PROFILES))
-    def test_report(self, tmp_path, capsys, kind):
+    def test_report(self, tmp_path, dataset_file, capsys, kind):
+        """``report`` rejects what ``cost`` rejects, with the same message."""
         bad = tmp_path / "bad.json"
         bad.write_text(BAD_PROFILES[kind])
+        run("cost", "--profile", bad, "--dataset", dataset_file, "--out", tmp_path / "c.csv")
+        cost_err = capsys.readouterr().err
         assert run("report", "--profiles", bad, "--out-dir", tmp_path / "r") == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == cost_err
+        assert not (tmp_path / "r" / "robustness.csv").exists()
 
 
 class TestReport:

@@ -327,6 +327,9 @@ class TestIngest:
             (("i1", -1, [0.2, 0.8]), DimensionMismatch, "record 'i1': negative true label"),
             (("i1", 2, [0.2, 0.8]), DimensionMismatch, "true label 2 outside declared 2 states"),
             (("i1", 1.5, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1.5 is not"),
+            (("i1", "x", [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 'x' is not"),
+            (("i1", None, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label None is not"),
+            (("i1", 1e300, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1e+300 is not"),
         ],
     )
     def test_defective_record_is_named(self, record, error, message):

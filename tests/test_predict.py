@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inattention import predict as predict_module
-from inattention.brp import UtilityProfile
+from inattention.brp import UtilityProfile, reconstruct_cost
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -194,6 +194,22 @@ class TestPredictChoice:
             p_k = dataset.choice(k)
             alt = float((mu[:, None] * u_hat * p_k).sum()) - linearized_cost(fam, p_k)
             assert achieved >= alt - 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_program_envelope_never_exceeds_the_cost_envelope(self, seed):
+        # Each epigraph row scores its piece with the labelled action; the
+        # cost envelope's value scores with the best response, which is never
+        # lower.  At the anchors the fitted actions are best responses, so
+        # the two agree there.
+        etas, dataset, _ = make_noise_family(seed=seed, num_classes=4)
+        fam = fit_family(dataset, etas)
+        cost = reconstruct_cost(dataset, fam.fitted)
+        for k in range(dataset.num_agents):
+            p_k = dataset.choice(k)
+            assert abs(cost.value(p_k) - linearized_cost(fam, p_k)) <= 1e-12
+        for eta in etas[:-1]:
+            strategy = predict_at(fam, round(eta + 0.025, 3)).predicted_choice
+            assert linearized_cost(fam, strategy) <= cost.value(strategy) + 1e-12
 
     def test_grid_query_reproduces_observed_behavior(self, family):
         fam, dataset, _ = family

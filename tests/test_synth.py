@@ -108,7 +108,12 @@ class TestGeneratorRequests:
         assert margin >= gt.construction_margin - 1e-9
 
     @pytest.mark.parametrize(
-        "shape, seed", [((2, 0, 3), 1), ((2, 3, 0), 1), ((2, 3, 3), -5)]
+        "shape, seed",
+        [
+            ((2, 0, 3), 1), ((2, 3, 0), 1), ((2, 3, 3), -5),
+            # More actions than states: they cannot all be best responses.
+            ((2, 2, 4), 0), ((3, 2, 4), 1), ((2, 1, 3), 0), ((2, 6, 7), 0),
+        ],
     )
     def test_a_shape_or_seed_it_cannot_draw_is_rejected(self, generate, shape, seed):
         with pytest.raises(DimensionMismatch):
@@ -119,6 +124,15 @@ class TestGeneratorRequests:
 def test_a_non_finite_margin_is_rejected(margin):
     with pytest.raises(DimensionMismatch):
         generate_feasible_dataset(2, 3, 3, margin, seed=1)
+
+
+@pytest.mark.parametrize("states", [1, 3])
+def test_one_action_is_rejected_by_the_feasible_generator_only(states):
+    # One action has no information value, so no feasible draw passes; the
+    # boundary generator needs none and still draws the shape.
+    with pytest.raises(DimensionMismatch):
+        generate_feasible_dataset(2, states, 1, 0.0, seed=0)
+    assert generate_boundary_dataset(2, states, 1, seed=0).dataset.num_actions == 1
 
 
 class TestBoundaryGenerator:
