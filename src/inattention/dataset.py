@@ -366,7 +366,9 @@ def ingest_softmax(
     stacked = [
         _stack_records(agent_id, groups[agent_id], num_actions) for agent_id in agent_ids
     ]
-    max_label = max(int(true_labels.max()) for true_labels, _ in stacked)
+    # Counts run over the labels present, so one huge label sizes nothing.
+    present = np.unique(np.concatenate([true_labels for true_labels, _ in stacked]))
+    max_label = int(present[-1])
     if num_states is None:
         num_states = max_label + 1
     elif max_label >= num_states:
@@ -374,19 +376,27 @@ def ingest_softmax(
             f"true label {max_label} outside declared {num_states} states"
         )
 
-    counts = [np.bincount(true_labels, minlength=num_states) for true_labels, _ in stacked]
+    counts = [
+        np.bincount(np.searchsorted(present, true_labels), minlength=present.size)
+        for true_labels, _ in stacked
+    ]
     reference = counts[0]
     for agent_id, count in zip(agent_ids[1:], counts[1:]):
         if not np.array_equal(count, reference):
+            i = int(np.flatnonzero(count != reference)[0])
             raise RaggedAgents(
-                f"agent {agent_id!r} saw per-class counts {count.tolist()} "
-                f"but agent {agent_ids[0]!r} saw {reference.tolist()}; "
+                f"agent {agent_id!r} saw {count[i]} records of class {present[i]} "
+                f"but agent {agent_ids[0]!r} saw {reference[i]}; "
                 "all agents must share the test set"
             )
-    empty = np.flatnonzero(reference == 0)
-    if empty.size:
+    if present.size < num_states:
+        # The first present.size + 10 classes hold the first ten empty ones.
+        empty = np.ones(min(num_states, present.size + 10), dtype=bool)
+        empty[present[present < empty.size]] = False
         raise EmptyClass(
-            f"classes {empty.tolist()} have no records; their prior mass is undefined"
+            f"{num_states - present.size} of {num_states} classes have no records "
+            f"(the first: {np.flatnonzero(empty)[:10].tolist()}); "
+            "their prior mass is undefined"
         )
 
     total = int(reference.sum())

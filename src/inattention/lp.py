@@ -2,8 +2,12 @@
 
 Maximizes ``c @ z`` subject to ``A z <= b`` and finite per-variable boxes.
 Every feasibility, margin, and sparsity computation in the package runs
-through this engine, so the priorities are correctness and determinism at
-desk scale, not raw speed.  Identical inputs produce bit-identical solutions.
+through this engine, so the priorities are correctness and determinism:
+identical inputs produce bit-identical solutions.  At desk scale (tens to a
+few hundred rows) a pivot costs its numpy calls, not its arithmetic, so the
+hot loop makes few of them: ndarray methods (``.nonzero()``, ``.argmin()``)
+and direct ufunc reductions (``np.maximum.reduce``) in place of the Python
+wrappers behind ``np.flatnonzero``, ``np.argmin`` and ``ndarray.max``.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import copy
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -73,6 +78,8 @@ _BLAND_TRIGGER = 40
 _REFACTOR_EVERY = 40
 _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
+
+_largest, _smallest = np.maximum.reduce, np.minimum.reduce  # module docstring
 
 
 class LpStatus(enum.Enum):
@@ -103,11 +110,11 @@ class LinearProgram:
         n = self.objective.shape[0]
         if self.lower.shape != (n,) or self.upper.shape != (n,):
             raise ValueError("objective and bounds must have the same length")
-        if not np.all(np.isfinite(self.objective)):
+        if not np.isfinite(self.objective).all():
             raise ValueError("objective coefficients must be finite")
-        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("all variable bounds must be finite")
-        if np.any(self.lower > self.upper):
+        if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
         self.a = _frozen(np.zeros((0, n)))
         self.b = _frozen(np.zeros(0))
@@ -131,7 +138,7 @@ class LinearProgram:
             bound = np.full(block.shape[0], bound)
         elif bound.shape != block.shape[:1]:
             raise ValueError("need one rhs per row")
-        if not (np.all(np.isfinite(block)) and np.all(np.isfinite(bound))):
+        if not (np.isfinite(block).all() and np.isfinite(bound).all()):
             raise ValueError("row coefficients and rhs must be finite")
         block += 0.0
         return block, bound
@@ -226,7 +233,7 @@ class _Simplex:
     and ``movable`` (a box of positive width) of each nonbasic position and
     ``lo_b``/``hi_b`` of each basic one current."""
 
-    def __init__(self, lp: LinearProgram):
+    def __init__(self, lp: LinearProgram, start: LpBasis | None = None):
         self.m = lp.num_rows
         self.n = lp.num_vars
         n, m = self.n, self.m
@@ -234,13 +241,7 @@ class _Simplex:
         self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
         self.a = lp.a
         self.obj = np.concatenate([lp.objective, np.zeros(m)])
-        # The canonical deterministic start: slacks basic, the rest at lower.
         self.status = np.zeros(n + m, dtype=np.int8)
-        self.x = self.lo.copy()
-        self.basis = np.arange(n, n + m)
-        self.nonbasic = np.arange(n)
-        self.tableau = lp.a.copy()  # B^{-1} N, B = I and N = A
-        self._index_positions()
         # Deterministic right-hand-side perturbation: the margin programs
         # here are massively primal-degenerate (whole residual families tie
         # at zero), and unperturbed pivoting crawls through the tie plateaus.
@@ -249,7 +250,14 @@ class _Simplex:
         # not involve the rhs.
         self.b_true = lp.b
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
-        self.x[self.basis] = self.b - lp.a @ self.x[:n]
+        self.start = start  # an earlier optimum's basis for run() to take over
+        if start is None:  # the canonical start: slacks basic, the rest at lower
+            self.x = self.lo.copy()
+            self.basis = np.arange(n, n + m)
+            self.nonbasic = np.arange(n)
+            self.tableau = lp.a.copy()  # B^{-1} N, B = I and N = A
+            self._index_positions()
+            self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
         self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
@@ -273,7 +281,9 @@ class _Simplex:
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
-        self.nonbasic = np.setdiff1d(np.arange(n + self.m), self.basis)
+        nonbasic = np.ones(n + self.m, dtype=bool)
+        nonbasic[self.basis] = False
+        self.nonbasic = nonbasic.nonzero()[0]
         self.status[: n + m0] = start.status
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self._index_positions()
@@ -283,19 +293,19 @@ class _Simplex:
 
     # -- passes -------------------------------------------------------------
 
-    def run(self, start: LpBasis | None = None) -> LpStatus:
+    def run(self) -> LpStatus:
         """Optimal or infeasible, else raises NumericalFailure; the passes
-        are the module docstring's."""
-        if start is None:
+        are the module docstring's, from the engine's ``start``."""
+        if self.start is None:
             feasible = self._dual(np.minimum(self.obj, 0.0))
         else:
-            self.warm_start(start)
+            self.warm_start(self.start)
             feasible = self._dual(self.obj)
         if not feasible:
             return LpStatus.INFEASIBLE
         self._optimize()
-        self.b = self.b_true  # the tableau, rebuilt by the primal pass, stays
-        self.x[self.basis] = self._basis_solve(self._nonbasic_rhs()[:, None])[:, 0]
+        self.b = self.b_true
+        self._basis_solve()  # the tableau, rebuilt by the primal pass, stays
         if not self._dual(self.obj):
             # Feasible only under the perturbation: the true program is not.
             return LpStatus.INFEASIBLE
@@ -331,7 +341,7 @@ class _Simplex:
                 if row is not None:  # tiny (module docstring): maybe a zero
                     alpha = np.abs(self.tableau[row])
                     size = float(alpha[k])
-                    tiny = size < _SAFE_PIVOT * max(1.0, float(alpha.max()))
+                    tiny = size < _SAFE_PIVOT * max(1.0, float(_largest(alpha)))
             # A proof of infeasibility stands over a tiny pivot set aside.
             if choice is True and fallback is not None:
                 choice = fallback[1]
@@ -388,25 +398,27 @@ class _Simplex:
             excess = np.maximum(self.lo_b - values, values - self.hi_b)
             if banned is not None:
                 excess[banned[self.basis]] = 0.0
-            violated = np.flatnonzero(excess > _FEAS_TOL)
-            if violated.size == 0:
+            row = int(excess.argmax()) if self.m else -1
+            if row < 0 or excess[row] <= _FEAS_TOL:
                 return True
-            row = violated[self.basis[violated].argmin()] if bland else excess.argmax()
-            row, upper = int(row), bool(values[row] > self.hi_b[row])
+            if bland:
+                violated = (excess > _FEAS_TOL).nonzero()[0]
+                row = int(violated[self.basis[violated].argmin()])
+            upper = bool(values[row] > self.hi_b[row])
             alpha = self.tableau[row]
             moves = self.direction * alpha
             toward = moves > _PIVOT_TOL if upper else moves < -_PIVOT_TOL
-            idx = np.flatnonzero(self.movable & toward)
+            idx = (self.movable & toward).nonzero()[0]
             if idx.size == 0:
                 return False
             ratios = np.maximum(-self.direction[idx] * reduced[idx], 0.0)
             ratios /= np.abs(alpha[idx])
-            least = float(ratios.min())
+            least = float(_smallest(ratios))
             ties = idx[ratios <= least + 1e-12 * (1.0 + least)]
-            if not bland:
+            if ties.size > 1 and not bland:
                 magnitudes = np.abs(alpha[ties])
-                ties = ties[magnitudes == magnitudes.max()]
-            k = int(ties[np.argmin(self.nonbasic[ties])])
+                ties = ties[magnitudes == _largest(magnitudes)]
+            k = int(ties[self.nonbasic[ties].argmin()] if ties.size > 1 else ties[0])
             bound = self.hi_b[row] if upper else self.lo_b[row]
             return k, row, (values[row] - bound) / moves[k], upper
 
@@ -427,29 +439,40 @@ class _Simplex:
 
     def _nonbasic_rhs(self) -> np.ndarray:
         """b less the nonbasic columns at their values: B times x_B."""
-        nonbasic_x = np.zeros(self.n + self.m)
-        nonbasic_x[self.nonbasic] = self.x[self.nonbasic]
+        nonbasic_x = self.x.copy()
+        nonbasic_x[self.basis] = 0.0
         return self.b - self.a @ nonbasic_x[: self.n] - nonbasic_x[self.n :]
 
-    def _basis_solve(self, columns: np.ndarray) -> np.ndarray:
-        """B⁻¹ ``columns`` through the r×r block A[R, S], R the rows whose
-        slack is nonbasic and S the basic structurals: basic slacks being unit
-        columns, S's rows are Z = A[R, S]⁻¹ columns[R] and row i's basic
-        slack's is columns[i] − A[i, S] Z.  A singular basis can only come
-        from rounding and raises NumericalFailure."""
+    def _basis_solve(self, tableau: bool = False) -> None:
+        """Set the basic values, and with ``tableau`` the tableau, to B⁻¹C,
+        C = [N | b − N x_N], through the r×r block A[R, S], R the rows whose
+        slack is nonbasic and S the basic structurals: basic slacks being
+        unit columns, S's rows are Z = A[R, S]⁻¹ C[R] and row i's basic
+        slack's is C[i] − A[i, S] Z, each block gathering only its own rows.
+        A singular basis can only come from rounding and raises
+        NumericalFailure."""
         n = self.n
         slack = self.basis >= n
-        rows_l = self.basis[slack] - n
-        rows_r = np.sort(self.nonbasic[self.nonbasic >= n]) - n
-        a_s = self.a[:, self.basis[~slack]]
+        at = (self.nonbasic >= n).nonzero()[0]
+        at = at[self.nonbasic[at].argsort()]  # R ascending
+        # [A | 0 | rhs]: a nonbasic slack takes the 0 column, and its 1 in R.
+        rhs = self._nonbasic_rhs()[:, None]
+        extended = np.concatenate([self.a, np.zeros((self.m, 1)), rhs], axis=1)
+        top, rest = extended[self.nonbasic[at] - n], extended[self.basis[slack] - n]
+        picked = np.append(np.minimum(self.nonbasic, n), n + 1) if tableau else [n + 1]
+        columns, basic = top[:, picked], self.basis[~slack]
+        if tableau:
+            columns[np.arange(at.size), at] = 1.0
         try:
-            z = np.linalg.solve(a_s[rows_r], columns[rows_r])
+            z = np.linalg.solve(top[:, basic], columns)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("the simplex basis became singular") from exc
-        solved = np.empty_like(columns)
-        solved[~slack] = z
-        solved[slack] = columns[rows_l] - a_s[rows_l] @ z
-        return solved
+        solved = rest[:, picked]  # the basic slacks' rows
+        solved -= rest[:, basic] @ z
+        self.x[self.basis[~slack]], self.x[self.basis[slack]] = z[:, -1], solved[:, -1]
+        if tableau:
+            self.tableau = np.empty((self.m, n))
+            self.tableau[~slack], self.tableau[slack] = z[:, :-1], solved[:, :-1]
 
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the basis: one
@@ -457,20 +480,12 @@ class _Simplex:
         column) and the rhs.  Rank-one updates drift; long degenerate runs
         gather enough error to flip reduced-cost signs."""
         self.refactorizations += 1
-        n, m = self.n, self.m
-        structural = self.nonbasic < n
-        columns = np.zeros((m, n + 1))
-        columns[:, np.flatnonzero(structural)] = self.a[:, self.nonbasic[structural]]
-        columns[self.nonbasic[~structural] - n, np.flatnonzero(~structural)] = 1.0
-        columns[:, n] = self._nonbasic_rhs()
-        solved = self._basis_solve(columns)
-        self.tableau[:] = solved[:, :n]
-        self.x[self.basis] = solved[:, n]
+        self._basis_solve(tableau=True)
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs of the nonbasic positions."""
         cb = cost[self.basis]
-        if not np.any(cb):
+        if not cb.any():
             return cost[self.nonbasic]
         return cost[self.nonbasic] - cb @ self.tableau
 
@@ -478,13 +493,13 @@ class _Simplex:
         improving = self.movable & (self.direction * reduced > _COST_TOL)
         if banned is not None:
             improving &= ~banned[self.nonbasic]
-        idx = np.flatnonzero(improving)
-        if idx.size == 0:
-            return None
+        idx = improving.nonzero()[0]
+        if idx.size <= 1:
+            return int(idx[0]) if idx.size else None
         if not bland:
             gains = np.abs(reduced[idx])
-            idx = idx[gains == gains.max()]
-        return int(idx[np.argmin(self.nonbasic[idx])])
+            idx = idx[gains == _largest(gains)]
+        return int(idx[self.nonbasic[idx].argmin()])
 
     def _ratio_test(self, k: int) -> tuple[int | None, float, bool]:
         """(row, step, upper) of the column entering from nonbasic position
@@ -492,25 +507,26 @@ class _Simplex:
         bound first.  Every variable is boxed, so a step without limit can
         only come from rounding and raises NumericalFailure."""
         d = self.direction[k] * self.tableau[:, k]
-        values, lo_b, hi_b = self.x[self.basis], self.lo_b, self.hi_b
+        values = self.x[self.basis]
+        # A step toward an infinite upper bound divides to inf: no limit.
         steps = np.full(self.m, np.inf)
-        down, up = d > _PIVOT_TOL, (d < -_PIVOT_TOL) & np.isfinite(hi_b)
-        steps[down] = (values[down] - lo_b[down]) / d[down]
-        steps[up] = (hi_b[up] - values[up]) / -d[up]
-        steps = np.maximum(steps, 0.0)
-        row_step = float(steps.min(initial=np.inf))
-        flip_step = self.hi[self.nonbasic[k]] - self.lo[self.nonbasic[k]]
-        if not np.isfinite(row_step) and not np.isfinite(flip_step):
+        np.divide(values - self.lo_b, d, out=steps, where=d > _PIVOT_TOL)
+        np.divide(self.hi_b - values, -d, out=steps, where=d < -_PIVOT_TOL)
+        np.maximum(steps, 0.0, out=steps)
+        row_step = float(_smallest(steps, initial=np.inf))
+        flip_step = float(self.hi[self.nonbasic[k]] - self.lo[self.nonbasic[k]])
+        if not math.isfinite(row_step) and not math.isfinite(flip_step):
             raise NumericalFailure("an improving direction has no limit")
         if flip_step <= row_step:
-            return None, float(flip_step), False
-        ties = np.flatnonzero(steps <= row_step + 1e-12 * (1.0 + row_step))
-        # Degenerate vertices produce large tie sets; pivoting on a tiny
-        # element there wrecks the tableau, so stability comes first: take
-        # the largest pivot magnitude, then the lowest basic column id.
-        magnitudes = np.abs(d[ties])
-        stable = ties[magnitudes >= 0.5 * float(magnitudes.max())]
-        row = int(stable[int(np.argmin(self.basis[stable]))])
+            return None, flip_step, False
+        ties = (steps <= row_step + 1e-12 * (1.0 + row_step)).nonzero()[0]
+        if ties.size > 1:
+            # Degenerate vertices produce large tie sets; pivoting on a tiny
+            # element there wrecks the tableau, so stability comes first: take
+            # the largest pivot magnitude, then the lowest basic column id.
+            magnitudes = np.abs(d[ties])
+            ties = ties[magnitudes >= 0.5 * float(_largest(magnitudes))]
+        row = int(ties[self.basis[ties].argmin()] if ties.size > 1 else ties[0])
         return row, row_step, bool(d[row] < 0)
 
     def _apply_step(self, k: int, step: float, row: int | None, upper: bool) -> None:
@@ -541,7 +557,7 @@ class _Simplex:
         # Position k takes the leaving column: e_row pushed through the pivot.
         self.tableau[row] /= piv
         column[row] = 0.0
-        self.tableau -= np.outer(column, self.tableau[row])
+        self.tableau -= column[:, None] * self.tableau[row]
         self.tableau[:, k] = column / -piv
         self.tableau[row, k] = 1.0 / piv
 
@@ -583,9 +599,9 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     basis = None if start is None else _warm_basis(lp, start)
     spent = (0, 0)
     if basis is not None:
-        engine = _Simplex(lp)
+        engine = _Simplex(lp, basis)
         try:
-            status = engine.run(basis)
+            status = engine.run()
         except NumericalFailure:
             spent = (engine.iterations, engine.refactorizations)
             basis = None
@@ -602,15 +618,11 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
 
     point = engine.x[: lp.num_vars].copy()
     # Snap values that drifted within certification tolerance back onto the box.
-    below = point < lp.lower
-    above = point > lp.upper
-    if np.any(point[below] < lp.lower[below] - _FEAS_TOL) or np.any(
-        point[above] > lp.upper[above] + _FEAS_TOL
-    ):
+    if (point < lp.lower - _FEAS_TOL).any() or (point > lp.upper + _FEAS_TOL).any():
         raise NumericalFailure("optimal point violates variable bounds")
     point = np.clip(point, lp.lower, lp.upper)
 
-    max_violation = float((lp.a @ point - lp.b).max(initial=0.0))
+    max_violation = float(_largest(lp.a @ point - lp.b, initial=0.0))
     if max_violation > _FEAS_TOL:
         raise NumericalFailure(
             f"optimal point violates a constraint by {max_violation:.3e}"

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 
@@ -41,6 +42,26 @@ class TestIngest:
         assert run("ingest", "--softmax", log, "--out", out) == 0
         data = load_dataset(str(out))
         assert data.num_agents == 2
+
+    def test_huge_label_exits_one_with_a_short_line(self, tmp_path, capsys):
+        # Its classes count from the label, not from the records: no
+        # allocation per class and no line listing every empty one.
+        log = tmp_path / "log.csv"
+        log.write_text(
+            "agent_id,image_id,true_label,p0,p1\na,i0,0,0.9,0.1\na,i1,10000000,0.2,0.8\n"
+        )
+        out = tmp_path / "data.json"
+        tracemalloc.start()
+        try:
+            code = run("ingest", "--softmax", log, "--out", out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        err = capsys.readouterr().err
+        assert code == 1 and "have no records" in err
+        assert len(err) < 1000
+        assert peak < 5_000_000
+        assert not out.exists()
 
     def test_missing_input_is_usage_error(self, tmp_path):
         assert (

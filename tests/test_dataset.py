@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -295,6 +296,38 @@ class TestIngest:
             "b": [("i0", 0, [0.9, 0.1])],
         }
         with pytest.raises(RaggedAgents):
+            ingest_softmax(groups)
+
+    def test_huge_label_sizes_nothing(self):
+        # Without num_states the largest label sets the class count; the
+        # empty classes are named by count and the first ten, and memory
+        # follows the records, not that count.
+        groups = {"a": [("i0", 0, [0.9, 0.1]), ("i1", 10_000_000, [0.2, 0.8])]}
+        tracemalloc.start()
+        try:
+            with pytest.raises(EmptyClass) as caught:
+                ingest_softmax(groups)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        message = str(caught.value)
+        assert len(message) < 1000
+        assert "9999999 of 10000001 classes" in message
+        assert str(list(range(1, 11))) in message
+
+    def test_ragged_agents_are_named_before_empty_classes(self):
+        groups = {
+            "a": [("i0", 0, [0.9, 0.1]), ("i1", 10_000_000, [0.2, 0.8])],
+            "b": [("i0", 0, [0.9, 0.1]), ("i1", 0, [0.2, 0.8])],
+        }
+        with pytest.raises(RaggedAgents, match="'b' saw 2 records of class 0 .* 'a' saw 1"):
+            ingest_softmax(groups)
+
+    def test_few_empty_classes_are_all_named(self):
+        groups = {"a": [("i0", 1, [0.9, 0.1]), ("i1", 4, [0.2, 0.8])]}
+        listed = "3 of 5 classes have no records (the first: [0, 2, 3])"
+        with pytest.raises(EmptyClass, match=re.escape(listed)):
             ingest_softmax(groups)
 
     def test_balanced_classes_give_uniform_prior(self):

@@ -1,4 +1,7 @@
 import collections
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -575,6 +578,125 @@ class TestBlockRebuild:
         assert again.warm and again.refactorizations == len(rebuilds) >= 2
 
 
+def _full_block_rebuild(engine):
+    """B⁻¹N and the basic values by the rebuild's earlier form: zero-fill the
+    whole m×(n+1) block [N | rhs], scatter every nonbasic column into it and
+    gather its R and L rows from it.  It hands LAPACK and BLAS the same
+    matrices as :meth:`_Simplex._refactorize`, so their bytes must agree."""
+    n, m = engine.n, engine.m
+    structural = engine.nonbasic < n
+    columns = np.zeros((m, n + 1))
+    columns[:, np.flatnonzero(structural)] = engine.a[:, engine.nonbasic[structural]]
+    columns[engine.nonbasic[~structural] - n, np.flatnonzero(~structural)] = 1.0
+    nonbasic_x = np.zeros(n + m)
+    nonbasic_x[engine.nonbasic] = engine.x[engine.nonbasic]
+    columns[:, n] = engine.b - engine.a @ nonbasic_x[:n] - nonbasic_x[n:]
+    slack = engine.basis >= n
+    rows_l = engine.basis[slack] - n
+    rows_r = np.sort(engine.nonbasic[engine.nonbasic >= n]) - n
+    a_s = engine.a[:, engine.basis[~slack]]
+    z = np.linalg.solve(a_s[rows_r], columns[rows_r])
+    solved = np.empty_like(columns)
+    solved[~slack] = z
+    solved[slack] = columns[rows_l] - a_s[rows_l] @ z
+    return solved[:, :n].copy(), solved[:, n]
+
+
+class TestLeanKernel:
+    """The pivot loop's lean forms choose and compute what their longer
+    forms did, to the bit."""
+
+    @staticmethod
+    def _first_choice(engine, bland):
+        """The dual chooser's first answer, under Bland's rule or not."""
+        engine._pass = lambda cost, sense, choose: choose(
+            engine._reduced_costs(cost), bland, None
+        )
+        return engine._dual(engine.obj)
+
+    @pytest.mark.parametrize("bland", [False, True])
+    def test_dual_verdict_without_rows(self, bland):
+        engine = lp_module._Simplex(LinearProgram([1.0, -1.0], [0.0, 0.0], [1.0, 1.0]))
+        assert engine.m == 0
+        assert self._first_choice(engine, bland) is True
+
+    @pytest.mark.parametrize("bland", [False, True])
+    @pytest.mark.parametrize("below, verdict", [(0.5e-9, True), (2e-9, False)])
+    def test_dual_verdict_at_the_feasibility_tolerance(self, bland, below, verdict):
+        # Two slacks start ``below`` under their lower bound 0, less the rhs
+        # perturbation; within _FEAS_TOL the basis is done, beyond it the
+        # first row proves the program infeasible (x, y >= 0 cannot fall).
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [-below, -below, 1.0])
+        engine = lp_module._Simplex(lp)
+        assert self._first_choice(engine, bland) is verdict
+        assert solve_lp(lp).status is (LpStatus.OPTIMAL if verdict else LpStatus.INFEASIBLE)
+
+    def test_warm_nonbasic_columns_are_the_set_difference(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        for _ in range(60):
+            lp = larger_lp(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            grown = _extended(lp, first.point, rng, int(rng.integers(0, 5)))
+            engine = lp_module._Simplex(grown)
+            engine.warm_start(first.basis)
+            reference = np.setdiff1d(np.arange(engine.n + engine.m), engine.basis)
+            assert engine.nonbasic.dtype == reference.dtype
+            assert np.array_equal(engine.nonbasic, reference)
+            checked += 1
+        assert checked >= 20
+
+    def test_rebuild_bytes_match_the_full_block_rebuild(self, monkeypatch):
+        # Every rebuild of warm and cold solves, on warm bases and on the
+        # bases met between pivots.
+        rebuild, seen = lp_module._Simplex._refactorize, []
+
+        def compared(self):
+            tableau, values = _full_block_rebuild(self)
+            rebuild(self)
+            assert self.tableau.tobytes() == tableau.tobytes()
+            assert self.x[self.basis].tobytes() == values.tobytes()
+            seen.append(self.basis.size - np.count_nonzero(self.basis >= self.n))
+
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", compared)
+        rng = np.random.default_rng(12)
+        for _ in range(60):
+            lp = larger_lp(rng)
+            first = solve_lp(lp)
+            if first.is_optimal:
+                solve_lp(_extended(lp, first.point, rng, 3), start=first)
+        # Some rebuilds had basic structurals, some none.
+        assert len(seen) >= 100 and min(seen) == 0 and max(seen) >= 5
+
+
+_FITS_AND_PREDICTIONS = """
+import sys
+from inattention.brp import brp_max_margin, brp_sparsest
+from inattention.predict import fit_family, predict_at
+from inattention.synth import generate_feasible_dataset
+
+d = generate_feasible_dataset(3, 3, 3, margin=0.01, seed=4).dataset
+brp_max_margin(d)
+brp_sparsest(d, 0.5)
+predict_at(fit_family(d, [1.0, 1.5, 2.0]), 1.25)
+assert "numpy.ma" not in sys.modules, "a solve imported numpy.ma"
+"""
+
+
+def test_fits_and_predictions_leave_numpy_ma_unimported():
+    # Its first import costs 9-26 ms; a warm round used to pay it through
+    # np.setdiff1d.
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(lp_module.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", _FITS_AND_PREDICTIONS],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr
+
+
 class TestSingularBasis:
     """A basis that turns singular once a run is feasible is a numerical
     failure: the warm solve falls back to the cold one, and the cold solve
@@ -771,8 +893,8 @@ class TestIterationCap:
         made = []
         init = lp_module._Simplex.__init__
 
-        def capped(self, lp):
-            init(self, lp)
+        def capped(self, lp, start=None):
+            init(self, lp, start)
             if not made:
                 self.max_iterations = cap
             made.append(self)
