@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import DEGENERATE_MARGIN, MARGIN_CAP, UNIT_FLOOR
 from .costs import PiecewiseAffineCost, _anchored_cost
-from .dataset import DecisionDataset, _frozen_array, read_json, write_json
+from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
@@ -43,8 +43,6 @@ __all__ = [
     "brp_sparsest",
     "reconstruct_cost",
     "normalize_profile",
-    "save_profile",
-    "load_profile",
 ]
 
 _CUT_TOL = 1e-10
@@ -516,16 +514,6 @@ def profile_to_dict(
     return out
 
 
-def save_profile(
-    path: str,
-    d: DecisionDataset,
-    prof: UtilityProfile,
-    report: MarginReport | None = None,
-    metadata: dict | None = None,
-) -> None:
-    write_json(path, profile_to_dict(d, prof, report, metadata))
-
-
 def _profile_from_dict(raw: dict) -> UtilityProfile:
     if raw.get("model") != "umri":
         raise IoFailure("not a umri profile file")
@@ -534,8 +522,3 @@ def _profile_from_dict(raw: dict) -> UtilityProfile:
         costs=np.asarray([a["cost"] for a in raw["agents"]], dtype=float),
         margin=float(raw["margin"]),
     )
-
-
-def load_profile(path: str) -> tuple[UtilityProfile, dict]:
-    """Read a profile file; returns the profile and the raw payload."""
-    return read_json(path, lambda raw: (_profile_from_dict(raw), raw))

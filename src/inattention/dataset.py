@@ -88,14 +88,6 @@ class AgentChoiceMatrix:
             )
         object.__setattr__(self, "choice_prob", _frozen_array(mat))
 
-    @property
-    def num_states(self) -> int:
-        return self.choice_prob.shape[0]
-
-    @property
-    def num_actions(self) -> int:
-        return self.choice_prob.shape[1]
-
 
 @dataclass(frozen=True)
 class DecisionDataset:
@@ -339,7 +331,6 @@ def realized_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
 def ingest_softmax(
     groups: Mapping[str, Sequence[tuple[str, int, Sequence[float]]] | np.ndarray],
     num_states: int | None = None,
-    labels: Sequence[str] | None = None,
 ) -> DecisionDataset:
     """Aggregate per-image softmax outputs into a decision dataset.
 
@@ -415,7 +406,6 @@ def ingest_softmax(
             "num_states": num_states,
             "num_actions": num_actions,
             "prior": prior,
-            "labels": list(labels) if labels is not None else None,
             "agents": agents,
         }
     )
@@ -437,7 +427,7 @@ def _stack_records(agent_id: str, records, num_actions: int):
         )
     try:
         probs = np.asarray(softmax, dtype=float)
-    except ValueError:  # ragged rows: the loop below names the first
+    except (TypeError, ValueError):  # ragged or non-numeric: the loop below names the first
         probs = None
     if probs is None or probs.shape != (len(image_ids), num_actions):
         for image_id, row in zip(image_ids, softmax):
@@ -448,6 +438,10 @@ def _stack_records(agent_id: str, records, num_actions: int):
                     f"record {image_id!r} of agent {agent_id!r} has "
                     f"{len(row)} softmax entries, expected {num_actions}"
                 )
+            try:
+                np.asarray(row, dtype=float)
+            except (TypeError, ValueError):
+                raise NotStochastic(f"record {image_id!r}: invalid softmax entries") from None
         probs = np.asarray(softmax, dtype=float)
     sums = probs.sum(axis=1)
     invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)

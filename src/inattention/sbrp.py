@@ -29,7 +29,7 @@ from .brp import (
 )
 from .constants import DEGENERATE_MARGIN, LAMBDA_HI, LAMBDA_LO, MARGIN_CAP
 from .costs import PiecewiseAffineCost, _anchored_cost
-from .dataset import DecisionDataset, _frozen_array, read_json, write_json
+from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
@@ -48,8 +48,6 @@ __all__ = [
     "sbrp_max_margin",
     "sbrp_sparsest",
     "reconstruct_cost_compact",
-    "save_solution",
-    "load_solution",
 ]
 
 _ALTERNATION_TOL = 1e-8
@@ -237,41 +235,33 @@ class _SbrpStages:
         return sol.point[: self.K].copy(), float(sol.point[-1])
 
 
-def sbrp_max_margin(
-    d: DecisionDataset,
-    *,
-    fix_sensitivities: bool = False,
-) -> tuple[SharedUtilitySolution, MarginReport]:
+def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginReport]:
     """Alternating max-margin fit of the shared-utility model.
 
-    With ``fix_sensitivities`` the sensitivities stay pinned at one and only
-    the first stage runs, which is the restriction used when comparing
-    against the private-utility margin.  The returned margin history is the
-    sequence of stage optima; it is nondecreasing because each stage keeps
-    the incumbent feasible.
+    The returned margin history is the sequence of stage optima; it is
+    nondecreasing because each stage keeps the incumbent feasible.  Its first
+    entry, the anchor stage's margin at unit sensitivities floored at zero,
+    never exceeds the private-utility margin.
     """
     stages = _SbrpStages(d)
     lam = np.ones(d.num_agents)
     utility, costs = stages.anchor_stage()
     history = [max(_margin_of(*_residual_arrays(d, utility, lam, costs)), 0.0)]
-    scheme = "fixed-sensitivities" if fix_sensitivities else "alternating"
-    if not fix_sensitivities:
-        for _ in range(_MAX_ROUNDS):
-            lam_candidate, margin_b = stages.sensitivity_stage(utility, costs)
-            if margin_b - history[-1] < _ALTERNATION_TOL:
-                # No real improvement: keep the incumbent sensitivities
-                # instead of adopting an equivalent but arbitrary vertex.
-                break
-            lam = lam_candidate
-            history.append(margin_b)
-            utility, costs, margin_a = stages.utility_stage(lam)
-            history.append(margin_a)
+    for _ in range(_MAX_ROUNDS):
+        lam_candidate, margin_b = stages.sensitivity_stage(utility, costs)
+        if margin_b - history[-1] < _ALTERNATION_TOL:
+            # No real improvement: keep the incumbent sensitivities
+            # instead of adopting an equivalent but arbitrary vertex.
+            break
+        lam = lam_candidate
+        history.append(margin_b)
+        utility, costs, margin_a = stages.utility_stage(lam)
+        history.append(margin_a)
     solution = SharedUtilitySolution(
         utility=utility,
         sensitivities=lam,
         costs=costs,
         margin=_margin_of(*_residual_arrays(d, utility, lam, costs)),
-        scheme=scheme,
         margin_history=tuple(history),
     )
     report = MarginReport.from_solution(
@@ -373,16 +363,6 @@ def solution_to_dict(
     return out
 
 
-def save_solution(
-    path: str,
-    d: DecisionDataset,
-    sol: SharedUtilitySolution,
-    report: MarginReport | None = None,
-    metadata: dict | None = None,
-) -> None:
-    write_json(path, solution_to_dict(d, sol, report, metadata))
-
-
 def _solution_from_dict(raw: dict) -> SharedUtilitySolution:
     if raw.get("model") != "s-umri":
         raise IoFailure("not an s-umri solution file")
@@ -393,7 +373,3 @@ def _solution_from_dict(raw: dict) -> SharedUtilitySolution:
         margin=float(raw["margin"]),
         scheme=str(raw.get("scheme", "alternating")),
     )
-
-
-def load_solution(path: str) -> tuple[SharedUtilitySolution, dict]:
-    return read_json(path, lambda raw: (_solution_from_dict(raw), raw))

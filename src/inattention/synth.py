@@ -56,6 +56,7 @@ __all__ = [
 _DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0)
 _ORACLE_SIZE_CAP = 20
 _WEIGHT_FLOOR = 1e-3
+_MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -263,8 +264,6 @@ def generate_feasible_dataset(
     num_actions: int,
     margin: float,
     seed: int,
-    *,
-    max_attempts: int = 200,
 ) -> GroundTruth:
     """Dataset guaranteed to pass the rationality test at slack ``margin``.
 
@@ -276,9 +275,9 @@ def generate_feasible_dataset(
     the chain, so the noise levels can be spaced to give the cost potentials
     of :func:`assign_costs` exactly the slack the margin demands.  Draws
     failing any of the verified gap, range, or potential checks are
-    rejected and resampled.  With ``margin`` zero a constant-utility
-    fallback takes over once a draw passes the best-response and
-    information-value checks.  A shape no draw passes raises
+    rejected and resampled.  At ``margin`` zero every agent gets the root
+    strategy, so a draw passing the best-response and information-value
+    checks returns floor costs.  A shape no draw passes raises
     :class:`DimensionMismatch`: a single action (no information value), or
     more actions than states at up to six states (see
     :func:`_check_request`).
@@ -297,8 +296,7 @@ def generate_feasible_dataset(
         scales = np.ones(1)
         scale_step = 1.0
 
-    last_dataset = None
-    for _ in range(max_attempts):
+    for _ in range(_MAX_ATTEMPTS):
         base = _sample_base_utility(rng, num_states, num_actions, prior)
         if base is None:
             continue
@@ -345,7 +343,6 @@ def generate_feasible_dataset(
         gaps = -_worst_nias(nias_residuals(dataset, [base] * num_agents))
         if np.any(gaps * scales < 1.05 * margin):
             continue
-        last_dataset = dataset
         try:
             costs = assign_costs(dataset, utilities, margin)
         except InfeasibleCosts:
@@ -357,20 +354,8 @@ def generate_feasible_dataset(
             construction_margin=margin,
             seed=seed,
         )
-    if margin == 0.0 and last_dataset is not None:
-        # Constant utilities and equal costs satisfy everything with zero
-        # slack regardless of the strategies.
-        flat = [np.full((num_states, num_actions), 0.5) for _ in range(num_agents)]
-        costs = np.full(num_agents, 0.5)
-        return GroundTruth(
-            dataset=last_dataset,
-            utilities=tuple(flat),
-            costs=costs,
-            construction_margin=0.0,
-            seed=seed,
-        )
     raise RejectionExhausted(
-        f"no feasible collection at margin {margin} within {max_attempts} attempts"
+        f"no feasible collection at margin {margin} within {_MAX_ATTEMPTS} attempts"
     )
 
 

@@ -11,17 +11,22 @@ from inattention.brp import (
     UtilityProfile,
     brp_max_margin,
     brp_sparsest,
-    load_profile,
     niac_residuals,
     nias_residuals,
     normalize_profile,
+    profile_to_dict,
     reconstruct_cost,
-    save_profile,
     strict_margin,
 )
-from inattention import brp, sbrp
+from inattention import brp, cli, sbrp
 from inattention.brp import _BrpProgram
-from inattention.dataset import expected_value, joint_and_posterior, realized_value
+from inattention.dataset import (
+    expected_value,
+    joint_and_posterior,
+    read_json,
+    realized_value,
+    write_json,
+)
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -288,8 +293,8 @@ class TestProfileFiles:
     def test_round_trip(self, tmp_path, d2):
         prof, report = brp_max_margin(d2)
         path = tmp_path / "profile.json"
-        save_profile(str(path), d2, prof, report, metadata={"dataset": "d2"})
-        again, raw = load_profile(str(path))
+        write_json(str(path), profile_to_dict(d2, prof, report, metadata={"dataset": "d2"}))
+        again, raw = read_json(str(path), lambda raw: (cli._fitted_model(raw), raw))
         assert raw["model"] == "umri"
         assert raw["metadata"]["dataset"] == "d2"
         assert again.margin == prof.margin
@@ -308,7 +313,7 @@ class TestProfileFiles:
         )
         path = tmp_path / "profile.json"
         with pytest.raises(ProfileMismatch, match=f"profile has {3 + extra} agents, dataset 3"):
-            save_profile(str(path), d, other, report)
+            write_json(str(path), profile_to_dict(d, other, report))
         assert not path.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from inattention import brp, predict as pred, sbrp
 from inattention.cli import main
-from inattention.dataset import load_dataset, save_dataset
+from inattention.dataset import dataset_to_dict, load_dataset, save_dataset
 from inattention.errors import NumericalFailure, TooFewAgents
 from inattention.synth import generate_feasible_dataset, load_ground_truth
 
@@ -516,6 +516,25 @@ class TestSynthPredict:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists() and not family.exists()
+
+    def test_dataset_labels_name_the_table_rows(self, tmp_path, d2):
+        data = tmp_path / "labelled.json"
+        data.write_text(json.dumps({**dataset_to_dict(d2), "labels": ["cat", "dog"]}))
+        family = tmp_path / "family.json"
+        fitted, read_back = tmp_path / "fitted.csv", tmp_path / "family.csv"
+        code = run(
+            "predict", "--dataset", data, "--etas", "1.0,1.1", "--eta", 1.05,
+            "--save-family", family, "--out", tmp_path / "p.json", "--table", fitted,
+        )
+        assert code == 0
+        code = run(
+            "predict", "--family", family, "--eta", 1.05,
+            "--out", tmp_path / "q.json", "--table", read_back,
+        )
+        assert code == 0
+        for table in (fitted, read_back):
+            rows = table.read_text().strip().splitlines()[1:]
+            assert [row.split(",")[1] for row in rows] == ["cat", "dog"]
 
     def test_truth_agent_scores_against_that_agent(self, tmp_path, dataset_file):
         out = tmp_path / "p.json"

@@ -21,6 +21,7 @@ from inattention.dataset import (
     ingest_softmax,
     joint_and_posterior,
     load_dataset,
+    read_json,
     read_softmax_log,
     realized_value,
     save_dataset,
@@ -363,6 +364,8 @@ class TestIngest:
             (("i1", "x", [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 'x' is not"),
             (("i1", None, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label None is not"),
             (("i1", 1e300, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1e+300 is not"),
+            (("i1", 0, ["a", "b"]), NotStochastic, "record 'i1': invalid softmax entries"),
+            (("i1", 0, [{}, 1.0]), NotStochastic, "record 'i1': invalid softmax entries"),
         ],
     )
     def test_defective_record_is_named(self, record, error, message):
@@ -557,12 +560,48 @@ class TestFiles:
         again = validate_dataset(dataset_to_dict(d2))
         assert again.approx_equal(d2, tol=0.0)
 
+    def test_labels_round_trip_byte_identically(self, tmp_path, d2):
+        raw = {**dataset_to_dict(d2), "labels": ["cat", "dog"]}
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        first.write_text(json.dumps(raw))
+        d = load_dataset(str(first))
+        assert d.labels == ("cat", "dog")
+        save_dataset(d, str(first))
+        save_dataset(load_dataset(str(first)), str(second))
+        assert second.read_bytes() == first.read_bytes()
+        assert json.loads(second.read_text())["labels"] == ["cat", "dog"]
+
+    def test_labels_of_the_wrong_length_are_rejected(self, tmp_path, d2):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**dataset_to_dict(d2), "labels": ["a", "b", "c"]}))
+        with pytest.raises(DimensionMismatch, match="3 labels for 2 states"):
+            load_dataset(str(path))
+
+    def test_prior_within_tolerance_is_renormalized(self, tmp_path, d2):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**dataset_to_dict(d2), "prior": [0.5, 0.5 + 1e-7]}))
+        prior = load_dataset(str(path)).prior
+        assert abs(prior.sum() - 1.0) <= 1e-15
+        assert prior[1] > prior[0]
+
+    def test_prior_beyond_tolerance_is_rejected(self, tmp_path, d2):
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps({**dataset_to_dict(d2), "prior": [0.5, 0.5 + 1e-5]}))
+        with pytest.raises(NotStochastic, match="prior: sums to"):
+            load_dataset(str(path))
+
 
 def _loaders():
-    from inattention.brp import load_profile
+    from inattention import brp, cli
     from inattention.predict import load_family
-    from inattention.sbrp import load_solution
     from inattention.synth import load_ground_truth
+
+    # Profile and solution files are read as the CLI reads them.
+    def load_profile(path):
+        return read_json(path, brp._profile_from_dict)
+
+    def load_solution(path):
+        return read_json(path, cli._fitted_model)
 
     return [load_dataset, load_profile, load_solution, load_family, load_ground_truth]
 

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
 
+from inattention import cli
 from inattention.brp import (
     UtilityProfile,
+    _margin_of,
     brp_max_margin,
     niac_residuals,
     reconstruct_cost,
 )
+from inattention.dataset import read_json, write_json
 from inattention.errors import DegenerateDataset, DimensionMismatch, ProfileMismatch
 from inattention.sbrp import (
     SharedUtilitySolution,
-    load_solution,
+    _SbrpStages,
     reconstruct_cost_compact,
-    save_solution,
     sbrp_max_margin,
     sbrp_residuals,
     sbrp_sparsest,
+    solution_to_dict,
 )
 
 
@@ -25,6 +28,15 @@ def make_solution(u, lam, c, margin=0.0):
         sensitivities=np.asarray(lam, dtype=float),
         costs=np.asarray(c, dtype=float),
         margin=margin,
+    )
+
+
+def anchor_fit(d):
+    """The alternating fit's first stage: sensitivities pinned at one."""
+    utility, costs = _SbrpStages(d).anchor_stage()
+    unit = make_solution(utility, np.ones(d.num_agents), costs)
+    return make_solution(
+        utility, unit.sensitivities, costs, _margin_of(*sbrp_residuals(d, unit))
     )
 
 
@@ -89,13 +101,13 @@ class TestMaxMargin:
         assert abs(report.robustness) <= 1e-6
 
     def test_fixed_sensitivities_bounded_by_private_margin(self, d2):
-        fixed, _ = sbrp_max_margin(d2, fix_sensitivities=True)
+        fixed = anchor_fit(d2)
         assert np.all(fixed.sensitivities == 1.0)
         prof, _ = brp_max_margin(d2)
         assert fixed.margin <= prof.margin + 1e-9
 
     def test_unit_sensitivity_solution_converts_to_private_certificate(self, d2):
-        fixed, _ = sbrp_max_margin(d2, fix_sensitivities=True)
+        fixed = anchor_fit(d2)
         prof = UtilityProfile.from_certificate(
             d2, [fixed.utility] * 2, fixed.costs
         )
@@ -150,7 +162,7 @@ class TestCompactCost:
             )
 
     def test_unit_sensitivities_match_private_cost(self, d2):
-        fixed, _ = sbrp_max_margin(d2, fix_sensitivities=True)
+        fixed = anchor_fit(d2)
         compact = reconstruct_cost_compact(d2, fixed)
         prof = UtilityProfile.from_certificate(d2, [fixed.utility] * 2, fixed.costs)
         private = reconstruct_cost(d2, prof)
@@ -179,8 +191,8 @@ class TestSolutionFiles:
     def test_round_trip(self, tmp_path, d2):
         sol, report = sbrp_max_margin(d2)
         path = tmp_path / "solution.json"
-        save_solution(str(path), d2, sol, report, metadata={"dataset": "d2"})
-        again, raw = load_solution(str(path))
+        write_json(str(path), solution_to_dict(d2, sol, report, metadata={"dataset": "d2"}))
+        again, raw = read_json(str(path), lambda raw: (cli._fitted_model(raw), raw))
         assert raw["model"] == "s-umri"
         assert raw["scheme"] == sol.scheme
         assert np.array_equal(again.utility, sol.utility)
@@ -194,5 +206,5 @@ class TestSolutionFiles:
         )
         path = tmp_path / "solution.json"
         with pytest.raises(DimensionMismatch, match="solution covers 3 agents"):
-            save_solution(str(path), d2, more, report)
+            write_json(str(path), solution_to_dict(d2, more, report))
         assert not path.exists()

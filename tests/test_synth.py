@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from inattention.brp import brp_max_margin, nias_residuals, niac_residuals, strict_margin
+from inattention.constants import SYNTH_COST_FLOOR
 from inattention.dataset import expected_value
 from inattention.errors import (
     DimensionMismatch,
@@ -85,8 +86,19 @@ class TestFeasibleGenerator:
         assert prof.margin >= 0.02 - 1e-9
 
     def test_zero_margin_always_succeeds(self):
-        gt = generate_feasible_dataset(3, 3, 3, 0.0, seed=1)
-        assert gt.construction_margin == 0.0
+        # At margin 0 every agent gets the root strategy, so the first draw
+        # returns the scaled base utilities with floor costs.
+        for K in (1, 2, 3, 5):
+            gt = generate_feasible_dataset(K, 3, 3, 0.0, seed=1)
+            assert gt.construction_margin == 0.0
+            root = gt.dataset.choice(0)
+            assert all(np.array_equal(gt.dataset.choice(k), root) for k in range(K))
+            scales = np.linspace(1.0, 0.25, K) if K > 1 else np.ones(1)
+            base = gt.utilities[0]
+            assert all(
+                np.array_equal(u, s * base) for u, s in zip(gt.utilities, scales)
+            )
+            assert np.all(gt.costs == SYNTH_COST_FLOOR)
 
     def test_bit_for_bit_determinism(self):
         a = generate_feasible_dataset(3, 3, 3, 0.01, seed=77)
