@@ -15,7 +15,7 @@ with equality), so "passes" means the optimal margin is strictly positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -355,8 +355,10 @@ class _BrpProgram:
         best = _swap_scores(self.d, np.array(utilities)).argmax(axis=3)
         added = []
         for (j, k), sigmas in self.selections.items():
-            sigma = tuple(int(b) for b in best[j, k])
-            if sigma not in sigmas and exact[j, k] > bound + _CUT_TOL:
+            if exact[j, k] <= bound + _CUT_TOL:
+                continue
+            sigma = tuple(best[j, k].tolist())
+            if sigma not in sigmas:
                 sigmas.append(sigma)
                 added.append(self.swap_row(j, k, sigma))
         return added
@@ -399,15 +401,53 @@ class _BrpProgram:
         )
 
 
+class _MarginStage(NamedTuple):
+    """The outcome of stage one on a dataset: its optimum, read-only, and
+    every pair's modelled selections, as ``((j, k), sigmas)`` tuples."""
+
+    utilities: tuple[np.ndarray, ...]
+    costs: np.ndarray
+    margin: float
+    selections: tuple[tuple[tuple[int, int], tuple[tuple[int, ...], ...]], ...]
+
+
+def _margin_stage(d: DecisionDataset, *, reuse: bool):
+    """Stage one on ``d``: a program that models its selections, and its
+    outcome.
+
+    The outcome is a pure function of the read-only dataset (the solver is
+    deterministic), so it is stored on ``d`` as ``_margin_stage`` once
+    solved; with ``reuse`` a stored outcome stands in for the solve.  A
+    stage that raises stores nothing.
+    """
+    program = _BrpProgram(d)
+    stage = d._margin_stage if reuse else None
+    if stage is None:
+        utilities, costs, margin = program.max_margin()
+        stage = _MarginStage(
+            utilities=tuple(_frozen_array(u) for u in utilities),
+            costs=_frozen_array(costs),
+            margin=margin,
+            selections=tuple(
+                (pair, tuple(sigmas)) for pair, sigmas in program.selections.items()
+            ),
+        )
+        object.__setattr__(d, "_margin_stage", stage)
+    else:
+        program.selections = {pair: list(sigmas) for pair, sigmas in stage.selections}
+    return program, stage
+
+
 def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
     """Maximize the common slack by which the dataset passes the test.
 
     Returns the optimizing certificate and a report with the normalized
     robustness value.  Never returns "infeasible": constant utilities with
-    equal costs always satisfy the residuals with zero slack.
+    equal costs always satisfy the residuals with zero slack.  Always
+    solves, and stores the stage on ``d`` for :func:`brp_sparsest`.
     """
-    utilities, costs, _ = _BrpProgram(d).max_margin()
-    profile = UtilityProfile.from_certificate(d, utilities, costs)
+    _, stage = _margin_stage(d, reuse=False)
+    profile = UtilityProfile.from_certificate(d, stage.utilities, stage.costs)
     report = MarginReport.from_solution(profile.margin, profile.squared_norms())
     return profile, report
 
@@ -427,11 +467,16 @@ def brp_sparsest(
     so the squared utility norms sum to the number of agents, the gauge in
     which profiles are compared; rescaling preserves feasibility because the
     residuals are homogeneous in (utilities, costs).
+
+    Stage one is solved once per dataset object: after :func:`brp_max_margin`
+    or :func:`brp_sparsest` on the same ``d``, its stored optimum and cuts
+    are reused, and stage two starts from those cuts exactly as after a
+    solve, so the result is the same bit for bit.
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    program = _BrpProgram(d)
-    _, _, margin = program.max_margin()
+    program, stage = _margin_stage(d, reuse=True)
+    margin = stage.margin
     if margin <= DEGENERATE_MARGIN:
         raise DegenerateDataset(
             f"max margin {margin!r} is numerically zero; sparsity is undefined"

@@ -103,6 +103,9 @@ class DecisionDataset:
     agents in one batched pass, held as the (K, X, A) :class:`JointPosterior`
     ``_stack``: the residual kernel in ``brp`` and every LP builder read it,
     and :func:`joint_and_posterior` returns one agent's slices of it.
+    Beside it, ``_margin_stage`` holds the outcome of the UMRI max-margin
+    stage once ``brp`` has solved it (None until then), so that
+    ``brp_sparsest`` after ``brp_max_margin`` on one object solves it once.
     """
 
     num_states: int
@@ -145,6 +148,7 @@ class DecisionDataset:
         np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
         stack = (_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
         object.__setattr__(self, "_stack", JointPosterior(*stack))
+        object.__setattr__(self, "_margin_stage", None)
 
     @property
     def num_agents(self) -> int:

@@ -210,13 +210,16 @@ class TestSparsest:
         # same margin.  The returned vertex itself need not be symmetric
         # (the symmetric point is a midpoint of optima, not a vertex), but it
         # must be reproducible.
-        d = dataset_from_matrices(
-            [0.5, 0.5],
-            [
-                [[0.9, 0.1], [0.1, 0.9]],
-                [[0.7, 0.3], [0.3, 0.7]],
-            ],
-        )
+        def mirrored_pair():
+            return dataset_from_matrices(
+                [0.5, 0.5],
+                [
+                    [[0.9, 0.1], [0.1, 0.9]],
+                    [[0.7, 0.3], [0.3, 0.7]],
+                ],
+            )
+
+        d = mirrored_pair()
         sparse = brp_sparsest(d, normalize=False)
         swap = np.array([[0.0, 1.0], [1.0, 0.0]])
         mirrored = UtilityProfile.from_certificate(
@@ -224,7 +227,8 @@ class TestSparsest:
         )
         assert mirrored.total_l1() == pytest.approx(sparse.total_l1(), abs=1e-9)
         assert mirrored.margin == pytest.approx(sparse.margin, abs=1e-9)
-        again = brp_sparsest(d, normalize=False)
+        # A fresh object, so that both fits solve both stages.
+        again = brp_sparsest(mirrored_pair(), normalize=False)
         assert all(
             np.array_equal(a, b) for a, b in zip(sparse.utilities, again.utilities)
         )
@@ -437,6 +441,48 @@ def test_normalized_sparse_margin_is_the_strict_margin_of_its_utilities():
         assert profile.margin == strict_margin(d, profile.utilities, profile.costs)
 
 
+def _same_profile(a, b):
+    return (
+        all(np.array_equal(u, v) for u, v in zip(a.utilities, b.utilities))
+        and np.array_equal(a.costs, b.costs)
+        and a.margin == b.margin
+    )
+
+
+def test_fits_on_one_object_match_fits_on_fresh_copies():
+    # The sparsity stages that follow the stored margin stage must start
+    # from its cuts alone, not from cuts an earlier sparsity stage added.
+    fits = (
+        lambda d: brp_max_margin(d)[0],
+        lambda d: brp_sparsest(d, 0.5),
+        lambda d: brp_sparsest(d, 0.3),
+    )
+    for seed in range(4):
+        d = _feasible(seed)
+        for fit in fits:
+            assert _same_profile(fit(d), fit(_feasible(seed)))
+
+
+@pytest.mark.parametrize("first", [brp_max_margin, brp_sparsest])
+def test_a_margin_stage_that_raises_is_solved_again(monkeypatch, first):
+    d = _feasible(0)
+    real, starts = brp.solve_lp, []
+
+    def fail_first(lp, start=None):
+        starts.append(start)
+        if len(starts) == 1:
+            raise NumericalFailure("injected")
+        return real(lp, start=start)
+
+    monkeypatch.setattr(brp, "solve_lp", fail_first)
+    with pytest.raises(NumericalFailure):
+        first(d)
+    profile = brp_sparsest(d)
+    # Both stages solved from a cold first program.
+    assert sum(start is None for start in starts[1:]) == 2
+    assert _same_profile(profile, brp_sparsest(_feasible(0)))
+
+
 _STALLED_SPARSE_FIT = """
 from inattention.brp import brp_max_margin, brp_sparsest, strict_margin
 from inattention.synth import generate_feasible_dataset
@@ -535,6 +581,30 @@ class TestWarmCutRounds:
                 assert sol.warm == (start is not None)
                 assert lp.num_rows == rows  # never extended once solved
             assert len({id(lp) for lp, *_ in solves}) == len(solves)
+
+    def test_sparsest_after_max_margin_solves_the_sparsity_stage_alone(self, solves):
+        for seed in range(3):
+            d = _feasible(seed)
+            core_vars = _BrpProgram(d).num_core_vars
+            del solves[:]
+            brp_sparsest(_feasible(seed))
+            # The sparsity stage has no margin variable.
+            fresh = [
+                (rows, start is None)
+                for lp, rows, start, _ in solves
+                if lp.num_vars == core_vars
+            ]
+            assert 0 < len(fresh) < len(solves)
+            del solves[:]
+            brp_max_margin(d)
+            once = len(solves)
+            brp_max_margin(d)
+            # max_margin always solves: two full margin stages.
+            assert len(solves) == 2 * once
+            assert sum(start is None for _, _, start, _ in solves) == 2
+            del solves[:]
+            brp_sparsest(d)
+            assert [(rows, start is None) for _, rows, start, _ in solves] == fresh
 
     def test_warm_rounds_match_cold_and_reference_solves(self, solves):
         warm_rounds = 0
