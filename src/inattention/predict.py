@@ -11,6 +11,7 @@ holds the best-response rows that make it so, and a certificate re-checks it
 after the fact.  The cost pieces are scored with the labelled action too, so
 the envelope the LP optimizes meets ``PiecewiseAffineCost.value`` (scored
 with the best response) at the anchors and can lie below it between them.
+A second LP takes the optimum nearest the observed behavior, over deviations.
 """
 
 from __future__ import annotations
@@ -181,10 +182,10 @@ def predict_choice(
     is exact.  The optimum is often a face rather than a point (exactly at
     grid etas the whole piece-dominance region ties), so when ``eta`` is
     given, a second stage picks the optimal strategy closest (entrywise L1)
-    to the noise-interpolated in-sample strategy, within the same rows,
-    which keeps grid queries pinned to the observed behavior.  The returned
-    flag is the independent re-check of NIAS consistency on the returned
-    strategy.
+    to the noise-interpolated in-sample strategy, within the same rows and
+    over deviation columns from it (no absolute-value rows), which keeps
+    grid queries pinned to the observed behavior.  The returned flag is the
+    independent re-check of NIAS consistency on the returned strategy.
     """
     u_hat = np.asarray(interpolated, dtype=float)
     X, A = f.dataset.num_states, f.dataset.num_actions
@@ -224,8 +225,7 @@ def predict_choice(
     point = first.point
     if eta is not None:
         point = _refine_toward_anchor(f, lp, first, eta)
-    strategy = point[: X * A].reshape(X, A)
-    strategy = np.clip(strategy, 0.0, None)
+    strategy = np.clip(point[: X * A].reshape(X, A), 0.0, None)
     strategy /= strategy.sum(axis=1, keepdims=True)
     # Certify the surrogate: every action the strategy takes must be a best
     # response to its posterior under the interpolated utility.
@@ -238,33 +238,32 @@ def predict_choice(
 
 def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
     """Within ``_OBJECTIVE_SLACK`` of the first optimum, take the strategy
-    L1-closest to the interpolated in-sample one; this moves even a unique
-    optimum (2.0e-9 per entry on a 2x2 identity-utility query)."""
+    L1-closest to the interpolated in-sample one, z = target + up - down:
+    deviation columns up in [0, 1 - target] and down in [0, target] cost -1,
+    the first program's other columns follow at zero cost, and its rows and
+    kept objective become [A_z | -A_z | A_rest] <= b - A_z target.  This
+    moves even a unique optimum (2.0e-9 per entry, 2x2 identity utility)."""
     g, w_hi = _bracket(f, eta)
-    target = ((1.0 - w_hi) * f.dataset.choice(g) + w_hi * f.dataset.choice(g + 1)).ravel()
-
-    base = lp.num_vars
+    target = (1.0 - w_hi) * f.dataset.choice(g) + w_hi * f.dataset.choice(g + 1)
+    # A choice entry may exceed 1 by 1e-12; the deviation boxes need it in [0, 1].
+    target = np.clip(target, 0.0, 1.0).ravel()
     cells = target.shape[0]
     refined = LinearProgram(
-        np.append(np.zeros(base), -np.ones(cells)),
-        np.append(lp.lower, np.zeros(cells)),
-        np.append(lp.upper, np.ones(cells)),
+        np.append(-np.ones(2 * cells), np.zeros(lp.num_vars - cells)),
+        np.concatenate([np.zeros(2 * cells), lp.lower[cells:]]),
+        np.concatenate([1.0 - target, target, lp.upper[cells:]]),
     )
-    # The first program's rows and its objective kept within the slack ...
     kept = np.vstack([lp.a, -lp.objective])
+    a_z = kept[:, :cells]
     refined.add_leq(
-        np.hstack([kept, np.zeros((kept.shape[0], cells))]),
-        np.append(lp.b, -(first.objective_value - _OBJECTIVE_SLACK)),
+        np.hstack([a_z, -a_z, kept[:, cells:]]),
+        np.append(lp.b, -(first.objective_value - _OBJECTIVE_SLACK)) - a_z @ target,
     )
-    # ... then |z_i - target_i| <= t_i, as two adjacent rows per cell.
-    cell, gap = np.eye(cells, base), -np.eye(cells)
-    pairs = np.stack([np.hstack([cell, gap]), np.hstack([-cell, gap])], axis=1)
-    bounds = np.stack([target, -target], axis=1)
-    refined.add_leq(pairs.reshape(2 * cells, -1), bounds.ravel())
     second = solve_lp(refined)
     if second.status is not LpStatus.OPTIMAL:
         raise NumericalFailure("prediction refinement failed to solve")
-    return second.point[:base]
+    up, down = second.point[:cells], second.point[cells : 2 * cells]
+    return target + up - down
 
 
 def predict_at(

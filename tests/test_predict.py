@@ -5,6 +5,7 @@ import pytest
 
 from inattention import predict as predict_module
 from inattention.brp import UtilityProfile, reconstruct_cost
+from inattention.dataset import AgentChoiceMatrix, DecisionDataset
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -13,6 +14,7 @@ from inattention.errors import (
     ProfileMismatch,
     ShapeMismatch,
 )
+from inattention.lp import LinearProgram, solve_lp
 from inattention.predict import (
     NoiseFamily,
     fit_family,
@@ -25,6 +27,7 @@ from inattention.predict import (
 )
 
 from conftest import dataset_from_matrices, make_noise_family
+from test_lp import TIGHT_HIGHS, scipy_optimum
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +239,84 @@ class TestPredictChoice:
         outcome = predict_at(fam, 1.41)
         assert np.allclose(outcome.predicted_choice.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(outcome.predicted_choice >= 0)
+
+
+def row_pair_refinement(first_lp, first, target):
+    """The refinement stated with |z - target| <= t as two rows per cell:
+    variables [first program's | t], cost -1 on t, the first program's rows
+    and its objective kept within the slack."""
+    base, cells = first_lp.num_vars, target.shape[0]
+    lp = LinearProgram(
+        np.append(np.zeros(base), -np.ones(cells)),
+        np.append(first_lp.lower, np.zeros(cells)),
+        np.append(first_lp.upper, np.ones(cells)),
+    )
+    kept = np.vstack([first_lp.a, -first_lp.objective])
+    slack = predict_module._OBJECTIVE_SLACK
+    lp.add_leq(
+        np.hstack([kept, np.zeros((kept.shape[0], cells))]),
+        np.append(first_lp.b, slack - first.objective_value),
+    )
+    cell, gap = np.eye(cells, base), -np.eye(cells)
+    lp.add_leq(np.hstack([cell, gap]), target)
+    lp.add_leq(np.hstack([-cell, gap]), -target)
+    return lp
+
+
+class TestRefinement:
+    def test_paper_shape_query_that_once_hit_the_iteration_cap(self):
+        # At 11x7x7 the refinement once ran its cold first dual pass over
+        # zero-cost strategy columns, where every ratio ties, into the cap.
+        etas, dataset, _ = make_noise_family(seed=0, num_classes=7)
+        outcome = predict_at(fit_family(dataset, etas), 1.475)
+        assert outcome.nias_consistent
+
+    def test_choice_entry_just_above_one_is_a_valid_target(self):
+        # AgentChoiceMatrix admits entries up to 1 + 1e-12; the refinement's
+        # deviation boxes must not go negative at such a target.
+        etas, dataset, _ = make_noise_family(seed=1)
+        agents = list(dataset.agents)
+        choice = agents[0].choice_prob.copy()
+        choice[0] = [1.0 + 2.0**-52, 0.0, 0.0]
+        agents[0] = AgentChoiceMatrix(agents[0].agent_id, choice)
+        d = DecisionDataset(3, 3, dataset.prior, tuple(agents))
+        assert predict_at(fit_family(d, etas), 1.0).nias_consistent
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_deviation_columns_reach_the_row_pair_optimum(self, monkeypatch, seed):
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            solves.append((lp, solve_lp(lp, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(predict_module, "solve_lp", spy)
+        etas, dataset, _ = make_noise_family(seed=seed, num_classes=4)
+        fam = fit_family(dataset, etas)
+        for g in range(etas.shape[0] - 1):
+            for w_hi in (0.25, 0.75):
+                eta = (1.0 - w_hi) * etas[g] + w_hi * etas[g + 1]
+                del solves[:]
+                strategy = predict_at(fam, eta).predicted_choice
+                (first_lp, first), (_, second) = solves
+                g_eta, w = predict_module._bracket(fam, eta)
+                target = (
+                    (1.0 - w) * dataset.choice(g_eta) + w * dataset.choice(g_eta + 1)
+                ).ravel()
+                ref = scipy_optimum(
+                    row_pair_refinement(first_lp, first, target), TIGHT_HIGHS
+                )
+                assert ref.status == 0
+                distance = float(np.abs(strategy.ravel() - target).sum())
+                assert distance == pytest.approx(ref.fun, abs=1e-9)
+                # target + up - down, with the first program's other columns,
+                # satisfies the first program's rows and keeps its objective.
+                cells = target.shape[0]
+                up, down = second.point[:cells], second.point[cells : 2 * cells]
+                point = np.concatenate([target + up - down, second.point[2 * cells :]])
+                assert float((first_lp.a @ point - first_lp.b).max()) <= 1e-9
+                kept = first.objective_value - predict_module._OBJECTIVE_SLACK
+                assert first_lp.objective @ point >= kept - 1e-9
 
 
 class TestScoring:

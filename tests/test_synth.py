@@ -125,6 +125,7 @@ class TestGeneratorRequests:
             ((2, 0, 3), 1), ((2, 3, 0), 1), ((2, 3, 3), -5),
             # More actions than states: they cannot all be best responses.
             ((2, 2, 4), 0), ((3, 2, 4), 1), ((2, 1, 3), 0), ((2, 6, 7), 0),
+            ((2, 7, 8), 0), ((3, 10, 11), 1),
         ],
     )
     def test_a_shape_or_seed_it_cannot_draw_is_rejected(self, generate, shape, seed):
