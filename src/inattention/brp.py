@@ -402,40 +402,29 @@ class _BrpProgram:
 
 
 class _MarginStage(NamedTuple):
-    """The outcome of stage one on a dataset: its optimum, read-only, and
-    every pair's modelled selections, as ``((j, k), sigmas)`` tuples."""
+    """What stage one on a dataset leaves for the sparsity stage: its margin
+    and every pair's modelled selections, as ``((j, k), sigmas)`` tuples."""
 
-    utilities: tuple[np.ndarray, ...]
-    costs: np.ndarray
     margin: float
     selections: tuple[tuple[tuple[int, int], tuple[tuple[int, ...], ...]], ...]
 
 
-def _margin_stage(d: DecisionDataset, *, reuse: bool):
-    """Stage one on ``d``: a program that models its selections, and its
-    outcome.
+def _solve_margin_stage(d: DecisionDataset):
+    """Solve stage one on ``d`` and return its optimal (utilities, costs).
 
-    The outcome is a pure function of the read-only dataset (the solver is
-    deterministic), so it is stored on ``d`` as ``_margin_stage`` once
-    solved; with ``reuse`` a stored outcome stands in for the solve.  A
-    stage that raises stores nothing.
+    The outcome depends on the read-only dataset alone (the solver is
+    deterministic), so its margin and selections are stored at
+    ``d._fits["umri"]``; a stage that raises stores nothing.
     """
     program = _BrpProgram(d)
-    stage = d._margin_stage if reuse else None
-    if stage is None:
-        utilities, costs, margin = program.max_margin()
-        stage = _MarginStage(
-            utilities=tuple(_frozen_array(u) for u in utilities),
-            costs=_frozen_array(costs),
-            margin=margin,
-            selections=tuple(
-                (pair, tuple(sigmas)) for pair, sigmas in program.selections.items()
-            ),
-        )
-        object.__setattr__(d, "_margin_stage", stage)
-    else:
-        program.selections = {pair: list(sigmas) for pair, sigmas in stage.selections}
-    return program, stage
+    utilities, costs, margin = program.max_margin()
+    d._fits["umri"] = _MarginStage(
+        margin=margin,
+        selections=tuple(
+            (pair, tuple(sigmas)) for pair, sigmas in program.selections.items()
+        ),
+    )
+    return utilities, costs
 
 
 def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
@@ -444,10 +433,9 @@ def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
     Returns the optimizing certificate and a report with the normalized
     robustness value.  Never returns "infeasible": constant utilities with
     equal costs always satisfy the residuals with zero slack.  Always
-    solves, and stores the stage on ``d`` for :func:`brp_sparsest`.
+    solves, and stores the stage in ``d``'s memo for :func:`brp_sparsest`.
     """
-    _, stage = _margin_stage(d, reuse=False)
-    profile = UtilityProfile.from_certificate(d, stage.utilities, stage.costs)
+    profile = UtilityProfile.from_certificate(d, *_solve_margin_stage(d))
     report = MarginReport.from_solution(profile.margin, profile.squared_norms())
     return profile, report
 
@@ -468,19 +456,22 @@ def brp_sparsest(
     which profiles are compared; rescaling preserves feasibility because the
     residuals are homogeneous in (utilities, costs).
 
-    Stage one is solved once per dataset object: after :func:`brp_max_margin`
-    or :func:`brp_sparsest` on the same ``d``, its stored optimum and cuts
-    are reused, and stage two starts from those cuts exactly as after a
-    solve, so the result is the same bit for bit.
+    Stage one is solved only when ``d``'s memo has none stored: after
+    :func:`brp_max_margin` or :func:`brp_sparsest` on the same ``d``, stage
+    two starts from the stored margin and cuts exactly as after a solve, so
+    the result is the same bit for bit.
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    program, stage = _margin_stage(d, reuse=True)
-    margin = stage.margin
+    if "umri" not in d._fits:
+        _solve_margin_stage(d)
+    margin, selections = d._fits["umri"]
     if margin <= DEGENERATE_MARGIN:
         raise DegenerateDataset(
             f"max margin {margin!r} is numerically zero; sparsity is undefined"
         )
+    program = _BrpProgram(d)
+    program.selections = {pair: list(sigmas) for pair, sigmas in selections}
     target = -margin_fraction * margin
     sparse_objective = np.zeros(program.num_core_vars)
     sparse_objective[: program.K * program.block] = -1.0

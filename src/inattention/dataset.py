@@ -8,7 +8,9 @@ this module owns its validation rules, the derived probability objects (joint,
 revealed posterior, action marginal), the two value functionals, and ingestion
 from raw per-image softmax logs.
 
-All types are immutable after construction and all operations are pure.
+All values are read-only after construction and all operations are pure.  A
+dataset object also carries a private memo of the stages fitted on it, which
+saves a repeated solve and never changes a result.
 """
 
 from __future__ import annotations
@@ -103,9 +105,8 @@ class DecisionDataset:
     agents in one batched pass, held as the (K, X, A) :class:`JointPosterior`
     ``_stack``: the residual kernel in ``brp`` and every LP builder read it,
     and :func:`joint_and_posterior` returns one agent's slices of it.
-    Beside it, ``_margin_stage`` holds the outcome of the UMRI max-margin
-    stage once ``brp`` has solved it (None until then), so that
-    ``brp_sparsest`` after ``brp_max_margin`` on one object solves it once.
+    Beside it, ``_fits`` maps a model name to what a fitting module stored
+    of a stage it solved on this object.
     """
 
     num_states: int
@@ -148,7 +149,7 @@ class DecisionDataset:
         np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
         stack = (_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
         object.__setattr__(self, "_stack", JointPosterior(*stack))
-        object.__setattr__(self, "_margin_stage", None)
+        object.__setattr__(self, "_fits", {})
 
     @property
     def num_agents(self) -> int:

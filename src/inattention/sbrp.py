@@ -241,7 +241,8 @@ def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginRe
     The returned margin history is the sequence of stage optima; it is
     nondecreasing because each stage keeps the incumbent feasible.  Its first
     entry, the anchor stage's margin at unit sensitivities floored at zero,
-    never exceeds the private-utility margin.
+    never exceeds the private-utility margin.  Always solves, and stores the
+    solution in ``d``'s memo for :func:`sbrp_sparsest`.
     """
     stages = _SbrpStages(d)
     lam = np.ones(d.num_agents)
@@ -264,6 +265,7 @@ def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginRe
         margin=_margin_of(*_residual_arrays(d, utility, lam, costs)),
         margin_history=tuple(history),
     )
+    d._fits["s-umri"] = solution
     report = MarginReport.from_solution(
         solution.margin, np.array([solution.squared_norm()])
     )
@@ -282,22 +284,29 @@ def sbrp_sparsest(
     sparsity penalty); the utility mass is minimized subject to all strict
     residuals staying below the retained margin, then the result is rescaled
     to unit squared norm (valid because the residuals are homogeneous in
-    utility and costs at fixed sensitivities).
+    utility and costs at fixed sensitivities) and its strict margin taken.
+    The max-margin fit is the one stored in ``d``'s memo, when there is one.
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    best, _ = sbrp_max_margin(d)
+    if "s-umri" not in d._fits:
+        sbrp_max_margin(d)
+    best = d._fits["s-umri"]
     if best.margin <= DEGENERATE_MARGIN:
         raise DegenerateDataset(
             f"max margin {best.margin!r} is numerically zero; sparsity is undefined"
         )
-    stages = _SbrpStages(d)
-    utility, costs, _ = stages.utility_stage(
+    utility, costs, _ = _SbrpStages(d).utility_stage(
         best.sensitivities,
         rhs_offset=-margin_fraction * best.margin,
         sparse=True,
     )
-    solution = SharedUtilitySolution(
+    if normalize:
+        norm = float(np.sqrt((utility * utility).sum()))
+        if norm <= 0:
+            raise ProfileMismatch("cannot normalize an all-zero utility")
+        utility, costs = utility * (1.0 / norm), costs * (1.0 / norm)
+    return SharedUtilitySolution(
         utility=utility,
         sensitivities=best.sensitivities,
         costs=costs,
@@ -305,12 +314,6 @@ def sbrp_sparsest(
         scheme=best.scheme + "+sparse",
         margin_history=best.margin_history,
     )
-    if normalize:
-        norm = float(np.sqrt(solution.squared_norm()))
-        if norm <= 0:
-            raise ProfileMismatch("cannot normalize an all-zero utility")
-        solution = solution.scaled(1.0 / norm)
-    return solution
 
 
 def reconstruct_cost_compact(

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from inattention import cli
+from inattention import cli, sbrp
 from inattention.brp import (
     UtilityProfile,
     _margin_of,
@@ -10,7 +12,12 @@ from inattention.brp import (
     reconstruct_cost,
 )
 from inattention.dataset import read_json, write_json
-from inattention.errors import DegenerateDataset, DimensionMismatch, ProfileMismatch
+from inattention.errors import (
+    DegenerateDataset,
+    DimensionMismatch,
+    NumericalFailure,
+    ProfileMismatch,
+)
 from inattention.sbrp import (
     SharedUtilitySolution,
     _SbrpStages,
@@ -20,6 +27,8 @@ from inattention.sbrp import (
     sbrp_sparsest,
     solution_to_dict,
 )
+
+from conftest import random_dataset
 
 
 def make_solution(u, lam, c, margin=0.0):
@@ -150,6 +159,68 @@ class TestSparsest:
     def test_degenerate_rejected(self, identical_pair):
         with pytest.raises(DegenerateDataset):
             sbrp_sparsest(identical_pair)
+
+    def test_normalized_margin_is_the_strict_margin_of_the_solution(self):
+        fits = 0
+        for seed in range(200):
+            d = random_dataset(np.random.default_rng(seed), 2, 3, 3)
+            try:
+                sparse = sbrp_sparsest(d)
+            except DegenerateDataset:
+                continue
+            fits += 1
+            assert sparse.margin == _margin_of(*sbrp_residuals(d, sparse))
+        assert fits > 100
+
+
+def _same_solution(a, b):
+    return (
+        np.array_equal(a.utility, b.utility)
+        and np.array_equal(a.sensitivities, b.sensitivities)
+        and np.array_equal(a.costs, b.costs)
+        and a.margin == b.margin
+        and a.margin_history == b.margin_history
+    )
+
+
+def _count_solves(monkeypatch, fail_first=False):
+    """Spy on the module's LP solves; with ``fail_first`` the first one
+    raises ``NumericalFailure``.  Returns the programs it is given, in order."""
+    real, solved = sbrp.solve_lp, []
+
+    def spy(lp):
+        solved.append(lp)
+        if fail_first and len(solved) == 1:
+            raise NumericalFailure("injected")
+        return real(lp)
+
+    monkeypatch.setattr(sbrp, "solve_lp", spy)
+    return solved
+
+
+class TestStoredFit:
+    # ``replace`` constructs a new dataset object, whose memo is empty.
+
+    def test_sparsest_after_max_margin_solves_only_the_sparsity_stage(
+        self, monkeypatch, d2
+    ):
+        fresh = sbrp_sparsest(replace(d2))
+        sbrp_max_margin(d2)
+        solved = _count_solves(monkeypatch)
+        sparse = sbrp_sparsest(d2)
+        assert len(solved) == 1
+        assert _same_solution(sparse, fresh)
+
+    def test_a_max_margin_that_raises_stores_nothing(self, monkeypatch, d2):
+        solved = _count_solves(monkeypatch)
+        fresh = sbrp_sparsest(replace(d2))
+        from_scratch = len(solved)
+        monkeypatch.undo()
+        solved = _count_solves(monkeypatch, fail_first=True)
+        with pytest.raises(NumericalFailure):
+            sbrp_max_margin(d2)
+        assert _same_solution(sbrp_sparsest(d2), fresh)
+        assert len(solved) == 1 + from_scratch
 
 
 class TestCompactCost:
