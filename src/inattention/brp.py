@@ -53,10 +53,10 @@ _MAX_CUT_ROUNDS = 100
 class UtilityProfile:
     """A rationality certificate: per-agent utilities, costs, and the margin.
 
-    ``margin`` is the negated maximum of the strict-set residuals, computed
-    at construction by :meth:`from_certificate`; solver outputs are
-    nonnegative, normalized profiles may carry any positive scale (their
-    entries routinely leave the unit box the solver searched).
+    ``margin`` is the negated maximum of the strict-set residuals; a fit
+    gets it only from :meth:`from_certificate` (the constructor's argument
+    is for files).  Solver outputs are nonnegative; normalized profiles may
+    carry any positive scale, often leaving the solver's unit box.
     """
 
     utilities: tuple[np.ndarray, ...]
@@ -90,20 +90,6 @@ class UtilityProfile:
     def num_agents(self) -> int:
         return len(self.utilities)
 
-    def scaled(self, factor: float) -> "UtilityProfile":
-        """Rescale utilities, costs, and margin jointly.
-
-        Valid because every residual is positively homogeneous of degree one
-        in (utilities, costs) jointly.
-        """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return UtilityProfile(
-            utilities=tuple(factor * u for u in self.utilities),
-            costs=factor * self.costs,
-            margin=factor * self.margin,
-        )
-
     def squared_norms(self) -> np.ndarray:
         return np.array([float((u * u).sum()) for u in self.utilities])
 
@@ -115,10 +101,10 @@ class UtilityProfile:
 class MarginReport:
     """Goodness-of-fit summary for a max-margin run.
 
-    ``robustness`` is the margin normalized by the mean squared utility norm
-    at the optimizer.  The margin itself is maximized inside the unit boxes
-    and the ratio is evaluated afterwards; maximizing the ratio directly is
-    scale-degenerate.
+    ``robustness`` is the margin, maximized inside the unit boxes, over the
+    mean squared utility norm at the optimizer; maximizing the ratio itself
+    is scale-degenerate.  Only ``epsilon_star`` is a property of the data:
+    ``robustness`` and the norms belong to the vertex the solver returns.
     """
 
     epsilon_star: float
@@ -451,10 +437,8 @@ def brp_sparsest(
     Stage one finds the max margin; stage two minimizes the total utility
     mass (the entrywise L1 norm, which is just the entry sum inside the
     nonnegative box) subject to every strict residual staying below
-    ``-margin_fraction * margin``.  With ``normalize`` the result is rescaled
-    so the squared utility norms sum to the number of agents, the gauge in
-    which profiles are compared; rescaling preserves feasibility because the
-    residuals are homogeneous in (utilities, costs).
+    ``-margin_fraction * margin``.  With ``normalize`` the result is put in
+    the gauge profiles are compared in by :func:`normalize_profile`.
 
     Stage one is solved only when ``d``'s memo has none stored: after
     :func:`brp_max_margin` or :func:`brp_sparsest` on the same ``d``, stage
@@ -479,20 +463,22 @@ def brp_sparsest(
         with_margin=False, rhs_offset=target, objective=sparse_objective
     )
     profile = UtilityProfile.from_certificate(d, utilities, costs)
-    if not normalize:
-        return profile
-    # Rescaling the margin rounds differently from recomputing it; the
-    # profile's margin must be the strict margin of what it returns.
-    scaled = normalize_profile(profile)
-    return UtilityProfile.from_certificate(d, scaled.utilities, scaled.costs)
+    return normalize_profile(d, profile) if normalize else profile
 
 
-def normalize_profile(profile: UtilityProfile) -> UtilityProfile:
-    """Rescale so the squared utility norms sum to the number of agents."""
+def normalize_profile(d: DecisionDataset, profile: UtilityProfile) -> UtilityProfile:
+    """Rescale so the squared utility norms sum to the number of agents.
+
+    The residuals are homogeneous in (utilities, costs), so feasibility is
+    kept; the margin is recomputed on ``d`` (scaling it rounds differently).
+    """
     total = float(profile.squared_norms().sum())
     if total <= 0:
         raise ProfileMismatch("cannot normalize an all-zero profile")
-    return profile.scaled(float(np.sqrt(profile.num_agents / total)))
+    factor = float(np.sqrt(profile.num_agents / total))
+    return UtilityProfile.from_certificate(
+        d, [factor * u for u in profile.utilities], factor * profile.costs
+    )
 
 
 def _check_fits(d: DecisionDataset, prof: UtilityProfile) -> None:
@@ -529,6 +515,9 @@ def profile_to_dict(
     d: DecisionDataset, prof: UtilityProfile, report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> dict:
+    """JSON form of ``prof``.  Its utilities and ``robustness`` are those of
+    the vertex the solver returned; only a max-margin fit's ``margin`` (eps*)
+    is a property of the data."""
     _check_fits(d, prof)
     out = {
         "model": "umri",

@@ -92,19 +92,6 @@ class SharedUtilitySolution:
     def squared_norm(self) -> float:
         return float((self.utility * self.utility).sum())
 
-    def scaled(self, factor: float) -> "SharedUtilitySolution":
-        """Rescale utility, costs, and margin jointly at fixed sensitivities."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return SharedUtilitySolution(
-            utility=factor * self.utility,
-            sensitivities=self.sensitivities,
-            costs=factor * self.costs,
-            margin=factor * self.margin,
-            scheme=self.scheme,
-            margin_history=self.margin_history,
-        )
-
 
 def _check_solution(d: DecisionDataset, sol: SharedUtilitySolution) -> None:
     if sol.utility.shape != (d.num_states, d.num_actions):

@@ -226,6 +226,11 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
     least 0.63 max(d) - 0.03 |d|_1 (diagonal at least 0.85, balancing shift
     at most 0.2), and max(d) >= |d|_1 / (2 (X - 1)).  Beyond, it is measured:
     30 utilities x 300 draws found none at seven shapes, (7, 8) to (30, 31).
+
+    With A <= X (see :func:`_check_request`) and that prior every entry lies
+    in [0.02, 0.95]: off-diagonal draws in [0.02, 0.08) gain a positive shift
+    of at most (0.04 + 0.08 X) / (X - 1) <= 0.2, and diagonal draws in
+    [0.85, 0.95) are never shifted.
     """
     u = rng.uniform(0.02, 0.08, size=(num_states, num_actions))
     for x in range(min(num_states, num_actions)):
@@ -236,8 +241,6 @@ def _sample_base_utility(rng, num_states, num_actions, prior):
         off = np.array([x != a for x in range(num_states)], dtype=bool)
         if off.any():  # a lone state's own column has nothing to balance
             u[off, a] += (target - col[a]) / float(prior[off].sum())
-    if np.any(u <= 0.0) or np.any(u > 1.0):
-        return None
     return u
 
 
@@ -274,7 +277,7 @@ def generate_feasible_dataset(
     agent best-responding, and the information value decays linearly along
     the chain, so the noise levels can be spaced to give the cost potentials
     of :func:`assign_costs` exactly the slack the margin demands.  Draws
-    failing any of the verified gap, range, or potential checks are
+    failing any of the verified gap, noise-range, or potential checks are
     rejected and resampled.  At ``margin`` zero every agent gets the root
     strategy, so a draw passing the best-response and information-value
     checks returns floor costs.  A shape no draw passes raises
@@ -298,8 +301,6 @@ def generate_feasible_dataset(
 
     for _ in range(_MAX_ATTEMPTS):
         base = _sample_base_utility(rng, num_states, num_actions, prior)
-        if base is None:
-            continue
         utilities = [scales[k] * base for k in range(num_agents)]
         try:
             root_agent = generate_strategies(
@@ -377,9 +378,7 @@ def generate_boundary_dataset(
     _check_request(num_agents, num_states, num_actions, seed)
     rng = np.random.default_rng(seed)
     prior = np.full(num_states, 1.0 / num_states)
-    utility = None
-    while utility is None:
-        utility = _sample_base_utility(rng, num_states, num_actions, prior)
+    utility = _sample_base_utility(rng, num_states, num_actions, prior)
     top = generate_strategies(
         num_states,
         num_actions,

@@ -204,7 +204,7 @@ def test_criterion_6_homogeneity():
             float(np.max(np.abs(niac - factor * ref_niac))),
         )
         normalized = normalize_profile(
-            UtilityProfile.from_certificate(d2, utilities, costs)
+            d2, UtilityProfile.from_certificate(d2, utilities, costs)
         )
         robustness_values.append(
             MarginReport.from_solution(

@@ -178,11 +178,35 @@ class TestHomogeneity:
         prof = UtilityProfile.from_certificate(
             d2, D2_CERTIFICATE["utilities"], D2_CERTIFICATE["costs"]
         )
-        a = normalize_profile(prof)
-        b = normalize_profile(prof.scaled(factor))
+        scaled = UtilityProfile.from_certificate(
+            d2, [factor * u for u in prof.utilities], factor * prof.costs
+        )
+        a = normalize_profile(d2, prof)
+        b = normalize_profile(d2, scaled)
         ra = MarginReport.from_solution(a.margin, a.squared_norms())
         rb = MarginReport.from_solution(b.margin, b.squared_norms())
         assert ra.robustness == pytest.approx(rb.robustness, abs=1e-9)
+
+
+class TestCertificateChecks:
+    def test_non_finite_utilities_are_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            UtilityProfile(
+                utilities=(np.eye(2), np.array([[0.5, np.nan], [0.1, 0.2]])),
+                costs=np.array([0.1, 0.2]),
+                margin=0.0,
+            )
+
+    def test_a_cost_count_other_than_the_agent_count_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            UtilityProfile(
+                utilities=(np.eye(2), np.eye(2)), costs=np.array([0.1]), margin=0.0
+            )
+
+    def test_an_all_zero_profile_is_not_normalized(self, d2):
+        zero = UtilityProfile.from_certificate(d2, [np.zeros((2, 2))] * 2, [0.0, 0.0])
+        with pytest.raises(ProfileMismatch):
+            normalize_profile(d2, zero)
 
 
 class TestSparsest:
@@ -447,6 +471,13 @@ def _same_profile(a, b):
         and np.array_equal(a.costs, b.costs)
         and a.margin == b.margin
     )
+
+
+def test_normalized_sparse_fit_is_the_normalized_raw_fit():
+    for seed in range(6):
+        d = _feasible(seed)
+        raw = brp_sparsest(d, normalize=False)
+        assert _same_profile(brp_sparsest(d), normalize_profile(d, raw))
 
 
 def test_fits_on_one_object_match_fits_on_fresh_copies():

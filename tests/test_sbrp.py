@@ -88,6 +88,21 @@ class TestResiduals:
             sbrp_residuals(d2, make_solution(np.eye(2), [1], [0.1]))
 
 
+class TestSolutionChecks:
+    def test_a_non_finite_utility_is_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            make_solution([[np.inf, 0.0], [0.0, 1.0]], [1.0, 1.0], [0.1, 0.1])
+
+    def test_sensitivities_and_costs_of_different_shapes_are_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            make_solution(np.eye(2), [1.0, 1.0], [0.1])
+
+    @pytest.mark.parametrize("lam", [0.0, -0.5])
+    def test_a_nonpositive_sensitivity_is_rejected(self, lam):
+        with pytest.raises(DimensionMismatch):
+            make_solution(np.eye(2), [1.0, lam], [0.1, 0.1])
+
+
 class TestMaxMargin:
     def test_d2_lifts_off(self, d2):
         sol, report = sbrp_max_margin(d2)
@@ -133,12 +148,12 @@ class TestMaxMargin:
 
     def test_homogeneity_at_fixed_sensitivities(self, d2):
         sol, _ = sbrp_max_margin(d2)
-        scaled = sol.scaled(2.0)
+        scaled = make_solution(2.0 * sol.utility, sol.sensitivities, 2.0 * sol.costs)
         nias_a, coup_a = sbrp_residuals(d2, sol)
         nias_b, coup_b = sbrp_residuals(d2, scaled)
         assert np.allclose(nias_b, 2.0 * nias_a, atol=1e-9, equal_nan=True)
         assert np.allclose(coup_b, 2.0 * coup_a, atol=1e-9)
-        assert scaled.margin == pytest.approx(2.0 * sol.margin)
+        assert _margin_of(nias_b, coup_b) == pytest.approx(2.0 * sol.margin)
 
 
 class TestSparsest:

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from inattention.brp import brp_max_margin, nias_residuals, niac_residuals, strict_margin
 from inattention.constants import SYNTH_COST_FLOOR
@@ -12,6 +14,7 @@ from inattention.errors import (
     NegativeCycle,
 )
 from inattention.synth import (
+    _sample_base_utility,
     assign_costs,
     generate_boundary_dataset,
     generate_feasible_dataset,
@@ -70,6 +73,18 @@ class TestAssignCosts:
         )
         costs = assign_costs(d, [np.eye(2)], 0.04)
         assert costs.tolist() == [0.05]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), states=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_base_utility_entries_stay_in_the_drawn_range(data, states, seed):
+    # Both generators draw at A <= X under a uniform prior; every entry then
+    # stays in [0.02, 0.95], so no draw needs rejecting.
+    actions = data.draw(st.integers(1, states))
+    prior = np.full(states, 1.0 / states)
+    u = _sample_base_utility(np.random.default_rng(seed), states, actions, prior)
+    assert u.shape == (states, actions)
+    assert 0.02 <= u.min() and u.max() <= 0.95
 
 
 class TestFeasibleGenerator:
