@@ -23,10 +23,13 @@ the rhs, so the basis stays dual feasible).  A cold run starts from the
 slack basis, every variable at its lower bound, where the reduced costs are
 the costs: the basis is dual feasible for ``min(c, 0)``, and the first dual
 pass runs on that cost, with no artificial column.  A warm run
-(``solve_lp(lp, start=solution)``) keeps an earlier optimum's basis, each
-appended row's slack entering it basic, and runs every pass on ``c``; when
-that basis is not dual feasible or the run fails numerically, the cold run
-takes over.
+(``solve_lp(lp, start=solution)``) takes the basis of an earlier optimum
+over the same variables and no more rows, rebuilt from ``lp``'s own rows,
+each further row's slack entering it basic, and runs every pass on ``c``.
+When ``lp`` extends the start's program by appending rows, that basis is
+nonsingular and dual feasible; otherwise it may be neither.  When it is
+singular or not dual feasible, or the run fails numerically, the cold run
+takes over, and the post-check certifies whatever point a warm run returns.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -93,9 +96,9 @@ class LinearProgram:
     The rows are one read-only matrix ``a`` and rhs vector ``b``, the program
     being ``a @ z <= b``.  :meth:`add_leq` / :meth:`add_eq` append a whole
     block of dense rows (one row is a one-row block) by binding new arrays,
-    never writing into the old ones, so a :meth:`copy` or a solve's
-    :class:`LpBasis` shares them as they stood.  The objective and bounds
-    are read-only too; every bound must be finite.
+    never writing into the old ones, so a :meth:`copy` shares them as they
+    stood.  The objective and bounds are read-only too; every bound must be
+    finite.
     """
 
     def __init__(
@@ -172,20 +175,17 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpBasis:
-    """The optimal basis a solve ended on, with the program it solved.
+    """The optimal basis a solve ended on.
 
     ``basic[r]`` is the column basic at position r, over the column set
     [structural | slack]; ``status`` holds each column's bound code (0
-    lower, 1 upper), meaningful where the column is nonbasic.  ``program``
-    is a copy of the program solved; it shares that program's read-only
-    arrays, so extending the program later leaves the copy as it was solved.
+    lower, 1 upper), meaningful where the column is nonbasic.
 
     Only an optimal solve has a basis; a warm solve starts from it.
     """
 
     basic: np.ndarray
     status: np.ndarray
-    program: LinearProgram
 
 
 @dataclass(frozen=True)
@@ -200,7 +200,7 @@ class LpSolution:
     rebuild of the tableau (not the restore of the true rhs, which solves
     for the basic values alone), a failed warm attempt's included in both.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
-    re-solve the program with rows appended.
+    solve a program over the same variables with no fewer rows.
     """
 
     status: LpStatus
@@ -269,15 +269,18 @@ class _Simplex:
         self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
 
     def warm_start(self, start: LpBasis) -> None:
-        """Take over ``start``'s basis, its rows being this program's first
-        rows; each appended row's slack enters basic at the appended position.
+        """Take over ``start``'s basis, rebuilt from this program's rows; the
+        slack of each row past the start's enters basic at its own position.
 
-        The rhs stays the cold run's perturbed one.  The basis matrix is
-        block lower-triangular with an identity block for the appended
-        slacks, so it stays nonsingular, and the appended slacks carry no
-        cost, so it stays dual feasible; basic values it leaves outside their
-        boxes are the first dual pass's to repair.  A basis that is not dual
-        feasible at ``_COST_TOL`` raises NumericalFailure.
+        The rhs stays the cold run's perturbed one.  When this program
+        extends the start's by appending rows, the basis matrix is block
+        lower-triangular with an identity block for the appended slacks, so
+        it stays nonsingular, and the appended slacks carry no cost, so it
+        stays dual feasible.  Over other rows or another objective it may be
+        neither: a singular block or a basis that is not dual feasible at
+        ``_COST_TOL`` raises NumericalFailure, and the cold run takes over.
+        Basic values it leaves outside their boxes are the first dual
+        pass's to repair.
         """
         n, m0 = self.n, start.basic.size
         self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
@@ -563,31 +566,26 @@ class _Simplex:
 
 
 def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:
-    """``start``'s basis, to seed ``lp``.  Raises ValueError unless ``lp``
-    has ``start``'s variables, bounds and objective and its rows begin with
-    ``start``'s rows."""
+    """``start``'s basis, to seed ``lp``.  Raises ValueError unless
+    ``start`` is optimal, over ``lp``'s variables and no more rows."""
     basis = start.basis
     if basis is None:
         raise ValueError("a warm start needs an optimal solution")
-    old = basis.program
-    if not (
-        np.array_equal(lp.objective, old.objective)
-        and np.array_equal(lp.lower, old.lower)
-        and np.array_equal(lp.upper, old.upper)
-    ):
+    if start.point.shape[0] != lp.num_vars:
         raise ValueError("the start solved a program over other variables")
-    m0 = old.num_rows
-    if not (np.array_equal(lp.a[:m0], old.a) and np.array_equal(lp.b[:m0], old.b)):
-        raise ValueError("the program's rows do not begin with the start's rows")
+    if basis.basic.size > lp.num_rows:
+        raise ValueError("the start solved a program with more rows")
     return basis
 
 
 def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs.
 
-    ``start``, the optimal solution of an earlier program that this one
-    extends by appending rows, makes the solve warm (module docstring).
-    Raises ValueError when ``lp`` does not extend the start's program.
+    ``start``, the optimal solution of an earlier program over the same
+    variables with no more rows, makes the solve warm (module docstring).
+    Any such program will do; one that this one extends by appending rows
+    gives a start that is sure to be usable.  Raises ValueError when the
+    start is not optimal, has other variables or more rows than ``lp``.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -636,6 +634,5 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         basis=LpBasis(
             basic=_frozen(engine.basis),
             status=_frozen(engine.status),
-            program=lp.copy(),
         ),
     )

@@ -12,11 +12,20 @@ after the fact.  The cost pieces are scored with the labelled action too, so
 the envelope the LP optimizes meets ``PiecewiseAffineCost.value`` (scored
 with the best response) at the anchors and can lie below it between them.
 A second LP takes the optimum nearest the observed behavior, over deviations.
+
+A family answers many queries, so it builds the prediction program's rows
+that no utility enters once, and each grid interval's queries start their
+first program from one optimal basis: the interval midpoint's, solved cold
+on first use and kept on the family.  Queries in one interval solve related
+programs, whose optimal bases barely differ, so a warm solve from the
+midpoint's basis takes a few pivots where a cold one takes dozens.  The
+start depends on the interval alone, so no answer depends on earlier
+queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,7 +58,7 @@ from .errors import (
     ProfileMismatch,
     ShapeMismatch,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 
 __all__ = [
     "NoiseFamily",
@@ -72,11 +81,18 @@ _OBJECTIVE_SLACK = 1e-9
 @dataclass(frozen=True)
 class NoiseFamily:
     """Fitted model for agents indexed by an increasing noise grid; ``fitted``
-    holds one utility of the dataset's shape per agent (ProfileMismatch)."""
+    holds one utility of the dataset's shape per agent (ProfileMismatch).
+
+    Privately it keeps the prediction program at zero utility (its boxes and
+    the rows no utility enters), the best-response (action, deviation) pairs,
+    and a memo of each grid interval's start (module docstring)."""
 
     etas: np.ndarray
     dataset: DecisionDataset
     fitted: UtilityProfile
+    _base: LinearProgram = field(init=False, repr=False, compare=False)
+    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _starts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
         d = self.dataset
@@ -87,6 +103,9 @@ class NoiseFamily:
                 f"the dataset's {d.num_agents} agents of shape {shape}"
             )
         object.__setattr__(self, "etas", _noise_grid(self.etas, d.num_agents))
+        object.__setattr__(self, "_base", _base_program(d, self.fitted))
+        pairs = np.nonzero(~np.eye(d.num_actions, dtype=bool))
+        object.__setattr__(self, "_pairs", _frozen_array(pairs, dtype=int))
 
     @property
     def num_agents(self) -> int:
@@ -186,6 +205,10 @@ def predict_choice(
     over deviation columns from it (no absolute-value rows), which keeps
     grid queries pinned to the observed behavior.  The returned flag is the
     independent re-check of NIAS consistency on the returned strategy.
+
+    With ``eta``, the first program starts warm from the optimal basis of
+    the same program at the midpoint of eta's grid interval (module
+    docstring); the refinement and a query without ``eta`` solve cold.
     """
     u_hat = np.asarray(interpolated, dtype=float)
     X, A = f.dataset.num_states, f.dataset.num_actions
@@ -194,37 +217,18 @@ def predict_choice(
     if not np.all(np.isfinite(u_hat)) or np.any(u_hat < 0):
         raise DimensionMismatch("interpolated utility must be finite and nonnegative")
 
-    cost = _anchored_cost(f.dataset, f.fitted.utilities, f.fitted.costs)
-    gradients = cost.gradients.reshape(-1, X * A)
-    anchored = (gradients * cost.anchors.reshape(-1, X * A)).sum(axis=1)
-    offsets = cost.offsets - anchored
-    bound = float((np.abs(offsets) + np.abs(gradients).sum(axis=1)).max()) + 1.0
-
-    lp = LinearProgram(
-        np.append((f.dataset.prior[:, None] * u_hat).ravel(), -1.0),
-        np.append(np.zeros(X * A), -bound),
-        np.append(np.ones(X * A), bound),
-    )
-    # One simplex row per state, then one epigraph row per cost piece (its
-    # labelled-action value, linear in the strategy), then one best-response
-    # row per action a and deviation b != a:
-    # sum_x mu(x) P(x, a) (u(x, b) - u(x, a)) <= 0.
-    lp.add_eq(np.hstack([np.repeat(np.eye(X), A, axis=1), np.zeros((X, 1))]), 1.0)
-    lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -offsets)
-    taken, deviation = np.nonzero(~np.eye(A, dtype=bool))
-    pairs = taken.size
-    nias = np.zeros((pairs, X, A))
-    nias[np.arange(pairs), :, taken] = (
-        f.dataset.prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
-    ).T
-    lp.add_leq(np.hstack([nias.reshape(pairs, X * A), np.zeros((pairs, 1))]), 0.0)
-    first = solve_lp(lp)
+    bracket = start = None
+    if eta is not None:
+        bracket = _bracket(f, eta)
+        start = _interval_start(f, bracket[0])
+    lp = _first_program(f, u_hat)
+    first = solve_lp(lp, start=start)
     if first.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"prediction program reported {first.status.value}")
 
     point = first.point
-    if eta is not None:
-        point = _refine_toward_anchor(f, lp, first, eta)
+    if bracket is not None:
+        point = _refine_toward_anchor(f, lp, first, *bracket)
     strategy = np.clip(point[: X * A].reshape(X, A), 0.0, None)
     strategy /= strategy.sum(axis=1, keepdims=True)
     # Certify the surrogate: every action the strategy takes must be a best
@@ -236,14 +240,67 @@ def predict_choice(
     return strategy, bool(worst <= _NIAS_CERT_TOL)
 
 
-def _refine_toward_anchor(f: NoiseFamily, lp, first, eta: float) -> np.ndarray:
+def _base_program(d: DecisionDataset, fitted: UtilityProfile) -> LinearProgram:
+    """The prediction program at zero utility: the strategy boxes and the
+    epigraph scalar's, one simplex row per state, then one epigraph row per
+    cost piece (its labelled-action value, linear in the strategy)."""
+    X, A = d.num_states, d.num_actions
+    cost = _anchored_cost(d, fitted.utilities, fitted.costs)
+    gradients = cost.gradients.reshape(-1, X * A)
+    anchored = (gradients * cost.anchors.reshape(-1, X * A)).sum(axis=1)
+    offsets = cost.offsets - anchored
+    bound = float((np.abs(offsets) + np.abs(gradients).sum(axis=1)).max()) + 1.0
+    lp = LinearProgram(
+        np.append(np.zeros(X * A), -1.0),
+        np.append(np.zeros(X * A), -bound),
+        np.append(np.ones(X * A), bound),
+    )
+    lp.add_eq(np.hstack([np.repeat(np.eye(X), A, axis=1), np.zeros((X, 1))]), 1.0)
+    lp.add_leq(np.hstack([gradients, -np.ones((len(offsets), 1))]), -offsets)
+    return lp
+
+
+def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
+    """The prediction program at utility ``u_hat``: the family's base rows,
+    then one best-response row per action a and deviation b != a:
+    sum_x mu(x) P(x, a) (u(x, b) - u(x, a)) <= 0."""
+    base, (taken, deviation), prior = f._base, f._pairs, f.dataset.prior
+    X, A = u_hat.shape
+    lp = LinearProgram(
+        np.append((prior[:, None] * u_hat).ravel(), -1.0), base.lower, base.upper
+    )
+    lp.add_leq(base.a, base.b)
+    pairs = taken.size
+    nias = np.zeros((pairs, X, A))
+    nias[np.arange(pairs), :, taken] = (
+        prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
+    ).T
+    lp.add_leq(np.hstack([nias.reshape(pairs, X * A), np.zeros((pairs, 1))]), 0.0)
+    return lp
+
+
+def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
+    """The optimal first program at grid interval g's midpoint, utility
+    (u_g + u_{g+1}) / 2, solved cold on first use and kept on the family;
+    None when that solve does not end optimal, and the query solves cold."""
+    if g not in f._starts:
+        u = 0.5 * f.fitted.utilities[g] + 0.5 * f.fitted.utilities[g + 1]
+        try:
+            solved = solve_lp(_first_program(f, u))
+        except NumericalFailure:
+            solved = None
+        f._starts[g] = solved if solved is not None and solved.is_optimal else None
+    return f._starts[g]
+
+
+def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
     """Within ``_OBJECTIVE_SLACK`` of the first optimum, take the strategy
     L1-closest to the interpolated in-sample one, z = target + up - down:
     deviation columns up in [0, 1 - target] and down in [0, target] cost -1,
     the first program's other columns follow at zero cost, and its rows and
     kept objective become [A_z | -A_z | A_rest] <= b - A_z target.  This
-    moves even a unique optimum (2.0e-9 per entry, 2x2 identity utility)."""
-    g, w_hi = _bracket(f, eta)
+    moves even a unique optimum (2.0e-9 per entry, 2x2 identity utility).
+    ``g`` and ``w_hi`` are the query's grid interval and upper weight."""
     target = (1.0 - w_hi) * f.dataset.choice(g) + w_hi * f.dataset.choice(g + 1)
     # A choice entry may exceed 1 by 1e-12; the deviation boxes need it in [0, 1].
     target = np.clip(target, 0.0, 1.0).ravel()

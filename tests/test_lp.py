@@ -274,13 +274,12 @@ class TestRowStorage:
         solved = solve_lp(lp)
         copy = lp.copy()
         assert copy.a is lp.a and copy.b is lp.b
-        assert solved.basis.program.a is lp.a
         copy.add_leq([2.0], 1.0)
         copy.add_eq([1.0], 0.25)
         assert (lp.num_rows, copy.num_rows) == (1, 4)
         assert np.array_equal(copy.a[:1], lp.a)
-        for kept in (lp, solved.basis.program):
-            assert np.array_equal(kept.a, [[1.0]]) and np.array_equal(kept.b, [1.0])
+        assert np.array_equal(lp.a, [[1.0]]) and np.array_equal(lp.b, [1.0])
+        assert solve_lp(lp).point.tobytes() == solved.point.tobytes()
 
 
 class TestWarmStart:
@@ -327,7 +326,27 @@ class TestWarmStart:
         assert np.array_equal(warm.b, cold.b)
         assert not np.array_equal(warm.b, cut.b)
 
-    def test_start_must_be_a_row_prefix(self):
+    def test_start_must_be_optimal_over_the_same_variables_and_no_more_rows(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([1.0, 2.0], 2.0)
+        lp.add_leq([2.0, 1.0], 2.0)
+        start = solve_lp(lp)
+        fewer_vars = LinearProgram([1.0], [0.0], [1.0])
+        fewer_vars.add_leq([[1.0], [2.0], [3.0]], [2.0, 2.0, 2.0])
+        more_rows = LinearProgram(lp.objective, lp.lower, lp.upper)
+        more_rows.add_leq(lp.a[:1], lp.b[:1])
+        infeasible = LinearProgram(lp.objective, lp.lower, lp.upper)
+        infeasible.add_leq([-1.0, -1.0], -3.0)
+        not_optimal = solve_lp(infeasible)
+        assert not_optimal.status is LpStatus.INFEASIBLE
+        for bad, given in ((fewer_vars, start), (more_rows, start), (lp, not_optimal)):
+            with pytest.raises(ValueError):
+                solve_lp(bad, start=given)
+
+    def test_start_from_any_program_over_the_same_variables_matches_cold(self):
+        # Other rows, other rhs, another objective or other bounds: the
+        # start's basis is rebuilt from the new rows, and where it is not
+        # dual feasible there the cold run takes over.
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         lp.add_leq([2.0, 1.0], 2.0)
@@ -338,22 +357,64 @@ class TestWarmStart:
             out.add_leq(rows, rhs)
             return out
 
-        non_prefix = program([[1.0, 1.0], *lp.a], [1.5, *lp.b])
-        reordered = program(lp.a[::-1], lp.b[::-1])
-        shorter = program(lp.a[:1], lp.b[:1])
-        other_rhs = program(lp.a, [lp.b[0], 3.0])
-        other_objective = program(lp.a, lp.b, objective=[1.0, 2.0])
-        other_bounds = program(lp.a, lp.b, upper=[1.0, 2.0])
-        for bad in (
-            non_prefix, reordered, shorter, other_rhs, other_objective, other_bounds
-        ):
-            with pytest.raises(ValueError):
-                solve_lp(bad, start=start)
-        # An equal row that is a different object still makes a prefix.
-        rebuilt = LinearProgram(lp.objective, lp.lower, lp.upper)
-        rebuilt.add_leq([1.0, 2.0], 2.0)
-        rebuilt.add_leq([2.0, 1.0], 2.0)
+        others = [
+            program([[1.0, 1.0], *lp.a], [1.5, *lp.b]),  # a row before the start's
+            program(lp.a[::-1], lp.b[::-1]),  # the start's rows reordered
+            program(lp.a, [lp.b[0], 3.0]),  # another rhs
+            program(lp.a, lp.b, objective=[1.0, 2.0]),  # another objective
+            program(lp.a, lp.b, upper=[1.0, 2.0]),  # other bounds
+        ]
+        for other in others:
+            warm, cold = solve_lp(other, start=start), solve_lp(other)
+            assert warm.status is cold.status is LpStatus.OPTIMAL
+            assert warm.objective_value == pytest.approx(
+                cold.objective_value, abs=1e-12
+            )
+        # An equal program that is a different object extends the start.
+        rebuilt = program(lp.a, lp.b)
         assert solve_lp(rebuilt, start=start).warm
+
+    def test_warm_from_a_perturbed_sibling_matches_cold_on_random_programs(self):
+        rng = np.random.default_rng(23)
+        checked = warm_runs = 0
+        for _ in range(80):
+            lp = random_lp(rng, m=int(rng.integers(1, 9)))
+            a, b = lp.dense_rows()
+            sibling = LinearProgram(
+                lp.objective + rng.normal(scale=0.1, size=lp.num_vars),
+                lp.lower,
+                lp.upper + rng.uniform(0.0, 0.2, size=lp.num_vars),
+            )
+            sibling.add_leq(a + rng.normal(scale=0.1, size=a.shape), b + 0.1)
+            start = solve_lp(sibling)
+            if not start.is_optimal:
+                continue
+            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            assert warm.status is cold.status
+            warm_runs += warm.warm
+            if cold.status is not LpStatus.OPTIMAL:
+                continue
+            ref = scipy_optimum(lp, TIGHT_HIGHS)
+            tol = 1e-9 * max(1.0, abs(ref.fun))
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+            assert warm.objective_value == pytest.approx(-ref.fun, abs=tol)
+            checked += 1
+        assert checked >= 20 and warm_runs >= 20
+
+    def test_start_basis_singular_on_the_new_rows_falls_back_cold(self):
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([[1.0, 2.0], [2.0, 1.0]], 2.0)
+        start = solve_lp(lp)  # both structurals basic, both slacks nonbasic
+        assert sorted(start.basis.basic.tolist()) == [0, 1]
+        # The same basis over rows [1, 1] and [2, 2]: an exactly singular block.
+        other = LinearProgram(lp.objective, lp.lower, lp.upper)
+        other.add_leq([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
+        again, cold = solve_lp(other, start=start), solve_lp(other)
+        assert not again.warm
+        # The failed attempt's one rebuild is counted beside the cold run's.
+        assert again.refactorizations == cold.refactorizations + 1
+        assert again.objective_value == pytest.approx(1.0, abs=1e-12)
+        assert again.point.tobytes() == cold.point.tobytes()
 
     def test_start_must_be_optimal(self):
         lp = LinearProgram([1.0], [0.0], [2.0])

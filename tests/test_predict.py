@@ -10,6 +10,7 @@ from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
     NonSquare,
+    NumericalFailure,
     OutOfRange,
     ProfileMismatch,
     ShapeMismatch,
@@ -298,7 +299,8 @@ class TestRefinement:
                 eta = (1.0 - w_hi) * etas[g] + w_hi * etas[g + 1]
                 del solves[:]
                 strategy = predict_at(fam, eta).predicted_choice
-                (first_lp, first), (_, second) = solves
+                # The interval's first query also solves its midpoint start.
+                (first_lp, first), (_, second) = solves[-2:]
                 g_eta, w = predict_module._bracket(fam, eta)
                 target = (
                     (1.0 - w) * dataset.choice(g_eta) + w * dataset.choice(g_eta + 1)
@@ -317,6 +319,95 @@ class TestRefinement:
                 assert float((first_lp.a @ point - first_lp.b).max()) <= 1e-9
                 kept = first.objective_value - predict_module._OBJECTIVE_SLACK
                 assert first_lp.objective @ point >= kept - 1e-9
+
+
+@pytest.fixture(scope="module")
+def family4():
+    """``make_noise_family(0, num_classes=4)`` fitted, and 30 query etas:
+    0.025, 0.05 and 0.075 past each grid point but the last."""
+    etas, dataset, _ = make_noise_family(seed=0, num_classes=4)
+    offsets = (0.025, 0.05, 0.075)
+    queries = [round(eta + offset, 3) for eta in etas[:-1] for offset in offsets]
+    return fit_family(dataset, etas), queries
+
+
+def fresh(fam):
+    """The same fitted family with no interval start solved yet."""
+    return NoiseFamily(etas=fam.etas, dataset=fam.dataset, fitted=fam.fitted)
+
+
+class TestIntervalStart:
+    def test_answers_do_not_depend_on_earlier_queries(self, family4):
+        fam, queries = family4
+        alone = {eta: predict_at(fresh(fam), eta) for eta in queries}
+        shared = fresh(fam)
+        for eta in reversed(queries):
+            outcome, expected = predict_at(shared, eta), alone[eta]
+            choice = outcome.predicted_choice
+            assert choice.tobytes() == expected.predicted_choice.tobytes()
+            assert outcome.nias_consistent == expected.nias_consistent
+
+    def test_each_query_solves_its_first_program_warm_from_the_midpoint(
+        self, family4, monkeypatch
+    ):
+        fam, queries = family4
+        fam = fresh(fam)
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            solves.append((lp, solve_lp(lp, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(predict_module, "solve_lp", spy)
+        seen = set()
+        for eta in queries:
+            del solves[:]
+            g = predict_module._bracket(fam, eta)[0]
+            assert predict_at(fam, eta).nias_consistent
+            # The interval's first query also solves the midpoint, cold.
+            assert len(solves) == (2 if g in seen else 3)
+            if g not in seen:
+                assert not solves[0][1].warm
+            seen.add(g)
+            first_lp, first = solves[-2]
+            assert first.warm
+            ref = scipy_optimum(first_lp, TIGHT_HIGHS)
+            assert ref.status == 0
+            scale = max(1.0, abs(ref.fun))
+            assert first.objective_value == pytest.approx(-ref.fun, abs=1e-9 * scale)
+        assert len(seen) == fam.num_agents - 1
+
+    def test_a_midpoint_that_fails_leaves_its_interval_cold(self, family4, monkeypatch):
+        fam, _ = family4
+        fam = fresh(fam)
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            if not solves:
+                solves.append(None)
+                raise NumericalFailure("injected at the midpoint")
+            solves.append(solve_lp(lp, *args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(predict_module, "solve_lp", spy)
+        for eta in (1.325, 1.375):
+            del solves[1:]
+            assert predict_at(fam, eta).nias_consistent
+            # The first program and the refinement, both cold; no retry.
+            assert [s.warm for s in solves[1:]] == [False, False]
+
+    def test_utility_query_without_eta_solves_cold(self, family4, monkeypatch):
+        fam, _ = family4
+        fam = fresh(fam)
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            solves.append(solve_lp(lp, *args, **kwargs))
+            return solves[-1]
+
+        monkeypatch.setattr(predict_module, "solve_lp", spy)
+        predict_choice(fam, interpolate_utility(fam, 1.33))
+        assert len(solves) == 1 and not solves[0].warm
 
 
 class TestScoring:
