@@ -137,15 +137,15 @@ class MarginReport:
 
 
 def _check_profile_dims(d: DecisionDataset, utilities) -> np.ndarray:
-    """The utilities as one (K, X, A) stack, after checking their shapes."""
+    """The utilities as one (K, X, A) stack; ProfileMismatch unless there is
+    one of ``d``'s (X, A) shape per agent.  This is the one check that a
+    fitted model matches its dataset."""
     mats = [np.asarray(u, dtype=float) for u in utilities]
     if len(mats) != d.num_agents:
-        raise DimensionMismatch(
-            f"{len(mats)} utility matrices for {d.num_agents} agents"
-        )
+        raise ProfileMismatch(f"profile has {len(mats)} agents, dataset {d.num_agents}")
     for k, u in enumerate(mats):
         if u.shape != (d.num_states, d.num_actions):
-            raise DimensionMismatch(
+            raise ProfileMismatch(
                 f"utility {k} has shape {u.shape}, expected "
                 f"({d.num_states}, {d.num_actions})"
             )
@@ -481,17 +481,6 @@ def normalize_profile(d: DecisionDataset, profile: UtilityProfile) -> UtilityPro
     )
 
 
-def _check_fits(d: DecisionDataset, prof: UtilityProfile) -> None:
-    """ProfileMismatch unless ``prof`` has one utility of ``d``'s shape per agent."""
-    if prof.num_agents != d.num_agents:
-        raise ProfileMismatch(
-            f"profile has {prof.num_agents} agents, dataset {d.num_agents}"
-        )
-    for u in prof.utilities:
-        if u.shape != (d.num_states, d.num_actions):
-            raise ProfileMismatch("profile utilities do not match dataset shape")
-
-
 def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffineCost:
     """Anchor one cost piece at each agent's strategy.
 
@@ -499,7 +488,6 @@ def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffin
     fitted cost exactly, and each agent's strategy maximizes value minus
     cost over all strategies (the envelope uses re-optimized actions).
     """
-    _check_fits(d, prof)
     if strict_margin(d, prof.utilities, prof.costs) < -1e-7:
         raise ProfileMismatch(
             "profile violates the feasibility residuals; its cost is not defined"
@@ -518,7 +506,7 @@ def profile_to_dict(
     """JSON form of ``prof``.  Its utilities and ``robustness`` are those of
     the vertex the solver returned; only a max-margin fit's ``margin`` (eps*)
     is a property of the data."""
-    _check_fits(d, prof)
+    _check_profile_dims(d, prof.utilities)
     out = {
         "model": "umri",
         "margin": prof.margin,

@@ -16,11 +16,9 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import brp, dataset as ds, predict as pred, sbrp, synth
 from .constants import DEGENERATE_MARGIN, UNIT_FLOOR
-from .errors import InattentionError, IoFailure, NumericalFailure
+from .errors import DimensionMismatch, InattentionError, IoFailure, NumericalFailure
 
 log = logging.getLogger("inattention")
 
@@ -178,20 +176,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _eta_grid(text: str) -> np.ndarray:
-    """The ``--etas`` grid; a usage error unless its entries are finite
-    numbers in strictly increasing order."""
-    try:
-        etas = np.array([float(v) for v in text.split(",")])
-    except ValueError:
-        etas = None
-    if etas is None or not np.all(np.isfinite(etas)):
-        raise _Usage(f"--etas {text!r} is not a comma-separated list of finite numbers")
-    if np.any(np.diff(etas) <= 0):
-        raise _Usage(f"--etas {text!r} is not strictly increasing")
-    return etas
-
-
 def cmd_predict(args) -> int:
     # Every argument is checked before the fit, which can take minutes, and
     # before anything is written.
@@ -201,7 +185,6 @@ def cmd_predict(args) -> int:
                 raise _Usage(f"--{flag.replace('_', '-')} does not apply with --family")
     elif not args.dataset or args.etas is None:
         raise _Usage("predict needs either --family or --dataset with --etas")
-    etas = None if args.family else _eta_grid(args.etas)
     truth = None
     if args.truth_dataset:
         _require_inputs(args.truth_dataset)
@@ -218,10 +201,10 @@ def cmd_predict(args) -> int:
     else:
         _require_inputs(args.dataset)
         data = ds.load_dataset(args.dataset)
-        if etas.shape[0] != data.num_agents:
-            raise _Usage(
-                f"--etas has {etas.shape[0]} levels for {data.num_agents} agents"
-            )
+        try:
+            etas = pred._noise_grid([float(v) for v in args.etas.split(",")], data.num_agents)
+        except (ValueError, DimensionMismatch) as exc:
+            raise _Usage(f"--etas {args.etas!r}: {exc}") from None
     shape = (data.num_states, data.num_actions)
     if truth is not None and truth.shape != shape:
         raise _Usage(

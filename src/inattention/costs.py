@@ -52,7 +52,7 @@ class PiecewiseAffineCost:
                 f"{offsets.shape[0]} piece offsets, anchors {anchors.shape} "
                 f"and gradients {gradients.shape} disagree"
             )
-        for name, arr in (("anchors", anchors), ("gradients", gradients)):
+        for name, arr in (("offsets", offsets), ("anchors", anchors), ("gradients", gradients)):
             if not np.all(np.isfinite(arr)):
                 raise ProfileMismatch(f"piece {name} have non-finite entries")
         object.__setattr__(self, "offsets", offsets)

@@ -219,7 +219,8 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
         ids = [str(a.get("agent_id", i)) for i, a in enumerate(raw["agents"])]
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed dataset mapping: {exc}") from exc
-    labels = tuple(raw["labels"]) if raw.get("labels") else None
+    labels = raw.get("labels")
+    labels = tuple(labels) if labels is not None and len(labels) else None
     if mats and mats[0].ndim == 2:
         for name, size in zip(("num_states", "num_actions"), mats[0].shape):
             if raw.get(name) is not None and raw[name] != size:
@@ -232,18 +233,9 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
         raise TooFewAgents(
             f"got {len(mats)} agent(s); need a collection of at least {min_agents}"
         )
-    if prior.ndim != 1:
-        raise DimensionMismatch("prior must be a vector")
-    num_states = prior.shape[0]
     if any(m.ndim != 2 for m in mats):
         raise DimensionMismatch("every choice matrix must be 2-D")
-    num_actions = mats[0].shape[1]
-    for m, agent_id in zip(mats, ids):
-        if m.shape != (num_states, num_actions):
-            raise DimensionMismatch(
-                f"agent {agent_id!r} has shape {m.shape}, expected "
-                f"({num_states}, {num_actions})"
-            )
+    num_states, num_actions = mats[0].shape
 
     prior = _renormalize_vector(prior, "prior")
     agents = []

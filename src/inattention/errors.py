@@ -34,8 +34,11 @@ class DegenerateDataset(InattentionError):
     refinement (sparsity, prediction) is undefined."""
 
 
-class ProfileMismatch(InattentionError):
-    """A fitted profile does not match the dataset it is being applied to."""
+class ProfileMismatch(DimensionMismatch):
+    """A fitted profile does not match the dataset it is being applied to.
+
+    A :class:`DimensionMismatch`, since the residual kernel's shape check
+    raises it wherever a fitted model meets its dataset."""
 
 
 class ShapeMismatch(InattentionError):

@@ -31,6 +31,7 @@ import numpy as np
 
 from .brp import (
     UtilityProfile,
+    _check_profile_dims,
     _profile_from_dict,
     _worst_nias,
     brp_max_margin,
@@ -41,6 +42,7 @@ from .costs import _anchored_cost
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
+    _check_utility,
     _frozen_array,
     dataset_to_dict,
     read_json,
@@ -55,7 +57,6 @@ from .errors import (
     NonSquare,
     NumericalFailure,
     OutOfRange,
-    ProfileMismatch,
     ShapeMismatch,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
@@ -96,12 +97,7 @@ class NoiseFamily:
 
     def __post_init__(self):
         d = self.dataset
-        shape = (d.num_states, d.num_actions)
-        if [u.shape for u in self.fitted.utilities] != [shape] * d.num_agents:
-            raise ProfileMismatch(
-                f"the profile's {self.fitted.num_agents} utilities do not match "
-                f"the dataset's {d.num_agents} agents of shape {shape}"
-            )
+        _check_profile_dims(d, self.fitted.utilities)
         object.__setattr__(self, "etas", _noise_grid(self.etas, d.num_agents))
         object.__setattr__(self, "_base", _base_program(d, self.fitted))
         pairs = np.nonzero(~np.eye(d.num_actions, dtype=bool))
@@ -210,13 +206,8 @@ def predict_choice(
     the same program at the midpoint of eta's grid interval (module
     docstring); the refinement and a query without ``eta`` solve cold.
     """
-    u_hat = np.asarray(interpolated, dtype=float)
-    X, A = f.dataset.num_states, f.dataset.num_actions
-    if u_hat.shape != (X, A):
-        raise DimensionMismatch(f"interpolated utility must be ({X}, {A})")
-    if not np.all(np.isfinite(u_hat)) or np.any(u_hat < 0):
-        raise DimensionMismatch("interpolated utility must be finite and nonnegative")
-
+    u_hat = _check_utility(f.dataset, interpolated)
+    X, A = u_hat.shape
     bracket = start = None
     if eta is not None:
         bracket = _bracket(f, eta)

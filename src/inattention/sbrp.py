@@ -19,6 +19,7 @@ import numpy as np
 
 from .brp import (
     MarginReport,
+    _check_profile_dims,
     _margin_of,
     _margin_rows,
     _nias_rows,
@@ -93,18 +94,6 @@ class SharedUtilitySolution:
         return float((self.utility * self.utility).sum())
 
 
-def _check_solution(d: DecisionDataset, sol: SharedUtilitySolution) -> None:
-    if sol.utility.shape != (d.num_states, d.num_actions):
-        raise DimensionMismatch(
-            f"utility shape {sol.utility.shape}, dataset needs "
-            f"({d.num_states}, {d.num_actions})"
-        )
-    if sol.num_agents != d.num_agents:
-        raise DimensionMismatch(
-            f"solution covers {sol.num_agents} agents, dataset has {d.num_agents}"
-        )
-
-
 def _residual_arrays(d, utility, sensitivities, costs):
     nias = nias_residuals(d, [utility] * d.num_agents)
     realized = _realized(d, utility)
@@ -126,7 +115,7 @@ def sbrp_residuals(
     entry (j, k) linear in the utility at fixed (sensitivities, costs) and
     linear in (sensitivities, costs) at fixed utility; its diagonal is zero.
     """
-    _check_solution(d, sol)
+    _check_profile_dims(d, [sol.utility] * sol.num_agents)
     return _residual_arrays(d, sol.utility, sol.sensitivities, sol.costs)
 
 
@@ -330,7 +319,7 @@ def solution_to_dict(
     d: DecisionDataset, sol: SharedUtilitySolution, report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> dict:
-    _check_solution(d, sol)
+    _check_profile_dims(d, [sol.utility] * sol.num_agents)
     out = {
         "model": "s-umri",
         "margin": sol.margin,

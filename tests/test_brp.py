@@ -21,10 +21,12 @@ from inattention.brp import (
 from inattention import brp, cli, sbrp
 from inattention.brp import _BrpProgram
 from inattention.dataset import (
+    dataset_to_dict,
     expected_value,
     joint_and_posterior,
     read_json,
     realized_value,
+    save_dataset,
     write_json,
 )
 from inattention.errors import (
@@ -34,6 +36,7 @@ from inattention.errors import (
     ProfileMismatch,
 )
 from inattention.lp import solve_lp
+from inattention.predict import NoiseFamily, load_family
 from inattention.synth import generate_feasible_dataset
 
 from conftest import (
@@ -109,6 +112,10 @@ class TestResiduals:
             nias_residuals(d2, [np.eye(2)])
         with pytest.raises(DimensionMismatch):
             niac_residuals(d2, [np.eye(2), np.eye(3)], [0.1, 0.1])
+
+    def test_cost_count_other_than_the_agent_count_rejected(self, d2):
+        with pytest.raises(DimensionMismatch, match="costs shape"):
+            niac_residuals(d2, [np.eye(2)] * 2, [0.1])
 
 
 class TestMaxMargin:
@@ -308,6 +315,15 @@ class TestReconstructCost:
                 alt = expected_value(trial, 0, prof.utilities[k]) - cost.value(p)
                 assert own >= alt - 1e-9
 
+    def test_profile_that_violates_the_residuals_has_no_cost(self, d2):
+        # The utility pays for naming the other state, so no agent's labelled
+        # action is a best response.
+        swapped = UtilityProfile(
+            utilities=(np.eye(2)[::-1],) * 2, costs=np.zeros(2), margin=0.0
+        )
+        with pytest.raises(ProfileMismatch, match="violates the feasibility residuals"):
+            reconstruct_cost(d2, swapped)
+
     def test_profile_mismatch(self, d2):
         prof, _ = brp_max_margin(d2)
         other = dataset_from_matrices(
@@ -343,6 +359,88 @@ class TestProfileFiles:
         with pytest.raises(ProfileMismatch, match=f"profile has {3 + extra} agents, dataset 3"):
             write_json(str(path), profile_to_dict(d, other, report))
         assert not path.exists()
+
+
+def _profile_payload(prof):
+    return {
+        "model": "umri",
+        "margin": prof.margin,
+        "agents": [
+            {"agent_id": f"a{k}", "utility": u.tolist(), "cost": float(c)}
+            for k, (u, c) in enumerate(zip(prof.utilities, prof.costs))
+        ],
+    }
+
+
+def _load_family_of(tmp_path, d, prof):
+    path = tmp_path / "family.json"
+    etas = [1.0 + 0.1 * k for k in range(d.num_agents)]
+    payload = {"etas": etas, "dataset": dataset_to_dict(d), "profile": _profile_payload(prof)}
+    write_json(str(path), payload)
+    return load_family(str(path))
+
+
+# Every consumer of a fitted model, called with ``d`` and a UMRI profile or
+# s-UMRI solution that does not match it.
+FIT_CONSUMERS = {
+    "nias_residuals": lambda d, prof, sol, tmp: nias_residuals(d, prof.utilities),
+    "niac_residuals": lambda d, prof, sol, tmp: niac_residuals(d, prof.utilities, prof.costs),
+    "reconstruct_cost": lambda d, prof, sol, tmp: reconstruct_cost(d, prof),
+    "profile_to_dict": lambda d, prof, sol, tmp: profile_to_dict(d, prof),
+    "NoiseFamily": lambda d, prof, sol, tmp: NoiseFamily(
+        etas=[1.0 + 0.1 * k for k in range(d.num_agents)], dataset=d, fitted=prof
+    ),
+    "load_family": lambda d, prof, sol, tmp: _load_family_of(tmp, d, prof),
+    "sbrp_residuals": lambda d, prof, sol, tmp: sbrp.sbrp_residuals(d, sol),
+    "solution_to_dict": lambda d, prof, sol, tmp: sbrp.solution_to_dict(d, sol),
+    "reconstruct_cost_compact": lambda d, prof, sol, tmp: sbrp.reconstruct_cost_compact(
+        d, sol
+    ),
+}
+
+# (extra agents, extra actions) of the fit against its dataset.
+FIT_MISMATCHES = {
+    "one agent short": (-1, 0),
+    "one agent more": (1, 0),
+    "wrong utility shape": (0, 1),
+}
+
+
+def _mismatched_fit(d, mismatch):
+    """A UMRI profile and an s-UMRI solution off ``d`` by ``mismatch``."""
+    extra_agents, extra_actions = FIT_MISMATCHES[mismatch]
+    agents = d.num_agents + extra_agents
+    u = np.full((d.num_states, d.num_actions + extra_actions), 0.5)
+    prof = UtilityProfile(utilities=(u,) * agents, costs=np.full(agents, 0.1), margin=0.0)
+    sol = sbrp.SharedUtilitySolution(
+        utility=u, sensitivities=np.ones(agents), costs=np.full(agents, 0.1), margin=0.0
+    )
+    return prof, sol
+
+
+class TestFitMatchesItsDataset:
+    """One check, the residual kernel's, decides whether a fit matches its
+    dataset, so every consumer rejects a mismatch the same way."""
+
+    @pytest.mark.parametrize("mismatch", FIT_MISMATCHES)
+    @pytest.mark.parametrize("consumer", FIT_CONSUMERS)
+    def test_every_consumer_rejects_a_mismatched_fit(self, d2, tmp_path, consumer, mismatch):
+        prof, sol = _mismatched_fit(d2, mismatch)
+        with pytest.raises(ProfileMismatch, match="profile has|has shape") as raised:
+            FIT_CONSUMERS[consumer](d2, prof, sol, tmp_path)
+        assert isinstance(raised.value, DimensionMismatch)
+
+    @pytest.mark.parametrize("mismatch", FIT_MISMATCHES)
+    def test_cost_subcommand_exits_one(self, d2, tmp_path, capsys, mismatch):
+        prof, _ = _mismatched_fit(d2, mismatch)
+        data, profile, out = (tmp_path / n for n in ("d.json", "profile.json", "cost.csv"))
+        save_dataset(d2, str(data))
+        write_json(str(profile), _profile_payload(prof))
+        argv = ["cost", "--profile", profile, "--dataset", data, "--out", out]
+        assert cli.main([str(a) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert "profile has" in err or "has shape" in err
+        assert not out.exists()
 
 
 def _row_draws():

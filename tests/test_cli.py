@@ -406,7 +406,7 @@ class TestSynthPredict:
         out = tmp_path / "p.json"
         assert run("predict", "--family", miscounted, "--eta", 1.75, "--out", out) == 1
         err = capsys.readouterr().err
-        assert f"error: the profile's {len(agents)} utilities do not match" in err
+        assert f"error: profile has {len(agents)} agents, dataset 3" in err
         assert "IndexError" not in err
         assert not out.exists()
 

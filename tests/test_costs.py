@@ -31,6 +31,14 @@ def test_shape_validation():
         cost.value(np.eye(2))
 
 
+@pytest.mark.parametrize("field", ["offsets", "anchors", "gradients"])
+def test_non_finite_pieces_rejected(field):
+    pieces = {"offsets": [0.1], "anchors": [np.eye(2)], "gradients": [np.eye(2)]}
+    pieces[field] = np.full(np.shape(pieces[field]), np.nan)
+    with pytest.raises(ProfileMismatch, match=f"piece {field} have non-finite"):
+        PiecewiseAffineCost(**pieces)
+
+
 def test_envelope_dominates_every_piece():
     rng = np.random.default_rng(1)
     cost = build_cost(rng)

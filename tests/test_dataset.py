@@ -100,7 +100,48 @@ class TestValidate:
                 validate_dataset(other)
 
 
+    def test_array_labels_are_taken(self, d2):
+        raw = {**dataset_to_dict(d2), "labels": np.array(["a", "b"])}
+        assert validate_dataset(raw).labels == ("a", "b")
+
+
+class TestConstructorChecks:
+    @pytest.mark.parametrize(
+        "matrix, error",
+        [
+            ([0.5, 0.5], DimensionMismatch),
+            ([[0.5, np.nan], [0.5, 0.5]], NotStochastic),
+            ([[1.5, -0.5], [0.5, 0.5]], NotStochastic),
+            ([[0.5, 0.4], [0.5, 0.5]], NotStochastic),
+        ],
+        ids=["not 2-D", "non-finite", "outside [0, 1]", "row sum off"],
+    )
+    def test_bad_choice_matrix_rejected(self, matrix, error):
+        with pytest.raises(error):
+            AgentChoiceMatrix("a", matrix)
+
+    @pytest.mark.parametrize(
+        "prior, agents, error",
+        [
+            ([1.2, -0.2], 1, NotStochastic),
+            ([0.5, np.nan], 1, NotStochastic),
+            ([0.5, 0.6], 1, NotStochastic),
+            ([0.5, 0.5], 0, TooFewAgents),
+        ],
+        ids=["negative prior", "non-finite prior", "prior sum off", "no agents"],
+    )
+    def test_bad_dataset_rejected(self, prior, agents, error):
+        agent = AgentChoiceMatrix("a", np.eye(2))
+        with pytest.raises(error):
+            DecisionDataset(2, 2, prior, (agent,) * agents)
+
+
 class TestJointPosterior:
+    @pytest.mark.parametrize("k", [-1, 2])
+    def test_agent_index_out_of_range_rejected(self, d2, k):
+        with pytest.raises(DimensionMismatch):
+            joint_and_posterior(d2, k)
+
     def test_hand_example(self):
         d = dataset_from_matrices(
             [0.5, 0.5], [[[0.8, 0.2], [0.4, 0.6]], [[0.8, 0.2], [0.4, 0.6]]]

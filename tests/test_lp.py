@@ -78,6 +78,31 @@ class TestExamples:
         with pytest.raises(ValueError):
             LinearProgram(objective=[1.0], lower=[0.0], upper=[np.inf])
 
+    @pytest.mark.parametrize(
+        "objective, lower, upper",
+        [
+            ([1.0, 1.0], [0.0], [1.0, 1.0]),
+            ([1.0], [0.0], [1.0, 2.0]),
+            ([np.nan], [0.0], [1.0]),
+            ([1.0], [2.0], [1.0]),
+        ],
+        ids=["lower of another length", "upper of another length", "nan objective",
+             "lower above upper"],
+    )
+    def test_malformed_program_rejected(self, objective, lower, upper):
+        with pytest.raises(ValueError):
+            LinearProgram(objective=objective, lower=lower, upper=upper)
+
+    @pytest.mark.parametrize("coeffs, rhs", [([np.inf], 1.0), ([1.0], np.nan)])
+    def test_non_finite_row_rejected(self, coeffs, rhs):
+        lp = LinearProgram(objective=[1.0], lower=[0.0], upper=[1.0])
+        with pytest.raises(ValueError):
+            lp.add_leq(coeffs, rhs)
+
+    def test_program_without_variables_rejected(self):
+        with pytest.raises(ValueError):
+            solve_lp(LinearProgram(objective=[], lower=[], upper=[]))
+
     def test_equality_rows(self):
         lp = LinearProgram(objective=[1.0, 0.0], lower=[0.0, 0.0], upper=[1.0, 1.0])
         lp.add_eq([1.0, 1.0], 1.0)

@@ -125,6 +125,10 @@ class TestFitFamily:
         with pytest.raises(ProfileMismatch):
             load_family(str(path))
 
+    def test_grid_that_is_not_a_vector_rejected(self, d2):
+        with pytest.raises(DimensionMismatch, match="malformed noise levels"):
+            fit_family(d2, [[1.0, 1.1]])
+
     def test_degenerate_dataset_rejected(self, identical_pair):
         with pytest.raises(DegenerateDataset):
             fit_family(identical_pair, np.array([1.0, 1.1]))
@@ -431,6 +435,10 @@ class TestScoring:
             score_prediction(
                 np.full((2, 3), 1 / 3), np.full((2, 3), 1 / 3), np.array([0.5, 0.5])
             )
+
+    def test_prior_of_another_length_rejected(self):
+        with pytest.raises(ShapeMismatch):
+            score_prediction(np.eye(2), np.eye(2), np.array([0.2, 0.3, 0.5]))
 
     def test_midpoint_errors_are_small(self, family):
         fam, _, truth_at = family

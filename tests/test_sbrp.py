@@ -157,6 +157,11 @@ class TestMaxMargin:
 
 
 class TestSparsest:
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
+    def test_fraction_outside_the_open_unit_interval_rejected(self, d2, fraction):
+        with pytest.raises(ValueError):
+            sbrp_sparsest(d2, margin_fraction=fraction)
+
     def test_unit_norm_gauge(self, d2):
         sparse = sbrp_sparsest(d2)
         assert sparse.squared_norm() == pytest.approx(1.0)
@@ -291,6 +296,6 @@ class TestSolutionFiles:
             sol.utility, [*sol.sensitivities, 1.0], [*sol.costs, 0.0], sol.margin
         )
         path = tmp_path / "solution.json"
-        with pytest.raises(DimensionMismatch, match="solution covers 3 agents"):
+        with pytest.raises(DimensionMismatch, match="profile has 3 agents, dataset 2"):
             write_json(str(path), solution_to_dict(d2, more, report))
         assert not path.exists()
