@@ -294,31 +294,36 @@ class _BrpProgram:
     def num_core_vars(self) -> int:
         return self.K * self.block + self.K
 
-    def swap_row(self, j: int, k: int, sigma: tuple[int, ...]) -> np.ndarray:
-        """Row over the core variables whose value is the swap residual
-        (j, k) with agent j's observations answered by ``sigma``."""
-        row = np.zeros(self.num_core_vars)
-        u_k = row[k * self.block : (k + 1) * self.block].reshape(self.X, self.A)
-        joint_j, joint_k = self.d._stack.joint[j], self.d._stack.joint[k]
+    def swap_rows(self, swaps) -> np.ndarray:
+        """One row over the core variables per ``(j, k, sigma)`` in
+        ``swaps``, whose value is the swap residual (j, k) with agent j's
+        observations answered by ``sigma``."""
+        count = len(swaps)
+        j, k = np.array([swap[:2] for swap in swaps], dtype=int).reshape(count, 2).T
+        sigma = np.array([swap[2] for swap in swaps], dtype=int).reshape(count, self.A)
+        joint = self.d._stack.joint
+        rows = np.zeros((count, self.num_core_vars))
+        which = np.arange(count)[:, None]
+        cell = k[:, None] * self.block + np.arange(self.X) * self.A  # u_k[x, 0]
         # A fixed order (a ascending, the sigma(a) term first) rounds a cell
         # hit twice the same way in every build.
         for a in range(self.A):
-            u_k[:, sigma[a]] += joint_j[:, a]
-            u_k[:, a] -= joint_k[:, a]
-        row[self.K * self.block + k] = 1.0
-        row[self.K * self.block + j] = -1.0
-        return row
+            rows[which, cell + sigma[:, a, None]] += joint[j, :, a]
+            rows[which, cell + a] -= joint[k, :, a]
+        rows[which[:, 0], self.K * self.block + k] = 1.0
+        rows[which[:, 0], self.K * self.block + j] = -1.0
+        return rows
 
     def build(self, *, with_margin: bool, rhs_offset: float, objective: np.ndarray):
         """A stage's first program: the best-response rows, then every
         modelled selection's swap row, grouped by pair."""
         lp = _unit_box_program(objective, with_margin)
         swaps = [
-            self.swap_row(j, k, sigma)
+            (j, k, sigma)
             for (j, k), sigmas in self.selections.items()
             for sigma in sigmas
         ]
-        rows = np.vstack([self.nias_rows, *swaps])
+        rows = np.vstack([self.nias_rows, self.swap_rows(swaps)])
         lp.add_leq(_margin_rows(lp, rows, with_margin), rhs_offset)
         return lp
 
@@ -327,15 +332,13 @@ class _BrpProgram:
         utilities = tuple(point[:stack].reshape(self.K, self.X, self.A).copy())
         return utilities, point[stack : stack + self.K].copy()
 
-    def add_violated_selections(
-        self, utilities, costs, bound: float
-    ) -> list[np.ndarray]:
+    def add_violated_selections(self, utilities, costs, bound: float) -> np.ndarray:
         """Score the candidate exactly; model any better response found.
 
         ``bound`` is what every swap residual must stay below; a pair whose
         exact residual exceeds it (beyond tolerance) gets its current best
         response appended as a new selection.  Returns the new selections'
-        swap rows, in the order found.
+        swap rows, in the order found (none: zero rows).
         """
         exact = niac_residuals(self.d, utilities, costs)
         best = _swap_scores(self.d, np.array(utilities)).argmax(axis=3)
@@ -346,8 +349,8 @@ class _BrpProgram:
             sigma = tuple(best[j, k].tolist())
             if sigma not in sigmas:
                 sigmas.append(sigma)
-                added.append(self.swap_row(j, k, sigma))
-        return added
+                added.append((j, k, sigma))
+        return self.swap_rows(added)
 
     def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float, objective):
         """Solve the stage's first program, then, while the optimum misses a
@@ -372,10 +375,10 @@ class _BrpProgram:
             margin = float(sol.point[-1]) if with_margin else None
             bound = -margin if with_margin else rhs_offset
             cuts = self.add_violated_selections(utilities, costs, bound)
-            if not cuts:
+            if not cuts.shape[0]:
                 return utilities, costs, margin
             lp = lp.copy()
-            lp.add_leq(_margin_rows(lp, np.array(cuts), with_margin), rhs_offset)
+            lp.add_leq(_margin_rows(lp, cuts, with_margin), rhs_offset)
         raise NumericalFailure("best-response row generation did not converge")
 
     def max_margin(self):

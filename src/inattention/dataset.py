@@ -209,7 +209,8 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     Choice-matrix rows whose sums deviate from 1 by at most 1e-6 are
     renormalized; larger deviations reject the input.  Collections of fewer
     than ``min_agents`` agents are rejected: by default two, since a single
-    agent is rationalizable by construction, so testing it is vacuous.
+    agent is rationalizable by construction, so testing it is vacuous.  An
+    empty collection is rejected whatever ``min_agents`` says.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
@@ -229,9 +230,10 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
                     f"{mats[0].shape}"
                 )
 
-    if len(mats) < min_agents:
+    least = max(min_agents, 1)  # a dataset holds at least one agent
+    if len(mats) < least:
         raise TooFewAgents(
-            f"got {len(mats)} agent(s); need a collection of at least {min_agents}"
+            f"got {len(mats)} agent(s); need a collection of at least {least}"
         )
     if any(m.ndim != 2 for m in mats):
         raise DimensionMismatch("every choice matrix must be 2-D")

@@ -7,7 +7,8 @@ identical inputs produce bit-identical solutions.  At desk scale (tens to a
 few hundred rows) a pivot costs its numpy calls, not its arithmetic, so the
 hot loop makes few of them: ndarray methods (``.nonzero()``, ``.argmin()``)
 and direct ufunc reductions (``np.maximum.reduce``) in place of the Python
-wrappers behind ``np.flatnonzero``, ``np.argmin`` and ``ndarray.max``.
+wrappers behind ``np.flatnonzero``, ``np.argmin`` and ``ndarray.max``, and
+``.take()`` in place of fancy indexing to gather rows or columns of a matrix.
 
 Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
@@ -26,7 +27,9 @@ pass runs on that cost, with no artificial column.  A warm run
 (``solve_lp(lp, start=solution)``) takes the basis of an earlier optimum
 over the same variables and no more rows, rebuilt from ``lp``'s own rows,
 each further row's slack entering it basic, and runs every pass on ``c``.
-When ``lp`` extends the start's program by appending rows, that basis is
+A rebuilt start whose basic values already lie in their boxes at the true
+rhs is optimal as it stands, and the run returns it before any pass.  When
+``lp`` extends the start's program by appending rows, that basis is
 nonsingular and dual feasible; otherwise it may be neither.  When it is
 singular or not dual feasible, or the run fails numerically, the cold run
 takes over, and the post-check certifies whatever point a warm run returns.
@@ -49,12 +52,15 @@ differ only in how they choose a pivot.  The policy:
   backstop;
 - past the iteration cap the run raises.
 
-A rebuild and the rhs restore solve only the basis's r×r basic-structural
-block, basic slacks being unit columns.  A solve ends optimal or infeasible,
-or raises :class:`NumericalFailure`.  Every variable is boxed, so no program
-is unbounded: an improving direction without limit or a singular basis can
-only come from rounding, and each raises.  The one recovery path is the
-cold run that takes over when a warm run raises.
+A rebuild solves only the basis's r×r basic-structural block, basic slacks
+being unit columns, and it is the only LU solve a run makes.  A pass ends on
+a tableau no pivot has touched since it was built (bound flips leave it as
+it is), whose column at a nonbasic slack is B⁻¹ times that slack's unit
+column, so the basic values at the true rhs are read off it.  A solve ends
+optimal or infeasible, or raises :class:`NumericalFailure`.  Every variable
+is boxed, so no program is unbounded: an improving direction without limit
+or a singular basis can only come from rounding, and each raises.  The one
+recovery path is the cold run that takes over when a warm run raises.
 """
 
 from __future__ import annotations
@@ -197,8 +203,9 @@ class LpSolution:
     basis and finished from there, whether optimal or infeasible (after a
     fallback to the cold solve it is False); ``iterations`` counts every
     step made, pivots and bound flips, and ``refactorizations`` every
-    rebuild of the tableau (not the restore of the true rhs, which solves
-    for the basic values alone), a failed warm attempt's included in both.
+    rebuild of the tableau, each the run's one kind of LU solve (the restore
+    of the true rhs reads the basic values off the rebuilt tableau), a
+    failed warm attempt's included in both.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
     solve a program over the same variables with no fewer rows.
     """
@@ -303,12 +310,17 @@ class _Simplex:
             feasible = self._dual(np.minimum(self.obj, 0.0))
         else:
             self.warm_start(self.start)
+            values = self._basic_values(self.b_true)
+            if _largest(self._excess(values), initial=0.0) <= _FEAS_TOL:
+                # Optimal as it stands: a dual feasible start in its boxes.
+                self.b, self.x[self.basis] = self.b_true, values
+                return LpStatus.OPTIMAL
             feasible = self._dual(self.obj)
         if not feasible:
             return LpStatus.INFEASIBLE
         self._optimize()
         self.b = self.b_true
-        self._basis_solve()  # the tableau, rebuilt by the primal pass, stays
+        self.x[self.basis] = self._basic_values(self.b)
         if not self._dual(self.obj):
             # Feasible only under the perturbation: the true program is not.
             return LpStatus.INFEASIBLE
@@ -398,7 +410,7 @@ class _Simplex:
 
         def choose(reduced, bland, banned):
             values = self.x[self.basis]
-            excess = np.maximum(self.lo_b - values, values - self.hi_b)
+            excess = self._excess(values)
             if banned is not None:
                 excess[banned[self.basis]] = 0.0
             row = int(excess.argmax()) if self.m else -1
@@ -440,50 +452,65 @@ class _Simplex:
 
     # -- core iteration -----------------------------------------------------
 
-    def _nonbasic_rhs(self) -> np.ndarray:
+    def _nonbasic_rhs(self, b: np.ndarray) -> np.ndarray:
         """b less the nonbasic columns at their values: B times x_B."""
         nonbasic_x = self.x.copy()
         nonbasic_x[self.basis] = 0.0
-        return self.b - self.a @ nonbasic_x[: self.n] - nonbasic_x[self.n :]
+        return b - self.a @ nonbasic_x[: self.n] - nonbasic_x[self.n :]
 
-    def _basis_solve(self, tableau: bool = False) -> None:
-        """Set the basic values, and with ``tableau`` the tableau, to B⁻¹C,
+    def _excess(self, values: np.ndarray) -> np.ndarray:
+        """How far each basic value lies outside its box (negative inside)."""
+        return np.maximum(self.lo_b - values, values - self.hi_b)
+
+    def _basic_values(self, b: np.ndarray) -> np.ndarray:
+        """The basic values at rhs ``b``, B⁻¹(b − N x_N), read off a freshly
+        rebuilt tableau: a nonbasic slack's column there is B⁻¹eᵢ for its
+        row i, and a basic slack's row i is eᵢ at its own position."""
+        n = self.n
+        rhs = self._nonbasic_rhs(b)
+        at = (self.nonbasic >= n).nonzero()[0]
+        values = self.tableau.take(at, 1) @ rhs.take(self.nonbasic.take(at) - n)
+        slack = (self.basis >= n).nonzero()[0]
+        values[slack] += rhs.take(self.basis.take(slack) - n)
+        return values
+
+    def _refactorize(self) -> None:
+        """Rebuild the tableau and basic values from the basis, B⁻¹C with
         C = [N | b − N x_N], through the r×r block A[R, S], R the rows whose
         slack is nonbasic and S the basic structurals: basic slacks being
         unit columns, S's rows are Z = A[R, S]⁻¹ C[R] and row i's basic
-        slack's is C[i] − A[i, S] Z, each block gathering only its own rows.
-        A singular basis can only come from rounding and raises
-        NumericalFailure."""
+        slack's is C[i] − A[i, S] Z, C gathered for each row set from A's
+        rows of that set alone.  Rank-one updates drift; long degenerate runs
+        gather enough error to flip reduced-cost signs.  A singular basis can
+        only come from rounding and raises NumericalFailure."""
+        self.refactorizations += 1
         n = self.n
         slack = self.basis >= n
         at = (self.nonbasic >= n).nonzero()[0]
-        at = at[self.nonbasic[at].argsort()]  # R ascending
-        # [A | 0 | rhs]: a nonbasic slack takes the 0 column, and its 1 in R.
-        rhs = self._nonbasic_rhs()[:, None]
-        extended = np.concatenate([self.a, np.zeros((self.m, 1)), rhs], axis=1)
-        top, rest = extended[self.nonbasic[at] - n], extended[self.basis[slack] - n]
-        picked = np.append(np.minimum(self.nonbasic, n), n + 1) if tableau else [n + 1]
-        columns, basic = top[:, picked], self.basis[~slack]
-        if tableau:
-            columns[np.arange(at.size), at] = 1.0
+        at = at.take(self.nonbasic.take(at).argsort())  # R ascending
+        basic = self.basis[~slack]
+        # Over [A | 0 | rhs] a nonbasic slack's column reads the 0 column.
+        picked = np.append(np.minimum(self.nonbasic, n), n + 1)
+        rhs = self._nonbasic_rhs(self.b)[:, None]
+
+        def gathered(rows):  # C[rows] and A[rows, S]
+            a = self.a.take(rows, 0)
+            extended = np.concatenate(
+                [a, np.zeros((rows.size, 1)), rhs.take(rows, 0)], axis=1
+            )
+            return extended.take(picked, 1), a.take(basic, 1)
+
+        top, block = gathered(self.nonbasic.take(at) - n)
+        rest, beside = gathered(self.basis[slack] - n)
+        top[np.arange(at.size), at] = 1.0
         try:
-            z = np.linalg.solve(top[:, basic], columns)
+            z = np.linalg.solve(block, top)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("the simplex basis became singular") from exc
-        solved = rest[:, picked]  # the basic slacks' rows
-        solved -= rest[:, basic] @ z
-        self.x[self.basis[~slack]], self.x[self.basis[slack]] = z[:, -1], solved[:, -1]
-        if tableau:
-            self.tableau = np.empty((self.m, n))
-            self.tableau[~slack], self.tableau[slack] = z[:, :-1], solved[:, :-1]
-
-    def _refactorize(self) -> None:
-        """Rebuild the tableau and basic values from the basis: one
-        :meth:`_basis_solve` of the n nonbasic columns (a slack's being a unit
-        column) and the rhs.  Rank-one updates drift; long degenerate runs
-        gather enough error to flip reduced-cost signs."""
-        self.refactorizations += 1
-        self._basis_solve(tableau=True)
+        rest -= beside @ z  # the basic slacks' rows
+        self.x[basic], self.x[self.basis[slack]] = z[:, -1], rest[:, -1]
+        self.tableau = np.empty((self.m, n))
+        self.tableau[~slack], self.tableau[slack] = z[:, :-1], rest[:, :-1]
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs of the nonbasic positions."""

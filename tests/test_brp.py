@@ -458,6 +458,20 @@ def _row_draws():
         yield d, utilities, rng.uniform(0.0, 1.0, size=K), float(rng.uniform(0.0, 0.1))
 
 
+def _looped_swap_row(program, j, k, sigma):
+    """Swap row (j, k) under ``sigma`` by a loop over actions: a ascending,
+    the sigma(a) term first."""
+    row = np.zeros(program.num_core_vars)
+    block = program.block
+    u_k = row[k * block : (k + 1) * block].reshape(program.X, program.A)
+    joint = program.d._stack.joint
+    for a in range(program.A):
+        u_k[:, sigma[a]] += joint[j][:, a]
+        u_k[:, a] -= joint[k][:, a]
+    row[program.K * block + k], row[program.K * block + j] = 1.0, -1.0
+    return row
+
+
 def _nias_expected(d, nias, eps):
     """Best-response residual plus eps per row, in row order: agent k,
     action a it takes, deviation b != a."""
@@ -495,6 +509,32 @@ class TestKernelMatchesLoop:
 
 class TestProgramRows:
     """Each LP row, evaluated at a point, equals the residual it encodes."""
+
+    def test_swap_rows_match_the_per_selection_loop(self):
+        # All swap rows are built in one pass over actions; a cell that a
+        # selection hits twice rounds as in the per-selection loop.
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            K, X, A = (int(v) for v in rng.integers(2, 5, size=3))
+            d = dataset_from_matrices(
+                rng.dirichlet(np.ones(X)), [stochastic(rng, (X, A)) for _ in range(K)]
+            )
+            program = _BrpProgram(d)
+            for sigmas in program.selections.values():
+                for _ in range(int(rng.integers(0, 3))):
+                    sigmas.append(tuple(rng.integers(0, A, size=A).tolist()))
+            lp = program.build(
+                with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
+            )
+            swaps = [
+                _looped_swap_row(program, j, k, sigma)
+                for (j, k), sigmas in program.selections.items()
+                for sigma in sigmas
+            ]
+            core = np.vstack([program.nias_rows, *swaps])
+            expected = np.hstack([core, np.ones((core.shape[0], 1))]) + 0.0
+            assert lp.a.tobytes() == expected.tobytes()
+        assert program.swap_rows([]).shape == (0, program.num_core_vars)
 
     def test_umri_rows_match_residuals(self):
         for d, utilities, costs, eps in _row_draws():

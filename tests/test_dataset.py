@@ -69,6 +69,11 @@ class TestValidate:
         with pytest.raises(TooFewAgents):
             dataset_from_matrices([0.5, 0.5], [p])
 
+    @pytest.mark.parametrize("min_agents", [0, 1])
+    def test_no_agents_rejected_whatever_the_minimum(self, min_agents):
+        with pytest.raises(TooFewAgents, match="got 0 agent"):
+            validate_dataset({"prior": [1.0], "agents": []}, min_agents=min_agents)
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(DimensionMismatch):
             dataset_from_matrices(

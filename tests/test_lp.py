@@ -515,6 +515,27 @@ class TestWarmStart:
         assert again.warm and again.iterations == 0
         assert again.point.tobytes() == first.point.tobytes()
 
+    def test_warm_resolve_of_an_optimum_stops_before_any_pass(self, monkeypatch):
+        # The rebuilt start is dual feasible and its basic values lie in
+        # their boxes at the true rhs: the solve returns it as it stands.
+        rng = np.random.default_rng(19)
+        solved = [
+            (lp, solve_lp(lp))
+            for lp in (make(rng) for _ in range(60) for make in (random_lp, larger_lp))
+        ]
+        passes = []
+        monkeypatch.setattr(lp_module._Simplex, "_pass", lambda *args: passes.append(args))
+        checked = 0
+        for lp, first in solved:
+            if not first.is_optimal:
+                continue
+            again = solve_lp(lp.copy(), start=first)
+            assert again.warm and again.is_optimal
+            assert (again.iterations, again.refactorizations) == (0, 1)
+            assert np.allclose(again.point, first.point, rtol=0.0, atol=1e-12)
+            checked += 1
+        assert not passes and checked >= 50
+
     def test_appended_row_that_empties_the_program_is_infeasible_warm(self):
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
@@ -617,7 +638,8 @@ class TestBlockRebuild:
 
     def test_basic_values_after_the_rhs_restore(self, monkeypatch):
         # Only the final dual pass runs on the true rhs; on entry its basic
-        # values are solved afresh while the tableau is kept, not rebuilt.
+        # values are read off the tableau the primal pass left rebuilt, which
+        # is kept, not rebuilt again.
         restored = []
         optimize, dual = lp_module._Simplex._optimize, lp_module._Simplex._dual
 
@@ -653,7 +675,7 @@ class TestBlockRebuild:
         lp.add_leq([1.0, 2.0], 2.0)
         first = solve_lp(lp)
         # The primal pass's pivot is confirmed on a rebuilt tableau; the
-        # restore of the true rhs solves for the basic values and is no
+        # restore of the true rhs reads the basic values off it and is no
         # rebuild.
         assert first.refactorizations == len(rebuilds) >= 1
         grown = lp.copy()
@@ -662,6 +684,34 @@ class TestBlockRebuild:
         again = solve_lp(grown, start=first)
         # The warm start is rebuilt too.
         assert again.warm and again.refactorizations == len(rebuilds) >= 2
+
+    def test_every_basis_solve_is_a_counted_rebuild(self, monkeypatch):
+        # The restore of the true rhs and the warm start's optimality test
+        # read the basic values off the rebuilt tableau: every LU solve in a
+        # run is one of its counted rebuilds.
+        calls, solve = [], np.linalg.solve
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        rng = np.random.default_rng(17)
+        runs = collections.Counter()
+        for _ in range(60):
+            for make in (random_lp, larger_lp):
+                lp = make(rng)
+                calls.clear()
+                first = solve_lp(lp)
+                assert len(calls) == first.refactorizations
+                if not first.is_optimal:
+                    continue
+                grown = _extended(lp, first.point, rng, int(rng.integers(0, 4)))
+                calls.clear()
+                again = solve_lp(grown, start=first)
+                assert len(calls) == again.refactorizations
+                runs["warm", again.warm] += 1
+        assert runs["warm", True] >= 40, runs
 
 
 def _full_block_rebuild(engine):
@@ -799,9 +849,9 @@ class TestSingularBasis:
     @staticmethod
     def _fail_once_after(monkeypatch, method):
         """Make the first ``np.linalg.solve`` after the first call of the
-        ``_Simplex`` method ``method`` (``_dual``: the pass that makes a run,
-        cold or warm, feasible) raise LinAlgError; returns the pivots its
-        engine had made by then."""
+        ``_Simplex`` method ``method`` (``_dual``: the pass that makes a run
+        feasible; ``warm_start``: the rebuild of a warm run's start) raise
+        LinAlgError; returns the pivots its engine had made by then."""
         failed, armed = [], []
         feasible, solve = getattr(lp_module._Simplex, method), np.linalg.solve
 
@@ -824,10 +874,11 @@ class TestSingularBasis:
     def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
         first, grown = self._cut_program()
         cold = solve_lp(grown)
-        failed = self._fail_once_after(monkeypatch, "_dual")
+        failed = self._fail_once_after(monkeypatch, "warm_start")
         again = solve_lp(grown, start=first)
         [spent] = failed  # in the warm attempt, which runs first
-        assert spent > 0  # after the dual pass repaired the appended row
+        # At the dual pass's verdict rebuild, once it repaired the appended row.
+        assert spent > 0
         assert not again.warm
         assert again.iterations == spent + cold.iterations
         assert again.point.tobytes() == cold.point.tobytes()
