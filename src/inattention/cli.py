@@ -235,7 +235,7 @@ def _profile_rows(raw, path: str):
     robustness = [
         raw.get("metadata", {}).get("dataset", os.path.basename(path)),
         raw["model"],
-        max(float(raw["margin"]), 0.0),
+        brp._verdict(raw["margin"])[0],
         float(raw["robustness"]) if raw.get("robustness") is not None else None,
         bool(raw["degenerate"]),
     ]

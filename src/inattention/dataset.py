@@ -221,6 +221,9 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatch(f"malformed dataset mapping: {exc}") from exc
     labels = raw.get("labels")
+    if not isinstance(labels, (list, tuple, np.ndarray, type(None))) or np.ndim(labels) > 1:
+        # A string would read as its characters, a mapping as its keys.
+        raise DimensionMismatch("field 'labels' must be a flat list of state names")
     labels = tuple(labels) if labels is not None and len(labels) else None
     if mats and mats[0].ndim == 2:
         for name, size in zip(("num_states", "num_actions"), mats[0].shape):

@@ -260,13 +260,12 @@ def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
     lp = LinearProgram(
         np.append((prior[:, None] * u_hat).ravel(), -1.0), base.lower, base.upper
     )
-    lp.add_leq(base.a, base.b)
     pairs = taken.size
-    nias = np.zeros((pairs, X, A))
-    nias[np.arange(pairs), :, taken] = (
+    nias = np.zeros((pairs, X * A + 1))  # the epigraph scalar's column stays zero
+    nias[np.arange(pairs)[:, None], np.arange(X) * A + taken[:, None]] = (
         prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
     ).T
-    lp.add_leq(np.hstack([nias.reshape(pairs, X * A), np.zeros((pairs, 1))]), 0.0)
+    lp.add_leq(np.vstack([base.a, nias]), np.append(base.b, np.zeros(pairs)))
     return lp
 
 

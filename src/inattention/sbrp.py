@@ -8,7 +8,8 @@ stages: optimize (utility, costs) at fixed sensitivities, then optimize the
 sensitivities at the fixed rest.  Each stage re-optimizes a superset of the
 incumbent, so the margin sequence never decreases; global optimality is not
 claimed.  Sensitivities start at one, which makes the first stage exactly the
-shared-utility version of the private-utility test.
+shared-utility version of the private-utility test.  The verdict on a margin
+and the fit-file fields both models share come from :mod:`inattention.brp`.
 """
 
 from __future__ import annotations
@@ -20,21 +21,22 @@ import numpy as np
 from .brp import (
     MarginReport,
     _check_profile_dims,
+    _fit_dict,
     _margin_of,
     _margin_rows,
     _nias_rows,
     _realized,
+    _stored_fit,
     _unit_box_program,
     _worst_nias,
     nias_residuals,
 )
-from .constants import DEGENERATE_MARGIN, LAMBDA_HI, LAMBDA_LO, MARGIN_CAP
+from .constants import LAMBDA_HI, LAMBDA_LO, MARGIN_CAP
 from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
-    DegenerateDataset,
     DimensionMismatch,
     IoFailure,
     NumericalFailure,
@@ -78,8 +80,10 @@ class SharedUtilitySolution:
             raise DimensionMismatch("utility must be a finite matrix")
         if lam.shape != c.shape or lam.ndim != 1:
             raise DimensionMismatch("need one sensitivity and one cost per agent")
-        if np.any(lam <= 0):
-            raise DimensionMismatch("sensitivities must be positive")
+        if not np.all(np.isfinite(c) & np.isfinite(lam) & (lam > 0)):
+            raise DimensionMismatch("need finite costs and finite positive sensitivities")
+        if not np.isfinite(float(self.margin)):
+            raise DimensionMismatch(f"margin {self.margin!r} is not finite")
         object.__setattr__(self, "utility", u)
         object.__setattr__(self, "sensitivities", lam)
         object.__setattr__(self, "costs", c)
@@ -265,13 +269,7 @@ def sbrp_sparsest(
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    if "s-umri" not in d._fits:
-        sbrp_max_margin(d)
-    best = d._fits["s-umri"]
-    if best.margin <= DEGENERATE_MARGIN:
-        raise DegenerateDataset(
-            f"max margin {best.margin!r} is numerically zero; sparsity is undefined"
-        )
+    best = _stored_fit(d, "s-umri", sbrp_max_margin)
     utility, costs, _ = _SbrpStages(d).utility_stage(
         best.sensitivities,
         rhs_offset=-margin_fraction * best.margin,
@@ -319,27 +317,13 @@ def solution_to_dict(
     d: DecisionDataset, sol: SharedUtilitySolution, report: MarginReport | None = None,
     metadata: dict | None = None,
 ) -> dict:
-    _check_profile_dims(d, [sol.utility] * sol.num_agents)
-    out = {
-        "model": "s-umri",
-        "margin": sol.margin,
-        "degenerate": sol.margin <= DEGENERATE_MARGIN,
-        "scheme": sol.scheme,
-        "utility": sol.utility.tolist(),
-        "agents": [
-            {
-                "agent_id": d.agents[k].agent_id,
-                "lambda": float(sol.sensitivities[k]),
-                "cost": float(sol.costs[k]),
-            }
-            for k in range(sol.num_agents)
-        ],
-    }
-    if report is not None:
-        out["robustness"] = report.robustness
-    if metadata:
-        out["metadata"] = metadata
-    return out
+    shared = {"scheme": sol.scheme, "utility": sol.utility.tolist()}
+    agents = [
+        {"lambda": float(lam), "cost": float(c)}
+        for lam, c in zip(sol.sensitivities, sol.costs)
+    ]
+    utilities = [sol.utility] * sol.num_agents
+    return _fit_dict(d, "s-umri", utilities, sol.margin, shared, agents, report, metadata)
 
 
 def _solution_from_dict(raw: dict) -> SharedUtilitySolution:

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -512,7 +513,9 @@ class TestProgramRows:
 
     def test_swap_rows_match_the_per_selection_loop(self):
         # All swap rows are built in one pass over actions; a cell that a
-        # selection hits twice rounds as in the per-selection loop.
+        # selection hits twice rounds as in the per-selection loop.  Cuts
+        # arrive out of pair order, as across cut rounds; the program
+        # groups them by pair in (j, k) order, each pair's in arrival order.
         rng = np.random.default_rng(31)
         for _ in range(12):
             K, X, A = (int(v) for v in rng.integers(2, 5, size=3))
@@ -520,29 +523,39 @@ class TestProgramRows:
                 rng.dirichlet(np.ones(X)), [stochastic(rng, (X, A)) for _ in range(K)]
             )
             program = _BrpProgram(d)
-            for sigmas in program.selections.values():
-                for _ in range(int(rng.integers(0, 3))):
-                    sigmas.append(tuple(rng.integers(0, A, size=A).tolist()))
+            extra = [
+                [j, k, *rng.integers(0, A, size=A)]
+                for j, k in program.cuts[:, :2]
+                for _ in range(int(rng.integers(0, 3)))
+            ]
+            rng.shuffle(extra)
+            program.cuts = np.vstack([program.cuts, np.reshape(extra, (-1, 2 + A))])
             lp = program.build(
                 with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
             )
             swaps = [
-                _looped_swap_row(program, j, k, sigma)
-                for (j, k), sigmas in program.selections.items()
-                for sigma in sigmas
+                _looped_swap_row(program, j, k, cut[2:])
+                for j in range(K)
+                for k in range(K)
+                for cut in program.cuts
+                if j != k and (cut[0], cut[1]) == (j, k)
             ]
             core = np.vstack([program.nias_rows, *swaps])
             expected = np.hstack([core, np.ones((core.shape[0], 1))]) + 0.0
             assert lp.a.tobytes() == expected.tobytes()
-        assert program.swap_rows([]).shape == (0, program.num_core_vars)
+        no_cuts = np.zeros((0, 2 + program.A), dtype=int)
+        assert program.swap_rows(no_cuts).shape == (0, program.num_core_vars)
 
     def test_umri_rows_match_residuals(self):
         for d, utilities, costs, eps in _row_draws():
             K = d.num_agents
             program = _BrpProgram(d)
-            for j, k in program.selections:
-                scores = joint_and_posterior(d, j).joint.T @ utilities[k]
-                program.selections[(j, k)] = [tuple(scores.argmax(axis=1))]
+            j, k = program.cuts[:, 0], program.cuts[:, 1]
+            best = [
+                (joint_and_posterior(d, jj).joint.T @ utilities[kk]).argmax(axis=1)
+                for jj, kk in zip(j, k)
+            ]
+            program.cuts = np.column_stack([j, k, best])
             lp = program.build(
                 with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
             )
@@ -823,3 +836,110 @@ class TestWarmCutRounds:
         _, d, _ = make_noise_family(0, 11, 6)
         self._rounds_match_the_reference(solves, d)
         assert len(solves) > 10
+
+
+class TestCutPool:
+    """The cut pool is one integer array, shared read-only by the memo."""
+
+    def test_a_repeated_candidate_adds_no_cut(self):
+        rng = np.random.default_rng(5)
+        d = _feasible(0)
+        program = _BrpProgram(d)
+        utilities = rng.uniform(0.0, 1.0, size=(d.num_agents, d.num_states, d.num_actions))
+        costs = rng.uniform(0.0, 1.0, size=d.num_agents)
+        # Utilities and costs in [0, 1] keep every swap residual at -2 or
+        # above, so every pair is violated.
+        first = program.add_violated_selections(utilities, costs, -3.0)
+        assert first.shape[0] > 0
+        cuts = program.cuts.copy()
+        again = program.add_violated_selections(utilities, costs, -3.0)
+        assert again.shape == (0, program.num_core_vars)
+        assert program.cuts.tobytes() == cuts.tobytes()
+
+    def test_the_memo_cuts_stay_as_the_margin_stage_left_them(self, monkeypatch):
+        d = _feasible(1)
+        brp_max_margin(d)
+        cuts = d._fits["umri"].cuts
+        assert not cuts.flags.writeable
+        before = cuts.tobytes()
+        added = []
+        separate = _BrpProgram.add_violated_selections
+
+        def spy(program, *args):
+            rows = separate(program, *args)
+            added.append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(_BrpProgram, "add_violated_selections", spy)
+        brp_sparsest(d)
+        brp_sparsest(d)
+        assert sum(added) > 0  # the sparsity stage cuts beyond the memo's pool
+        assert d._fits["umri"].cuts is cuts
+        assert cuts.tobytes() == before
+
+
+_PAYLOAD_REPORT = MarginReport(
+    epsilon_star=0.04, robustness=0.25, utility_norms=np.ones(2), degenerate=False
+)
+
+
+class TestFitPayloads:
+    """Both models' fit files, key for key and in key order."""
+
+    @staticmethod
+    def _assert_payload(payload, expected):
+        assert payload == expected
+        assert json.dumps(payload) == json.dumps(expected)
+
+    @pytest.mark.parametrize("extras", [False, True])
+    @pytest.mark.parametrize("margin, degenerate", [(0.04, False), (1e-7, True), (-0.5, True)])
+    def test_umri(self, d2, extras, margin, degenerate):
+        prof = UtilityProfile(
+            utilities=(np.eye(2), np.array([[0.6, 0.4], [0.4, 0.6]])),
+            costs=np.array([0.2, 0.05]),
+            margin=margin,
+        )
+        expected = {
+            "model": "umri",
+            "margin": margin,
+            "degenerate": degenerate,
+            "agents": [
+                {"agent_id": "sharp", "utility": [[1.0, 0.0], [0.0, 1.0]], "cost": 0.2},
+                {"agent_id": "blurry", "utility": [[0.6, 0.4], [0.4, 0.6]], "cost": 0.05},
+            ],
+        }
+        if extras:
+            payload = profile_to_dict(d2, prof, _PAYLOAD_REPORT, metadata={"dataset": "d2"})
+            expected.update(robustness=0.25, metadata={"dataset": "d2"})
+        else:
+            payload = profile_to_dict(d2, prof)
+        self._assert_payload(payload, expected)
+
+    @pytest.mark.parametrize("extras", [False, True])
+    @pytest.mark.parametrize("margin, degenerate", [(0.04, False), (1e-7, True), (-0.5, True)])
+    def test_s_umri(self, d2, extras, margin, degenerate):
+        sol = sbrp.SharedUtilitySolution(
+            utility=np.eye(2),
+            sensitivities=np.array([1.0, 2.0]),
+            costs=np.array([0.2, 0.05]),
+            margin=margin,
+        )
+        expected = {
+            "model": "s-umri",
+            "margin": margin,
+            "degenerate": degenerate,
+            "scheme": "alternating",
+            "utility": [[1.0, 0.0], [0.0, 1.0]],
+            "agents": [
+                {"agent_id": "sharp", "lambda": 1.0, "cost": 0.2},
+                {"agent_id": "blurry", "lambda": 2.0, "cost": 0.05},
+            ],
+        }
+        if extras:
+            payload = sbrp.solution_to_dict(
+                d2, sol, _PAYLOAD_REPORT, metadata={"dataset": "d2"}
+            )
+            expected.update(robustness=0.25, metadata={"dataset": "d2"})
+        else:
+            payload = sbrp.solution_to_dict(d2, sol)
+        self._assert_payload(payload, expected)

@@ -592,6 +592,37 @@ class TestUnreadableProfile:
         assert not (tmp_path / "r" / "robustness.csv").exists()
 
 
+# A fit file with one number made non-finite: (model, edit of the payload).
+NON_FINITE_FITS = {
+    "umri margin": ("umri", lambda raw: raw.update(margin=float("inf"))),
+    "s-umri margin": ("s-umri", lambda raw: raw.update(margin=float("nan"))),
+    "s-umri cost": ("s-umri", lambda raw: raw["agents"][0].update(cost=float("nan"))),
+    "s-umri lambda": ("s-umri", lambda raw: raw["agents"][1].update({"lambda": float("nan")})),
+}
+
+
+class TestNonFiniteFit:
+    """``cost`` and ``report`` reject a fit file holding NaN or infinity,
+    with the same message."""
+
+    @pytest.mark.parametrize("kind", sorted(NON_FINITE_FITS))
+    def test_cost_and_report_exit_one(self, tmp_path, dataset_file, capsys, kind):
+        model, edit = NON_FINITE_FITS[kind]
+        fit = tmp_path / "fit.json"
+        assert run("test", "--dataset", dataset_file, "--model", model, "--out", fit) == 0
+        raw = json.loads(fit.read_text())
+        edit(raw)
+        fit.write_text(json.dumps(raw))
+        capsys.readouterr()
+        code = run("cost", "--profile", fit, "--dataset", dataset_file, "--out", tmp_path / "c.csv")
+        cost_err = capsys.readouterr().err
+        assert code == 1 and "finite" in cost_err
+        assert run("report", "--profiles", fit, "--out-dir", tmp_path / "r") == 1
+        assert capsys.readouterr().err == cost_err
+        assert not (tmp_path / "c.csv").exists()
+        assert not (tmp_path / "r" / "cost_curve.csv").exists()
+
+
 class TestReport:
     def test_report_tables(self, tmp_path, dataset_file):
         profile = tmp_path / "profile.json"

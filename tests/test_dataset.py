@@ -109,6 +109,18 @@ class TestValidate:
         raw = {**dataset_to_dict(d2), "labels": np.array(["a", "b"])}
         assert validate_dataset(raw).labels == ("a", "b")
 
+    def test_empty_labels_mean_none(self, d2):
+        assert validate_dataset({**dataset_to_dict(d2), "labels": []}).labels is None
+
+    @pytest.mark.parametrize(
+        "labels", ["ab", b"ab", {"a": 0, "b": 1}, np.array([["a", "b"]])],
+        ids=["str", "bytes", "mapping", "2-D array"],
+    )
+    def test_labels_that_are_not_a_list_are_rejected(self, d2, labels):
+        # Read as a sequence, "ab" would name the states "a" and "b".
+        with pytest.raises(DimensionMismatch, match="field 'labels'"):
+            validate_dataset({**dataset_to_dict(d2), "labels": labels})
+
 
 class TestConstructorChecks:
     @pytest.mark.parametrize(
