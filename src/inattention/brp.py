@@ -22,7 +22,7 @@ import numpy as np
 
 from .constants import DEGENERATE_MARGIN, MARGIN_CAP, UNIT_FLOOR
 from .costs import PiecewiseAffineCost, _anchored_cost
-from .dataset import DecisionDataset, _frozen_array
+from .dataset import DecisionDataset, JointPosterior, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
 from .errors import (
@@ -181,8 +181,11 @@ def nias_residuals(d: DecisionDataset, utilities) -> np.ndarray:
     diagonal) means every observed action is a best response.  Rows of
     actions an agent never takes are NaN: there is no posterior to test.
     """
-    u = _check_profile_dims(d, utilities)
-    jp = d._stack
+    return _nias(d._stack, _check_profile_dims(d, utilities))
+
+
+def _nias(jp: JointPosterior, u: np.ndarray) -> np.ndarray:
+    """:func:`nias_residuals` of the (K, X, A) stacks ``jp`` and ``u``."""
     scores = np.matmul(jp.posterior.swapaxes(1, 2), u)  # (K, A, A)
     out = scores - np.diagonal(scores, axis1=1, axis2=2)[:, :, None]
     out[~jp.defined_actions] = np.nan
@@ -211,7 +214,13 @@ def niac_residuals(d: DecisionDataset, utilities, costs) -> np.ndarray:
     c = np.asarray(costs, dtype=float)
     if c.shape != (d.num_agents,):
         raise DimensionMismatch(f"costs shape {c.shape}, expected ({d.num_agents},)")
-    gain = _swap_scores(d, u).max(axis=3).sum(axis=2)
+    return _niac(d, u, c, _swap_scores(d, u))
+
+
+def _niac(d: DecisionDataset, u: np.ndarray, c: np.ndarray, scores) -> np.ndarray:
+    """:func:`niac_residuals` of the (K, X, A) stack ``u`` and costs ``c``,
+    given ``scores``, their :func:`_swap_scores`."""
+    gain = scores.max(axis=3).sum(axis=2)
     return gain - c[:, None] - _realized(d, u)[None, :] + c[None, :]
 
 
@@ -357,9 +366,11 @@ class _BrpProgram:
         response appended as a new cut, unless the pair already holds it.
         Returns the new cuts' swap rows in (j, k) order (none: zero rows).
         """
-        violated = niac_residuals(self.d, utilities, costs) > bound + _CUT_TOL
+        u = np.array(utilities)
+        scores = _swap_scores(self.d, u)
+        violated = _niac(self.d, u, costs, scores) > bound + _CUT_TOL
         np.fill_diagonal(violated, False)
-        best = _swap_scores(self.d, np.array(utilities)).argmax(axis=3)
+        best = scores.argmax(axis=3)
         # Only a violated pair's own cuts can already hold its best response.
         own = self.cuts[violated[self.cuts[:, 0], self.cuts[:, 1]]]
         held = (own[:, 2:] == best[own[:, 0], own[:, 1]]).all(axis=1)

@@ -143,12 +143,8 @@ class DecisionDataset:
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", _frozen_array(prior))
         object.__setattr__(self, "agents", agents)
-        joint = prior[None, :, None] * np.stack([a.choice_prob for a in agents])
-        marginal = joint.sum(axis=1)[:, None, :]
-        posterior = np.full_like(joint, np.nan)
-        np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
-        stack = (_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
-        object.__setattr__(self, "_stack", JointPosterior(*stack))
+        choices = np.stack([a.choice_prob for a in agents])
+        object.__setattr__(self, "_stack", _joint_posterior(prior, choices))
         object.__setattr__(self, "_fits", {})
 
     @property
@@ -198,6 +194,19 @@ class JointPosterior:
     @property
     def has_zero_marginal(self) -> bool:
         return bool(np.any(~self.defined_actions))
+
+
+def _joint_posterior(prior: np.ndarray, choices: np.ndarray) -> JointPosterior:
+    """The read-only (K, X, A) joints, posteriors and action marginals of
+    the stacked choice matrices ``choices`` under ``prior``, in one batched
+    pass: a dataset's ``_stack``, or a predicted strategy's."""
+    joint = prior[None, :, None] * choices
+    marginal = joint.sum(axis=1)[:, None, :]
+    posterior = np.full_like(joint, np.nan)
+    np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
+    return JointPosterior(
+        *(_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
+    )
 
 
 def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:

@@ -14,25 +14,29 @@ Only this module knows how a program stores its rows: one read-only matrix
 ``a`` and rhs vector ``b``, grown a whole block at a time (see
 :class:`LinearProgram`) and read by the solver and its post-check as stored.
 
-A run is three passes of a dense bounded simplex whose tableau is B⁻¹N over
-the n nonbasic columns of [structural | slack].  A dual pass reaches a
-feasible basis; a primal pass optimizes ``c`` on a slightly perturbed rhs;
-the true rhs restored (only the basic values change), a second dual pass
-pivots back into its box any basic value it moves out, ending at the true
-program's optimum or proving it infeasible (reduced costs do not involve
-the rhs, so the basis stays dual feasible).  A cold run starts from the
-slack basis, every variable at its lower bound, where the reduced costs are
-the costs: the basis is dual feasible for ``min(c, 0)``, and the first dual
-pass runs on that cost, with no artificial column.  A warm run
-(``solve_lp(lp, start=solution)``) takes the basis of an earlier optimum
-over the same variables and no more rows, rebuilt from ``lp``'s own rows,
-each further row's slack entering it basic, and runs every pass on ``c``.
-A rebuilt start whose basic values already lie in their boxes at the true
-rhs is optimal as it stands, and the run returns it before any pass.  When
-``lp`` extends the start's program by appending rows, that basis is
-nonsingular and dual feasible; otherwise it may be neither.  When it is
-singular or not dual feasible, or the run fails numerically, the cold run
-takes over, and the post-check certifies whatever point a warm run returns.
+A run is three passes of a dense bounded simplex over the columns
+[structural | slack] whose tableau is B⁻¹N over the n nonbasic columns, of
+which it holds only the rows of the basic structurals (see
+:class:`_Simplex`): a basic slack's row, and a nonbasic column, are each
+one product with A away, and a pivot's rank-one update touches the held
+rows alone.  A dual pass reaches a feasible basis; a primal pass optimizes
+``c`` on a slightly perturbed rhs; the true rhs restored (only the basic
+values change), a second dual pass pivots back into its box any basic value
+it moves out, ending at the true program's optimum or proving it infeasible
+(reduced costs do not involve the rhs, so the basis stays dual feasible).
+A cold run starts from the slack basis, every variable at its lower bound,
+where the reduced costs are the costs: the basis is dual feasible for
+``min(c, 0)``, and the first dual pass runs on that cost, with no
+artificial column.  A warm run (``solve_lp(lp, start=solution)``) takes the
+basis of an earlier optimum over the same variables and no more rows,
+rebuilt from ``lp``'s own rows, each further row's slack entering it basic,
+and runs every pass on ``c``.  A rebuilt start whose basic values already
+lie in their boxes at the true rhs is optimal as it stands, and the run
+returns it before any pass.  When ``lp`` extends the start's program by
+appending rows, that basis is nonsingular and dual feasible; otherwise it
+may be neither.  When it is singular or not dual feasible, or the run fails
+numerically, the cold run takes over, and the post-check certifies whatever
+point a warm run returns.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -53,14 +57,15 @@ differ only in how they choose a pivot.  The policy:
 - past the iteration cap the run raises.
 
 A rebuild solves only the basis's r×r basic-structural block, basic slacks
-being unit columns, and it is the only LU solve a run makes.  A pass ends on
-a tableau no pivot has touched since it was built (bound flips leave it as
-it is), whose column at a nonbasic slack is B⁻¹ times that slack's unit
-column, so the basic values at the true rhs are read off it.  A solve ends
-optimal or infeasible, or raises :class:`NumericalFailure`.  Every variable
-is boxed, so no program is unbounded: an improving direction without limit
-or a singular basis can only come from rounding, and each raises.  The one
-recovery path is the cold run that takes over when a warm run raises.
+being unit columns, for the held rows, and it is the only LU solve a run
+makes.  A pass ends on held rows no pivot has touched since they were built
+(bound flips leave them as they are), whose column at a nonbasic slack is
+the block's inverse times that slack's unit column, so the basic values at
+the true rhs are read off them.  A solve ends optimal or infeasible, or
+raises :class:`NumericalFailure`.  Every variable is boxed, so no program
+is unbounded: an improving direction without limit or a singular basis can
+only come from rounding, and each raises.  The one recovery path is the
+cold run that takes over when a warm run raises.
 """
 
 from __future__ import annotations
@@ -87,6 +92,7 @@ _BLAND_TRIGGER = 40
 _REFACTOR_EVERY = 40
 _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
+_UPDATE_ROWS = 64
 
 _largest, _smallest = np.maximum.reduce, np.minimum.reduce  # module docstring
 
@@ -232,13 +238,20 @@ _AT_UPPER = 1
 class _Simplex:
     """Dense bounded-variable simplex over the columns [structural | slack].
 
-    ``basis[r]`` is the column basic at row position r, ``nonbasic[k]`` the
-    column at nonbasic position k, and ``tableau`` B⁻¹N over the nonbasic
-    positions.  A pivot swaps the entering and leaving columns' positions,
-    so ties go by column id, the order Bland's rule and determinism need.
-    Each step keeps ``direction`` (+1 at the lower bound, -1 at the upper)
-    and ``movable`` (a box of positive width) of each nonbasic position and
-    ``lo_b``/``hi_b`` of each basic one current."""
+    ``basis[p]`` is the column basic at position p and ``nonbasic[k]`` the
+    column at nonbasic position k.  Of the tableau B⁻¹N over the nonbasic
+    positions only the rows of the r basic structurals are held: ``rows[i]``
+    for i < r, the row at position ``owner[i]``, whose column of A is
+    ``a_s[i]`` (A[:, S] stored column by column).  ``where[p]`` is m + i for
+    the position holding row i, else the row whose slack is basic at p.  A
+    basic slack's row and a nonbasic column are derived from A when a pivot
+    needs them (:meth:`_row`, :meth:`_column`), each once per pivot.  A
+    pivot swaps the entering and leaving columns' positions, so ties go by
+    column id, the order Bland's rule and determinism need.  Each step keeps
+    ``direction`` (+1 at the lower bound, -1 at the upper), ``movable`` (a
+    box of positive width) and ``picked`` (the structural id, n for a slack)
+    of each nonbasic position and ``lo_b``/``hi_b`` of each basic one
+    current."""
 
     def __init__(self, lp: LinearProgram, start: LpBasis | None = None):
         self.m = lp.num_rows
@@ -258,22 +271,36 @@ class _Simplex:
         self.b_true = lp.b
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
         self.start = start  # an earlier optimum's basis for run() to take over
+        # A basis holds at most min(n, m) structurals.
+        self.rows = np.empty((min(n, m), n))
+        self.a_s = np.empty((min(n, m), m))
+        self.owner = np.empty(min(n, m), dtype=np.intp)
+        self._forget()
         if start is None:  # the canonical start: slacks basic, the rest at lower
             self.x = self.lo.copy()
             self.basis = np.arange(n, n + m)
             self.nonbasic = np.arange(n)
-            self.tableau = lp.a.copy()  # B^{-1} N, B = I and N = A
-            self._index_positions()
+            self._index_positions()  # B = I: no row held, each row A's own
             self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
         self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
 
     def _index_positions(self) -> None:
-        """Set the per-position state from ``basis``, ``nonbasic``, ``status``."""
+        """Set the per-position state from ``basis``, ``nonbasic``, ``status``,
+        and the held rows' layout, the basic structurals by position; the
+        rows themselves are :meth:`_refactorize`'s to compute."""
+        n = self.n
         self.direction = np.where(self.status[self.nonbasic] == _AT_LOWER, 1.0, -1.0)
         self.movable = self.hi[self.nonbasic] > self.lo[self.nonbasic]
+        self.picked = np.minimum(self.nonbasic, n)
         self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
+        held = (self.basis < n).nonzero()[0]
+        self.r = r = held.size
+        self.owner[:r] = held
+        self.a_s[:r] = self.a.take(self.basis.take(held), 1).T
+        self.where = self.basis - n
+        self.where[held] = self.m + np.arange(r)
 
     def warm_start(self, start: LpBasis) -> None:
         """Take over ``start``'s basis, rebuilt from this program's rows; the
@@ -354,7 +381,7 @@ class _Simplex:
             if not isinstance(choice, bool):
                 (k, row), size = choice[:2], np.inf
                 if row is not None:  # tiny (module docstring): maybe a zero
-                    alpha = np.abs(self.tableau[row])
+                    alpha = np.abs(self._row(row))
                     size = float(alpha[k])
                     tiny = size < _SAFE_PIVOT * max(1.0, float(_largest(alpha)))
             # A proof of infeasibility stands over a tiny pivot set aside.
@@ -383,8 +410,8 @@ class _Simplex:
             entering = reduced[k]
             self._apply_step(k, step, row, upper)
             if row is not None:
-                reduced = reduced - entering * self.tableau[row]
-                reduced[k] = -entering * self.tableau[row, k]
+                reduced = reduced - entering * self.pivot_row
+                reduced[k] = -entering * self.pivot_row[k]
                 since_rebuild += 1
             if bland:
                 # Bland's termination guarantee needs exact reduced costs;
@@ -420,7 +447,7 @@ class _Simplex:
                 violated = (excess > _FEAS_TOL).nonzero()[0]
                 row = int(violated[self.basis[violated].argmin()])
             upper = bool(values[row] > self.hi_b[row])
-            alpha = self.tableau[row]
+            alpha = self._row(row)
             moves = self.direction * alpha
             toward = moves > _PIVOT_TOL if upper else moves < -_PIVOT_TOL
             idx = (self.movable & toward).nonzero()[0]
@@ -450,7 +477,44 @@ class _Simplex:
 
         self._pass(self.obj, 1, choose)
 
-    # -- core iteration -----------------------------------------------------
+    # -- the tableau ----------------------------------------------------------
+
+    def _forget(self) -> None:
+        """Drop the derived row and column: the tableau changed."""
+        self._derived_row = self._derived_column = (-1, None)
+
+    def _by_position(self, held: np.ndarray, by_row: np.ndarray) -> np.ndarray:
+        """Values over the basis positions from one per held row and one
+        per row of A, read at the row whose slack is basic there."""
+        return np.concatenate([by_row, held]).take(self.where)
+
+    def _row(self, p: int) -> np.ndarray:
+        """The tableau row at basis position p.  At the basic slack of row l
+        it is A[l, picked] − A[l, S] Z, a nonbasic slack picking a zero."""
+        i = int(self.where[p]) - self.m
+        if i >= 0:
+            return self.rows[i]
+        if self._derived_row[0] != p:
+            l, r = i + self.m, self.r
+            row = np.append(self.a[l], 0.0).take(self.picked)
+            if r:
+                row -= self.a_s[:r, l] @ self.rows[:r]
+            self._derived_row = (p, row)
+        return self._derived_row[1]
+
+    def _column(self, k: int) -> np.ndarray:
+        """The tableau column at nonbasic position k over the basis
+        positions: Z[:, k] at the held rows, and at a basic slack's row the
+        entering column's entry of A less A[:, S] Z[:, k] (a slack column
+        has none there: its own row's slack is nonbasic)."""
+        if self._derived_column[0] != k:
+            r, j = self.r, int(self.nonbasic[k])
+            z = self.rows[:r, k]
+            by_row = self.a[:, j] if j < self.n else np.zeros(self.m)
+            if r:
+                by_row = by_row - z @ self.a_s[:r]
+            self._derived_column = (k, self._by_position(z, by_row))
+        return self._derived_column[1]
 
     def _nonbasic_rhs(self, b: np.ndarray) -> np.ndarray:
         """b less the nonbasic columns at their values: B times x_B."""
@@ -463,61 +527,54 @@ class _Simplex:
         return np.maximum(self.lo_b - values, values - self.hi_b)
 
     def _basic_values(self, b: np.ndarray) -> np.ndarray:
-        """The basic values at rhs ``b``, B⁻¹(b − N x_N), read off a freshly
-        rebuilt tableau: a nonbasic slack's column there is B⁻¹eᵢ for its
-        row i, and a basic slack's row i is eᵢ at its own position."""
-        n = self.n
+        """The basic values at rhs ``b``, B⁻¹(b − N x_N), read off freshly
+        rebuilt rows: a nonbasic slack's column there is A[R, S]⁻¹eᵢ for its
+        row i, so x_S takes one product, and the basic slacks the rows'
+        values less A[:, S] x_S."""
+        n, r = self.n, self.r
         rhs = self._nonbasic_rhs(b)
         at = (self.nonbasic >= n).nonzero()[0]
-        values = self.tableau.take(at, 1) @ rhs.take(self.nonbasic.take(at) - n)
-        slack = (self.basis >= n).nonzero()[0]
-        values[slack] += rhs.take(self.basis.take(slack) - n)
-        return values
+        values = self.rows[:r].take(at, 1) @ rhs.take(self.nonbasic.take(at) - n)
+        return self._by_position(values, rhs - values @ self.a_s[:r])
 
     def _refactorize(self) -> None:
-        """Rebuild the tableau and basic values from the basis, B⁻¹C with
-        C = [N | b − N x_N], through the r×r block A[R, S], R the rows whose
-        slack is nonbasic and S the basic structurals: basic slacks being
-        unit columns, S's rows are Z = A[R, S]⁻¹ C[R] and row i's basic
-        slack's is C[i] − A[i, S] Z, C gathered for each row set from A's
-        rows of that set alone.  Rank-one updates drift; long degenerate runs
-        gather enough error to flip reduced-cost signs.  A singular basis can
-        only come from rounding and raises NumericalFailure."""
+        """Rebuild the held rows and the basic values from the basis: with R
+        the rows whose slack is nonbasic and S the basic structurals, in the
+        held rows' order, the rows are Z = A[R, S]⁻¹ C[R], C = [N |
+        b − N x_N] gathered from A's rows in R alone, and a basic slack's
+        value is its row of C less A[i, S] x_S.  Rank-one updates drift;
+        long degenerate runs gather enough error to flip reduced-cost signs.
+        A singular basis can only come from rounding and raises
+        NumericalFailure."""
         self.refactorizations += 1
-        n = self.n
-        slack = self.basis >= n
+        n, r = self.n, self.r
+        basic = self.basis.take(self.owner[:r])
         at = (self.nonbasic >= n).nonzero()[0]
         at = at.take(self.nonbasic.take(at).argsort())  # R ascending
-        basic = self.basis[~slack]
+        rows = self.nonbasic.take(at) - n
+        rhs = self._nonbasic_rhs(self.b)
+        a = self.a.take(rows, 0)
         # Over [A | 0 | rhs] a nonbasic slack's column reads the 0 column.
-        picked = np.append(np.minimum(self.nonbasic, n), n + 1)
-        rhs = self._nonbasic_rhs(self.b)[:, None]
-
-        def gathered(rows):  # C[rows] and A[rows, S]
-            a = self.a.take(rows, 0)
-            extended = np.concatenate(
-                [a, np.zeros((rows.size, 1)), rhs.take(rows, 0)], axis=1
-            )
-            return extended.take(picked, 1), a.take(basic, 1)
-
-        top, block = gathered(self.nonbasic.take(at) - n)
-        rest, beside = gathered(self.basis[slack] - n)
-        top[np.arange(at.size), at] = 1.0
+        top = np.concatenate([a, np.zeros((r, 1)), rhs.take(rows)[:, None]], axis=1)
+        top = top.take(np.append(self.picked, n + 1), 1)
+        top[np.arange(r), at] = 1.0
         try:
-            z = np.linalg.solve(block, top)
+            z = np.linalg.solve(a.take(basic, 1), top)
         except np.linalg.LinAlgError as exc:
             raise NumericalFailure("the simplex basis became singular") from exc
-        rest -= beside @ z  # the basic slacks' rows
-        self.x[basic], self.x[self.basis[slack]] = z[:, -1], rest[:, -1]
-        self.tableau = np.empty((self.m, n))
-        self.tableau[~slack], self.tableau[slack] = z[:, :-1], rest[:, :-1]
+        self.rows[:r] = z[:, :-1]
+        self._forget()
+        values = z[:, -1]
+        self.x[self.basis] = self._by_position(values, rhs - values @ self.a_s[:r])
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """Reduced costs of the nonbasic positions."""
-        cb = cost[self.basis]
-        if not cb.any():
-            return cost[self.nonbasic]
-        return cost[self.nonbasic] - cb @ self.tableau
+        """Reduced costs of the nonbasic positions, c_N − c_S Z: slacks
+        carry no cost in any pass."""
+        r = self.r
+        cs = cost.take(self.basis.take(self.owner[:r]))
+        if not cs.any():
+            return cost.take(self.nonbasic)
+        return cost.take(self.nonbasic) - cs @ self.rows[:r]
 
     def _select_entering(self, reduced, bland: bool, banned=None) -> int | None:
         improving = self.movable & (self.direction * reduced > _COST_TOL)
@@ -536,7 +593,7 @@ class _Simplex:
         k, as ``_pass`` takes them; ``row`` None when it reaches its other
         bound first.  Every variable is boxed, so a step without limit can
         only come from rounding and raises NumericalFailure."""
-        d = self.direction[k] * self.tableau[:, k]
+        d = self.direction[k] * self._column(k)
         values = self.x[self.basis]
         # A step toward an infinite upper bound divides to inf: no limit.
         steps = np.full(self.m, np.inf)
@@ -563,10 +620,11 @@ class _Simplex:
         """Move the column at nonbasic position ``k`` by ``step`` away from
         its bound.  With ``row`` None, it lands on its other bound; otherwise
         it enters the basis at ``row``, whose variable leaves at its upper
-        bound if ``upper``, else its lower, taking position k."""
+        bound if ``upper``, else its lower, taking position k, and
+        ``pivot_row`` is the entering column's row."""
         j = int(self.nonbasic[k])
         direction = self.direction[k]
-        column = self.tableau[:, k].copy()
+        column = self._column(k)
         self.x[self.basis] -= direction * step * column
         if row is None:
             self.x[j] = self.hi[j] if direction > 0 else self.lo[j]
@@ -576,20 +634,41 @@ class _Simplex:
         piv = column[row]
         if abs(piv) < _PIVOT_TOL:
             raise NumericalFailure("pivot element below tolerance")
+        # Position k takes the leaving column: e_row pushed through the pivot.
+        pivot = self._row(row) / piv
+        pivot[k] = 1.0 / piv
+        n, m, r = self.n, self.m, self.r
+        if r:
+            rows, change = self.rows[:r], column.take(self.owner[:r])
+            rows[:, k] = 0.0
+            # By blocks of rows, so that each block's update stays in cache.
+            for start in range(0, r, _UPDATE_ROWS):
+                block = slice(start, start + _UPDATE_ROWS)
+                rows[block] -= change[block, None] * pivot
+        i = int(self.where[row]) - m
+        if j < n:  # a structural enters: its row is the pivot row
+            if i < 0:
+                i, self.r = r, r + 1
+                self.owner[i], self.where[row] = row, m + i
+            self.rows[i], self.a_s[i] = pivot, self.a[:, j]
+        else:
+            if i >= 0:  # a structural leaves: the last held row takes its place
+                last = self.r = r - 1
+                self.rows[i], self.a_s[i] = self.rows[last], self.a_s[last]
+                self.owner[i] = self.owner[last]
+                self.where[self.owner[i]] = m + i
+            self.where[row] = j - n
+        self.pivot_row = pivot
+        self._forget()
         self.x[j] += direction * step
         leaving = int(self.basis[row])
         self.x[leaving] = self.hi[leaving] if upper else self.lo[leaving]
         self.status[leaving] = _AT_UPPER if upper else _AT_LOWER
         self.basis[row], self.nonbasic[k] = j, leaving
+        self.picked[k] = min(leaving, n)
         self.direction[k] = -1.0 if upper else 1.0
         self.movable[k] = self.hi[leaving] > self.lo[leaving]
         self.lo_b[row], self.hi_b[row] = self.lo[j], self.hi[j]
-        # Position k takes the leaving column: e_row pushed through the pivot.
-        self.tableau[row] /= piv
-        column[row] = 0.0
-        self.tableau -= column[:, None] * self.tableau[row]
-        self.tableau[:, k] = column / -piv
-        self.tableau[row, k] = 1.0 / piv
 
 
 def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:

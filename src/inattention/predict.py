@@ -32,18 +32,18 @@ import numpy as np
 from .brp import (
     UtilityProfile,
     _check_profile_dims,
+    _nias,
     _profile_from_dict,
     _worst_nias,
     brp_max_margin,
-    nias_residuals,
     profile_to_dict,
 )
 from .costs import _anchored_cost
 from .dataset import (
-    AgentChoiceMatrix,
     DecisionDataset,
     _check_utility,
     _frozen_array,
+    _joint_posterior,
     dataset_to_dict,
     read_json,
     validate_dataset,
@@ -224,10 +224,8 @@ def predict_choice(
     strategy /= strategy.sum(axis=1, keepdims=True)
     # Certify the surrogate: every action the strategy takes must be a best
     # response to its posterior under the interpolated utility.
-    predicted = DecisionDataset(
-        X, A, f.dataset.prior, (AgentChoiceMatrix("predicted", strategy),)
-    )
-    worst = _worst_nias(nias_residuals(predicted, [u_hat]))[0]
+    predicted = _joint_posterior(f.dataset.prior, strategy[None])
+    worst = _worst_nias(_nias(predicted, u_hat[None]))[0]
     return strategy, bool(worst <= _NIAS_CERT_TOL)
 
 

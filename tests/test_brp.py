@@ -838,6 +838,22 @@ class TestWarmCutRounds:
         assert len(solves) > 10
 
 
+    def test_epsilon_star_at_11_agents_by_6_classes_is_the_reference_optimum(self):
+        # The fit's eps* against HiGHS on its final cut program, rebuilt from
+        # the memo's cut pool rather than taken from the rounds solved.
+        _, d, _ = make_noise_family(0, 11, 6)
+        _, report = brp_max_margin(d)
+        program = _BrpProgram(d)
+        program.cuts = d._fits["umri"].cuts
+        objective = np.zeros(program.num_core_vars + 1)
+        objective[-1] = 1.0
+        lp = program.build(with_margin=True, rhs_offset=0.0, objective=objective)
+        ref = scipy_optimum(lp, TIGHT_HIGHS)
+        assert ref.status == 0
+        assert report.epsilon_star > 0.0
+        assert report.epsilon_star == pytest.approx(-ref.fun, rel=1e-9)
+
+
 class TestCutPool:
     """The cut pool is one integer array, shared read-only by the memo."""
 
@@ -855,6 +871,28 @@ class TestCutPool:
         again = program.add_violated_selections(utilities, costs, -3.0)
         assert again.shape == (0, program.num_core_vars)
         assert program.cuts.tobytes() == cuts.tobytes()
+
+    @pytest.mark.parametrize("bound", [-3.0, -0.05, 0.0])
+    def test_separation_reads_the_residual_kernel(self, bound):
+        # One swap-score stack gives both the violated pairs and their best
+        # responses: the cuts are those of niac_residuals and the scores'
+        # argmax, each a pair's best response its pool does not hold yet.
+        rng = np.random.default_rng(9)
+        d = _feasible(2)
+        program = _BrpProgram(d)
+        utilities = rng.uniform(0.0, 1.0, size=(d.num_agents, d.num_states, d.num_actions))
+        costs = rng.uniform(0.0, 1.0, size=d.num_agents)
+        start = program.cuts.shape[0]
+        program.add_violated_selections(utilities, costs, bound)
+        violated = niac_residuals(d, utilities, costs) > bound + brp._CUT_TOL
+        np.fill_diagonal(violated, False)
+        best = brp._swap_scores(d, utilities).argmax(axis=3)
+        expected = [
+            [j, k, *best[j, k]]
+            for j, k in zip(*np.nonzero(violated))
+            if not np.array_equal(best[j, k], np.arange(d.num_actions))
+        ]
+        assert program.cuts[start:].tolist() == expected
 
     def test_the_memo_cuts_stay_as_the_margin_stage_left_them(self, monkeypatch):
         d = _feasible(1)

@@ -1,4 +1,5 @@
 import collections
+import itertools
 import os
 import subprocess
 import sys
@@ -571,28 +572,53 @@ def _dense(engine):
     return dense[:, :-1], dense[:, -1]
 
 
+def _assert_tableau(engine, tableau):
+    """``engine``'s held rows, every derived slack row and every derived
+    column equal ``tableau`` within 1e-9, over a consistent layout: each
+    held row at a basic structural's position, with that column of A."""
+    n, m, r = engine.n, engine.m, engine.r
+    owner = engine.owner[:r]
+    assert np.array_equal(np.sort(owner), np.flatnonzero(engine.basis < n))
+    assert np.array_equal(engine.where[owner], m + np.arange(r))
+    slack = np.flatnonzero(engine.basis >= n)
+    assert np.array_equal(engine.where[slack], engine.basis[slack] - n)
+    assert np.array_equal(engine.a_s[:r], engine.a[:, engine.basis[owner]].T)
+    assert np.array_equal(engine.picked, np.minimum(engine.nonbasic, n))
+    held = tableau[owner]
+    assert np.allclose(engine.rows[:r], held, rtol=0.0, atol=1e-9)
+    rows = np.array([engine._row(p) for p in range(m)]).reshape(m, n)
+    columns = np.array([engine._column(k) for k in range(n)]).reshape(n, m).T
+    assert np.allclose(rows, tableau, rtol=0.0, atol=1e-9)
+    assert np.allclose(columns, tableau, rtol=0.0, atol=1e-9)
+
+
 class TestBlockRebuild:
-    """The rebuild through the basic-structural block gives the tableau and
-    basic values of a dense solve with the whole basis matrix."""
+    """The rebuild through the basic-structural block, and every pivot
+    after it, give the rows and columns of B⁻¹N and the basic values of a
+    dense solve with the whole basis matrix."""
 
     @staticmethod
     def _rebuild_matches_dense(engine):
-        """Rebuild ``engine``'s tableau and assert it and the basic values
-        match the dense solve; returns r, the basic structurals' count."""
+        """Rebuild ``engine``'s held rows and assert them, the derived rows
+        and columns and the basic values against the dense solve; returns
+        r, the basic structurals' count."""
         tableau, values = _dense(engine)
-        # The rebuild reads neither the old tableau nor the old basic values.
-        engine.tableau[:] = np.nan
+        # The rebuild reads neither the old rows nor the old basic values.
+        engine.rows[:] = np.nan
         engine.x[engine.basis] = np.nan
         engine._refactorize()
-        assert engine.tableau.shape == (engine.m, engine.n)
-        assert np.allclose(engine.tableau, tableau, rtol=0.0, atol=1e-9)
+        assert engine.rows.shape == (min(engine.m, engine.n), engine.n)
+        _assert_tableau(engine, tableau)
         assert np.allclose(engine.x[engine.basis], values, rtol=0.0, atol=1e-9)
-        return int(np.count_nonzero(engine.basis < engine.n))
+        return engine.r
 
     @pytest.mark.parametrize("seed", range(5))
     def test_slack_basis(self, seed):
         lp = random_lp(np.random.default_rng(seed), n=4, m=6)
-        assert self._rebuild_matches_dense(lp_module._Simplex(lp)) == 0
+        engine = lp_module._Simplex(lp)
+        # The cold start holds no row: every row is A's own.
+        _assert_tableau(engine, _dense(engine)[0])
+        assert self._rebuild_matches_dense(engine) == 0
 
     @pytest.mark.parametrize("seed", range(5))
     def test_every_slack_nonbasic(self, seed):
@@ -618,28 +644,45 @@ class TestBlockRebuild:
             checked += 1
         assert checked >= 10
 
+    @pytest.mark.parametrize("block", [None, 2])
     @pytest.mark.parametrize("make", [random_lp, larger_lp])
-    def test_tableau_after_every_pivot(self, monkeypatch, make):
-        # Rank-one updates, not only rebuilds, keep the tableau at B⁻¹N.
-        pivots = []
-        apply_step = lp_module._Simplex._apply_step
+    def test_tableau_after_every_pivot(self, monkeypatch, make, block):
+        # Rank-one updates of the held rows, appends and drops included, keep
+        # every row and column at B⁻¹N, as rebuilds do; blocks of two rows
+        # split the update into several, as paper-scale programs do.
+        if block is not None:
+            monkeypatch.setattr(lp_module, "_UPDATE_ROWS", block)
+        seen = collections.Counter()
+        apply_step, rebuild = lp_module._Simplex._apply_step, lp_module._Simplex._refactorize
 
         def checked(self, k, step, row, upper):
+            if row is None:
+                return apply_step(self, k, step, row, upper)
+            # (a structural enters, a structural leaves)
+            kind = (self.nonbasic[k] < self.n, self.basis[row] < self.n)
             apply_step(self, k, step, row, upper)
-            if row is not None:
-                tableau, _ = _dense(self)
-                assert np.allclose(self.tableau, tableau, rtol=0.0, atol=1e-9)
-                pivots.append(self)
+            tableau, _ = _dense(self)
+            _assert_tableau(self, tableau)
+            assert np.allclose(self.pivot_row, tableau[row], rtol=0.0, atol=1e-9)
+            seen[kind] += 1
+
+        def rebuilt(self):
+            rebuild(self)
+            _assert_tableau(self, _dense(self)[0])
+            seen["rebuilds"] += 1
 
         monkeypatch.setattr(lp_module._Simplex, "_apply_step", checked)
+        monkeypatch.setattr(lp_module._Simplex, "_refactorize", rebuilt)
         for seed in range(100):
             solve_lp(make(np.random.default_rng(seed)))
-        assert len(pivots) >= 200
+        kinds = itertools.product([False, True], repeat=2)
+        assert all(seen[kind] >= 10 for kind in kinds), seen
+        assert sum(seen.values()) - seen["rebuilds"] >= 200 and seen["rebuilds"] >= 100
 
     def test_basic_values_after_the_rhs_restore(self, monkeypatch):
         # Only the final dual pass runs on the true rhs; on entry its basic
-        # values are read off the tableau the primal pass left rebuilt, which
-        # is kept, not rebuilt again.
+        # values are read off the held rows the primal pass left rebuilt,
+        # which are kept, not rebuilt again.
         restored = []
         optimize, dual = lp_module._Simplex._optimize, lp_module._Simplex._dual
 
@@ -649,10 +692,11 @@ class TestBlockRebuild:
 
         def checked(self, cost):
             if self.b is self.b_true:
-                _, values = _dense(self)
+                tableau, values = _dense(self)
+                _assert_tableau(self, tableau)
                 assert np.allclose(self.x[self.basis], values, rtol=0.0, atol=1e-9)
                 assert self.refactorizations == self.rebuilt_by_primal
-                restored.append(self)
+                restored.append(self.r)
             return dual(self, cost)
 
         monkeypatch.setattr(lp_module._Simplex, "_optimize", optimized)
@@ -660,7 +704,8 @@ class TestBlockRebuild:
         for seed in range(100):
             for make in (random_lp, larger_lp):
                 solve_lp(make(np.random.default_rng(seed)))
-        assert len(restored) >= 100
+        # Restores with basic structurals and basic slacks alike.
+        assert len(restored) >= 100 and max(restored) >= 5
 
     def test_refactorizations_count_every_rebuild(self, monkeypatch):
         rebuilds = []
@@ -714,11 +759,13 @@ class TestBlockRebuild:
         assert runs["warm", True] >= 40, runs
 
 
-def _full_block_rebuild(engine):
-    """B⁻¹N and the basic values by the rebuild's earlier form: zero-fill the
-    whole m×(n+1) block [N | rhs], scatter every nonbasic column into it and
-    gather its R and L rows from it.  It hands LAPACK and BLAS the same
-    matrices as :meth:`_Simplex._refactorize`, so their bytes must agree."""
+def _reference_rebuild(engine):
+    """The held rows, ``a_s`` and basic values of ``engine``'s basis, written
+    out in full: zero-fill the whole m×(n+1) block [N | rhs], scatter every
+    nonbasic column into it, solve its R rows against A[R, S], S in the held
+    rows' order, and take a basic slack's value off its row less A[:, S]
+    x_S.  It hands LAPACK and BLAS the same matrices as
+    :meth:`_Simplex._refactorize`, so their bytes must agree."""
     n, m = engine.n, engine.m
     structural = engine.nonbasic < n
     columns = np.zeros((m, n + 1))
@@ -727,15 +774,14 @@ def _full_block_rebuild(engine):
     nonbasic_x = np.zeros(n + m)
     nonbasic_x[engine.nonbasic] = engine.x[engine.nonbasic]
     columns[:, n] = engine.b - engine.a @ nonbasic_x[:n] - nonbasic_x[n:]
-    slack = engine.basis >= n
-    rows_l = engine.basis[slack] - n
+    held, slack = engine.owner[: engine.r], np.flatnonzero(engine.basis >= n)
     rows_r = np.sort(engine.nonbasic[engine.nonbasic >= n]) - n
-    a_s = engine.a[:, engine.basis[~slack]]
-    z = np.linalg.solve(a_s[rows_r], columns[rows_r])
-    solved = np.empty_like(columns)
-    solved[~slack] = z
-    solved[slack] = columns[rows_l] - a_s[rows_l] @ z
-    return solved[:, :n].copy(), solved[:, n]
+    a_s = np.ascontiguousarray(engine.a[:, engine.basis[held]].T)
+    z = np.linalg.solve(a_s.T[rows_r], columns[rows_r])
+    values = np.empty(m)
+    values[held] = z[:, n]
+    values[slack] = (columns[:, n] - z[:, n] @ a_s)[engine.basis[slack] - n]
+    return z[:, :n].copy(), a_s, values
 
 
 class TestLeanKernel:
@@ -785,17 +831,19 @@ class TestLeanKernel:
             checked += 1
         assert checked >= 20
 
-    def test_rebuild_bytes_match_the_full_block_rebuild(self, monkeypatch):
+    def test_rebuild_bytes_match_the_reference_rebuild(self, monkeypatch):
         # Every rebuild of warm and cold solves, on warm bases and on the
         # bases met between pivots.
         rebuild, seen = lp_module._Simplex._refactorize, []
 
         def compared(self):
-            tableau, values = _full_block_rebuild(self)
+            rows, a_s, values = _reference_rebuild(self)
             rebuild(self)
-            assert self.tableau.tobytes() == tableau.tobytes()
+            r = self.r
+            assert self.rows[:r].tobytes() == rows.tobytes()
+            assert self.a_s[:r].tobytes() == a_s.tobytes()
             assert self.x[self.basis].tobytes() == values.tobytes()
-            seen.append(self.basis.size - np.count_nonzero(self.basis >= self.n))
+            seen.append(r)
 
         monkeypatch.setattr(lp_module._Simplex, "_refactorize", compared)
         rng = np.random.default_rng(12)
@@ -915,7 +963,7 @@ def _branch_spy(monkeypatch):
     def spied_apply_step(self, k, step, row, upper):
         if row is not None:
             seen["pivots"] += 1
-            seen["tiny", senses[-1]] += abs(self.tableau[row, k]) < lp_module._SAFE_PIVOT
+            seen["tiny", senses[-1]] += abs(self._row(row)[k]) < lp_module._SAFE_PIVOT
         apply_step(self, k, step, row, upper)
 
     def spied_rebuild(self):
@@ -1011,11 +1059,12 @@ def _bland_pick(engine, sense, reduced, banned, row):
     violated = (excess > lp_module._FEAS_TOL) & ~banned[engine.basis]
     assert engine.basis[row] == engine.basis[violated].min()
     # Columns that move the leaving value toward its box, by their ratios.
-    moves = np.where(at_upper, -1.0, 1.0) * engine.tableau[row]
+    alpha = engine._row(row)
+    moves = np.where(at_upper, -1.0, 1.0) * alpha
     up = values[row] > hi_b[row]
     tol = lp_module._PIVOT_TOL
     toward = movable & ((moves > tol) if up else (moves < -tol))
-    ratios = np.maximum(-gain[toward], 0.0) / np.abs(engine.tableau[row, toward])
+    ratios = np.maximum(-gain[toward], 0.0) / np.abs(alpha[toward])
     least = ratios.min()
     return columns[toward][ratios <= least + 1e-12 * (1.0 + least)].min()
 

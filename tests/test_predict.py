@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inattention import predict as predict_module
-from inattention.brp import UtilityProfile, reconstruct_cost
+from inattention.brp import UtilityProfile, nias_residuals, reconstruct_cost
 from inattention.dataset import AgentChoiceMatrix, DecisionDataset
 from inattention.errors import (
     DegenerateDataset,
@@ -238,6 +238,28 @@ class TestPredictChoice:
         for eta in etas[:-1]:
             for offset in (0.025, 0.075):
                 assert predict_at(fam, round(eta + offset, 3)).nias_consistent
+
+    def test_certificate_matches_the_residuals_of_a_dataset(self, family, monkeypatch):
+        # The NIAS re-check runs the residual kernel on the strategy's own
+        # joint and posterior; a dataset built around the strategy gives the
+        # same residuals to the bit.
+        fam, _, _ = family
+        seen = []
+        worst_nias = predict_module._worst_nias
+
+        def spy(nias):
+            seen.append(nias)
+            return worst_nias(nias)
+
+        monkeypatch.setattr(predict_module, "_worst_nias", spy)
+        for eta in (1.05, 1.41, 1.5, 1.93):
+            u = interpolate_utility(fam, eta)
+            strategy, _ = predict_choice(fam, u, eta=eta)
+            X, A = strategy.shape
+            d = DecisionDataset(
+                X, A, fam.dataset.prior, (AgentChoiceMatrix("predicted", strategy),)
+            )
+            assert seen.pop().tobytes() == nias_residuals(d, [u]).tobytes()
 
     def test_rows_are_stochastic(self, family):
         fam, _, _ = family
