@@ -384,12 +384,13 @@ class _BrpProgram:
         """Solve the stage's first program, then, while the optimum misses a
         best response, solve a copy with the new rows appended, warm from the
         previous optimal basis.  Every round's program is a fresh object that
-        is never changed after it is solved."""
+        is never changed after it is solved.  Returns (utilities, costs,
+        margin, rounds), one round per solve."""
         lp = self.build(
             with_margin=with_margin, rhs_offset=rhs_offset, objective=objective
         )
         sol = None
-        for _ in range(_MAX_CUT_ROUNDS):
+        for rounds in range(1, _MAX_CUT_ROUNDS + 1):
             sol = solve_lp(lp, start=sol)
             if sol.status is not LpStatus.OPTIMAL:
                 # The all-floor certificate satisfies every residual with
@@ -404,13 +405,18 @@ class _BrpProgram:
             bound = -margin if with_margin else rhs_offset
             cuts = self.add_violated_selections(utilities, costs, bound)
             if not cuts.shape[0]:
-                return utilities, costs, margin
+                return utilities, costs, margin, rounds
             lp = lp.copy()
             lp.add_leq(_margin_rows(lp, cuts, with_margin), rhs_offset)
-        raise NumericalFailure("best-response row generation did not converge")
+        pairs = ", ".join(f"({j}, {k})" for j, k in self.cuts[-cuts.shape[0] :, :2])
+        raise NumericalFailure(
+            f"best-response row generation did not converge in {rounds} rounds; "
+            f"agent pairs (j, k) still violated: {pairs}"
+        )
 
     def max_margin(self):
-        """Stage one: (utilities, costs, margin) maximizing the margin."""
+        """Stage one: (utilities, costs, margin, rounds) maximizing the
+        margin."""
         objective = np.zeros(self.num_core_vars + 1)
         objective[-1] = 1.0
         return self.solve_with_cuts(
@@ -420,10 +426,11 @@ class _BrpProgram:
 
 class _MarginStage(NamedTuple):
     """What stage one on a dataset leaves for the sparsity stage: its margin
-    and its cut pool, read-only."""
+    and its cut pool, read-only, and the cut rounds (LP solves) it took."""
 
     margin: float
     cuts: np.ndarray
+    rounds: int
 
 
 def _solve_margin_stage(d: DecisionDataset):
@@ -434,8 +441,9 @@ def _solve_margin_stage(d: DecisionDataset):
     a stage that raises stores nothing.
     """
     program = _BrpProgram(d)
-    utilities, costs, margin = program.max_margin()
-    d._fits["umri"] = _MarginStage(margin, _frozen_array(program.cuts, dtype=int))
+    utilities, costs, margin, rounds = program.max_margin()
+    cuts = _frozen_array(program.cuts, dtype=int)
+    d._fits["umri"] = _MarginStage(margin, cuts, rounds)
     return utilities, costs
 
 
@@ -473,13 +481,13 @@ def brp_sparsest(
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    margin, cuts = _stored_fit(d, "umri", _solve_margin_stage)
+    margin, cuts, _ = _stored_fit(d, "umri", _solve_margin_stage)
     program = _BrpProgram(d)
     program.cuts = cuts
     target = -margin_fraction * margin
     sparse_objective = np.zeros(program.num_core_vars)
     sparse_objective[: program.K * program.block] = -1.0
-    utilities, costs, _ = program.solve_with_cuts(
+    utilities, costs, *_ = program.solve_with_cuts(
         with_margin=False, rhs_offset=target, objective=sparse_objective
     )
     profile = UtilityProfile.from_certificate(d, utilities, costs)

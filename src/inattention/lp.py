@@ -19,24 +19,29 @@ A run is three passes of a dense bounded simplex over the columns
 which it holds only the rows of the basic structurals (see
 :class:`_Simplex`): a basic slack's row, and a nonbasic column, are each
 one product with A away, and a pivot's rank-one update touches the held
-rows alone.  A dual pass reaches a feasible basis; a primal pass optimizes
-``c`` on a slightly perturbed rhs; the true rhs restored (only the basic
-values change), a second dual pass pivots back into its box any basic value
-it moves out, ending at the true program's optimum or proving it infeasible
-(reduced costs do not involve the rhs, so the basis stays dual feasible).
-A cold run starts from the slack basis, every variable at its lower bound,
-where the reduced costs are the costs: the basis is dual feasible for
-``min(c, 0)``, and the first dual pass runs on that cost, with no
-artificial column.  A warm run (``solve_lp(lp, start=solution)``) takes the
-basis of an earlier optimum over the same variables and no more rows,
-rebuilt from ``lp``'s own rows, each further row's slack entering it basic,
-and runs every pass on ``c``.  A rebuilt start whose basic values already
-lie in their boxes at the true rhs is optimal as it stands, and the run
-returns it before any pass.  When ``lp`` extends the start's program by
-appending rows, that basis is nonsingular and dual feasible; otherwise it
-may be neither.  When it is singular or not dual feasible, or the run fails
-numerically, the cold run takes over, and the post-check certifies whatever
-point a warm run returns.
+rows alone.  Every run starts the same way, from a start basis: a dual pass
+on shifted costs reaches a feasible basis; a primal pass optimizes ``c`` on
+a slightly perturbed rhs; the true rhs restored (only the basic values
+change), a second dual pass on ``c`` pivots back into its box any basic
+value it moves out, ending at the true program's optimum or proving it
+infeasible (reduced costs do not involve the rhs, so the basis stays dual
+feasible).  The shifted costs make the start dual feasible with no
+artificial column: each movable nonbasic column whose reduced cost would
+still improve ``c`` has that reduced cost taken off its cost (Koberstein
+2005, ch. 3), and the primal pass, on ``c`` itself, undoes the shift.  A
+start that is already primal feasible makes no dual pivots.  A cold run
+starts from the slack basis, every variable at its lower bound, where the
+reduced costs are the costs and the shifted cost is ``min(c, 0)``.  A warm
+run (``solve_lp(lp, start=solution)``) takes the basis of an earlier
+optimum over the same variables and no more rows, rebuilt from ``lp``'s own
+rows, each further row's slack entering it basic.  A rebuilt start that
+needs no shift and whose basic values already lie in their boxes at the
+true rhs is optimal as it stands, and the run returns it before any pass.
+When ``lp`` extends the start's program by appending rows, that basis is
+nonsingular and needs no shift; over other rows or another objective it may
+need one, and it may be singular or ill-conditioned.  When it is, or the
+warm run fails numerically, the cold run takes over, and the post-check
+certifies whatever point a warm run returns.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -65,7 +70,8 @@ the true rhs are read off them.  A solve ends optimal or infeasible, or
 raises :class:`NumericalFailure`.  Every variable is boxed, so no program
 is unbounded: an improving direction without limit or a singular basis can
 only come from rounding, and each raises.  The one recovery path is the
-cold run that takes over when a warm run raises.
+cold run that takes over when a warm run raises, a start rejected by its
+rebuild included.
 """
 
 from __future__ import annotations
@@ -93,6 +99,10 @@ _REFACTOR_EVERY = 40
 _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
 _UPDATE_ROWS = 64
+# A warm start's basis block with a larger κ∞ is refused (warm_start): at
+# this conditioning 1e-16 rounding reaches the 1e-4 level, far above
+# every working tolerance.
+_MAX_CONDITION = 1e12
 
 _largest, _smallest = np.maximum.reduce, np.minimum.reduce  # module docstring
 
@@ -206,8 +216,10 @@ class LpSolution:
 
     ``status`` is optimal or infeasible; a solve that fails numerically
     raises instead.  ``warm`` says the solve started from an earlier optimal
-    basis and finished from there, whether optimal or infeasible (after a
-    fallback to the cold solve it is False); ``iterations`` counts every
+    basis and finished from there, whether optimal or infeasible and whether
+    or not that basis was dual feasible here (after a fallback to the cold
+    solve, when the start is singular or ill-conditioned here or the warm
+    run fails numerically, it is False); ``iterations`` counts every
     step made, pivots and bound flips, and ``refactorizations`` every
     rebuild of the tableau, each the run's one kind of LU solve (the restore
     of the true rhs reads the basic values off the rebuilt tableau), a
@@ -311,9 +323,11 @@ class _Simplex:
         lower-triangular with an identity block for the appended slacks, so
         it stays nonsingular, and the appended slacks carry no cost, so it
         stays dual feasible.  Over other rows or another objective it may be
-        neither: a singular block or a basis that is not dual feasible at
-        ``_COST_TOL`` raises NumericalFailure, and the cold run takes over.
-        Basic values it leaves outside their boxes are the first dual
+        neither: :meth:`run` shifts the costs that are not dual feasible,
+        and a singular or ill-conditioned block (κ∞ = ‖A[R, S]‖∞‖A[R, S]⁻¹‖∞
+        above ``_MAX_CONDITION``, the inverse read off the rebuilt rows at
+        the nonbasic slacks) raises NumericalFailure, and the cold run takes
+        over.  Basic values it leaves outside their boxes are the first dual
         pass's to repair.
         """
         n, m0 = self.n, start.basic.size
@@ -325,25 +339,36 @@ class _Simplex:
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self._index_positions()
         self._refactorize()
-        if self._select_entering(self._reduced_costs(self.obj), False) is not None:
-            raise NumericalFailure("the start's basis is not dual feasible here")
+        r = self.r
+        if r:
+            at = (self.nonbasic >= n).nonzero()[0]
+            inverse = np.abs(self.rows[:r].take(at, 1)).sum(axis=1)
+            block = np.abs(self.a_s[:r].take(self.nonbasic.take(at) - n, 1)).sum(axis=0)
+            if _largest(inverse) * _largest(block) > _MAX_CONDITION:
+                raise NumericalFailure("the start's basis is ill-conditioned here")
 
     # -- passes -------------------------------------------------------------
 
     def run(self) -> LpStatus:
         """Optimal or infeasible, else raises NumericalFailure; the passes
         are the module docstring's, from the engine's ``start``."""
-        if self.start is None:
-            feasible = self._dual(np.minimum(self.obj, 0.0))
-        else:
+        if self.start is not None:
             self.warm_start(self.start)
+        # The first dual pass's cost: c shifted to make the start dual
+        # feasible (module docstring).
+        reduced = self._reduced_costs(self.obj)
+        shift = self.movable & (self.direction * reduced > _COST_TOL)
+        cost = self.obj
+        if shift.any():
+            cost = cost.copy()
+            cost[self.nonbasic[shift]] -= reduced[shift]
+        elif self.start is not None:
             values = self._basic_values(self.b_true)
             if _largest(self._excess(values), initial=0.0) <= _FEAS_TOL:
                 # Optimal as it stands: a dual feasible start in its boxes.
                 self.b, self.x[self.basis] = self.b_true, values
                 return LpStatus.OPTIMAL
-            feasible = self._dual(self.obj)
-        if not feasible:
+        if not self._dual(cost):
             return LpStatus.INFEASIBLE
         self._optimize()
         self.b = self.b_true
@@ -568,13 +593,22 @@ class _Simplex:
         self.x[self.basis] = self._by_position(values, rhs - values @ self.a_s[:r])
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        """Reduced costs of the nonbasic positions, c_N − c_S Z: slacks
-        carry no cost in any pass."""
-        r = self.r
+        """Reduced costs of the nonbasic positions, c_N − c_B B⁻¹N: c_S Z
+        over the held rows, and over each basic slack that carries a cost
+        (a shifted one, :meth:`run`) its row A[l, picked] − A[l, S] Z."""
+        n, r = self.n, self.r
         cs = cost.take(self.basis.take(self.owner[:r]))
+        reduced = cost.take(self.nonbasic)
+        by_row = cost[n:]
+        # The objective charges no slack; a shifted cost may.
+        if cost is not self.obj and by_row.any():
+            by_row = by_row.copy()
+            by_row[self.nonbasic[self.nonbasic >= n] - n] = 0.0
+            reduced -= np.append(by_row @ self.a, 0.0).take(self.picked)
+            cs = cs - self.a_s[:r] @ by_row
         if not cs.any():
-            return cost.take(self.nonbasic)
-        return cost.take(self.nonbasic) - cs @ self.rows[:r]
+            return reduced
+        return reduced - cs @ self.rows[:r]
 
     def _select_entering(self, reduced, bland: bool, banned=None) -> int | None:
         improving = self.movable & (self.direction * reduced > _COST_TOL)
@@ -689,7 +723,10 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
 
     ``start``, the optimal solution of an earlier program over the same
     variables with no more rows, makes the solve warm (module docstring).
-    Any such program will do; one that this one extends by appending rows
+    Any such program will do, with other rows, rhs, bounds or objective:
+    where the start is not dual feasible here the first dual pass runs on
+    shifted costs, and where its basis is singular or ill-conditioned here
+    the cold solve takes over.  One that this one extends by appending rows
     gives a start that is sure to be usable.  Raises ValueError when the
     start is not optimal, has other variables or more rows than ``lp``.
 

@@ -15,12 +15,15 @@ A second LP takes the optimum nearest the observed behavior, over deviations.
 
 A family answers many queries, so it builds the prediction program's rows
 that no utility enters once, and each grid interval's queries start their
-first program from one optimal basis: the interval midpoint's, solved cold
-on first use and kept on the family.  Queries in one interval solve related
-programs, whose optimal bases barely differ, so a warm solve from the
-midpoint's basis takes a few pivots where a cold one takes dozens.  The
-start depends on the interval alone, so no answer depends on earlier
-queries.
+first program from one optimal basis: the interval midpoint's, kept on the
+family.  Queries in one interval solve related programs, whose optimal
+bases barely differ, so a warm solve from the midpoint's basis takes a few
+pivots where a cold one takes dozens.  Neighbouring midpoints are related
+the same way, so the midpoints form a chain: interval 0's solves cold, and
+each later one warm from the interval before it, which is solved first when
+a query needs it (a single query on a fresh family pays up to g warm
+interval starts, g its interval).  Each start depends on its interval
+alone, so no answer depends on earlier queries.
 """
 
 from __future__ import annotations
@@ -204,7 +207,8 @@ def predict_choice(
 
     With ``eta``, the first program starts warm from the optimal basis of
     the same program at the midpoint of eta's grid interval (module
-    docstring); the refinement and a query without ``eta`` solve cold.
+    docstring, :func:`_interval_start`); the refinement and a query without
+    ``eta`` solve cold.
     """
     u_hat = _check_utility(f.dataset, interpolated)
     X, A = u_hat.shape
@@ -269,15 +273,21 @@ def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
 
 def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
     """The optimal first program at grid interval g's midpoint, utility
-    (u_g + u_{g+1}) / 2, solved cold on first use and kept on the family;
-    None when that solve does not end optimal, and the query solves cold."""
-    if g not in f._starts:
-        u = 0.5 * f.fitted.utilities[g] + 0.5 * f.fitted.utilities[g + 1]
+    (u_g + u_{g+1}) / 2, kept on the family; None when that solve does not
+    end optimal, and the query solves cold.  Interval g solves warm from
+    interval g - 1's start, which is solved first when missing (interval 0,
+    and an interval whose predecessor's start is None, solve cold), so each
+    start depends on the family and g alone."""
+    kept = g
+    while kept >= 0 and kept not in f._starts:
+        kept -= 1
+    for h in range(kept + 1, g + 1):
+        u = 0.5 * f.fitted.utilities[h] + 0.5 * f.fitted.utilities[h + 1]
         try:
-            solved = solve_lp(_first_program(f, u))
+            solved = solve_lp(_first_program(f, u), start=f._starts.get(h - 1))
         except NumericalFailure:
             solved = None
-        f._starts[g] = solved if solved is not None and solved.is_optimal else None
+        f._starts[h] = solved if solved is not None and solved.is_optimal else None
     return f._starts[g]
 
 

@@ -814,6 +814,38 @@ class TestWarmCutRounds:
         assert len(solves) > 5
         assert all(sol.warm == (start is not None) for _, _, start, sol in solves)
 
+    def test_the_memo_counts_stage_one_rounds(self, solves):
+        for seed in range(3):
+            d = _feasible(seed)
+            del solves[:]
+            brp_max_margin(d)
+            assert d._fits["umri"].rounds == len(solves) > 1
+
+    def test_the_round_cap_names_the_rounds_and_the_pairs_still_violated(
+        self, monkeypatch
+    ):
+        d = _feasible(0)
+        brp_max_margin(d)
+        rounds = d._fits["umri"].rounds
+        monkeypatch.setattr(brp, "_MAX_CUT_ROUNDS", rounds - 1)
+        added = []
+        separate = _BrpProgram.add_violated_selections
+
+        def spy(program, *args):
+            rows = separate(program, *args)
+            added.append(program.cuts[program.cuts.shape[0] - rows.shape[0] :])
+            return rows
+
+        monkeypatch.setattr(_BrpProgram, "add_violated_selections", spy)
+        with pytest.raises(NumericalFailure, match="did not converge") as caught:
+            brp_max_margin(_feasible(0))
+        # The last round's new cuts, one per pair it found violated.
+        assert len(added) == rounds - 1 and added[-1].shape[0] > 0
+        pairs = ", ".join(f"({j}, {k})" for j, k in added[-1][:, :2])
+        assert str(caught.value).endswith(
+            f"in {rounds - 1} rounds; agent pairs (j, k) still violated: {pairs}"
+        )
+
     @staticmethod
     def _rounds_match_the_reference(solves, d):
         """Fit ``d``; every round and the margin agree with tight HiGHS."""

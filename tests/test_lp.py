@@ -372,7 +372,7 @@ class TestWarmStart:
     def test_start_from_any_program_over_the_same_variables_matches_cold(self):
         # Other rows, other rhs, another objective or other bounds: the
         # start's basis is rebuilt from the new rows, and where it is not
-        # dual feasible there the cold run takes over.
+        # dual feasible there the first dual pass runs on shifted costs.
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         lp.add_leq([2.0, 1.0], 2.0)
@@ -399,6 +399,33 @@ class TestWarmStart:
         # An equal program that is a different object extends the start.
         rebuilt = program(lp.a, lp.b)
         assert solve_lp(rebuilt, start=start).warm
+
+        # A program over an 11 x 4 x 4 first prediction program's rows plus
+        # its objective-slack row, maximizing accuracy over the optimal face,
+        # warm from the first optimum: primal feasible, not dual feasible.
+        from conftest import make_noise_family
+        from inattention import predict
+
+        etas, d, _ = make_noise_family(seed=0, num_classes=4)
+        family = predict.fit_family(d, etas)
+        pivoted = 0
+        for eta in (1.025, 1.325, 1.675, 1.975):
+            first_lp = predict._first_program(
+                family, predict.interpolate_utility(family, eta)
+            )
+            first = solve_lp(first_lp)
+            accuracy = np.append((d.prior[:, None] * np.eye(4)).ravel(), 0.0)
+            face = LinearProgram(accuracy, first_lp.lower, first_lp.upper)
+            kept = first.objective_value - predict._OBJECTIVE_SLACK
+            face.add_leq(
+                np.vstack([first_lp.a, -first_lp.objective]), np.append(first_lp.b, -kept)
+            )
+            warm = solve_lp(face, start=first)
+            ref = scipy_optimum(face, TIGHT_HIGHS)
+            assert warm.warm and warm.is_optimal and ref.status == 0
+            assert warm.objective_value == pytest.approx(-ref.fun, rel=1e-9)
+            pivoted += warm.iterations > 0
+        assert pivoted >= 2
 
     def test_warm_from_a_perturbed_sibling_matches_cold_on_random_programs(self):
         rng = np.random.default_rng(23)
@@ -442,6 +469,28 @@ class TestWarmStart:
         assert again.objective_value == pytest.approx(1.0, abs=1e-12)
         assert again.point.tobytes() == cold.point.tobytes()
 
+    @pytest.mark.parametrize("gap, warm", [(1e-13, False), (1e-6, True)])
+    def test_start_basis_ill_conditioned_on_the_new_rows_falls_back_cold(
+        self, gap, warm
+    ):
+        # Rows [1, 1] and [1, 1 + gap]: a block that np.linalg.solve accepts,
+        # with κ∞ about 4 / gap; above 1e12 the cold run takes over.
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([[1.0, 2.0], [2.0, 1.0]], 2.0)
+        start = solve_lp(lp)
+        assert sorted(start.basis.basic.tolist()) == [0, 1]
+        other = LinearProgram(lp.objective, lp.lower, lp.upper)
+        other.add_leq([[1.0, 1.0], [1.0, 1.0 + gap]], [1.0, 2.0])
+        if not warm:
+            with pytest.raises(NumericalFailure, match="ill-conditioned"):
+                lp_module._Simplex(other).warm_start(start.basis)
+        again, cold = solve_lp(other, start=start), solve_lp(other)
+        assert again.warm is warm
+        assert again.objective_value == pytest.approx(1.0, abs=1e-9)
+        if not warm:
+            assert again.refactorizations == cold.refactorizations + 1
+            assert again.point.tobytes() == cold.point.tobytes()
+
     def test_start_must_be_optimal(self):
         lp = LinearProgram([1.0], [0.0], [2.0])
         lp.add_leq([1.0], -1.0)
@@ -469,21 +518,65 @@ class TestWarmStart:
         if cold.status is LpStatus.OPTIMAL:
             assert np.array_equal(retried.point, cold.point)
 
-    @pytest.mark.parametrize("defect", ["not dual feasible"])
-    def test_unusable_start_basis_means_a_cold_solve(self, defect):
+    def test_start_that_is_not_dual_feasible_runs_warm(self):
         from dataclasses import replace
 
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([2.0, 1.0], 2.5)
         first = solve_lp(lp)  # x = 0.75 basic, y nonbasic at its upper bound
         assert first.basis.basic.tolist() == [0] and first.basis.status[1] == 1
-        # y at its lower bound, where raising it gains 1 - 1/2 per unit.
+        # y at its lower bound, where raising it gains 1 - 1/2 per unit: the
+        # first dual pass runs on y's cost shifted by that gain.
         basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
         grown = lp.copy()
         grown.add_leq([1.0, 2.0], 2.0)
         again = solve_lp(grown, start=replace(first, basis=basis))
-        assert not again.warm
-        assert np.array_equal(again.point, solve_lp(grown).point)
+        cold = solve_lp(grown)
+        ref = scipy_optimum(grown, TIGHT_HIGHS)
+        assert again.warm and again.iterations > 0
+        assert np.allclose(again.point, cold.point, rtol=0.0, atol=1e-12)
+        assert np.allclose(again.point, ref.x, rtol=0.0, atol=1e-9)
+        assert again.objective_value == pytest.approx(-ref.fun, abs=1e-9)
+
+    def test_first_dual_pass_runs_on_the_shifted_costs(self, monkeypatch):
+        # Each movable nonbasic column that would improve the objective at
+        # the start has its reduced cost taken off its cost, which leaves the
+        # start dual feasible; at the cold slack basis that is min(c, 0).
+        rng = np.random.default_rng(29)
+        dual = lp_module._Simplex._dual
+        seen = collections.Counter()
+
+        def checked(self, cost):
+            if "first_cost" not in self.__dict__:  # the run's first pass
+                self.first_cost = cost
+                reduced = self._reduced_costs(cost)
+                assert not (self.movable & (self.direction * reduced > 1e-9)).any()
+                if self.start is None:
+                    expected = np.minimum(self.obj, 0.0)
+                    assert np.array_equal(cost, expected)
+                seen[self.start is None, cost is self.obj] += 1
+            return dual(self, cost)
+
+        monkeypatch.setattr(lp_module._Simplex, "_dual", checked)
+        for _ in range(40):
+            lp = random_lp(rng, m=int(rng.integers(1, 8)))
+            a, b = lp.dense_rows()
+            sibling = LinearProgram(
+                lp.objective + rng.normal(scale=0.3, size=lp.num_vars),
+                lp.lower,
+                lp.upper,
+            )
+            sibling.add_leq(a + rng.normal(scale=0.1, size=a.shape), b + 0.1)
+            downhill = LinearProgram(-np.abs(lp.objective), lp.lower, lp.upper)
+            downhill.add_leq(a, b)
+            solve_lp(downhill)
+            start, first = solve_lp(sibling), solve_lp(lp)
+            if start.is_optimal:
+                solve_lp(lp, start=start)
+            if first.is_optimal:
+                solve_lp(_extended(lp, first.point, rng, 2), start=first)
+        # Shifted and unshifted starts, warm and cold.
+        assert all(seen[key] >= 5 for key in itertools.product([True, False], repeat=2))
 
     def test_kept_value_off_its_box_is_repaired_warm(self):
         from dataclasses import replace
@@ -643,6 +736,29 @@ class TestBlockRebuild:
             assert 0 <= self._rebuild_matches_dense(engine) <= lp.num_rows
             checked += 1
         assert checked >= 10
+
+    @pytest.mark.parametrize("make", [random_lp, larger_lp])
+    def test_reduced_costs_with_costed_basic_slacks(self, make):
+        # A shifted cost can put a cost on a slack that then turns basic;
+        # the reduced costs read it off that slack's derived row.
+        rng = np.random.default_rng(31)
+        mixed = 0
+        for _ in range(30):
+            lp = make(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            engine = lp_module._Simplex(lp)
+            engine.warm_start(first.basis)
+            tableau = _dense(engine)[0]
+            for slack_costs in (False, True):
+                cost = rng.normal(size=engine.n + engine.m)
+                cost[engine.n :] *= slack_costs
+                expected = cost[engine.nonbasic] - cost[engine.basis] @ tableau
+                reduced = engine._reduced_costs(cost)
+                assert np.allclose(reduced, expected, rtol=0.0, atol=1e-9)
+            mixed += 0 < engine.r < engine.m
+        assert mixed >= 5
 
     @pytest.mark.parametrize("block", [None, 2])
     @pytest.mark.parametrize("make", [random_lp, larger_lp])

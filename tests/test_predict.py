@@ -390,10 +390,12 @@ class TestIntervalStart:
             del solves[:]
             g = predict_module._bracket(fam, eta)[0]
             assert predict_at(fam, eta).nias_consistent
-            # The interval's first query also solves the midpoint, cold.
+            # The interval's first query also solves the midpoint, warm from
+            # the previous interval's (queries run in interval order here),
+            # interval 0's cold.
             assert len(solves) == (2 if g in seen else 3)
             if g not in seen:
-                assert not solves[0][1].warm
+                assert solves[0][1].warm == (g > 0)
             seen.add(g)
             first_lp, first = solves[-2]
             assert first.warm
@@ -402,6 +404,16 @@ class TestIntervalStart:
             scale = max(1.0, abs(ref.fun))
             assert first.objective_value == pytest.approx(-ref.fun, abs=1e-9 * scale)
         assert len(seen) == fam.num_agents - 1
+        # On a fresh family a query in the last interval solves the whole
+        # chain of midpoints first, each warm from the one before.
+        last = fresh(fam)
+        del solves[:]
+        predict_at(last, queries[-1])
+        g = fam.num_agents - 2
+        assert [s.warm for _, s in solves] == [False] + [True] * g + [True, False]
+        assert sorted(last._starts) == list(range(g + 1))
+        for h in range(g + 1):
+            assert last._starts[h].point.tobytes() == fam._starts[h].point.tobytes()
 
     def test_a_midpoint_that_fails_leaves_its_interval_cold(self, family4, monkeypatch):
         fam, _ = family4
@@ -409,7 +421,8 @@ class TestIntervalStart:
         solves = []
 
         def spy(lp, *args, **kwargs):
-            if not solves:
+            # The fourth solve is interval 3's midpoint, after intervals 0-2.
+            if len(solves) == 3:
                 solves.append(None)
                 raise NumericalFailure("injected at the midpoint")
             solves.append(solve_lp(lp, *args, **kwargs))
@@ -417,10 +430,13 @@ class TestIntervalStart:
 
         monkeypatch.setattr(predict_module, "solve_lp", spy)
         for eta in (1.325, 1.375):
-            del solves[1:]
             assert predict_at(fam, eta).nias_consistent
             # The first program and the refinement, both cold; no retry.
-            assert [s.warm for s in solves[1:]] == [False, False]
+            assert [s.warm for s in solves[-2:]] == [False, False]
+        assert len(solves) == 8 and fam._starts[3] is None
+        # The next interval's midpoint then solves cold, and its query warm.
+        assert predict_at(fam, 1.425).nias_consistent
+        assert [s.warm for s in solves[8:]] == [False, True, False]
 
     def test_utility_query_without_eta_solves_cold(self, family4, monkeypatch):
         fam, _ = family4
