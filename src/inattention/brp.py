@@ -293,6 +293,28 @@ def _margin_rows(lp: LinearProgram, core: np.ndarray, with_margin: bool) -> np.n
     return rows
 
 
+def _spanning_tree(choices: np.ndarray) -> np.ndarray:
+    """A minimum spanning tree of the (K, X, A) choice matrices under the
+    entrywise L1 distance, as a (K, K) mask of its edges (parent, child).
+
+    Prim's algorithm from agent 0; ties go to the lowest index, both for the
+    next agent to join and for its parent.
+    """
+    K = choices.shape[0]
+    dist = np.abs(choices[:, None] - choices[None]).sum(axis=(2, 3))
+    tree = np.zeros((K, K), dtype=bool)
+    joined = np.zeros(K, dtype=bool)
+    joined[0] = True
+    nearest, parent = dist[0].copy(), np.zeros(K, dtype=int)
+    for _ in range(K - 1):
+        child = int(np.argmin(np.where(joined, np.inf, nearest)))
+        tree[parent[child], child] = joined[child] = True
+        step = dist[child]
+        closer = (step < nearest) | ((step == nearest) & (child < parent))
+        nearest[closer], parent[closer] = step[closer], child
+    return tree
+
+
 class _BrpProgram:
     """Shared LP assembly for the margin and sparsity stages.
 
@@ -312,9 +334,13 @@ class _BrpProgram:
         self.nias_rows = np.zeros((agent.size, self.num_core_vars))
         columns = agent[:, None] * self.block + np.arange(self.block)
         np.put_along_axis(self.nias_rows, columns, coeffs, axis=1)
-        # The cut pool starts from the identity for each pair j != k.  Rows
-        # are appended, never written: the memo shares the array.
-        j, k = np.nonzero(~np.eye(self.K, dtype=bool))
+        # The cut pool starts from the identity for both directions of each
+        # edge of the agents' spanning tree: through c_k - c_j the tree ties
+        # every cost to every other, and the cut loop adds any other pair it
+        # finds violated.  Rows are appended, never written: the memo shares
+        # the array.
+        tree = _spanning_tree(np.stack([a.choice_prob for a in d.agents]))
+        j, k = np.nonzero(tree | tree.T)
         self.cuts = np.column_stack([j, k, np.tile(np.arange(self.A), (j.size, 1))])
 
     @property

@@ -105,6 +105,7 @@ _UPDATE_ROWS = 64
 _MAX_CONDITION = 1e12
 
 _largest, _smallest = np.maximum.reduce, np.minimum.reduce  # module docstring
+_ZERO = np.zeros(1)  # concatenated on: the same bits as np.append, without its wrapper
 
 
 class LpStatus(enum.Enum):
@@ -521,7 +522,7 @@ class _Simplex:
             return self.rows[i]
         if self._derived_row[0] != p:
             l, r = i + self.m, self.r
-            row = np.append(self.a[l], 0.0).take(self.picked)
+            row = np.concatenate([self.a[l], _ZERO]).take(self.picked)
             if r:
                 row -= self.a_s[:r, l] @ self.rows[:r]
             self._derived_row = (p, row)
@@ -604,7 +605,7 @@ class _Simplex:
         if cost is not self.obj and by_row.any():
             by_row = by_row.copy()
             by_row[self.nonbasic[self.nonbasic >= n] - n] = 0.0
-            reduced -= np.append(by_row @ self.a, 0.0).take(self.picked)
+            reduced -= np.concatenate([by_row @ self.a, _ZERO]).take(self.picked)
             cs = cs - self.a_s[:r] @ by_row
         if not cs.any():
             return reduced

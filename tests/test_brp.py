@@ -547,10 +547,11 @@ class TestProgramRows:
         assert program.swap_rows(no_cuts).shape == (0, program.num_core_vars)
 
     def test_umri_rows_match_residuals(self):
+        # Every pair's row, not just the seeded pool's: one cut per pair j != k.
         for d, utilities, costs, eps in _row_draws():
             K = d.num_agents
             program = _BrpProgram(d)
-            j, k = program.cuts[:, 0], program.cuts[:, 1]
+            j, k = np.nonzero(~np.eye(K, dtype=bool))
             best = [
                 (joint_and_posterior(d, jj).joint.T @ utilities[kk]).argmax(axis=1)
                 for jj, kk in zip(j, k)
@@ -871,19 +872,23 @@ class TestWarmCutRounds:
 
 
     def test_epsilon_star_at_11_agents_by_6_classes_is_the_reference_optimum(self):
-        # The fit's eps* against HiGHS on its final cut program, rebuilt from
-        # the memo's cut pool rather than taken from the rounds solved.
         _, d, _ = make_noise_family(0, 11, 6)
-        _, report = brp_max_margin(d)
-        program = _BrpProgram(d)
-        program.cuts = d._fits["umri"].cuts
-        objective = np.zeros(program.num_core_vars + 1)
-        objective[-1] = 1.0
-        lp = program.build(with_margin=True, rhs_offset=0.0, objective=objective)
-        ref = scipy_optimum(lp, TIGHT_HIGHS)
-        assert ref.status == 0
-        assert report.epsilon_star > 0.0
-        assert report.epsilon_star == pytest.approx(-ref.fun, rel=1e-9)
+        _assert_epsilon_star_is_the_reference_optimum(d)
+
+
+def _assert_epsilon_star_is_the_reference_optimum(d):
+    """Fit ``d``; its eps* matches HiGHS on the final cut program, rebuilt
+    from the memo's cut pool rather than taken from the rounds solved."""
+    _, report = brp_max_margin(d)
+    program = _BrpProgram(d)
+    program.cuts = d._fits["umri"].cuts
+    objective = np.zeros(program.num_core_vars + 1)
+    objective[-1] = 1.0
+    lp = program.build(with_margin=True, rhs_offset=0.0, objective=objective)
+    ref = scipy_optimum(lp, TIGHT_HIGHS)
+    assert ref.status == 0
+    assert report.epsilon_star > 0.0
+    assert report.epsilon_star == pytest.approx(-ref.fun, rel=1e-9)
 
 
 class TestCutPool:
@@ -914,6 +919,7 @@ class TestCutPool:
         program = _BrpProgram(d)
         utilities = rng.uniform(0.0, 1.0, size=(d.num_agents, d.num_states, d.num_actions))
         costs = rng.uniform(0.0, 1.0, size=d.num_agents)
+        pool = {tuple(cut) for cut in program.cuts.tolist()}
         start = program.cuts.shape[0]
         program.add_violated_selections(utilities, costs, bound)
         violated = niac_residuals(d, utilities, costs) > bound + brp._CUT_TOL
@@ -922,7 +928,7 @@ class TestCutPool:
         expected = [
             [j, k, *best[j, k]]
             for j, k in zip(*np.nonzero(violated))
-            if not np.array_equal(best[j, k], np.arange(d.num_actions))
+            if (j, k, *best[j, k]) not in pool
         ]
         assert program.cuts[start:].tolist() == expected
 
@@ -946,6 +952,87 @@ class TestCutPool:
         assert sum(added) > 0  # the sparsity stage cuts beyond the memo's pool
         assert d._fits["umri"].cuts is cuts
         assert cuts.tobytes() == before
+
+
+def _permuted(d, perm):
+    """``d`` with its agents reordered: agent i is ``d``'s agent perm[i]."""
+    return dataset_from_matrices(
+        d.prior, [d.choice(i) for i in perm], ids=[d.agents[i].agent_id for i in perm]
+    )
+
+
+def _seeded_pairs(d):
+    """The pairs (j, k) of a fresh program's cut pool, as a (K, K) mask;
+    every seeded cut answers with the identity."""
+    cuts = _BrpProgram(d).cuts
+    assert (cuts[:, 2:] == np.arange(d.num_actions)).all()
+    mask = np.zeros((d.num_agents, d.num_agents), dtype=bool)
+    mask[cuts[:, 0], cuts[:, 1]] = True
+    assert mask.sum() == cuts.shape[0]  # one cut per pair
+    return mask
+
+
+def _kruskal_weight(dist):
+    """Weight of a minimum spanning tree of the complete graph ``dist``."""
+    K = dist.shape[0]
+    component = list(range(K))
+    total = 0.0
+    for w, j, k in sorted((dist[j, k], j, k) for j in range(K) for k in range(j + 1, K)):
+        if component[j] != component[k]:
+            old = component[k]
+            component = [component[j] if c == old else c for c in component]
+            total += w
+    return total
+
+
+_CHAIN = np.eye(11, k=1, dtype=bool) | np.eye(11, k=-1, dtype=bool)
+
+
+class TestCutPoolSeed:
+    """The first program holds, for each edge of a minimum spanning tree of
+    the agents' choice matrices, the identity swap row in both directions."""
+
+    def test_the_seed_is_the_trees_pairs_in_both_directions(self):
+        rng = np.random.default_rng(43)
+        for _ in range(12):
+            K, X, A = (int(v) for v in rng.integers(2, 7, size=3))
+            mats = [stochastic(rng, (X, A)) for _ in range(K)]
+            d = dataset_from_matrices(rng.dirichlet(np.ones(X)), mats)
+            tree = brp._spanning_tree(np.array(mats))
+            edges = np.argwhere(tree)
+            assert edges.shape[0] == K - 1
+            reached = {0}
+            for _ in range(K):
+                reached |= {int(v) for p, c in edges for v in (p, c) if {p, c} & reached}
+            assert reached == set(range(K))
+            dist = np.abs(np.array(mats)[:, None] - np.array(mats)[None]).sum(axis=(2, 3))
+            assert dist[tree].sum() == pytest.approx(_kruskal_weight(dist), rel=1e-12)
+            # Both directions of each edge, in (j, k) order.
+            pairs = sorted({(int(a), int(b)) for p, c in edges for a, b in ((p, c), (c, p))})
+            assert _BrpProgram(d).cuts.tolist() == [[j, k, *range(A)] for j, k in pairs]
+
+    def test_two_agents_seed_both_pairs(self, d2):
+        assert _BrpProgram(d2).cuts.tolist() == [
+            [0, 1, *range(d2.num_actions)],
+            [1, 0, *range(d2.num_actions)],
+        ]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_permuted_agents_seed_the_permuted_tree(self, seed):
+        # A ladder's tree joins each agent to its neighbours in eta order.
+        _, d, _ = make_noise_family(seed, 11, 4)
+        assert np.array_equal(_seeded_pairs(d), _CHAIN)
+        perm = np.random.default_rng(seed).permutation(11)
+        shuffled = _permuted(d, perm)
+        assert np.array_equal(_seeded_pairs(shuffled), _CHAIN[np.ix_(perm, perm)])
+        eps = brp_max_margin(d)[1].epsilon_star
+        assert brp_max_margin(shuffled)[1].epsilon_star == pytest.approx(eps, rel=1e-9)
+
+    @pytest.mark.parametrize("seed, classes", [(0, 3), (1, 4), (2, 5), (0, 6)])
+    def test_shuffled_ladders_reach_the_reference_optimum(self, seed, classes):
+        _, d, _ = make_noise_family(seed, 11, classes)
+        perm = np.random.default_rng(100 + seed).permutation(11)
+        _assert_epsilon_star_is_the_reference_optimum(_permuted(d, perm))
 
 
 _PAYLOAD_REPORT = MarginReport(
