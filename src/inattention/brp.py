@@ -8,6 +8,8 @@ are linear in the utilities once the per-observation best responses are
 pinned, so maximizing the common slack margin is a linear program; the best
 responses themselves are generated lazily as cutting planes, kept as integer
 rows (j, k, sigma): sigma answers each of agent j's actions under k's utility.
+The program takes its cut pool as input: the margin stage seeds it from the
+agents' spanning tree, and the sparsity stage starts from the memo's pool.
 
 A margin of zero is always attainable (constant utilities satisfy everything
 with equality), so "passes" means the optimal margin is strictly positive.
@@ -315,8 +317,17 @@ def _spanning_tree(choices: np.ndarray) -> np.ndarray:
     return tree
 
 
+def _seed_cuts(d: DecisionDataset) -> np.ndarray:
+    """Stage one's first cut pool: the identity both ways along each edge of
+    the agents' spanning tree, which ties every cost to every other through
+    c_k - c_j; the cut loop adds any other pair it finds violated."""
+    tree = _spanning_tree(np.stack([a.choice_prob for a in d.agents]))
+    j, k = np.nonzero(tree | tree.T)
+    return np.column_stack([j, k, np.tile(np.arange(d.num_actions), (j.size, 1))])
+
+
 class _BrpProgram:
-    """Shared LP assembly for the margin and sparsity stages.
+    """Shared LP assembly for the margin and sparsity stages from a cut pool.
 
     Variables: K utility matrices (flattened), K costs, and optionally the
     margin.  Best-response rows for the swap residuals are added lazily: a
@@ -324,7 +335,7 @@ class _BrpProgram:
     response beats the responses already modelled contributes a new row.
     """
 
-    def __init__(self, d: DecisionDataset):
+    def __init__(self, d: DecisionDataset, cuts: np.ndarray):
         if d.num_agents < 2:
             raise TooFewAgents("margin test needs at least two agents")
         self.d = d
@@ -334,14 +345,8 @@ class _BrpProgram:
         self.nias_rows = np.zeros((agent.size, self.num_core_vars))
         columns = agent[:, None] * self.block + np.arange(self.block)
         np.put_along_axis(self.nias_rows, columns, coeffs, axis=1)
-        # The cut pool starts from the identity for both directions of each
-        # edge of the agents' spanning tree: through c_k - c_j the tree ties
-        # every cost to every other, and the cut loop adds any other pair it
-        # finds violated.  Rows are appended, never written: the memo shares
-        # the array.
-        tree = _spanning_tree(np.stack([a.choice_prob for a in d.agents]))
-        j, k = np.nonzero(tree | tree.T)
-        self.cuts = np.column_stack([j, k, np.tile(np.arange(self.A), (j.size, 1))])
+        # Rows are appended, never written: the memo shares the array.
+        self.cuts = cuts
 
     @property
     def num_core_vars(self) -> int:
@@ -440,15 +445,6 @@ class _BrpProgram:
             f"agent pairs (j, k) still violated: {pairs}"
         )
 
-    def max_margin(self):
-        """Stage one: (utilities, costs, margin, rounds) maximizing the
-        margin."""
-        objective = np.zeros(self.num_core_vars + 1)
-        objective[-1] = 1.0
-        return self.solve_with_cuts(
-            with_margin=True, rhs_offset=0.0, objective=objective
-        )
-
 
 class _MarginStage(NamedTuple):
     """What stage one on a dataset leaves for the sparsity stage: its margin
@@ -466,8 +462,11 @@ def _solve_margin_stage(d: DecisionDataset):
     deterministic), so its margin and cuts are stored at ``d._fits["umri"]``;
     a stage that raises stores nothing.
     """
-    program = _BrpProgram(d)
-    utilities, costs, margin, rounds = program.max_margin()
+    program = _BrpProgram(d, _seed_cuts(d))
+    objective = np.concatenate([np.zeros(program.num_core_vars), [1.0]])
+    utilities, costs, margin, rounds = program.solve_with_cuts(
+        with_margin=True, rhs_offset=0.0, objective=objective
+    )
     cuts = _frozen_array(program.cuts, dtype=int)
     d._fits["umri"] = _MarginStage(margin, cuts, rounds)
     return utilities, costs
@@ -508,8 +507,7 @@ def brp_sparsest(
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
     margin, cuts, _ = _stored_fit(d, "umri", _solve_margin_stage)
-    program = _BrpProgram(d)
-    program.cuts = cuts
+    program = _BrpProgram(d, cuts)
     target = -margin_fraction * margin
     sparse_objective = np.zeros(program.num_core_vars)
     sparse_objective[: program.K * program.block] = -1.0
@@ -542,11 +540,8 @@ def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffin
     fitted cost exactly, and each agent's strategy maximizes value minus
     cost over all strategies (the envelope uses re-optimized actions).
     """
-    if strict_margin(d, prof.utilities, prof.costs) < -1e-7:
-        raise ProfileMismatch(
-            "profile violates the feasibility residuals; its cost is not defined"
-        )
-    return _anchored_cost(d, prof.utilities, prof.costs)
+    margin = strict_margin(d, prof.utilities, prof.costs)
+    return _anchored_cost(d, prof.utilities, prof.costs, margin)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import DEGENERATE_MARGIN
 from .dataset import _frozen_array
 from .errors import ProfileMismatch
 
@@ -85,10 +86,15 @@ class PiecewiseAffineCost:
         return float(self.piece_values(strategy).max())
 
 
-def _anchored_cost(d, utilities, costs, *, scales=None):
+def _anchored_cost(d, utilities, costs, margin, *, scales=None):
     """One piece per agent of dataset ``d``, anchored at its strategy, with
     offset ``costs[k]`` and gradient prior * ``utilities[k]`` / ``scales[k]``
-    (the s-UMRI model scales by inverse sensitivity; default one)."""
+    (the s-UMRI model scales by inverse sensitivity; default one).  The one
+    certificate rule: no cost when the model's strict ``margin`` < -DEGENERATE_MARGIN."""
+    if margin < -DEGENERATE_MARGIN:
+        raise ProfileMismatch(
+            "profile violates the feasibility residuals; its cost is not defined"
+        )
     scales = np.ones(len(costs)) if scales is None else np.asarray(scales, dtype=float)
     gradients = d.prior[None, :, None] * np.array(utilities, dtype=float)
     return PiecewiseAffineCost(

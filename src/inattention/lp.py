@@ -582,7 +582,7 @@ class _Simplex:
         a = self.a.take(rows, 0)
         # Over [A | 0 | rhs] a nonbasic slack's column reads the 0 column.
         top = np.concatenate([a, np.zeros((r, 1)), rhs.take(rows)[:, None]], axis=1)
-        top = top.take(np.append(self.picked, n + 1), 1)
+        top = top.take(np.concatenate([self.picked, [n + 1]]), 1)
         top[np.arange(r), at] = 1.0
         try:
             z = np.linalg.solve(a.take(basic, 1), top)

@@ -34,14 +34,15 @@ import numpy as np
 
 from .brp import (
     UtilityProfile,
-    _check_profile_dims,
     _nias,
     _profile_from_dict,
+    _verdict,
     _worst_nias,
     brp_max_margin,
     profile_to_dict,
+    strict_margin,
 )
-from .costs import _anchored_cost
+from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import (
     DecisionDataset,
     _check_utility,
@@ -84,8 +85,9 @@ _OBJECTIVE_SLACK = 1e-9
 
 @dataclass(frozen=True)
 class NoiseFamily:
-    """Fitted model for agents indexed by an increasing noise grid; ``fitted``
-    holds one utility of the dataset's shape per agent (ProfileMismatch).
+    """Fitted model for agents indexed by an increasing noise grid.  Every
+    family's profile is admitted here: its strict margin must pass the cost's
+    certificate rule (ProfileMismatch) and not be degenerate (DegenerateDataset).
 
     Privately it keeps the prediction program at zero utility (its boxes and
     the rows no utility enters), the best-response (action, deviation) pairs,
@@ -100,9 +102,14 @@ class NoiseFamily:
 
     def __post_init__(self):
         d = self.dataset
-        _check_profile_dims(d, self.fitted.utilities)
+        margin = strict_margin(d, self.fitted.utilities, self.fitted.costs)
         object.__setattr__(self, "etas", _noise_grid(self.etas, d.num_agents))
-        object.__setattr__(self, "_base", _base_program(d, self.fitted))
+        cost = _anchored_cost(d, self.fitted.utilities, self.fitted.costs, margin)
+        if _verdict(margin)[1]:
+            raise DegenerateDataset(
+                "max-margin fit is numerically zero; predictions are meaningless"
+            )
+        object.__setattr__(self, "_base", _base_program(d, cost))
         pairs = np.nonzero(~np.eye(d.num_actions, dtype=bool))
         object.__setattr__(self, "_pairs", _frozen_array(pairs, dtype=int))
 
@@ -131,12 +138,7 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
     prior-weighted fitted utility.
     """
     etas = _noise_grid(etas, d.num_agents)
-    profile, report = brp_max_margin(d)
-    if report.degenerate:
-        raise DegenerateDataset(
-            "max-margin fit is numerically zero; predictions are meaningless"
-        )
-    return NoiseFamily(etas=etas, dataset=d, fitted=profile)
+    return NoiseFamily(etas=etas, dataset=d, fitted=brp_max_margin(d)[0])
 
 
 def _noise_grid(etas, num_agents: int) -> np.ndarray:
@@ -233,12 +235,11 @@ def predict_choice(
     return strategy, bool(worst <= _NIAS_CERT_TOL)
 
 
-def _base_program(d: DecisionDataset, fitted: UtilityProfile) -> LinearProgram:
+def _base_program(d: DecisionDataset, cost: PiecewiseAffineCost) -> LinearProgram:
     """The prediction program at zero utility: the strategy boxes and the
     epigraph scalar's, one simplex row per state, then one epigraph row per
-    cost piece (its labelled-action value, linear in the strategy)."""
+    piece of ``cost`` (its labelled-action value, linear in the strategy)."""
     X, A = d.num_states, d.num_actions
-    cost = _anchored_cost(d, fitted.utilities, fitted.costs)
     gradients = cost.gradients.reshape(-1, X * A)
     anchored = (gradients * cost.anchors.reshape(-1, X * A)).sum(axis=1)
     offsets = cost.offsets - anchored
@@ -260,14 +261,14 @@ def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
     base, (taken, deviation), prior = f._base, f._pairs, f.dataset.prior
     X, A = u_hat.shape
     lp = LinearProgram(
-        np.append((prior[:, None] * u_hat).ravel(), -1.0), base.lower, base.upper
+        np.concatenate([(prior[:, None] * u_hat).ravel(), [-1.0]]), base.lower, base.upper
     )
     pairs = taken.size
     nias = np.zeros((pairs, X * A + 1))  # the epigraph scalar's column stays zero
     nias[np.arange(pairs)[:, None], np.arange(X) * A + taken[:, None]] = (
         prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
     ).T
-    lp.add_leq(np.vstack([base.a, nias]), np.append(base.b, np.zeros(pairs)))
+    lp.add_leq(np.vstack([base.a, nias]), np.concatenate([base.b, np.zeros(pairs)]))
     return lp
 
 
@@ -304,7 +305,7 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
     target = np.clip(target, 0.0, 1.0).ravel()
     cells = target.shape[0]
     refined = LinearProgram(
-        np.append(-np.ones(2 * cells), np.zeros(lp.num_vars - cells)),
+        np.concatenate([-np.ones(2 * cells), np.zeros(lp.num_vars - cells)]),
         np.concatenate([np.zeros(2 * cells), lp.lower[cells:]]),
         np.concatenate([1.0 - target, target, lp.upper[cells:]]),
     )
@@ -312,7 +313,7 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
     a_z = kept[:, :cells]
     refined.add_leq(
         np.hstack([a_z, -a_z, kept[:, cells:]]),
-        np.append(lp.b, -(first.objective_value - _OBJECTIVE_SLACK)) - a_z @ target,
+        np.concatenate([lp.b, [-(first.objective_value - _OBJECTIVE_SLACK)]]) - a_z @ target,
     )
     second = solve_lp(refined)
     if second.status is not LpStatus.OPTIMAL:

@@ -300,12 +300,9 @@ def reconstruct_cost_compact(
     under the fitted residuals; with all sensitivities equal to one this is
     the same construction as the private-utility cost with a shared matrix.
     """
-    if _margin_of(*sbrp_residuals(d, sol)) < -1e-7:
-        raise ProfileMismatch(
-            "solution violates the feasibility residuals; its cost is not defined"
-        )
+    margin = _margin_of(*sbrp_residuals(d, sol))
     return _anchored_cost(
-        d, [sol.utility] * d.num_agents, sol.costs, scales=sol.sensitivities
+        d, [sol.utility] * d.num_agents, sol.costs, margin, scales=sol.sensitivities
     )
 
 

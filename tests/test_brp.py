@@ -522,14 +522,14 @@ class TestProgramRows:
             d = dataset_from_matrices(
                 rng.dirichlet(np.ones(X)), [stochastic(rng, (X, A)) for _ in range(K)]
             )
-            program = _BrpProgram(d)
+            seed = brp._seed_cuts(d)
             extra = [
                 [j, k, *rng.integers(0, A, size=A)]
-                for j, k in program.cuts[:, :2]
+                for j, k in seed[:, :2]
                 for _ in range(int(rng.integers(0, 3)))
             ]
             rng.shuffle(extra)
-            program.cuts = np.vstack([program.cuts, np.reshape(extra, (-1, 2 + A))])
+            program = _BrpProgram(d, np.vstack([seed, np.reshape(extra, (-1, 2 + A))]))
             lp = program.build(
                 with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
             )
@@ -550,13 +550,12 @@ class TestProgramRows:
         # Every pair's row, not just the seeded pool's: one cut per pair j != k.
         for d, utilities, costs, eps in _row_draws():
             K = d.num_agents
-            program = _BrpProgram(d)
             j, k = np.nonzero(~np.eye(K, dtype=bool))
             best = [
                 (joint_and_posterior(d, jj).joint.T @ utilities[kk]).argmax(axis=1)
                 for jj, kk in zip(j, k)
             ]
-            program.cuts = np.column_stack([j, k, best])
+            program = _BrpProgram(d, np.column_stack([j, k, best]))
             lp = program.build(
                 with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
             )
@@ -768,7 +767,7 @@ class TestWarmCutRounds:
     def test_sparsest_after_max_margin_solves_the_sparsity_stage_alone(self, solves):
         for seed in range(3):
             d = _feasible(seed)
-            core_vars = _BrpProgram(d).num_core_vars
+            core_vars = _BrpProgram(d, brp._seed_cuts(d)).num_core_vars
             del solves[:]
             brp_sparsest(_feasible(seed))
             # The sparsity stage has no margin variable.
@@ -880,8 +879,7 @@ def _assert_epsilon_star_is_the_reference_optimum(d):
     """Fit ``d``; its eps* matches HiGHS on the final cut program, rebuilt
     from the memo's cut pool rather than taken from the rounds solved."""
     _, report = brp_max_margin(d)
-    program = _BrpProgram(d)
-    program.cuts = d._fits["umri"].cuts
+    program = _BrpProgram(d, d._fits["umri"].cuts)
     objective = np.zeros(program.num_core_vars + 1)
     objective[-1] = 1.0
     lp = program.build(with_margin=True, rhs_offset=0.0, objective=objective)
@@ -897,7 +895,7 @@ class TestCutPool:
     def test_a_repeated_candidate_adds_no_cut(self):
         rng = np.random.default_rng(5)
         d = _feasible(0)
-        program = _BrpProgram(d)
+        program = _BrpProgram(d, brp._seed_cuts(d))
         utilities = rng.uniform(0.0, 1.0, size=(d.num_agents, d.num_states, d.num_actions))
         costs = rng.uniform(0.0, 1.0, size=d.num_agents)
         # Utilities and costs in [0, 1] keep every swap residual at -2 or
@@ -916,7 +914,7 @@ class TestCutPool:
         # argmax, each a pair's best response its pool does not hold yet.
         rng = np.random.default_rng(9)
         d = _feasible(2)
-        program = _BrpProgram(d)
+        program = _BrpProgram(d, brp._seed_cuts(d))
         utilities = rng.uniform(0.0, 1.0, size=(d.num_agents, d.num_states, d.num_actions))
         costs = rng.uniform(0.0, 1.0, size=d.num_agents)
         pool = {tuple(cut) for cut in program.cuts.tolist()}
@@ -962,9 +960,9 @@ def _permuted(d, perm):
 
 
 def _seeded_pairs(d):
-    """The pairs (j, k) of a fresh program's cut pool, as a (K, K) mask;
-    every seeded cut answers with the identity."""
-    cuts = _BrpProgram(d).cuts
+    """The pairs (j, k) of stage one's seed pool, as a (K, K) mask; every
+    seeded cut answers with the identity."""
+    cuts = brp._seed_cuts(d)
     assert (cuts[:, 2:] == np.arange(d.num_actions)).all()
     mask = np.zeros((d.num_agents, d.num_agents), dtype=bool)
     mask[cuts[:, 0], cuts[:, 1]] = True
@@ -1009,10 +1007,25 @@ class TestCutPoolSeed:
             assert dist[tree].sum() == pytest.approx(_kruskal_weight(dist), rel=1e-12)
             # Both directions of each edge, in (j, k) order.
             pairs = sorted({(int(a), int(b)) for p, c in edges for a, b in ((p, c), (c, p))})
-            assert _BrpProgram(d).cuts.tolist() == [[j, k, *range(A)] for j, k in pairs]
+            assert brp._seed_cuts(d).tolist() == [[j, k, *range(A)] for j, k in pairs]
+
+    def test_the_tree_is_built_once_per_dataset(self, monkeypatch):
+        # Stage one seeds its pool; the sparsity stage starts from the memo's.
+        trees = []
+        spanning_tree = brp._spanning_tree
+
+        def spy(choices):
+            trees.append(choices.shape)
+            return spanning_tree(choices)
+
+        monkeypatch.setattr(brp, "_spanning_tree", spy)
+        d = _feasible(0)
+        brp_max_margin(d)
+        brp_sparsest(d)
+        assert trees == [(d.num_agents, d.num_states, d.num_actions)]
 
     def test_two_agents_seed_both_pairs(self, d2):
-        assert _BrpProgram(d2).cuts.tolist() == [
+        assert brp._seed_cuts(d2).tolist() == [
             [0, 1, *range(d2.num_actions)],
             [1, 0, *range(d2.num_actions)],
         ]

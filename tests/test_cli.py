@@ -387,7 +387,8 @@ class TestSynthPredict:
         assert not out.exists()
 
     @staticmethod
-    def _predict_from_miscounted_family(tmp_path, capsys, miscount):
+    def _saved_family(tmp_path):
+        """The (dataset, family) files of a 3x2x2 synth and its fitted family."""
         data, family = tmp_path / "data.json", tmp_path / "family.json"
         run(
             "synth", "--agents", 3, "--states", 2, "--actions", 2, "--seed", 1,
@@ -398,6 +399,42 @@ class TestSynthPredict:
             "--save-family", family, "--out", tmp_path / "fit.json",
         )
         assert code == 0
+        return data, family
+
+    @pytest.mark.parametrize("edit", ["violating", "degenerate"])
+    def test_family_whose_profile_no_family_admits_exits_one(self, tmp_path, capsys, edit):
+        # Agent 0's cost at 0.9 violates the residuals (strict margin
+        # -0.798); every utility and cost at 0.5 leaves a zero margin.
+        data, family = self._saved_family(tmp_path)
+        raw = json.loads(family.read_text())
+        for k, agent in enumerate(raw["profile"]["agents"]):
+            if edit == "degenerate":
+                agent["utility"], agent["cost"] = [[0.5, 0.5], [0.5, 0.5]], 0.5
+            elif k == 0:
+                agent["cost"] = 0.9
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        capsys.readouterr()
+        out = tmp_path / "p.json"
+        assert run("predict", "--family", edited, "--eta", 1.75, "--out", out) == 1
+        first = capsys.readouterr().err.splitlines()[0]
+        assert not out.exists()
+        if edit == "degenerate":
+            assert first == (
+                "error: max-margin fit is numerically zero; predictions are meaningless"
+            )
+            return
+        # The same line as the cost curve of the edited profile.
+        profile, cost = tmp_path / "profile.json", tmp_path / "cost.csv"
+        profile.write_text(json.dumps(raw["profile"]))
+        assert run("cost", "--profile", profile, "--dataset", data, "--out", cost) == 1
+        assert capsys.readouterr().err.splitlines()[0] == first
+        assert "violates the feasibility residuals" in first
+        assert not cost.exists()
+
+    @classmethod
+    def _predict_from_miscounted_family(cls, tmp_path, capsys, miscount):
+        _, family = cls._saved_family(tmp_path)
         raw = json.loads(family.read_text())
         agents = raw["profile"]["agents"]
         miscount(agents)

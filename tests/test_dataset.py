@@ -99,6 +99,18 @@ class TestValidate:
         with pytest.raises(NotStochastic):
             dataset_from_matrices([0.5, 0.5], [p, p])
 
+    def test_a_later_choice_matrix_that_is_not_2d_is_rejected(self):
+        agents = [{"choice_prob": np.eye(2)}, {"choice_prob": [0.5, 0.5]}]
+        raw = {"prior": [0.5, 0.5], "agents": agents}
+        with pytest.raises(DimensionMismatch, match="every choice matrix must be 2-D"):
+            validate_dataset(raw)
+
+    @pytest.mark.parametrize("prior", [[0.5, np.nan], [1.5, -0.5]], ids=["nan", "negative"])
+    def test_invalid_prior_rejected(self, prior):
+        p = [[0.9, 0.1], [0.1, 0.9]]
+        with pytest.raises(NotStochastic, match="prior: invalid probabilities"):
+            validate_dataset({"prior": prior, "agents": [{"choice_prob": p}] * 2})
+
     def test_only_the_mapping_form_is_accepted(self, d2):
         for other in (d2, (d2.prior, [d2.choice(0), d2.choice(1)])):
             with pytest.raises(TypeError):
@@ -151,6 +163,12 @@ class TestConstructorChecks:
         agent = AgentChoiceMatrix("a", np.eye(2))
         with pytest.raises(error):
             DecisionDataset(2, 2, prior, (agent,) * agents)
+
+    def test_prior_of_the_wrong_shape_rejected(self):
+        agent = AgentChoiceMatrix("a", np.eye(2))
+        shape = r"prior has shape \(3,\), expected \(2,\)"
+        with pytest.raises(DimensionMismatch, match=shape):
+            DecisionDataset(2, 2, np.full(3, 1 / 3), (agent,) * 2)
 
 
 class TestJointPosterior:
@@ -300,6 +318,15 @@ class TestValues:
         with pytest.raises(DimensionMismatch):
             realized_value(d2, 0, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("bad", [-0.1, np.inf, np.nan])
+    @pytest.mark.parametrize("value", [expected_value, realized_value])
+    def test_negative_or_non_finite_utility_rejected(self, d2, value, bad):
+        u = np.ones((2, 2))
+        u[1, 0] = bad
+        entries = "utility entries must be finite and nonnegative"
+        with pytest.raises(DimensionMismatch, match=entries):
+            value(d2, 0, u)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_expected_dominates_realized(self, seed):
@@ -337,6 +364,11 @@ class TestIngest:
         d = ingest_softmax(groups)
         assert np.allclose(d.prior, [0.5, 0.5])
         assert np.allclose(d.choice(0), [[0.8, 0.2], [0.3, 0.7]])
+
+    def test_agent_with_no_records_rejected(self):
+        groups = {"a": [("i", 0, [0.9, 0.1]), ("j", 1, [0.2, 0.8])], "b": []}
+        with pytest.raises(RaggedAgents, match="agent 'b' has no records"):
+            ingest_softmax(groups)
 
     def test_empty_class_rejected(self):
         groups = {

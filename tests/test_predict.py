@@ -26,6 +26,7 @@ from inattention.predict import (
     save_family,
     score_prediction,
 )
+from inattention.synth import generate_feasible_dataset
 
 from conftest import dataset_from_matrices, make_noise_family
 from test_lp import TIGHT_HIGHS, scipy_optimum
@@ -164,22 +165,84 @@ class TestInterpolate:
             interpolate_utility(fam, float("nan"))
 
 
-def zero_cost_family():
-    mats = [np.full((2, 2), 0.5), [[0.6, 0.4], [0.4, 0.6]]]
-    d = dataset_from_matrices([0.5, 0.5], mats)
-    profile = UtilityProfile.from_certificate(
-        d, [np.full((2, 2), 0.5)] * 2, np.array([0.5, 0.5])
-    )
-    # Constant utilities at equal costs: the envelope is flat on strategies.
-    return NoiseFamily(etas=np.array([1.0, 1.1]), dataset=d, fitted=profile)
+# Edits of a fitted family's profile that no family admits: agent 0's cost
+# raised to 0.9 violates the residuals (strict margin -0.798 on the family
+# below), and every utility and cost at 0.5 leaves a strict margin of zero.
+def _costlier_agent_zero(utilities, costs):
+    return utilities, np.concatenate([[0.9], costs[1:]])
+
+
+def _flat(utilities, costs):
+    return [np.full_like(u, 0.5) for u in utilities], np.full_like(costs, 0.5)
+
+
+REFUSED_EDITS = {
+    "violating": (_costlier_agent_zero, ProfileMismatch),
+    "degenerate": (_flat, DegenerateDataset),
+}
+
+
+@pytest.fixture(scope="module")
+def small_family():
+    """The family ``synth --agents 3 --states 2 --actions 2 --seed 1`` and
+    ``predict --etas 1,1.5,2`` fit."""
+    d = generate_feasible_dataset(3, 2, 2, 0.01, 1).dataset
+    return fit_family(d, [1.0, 1.5, 2.0])
+
+
+class TestFamilyAdmission:
+    """Every family passes one check on its profile, however it is made."""
+
+    @staticmethod
+    def _edited(fam, edit):
+        utilities, costs = edit(fam.fitted.utilities, fam.fitted.costs)
+        # The claimed margin is the fit's: the check reads the residuals.
+        return UtilityProfile(tuple(utilities), costs, margin=fam.fitted.margin)
+
+    @pytest.mark.parametrize("name", REFUSED_EDITS)
+    def test_constructor_refuses_the_edited_profile(self, small_family, name):
+        edit, error = REFUSED_EDITS[name]
+        profile = self._edited(small_family, edit)
+        d = small_family.dataset
+        with pytest.raises(error) as refused:
+            NoiseFamily(etas=small_family.etas, dataset=d, fitted=profile)
+        if error is ProfileMismatch:
+            # The same refusal as the cost curve's.
+            with pytest.raises(ProfileMismatch) as cost_refused:
+                reconstruct_cost(d, profile)
+            assert str(refused.value) == str(cost_refused.value)
+            assert "violates the feasibility residuals" in str(refused.value)
+        else:
+            assert str(refused.value) == (
+                "max-margin fit is numerically zero; predictions are meaningless"
+            )
+
+    @pytest.mark.parametrize("name", REFUSED_EDITS)
+    def test_load_family_refuses_the_edited_file(self, small_family, tmp_path, name):
+        edit, error = REFUSED_EDITS[name]
+        path = tmp_path / "family.json"
+        save_family(str(path), small_family)
+        raw = json.loads(path.read_text())
+        profile = self._edited(small_family, edit)
+        for agent, u, c in zip(raw["profile"]["agents"], profile.utilities, profile.costs):
+            agent["utility"], agent["cost"] = u.tolist(), float(c)
+        path.write_text(json.dumps(raw))
+        with pytest.raises(error):
+            load_family(str(path))
+
+    def test_constant_utilities_at_equal_costs_are_refused(self):
+        # Their envelope is flat on strategies: every strategy costs the
+        # same, and the fit's margin is zero, so nothing is predicted.
+        mats = [np.full((2, 2), 0.5), [[0.6, 0.4], [0.4, 0.6]]]
+        d = dataset_from_matrices([0.5, 0.5], mats)
+        profile = UtilityProfile.from_certificate(
+            d, [np.full((2, 2), 0.5)] * 2, np.array([0.5, 0.5])
+        )
+        with pytest.raises(DegenerateDataset, match="numerically zero"):
+            NoiseFamily(etas=np.array([1.0, 1.1]), dataset=d, fitted=profile)
 
 
 class TestPredictChoice:
-    def test_free_information_with_identity_utility(self):
-        fam = zero_cost_family()
-        strategy, consistent = predict_choice(fam, np.eye(2))
-        assert np.allclose(strategy, np.eye(2), atol=1e-9)
-        assert consistent
 
     def test_constant_utility_minimizes_the_cost_envelope(self, family):
         fam, dataset, _ = family
