@@ -10,6 +10,9 @@ responses themselves are generated lazily as cutting planes, kept as integer
 rows (j, k, sigma): sigma answers each of agent j's actions under k's utility.
 The program takes its cut pool as input: the margin stage seeds it from the
 agents' spanning tree, and the sparsity stage starts from the memo's pool.
+The same builder assembles the shared-utility model's programs
+(:mod:`inattention.sbrp`): there every agent's utility is one shared block,
+and each swap row's cost difference is weighted by the agent's sensitivity.
 
 A margin of zero is always attainable (constant utilities satisfy everything
 with equality), so "passes" means the optimal margin is strictly positive.
@@ -252,38 +255,6 @@ def strict_margin(d: DecisionDataset, utilities, costs) -> float:
 # Max-margin / sparsity programs
 
 
-def _nias_rows(d: DecisionDataset) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response LP rows, shared by the UMRI and s-UMRI programs.
-
-    One row per agent k, action a it takes and deviation b != a, in that
-    order.  Returns the agent of each row and its coefficients over one
-    (X, A) utility block, flattened: q on column b and -q on column a, where
-    q is agent k's posterior after a.  At utility u_k, a row evaluates to
-    ``nias_residuals[k, a, b]``.
-    """
-    jp = d._stack
-    X, A = d.num_states, d.num_actions
-    agent, taken = np.nonzero(jp.defined_actions)
-    deviation = np.nonzero(~np.eye(A, dtype=bool)[taken])[1]
-    agent, taken = np.repeat(agent, A - 1), np.repeat(taken, A - 1)
-    q = jp.posterior[agent, :, taken]  # (rows, X)
-    rows = np.arange(agent.size)
-    coeffs = np.zeros((agent.size, X, A))
-    coeffs[rows, :, deviation] = q
-    coeffs[rows, :, taken] = -q
-    return agent, coeffs.reshape(agent.size, X * A)
-
-
-def _unit_box_program(objective: np.ndarray, with_margin: bool) -> LinearProgram:
-    """Program over utilities and costs in [UNIT_FLOOR, 1], the last variable
-    being the margin, in [0, MARGIN_CAP], when ``with_margin``."""
-    lower = np.full(objective.shape[0], UNIT_FLOOR)
-    upper = np.ones(objective.shape[0])
-    if with_margin:
-        lower[-1], upper[-1] = 0.0, MARGIN_CAP
-    return LinearProgram(objective, lower, upper)
-
-
 def _margin_rows(lp: LinearProgram, core: np.ndarray, with_margin: bool) -> np.ndarray:
     """``core`` rows over ``lp``'s leading variables, widened with zeros to
     all of them, with coefficient one on the margin (the last variable) when
@@ -317,52 +288,75 @@ def _spanning_tree(choices: np.ndarray) -> np.ndarray:
     return tree
 
 
+def _identity_cuts(d: DecisionDataset, j: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """One cut per pair (j[i], k[i]) that answers each of agent j's actions
+    with the same action."""
+    return np.column_stack([j, k, np.tile(np.arange(d.num_actions), (j.size, 1))])
+
+
 def _seed_cuts(d: DecisionDataset) -> np.ndarray:
     """Stage one's first cut pool: the identity both ways along each edge of
     the agents' spanning tree, which ties every cost to every other through
     c_k - c_j; the cut loop adds any other pair it finds violated."""
     tree = _spanning_tree(np.stack([a.choice_prob for a in d.agents]))
-    j, k = np.nonzero(tree | tree.T)
-    return np.column_stack([j, k, np.tile(np.arange(d.num_actions), (j.size, 1))])
+    return _identity_cuts(d, *np.nonzero(tree | tree.T))
 
 
 class _BrpProgram:
-    """Shared LP assembly for the margin and sparsity stages from a cut pool.
+    """LP assembly for the margin and sparsity stages of both models.
 
-    Variables: K utility matrices (flattened), K costs, and optionally the
-    margin.  Best-response rows for the swap residuals are added lazily: a
-    candidate solution is scored exactly, and any observation whose true best
-    response beats the responses already modelled contributes a new row.
+    Variables: utility blocks (flattened), K costs, and optionally the
+    margin.  Agent k's utility is block ``blocks[k]``: its own (UMRI) or,
+    with ``shared``, the one block all agents share (s-UMRI).  The rows are
+    the best-response rows, then one swap row per cut of the pool.  For
+    UMRI the pool grows lazily: a candidate solution is scored exactly, and
+    any observation whose true best response beats the responses already
+    modelled contributes a new row.
     """
 
-    def __init__(self, d: DecisionDataset, cuts: np.ndarray):
+    def __init__(self, d: DecisionDataset, cuts: np.ndarray, *, shared: bool = False):
         if d.num_agents < 2:
             raise TooFewAgents("margin test needs at least two agents")
         self.d = d
         self.K, self.X, self.A = d.num_agents, d.num_states, d.num_actions
         self.block = self.X * self.A
-        agent, coeffs = _nias_rows(d)
+        self.blocks = np.zeros(self.K, dtype=int) if shared else np.arange(self.K)
+        self.num_utility_vars = (1 if shared else self.K) * self.block
+        self.unit_weights = np.ones(self.K)
+        # One best-response row per agent k, action a it takes and deviation
+        # b != a, in that order: q on u_k[:, b] and -q on u_k[:, a], where q
+        # is k's posterior after a, so it evaluates to nias_residuals[k, a, b].
+        jp = d._stack
+        agent, taken = np.nonzero(jp.defined_actions)
+        deviation = np.nonzero(~np.eye(self.A, dtype=bool)[taken])[1]
+        agent, taken = np.repeat(agent, self.A - 1), np.repeat(taken, self.A - 1)
+        q = jp.posterior[agent, :, taken]  # (rows, X)
+        u_k = (self.blocks[agent] * self.block)[:, None] + np.arange(self.X) * self.A
+        which = np.arange(agent.size)[:, None]
         self.nias_rows = np.zeros((agent.size, self.num_core_vars))
-        columns = agent[:, None] * self.block + np.arange(self.block)
-        np.put_along_axis(self.nias_rows, columns, coeffs, axis=1)
+        self.nias_rows[which, u_k + deviation[:, None]] = q
+        self.nias_rows[which, u_k + taken[:, None]] = -q
         # Rows are appended, never written: the memo shares the array.
         self.cuts = cuts
 
     @property
     def num_core_vars(self) -> int:
-        return self.K * self.block + self.K
+        return self.num_utility_vars + self.K
 
-    def swap_rows(self, cuts: np.ndarray) -> np.ndarray:
+    def swap_rows(self, cuts: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
         """One row over the core variables per row (j, k, sigma) of
         ``cuts``, whose value is the swap residual (j, k) with agent j's
-        observations answered by ``sigma``."""
+        observations answered by ``sigma`` and the cost difference
+        c_k - c_j weighted by ``weights[k]`` (by default one)."""
+        if weights is None:
+            weights = self.unit_weights
         j, k, sigma = cuts[:, 0], cuts[:, 1], cuts[:, 2:]
         joint = self.d._stack.joint
         which = np.arange(cuts.shape[0])
         rows = np.zeros((which.size, self.num_core_vars))
         # u_k[x, 0] of each row as an index into the flattened rows: 1-D
         # fancy indexing runs about twice as fast as the 2-D form.
-        cell = (which * self.num_core_vars + k * self.block)[:, None]
+        cell = (which * self.num_core_vars + self.blocks[k] * self.block)[:, None]
         cell = cell + np.arange(self.X) * self.A
         flat = rows.reshape(-1)
         # A fixed order (a ascending, the sigma(a) term first) rounds a cell
@@ -370,24 +364,36 @@ class _BrpProgram:
         for a in range(self.A):
             flat[cell + sigma[:, a, None]] += joint[j, :, a]
             flat[cell + a] -= joint[k, :, a]
-        rows[which, self.K * self.block + k] = 1.0
-        rows[which, self.K * self.block + j] = -1.0
+        rows[which, self.num_utility_vars + k] = weights[k]
+        rows[which, self.num_utility_vars + j] = -weights[k]
         return rows
 
-    def build(self, *, with_margin: bool, rhs_offset: float, objective: np.ndarray):
-        """A stage's first program: the best-response rows, then every
-        cut's swap row, grouped by pair in (j, k) order."""
-        lp = _unit_box_program(objective, with_margin)
+    def build(
+        self, *, with_margin: bool, rhs_offset: float, weights: np.ndarray | None = None
+    ):
+        """A stage's first program over utilities and costs in [UNIT_FLOOR, 1]
+        that maximizes the margin (the last variable, in [0, MARGIN_CAP]) or,
+        without it, minimizes the utility mass.  Rows: the best-response rows,
+        then every cut's swap row (``weights`` as in :meth:`swap_rows`),
+        grouped by pair in (j, k) order."""
+        n = self.num_core_vars + (1 if with_margin else 0)
+        objective, lower, upper = np.zeros(n), np.full(n, UNIT_FLOOR), np.ones(n)
+        if with_margin:
+            objective[-1], lower[-1], upper[-1] = 1.0, 0.0, MARGIN_CAP
+        else:
+            objective[: self.num_utility_vars] = -1.0
+        lp = LinearProgram(objective, lower, upper)
         pair = self.cuts[:, 0] * self.K + self.cuts[:, 1]
         by_pair = self.cuts[np.argsort(pair, kind="stable")]
-        rows = np.vstack([self.nias_rows, self.swap_rows(by_pair)])
+        rows = np.vstack([self.nias_rows, self.swap_rows(by_pair, weights)])
         lp.add_leq(_margin_rows(lp, rows, with_margin), rhs_offset)
         return lp
 
     def extract(self, point: np.ndarray):
-        stack = self.K * self.block
-        utilities = tuple(point[:stack].reshape(self.K, self.X, self.A).copy())
-        return utilities, point[stack : stack + self.K].copy()
+        """(each agent's utility, costs) at ``point``."""
+        stack = point[: self.num_utility_vars].reshape(-1, self.X, self.A)
+        costs = point[self.num_utility_vars : self.num_core_vars].copy()
+        return tuple(stack[self.blocks]), costs
 
     def add_violated_selections(self, utilities, costs, bound: float) -> np.ndarray:
         """Score the candidate exactly; model any better response found.
@@ -411,15 +417,13 @@ class _BrpProgram:
         self.cuts = np.vstack([self.cuts, new])
         return self.swap_rows(new)
 
-    def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float, objective):
+    def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float):
         """Solve the stage's first program, then, while the optimum misses a
         best response, solve a copy with the new rows appended, warm from the
         previous optimal basis.  Every round's program is a fresh object that
         is never changed after it is solved.  Returns (utilities, costs,
         margin, rounds), one round per solve."""
-        lp = self.build(
-            with_margin=with_margin, rhs_offset=rhs_offset, objective=objective
-        )
+        lp = self.build(with_margin=with_margin, rhs_offset=rhs_offset)
         sol = None
         for rounds in range(1, _MAX_CUT_ROUNDS + 1):
             sol = solve_lp(lp, start=sol)
@@ -463,9 +467,8 @@ def _solve_margin_stage(d: DecisionDataset):
     a stage that raises stores nothing.
     """
     program = _BrpProgram(d, _seed_cuts(d))
-    objective = np.concatenate([np.zeros(program.num_core_vars), [1.0]])
     utilities, costs, margin, rounds = program.solve_with_cuts(
-        with_margin=True, rhs_offset=0.0, objective=objective
+        with_margin=True, rhs_offset=0.0
     )
     cuts = _frozen_array(program.cuts, dtype=int)
     d._fits["umri"] = _MarginStage(margin, cuts, rounds)
@@ -507,12 +510,8 @@ def brp_sparsest(
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
     margin, cuts, _ = _stored_fit(d, "umri", _solve_margin_stage)
-    program = _BrpProgram(d, cuts)
-    target = -margin_fraction * margin
-    sparse_objective = np.zeros(program.num_core_vars)
-    sparse_objective[: program.K * program.block] = -1.0
-    utilities, costs, *_ = program.solve_with_cuts(
-        with_margin=False, rhs_offset=target, objective=sparse_objective
+    utilities, costs, *_ = _BrpProgram(d, cuts).solve_with_cuts(
+        with_margin=False, rhs_offset=-margin_fraction * margin
     )
     profile = UtilityProfile.from_certificate(d, utilities, costs)
     return normalize_profile(d, profile) if normalize else profile

@@ -211,6 +211,11 @@ def cmd_predict(args) -> int:
             f"--truth-dataset is {truth.shape[0]}x{truth.shape[1]}, "
             f"the fitted dataset {shape[0]}x{shape[1]}"
         )
+    if truth is not None and shape[0] != shape[1]:
+        raise _Usage(
+            f"--truth-dataset scores per-class accuracy, which needs as many "
+            f"actions as states; the fitted dataset is {shape[0]}x{shape[1]}"
+        )
     pred.check_eta(etas if family is None else family.etas, args.eta)
     if family is None:
         family = pred.fit_family(data, etas)
@@ -263,7 +268,10 @@ def _prediction_rows(raw) -> list[list]:
 
 def cmd_report(args) -> int:
     _require_inputs(*(args.profiles + args.predictions))
-    os.makedirs(args.out_dir, exist_ok=True)
+    try:
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise IoFailure(f"could not write {args.out_dir}: {exc}") from exc
     profiles = [
         ds.read_json(path, lambda raw: _profile_rows(raw, path)) for path in args.profiles
     ]

@@ -8,8 +8,11 @@ stages: optimize (utility, costs) at fixed sensitivities, then optimize the
 sensitivities at the fixed rest.  Each stage re-optimizes a superset of the
 incumbent, so the margin sequence never decreases; global optimality is not
 claimed.  Sensitivities start at one, which makes the first stage exactly the
-shared-utility version of the private-utility test.  The verdict on a margin
-and the fit-file fields both models share come from :mod:`inattention.brp`.
+shared-utility version of the private-utility test.  The verdict on a margin,
+the fit-file fields both models share and the LP rows come from
+:mod:`inattention.brp`: the anchor and utility stages are its programs over
+one shared utility block.  This module keeps what differs between the
+models: the sensitivity stage, the alternation and the coupling residual.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ import numpy as np
 
 from .brp import (
     MarginReport,
+    _BrpProgram,
     _check_profile_dims,
     _fit_dict,
+    _identity_cuts,
     _margin_of,
     _margin_rows,
-    _nias_rows,
     _realized,
     _stored_fit,
-    _unit_box_program,
     _worst_nias,
     nias_residuals,
 )
@@ -36,13 +39,7 @@ from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
-from .errors import (
-    DimensionMismatch,
-    IoFailure,
-    NumericalFailure,
-    ProfileMismatch,
-    TooFewAgents,
-)
+from .errors import DimensionMismatch, IoFailure, NumericalFailure, ProfileMismatch
 from .lp import LinearProgram, LpStatus, solve_lp
 
 __all__ = [
@@ -90,6 +87,12 @@ class SharedUtilitySolution:
         object.__setattr__(self, "margin", float(self.margin))
         object.__setattr__(self, "margin_history", tuple(self.margin_history))
 
+    @classmethod
+    def from_certificate(cls, dataset, utility, sensitivities, costs, **fields):
+        """The solution at these arrays, its margin taken on ``dataset``."""
+        margin = _margin_of(*_residual_arrays(dataset, utility, sensitivities, costs))
+        return cls(utility, sensitivities, costs, margin, **fields)
+
     @property
     def num_agents(self) -> int:
         return self.costs.shape[0]
@@ -125,36 +128,21 @@ def sbrp_residuals(
 
 class _SbrpStages:
     def __init__(self, d: DecisionDataset):
-        if d.num_agents < 2:
-            raise TooFewAgents("margin test needs at least two agents")
         self.d = d
-        self.K, self.X, self.A = d.num_agents, d.num_states, d.num_actions
-        self.block = self.X * self.A
-        self.joints = d._stack.joint.reshape(self.K, self.block)
-        # All agents' best-response rows act on the one shared utility block.
-        self.nias_rows = _nias_rows(d)[1]
+        self.K = d.num_agents
+        # At one shared utility the best-response rows make each agent's own
+        # actions its best responses: one identity cut per pair j != k is all.
+        pairs = np.nonzero(~np.eye(self.K, dtype=bool))
+        self.pairs = _BrpProgram(d, _identity_cuts(d, *pairs), shared=True)
 
-    def _program(self, *, margin: bool, rhs: float) -> LinearProgram:
-        """Shared utility, K costs and, with ``margin``, the margin variable
-        (maximized; without it the utility mass is minimized), holding the
-        best-response rows at ``rhs``."""
-        objective = np.zeros(self.block + self.K + (1 if margin else 0))
-        if margin:
-            objective[-1] = 1.0
-        else:
-            objective[: self.block] = -1.0
-        lp = _unit_box_program(objective, margin)
-        lp.add_leq(_margin_rows(lp, self.nias_rows, margin), rhs)
-        return lp
-
-    def _solve(self, lp: LinearProgram, failure: str):
+    def _solve(self, program: _BrpProgram, lp: LinearProgram, failure: str):
         """(utility, costs, point) at the optimum; ``failure`` is the error
         message, formatted with the solver status."""
         sol = solve_lp(lp)
         if sol.status is not LpStatus.OPTIMAL:
             raise NumericalFailure(failure.format(sol.status.value))
-        utility = sol.point[: self.block].reshape(self.X, self.A).copy()
-        return utility, sol.point[self.block : self.block + self.K].copy(), sol.point
+        utilities, costs = program.extract(sol.point)
+        return utilities[0], costs, sol.point
 
     def anchor_stage(self):
         """Best zero-margin certificate at unit sensitivities.
@@ -164,30 +152,28 @@ class _SbrpStages:
         shared constant and pins the margin at exactly zero.  Imposing that
         equality and maximizing the best-response slack instead picks a
         deterministic, informative certificate out of the (huge) zero-margin
-        face, which is what gives the sensitivity stage traction.
+        face, which is what gives the sensitivity stage traction.  The
+        equality rows are the unit-weight swap rows (k, k + 1), each
+        (realized - cost)_k - (realized - cost)_{k+1}.
         """
-        lp = self._program(margin=True, rhs=0.0)
-        equal = _margin_rows(lp, self.joints[:-1] - self.joints[1:], False)
         k = np.arange(self.K - 1)
-        equal[k, self.block + k + 1] = 1.0
-        equal[k, self.block + k] = -1.0
-        lp.add_eq(equal, 0.0)
+        program = _BrpProgram(self.d, _identity_cuts(self.d, k[:0], k[:0]), shared=True)
+        lp = program.build(with_margin=True, rhs_offset=0.0)
+        equal = program.swap_rows(_identity_cuts(self.d, k, k + 1))
+        lp.add_eq(_margin_rows(lp, equal, False), 0.0)
         utility, costs, _ = self._solve(
-            lp, "anchor stage failed; the all-floor point is feasible"
+            program, lp, "anchor stage failed; the all-floor point is feasible"
         )
         return utility, costs
 
     def utility_stage(self, sensitivities, *, rhs_offset=0.0, sparse=False):
         """Fix sensitivities; optimize (utility, costs) and, unless sparse,
         the margin variable."""
-        lp = self._program(margin=not sparse, rhs=rhs_offset)
-        # One swap row per ordered pair j != k, in that order.
-        j, k = np.nonzero(~np.eye(self.K, dtype=bool))
-        swaps = _margin_rows(lp, self.joints[j] - self.joints[k], not sparse)
-        swaps[np.arange(j.size), self.block + k] = sensitivities[k]
-        swaps[np.arange(j.size), self.block + j] = -sensitivities[k]
-        lp.add_leq(swaps, rhs_offset)
+        lp = self.pairs.build(
+            with_margin=not sparse, rhs_offset=rhs_offset, weights=sensitivities
+        )
         utility, costs, point = self._solve(
+            self.pairs,
             lp,
             "shared-utility stage reported {}; the all-floor certificate is "
             "always feasible, so this is a solver defect",
@@ -238,12 +224,8 @@ def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginRe
         history.append(margin_b)
         utility, costs, margin_a = stages.utility_stage(lam)
         history.append(margin_a)
-    solution = SharedUtilitySolution(
-        utility=utility,
-        sensitivities=lam,
-        costs=costs,
-        margin=_margin_of(*_residual_arrays(d, utility, lam, costs)),
-        margin_history=tuple(history),
+    solution = SharedUtilitySolution.from_certificate(
+        d, utility, lam, costs, margin_history=tuple(history)
     )
     d._fits["s-umri"] = solution
     report = MarginReport.from_solution(
@@ -280,11 +262,11 @@ def sbrp_sparsest(
         if norm <= 0:
             raise ProfileMismatch("cannot normalize an all-zero utility")
         utility, costs = utility * (1.0 / norm), costs * (1.0 / norm)
-    return SharedUtilitySolution(
-        utility=utility,
-        sensitivities=best.sensitivities,
-        costs=costs,
-        margin=_margin_of(*_residual_arrays(d, utility, best.sensitivities, costs)),
+    return SharedUtilitySolution.from_certificate(
+        d,
+        utility,
+        best.sensitivities,
+        costs,
         scheme=best.scheme + "+sparse",
         margin_history=best.margin_history,
     )

@@ -530,9 +530,7 @@ class TestProgramRows:
             ]
             rng.shuffle(extra)
             program = _BrpProgram(d, np.vstack([seed, np.reshape(extra, (-1, 2 + A))]))
-            lp = program.build(
-                with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
-            )
+            lp = program.build(with_margin=True, rhs_offset=0.0)
             swaps = [
                 _looped_swap_row(program, j, k, cut[2:])
                 for j in range(K)
@@ -556,9 +554,7 @@ class TestProgramRows:
                 for jj, kk in zip(j, k)
             ]
             program = _BrpProgram(d, np.column_stack([j, k, best]))
-            lp = program.build(
-                with_margin=True, rhs_offset=0.0, objective=np.zeros(program.num_core_vars + 1)
-            )
+            lp = program.build(with_margin=True, rhs_offset=0.0)
             a, _ = lp.dense_rows()
             values = a @ np.concatenate([utilities.ravel(), costs, [eps]])
             niac = niac_residuals(d, utilities, costs)
@@ -591,6 +587,34 @@ class TestProgramRows:
             expected += [coupling[j, k] + eps for j in range(K) for k in range(K) if j != k]
             assert values.shape == (len(expected),)
             assert np.allclose(values, expected, rtol=0.0, atol=1e-12)
+
+    def test_anchor_rows_match_net_value_differences(self, monkeypatch):
+        # The best-response rows, then each equality row (k, k + 1) and its
+        # negation: (realized - cost)_k - (realized - cost)_{k+1}.
+        class Captured(Exception):
+            pass
+
+        def capture(lp):
+            raise Captured(lp)
+
+        monkeypatch.setattr(sbrp, "solve_lp", capture)
+        for d, utilities, costs, eps in _row_draws():
+            with pytest.raises(Captured) as caught:
+                sbrp._SbrpStages(d).anchor_stage()
+            a, b = caught.value.args[0].dense_rows()
+            u = utilities[0]
+            values = a @ np.concatenate([u.ravel(), costs, [eps]])
+            nias = nias_residuals(d, [u] * d.num_agents)
+            net = brp._realized(d, u) - costs
+            expected = _nias_expected(d, nias, eps)
+            expected += [
+                sign * (net[k] - net[k + 1])
+                for k in range(d.num_agents - 1)
+                for sign in (1, -1)
+            ]
+            assert values.shape == (len(expected),)
+            assert np.allclose(values, expected, rtol=0.0, atol=1e-12)
+            assert not b.any()
 
 
 def test_singular_basis_is_a_numerical_failure():
@@ -880,9 +904,7 @@ def _assert_epsilon_star_is_the_reference_optimum(d):
     from the memo's cut pool rather than taken from the rounds solved."""
     _, report = brp_max_margin(d)
     program = _BrpProgram(d, d._fits["umri"].cuts)
-    objective = np.zeros(program.num_core_vars + 1)
-    objective[-1] = 1.0
-    lp = program.build(with_margin=True, rhs_offset=0.0, objective=objective)
+    lp = program.build(with_margin=True, rhs_offset=0.0)
     ref = scipy_optimum(lp, TIGHT_HIGHS)
     assert ref.status == 0
     assert report.epsilon_star > 0.0

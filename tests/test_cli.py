@@ -332,6 +332,7 @@ class TestSynthPredict:
     @pytest.mark.parametrize(
         "bad",
         [
+            ("--agents", 0),
             ("--states", 0),
             ("--actions", 0),
             ("--seed", -5),
@@ -554,6 +555,28 @@ class TestSynthPredict:
         assert "error:" in capsys.readouterr().err
         assert not out.exists() and not family.exists()
 
+    @pytest.mark.parametrize("source", ["--dataset", "--family"])
+    def test_non_square_truth_is_usage_error_before_any_fit(
+        self, tmp_path, capsys, monkeypatch, source
+    ):
+        # Per-class accuracy pairs class x with action x.
+        d32 = generate_feasible_dataset(3, 3, 2, margin=0.01, seed=1).dataset
+        data = tmp_path / "d32.json"
+        save_dataset(d32, str(data))
+        out, family = tmp_path / "p.json", tmp_path / "family.json"
+        inputs = ["--dataset", data, "--etas", "1.0,1.5,2.0", "--save-family", family]
+        if source == "--family":
+            fitted = tmp_path / "fitted.json"
+            pred.save_family(str(fitted), pred.fit_family(d32, [1.0, 1.5, 2.0]))
+            inputs = ["--family", fitted]
+        monkeypatch.setattr(pred, "fit_family", _no_fit)
+        code = run(
+            "predict", *inputs, "--eta", 1.25, "--truth-dataset", data, "--out", out
+        )
+        assert code == 2
+        assert "as many actions as states" in capsys.readouterr().err
+        assert not out.exists() and not family.exists()
+
     def test_dataset_labels_name_the_table_rows(self, tmp_path, d2):
         data = tmp_path / "labelled.json"
         data.write_text(json.dumps({**dataset_to_dict(d2), "labels": ["cat", "dog"]}))
@@ -658,6 +681,46 @@ class TestNonFiniteFit:
         assert capsys.readouterr().err == cost_err
         assert not (tmp_path / "c.csv").exists()
         assert not (tmp_path / "r" / "cost_curve.csv").exists()
+
+
+class TestUnusablePath:
+    """A path that cannot be read or written is a domain error: exit 1 with
+    one "error:" line, and no temporary file left behind."""
+
+    def test_out_naming_a_directory(self, tmp_path, dataset_file, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        assert run("test", "--dataset", dataset_file, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not write") and err.count("\n") == 1
+        assert list(tmp_path.glob(".tmp-*~")) == []
+
+    def test_report_out_dir_naming_a_file(self, tmp_path, dataset_file, capsys):
+        profile, taken = tmp_path / "profile.json", tmp_path / "taken"
+        assert run("test", "--dataset", dataset_file, "--out", profile) == 0
+        taken.write_text("kept\n")
+        capsys.readouterr()
+        assert run("report", "--profiles", profile, "--out-dir", taken) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not write") and err.count("\n") == 1
+        assert taken.read_text() == "kept\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("cost", "--profile", "{dir}", "--dataset", "{data}", "--out", "{dir}/c.csv"),
+            ("ingest", "--softmax", "{dir}", "--out", "{dir}/d.json"),
+        ],
+        ids=["cost --profile", "ingest --softmax"],
+    )
+    def test_input_naming_a_directory(self, tmp_path, dataset_file, capsys, argv):
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        argv = [a.format(dir=inputs, data=dataset_file) for a in argv]
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: could not read") and err.count("\n") == 1
+        assert list(inputs.iterdir()) == []
 
 
 class TestReport:
