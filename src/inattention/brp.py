@@ -348,6 +348,8 @@ class _BrpProgram:
         ``cuts``, whose value is the swap residual (j, k) with agent j's
         observations answered by ``sigma`` and the cost difference
         c_k - c_j weighted by ``weights[k]`` (by default one)."""
+        if not cuts.shape[0]:
+            return np.zeros((0, self.num_core_vars))
         if weights is None:
             weights = self.unit_weights
         j, k, sigma = cuts[:, 0], cuts[:, 1], cuts[:, 2:]

@@ -33,15 +33,20 @@ start that is already primal feasible makes no dual pivots.  A cold run
 starts from the slack basis, every variable at its lower bound, where the
 reduced costs are the costs and the shifted cost is ``min(c, 0)``.  A warm
 run (``solve_lp(lp, start=solution)``) takes the basis of an earlier
-optimum over the same variables and no more rows, rebuilt from ``lp``'s own
-rows, each further row's slack entering it basic.  A rebuilt start that
-needs no shift and whose basic values already lie in their boxes at the
-true rhs is optimal as it stands, and the run returns it before any pass.
-When ``lp`` extends the start's program by appending rows, that basis is
-nonsingular and needs no shift; over other rows or another objective it may
-need one, and it may be singular or ill-conditioned.  When it is, or the
-warm run fails numerically, the cold run takes over, and the post-check
-certifies whatever point a warm run returns.
+optimum over the same variables and no more rows, each further row's slack
+entering it basic.  When ``lp`` extends the start's program by appending
+rows (the same objective and bounds, the same leading rows and rhs), the
+run carries on from the start's final state: its held rows, which depend
+only on the rows whose slack is nonbasic and on the basic structurals,
+stand as they are, so the start costs no rebuild (:meth:`_Simplex.carry_on`).
+Any other start is rebuilt from ``lp``'s own rows.  A start that needs no
+shift and whose basic values already lie in their boxes at the true rhs is
+optimal as it stands, and the run returns it before any pass.  When ``lp``
+extends the start's program, its basis is nonsingular and needs no shift;
+over other rows or another objective it may need one, and it may be
+singular or ill-conditioned.  When it is, or the warm run fails
+numerically, the cold run takes over, and the post-check certifies whatever
+point a warm run returns.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -66,7 +71,8 @@ being unit columns, for the held rows, and it is the only LU solve a run
 makes.  A pass ends on held rows no pivot has touched since they were built
 (bound flips leave them as they are), whose column at a nonbasic slack is
 the block's inverse times that slack's unit column, so the basic values at
-the true rhs are read off them.  A solve ends optimal or infeasible, or
+the true rhs are read off them; so does a carried start, whose rows an
+optimal run ended on.  A solve ends optimal or infeasible, or
 raises :class:`NumericalFailure`.  Every variable is boxed, so no program
 is unbounded: an improving direction without limit or a singular basis can
 only come from rounding, and each raises.  The one recovery path is the
@@ -80,7 +86,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -224,9 +230,13 @@ class LpSolution:
     step made, pivots and bound flips, and ``refactorizations`` every
     rebuild of the tableau, each the run's one kind of LU solve (the restore
     of the true rhs reads the basic values off the rebuilt tableau), a
-    failed warm attempt's included in both.
+    failed warm attempt's included in both.  A start rebuilt from ``lp``'s
+    rows counts one rebuild; one carried into a program that extends its
+    own counts none.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
-    solve a program over the same variables with no fewer rows.
+    solve a program over the same variables with no fewer rows.  An optimal
+    solution also keeps, privately, the final state a program that extends
+    its own carries on from.
     """
 
     status: LpStatus
@@ -237,10 +247,48 @@ class LpSolution:
     refactorizations: int = 0
     warm: bool = False
     basis: LpBasis | None = field(default=None, repr=False)
+    # An optimal solve's final state (_Carry); not an argument, so a
+    # solution made with dataclasses.replace carries none.
+    _carry: _Carry | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
+
+
+class _Carry(NamedTuple):
+    """An optimal run's final state, which a run on a program that extends
+    the one it solved continues from (:meth:`_Simplex.carry_on`).
+
+    ``objective`` to ``b`` are that program's read-only arrays as solved;
+    ``basic``, ``nonbasic``, ``status`` and ``owner`` are the run's final
+    layout and ``rows`` its r held rows.  Every array is read-only and a
+    continuation copies what it changes, so one carry serves any number of
+    runs alike.  A tuple: one is made at the end of every optimal solve."""
+
+    objective: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    basic: np.ndarray
+    nonbasic: np.ndarray
+    status: np.ndarray
+    owner: np.ndarray
+    rows: np.ndarray
+
+    def extended_by(self, lp: LinearProgram) -> bool:
+        """Whether ``lp``, with no fewer rows, is this program with rows
+        appended: the same objective and bounds, the same leading rows and
+        rhs."""
+        m = self.b.shape[0]
+        return (
+            lp.objective is self.objective
+            and lp.lower is self.lower
+            and lp.upper is self.upper
+            and np.array_equal(lp.b[:m], self.b)
+            and (lp.a is self.a or np.array_equal(lp.a[:m], self.a))
+        )
 
 
 # Nonbasic status codes.
@@ -266,7 +314,19 @@ class _Simplex:
     of each nonbasic position and ``lo_b``/``hi_b`` of each basic one
     current."""
 
-    def __init__(self, lp: LinearProgram, start: LpBasis | None = None):
+    # Attribute reads are the pivot loop's commonest operation.  Slots keep
+    # them fast however many the engine holds: CPython 3.11 moves an
+    # instance past 29 attributes to a plain dict, which made a cold solve
+    # 2% slower.  ``__dict__`` stays for attributes a caller attaches.
+    __slots__ = (
+        "m", "n", "a", "b", "b_true", "obj", "lo", "hi", "start",
+        "basis", "nonbasic", "status", "x", "direction", "movable", "picked",
+        "lo_b", "hi_b", "r", "rows", "a_s", "owner", "where", "pivot_row",
+        "_derived_row", "_derived_column", "_derived_reduced",
+        "iterations", "refactorizations", "max_iterations", "__dict__",
+    )
+
+    def __init__(self, lp: LinearProgram, start: LpBasis | _Carry | None = None):
         self.m = lp.num_rows
         self.n = lp.num_vars
         n, m = self.n, self.m
@@ -283,7 +343,8 @@ class _Simplex:
         # not involve the rhs.
         self.b_true = lp.b
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
-        self.start = start  # an earlier optimum's basis for run() to take over
+        # An earlier optimum's basis, or its final state, for run() to take over.
+        self.start = start
         # A basis holds at most min(n, m) structurals.
         self.rows = np.empty((min(n, m), n))
         self.a_s = np.empty((min(n, m), m))
@@ -299,16 +360,18 @@ class _Simplex:
         self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
 
-    def _index_positions(self) -> None:
+    def _index_positions(self, held: np.ndarray | None = None) -> None:
         """Set the per-position state from ``basis``, ``nonbasic``, ``status``,
-        and the held rows' layout, the basic structurals by position; the
-        rows themselves are :meth:`_refactorize`'s to compute."""
+        and the held rows' layout: the basic structurals' positions in
+        ``held`` order, by position if None; the rows themselves are
+        :meth:`_refactorize`'s to compute."""
         n = self.n
         self.direction = np.where(self.status[self.nonbasic] == _AT_LOWER, 1.0, -1.0)
         self.movable = self.hi[self.nonbasic] > self.lo[self.nonbasic]
         self.picked = np.minimum(self.nonbasic, n)
         self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
-        held = (self.basis < n).nonzero()[0]
+        if held is None:
+            held = (self.basis < n).nonzero()[0]
         self.r = r = held.size
         self.owner[:r] = held
         self.a_s[:r] = self.a.take(self.basis.take(held), 1).T
@@ -340,7 +403,33 @@ class _Simplex:
         self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self._index_positions()
         self._refactorize()
-        r = self.r
+        self._check_condition()
+
+    def carry_on(self, carry: _Carry) -> None:
+        """Continue from ``carry``, the final state of a run on a program
+        that this one extends by appending rows.  Its layout stands, each
+        appended row's slack entering basic at its own position, and so do
+        its held rows: Z = A[R, S]⁻¹N_R depends on the rows R whose slack is
+        nonbasic and the basic structurals S alone, and neither changes.
+        Nothing is rebuilt; only the appended rows' entries of A[:, S] and
+        the basic values at the perturbed rhs are new, the latter read off
+        the carried rows, which the carried run's last verdict was made on
+        as rebuilt.  The κ∞ guard of :meth:`warm_start` runs on them too."""
+        n, m0 = self.n, carry.basic.size
+        self.basis = np.concatenate([carry.basic, np.arange(n + m0, n + self.m)])
+        self.nonbasic = carry.nonbasic.copy()
+        self.status[: n + m0] = carry.status
+        self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        self._index_positions(carry.owner)
+        self.rows[: self.r] = carry.rows
+        self._check_condition()
+        self.x[self.basis] = self._basic_values(self.b)
+
+    def _check_condition(self) -> None:
+        """Raise NumericalFailure when the basic-structural block's κ∞ =
+        ‖A[R, S]‖∞‖A[R, S]⁻¹‖∞ exceeds ``_MAX_CONDITION``, the inverse read
+        off rebuilt rows at the nonbasic slacks."""
+        n, r = self.n, self.r
         if r:
             at = (self.nonbasic >= n).nonzero()[0]
             inverse = np.abs(self.rows[:r].take(at, 1)).sum(axis=1)
@@ -353,7 +442,9 @@ class _Simplex:
     def run(self) -> LpStatus:
         """Optimal or infeasible, else raises NumericalFailure; the passes
         are the module docstring's, from the engine's ``start``."""
-        if self.start is not None:
+        if isinstance(self.start, _Carry):
+            self.carry_on(self.start)
+        elif self.start is not None:
             self.warm_start(self.start)
         # The first dual pass's cost: c shifted to make the start dual
         # feasible (module docstring).
@@ -506,8 +597,9 @@ class _Simplex:
     # -- the tableau ----------------------------------------------------------
 
     def _forget(self) -> None:
-        """Drop the derived row and column: the tableau changed."""
-        self._derived_row = self._derived_column = (-1, None)
+        """Drop the derived row, column and reduced costs: the tableau
+        changed."""
+        self._derived_row = self._derived_column = self._derived_reduced = (-1, None)
 
     def _by_position(self, held: np.ndarray, by_row: np.ndarray) -> np.ndarray:
         """Values over the basis positions from one per held row and one
@@ -596,7 +688,12 @@ class _Simplex:
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs of the nonbasic positions, c_N − c_B B⁻¹N: c_S Z
         over the held rows, and over each basic slack that carries a cost
-        (a shifted one, :meth:`run`) its row A[l, picked] − A[l, S] Z."""
+        (a shifted one, :meth:`run`) its row A[l, picked] − A[l, S] Z.  Kept
+        for ``cost`` until the tableau changes, so that a pass hands its
+        verdict's reduced costs to the next pass on the same cost, and the
+        shift test its own to a first pass on unshifted costs."""
+        if self._derived_reduced[0] is cost:
+            return self._derived_reduced[1]
         n, r = self.n, self.r
         cs = cost.take(self.basis.take(self.owner[:r]))
         reduced = cost.take(self.nonbasic)
@@ -607,9 +704,10 @@ class _Simplex:
             by_row[self.nonbasic[self.nonbasic >= n] - n] = 0.0
             reduced -= np.concatenate([by_row @ self.a, _ZERO]).take(self.picked)
             cs = cs - self.a_s[:r] @ by_row
-        if not cs.any():
-            return reduced
-        return reduced - cs @ self.rows[:r]
+        if cs.any():
+            reduced = reduced - cs @ self.rows[:r]
+        self._derived_reduced = (cost, reduced)
+        return reduced
 
     def _select_entering(self, reduced, bland: bool, banned=None) -> int | None:
         improving = self.movable & (self.direction * reduced > _COST_TOL)
@@ -728,8 +826,12 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     where the start is not dual feasible here the first dual pass runs on
     shifted costs, and where its basis is singular or ill-conditioned here
     the cold solve takes over.  One that this one extends by appending rows
-    gives a start that is sure to be usable.  Raises ValueError when the
-    start is not optimal, has other variables or more rows than ``lp``.
+    (``lp`` a copy of it with rows added, so the same objective and bounds
+    arrays, equal leading rows and rhs) gives a start that is sure to be
+    usable, and the solve carries on from its final simplex state, with no
+    rebuild at its start; the start is left as it was, so it serves any
+    number of solves alike.  Raises ValueError when the start is not
+    optimal, has other variables or more rows than ``lp``.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -738,22 +840,24 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
     """
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
-    basis = None if start is None else _warm_basis(lp, start)
-    spent = (0, 0)
-    if basis is not None:
-        engine = _Simplex(lp, basis)
+    warm, spent = start is not None, (0, 0)
+    if warm:
+        begin, carry = _warm_basis(lp, start), start._carry
+        if carry is not None and carry.extended_by(lp):
+            begin = carry
+        engine = _Simplex(lp, begin)
         try:
             status = engine.run()
         except NumericalFailure:
             spent = (engine.iterations, engine.refactorizations)
-            basis = None
-    if basis is None:
+            warm = False
+    if not warm:
         engine = _Simplex(lp)
         status = engine.run()
     counts = dict(
         iterations=spent[0] + engine.iterations,
         refactorizations=spent[1] + engine.refactorizations,
-        warm=basis is not None,
+        warm=warm,
     )
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, **counts)
@@ -769,14 +873,24 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         raise NumericalFailure(
             f"optimal point violates a constraint by {max_violation:.3e}"
         )
-    return LpSolution(
+    basis = LpBasis(basic=_frozen(engine.basis), status=_frozen(engine.status))
+    solution = LpSolution(
         status=LpStatus.OPTIMAL,
         point=point,
         objective_value=float(lp.objective @ point),
         max_violation=max_violation,
         **counts,
-        basis=LpBasis(
-            basic=_frozen(engine.basis),
-            status=_frozen(engine.status),
-        ),
+        basis=basis,
     )
+    # The held rows are those a rebuild made: a verdict needs no pivot since.
+    r = engine.r
+    carry = _Carry(
+        lp.objective, lp.lower, lp.upper, lp.a, lp.b,
+        basis.basic,
+        _frozen(engine.nonbasic),
+        basis.status,
+        _frozen(engine.owner[:r].copy()),
+        _frozen(engine.rows[:r].copy()),
+    )
+    object.__setattr__(solution, "_carry", carry)
+    return solution

@@ -20,6 +20,7 @@ from inattention.brp import (
     strict_margin,
 )
 from inattention import brp, cli, sbrp
+from inattention import lp as lp_module
 from inattention.brp import _BrpProgram
 from inattention.dataset import (
     dataset_to_dict,
@@ -541,8 +542,14 @@ class TestProgramRows:
             core = np.vstack([program.nias_rows, *swaps])
             expected = np.hstack([core, np.ones((core.shape[0], 1))]) + 0.0
             assert lp.a.tobytes() == expected.tobytes()
+        # An empty pool, as on a stage's last round, with and without weights.
         no_cuts = np.zeros((0, 2 + program.A), dtype=int)
-        assert program.swap_rows(no_cuts).shape == (0, program.num_core_vars)
+        for weights in (None, np.full(program.K, 2.0)):
+            empty = program.swap_rows(no_cuts, weights)
+            assert empty.shape == (0, program.num_core_vars) and empty.dtype == float
+        lp = _BrpProgram(d, no_cuts).build(with_margin=True, rhs_offset=0.0)
+        expected = np.hstack([program.nias_rows, np.ones((len(program.nias_rows), 1))])
+        assert lp.a.tobytes() == (expected + 0.0).tobytes()
 
     def test_umri_rows_match_residuals(self):
         # Every pair's row, not just the seeded pool's: one cut per pair j != k.
@@ -759,8 +766,9 @@ def test_sparse_fits_that_need_the_solver_recovery_paths(seed):
 
 
 class TestWarmCutRounds:
-    """Each cut round re-solves a fresh, extended program from the previous
-    optimal basis."""
+    """Each cut round solves a fresh program that extends the previous
+    round's by appended rows, continuing from that round's final simplex
+    state: no round after a stage's first rebuilds its start."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -787,6 +795,22 @@ class TestWarmCutRounds:
                 assert sol.warm == (start is not None)
                 assert lp.num_rows == rows  # never extended once solved
             assert len({id(lp) for lp, *_ in solves}) == len(solves)
+
+    def test_warm_rounds_carry_the_previous_round_over(self, solves, monkeypatch):
+        taken, simplex = [], lp_module._Simplex
+        for method in ("carry_on", "warm_start"):
+
+            def spied(self, start, method=method, run=getattr(simplex, method)):
+                taken.append(method)
+                run(self, start)
+
+            monkeypatch.setattr(simplex, method, spied)
+        for seed in range(3):
+            del solves[:], taken[:]
+            brp_sparsest(_feasible(seed))
+            warm = [sol for _, _, start, sol in solves if start is not None]
+            assert len(warm) > 0 and all(sol.warm for sol in warm)
+            assert taken == ["carry_on"] * len(warm)
 
     def test_sparsest_after_max_margin_solves_the_sparsity_stage_alone(self, solves):
         for seed in range(3):

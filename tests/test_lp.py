@@ -224,6 +224,14 @@ def test_matches_reference_solver_on_larger_programs():
     assert statuses.count(LpStatus.INFEASIBLE) >= 20
 
 
+def _apart(lp):
+    """A program equal to ``lp`` but built anew: no solve's final state
+    carries into it, so a warm run on it rebuilds its start."""
+    out = LinearProgram(lp.objective, lp.lower, lp.upper)
+    out.add_leq(lp.a, lp.b)
+    return out
+
+
 def _extended(lp, point, rng, count):
     """A fresh copy of ``lp`` with ``count`` random rows appended, each
     violated at ``point`` (the old optimum) by up to 0.5."""
@@ -499,6 +507,8 @@ class TestWarmStart:
             solve_lp(lp.copy(), start=infeasible)
 
     def test_numerical_failure_falls_back_to_the_cold_solve(self, monkeypatch):
+        # A start carried into a program that extends its own (carry_on)
+        # and one rebuilt from an equal program built apart (warm_start).
         rng = np.random.default_rng(3)
         lp = random_lp(rng, n=4, m=0)
         first = solve_lp(lp)
@@ -509,14 +519,16 @@ class TestWarmStart:
             self.iterations, self.refactorizations = 5, 2
             raise NumericalFailure("injected")
 
-        monkeypatch.setattr(lp_module._Simplex, "warm_start", fail)
-        retried = solve_lp(grown, start=first)
-        assert not retried.warm
-        assert retried.status is cold.status
-        assert retried.iterations == cold.iterations + 5
-        assert retried.refactorizations == cold.refactorizations + 2
-        if cold.status is LpStatus.OPTIMAL:
-            assert np.array_equal(retried.point, cold.point)
+        for method, program in (("carry_on", grown), ("warm_start", _apart(grown))):
+            with monkeypatch.context() as patch:
+                patch.setattr(lp_module._Simplex, method, fail)
+                retried = solve_lp(program, start=first)
+            assert not retried.warm
+            assert retried.status is cold.status
+            assert retried.iterations == cold.iterations + 5
+            assert retried.refactorizations == cold.refactorizations + 2
+            if cold.status is LpStatus.OPTIMAL:
+                assert np.array_equal(retried.point, cold.point)
 
     def test_start_that_is_not_dual_feasible_runs_warm(self):
         from dataclasses import replace
@@ -610,8 +622,10 @@ class TestWarmStart:
         assert again.point.tobytes() == first.point.tobytes()
 
     def test_warm_resolve_of_an_optimum_stops_before_any_pass(self, monkeypatch):
-        # The rebuilt start is dual feasible and its basic values lie in
-        # their boxes at the true rhs: the solve returns it as it stands.
+        # The start, carried into a copy of its program or rebuilt from an
+        # equal program built apart, is dual feasible and its basic values
+        # lie in their boxes at the true rhs: the solve returns it as it
+        # stands, after the one rebuild of a rebuilt start.
         rng = np.random.default_rng(19)
         solved = [
             (lp, solve_lp(lp))
@@ -623,10 +637,11 @@ class TestWarmStart:
         for lp, first in solved:
             if not first.is_optimal:
                 continue
-            again = solve_lp(lp.copy(), start=first)
-            assert again.warm and again.is_optimal
-            assert (again.iterations, again.refactorizations) == (0, 1)
-            assert np.allclose(again.point, first.point, rtol=0.0, atol=1e-12)
+            for same, rebuilds in ((lp.copy(), 0), (_apart(lp), 1)):
+                again = solve_lp(same, start=first)
+                assert again.warm and again.is_optimal
+                assert (again.iterations, again.refactorizations) == (0, rebuilds)
+                assert np.allclose(again.point, first.point, rtol=0.0, atol=1e-12)
             checked += 1
         assert not passes and checked >= 50
 
@@ -640,6 +655,125 @@ class TestWarmStart:
         assert warm.warm and warm.status is LpStatus.INFEASIBLE
         assert solve_lp(grown).status is LpStatus.INFEASIBLE
         assert scipy_optimum(grown).status == 2
+
+
+_CARRIED = ("basic", "nonbasic", "status", "owner", "rows")
+
+
+class TestCarriedStart:
+    """A start whose program ``lp`` extends by appended rows (the same
+    objective and bounds objects, the same leading rows and rhs) carries its
+    final simplex state over and rebuilds nothing at its start; any other
+    start is rebuilt from ``lp``'s rows."""
+
+    @staticmethod
+    def _spy_starts(monkeypatch):
+        """A list that each warm run's start appends to: the method that
+        took it over and the rebuilds its engine had made by its end."""
+        starts, simplex = [], lp_module._Simplex
+        for method in ("carry_on", "warm_start"):
+
+            def spied(self, start, taken=getattr(simplex, method), method=method):
+                taken(self, start)
+                starts.append((method, self.refactorizations))
+
+            monkeypatch.setattr(simplex, method, spied)
+        return starts
+
+    def test_appended_rows_carry_the_start_over(self, monkeypatch):
+        # Rows that cut off the old optimum, a row that empties the program
+        # (below its least value over the box) or none at all.
+        rng = np.random.default_rng(37)
+        starts = self._spy_starts(monkeypatch)
+        seen = collections.Counter()
+        for draw in range(120):
+            lp = (random_lp, larger_lp)[draw % 2](rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            kind = ("cut", "empty", "none")[draw % 3]
+            grown = lp.copy()
+            if kind == "cut":
+                grown = _extended(lp, first.point, rng, int(rng.integers(1, 5)))
+            elif kind == "empty":
+                row = rng.normal(size=lp.num_vars)
+                least = np.minimum(row * lp.lower, row * lp.upper).sum()
+                grown.add_leq(row, least - rng.uniform(0.01, 0.5))
+            starts.clear()
+            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            assert starts == [("carry_on", 0)]
+            assert warm.warm and warm.status is cold.status
+            ref = scipy_optimum(grown, TIGHT_HIGHS)
+            if cold.is_optimal:
+                assert ref.status == 0
+                tol = 1e-9 * max(1.0, abs(ref.fun))
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+                assert warm.objective_value == pytest.approx(-ref.fun, abs=tol)
+            else:
+                assert ref.status == 2
+            seen[kind, warm.status] += 1
+        assert seen["cut", LpStatus.OPTIMAL] >= 10 and seen["none", LpStatus.OPTIMAL] >= 10
+        assert seen["cut", LpStatus.INFEASIBLE] + seen["empty", LpStatus.INFEASIBLE] >= 20
+
+    def test_other_programs_rebuild_the_start(self, monkeypatch):
+        # Leading rows or rhs one ulp apart, or equal objective or bounds in
+        # other arrays: the carry's test is exact and the start is rebuilt.
+        lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
+        lp.add_leq([[1.0, 2.0], [2.0, 1.0]], [2.0, 2.0])
+        first = solve_lp(lp)
+        starts = self._spy_starts(monkeypatch)
+
+        def appended(**arrays):
+            out = lp.copy()
+            for name, values in arrays.items():
+                setattr(out, name, lp_module._frozen(np.array(values, dtype=float)))
+            out.add_leq([1.0, 1.0], 1.25)
+            return out
+
+        nudged = np.nextafter(2.0, 3.0)
+        others = [
+            appended(a=[[1.0, 2.0], [nudged, 1.0]]),
+            appended(b=[2.0, nudged]),
+            appended(objective=lp.objective),
+            appended(lower=lp.lower),
+            appended(upper=lp.upper),
+            _apart(appended()),
+        ]
+        for other, method in [(appended(), "carry_on")] + [
+            (other, "warm_start") for other in others
+        ]:
+            starts.clear()
+            warm, cold = solve_lp(other, start=first), solve_lp(other)
+            assert [taken for taken, _ in starts] == [method]
+            assert warm.warm and warm.is_optimal and cold.is_optimal
+            assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+
+    def test_a_start_used_twice_gives_byte_equal_solutions(self):
+        rng = np.random.default_rng(41)
+        pivoted = 0
+        for _ in range(40):
+            lp = larger_lp(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            carry = first._carry
+            kept = [getattr(carry, name).tobytes() for name in _CARRIED]
+            grown = _extended(lp, first.point, rng, 3)
+            once, twice = solve_lp(grown, start=first), solve_lp(grown, start=first)
+            assert once.warm and twice.warm
+            assert once.status is twice.status
+            assert (once.iterations, once.refactorizations) == (
+                twice.iterations, twice.refactorizations
+            )
+            if once.is_optimal:
+                assert once.point.tobytes() == twice.point.tobytes()
+                assert once.basis.basic.tobytes() == twice.basis.basic.tobytes()
+                assert once.basis.status.tobytes() == twice.basis.status.tobytes()
+                assert once._carry.rows.tobytes() == twice._carry.rows.tobytes()
+            # Nothing is consumed: the start's state is as it was.
+            assert [getattr(carry, name).tobytes() for name in _CARRIED] == kept
+            pivoted += once.iterations > 0
+        assert pivoted >= 10
 
 
 def _all_rows_binding_lp(rng, m):
@@ -843,8 +977,13 @@ class TestBlockRebuild:
         grown.add_leq([2.0, 1.0], 2.0)
         rebuilds.clear()
         again = solve_lp(grown, start=first)
-        # The warm start is rebuilt too.
-        assert again.warm and again.refactorizations == len(rebuilds) >= 2
+        # A start carried into the program it extends rebuilds nothing: the
+        # one rebuild confirms the dual pass's pivot.
+        assert again.warm and again.refactorizations == len(rebuilds) == 1
+        rebuilds.clear()
+        again = solve_lp(_apart(grown), start=first)
+        # A start rebuilt from another program's rows is rebuilt too.
+        assert again.warm and again.refactorizations == len(rebuilds) == 2
 
     def test_every_basis_solve_is_a_counted_rebuild(self, monkeypatch):
         # The restore of the true rhs and the warm start's optimality test
@@ -949,7 +1088,9 @@ class TestLeanKernel:
 
     def test_rebuild_bytes_match_the_reference_rebuild(self, monkeypatch):
         # Every rebuild of warm and cold solves, on warm bases and on the
-        # bases met between pivots.
+        # bases met between pivots.  A start carried into the program it
+        # extends makes no rebuild of its own, so the warm bases come from
+        # starts rebuilt over equal programs built apart.
         rebuild, seen = lp_module._Simplex._refactorize, []
 
         def compared(self):
@@ -967,7 +1108,9 @@ class TestLeanKernel:
             lp = larger_lp(rng)
             first = solve_lp(lp)
             if first.is_optimal:
-                solve_lp(_extended(lp, first.point, rng, 3), start=first)
+                grown = _extended(lp, first.point, rng, 3)
+                solve_lp(grown, start=first)
+                solve_lp(_apart(grown), start=first)
         # Some rebuilds had basic structurals, some none.
         assert len(seen) >= 100 and min(seen) == 0 and max(seen) >= 5
 
@@ -1003,18 +1146,21 @@ class TestSingularBasis:
     raises."""
 
     @staticmethod
-    def _cut_program():
+    def _cut_program(method="carry_on"):
+        """A program's optimum and the program with a row appended that cuts
+        it off, which the optimum's final state carries into (``method``
+        ``carry_on``), or an equal program built apart (``warm_start``)."""
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         grown = lp.copy()
         grown.add_leq([2.0, 1.0], 2.0)
-        return solve_lp(lp), grown
+        return solve_lp(lp), grown if method == "carry_on" else _apart(grown)
 
     @staticmethod
     def _fail_once_after(monkeypatch, method):
         """Make the first ``np.linalg.solve`` after the first call of the
         ``_Simplex`` method ``method`` (``_dual``: the pass that makes a run
-        feasible; ``warm_start``: the rebuild of a warm run's start) raise
+        feasible; ``warm_start`` or ``carry_on``: a warm run's start) raise
         LinAlgError; returns the pivots its engine had made by then."""
         failed, armed = [], []
         feasible, solve = getattr(lp_module._Simplex, method), np.linalg.solve
@@ -1036,16 +1182,19 @@ class TestSingularBasis:
         return failed
 
     def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
-        first, grown = self._cut_program()
-        cold = solve_lp(grown)
-        failed = self._fail_once_after(monkeypatch, "warm_start")
-        again = solve_lp(grown, start=first)
-        [spent] = failed  # in the warm attempt, which runs first
-        # At the dual pass's verdict rebuild, once it repaired the appended row.
-        assert spent > 0
-        assert not again.warm
-        assert again.iterations == spent + cold.iterations
-        assert again.point.tobytes() == cold.point.tobytes()
+        for method in ("carry_on", "warm_start"):
+            first, grown = self._cut_program(method)
+            cold = solve_lp(grown)
+            with monkeypatch.context() as patch:
+                failed = self._fail_once_after(patch, method)
+                again = solve_lp(grown, start=first)
+            [spent] = failed  # in the warm attempt, which runs first
+            # At the dual pass's verdict rebuild, once it repaired the
+            # appended row.
+            assert spent > 0
+            assert not again.warm
+            assert again.iterations == spent + cold.iterations
+            assert again.point.tobytes() == cold.point.tobytes()
 
     def test_cold_solve_raises(self, monkeypatch):
         _, grown = self._cut_program()
