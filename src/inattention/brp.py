@@ -10,6 +10,8 @@ responses themselves are generated lazily as cutting planes, kept as integer
 rows (j, k, sigma): sigma answers each of agent j's actions under k's utility.
 The program takes its cut pool as input: the margin stage seeds it from the
 agents' spanning tree, and the sparsity stage starts from the memo's pool.
+The margin stage's first program starts from a crash basis, each agent
+rewarded for its modal action in each state; each later round, warm.
 The same builder assembles the shared-utility model's programs
 (:mod:`inattention.sbrp`): there every agent's utility is one shared block,
 and each swap row's cost difference is weighted by the agent's sensitivity.
@@ -38,7 +40,7 @@ from .errors import (
     ProfileMismatch,
     TooFewAgents,
 )
-from .lp import LinearProgram, LpStatus, solve_lp
+from .lp import LinearProgram, LpBasis, LpStatus, solve_lp
 
 __all__ = [
     "UtilityProfile",
@@ -419,16 +421,31 @@ class _BrpProgram:
         self.cuts = np.vstack([self.cuts, new])
         return self.swap_rows(new)
 
+    def modal_start(self, lp: LinearProgram) -> LpBasis:
+        """``lp``'s slack basis with each agent's utility for its modal action
+        in each state (argmax_a P_k(a|x), ties to the lowest) at its upper
+        bound, every other column at its lower: a crash start where the
+        best-response rows hold with room, not tight as at the all-floor
+        vertex; the first dual pass repairs the swap rows it violates."""
+        n, m = lp.num_vars, lp.num_rows
+        modal = np.stack([a.choice_prob for a in self.d.agents]).argmax(axis=2)
+        cells = (self.blocks * self.block)[:, None] + np.arange(self.X) * self.A + modal
+        status = np.zeros(n + m, dtype=np.int8)
+        status[cells] = 1
+        return LpBasis(np.arange(n, n + m), status)
+
     def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float):
         """Solve the stage's first program, then, while the optimum misses a
         best response, solve a copy with the new rows appended, warm from the
-        previous optimal basis.  Every round's program is a fresh object that
-        is never changed after it is solved.  Returns (utilities, costs,
-        margin, rounds), one round per solve."""
+        previous optimal basis; the margin stage's first from
+        :meth:`modal_start`, the sparsity stage's cold (each utility's cost
+        favours its floor).  Every round's program is a fresh object that is
+        never changed after it is solved.  Returns (utilities, costs, margin,
+        rounds), one round per solve."""
         lp = self.build(with_margin=with_margin, rhs_offset=rhs_offset)
-        sol = None
+        start = self.modal_start(lp) if with_margin else None
         for rounds in range(1, _MAX_CUT_ROUNDS + 1):
-            sol = solve_lp(lp, start=sol)
+            sol = start = solve_lp(lp, start=start)
             if sol.status is not LpStatus.OPTIMAL:
                 # The all-floor certificate satisfies every residual with
                 # equality, so the margin stage cannot be infeasible; the

@@ -33,7 +33,8 @@ start that is already primal feasible makes no dual pivots.  A cold run
 starts from the slack basis, every variable at its lower bound, where the
 reduced costs are the costs and the shifted cost is ``min(c, 0)``.  A warm
 run (``solve_lp(lp, start=solution)``) takes the basis of an earlier
-optimum over the same variables and no more rows, each further row's slack
+optimum over the same variables and no more rows, or a bare
+:class:`LpBasis` over them (``start=basis``), each further row's slack
 entering it basic.  When ``lp`` extends the start's program by appending
 rows (the same objective and bounds, the same leading rows and rhs), the
 run carries on from the start's final state: its held rows, which depend
@@ -46,7 +47,10 @@ extends the start's program, its basis is nonsingular and needs no shift;
 over other rows or another objective it may need one, and it may be
 singular or ill-conditioned.  When it is, or the warm run fails
 numerically, the cold run takes over, and the post-check certifies whatever
-point a warm run returns.
+point a warm run returns.  So it does when a warm run that has gone on past
+``_REFACTOR_EVERY`` steps rebuilds an ill-conditioned basis: there a dual
+pass can wander, its basic values far outside their boxes, until the
+iteration cap.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -105,7 +109,8 @@ _REFACTOR_EVERY = 40
 _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
 _UPDATE_ROWS = 64
-# A warm start's basis block with a larger κ∞ is refused (warm_start): at
+# A warm start's basis block with a larger κ∞ is refused (warm_start), and
+# so is one a warm run rebuilds past its first _REFACTOR_EVERY steps: at
 # this conditioning 1e-16 rounding reaches the 1e-4 level, far above
 # every working tolerance.
 _MAX_CONDITION = 1e12
@@ -204,7 +209,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LpBasis:
-    """The optimal basis a solve ended on.
+    """A simplex basis: the optimal one a solve ended on, or one to start at.
 
     ``basic[r]`` is the column basic at position r, over the column set
     [structural | slack]; ``status`` holds each column's bound code (0
@@ -222,17 +227,17 @@ class LpSolution:
     """A solve's outcome.
 
     ``status`` is optimal or infeasible; a solve that fails numerically
-    raises instead.  ``warm`` says the solve started from an earlier optimal
-    basis and finished from there, whether optimal or infeasible and whether
-    or not that basis was dual feasible here (after a fallback to the cold
-    solve, when the start is singular or ill-conditioned here or the warm
-    run fails numerically, it is False); ``iterations`` counts every
-    step made, pivots and bound flips, and ``refactorizations`` every
-    rebuild of the tableau, each the run's one kind of LU solve (the restore
-    of the true rhs reads the basic values off the rebuilt tableau), a
-    failed warm attempt's included in both.  A start rebuilt from ``lp``'s
-    rows counts one rebuild; one carried into a program that extends its
-    own counts none.
+    raises instead.  ``warm`` says the solve started from its start's basis,
+    an earlier optimum's or a bare one, and finished from there, whether
+    optimal or infeasible and whether or not that basis was dual feasible
+    here (after a fallback to the cold solve, when the start is singular or
+    ill-conditioned here or the warm run fails numerically, it is False);
+    ``iterations`` counts every step made, pivots and bound flips, and
+    ``refactorizations`` every rebuild of the tableau, each the run's one
+    kind of LU solve (the restore of the true rhs reads the basic values off
+    the rebuilt tableau), a failed warm attempt's included in both.  A start
+    rebuilt from ``lp``'s rows counts one rebuild; one carried into a
+    program that extends its own counts none.
     ``basis`` is set on optimal solutions; pass the solution as ``start`` to
     solve a program over the same variables with no fewer rows.  An optimal
     solution also keeps, privately, the final state a program that extends
@@ -262,9 +267,10 @@ class _Carry(NamedTuple):
 
     ``objective`` to ``b`` are that program's read-only arrays as solved;
     ``basic``, ``nonbasic``, ``status`` and ``owner`` are the run's final
-    layout and ``rows`` its r held rows.  Every array is read-only and a
-    continuation copies what it changes, so one carry serves any number of
-    runs alike.  A tuple: one is made at the end of every optimal solve."""
+    layout and ``rows`` its r held rows, read-only views of the engine's
+    arrays, which nothing writes to once the solve returns.  A continuation
+    copies in what it uses, so one carry serves any number of runs alike.
+    A tuple: one is made at the end of every optimal solve."""
 
     objective: np.ndarray
     lower: np.ndarray
@@ -435,7 +441,7 @@ class _Simplex:
             inverse = np.abs(self.rows[:r].take(at, 1)).sum(axis=1)
             block = np.abs(self.a_s[:r].take(self.nonbasic.take(at) - n, 1)).sum(axis=0)
             if _largest(inverse) * _largest(block) > _MAX_CONDITION:
-                raise NumericalFailure("the start's basis is ill-conditioned here")
+                raise NumericalFailure("a warm run's basis is ill-conditioned here")
 
     # -- passes -------------------------------------------------------------
 
@@ -684,6 +690,8 @@ class _Simplex:
         self._forget()
         values = z[:, -1]
         self.x[self.basis] = self._by_position(values, rhs - values @ self.a_s[:r])
+        if self.start is not None and self.iterations > _REFACTOR_EVERY:
+            self._check_condition()  # a long warm run (module docstring)
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         """Reduced costs of the nonbasic positions, c_N − c_B B⁻¹N: c_S Z
@@ -804,34 +812,37 @@ class _Simplex:
         self.lo_b[row], self.hi_b[row] = self.lo[j], self.hi[j]
 
 
-def _warm_basis(lp: LinearProgram, start: LpSolution) -> LpBasis:
+def _warm_basis(lp: LinearProgram, start: LpSolution | LpBasis) -> LpBasis:
     """``start``'s basis, to seed ``lp``.  Raises ValueError unless
-    ``start`` is optimal, over ``lp``'s variables and no more rows."""
-    basis = start.basis
+    ``start`` is a basis or an optimal solution over ``lp``'s variables and
+    no more rows."""
+    basis = start if isinstance(start, LpBasis) else start.basis
     if basis is None:
         raise ValueError("a warm start needs an optimal solution")
-    if start.point.shape[0] != lp.num_vars:
-        raise ValueError("the start solved a program over other variables")
+    if basis.status.size != lp.num_vars + basis.basic.size:
+        raise ValueError("the start is a basis over other variables")
     if basis.basic.size > lp.num_rows:
-        raise ValueError("the start solved a program with more rows")
+        raise ValueError("the start is a basis over more rows")
     return basis
 
 
-def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs.
 
     ``start``, the optimal solution of an earlier program over the same
-    variables with no more rows, makes the solve warm (module docstring).
-    Any such program will do, with other rows, rhs, bounds or objective:
-    where the start is not dual feasible here the first dual pass runs on
-    shifted costs, and where its basis is singular or ill-conditioned here
-    the cold solve takes over.  One that this one extends by appending rows
-    (``lp`` a copy of it with rows added, so the same objective and bounds
-    arrays, equal leading rows and rhs) gives a start that is sure to be
-    usable, and the solve carries on from its final simplex state, with no
-    rebuild at its start; the start is left as it was, so it serves any
-    number of solves alike.  Raises ValueError when the start is not
-    optimal, has other variables or more rows than ``lp``.
+    variables with no more rows, or a bare basis over them, makes the solve
+    warm (module docstring).  Any such program will do, with other rows,
+    rhs, bounds or objective: where the start is not dual feasible here the
+    first dual pass runs on shifted costs, and where its basis is singular
+    or ill-conditioned here the cold solve takes over.  One that this one
+    extends by appending rows (``lp`` a copy of it with rows added, so the
+    same objective and bounds arrays, equal leading rows and rhs) gives a
+    start that is sure to be usable, and the solve carries on from its final
+    simplex state, with no rebuild at its start; the start is left as it
+    was, so it serves any number of solves alike.  A bare basis is rebuilt;
+    a slack basis, whatever its bound codes, is B = I and never falls back.
+    Raises ValueError when the start is not optimal, or is a basis over
+    other variables or more rows than ``lp``.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -842,7 +853,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         raise ValueError("program has no variables")
     warm, spent = start is not None, (0, 0)
     if warm:
-        begin, carry = _warm_basis(lp, start), start._carry
+        begin, carry = _warm_basis(lp, start), getattr(start, "_carry", None)
         if carry is not None and carry.extended_by(lp):
             begin = carry
         engine = _Simplex(lp, begin)
@@ -889,8 +900,8 @@ def solve_lp(lp: LinearProgram, start: LpSolution | None = None) -> LpSolution:
         basis.basic,
         _frozen(engine.nonbasic),
         basis.status,
-        _frozen(engine.owner[:r].copy()),
-        _frozen(engine.rows[:r].copy()),
+        _frozen(engine.owner[:r]),
+        _frozen(engine.rows[:r]),
     )
     object.__setattr__(solution, "_carry", carry)
     return solution

@@ -37,7 +37,7 @@ from inattention.errors import (
     NumericalFailure,
     ProfileMismatch,
 )
-from inattention.lp import solve_lp
+from inattention.lp import LpBasis, LpSolution, solve_lp
 from inattention.predict import NoiseFamily, load_family
 from inattention.synth import generate_feasible_dataset
 
@@ -691,8 +691,11 @@ def test_a_margin_stage_that_raises_is_solved_again(monkeypatch, first):
     with pytest.raises(NumericalFailure):
         first(d)
     profile = brp_sparsest(d)
-    # Both stages solved from a cold first program.
-    assert sum(start is None for start in starts[1:]) == 2
+    # Both stages solved from their first program: the margin stage's from
+    # the modal basis it failed on, the sparsity stage's cold.
+    firsts = [start for start in starts if not isinstance(start, LpSolution)]
+    assert [type(start) for start in firsts] == [LpBasis, LpBasis, type(None)]
+    assert firsts[1].status.tobytes() == firsts[0].status.tobytes()
     assert _same_profile(profile, brp_sparsest(_feasible(0)))
 
 
@@ -768,7 +771,9 @@ def test_sparse_fits_that_need_the_solver_recovery_paths(seed):
 class TestWarmCutRounds:
     """Each cut round solves a fresh program that extends the previous
     round's by appended rows, continuing from that round's final simplex
-    state: no round after a stage's first rebuilds its start."""
+    state: no round after a stage's first rebuilds its start.  The margin
+    stage's first program starts from the modal basis (rebuilt, as a bare
+    basis is), the sparsity stage's cold."""
 
     @pytest.fixture
     def solves(self, monkeypatch):
@@ -787,9 +792,12 @@ class TestWarmCutRounds:
             del solves[:]
             brp_sparsest(_feasible(seed))
             starts = [start for _, _, start, _ in solves]
-            # Two stages, the max margin and the sparsity stage; only their
-            # first programs solve cold.
-            assert sum(start is None for start in starts) == 2
+            # Two stages, the max margin and the sparsity stage; the first
+            # program of the one starts from the modal basis, of the other
+            # cold, and every later round from the round before.
+            assert isinstance(starts[0], LpBasis)
+            assert sum(isinstance(start, LpBasis) for start in starts) == 1
+            assert sum(start is None for start in starts) == 1
             assert len(solves) > 2
             for lp, rows, start, sol in solves:
                 assert sol.warm == (start is not None)
@@ -809,8 +817,9 @@ class TestWarmCutRounds:
             del solves[:], taken[:]
             brp_sparsest(_feasible(seed))
             warm = [sol for _, _, start, sol in solves if start is not None]
-            assert len(warm) > 0 and all(sol.warm for sol in warm)
-            assert taken == ["carry_on"] * len(warm)
+            assert len(warm) > 1 and all(sol.warm for sol in warm)
+            # The modal basis is rebuilt; every round after a first carries on.
+            assert taken == ["warm_start"] + ["carry_on"] * (len(warm) - 1)
 
     def test_sparsest_after_max_margin_solves_the_sparsity_stage_alone(self, solves):
         for seed in range(3):
@@ -829,9 +838,11 @@ class TestWarmCutRounds:
             brp_max_margin(d)
             once = len(solves)
             brp_max_margin(d)
-            # max_margin always solves: two full margin stages.
+            # max_margin always solves: two full margin stages, each from
+            # the modal basis.
             assert len(solves) == 2 * once
-            assert sum(start is None for _, _, start, _ in solves) == 2
+            assert sum(start is None for _, _, start, _ in solves) == 0
+            assert sum(isinstance(start, LpBasis) for _, _, start, _ in solves) == 2
             del solves[:]
             brp_sparsest(d)
             assert [(rows, start is None) for _, rows, start, _ in solves] == fresh
@@ -1092,6 +1103,62 @@ class TestCutPoolSeed:
         _, d, _ = make_noise_family(seed, 11, classes)
         perm = np.random.default_rng(100 + seed).permutation(11)
         _assert_epsilon_star_is_the_reference_optimum(_permuted(d, perm))
+
+
+def _relabeled(d, perm):
+    """``d`` with its classes relabeled, states and actions together: class
+    i is ``d``'s class perm[i]."""
+    grid = np.ix_(perm, perm)
+    return dataset_from_matrices(
+        d.prior[perm], [d.choice(k)[grid] for k in range(d.num_agents)]
+    )
+
+
+class TestModalStart:
+    """The margin stage's first program starts from its slack basis with
+    each agent's utility for its modal action in each state at its upper
+    bound, every other column at its lower."""
+
+    def test_the_start_raises_each_agents_modal_action_ties_to_the_lowest(self):
+        # Agent 0 ties actions 0 and 1 in state 0, agent 1 actions 0 and 1
+        # in state 1.
+        d = dataset_from_matrices(
+            [0.5, 0.5],
+            [[[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]], [[0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]],
+        )
+        program = _BrpProgram(d, brp._seed_cuts(d))
+        lp = program.build(with_margin=True, rhs_offset=0.0)
+        start = program.modal_start(lp)
+        n, m = lp.num_vars, lp.num_rows
+        assert start.basic.tolist() == list(range(n, n + m))
+        # u_k(x, a) is variable 6k + 3x + a.
+        assert np.flatnonzero(start.status).tolist() == [0, 5, 7, 11]
+        assert start.status.size == n + m
+        warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+        assert warm.warm and warm.is_optimal
+        assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+
+    @pytest.mark.parametrize("agents", [5, 11])
+    def test_epsilon_star_is_invariant_under_relabeled_classes_and_reordered_agents(
+        self, agents
+    ):
+        # The modal rule reads the labels and breaks ties by index, so the
+        # start moves with them; the optimum does not.
+        for seed in range(3):
+            if agents == 5:
+                d = _feasible(seed)
+            else:
+                d = make_noise_family(seed, agents, 4)[1]
+            rng = np.random.default_rng(seed)
+            eps = brp_max_margin(d)[1].epsilon_star
+            assert eps > 0
+            for other in (
+                _relabeled(d, rng.permutation(4)),
+                _permuted(d, rng.permutation(agents)),
+            ):
+                assert brp_max_margin(other)[1].epsilon_star == pytest.approx(
+                    eps, rel=1e-9
+                )
 
 
 _PAYLOAD_REPORT = MarginReport(

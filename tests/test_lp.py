@@ -12,7 +12,7 @@ from scipy.optimize import linprog
 
 from inattention import lp as lp_module
 from inattention.errors import NumericalFailure
-from inattention.lp import LinearProgram, LpStatus, solve_lp
+from inattention.lp import LinearProgram, LpBasis, LpStatus, solve_lp
 
 # HiGHS at feasibility tolerances near the in-house 1e-9, for comparisons at
 # 1e-9 relative; its 1e-7 default leaves gaps of that order on margin LPs.
@@ -376,6 +376,14 @@ class TestWarmStart:
         for bad, given in ((fewer_vars, start), (more_rows, start), (lp, not_optimal)):
             with pytest.raises(ValueError):
                 solve_lp(bad, start=given)
+        # A bare basis: a bound code for each variable and each of its rows,
+        # over no more rows than the program has.
+        basis = start.basis
+        short_status = LpBasis(basis.basic, basis.status[:-1])
+        more_basic = LpBasis(np.arange(2, 5), np.zeros(5, dtype=np.int8))
+        for bad in (short_status, more_basic):
+            with pytest.raises(ValueError):
+                solve_lp(lp, start=bad)
 
     def test_start_from_any_program_over_the_same_variables_matches_cold(self):
         # Other rows, other rhs, another objective or other bounds: the
@@ -462,6 +470,33 @@ class TestWarmStart:
             checked += 1
         assert checked >= 20 and warm_runs >= 20
 
+    def test_slack_basis_with_any_bound_codes_matches_cold_and_reference(self):
+        # A bare slack basis over some leading rows, the rest's slacks
+        # entering basic, each variable at a random bound: B = I is never
+        # singular or ill-conditioned, so the run stays warm.
+        rng = np.random.default_rng(47)
+        seen = collections.Counter()
+        for draw in range(120):
+            lp = (random_lp, larger_lp)[draw % 2](rng)
+            n, m = lp.num_vars, lp.num_rows
+            rows = int(rng.integers(0, m + 1))
+            status = np.zeros(n + rows, dtype=np.int8)
+            status[:n] = rng.integers(0, 2, size=n)
+            start = LpBasis(np.arange(n, n + rows), status)
+            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            assert warm.warm and warm.status is cold.status
+            ref = scipy_optimum(lp, TIGHT_HIGHS)
+            if cold.is_optimal:
+                assert ref.status == 0
+                tol = 1e-9 * max(1.0, abs(ref.fun))
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+                assert warm.objective_value == pytest.approx(-ref.fun, abs=tol)
+            else:
+                assert ref.status == 2
+            seen[warm.status, rows < m] += 1
+        assert seen[LpStatus.OPTIMAL, True] >= 10 and seen[LpStatus.OPTIMAL, False] >= 10
+        assert seen[LpStatus.INFEASIBLE, True] + seen[LpStatus.INFEASIBLE, False] >= 20
+
     def test_start_basis_singular_on_the_new_rows_falls_back_cold(self):
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([[1.0, 2.0], [2.0, 1.0]], 2.0)
@@ -498,6 +533,28 @@ class TestWarmStart:
         if not warm:
             assert again.refactorizations == cold.refactorizations + 1
             assert again.point.tobytes() == cold.point.tobytes()
+
+    def test_long_warm_run_that_rebuilds_an_ill_conditioned_basis_falls_back_cold(
+        self, monkeypatch
+    ):
+        # The modal start of an 11 x 4 x 4 margin stage: a slack basis, with
+        # no block to check at its start, whose run takes more than
+        # _REFACTOR_EVERY steps.  With the bound at 1, its first rebuild past
+        # them refuses the basis and the cold run takes over.
+        from conftest import make_noise_family
+        from inattention import brp
+
+        d = make_noise_family(0, 11, 4)[1]
+        program = brp._BrpProgram(d, brp._seed_cuts(d))
+        lp = program.build(with_margin=True, rhs_offset=0.0)
+        start = program.modal_start(lp)
+        warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+        assert warm.warm and warm.iterations > lp_module._REFACTOR_EVERY
+        monkeypatch.setattr(lp_module, "_MAX_CONDITION", 1.0)
+        again = solve_lp(lp, start=start)
+        assert not again.warm
+        assert again.iterations > cold.iterations + lp_module._REFACTOR_EVERY
+        assert again.point.tobytes() == cold.point.tobytes()
 
     def test_start_must_be_optimal(self):
         lp = LinearProgram([1.0], [0.0], [2.0])
