@@ -34,7 +34,6 @@ from .predict import (
     fit_family,
     interpolate_utility,
     predict_at,
-    predict_choice,
     score_prediction,
 )
 from .sbrp import (
@@ -85,7 +84,6 @@ __all__ = [
     "niac_residuals",
     "nias_residuals",
     "predict_at",
-    "predict_choice",
     "realized_value",
     "reconstruct_cost",
     "reconstruct_cost_compact",

@@ -372,17 +372,17 @@ class _BrpProgram:
         rows[which, self.num_utility_vars + j] = -weights[k]
         return rows
 
-    def build(
-        self, *, with_margin: bool, rhs_offset: float, weights: np.ndarray | None = None
-    ):
-        """A stage's first program over utilities and costs in [UNIT_FLOOR, 1]
-        that maximizes the margin (the last variable, in [0, MARGIN_CAP]) or,
-        without it, minimizes the utility mass.  Rows: the best-response rows,
-        then every cut's swap row (``weights`` as in :meth:`swap_rows`),
-        grouped by pair in (j, k) order."""
-        n = self.num_core_vars + (1 if with_margin else 0)
+    def build(self, keep: float | None = None, *, weights: np.ndarray | None = None):
+        """A stage's first program over utilities and costs in [UNIT_FLOOR, 1].
+        ``keep`` names the stage: None, the margin stage, which maximizes the
+        margin (the last variable, in [0, MARGIN_CAP]); a float, the sparsity
+        stage, which minimizes the utility mass with every row at most -keep.
+        Rows: the best-response rows, then every cut's swap row (``weights``
+        as in :meth:`swap_rows`), grouped by pair in (j, k) order."""
+        margin = keep is None
+        n = self.num_core_vars + int(margin)
         objective, lower, upper = np.zeros(n), np.full(n, UNIT_FLOOR), np.ones(n)
-        if with_margin:
+        if margin:
             objective[-1], lower[-1], upper[-1] = 1.0, 0.0, MARGIN_CAP
         else:
             objective[: self.num_utility_vars] = -1.0
@@ -390,7 +390,7 @@ class _BrpProgram:
         pair = self.cuts[:, 0] * self.K + self.cuts[:, 1]
         by_pair = self.cuts[np.argsort(pair, kind="stable")]
         rows = np.vstack([self.nias_rows, self.swap_rows(by_pair, weights)])
-        lp.add_leq(_margin_rows(lp, rows, with_margin), rhs_offset)
+        lp.add_leq(_margin_rows(lp, rows, margin), 0.0 if margin else -keep)
         return lp
 
     def extract(self, point: np.ndarray):
@@ -434,16 +434,19 @@ class _BrpProgram:
         status[cells] = 1
         return LpBasis(np.arange(n, n + m), status)
 
-    def solve_with_cuts(self, *, with_margin: bool, rhs_offset: float):
-        """Solve the stage's first program, then, while the optimum misses a
-        best response, solve a copy with the new rows appended, warm from the
-        previous optimal basis; the margin stage's first from
-        :meth:`modal_start`, the sparsity stage's cold (each utility's cost
-        favours its floor).  Every round's program is a fresh object that is
-        never changed after it is solved.  Returns (utilities, costs, margin,
-        rounds), one round per solve."""
-        lp = self.build(with_margin=with_margin, rhs_offset=rhs_offset)
-        start = self.modal_start(lp) if with_margin else None
+    def solve_with_cuts(self, keep: float | None = None):
+        """Solve the first program of the stage ``keep`` names (:meth:`build`),
+        then, while the optimum misses a best response, solve a copy with the
+        new rows appended, warm from the previous optimal basis; the margin
+        stage's first from :meth:`modal_start`, the sparsity stage's cold
+        (each utility's cost favours its floor).  Every round's program is a
+        fresh object that is never changed after it is solved.  Returns
+        (utilities, costs, margin, rounds), one round per solve; the margin
+        is None in the sparsity stage."""
+        margin_stage = keep is None
+        rhs = 0.0 if margin_stage else -keep
+        lp = self.build(keep)
+        start = self.modal_start(lp) if margin_stage else None
         for rounds in range(1, _MAX_CUT_ROUNDS + 1):
             sol = start = solve_lp(lp, start=start)
             if sol.status is not LpStatus.OPTIMAL:
@@ -455,13 +458,13 @@ class _BrpProgram:
                     "this indicates a solver defect, not an infeasible dataset"
                 )
             utilities, costs = self.extract(sol.point)
-            margin = float(sol.point[-1]) if with_margin else None
-            bound = -margin if with_margin else rhs_offset
+            margin = float(sol.point[-1]) if margin_stage else None
+            bound = -margin if margin_stage else rhs
             cuts = self.add_violated_selections(utilities, costs, bound)
             if not cuts.shape[0]:
                 return utilities, costs, margin, rounds
             lp = lp.copy()
-            lp.add_leq(_margin_rows(lp, cuts, with_margin), rhs_offset)
+            lp.add_leq(_margin_rows(lp, cuts, margin_stage), rhs)
         pairs = ", ".join(f"({j}, {k})" for j, k in self.cuts[-cuts.shape[0] :, :2])
         raise NumericalFailure(
             f"best-response row generation did not converge in {rounds} rounds; "
@@ -486,9 +489,7 @@ def _solve_margin_stage(d: DecisionDataset):
     a stage that raises stores nothing.
     """
     program = _BrpProgram(d, _seed_cuts(d))
-    utilities, costs, margin, rounds = program.solve_with_cuts(
-        with_margin=True, rhs_offset=0.0
-    )
+    utilities, costs, margin, rounds = program.solve_with_cuts()
     cuts = _frozen_array(program.cuts, dtype=int)
     d._fits["umri"] = _MarginStage(margin, cuts, rounds)
     return utilities, costs
@@ -529,9 +530,7 @@ def brp_sparsest(
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
     margin, cuts, _ = _stored_fit(d, "umri", _solve_margin_stage)
-    utilities, costs, *_ = _BrpProgram(d, cuts).solve_with_cuts(
-        with_margin=False, rhs_offset=-margin_fraction * margin
-    )
+    utilities, costs, *_ = _BrpProgram(d, cuts).solve_with_cuts(margin_fraction * margin)
     profile = UtilityProfile.from_certificate(d, utilities, costs)
     return normalize_profile(d, profile) if normalize else profile
 

@@ -11,7 +11,7 @@ against *every* alternative strategy, not just convex combinations of the
 anchors.
 
 This is the rule of :meth:`PiecewiseAffineCost.value`.  The prediction
-program (``predict.predict_choice``) keeps each piece linear instead, scoring
+program (``predict.predict_at``) keeps each piece linear instead, scoring
 column a against gradient column a, the labelled action.  That envelope is
 never above this one and meets it at the anchors of a fit whose labelled
 actions are best responses, but between anchors it can be lower, so a

@@ -1,17 +1,20 @@
 """Prediction across a noise-indexed family of agents.
 
 The family's agents are classifiers trained at increasing noise variances.
-Fitting recovers per-agent utilities and costs; a query at a new noise level
-linearly interpolates the two surrounding utilities and re-solves the
-strategy choice problem against the cost envelope anchored at the fitted
-profile, read directly from it.  The choice is a single LP once the value
-term scores each observation with its labelled action.  That surrogate is
-exact when every labelled action is a best response to its posterior; the LP
-holds the best-response rows that make it so, and a certificate re-checks it
-after the fact.  The cost pieces are scored with the labelled action too, so
-the envelope the LP optimizes meets ``PiecewiseAffineCost.value`` (scored
-with the best response) at the anchors and can lie below it between them.
-A second LP takes the optimum nearest the observed behavior, over deviations.
+Fitting recovers per-agent utilities and costs.  A family's constructor is
+its one door: its profile's strict margin must pass the cost's certificate
+rule and not be degenerate, and its utilities must be nonnegative.  A query
+has one path, :func:`predict_at`: it linearly interpolates the two
+surrounding utilities and re-solves the strategy choice problem against the
+cost envelope anchored at the fitted profile, read directly from it.  The
+choice is a single LP once the value term scores each observation with its
+labelled action.  That surrogate is exact when every labelled action is a
+best response to its posterior; the LP holds the best-response rows that
+make it so, and a certificate re-checks it after the fact.  The cost pieces
+are scored with the labelled action too, so the envelope the LP optimizes
+meets ``PiecewiseAffineCost.value`` (scored with the best response) at the
+anchors and can lie below it between them.  A second LP takes the optimum
+nearest the observed behavior, over deviations.
 
 A family answers many queries, so it builds the prediction program's rows
 that no utility enters once, and each grid interval's queries start their
@@ -71,7 +74,6 @@ __all__ = [
     "fit_family",
     "check_eta",
     "interpolate_utility",
-    "predict_choice",
     "predict_at",
     "score_prediction",
     "save_family",
@@ -87,18 +89,21 @@ _OBJECTIVE_SLACK = 1e-9
 class NoiseFamily:
     """Fitted model for agents indexed by an increasing noise grid.  Every
     family's profile is admitted here: its strict margin must pass the cost's
-    certificate rule (ProfileMismatch) and not be degenerate (DegenerateDataset).
+    certificate rule (ProfileMismatch), not be degenerate (DegenerateDataset)
+    and have nonnegative utilities (DimensionMismatch), so every interpolated
+    utility is nonnegative too.
 
     Privately it keeps the prediction program at zero utility (its boxes and
     the rows no utility enters), the best-response (action, deviation) pairs,
-    and a memo of each grid interval's start (module docstring)."""
+    and the memo of grid interval starts, a list holding intervals 0..g of
+    the chain once a query has reached interval g (module docstring)."""
 
     etas: np.ndarray
     dataset: DecisionDataset
     fitted: UtilityProfile
     _base: LinearProgram = field(init=False, repr=False, compare=False)
     _pairs: np.ndarray = field(init=False, repr=False, compare=False)
-    _starts: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    _starts: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
         d = self.dataset
@@ -109,6 +114,8 @@ class NoiseFamily:
             raise DegenerateDataset(
                 "max-margin fit is numerically zero; predictions are meaningless"
             )
+        for u in self.fitted.utilities:
+            _check_utility(d, u)
         object.__setattr__(self, "_base", _base_program(d, cost))
         pairs = np.nonzero(~np.eye(d.num_actions, dtype=bool))
         object.__setattr__(self, "_pairs", _frozen_array(pairs, dtype=int))
@@ -187,54 +194,6 @@ def interpolate_utility(f: NoiseFamily, eta: float) -> np.ndarray:
     return (1.0 - w_hi) * f.fitted.utilities[g] + w_hi * f.fitted.utilities[g + 1]
 
 
-def predict_choice(
-    f: NoiseFamily, interpolated: np.ndarray, *, eta: float | None = None
-) -> tuple[np.ndarray, bool]:
-    """Strategy maximizing interpolated value minus the fitted cost envelope.
-
-    Variables are the choice probabilities plus the envelope's epigraph
-    scalar.  Each epigraph row scores its piece with the labelled action, so
-    the envelope optimized here equals ``PiecewiseAffineCost.value`` at the
-    anchors and can lie below it elsewhere.  Best-response rows (linear in
-    the strategy at the fixed ``interpolated`` utility) keep every action
-    the strategy takes a best response to its posterior, so the strategy is
-    NIAS-consistent by construction and the labelled-action value surrogate
-    is exact.  The optimum is often a face rather than a point (exactly at
-    grid etas the whole piece-dominance region ties), so when ``eta`` is
-    given, a second stage picks the optimal strategy closest (entrywise L1)
-    to the noise-interpolated in-sample strategy, within the same rows and
-    over deviation columns from it (no absolute-value rows), which keeps
-    grid queries pinned to the observed behavior.  The returned flag is the
-    independent re-check of NIAS consistency on the returned strategy.
-
-    With ``eta``, the first program starts warm from the optimal basis of
-    the same program at the midpoint of eta's grid interval (module
-    docstring, :func:`_interval_start`); the refinement and a query without
-    ``eta`` solve cold.
-    """
-    u_hat = _check_utility(f.dataset, interpolated)
-    X, A = u_hat.shape
-    bracket = start = None
-    if eta is not None:
-        bracket = _bracket(f, eta)
-        start = _interval_start(f, bracket[0])
-    lp = _first_program(f, u_hat)
-    first = solve_lp(lp, start=start)
-    if first.status is not LpStatus.OPTIMAL:
-        raise NumericalFailure(f"prediction program reported {first.status.value}")
-
-    point = first.point
-    if bracket is not None:
-        point = _refine_toward_anchor(f, lp, first, *bracket)
-    strategy = np.clip(point[: X * A].reshape(X, A), 0.0, None)
-    strategy /= strategy.sum(axis=1, keepdims=True)
-    # Certify the surrogate: every action the strategy takes must be a best
-    # response to its posterior under the interpolated utility.
-    predicted = _joint_posterior(f.dataset.prior, strategy[None])
-    worst = _worst_nias(_nias(predicted, u_hat[None]))[0]
-    return strategy, bool(worst <= _NIAS_CERT_TOL)
-
-
 def _base_program(d: DecisionDataset, cost: PiecewiseAffineCost) -> LinearProgram:
     """The prediction program at zero utility: the strategy boxes and the
     epigraph scalar's, one simplex row per state, then one epigraph row per
@@ -279,16 +238,13 @@ def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
     interval g - 1's start, which is solved first when missing (interval 0,
     and an interval whose predecessor's start is None, solve cold), so each
     start depends on the family and g alone."""
-    kept = g
-    while kept >= 0 and kept not in f._starts:
-        kept -= 1
-    for h in range(kept + 1, g + 1):
+    for h in range(len(f._starts), g + 1):
         u = 0.5 * f.fitted.utilities[h] + 0.5 * f.fitted.utilities[h + 1]
         try:
-            solved = solve_lp(_first_program(f, u), start=f._starts.get(h - 1))
+            solved = solve_lp(_first_program(f, u), start=f._starts[-1] if h else None)
         except NumericalFailure:
             solved = None
-        f._starts[h] = solved if solved is not None and solved.is_optimal else None
+        f._starts.append(solved if solved is not None and solved.is_optimal else None)
     return f._starts[g]
 
 
@@ -325,25 +281,46 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
 def predict_at(
     f: NoiseFamily, eta: float, truth: np.ndarray | None = None
 ) -> PredictionOutcome:
-    """Full query pipeline: interpolate, optimize, optionally score."""
+    """The strategy predicted at noise level ``eta`` (module docstring),
+    scored against the true choice matrix ``truth`` when given.
+
+    The first program starts warm from its grid interval's midpoint optimum
+    (:func:`_interval_start`).  Its optimum is often a face rather than a
+    point (exactly at grid etas the whole piece-dominance region ties), so
+    :func:`_refine_toward_anchor` picks the optimal strategy closest to the
+    noise-interpolated in-sample one, which keeps grid queries pinned to the
+    observed behavior.  The best-response rows make the strategy
+    NIAS-consistent by construction; ``nias_consistent`` is the independent
+    re-check of that on the returned strategy.
+    """
     u_hat = interpolate_utility(f, eta)
-    strategy, consistent = predict_choice(f, u_hat, eta=eta)
-    per_class = None
-    kl = None
+    g, w_hi = _bracket(f, eta)
+    lp = _first_program(f, u_hat)
+    first = solve_lp(lp, start=_interval_start(f, g))
+    if first.status is not LpStatus.OPTIMAL:
+        raise NumericalFailure(f"prediction program reported {first.status.value}")
+    point = _refine_toward_anchor(f, lp, first, g, w_hi)
+    strategy = np.clip(point, 0.0, None).reshape(u_hat.shape)
+    strategy /= strategy.sum(axis=1, keepdims=True)
+    # Certify the surrogate: every action the strategy takes must be a best
+    # response to its posterior under the interpolated utility.
+    predicted = _joint_posterior(f.dataset.prior, strategy[None])
+    worst = _worst_nias(_nias(predicted, u_hat[None]))[0]
+    per_class = kl = None
     if truth is not None:
         per_class, kl = score_prediction(strategy, truth, f.dataset.prior)
     return PredictionOutcome(
         eta=float(eta),
         interpolated_utility=u_hat,
         predicted_choice=strategy,
-        nias_consistent=consistent,
+        nias_consistent=bool(worst <= _NIAS_CERT_TOL),
         per_class_error=per_class,
         kl_score=kl,
     )
 
 
 def score_prediction(
-    predicted: np.ndarray, truth, prior
+    predicted: np.ndarray, truth: np.ndarray, prior
 ) -> tuple[np.ndarray, float]:
     """Per-class diagonal error and prior-weighted divergence.
 
@@ -354,7 +331,7 @@ def score_prediction(
     logarithm.
     """
     p_hat = np.asarray(predicted, dtype=float)
-    p_true = np.asarray(getattr(truth, "choice_prob", truth), dtype=float)
+    p_true = np.asarray(truth, dtype=float)
     mu = np.asarray(prior, dtype=float)
     if p_hat.shape != p_true.shape:
         raise ShapeMismatch(f"predicted {p_hat.shape} vs true {p_true.shape}")

@@ -7,12 +7,13 @@ the program bilinear, so the margin is maximized by alternating two linear
 stages: optimize (utility, costs) at fixed sensitivities, then optimize the
 sensitivities at the fixed rest.  Each stage re-optimizes a superset of the
 incumbent, so the margin sequence never decreases; global optimality is not
-claimed.  Sensitivities start at one, which makes the first stage exactly the
-shared-utility version of the private-utility test.  The verdict on a margin,
-the fit-file fields both models share and the LP rows come from
-:mod:`inattention.brp`: the anchor and utility stages are its programs over
-one shared utility block.  This module keeps what differs between the
-models: the sensitivity stage, the alternation and the coupling residual.
+claimed.  Sensitivities start at one, where the first LP is the anchor stage:
+every agent's realized value net of cost held equal, the best-response slack
+maximized.  The verdict on a margin, the fit-file fields both models share
+and the LP rows come from :mod:`inattention.brp`: the anchor and utility
+stages are its programs over one shared utility block.  This module keeps
+what differs between the models: the sensitivity stage, the alternation and
+the coupling residual.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ class _SbrpStages:
         """
         k = np.arange(self.K - 1)
         program = _BrpProgram(self.d, _identity_cuts(self.d, k[:0], k[:0]), shared=True)
-        lp = program.build(with_margin=True, rhs_offset=0.0)
+        lp = program.build()
         equal = program.swap_rows(_identity_cuts(self.d, k, k + 1))
         lp.add_eq(_margin_rows(lp, equal, False), 0.0)
         utility, costs, _ = self._solve(
@@ -166,19 +167,18 @@ class _SbrpStages:
         )
         return utility, costs
 
-    def utility_stage(self, sensitivities, *, rhs_offset=0.0, sparse=False):
-        """Fix sensitivities; optimize (utility, costs) and, unless sparse,
-        the margin variable."""
-        lp = self.pairs.build(
-            with_margin=not sparse, rhs_offset=rhs_offset, weights=sensitivities
-        )
+    def utility_stage(self, sensitivities, keep=None):
+        """Fix sensitivities; optimize (utility, costs) in the stage ``keep``
+        names (:meth:`_BrpProgram.build`): with the margin variable, whose
+        optimum is returned, or, keeping ``keep``, with none."""
+        lp = self.pairs.build(keep, weights=sensitivities)
         utility, costs, point = self._solve(
             self.pairs,
             lp,
             "shared-utility stage reported {}; the all-floor certificate is "
             "always feasible, so this is a solver defect",
         )
-        return utility, costs, None if sparse else float(point[-1])
+        return utility, costs, float(point[-1]) if keep is None else None
 
     def sensitivity_stage(self, utility, costs):
         """Fix (utility, costs); optimize the sensitivities and the margin."""
@@ -253,9 +253,7 @@ def sbrp_sparsest(
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
     best = _stored_fit(d, "s-umri", sbrp_max_margin)
     utility, costs, _ = _SbrpStages(d).utility_stage(
-        best.sensitivities,
-        rhs_offset=-margin_fraction * best.margin,
-        sparse=True,
+        best.sensitivities, margin_fraction * best.margin
     )
     if normalize:
         norm = float(np.sqrt((utility * utility).sum()))

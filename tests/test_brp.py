@@ -531,7 +531,7 @@ class TestProgramRows:
             ]
             rng.shuffle(extra)
             program = _BrpProgram(d, np.vstack([seed, np.reshape(extra, (-1, 2 + A))]))
-            lp = program.build(with_margin=True, rhs_offset=0.0)
+            lp = program.build()
             swaps = [
                 _looped_swap_row(program, j, k, cut[2:])
                 for j in range(K)
@@ -547,7 +547,7 @@ class TestProgramRows:
         for weights in (None, np.full(program.K, 2.0)):
             empty = program.swap_rows(no_cuts, weights)
             assert empty.shape == (0, program.num_core_vars) and empty.dtype == float
-        lp = _BrpProgram(d, no_cuts).build(with_margin=True, rhs_offset=0.0)
+        lp = _BrpProgram(d, no_cuts).build()
         expected = np.hstack([program.nias_rows, np.ones((len(program.nias_rows), 1))])
         assert lp.a.tobytes() == (expected + 0.0).tobytes()
 
@@ -561,7 +561,7 @@ class TestProgramRows:
                 for jj, kk in zip(j, k)
             ]
             program = _BrpProgram(d, np.column_stack([j, k, best]))
-            lp = program.build(with_margin=True, rhs_offset=0.0)
+            lp = program.build()
             a, _ = lp.dense_rows()
             values = a @ np.concatenate([utilities.ravel(), costs, [eps]])
             niac = niac_residuals(d, utilities, costs)
@@ -939,7 +939,7 @@ def _assert_epsilon_star_is_the_reference_optimum(d):
     from the memo's cut pool rather than taken from the rounds solved."""
     _, report = brp_max_margin(d)
     program = _BrpProgram(d, d._fits["umri"].cuts)
-    lp = program.build(with_margin=True, rhs_offset=0.0)
+    lp = program.build()
     ref = scipy_optimum(lp, TIGHT_HIGHS)
     assert ref.status == 0
     assert report.epsilon_star > 0.0
@@ -1127,7 +1127,7 @@ class TestModalStart:
             [[[0.4, 0.4, 0.2], [0.1, 0.2, 0.7]], [[0.2, 0.5, 0.3], [0.3, 0.3, 0.4]]],
         )
         program = _BrpProgram(d, brp._seed_cuts(d))
-        lp = program.build(with_margin=True, rhs_offset=0.0)
+        lp = program.build()
         start = program.modal_start(lp)
         n, m = lp.num_vars, lp.num_rows
         assert start.basic.tolist() == list(range(n, n + m))

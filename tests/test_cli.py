@@ -402,15 +402,18 @@ class TestSynthPredict:
         assert code == 0
         return data, family
 
-    @pytest.mark.parametrize("edit", ["violating", "degenerate"])
+    @pytest.mark.parametrize("edit", ["violating", "degenerate", "negative"])
     def test_family_whose_profile_no_family_admits_exits_one(self, tmp_path, capsys, edit):
         # Agent 0's cost at 0.9 violates the residuals (strict margin
-        # -0.798); every utility and cost at 0.5 leaves a zero margin.
+        # -0.798); every utility and cost at 0.5 leaves a zero margin; every
+        # utility shifted by -1 keeps the residuals but is negative.
         data, family = self._saved_family(tmp_path)
         raw = json.loads(family.read_text())
         for k, agent in enumerate(raw["profile"]["agents"]):
             if edit == "degenerate":
                 agent["utility"], agent["cost"] = [[0.5, 0.5], [0.5, 0.5]], 0.5
+            elif edit == "negative":
+                agent["utility"] = [[v - 1.0 for v in row] for row in agent["utility"]]
             elif k == 0:
                 agent["cost"] = 0.9
         edited = tmp_path / "edited.json"
@@ -424,6 +427,9 @@ class TestSynthPredict:
             assert first == (
                 "error: max-margin fit is numerically zero; predictions are meaningless"
             )
+            return
+        if edit == "negative":
+            assert first == "error: utility entries must be finite and nonnegative"
             return
         # The same line as the cost curve of the edited profile.
         profile, cost = tmp_path / "profile.json", tmp_path / "cost.csv"

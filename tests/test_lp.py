@@ -546,7 +546,7 @@ class TestWarmStart:
 
         d = make_noise_family(0, 11, 4)[1]
         program = brp._BrpProgram(d, brp._seed_cuts(d))
-        lp = program.build(with_margin=True, rhs_offset=0.0)
+        lp = program.build()
         start = program.modal_start(lp)
         warm, cold = solve_lp(lp, start=start), solve_lp(lp)
         assert warm.warm and warm.iterations > lp_module._REFACTOR_EVERY

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from inattention import predict as predict_module
-from inattention.brp import UtilityProfile, nias_residuals, reconstruct_cost
+from inattention.brp import UtilityProfile, nias_residuals, reconstruct_cost, strict_margin
 from inattention.dataset import AgentChoiceMatrix, DecisionDataset
 from inattention.errors import (
     DegenerateDataset,
@@ -22,7 +22,6 @@ from inattention.predict import (
     interpolate_utility,
     load_family,
     predict_at,
-    predict_choice,
     save_family,
     score_prediction,
 )
@@ -167,7 +166,8 @@ class TestInterpolate:
 
 # Edits of a fitted family's profile that no family admits: agent 0's cost
 # raised to 0.9 violates the residuals (strict margin -0.798 on the family
-# below), and every utility and cost at 0.5 leaves a strict margin of zero.
+# below), every utility and cost at 0.5 leaves a strict margin of zero, and
+# every utility shifted by -1 leaves the residuals as they were but negative.
 def _costlier_agent_zero(utilities, costs):
     return utilities, np.concatenate([[0.9], costs[1:]])
 
@@ -176,9 +176,14 @@ def _flat(utilities, costs):
     return [np.full_like(u, 0.5) for u in utilities], np.full_like(costs, 0.5)
 
 
+def _shifted_down(utilities, costs):
+    return [u - 1.0 for u in utilities], costs
+
+
 REFUSED_EDITS = {
     "violating": (_costlier_agent_zero, ProfileMismatch),
     "degenerate": (_flat, DegenerateDataset),
+    "negative": (_shifted_down, DimensionMismatch),
 }
 
 
@@ -212,10 +217,15 @@ class TestFamilyAdmission:
                 reconstruct_cost(d, profile)
             assert str(refused.value) == str(cost_refused.value)
             assert "violates the feasibility residuals" in str(refused.value)
-        else:
+        elif error is DegenerateDataset:
             assert str(refused.value) == (
                 "max-margin fit is numerically zero; predictions are meaningless"
             )
+        else:
+            # The shift keeps every residual: only the nonnegativity rule refuses.
+            margin = strict_margin(d, profile.utilities, profile.costs)
+            assert margin == pytest.approx(small_family.fitted.margin, abs=1e-12)
+            assert str(refused.value) == "utility entries must be finite and nonnegative"
 
     @pytest.mark.parametrize("name", REFUSED_EDITS)
     def test_load_family_refuses_the_edited_file(self, small_family, tmp_path, name):
@@ -246,7 +256,9 @@ class TestPredictChoice:
 
     def test_constant_utility_minimizes_the_cost_envelope(self, family):
         fam, dataset, _ = family
-        strategy, _ = predict_choice(fam, np.full(dataset.choice(0).shape, 0.5))
+        flat = np.full(dataset.choice(0).shape, 0.5)
+        solution = solve_lp(predict_module._first_program(fam, flat))
+        strategy = solution.point[: flat.size].reshape(flat.shape)
         # The value term is flat, so the optimizer must sit at the bottom of
         # the envelope, at or below every in-sample cost.
         floor = min(float(c) for c in fam.fitted.costs)
@@ -255,8 +267,8 @@ class TestPredictChoice:
 
     def test_objective_dominates_in_sample_strategies(self, family):
         fam, dataset, _ = family
-        u_hat = interpolate_utility(fam, 1.23)
-        strategy, _ = predict_choice(fam, u_hat, eta=1.23)
+        outcome = predict_at(fam, 1.23)
+        u_hat, strategy = outcome.interpolated_utility, outcome.predicted_choice
         mu = dataset.prior
         achieved = float((mu[:, None] * u_hat * strategy).sum()) - linearized_cost(
             fam, strategy
@@ -316,8 +328,8 @@ class TestPredictChoice:
 
         monkeypatch.setattr(predict_module, "_worst_nias", spy)
         for eta in (1.05, 1.41, 1.5, 1.93):
-            u = interpolate_utility(fam, eta)
-            strategy, _ = predict_choice(fam, u, eta=eta)
+            outcome = predict_at(fam, eta)
+            u, strategy = outcome.interpolated_utility, outcome.predicted_choice
             X, A = strategy.shape
             d = DecisionDataset(
                 X, A, fam.dataset.prior, (AgentChoiceMatrix("predicted", strategy),)
@@ -474,7 +486,7 @@ class TestIntervalStart:
         predict_at(last, queries[-1])
         g = fam.num_agents - 2
         assert [s.warm for _, s in solves] == [False] + [True] * g + [True, False]
-        assert sorted(last._starts) == list(range(g + 1))
+        assert len(last._starts) == g + 1
         for h in range(g + 1):
             assert last._starts[h].point.tobytes() == fam._starts[h].point.tobytes()
 
@@ -500,19 +512,6 @@ class TestIntervalStart:
         # The next interval's midpoint then solves cold, and its query warm.
         assert predict_at(fam, 1.425).nias_consistent
         assert [s.warm for s in solves[8:]] == [False, True, False]
-
-    def test_utility_query_without_eta_solves_cold(self, family4, monkeypatch):
-        fam, _ = family4
-        fam = fresh(fam)
-        solves = []
-
-        def spy(lp, *args, **kwargs):
-            solves.append(solve_lp(lp, *args, **kwargs))
-            return solves[-1]
-
-        monkeypatch.setattr(predict_module, "solve_lp", spy)
-        predict_choice(fam, interpolate_utility(fam, 1.33))
-        assert len(solves) == 1 and not solves[0].warm
 
 
 class TestScoring:
