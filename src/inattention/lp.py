@@ -29,7 +29,8 @@ feasible).  The shifted costs make the start dual feasible with no
 artificial column: each movable nonbasic column whose reduced cost would
 still improve ``c`` has that reduced cost taken off its cost (Koberstein
 2005, ch. 3), and the primal pass, on ``c`` itself, undoes the shift.  A
-start that is already primal feasible makes no dual pivots.  A cold run
+start that is already primal feasible makes no dual pivots.  One routine,
+:meth:`_Simplex.begin`, sets every run up from its start.  A cold run
 starts from the slack basis, every variable at its lower bound, where the
 reduced costs are the costs and the shifted cost is ``min(c, 0)``.  A warm
 run (``solve_lp(lp, start=solution)``) takes the basis of an earlier
@@ -37,20 +38,20 @@ optimum over the same variables and no more rows, or a bare
 :class:`LpBasis` over them (``start=basis``), each further row's slack
 entering it basic.  When ``lp`` extends the start's program by appending
 rows (the same objective and bounds, the same leading rows and rhs), the
-run carries on from the start's final state: its held rows, which depend
-only on the rows whose slack is nonbasic and on the basic structurals,
-stand as they are, so the start costs no rebuild (:meth:`_Simplex.carry_on`).
-Any other start is rebuilt from ``lp``'s own rows.  A start that needs no
-shift and whose basic values already lie in their boxes at the true rhs is
-optimal as it stands, and the run returns it before any pass.  When ``lp``
-extends the start's program, its basis is nonsingular and needs no shift;
-over other rows or another objective it may need one, and it may be
-singular or ill-conditioned.  When it is, or the warm run fails
-numerically, the cold run takes over, and the post-check certifies whatever
-point a warm run returns.  So it does when a warm run that has gone on past
-``_REFACTOR_EVERY`` steps rebuilds an ill-conditioned basis: there a dual
-pass can wander, its basic values far outside their boxes, until the
-iteration cap.
+run carries on from the start's final state, kept on its basis: its held
+rows, which depend only on the rows whose slack is nonbasic and on the
+basic structurals, stand as they are, so the start costs no rebuild.  Any
+other start is rebuilt from ``lp``'s own rows, save a slack basis (B = I).
+A start that needs no shift and whose basic values already lie in their
+boxes at the true rhs is optimal as it stands, and the run returns it
+before any pass.  When ``lp`` extends the start's program, its basis is
+nonsingular and needs no shift; over other rows or another objective it
+may need one, and it may be singular or ill-conditioned.  When it is, or
+the warm run fails numerically, the cold run takes over, and the
+post-check certifies whatever point a warm run returns.  So it does when a
+warm run that has gone on past ``_REFACTOR_EVERY`` steps rebuilds an
+ill-conditioned basis: there a dual pass can wander, its basic values far
+outside their boxes, until the iteration cap.
 
 Every pass runs one pivot loop, which owns the numerical policy; the passes
 differ only in how they choose a pivot.  The policy:
@@ -90,7 +91,7 @@ import copy
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,8 +110,8 @@ _REFACTOR_EVERY = 40
 _SAFE_PIVOT = 1e-7
 _PERTURBATION = 1e-10
 _UPDATE_ROWS = 64
-# A warm start's basis block with a larger κ∞ is refused (warm_start), and
-# so is one a warm run rebuilds past its first _REFACTOR_EVERY steps: at
+# A warm start's basis block with a larger κ∞ is refused (_Simplex.begin),
+# and so is one a warm run rebuilds past its first _REFACTOR_EVERY steps: at
 # this conditioning 1e-16 rounding reaches the 1e-4 level, far above
 # every working tolerance.
 _MAX_CONDITION = 1e12
@@ -215,11 +216,36 @@ class LpBasis:
     [structural | slack]; ``status`` holds each column's bound code (0
     lower, 1 upper), meaningful where the column is nonbasic.
 
-    Only an optimal solve has a basis; a warm solve starts from it.
+    Only an optimal solve has a basis; a warm solve starts from it.  That
+    basis also keeps, privately and read-only, the run's final state (its
+    nonbasic order, held rows and their positions) and the solved program's
+    arrays, for a run on a program that extends that one by rows to carry
+    over (:meth:`_Simplex.begin`).  They are not arguments: a basis made by
+    hand or with ``dataclasses.replace`` keeps none and is rebuilt.
     """
 
     basic: np.ndarray
     status: np.ndarray
+    _nonbasic: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _owner: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _extended_by(self, lp: LinearProgram) -> bool:
+        """Whether ``lp`` is the program this basis's solve ended on with
+        rows appended: the same objective and bounds, the same leading rows
+        and rhs."""
+        if self._program is None:
+            return False
+        objective, lower, upper, a, b = self._program
+        m = b.shape[0]
+        return (
+            lp.objective is objective
+            and lp.lower is lower
+            and lp.upper is upper
+            and np.array_equal(lp.b[:m], b)
+            and (lp.a is a or np.array_equal(lp.a[:m], a))
+        )
 
 
 @dataclass(frozen=True)
@@ -237,11 +263,9 @@ class LpSolution:
     kind of LU solve (the restore of the true rhs reads the basic values off
     the rebuilt tableau), a failed warm attempt's included in both.  A start
     rebuilt from ``lp``'s rows counts one rebuild; one carried into a
-    program that extends its own counts none.
-    ``basis`` is set on optimal solutions; pass the solution as ``start`` to
-    solve a program over the same variables with no fewer rows.  An optimal
-    solution also keeps, privately, the final state a program that extends
-    its own carries on from.
+    program that extends its own counts none, and so does a slack basis.
+    ``basis`` is set on optimal solutions; pass it, or the solution, as
+    ``start`` to solve a program over the same variables with no fewer rows.
     """
 
     status: LpStatus
@@ -252,49 +276,10 @@ class LpSolution:
     refactorizations: int = 0
     warm: bool = False
     basis: LpBasis | None = field(default=None, repr=False)
-    # An optimal solve's final state (_Carry); not an argument, so a
-    # solution made with dataclasses.replace carries none.
-    _carry: _Carry | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
-
-
-class _Carry(NamedTuple):
-    """An optimal run's final state, which a run on a program that extends
-    the one it solved continues from (:meth:`_Simplex.carry_on`).
-
-    ``objective`` to ``b`` are that program's read-only arrays as solved;
-    ``basic``, ``nonbasic``, ``status`` and ``owner`` are the run's final
-    layout and ``rows`` its r held rows, read-only views of the engine's
-    arrays, which nothing writes to once the solve returns.  A continuation
-    copies in what it uses, so one carry serves any number of runs alike.
-    A tuple: one is made at the end of every optimal solve."""
-
-    objective: np.ndarray
-    lower: np.ndarray
-    upper: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    basic: np.ndarray
-    nonbasic: np.ndarray
-    status: np.ndarray
-    owner: np.ndarray
-    rows: np.ndarray
-
-    def extended_by(self, lp: LinearProgram) -> bool:
-        """Whether ``lp``, with no fewer rows, is this program with rows
-        appended: the same objective and bounds, the same leading rows and
-        rhs."""
-        m = self.b.shape[0]
-        return (
-            lp.objective is self.objective
-            and lp.lower is self.lower
-            and lp.upper is self.upper
-            and np.array_equal(lp.b[:m], self.b)
-            and (lp.a is self.a or np.array_equal(lp.a[:m], self.a))
-        )
 
 
 # Nonbasic status codes.
@@ -325,14 +310,15 @@ class _Simplex:
     # instance past 29 attributes to a plain dict, which made a cold solve
     # 2% slower.  ``__dict__`` stays for attributes a caller attaches.
     __slots__ = (
-        "m", "n", "a", "b", "b_true", "obj", "lo", "hi", "start",
+        "lp", "m", "n", "a", "b", "b_true", "obj", "lo", "hi", "start",
         "basis", "nonbasic", "status", "x", "direction", "movable", "picked",
         "lo_b", "hi_b", "r", "rows", "a_s", "owner", "where", "pivot_row",
         "_derived_row", "_derived_column", "_derived_reduced",
         "iterations", "refactorizations", "max_iterations", "__dict__",
     )
 
-    def __init__(self, lp: LinearProgram, start: LpBasis | _Carry | None = None):
+    def __init__(self, lp: LinearProgram, start: LpBasis | None = None):
+        self.lp = lp
         self.m = lp.num_rows
         self.n = lp.num_vars
         n, m = self.n, self.m
@@ -349,19 +335,13 @@ class _Simplex:
         # not involve the rhs.
         self.b_true = lp.b
         self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
-        # An earlier optimum's basis, or its final state, for run() to take over.
+        # The basis for begin() to set the run up from; None: the cold start.
         self.start = start
         # A basis holds at most min(n, m) structurals.
         self.rows = np.empty((min(n, m), n))
         self.a_s = np.empty((min(n, m), m))
         self.owner = np.empty(min(n, m), dtype=np.intp)
         self._forget()
-        if start is None:  # the canonical start: slacks basic, the rest at lower
-            self.x = self.lo.copy()
-            self.basis = np.arange(n, n + m)
-            self.nonbasic = np.arange(n)
-            self._index_positions()  # B = I: no row held, each row A's own
-            self.x[self.basis] = self.b - lp.a @ self.x[:n]
         self.iterations = 0
         self.refactorizations = 0
         self.max_iterations = max(2000, 60 * (n + m))
@@ -384,52 +364,56 @@ class _Simplex:
         self.where = self.basis - n
         self.where[held] = self.m + np.arange(r)
 
-    def warm_start(self, start: LpBasis) -> None:
-        """Take over ``start``'s basis, rebuilt from this program's rows; the
-        slack of each row past the start's enters basic at its own position.
+    def begin(self) -> None:
+        """Set the run up from ``start``, None being the slack basis with
+        every variable at its lower bound.
 
-        The rhs stays the cold run's perturbed one.  When this program
-        extends the start's by appending rows, the basis matrix is block
-        lower-triangular with an identity block for the appended slacks, so
-        it stays nonsingular, and the appended slacks carry no cost, so it
-        stays dual feasible.  Over other rows or another objective it may be
-        neither: :meth:`run` shifts the costs that are not dual feasible,
-        and a singular or ill-conditioned block (κ∞ = ‖A[R, S]‖∞‖A[R, S]⁻¹‖∞
-        above ``_MAX_CONDITION``, the inverse read off the rebuilt rows at
-        the nonbasic slacks) raises NumericalFailure, and the cold run takes
-        over.  Basic values it leaves outside their boxes are the first dual
+        A start keeps its positions and bound codes, the slack of each row
+        past its own entering basic at its own position, on the cold run's
+        perturbed rhs.  When ``lp`` extends the start's program by appending
+        rows, its layout stands and so do its held rows: Z = A[R, S]⁻¹N_R
+        depends on the rows R whose slack is nonbasic and the basic
+        structurals S alone, neither of which changes; the start's last
+        verdict was made on them as rebuilt, so the basic values are read off
+        them.  That basis matrix is block lower-triangular with an identity
+        block for the appended slacks, which carry no cost, so it is
+        nonsingular and dual feasible.  Any
+        other start is rebuilt from ``lp``'s rows, save a basis that holds no
+        structural: B = I, each slack's value its row's b − A x.  Over other
+        rows or another objective a start may be neither: :meth:`run` shifts
+        the costs that are not dual feasible, and a singular or
+        ill-conditioned block (κ∞ = ‖A[R, S]‖∞‖A[R, S]⁻¹‖∞ above
+        ``_MAX_CONDITION``, the inverse read off the held rows at the
+        nonbasic slacks) raises NumericalFailure, and the cold run takes
+        over.  Basic values left outside their boxes are the first dual
         pass's to repair.
         """
-        n, m0 = self.n, start.basic.size
-        self.basis = np.concatenate([start.basic, np.arange(n + m0, n + self.m)])
-        nonbasic = np.ones(n + self.m, dtype=bool)
-        nonbasic[self.basis] = False
-        self.nonbasic = nonbasic.nonzero()[0]
-        self.status[: n + m0] = start.status
-        self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
-        self._index_positions()
-        self._refactorize()
-        self._check_condition()
-
-    def carry_on(self, carry: _Carry) -> None:
-        """Continue from ``carry``, the final state of a run on a program
-        that this one extends by appending rows.  Its layout stands, each
-        appended row's slack entering basic at its own position, and so do
-        its held rows: Z = A[R, S]⁻¹N_R depends on the rows R whose slack is
-        nonbasic and the basic structurals S alone, and neither changes.
-        Nothing is rebuilt; only the appended rows' entries of A[:, S] and
-        the basic values at the perturbed rhs are new, the latter read off
-        the carried rows, which the carried run's last verdict was made on
-        as rebuilt.  The κ∞ guard of :meth:`warm_start` runs on them too."""
-        n, m0 = self.n, carry.basic.size
-        self.basis = np.concatenate([carry.basic, np.arange(n + m0, n + self.m)])
-        self.nonbasic = carry.nonbasic.copy()
-        self.status[: n + m0] = carry.status
-        self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
-        self._index_positions(carry.owner)
-        self.rows[: self.r] = carry.rows
-        self._check_condition()
-        self.x[self.basis] = self._basic_values(self.b)
+        n, m, start = self.n, self.m, self.start
+        carried = start is not None and start._extended_by(self.lp)
+        if start is None:
+            self.basis, self.nonbasic = np.arange(n, n + m), np.arange(n)
+            self.x = self.lo.copy()
+        else:
+            m0 = start.basic.size
+            self.basis = np.concatenate([start.basic, np.arange(n + m0, n + m)])
+            if carried:
+                self.nonbasic = start._nonbasic.copy()
+            else:
+                nonbasic = np.ones(n + m, dtype=bool)
+                nonbasic[self.basis] = False
+                self.nonbasic = nonbasic.nonzero()[0]
+            self.status[: n + m0] = start.status
+            self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
+        self._index_positions(start._owner if carried else None)
+        if not self.r:  # B = I: no row held, each row A's own
+            self.x[self.basis] = self.b - self.a @ self.x[:n]
+        elif carried:
+            self.rows[: self.r] = start._rows
+            self._check_condition()
+            self.x[self.basis] = self._basic_values(self.b)
+        else:
+            self._refactorize()
+            self._check_condition()
 
     def _check_condition(self) -> None:
         """Raise NumericalFailure when the basic-structural block's κ∞ =
@@ -448,10 +432,7 @@ class _Simplex:
     def run(self) -> LpStatus:
         """Optimal or infeasible, else raises NumericalFailure; the passes
         are the module docstring's, from the engine's ``start``."""
-        if isinstance(self.start, _Carry):
-            self.carry_on(self.start)
-        elif self.start is not None:
-            self.warm_start(self.start)
+        self.begin()
         # The first dual pass's cost: c shifted to make the start dual
         # feasible (module docstring).
         reduced = self._reduced_costs(self.obj)
@@ -830,17 +811,18 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
     """Solve the program; deterministic across runs for identical inputs.
 
     ``start``, the optimal solution of an earlier program over the same
-    variables with no more rows, or a bare basis over them, makes the solve
-    warm (module docstring).  Any such program will do, with other rows,
-    rhs, bounds or objective: where the start is not dual feasible here the
-    first dual pass runs on shifted costs, and where its basis is singular
-    or ill-conditioned here the cold solve takes over.  One that this one
-    extends by appending rows (``lp`` a copy of it with rows added, so the
-    same objective and bounds arrays, equal leading rows and rhs) gives a
-    start that is sure to be usable, and the solve carries on from its final
-    simplex state, with no rebuild at its start; the start is left as it
-    was, so it serves any number of solves alike.  A bare basis is rebuilt;
-    a slack basis, whatever its bound codes, is B = I and never falls back.
+    variables with no more rows, its basis, or a bare basis over them, makes
+    the solve warm (module docstring).  Any such program will do, with other
+    rows, rhs, bounds or objective: where the start is not dual feasible
+    here the first dual pass runs on shifted costs, and where its basis is
+    singular or ill-conditioned here the cold solve takes over.  One that
+    this one extends by appending rows (``lp`` a copy of it with rows added,
+    so the same objective and bounds arrays, equal leading rows and rhs)
+    gives a start that is sure to be usable, and the solve carries on from
+    its final simplex state, kept on its basis, with no rebuild at its
+    start; the start is left as it was, so it serves any number of solves
+    alike.  A bare basis is rebuilt; a slack basis, whatever its bound
+    codes, is B = I, needs no rebuild and never falls back.
     Raises ValueError when the start is not optimal, or is a basis over
     other variables or more rows than ``lp``.
 
@@ -853,10 +835,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
         raise ValueError("program has no variables")
     warm, spent = start is not None, (0, 0)
     if warm:
-        begin, carry = _warm_basis(lp, start), getattr(start, "_carry", None)
-        if carry is not None and carry.extended_by(lp):
-            begin = carry
-        engine = _Simplex(lp, begin)
+        engine = _Simplex(lp, _warm_basis(lp, start))
         try:
             status = engine.run()
         except NumericalFailure:
@@ -885,7 +864,13 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
             f"optimal point violates a constraint by {max_violation:.3e}"
         )
     basis = LpBasis(basic=_frozen(engine.basis), status=_frozen(engine.status))
-    solution = LpSolution(
+    # The run's final state (LpBasis): held rows a rebuild made, as a
+    # verdict needs no pivot since.
+    final = (engine.nonbasic, engine.owner[: engine.r], engine.rows[: engine.r])
+    for name, value in zip(("_nonbasic", "_owner", "_rows"), final):
+        object.__setattr__(basis, name, _frozen(value))
+    object.__setattr__(basis, "_program", (lp.objective, lp.lower, lp.upper, lp.a, lp.b))
+    return LpSolution(
         status=LpStatus.OPTIMAL,
         point=point,
         objective_value=float(lp.objective @ point),
@@ -893,15 +878,3 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
         **counts,
         basis=basis,
     )
-    # The held rows are those a rebuild made: a verdict needs no pivot since.
-    r = engine.r
-    carry = _Carry(
-        lp.objective, lp.lower, lp.upper, lp.a, lp.b,
-        basis.basic,
-        _frozen(engine.nonbasic),
-        basis.status,
-        _frozen(engine.owner[:r]),
-        _frozen(engine.rows[:r]),
-    )
-    object.__setattr__(solution, "_carry", carry)
-    return solution

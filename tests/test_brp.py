@@ -805,21 +805,21 @@ class TestWarmCutRounds:
             assert len({id(lp) for lp, *_ in solves}) == len(solves)
 
     def test_warm_rounds_carry_the_previous_round_over(self, solves, monkeypatch):
-        taken, simplex = [], lp_module._Simplex
-        for method in ("carry_on", "warm_start"):
+        taken, begin = [], lp_module._Simplex.begin
 
-            def spied(self, start, method=method, run=getattr(simplex, method)):
-                taken.append(method)
-                run(self, start)
+        def spied(self):
+            begin(self)
+            if self.start is not None:  # a warm run: did it carry?
+                taken.append(self.start._extended_by(self.lp))
 
-            monkeypatch.setattr(simplex, method, spied)
+        monkeypatch.setattr(lp_module._Simplex, "begin", spied)
         for seed in range(3):
             del solves[:], taken[:]
             brp_sparsest(_feasible(seed))
             warm = [sol for _, _, start, sol in solves if start is not None]
             assert len(warm) > 1 and all(sol.warm for sol in warm)
-            # The modal basis is rebuilt; every round after a first carries on.
-            assert taken == ["warm_start"] + ["carry_on"] * (len(warm) - 1)
+            # The modal basis is a bare one; every round after a first carries on.
+            assert taken == [False] + [True] * (len(warm) - 1)
 
     def test_sparsest_after_max_margin_solves_the_sparsity_stage_alone(self, solves):
         for seed in range(3):

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import itertools
 import os
 import subprocess
@@ -232,6 +233,12 @@ def _apart(lp):
     return out
 
 
+def _bare(basis):
+    """``basis`` without the final state of the solve that ended on it: a
+    run rebuilds it from its program's rows."""
+    return dataclasses.replace(basis)
+
+
 def _extended(lp, point, rng, count):
     """A fresh copy of ``lp`` with ``count`` random rows appended, each
     violated at ``point`` (the old optimum) by up to 0.5."""
@@ -355,8 +362,8 @@ class TestWarmStart:
         first = solve_lp(lp)
         cut = lp.copy()
         cut.add_leq([2.0, 1.0], 2.0)
-        cold, warm = lp_module._Simplex(cut), lp_module._Simplex(cut)
-        warm.warm_start(first.basis)
+        cold, warm = lp_module._Simplex(cut), lp_module._Simplex(cut, first.basis)
+        cold.begin(), warm.begin()
         assert np.array_equal(warm.b, cold.b)
         assert not np.array_equal(warm.b, cut.b)
 
@@ -526,7 +533,7 @@ class TestWarmStart:
         other.add_leq([[1.0, 1.0], [1.0, 1.0 + gap]], [1.0, 2.0])
         if not warm:
             with pytest.raises(NumericalFailure, match="ill-conditioned"):
-                lp_module._Simplex(other).warm_start(start.basis)
+                lp_module._Simplex(other, start.basis).begin()
         again, cold = solve_lp(other, start=start), solve_lp(other)
         assert again.warm is warm
         assert again.objective_value == pytest.approx(1.0, abs=1e-9)
@@ -564,22 +571,28 @@ class TestWarmStart:
             solve_lp(lp.copy(), start=infeasible)
 
     def test_numerical_failure_falls_back_to_the_cold_solve(self, monkeypatch):
-        # A start carried into a program that extends its own (carry_on)
-        # and one rebuilt from an equal program built apart (warm_start).
+        # A start carried into a program that extends its own and one
+        # rebuilt from an equal program built apart.
         rng = np.random.default_rng(3)
         lp = random_lp(rng, n=4, m=0)
         first = solve_lp(lp)
         grown = _extended(lp, first.point, rng, 2)
         cold = solve_lp(grown)
+        begin, taken = lp_module._Simplex.begin, []
 
-        def fail(self, start):
+        def fail(self):
+            if self.start is None:  # the cold run
+                return begin(self)
+            taken.append(self.start._extended_by(self.lp))
             self.iterations, self.refactorizations = 5, 2
             raise NumericalFailure("injected")
 
-        for method, program in (("carry_on", grown), ("warm_start", _apart(grown))):
+        for carried, program in ((True, grown), (False, _apart(grown))):
+            taken.clear()
             with monkeypatch.context() as patch:
-                patch.setattr(lp_module._Simplex, method, fail)
+                patch.setattr(lp_module._Simplex, "begin", fail)
                 retried = solve_lp(program, start=first)
+            assert taken == [carried]
             assert not retried.warm
             assert retried.status is cold.status
             assert retried.iterations == cold.iterations + 5
@@ -682,7 +695,8 @@ class TestWarmStart:
         # The start, carried into a copy of its program or rebuilt from an
         # equal program built apart, is dual feasible and its basic values
         # lie in their boxes at the true rhs: the solve returns it as it
-        # stands, after the one rebuild of a rebuilt start.
+        # stands, after the one rebuild of a rebuilt start that holds a
+        # structural (a slack basis is B = I: nothing to rebuild).
         rng = np.random.default_rng(19)
         solved = [
             (lp, solve_lp(lp))
@@ -690,17 +704,19 @@ class TestWarmStart:
         ]
         passes = []
         monkeypatch.setattr(lp_module._Simplex, "_pass", lambda *args: passes.append(args))
-        checked = 0
+        checked = rebuilt = 0
         for lp, first in solved:
             if not first.is_optimal:
                 continue
-            for same, rebuilds in ((lp.copy(), 0), (_apart(lp), 1)):
+            held = int((first.basis.basic < lp.num_vars).any())
+            rebuilt += held
+            for same, rebuilds in ((lp.copy(), 0), (_apart(lp), held)):
                 again = solve_lp(same, start=first)
                 assert again.warm and again.is_optimal
                 assert (again.iterations, again.refactorizations) == (0, rebuilds)
                 assert np.allclose(again.point, first.point, rtol=0.0, atol=1e-12)
             checked += 1
-        assert not passes and checked >= 50
+        assert not passes and checked >= 50 and rebuilt >= 10
 
     def test_appended_row_that_empties_the_program_is_infeasible_warm(self):
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
@@ -714,7 +730,7 @@ class TestWarmStart:
         assert scipy_optimum(grown).status == 2
 
 
-_CARRIED = ("basic", "nonbasic", "status", "owner", "rows")
+_CARRIED = ("basic", "_nonbasic", "status", "_owner", "_rows")
 
 
 class TestCarriedStart:
@@ -725,16 +741,17 @@ class TestCarriedStart:
 
     @staticmethod
     def _spy_starts(monkeypatch):
-        """A list that each warm run's start appends to: the method that
-        took it over and the rebuilds its engine had made by its end."""
-        starts, simplex = [], lp_module._Simplex
-        for method in ("carry_on", "warm_start"):
+        """A list that each warm run's start appends to: whether it
+        carries over into the run's program and the rebuilds its engine had
+        made by the end of :meth:`_Simplex.begin`."""
+        starts, begin = [], lp_module._Simplex.begin
 
-            def spied(self, start, taken=getattr(simplex, method), method=method):
-                taken(self, start)
-                starts.append((method, self.refactorizations))
+        def spied(self):
+            begin(self)
+            if self.start is not None:
+                starts.append((self.start._extended_by(self.lp), self.refactorizations))
 
-            monkeypatch.setattr(simplex, method, spied)
+        monkeypatch.setattr(lp_module._Simplex, "begin", spied)
         return starts
 
     def test_appended_rows_carry_the_start_over(self, monkeypatch):
@@ -758,7 +775,7 @@ class TestCarriedStart:
                 grown.add_leq(row, least - rng.uniform(0.01, 0.5))
             starts.clear()
             warm, cold = solve_lp(grown, start=first), solve_lp(grown)
-            assert starts == [("carry_on", 0)]
+            assert starts == [(True, 0)]
             assert warm.warm and warm.status is cold.status
             ref = scipy_optimum(grown, TIGHT_HIGHS)
             if cold.is_optimal:
@@ -796,14 +813,61 @@ class TestCarriedStart:
             appended(upper=lp.upper),
             _apart(appended()),
         ]
-        for other, method in [(appended(), "carry_on")] + [
-            (other, "warm_start") for other in others
-        ]:
+        for other, carried in [(appended(), True)] + [(other, False) for other in others]:
             starts.clear()
             warm, cold = solve_lp(other, start=first), solve_lp(other)
-            assert [taken for taken, _ in starts] == [method]
+            assert [taken for taken, _ in starts] == [carried]
             assert warm.warm and warm.is_optimal and cold.is_optimal
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
+
+    def test_slack_basis_start_is_the_cold_run(self):
+        # The cold start is the slack basis at the lower bounds: given as a
+        # bare basis it makes the same run, with no rebuild at its start.
+        rng = np.random.default_rng(53)
+        seen = collections.Counter()
+        for draw in range(300):
+            lp = (random_lp, larger_lp)[draw % 2](rng)
+            n, m = lp.num_vars, lp.num_rows
+            start = LpBasis(np.arange(n, n + m), np.zeros(n + m, dtype=np.int8))
+            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            assert warm.warm and warm.status is cold.status
+            assert (warm.iterations, warm.refactorizations) == (
+                cold.iterations, cold.refactorizations
+            )
+            if cold.is_optimal:
+                assert warm.point.tobytes() == cold.point.tobytes()
+            seen[cold.status, cold.refactorizations > 0] += 1
+        assert all(seen[key] >= 10 for key in itertools.product(LpStatus, [True, False])), seen
+
+    def test_a_solutions_basis_carries_like_the_solution(self, monkeypatch):
+        # The final state rides on the basis, so the basis alone carries it
+        # over; a basis edited with dataclasses.replace keeps none.
+        rng = np.random.default_rng(59)
+        starts = self._spy_starts(monkeypatch)
+        checked = 0
+        for _ in range(40):
+            lp = larger_lp(rng)
+            first = solve_lp(lp)
+            if not first.is_optimal:
+                continue
+            grown = _extended(lp, first.point, rng, 3)
+            starts.clear()
+            by_solution = solve_lp(grown, start=first)
+            by_basis = solve_lp(grown, start=first.basis)
+            assert starts == [(True, 0), (True, 0)]
+            assert by_basis.warm and by_basis.status is by_solution.status
+            assert (by_basis.iterations, by_basis.refactorizations) == (
+                by_solution.iterations, by_solution.refactorizations
+            )
+            if by_solution.is_optimal:
+                assert by_basis.point.tobytes() == by_solution.point.tobytes()
+            edited = dataclasses.replace(first.basis, status=first.basis.status.copy())
+            starts.clear()
+            solve_lp(grown, start=edited)
+            held = int((first.basis.basic < lp.num_vars).any())
+            assert starts == [(False, held)]
+            checked += held
+        assert checked >= 10
 
     def test_a_start_used_twice_gives_byte_equal_solutions(self):
         rng = np.random.default_rng(41)
@@ -813,8 +877,8 @@ class TestCarriedStart:
             first = solve_lp(lp)
             if not first.is_optimal:
                 continue
-            carry = first._carry
-            kept = [getattr(carry, name).tobytes() for name in _CARRIED]
+            basis = first.basis
+            kept = [getattr(basis, name).tobytes() for name in _CARRIED]
             grown = _extended(lp, first.point, rng, 3)
             once, twice = solve_lp(grown, start=first), solve_lp(grown, start=first)
             assert once.warm and twice.warm
@@ -826,9 +890,9 @@ class TestCarriedStart:
                 assert once.point.tobytes() == twice.point.tobytes()
                 assert once.basis.basic.tobytes() == twice.basis.basic.tobytes()
                 assert once.basis.status.tobytes() == twice.basis.status.tobytes()
-                assert once._carry.rows.tobytes() == twice._carry.rows.tobytes()
+                assert once.basis._rows.tobytes() == twice.basis._rows.tobytes()
             # Nothing is consumed: the start's state is as it was.
-            assert [getattr(carry, name).tobytes() for name in _CARRIED] == kept
+            assert [getattr(basis, name).tobytes() for name in _CARRIED] == kept
             pivoted += once.iterations > 0
         assert pivoted >= 10
 
@@ -900,6 +964,7 @@ class TestBlockRebuild:
     def test_slack_basis(self, seed):
         lp = random_lp(np.random.default_rng(seed), n=4, m=6)
         engine = lp_module._Simplex(lp)
+        engine.begin()
         # The cold start holds no row: every row is A's own.
         _assert_tableau(engine, _dense(engine)[0])
         assert self._rebuild_matches_dense(engine) == 0
@@ -908,8 +973,8 @@ class TestBlockRebuild:
     def test_every_slack_nonbasic(self, seed):
         lp = _all_rows_binding_lp(np.random.default_rng(seed), 6)
         solution = solve_lp(lp)
-        engine = lp_module._Simplex(lp)
-        engine.warm_start(solution.basis)
+        engine = lp_module._Simplex(lp, _bare(solution.basis))
+        engine.begin()
         assert self._rebuild_matches_dense(engine) == lp.num_rows
 
     def test_warm_basis_with_appended_rows(self):
@@ -921,8 +986,8 @@ class TestBlockRebuild:
             if not first.is_optimal:
                 continue
             grown = _extended(lp, first.point, rng, int(rng.integers(1, 5)))
-            engine = lp_module._Simplex(grown)
-            engine.warm_start(first.basis)
+            engine = lp_module._Simplex(grown, _bare(first.basis))
+            engine.begin()
             # The appended rows' slacks are basic, so r <= the old row count.
             assert 0 <= self._rebuild_matches_dense(engine) <= lp.num_rows
             checked += 1
@@ -939,8 +1004,8 @@ class TestBlockRebuild:
             first = solve_lp(lp)
             if not first.is_optimal:
                 continue
-            engine = lp_module._Simplex(lp)
-            engine.warm_start(first.basis)
+            engine = lp_module._Simplex(lp, _bare(first.basis))
+            engine.begin()
             tableau = _dense(engine)[0]
             for slack_costs in (False, True):
                 cost = rng.normal(size=engine.n + engine.m)
@@ -1102,7 +1167,9 @@ class TestLeanKernel:
 
     @staticmethod
     def _first_choice(engine, bland):
-        """The dual chooser's first answer, under Bland's rule or not."""
+        """The dual chooser's first answer at the engine's start, under
+        Bland's rule or not."""
+        engine.begin()
         engine._pass = lambda cost, sense, choose: choose(
             engine._reduced_costs(cost), bland, None
         )
@@ -1135,8 +1202,8 @@ class TestLeanKernel:
             if not first.is_optimal:
                 continue
             grown = _extended(lp, first.point, rng, int(rng.integers(0, 5)))
-            engine = lp_module._Simplex(grown)
-            engine.warm_start(first.basis)
+            engine = lp_module._Simplex(grown, _bare(first.basis))
+            engine.begin()
             reference = np.setdiff1d(np.arange(engine.n + engine.m), engine.basis)
             assert engine.nonbasic.dtype == reference.dtype
             assert np.array_equal(engine.nonbasic, reference)
@@ -1147,7 +1214,8 @@ class TestLeanKernel:
         # Every rebuild of warm and cold solves, on warm bases and on the
         # bases met between pivots.  A start carried into the program it
         # extends makes no rebuild of its own, so the warm bases come from
-        # starts rebuilt over equal programs built apart.
+        # starts rebuilt over equal programs built apart; nor does a slack
+        # basis, whose rebuild is made here by hand.
         rebuild, seen = lp_module._Simplex._refactorize, []
 
         def compared(self):
@@ -1168,6 +1236,9 @@ class TestLeanKernel:
                 grown = _extended(lp, first.point, rng, 3)
                 solve_lp(grown, start=first)
                 solve_lp(_apart(grown), start=first)
+            slack = lp_module._Simplex(lp)
+            slack.begin()
+            slack._refactorize()
         # Some rebuilds had basic structurals, some none.
         assert len(seen) >= 100 and min(seen) == 0 and max(seen) >= 5
 
@@ -1203,21 +1274,21 @@ class TestSingularBasis:
     raises."""
 
     @staticmethod
-    def _cut_program(method="carry_on"):
+    def _cut_program(carried=True):
         """A program's optimum and the program with a row appended that cuts
-        it off, which the optimum's final state carries into (``method``
-        ``carry_on``), or an equal program built apart (``warm_start``)."""
+        it off, which the optimum's final state carries into (``carried``),
+        or an equal program built apart."""
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         grown = lp.copy()
         grown.add_leq([2.0, 1.0], 2.0)
-        return solve_lp(lp), grown if method == "carry_on" else _apart(grown)
+        return solve_lp(lp), grown if carried else _apart(grown)
 
     @staticmethod
     def _fail_once_after(monkeypatch, method):
         """Make the first ``np.linalg.solve`` after the first call of the
         ``_Simplex`` method ``method`` (``_dual``: the pass that makes a run
-        feasible; ``warm_start`` or ``carry_on``: a warm run's start) raise
+        feasible; ``begin``: the run's start, carried over or rebuilt) raise
         LinAlgError; returns the pivots its engine had made by then."""
         failed, armed = [], []
         feasible, solve = getattr(lp_module._Simplex, method), np.linalg.solve
@@ -1239,11 +1310,11 @@ class TestSingularBasis:
         return failed
 
     def test_warm_solve_falls_back_to_the_cold_solve(self, monkeypatch):
-        for method in ("carry_on", "warm_start"):
-            first, grown = self._cut_program(method)
+        for carried in (True, False):
+            first, grown = self._cut_program(carried)
             cold = solve_lp(grown)
             with monkeypatch.context() as patch:
-                failed = self._fail_once_after(patch, method)
+                failed = self._fail_once_after(patch, "begin")
                 again = solve_lp(grown, start=first)
             [spent] = failed  # in the warm attempt, which runs first
             # At the dual pass's verdict rebuild, once it repaired the
