@@ -405,8 +405,8 @@ class _Simplex:
             self.status[: n + m0] = start.status
             self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
         self._index_positions(start._owner if carried else None)
-        if not self.r:  # B = I: no row held, each row A's own
-            self.x[self.basis] = self.b - self.a @ self.x[:n]
+        if not self.r:  # B = I: no row held, each position its row's slack
+            self.x[self.basis] = (self.b - self.a @ self.x[:n]).take(self.where)
         elif carried:
             self.rows[: self.r] = start._rows
             self._check_condition()

@@ -839,6 +839,60 @@ class TestCarriedStart:
             seen[cold.status, cold.refactorizations > 0] += 1
         assert all(seen[key] >= 10 for key in itertools.product(LpStatus, [True, False])), seen
 
+    def test_a_slack_basis_in_any_order_is_read_by_position(self):
+        # Position p of a slack basis holds the slack of row basic[p] - n,
+        # whichever row that is: here position 0 holds row 1's, which starts
+        # at -0.5, and the run must still find x = 0.5.
+        lp = LinearProgram([-1.0], [0.0], [2.0])
+        lp.add_leq([[1.0], [-1.0]], [1.0, -0.5])
+        swapped = solve_lp(lp, start=LpBasis(np.array([2, 1]), np.zeros(3, dtype=np.int8)))
+        assert swapped.warm and swapped.is_optimal
+        assert swapped.point == pytest.approx([0.5], abs=1e-12)
+        rng = np.random.default_rng(61)
+        for draw in range(300):
+            lp = (random_lp, larger_lp)[draw % 2](rng)
+            n, m = lp.num_vars, lp.num_rows
+            status = np.zeros(n + m, dtype=np.int8)
+            status[:n] = rng.random(n) < 0.5
+            start = LpBasis(n + rng.permutation(m), status)
+            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            assert warm.warm and warm.status is cold.status
+            if cold.is_optimal:
+                tol = 1e-9 * max(1.0, abs(cold.objective_value))
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+
+    def test_a_carried_slack_basis_in_any_order_is_read_by_position(self, monkeypatch):
+        # Rows slack over the whole box: the optimum from a permuted slack
+        # start is a corner, its basis that permuted slack basis.  Rows that
+        # cut the corner off then carry it over, B = I, into a run that
+        # must pivot.
+        rng = np.random.default_rng(67)
+        starts = self._spy_starts(monkeypatch)
+        checked = 0
+        for _ in range(60):
+            n, m = int(rng.integers(1, 7)), int(rng.integers(2, 9))
+            lower = rng.uniform(-2.0, 0.0, size=n)
+            upper = lower + rng.uniform(0.1, 3.0, size=n)
+            lp = LinearProgram(rng.normal(size=n), lower, upper)
+            rows = rng.normal(size=(m, n))
+            most = np.maximum(rows * lower, rows * upper).sum(axis=1)
+            lp.add_leq(rows, most + rng.uniform(0.1, 1.0, size=m))
+            order = n + rng.permutation(m)
+            first = solve_lp(lp, start=LpBasis(order, np.zeros(n + m, dtype=np.int8)))
+            assert first.is_optimal and np.array_equal(first.basis.basic, order)
+            if np.array_equal(order, np.arange(n, n + m)):
+                continue
+            grown = _extended(lp, first.point, rng, int(rng.integers(1, 4)))
+            starts.clear()
+            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            assert starts == [(True, 0)]
+            assert warm.warm and warm.status is cold.status
+            if cold.is_optimal:
+                tol = 1e-9 * max(1.0, abs(cold.objective_value))
+                assert warm.objective_value == pytest.approx(cold.objective_value, abs=tol)
+            checked += 1
+        assert checked >= 30
+
     def test_a_solutions_basis_carries_like_the_solution(self, monkeypatch):
         # The final state rides on the basis, so the basis alone carries it
         # over; a basis edited with dataclasses.replace keeps none.
