@@ -118,9 +118,7 @@ class DecisionDataset:
     def __post_init__(self):
         prior = np.asarray(self.prior, dtype=float)
         if prior.shape != (self.num_states,):
-            raise DimensionMismatch(
-                f"prior has shape {prior.shape}, expected ({self.num_states},)"
-            )
+            raise DimensionMismatch(f"prior has shape {prior.shape}, expected ({self.num_states},)")
         if np.any(prior < 0) or not np.all(np.isfinite(prior)):
             raise NotStochastic("prior entries must be finite and nonnegative")
         if abs(float(prior.sum()) - 1.0) > 1e-9:
@@ -137,9 +135,7 @@ class DecisionDataset:
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != self.num_states:
-                raise DimensionMismatch(
-                    f"{len(labels)} labels for {self.num_states} states"
-                )
+                raise DimensionMismatch(f"{len(labels)} labels for {self.num_states} states")
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", _frozen_array(prior))
         object.__setattr__(self, "agents", agents)
@@ -160,11 +156,7 @@ class DecisionDataset:
 
     def approx_equal(self, other: "DecisionDataset", tol: float = 1e-9) -> bool:
         """Entrywise comparison at the package-wide dataset tolerance."""
-        if (self.num_states, self.num_actions, self.num_agents) != (
-            other.num_states,
-            other.num_actions,
-            other.num_agents,
-        ):
+        if self._stack.joint.shape != other._stack.joint.shape:  # (K, X, A)
             return False
         if not np.allclose(self.prior, other.prior, rtol=0.0, atol=tol):
             return False
@@ -204,9 +196,7 @@ def _joint_posterior(prior: np.ndarray, choices: np.ndarray) -> JointPosterior:
     marginal = joint.sum(axis=1)[:, None, :]
     posterior = np.full_like(joint, np.nan)
     np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
-    return JointPosterior(
-        *(_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0]))
-    )
+    return JointPosterior(*(_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0])))
 
 
 def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
@@ -238,15 +228,12 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
         for name, size in zip(("num_states", "num_actions"), mats[0].shape):
             if raw.get(name) is not None and raw[name] != size:
                 raise DimensionMismatch(
-                    f"declared {name} {raw[name]!r} does not match matrices "
-                    f"{mats[0].shape}"
+                    f"declared {name} {raw[name]!r} does not match matrices {mats[0].shape}"
                 )
 
     least = max(min_agents, 1)  # a dataset holds at least one agent
     if len(mats) < least:
-        raise TooFewAgents(
-            f"got {len(mats)} agent(s); need a collection of at least {least}"
-        )
+        raise TooFewAgents(f"got {len(mats)} agent(s); need a collection of at least {least}")
     if any(m.ndim != 2 for m in mats):
         raise DimensionMismatch("every choice matrix must be 2-D")
     num_states, num_actions = mats[0].shape
@@ -353,9 +340,10 @@ def ingest_softmax(
     to 1 within ``ROW_SUM_TOLERANCE``.  This is where records are validated.
 
     The prior is the empirical label frequency; agent k's row x is the mean
-    softmax over its records with true label x, summed in record order.  All
-    agents must have scored the same test set, which is enforced as identical
-    per-class record counts; anything else raises :class:`RaggedAgents`.
+    softmax over its records with true label x, summed in record order by one
+    ``np.bincount`` per agent.  All agents must have scored the same test set,
+    which is enforced as identical per-class record counts; anything else
+    raises :class:`RaggedAgents`.
     """
     if not groups:
         raise RaggedAgents("no agent groups supplied")
@@ -374,9 +362,7 @@ def ingest_softmax(
     if num_states is None:
         num_states = max_label + 1
     elif max_label >= num_states:
-        raise DimensionMismatch(
-            f"true label {max_label} outside declared {num_states} states"
-        )
+        raise DimensionMismatch(f"true label {max_label} outside declared {num_states} states")
 
     counts = [
         np.bincount(np.searchsorted(present, true_labels), minlength=present.size)
@@ -388,8 +374,7 @@ def ingest_softmax(
             i = int(np.flatnonzero(count != reference)[0])
             raise RaggedAgents(
                 f"agent {agent_id!r} saw {count[i]} records of class {present[i]} "
-                f"but agent {agent_ids[0]!r} saw {reference[i]}; "
-                "all agents must share the test set"
+                f"but agent {agent_ids[0]!r} saw {reference[i]}; all agents must share the test set"
             )
     if present.size < num_states:
         # The first present.size + 10 classes hold the first ten empty ones.
@@ -406,10 +391,10 @@ def ingest_softmax(
 
     agents = []
     for agent_id, (true_labels, probs) in zip(agent_ids, stacked):
-        acc = np.zeros((num_states, num_actions))
-        # Unbuffered and in record order: the same sums as adding row by row.
-        np.add.at(acc, true_labels, probs)
-        acc /= reference[:, None]
+        # bincount adds its weights in record order: the sums of adding row by row.
+        cell = (true_labels[:, None] * num_actions + np.arange(num_actions)).ravel()
+        acc = np.bincount(cell, probs.ravel(), minlength=num_states * num_actions)
+        acc = acc.reshape(num_states, num_actions) / reference[:, None]
         agents.append({"agent_id": agent_id, "choice_prob": acc})
 
     return validate_dataset(
@@ -457,7 +442,9 @@ def _stack_records(agent_id: str, records, num_actions: int):
     sums = probs.sum(axis=1)
     invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)
     off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE + 1e-12
-    fractional = ~np.isfinite(true_labels) | (true_labels != np.round(true_labels))
+    fractional = np.zeros(len(probs), bool)
+    if true_labels.dtype != np.int64:  # the reader's labels are whole numbers already
+        fractional = ~np.isfinite(true_labels) | (true_labels != np.round(true_labels))
     bad = np.flatnonzero(invalid | off | fractional | (true_labels < 0))
     if bad.size:
         i = bad[0]
@@ -548,24 +535,26 @@ def load_dataset(path: str) -> DecisionDataset:
 def read_softmax_log(path: str) -> dict[str, np.ndarray]:
     """Parse a softmax log CSV: agent_id,image_id,true_label,p0,...,p{A-1}.
 
-    One ``np.loadtxt`` pass parses the body.  Returns each agent, in first-seen
-    order, with its ``(image_id, true_label, softmax)`` records in file order as
-    a structured array, the input of :func:`ingest_softmax`, which validates them.
+    ``np.loadtxt`` reads the body from the path in chunks, with universal
+    newlines, so a CR or CRLF inside a quoted field reads as LF; a log named
+    like a compressed file, which numpy would unpack, is read line by line.
+    Returns each agent, in first-seen order, with its ``(image_id,
+    true_label, softmax)`` records in file order as a structured array, the
+    input of :func:`ingest_softmax`, which validates them.  Agents are
+    grouped by runs of equal ids: an agent of one run gets a view of the
+    parsed rows; any other gathers its runs.
     """
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            header = next(csv.reader(fh), None)
-            if header is None or len(header) < 4 or header[:3] != [
-                "agent_id",
-                "image_id",
-                "true_label",
-            ]:
-                raise IoFailure(
-                    f"{path}: expected header agent_id,image_id,true_label,p0,..."
-                )
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if len(header) < 4 or header[:3] != ["agent_id", "image_id", "true_label"]:
+                raise IoFailure(f"{path}: expected header agent_id,image_id,true_label,p0,...")
             width = len(header) - 3
             record = [("image_id", object), ("true_label", "i8"), ("softmax", "f8", (width,))]
             dtype = [("agent_id", object), ("record", record)]
+            fh.seek(0)  # for the handle, as for the path, skiprows counts from the top
+            source = fh if os.path.splitext(path)[1] in (".gz", ".bz2", ".xz", ".lzma") else path
             try:
                 with warnings.catch_warnings():
                     # A header-only log has no records.  numpy 1.23-1.26 parse
@@ -573,7 +562,8 @@ def read_softmax_log(path: str) -> dict[str, np.ndarray]:
                     warnings.filterwarnings("ignore", "loadtxt: input contained no data")
                     warnings.filterwarnings("error", category=DeprecationWarning)
                     rows = np.loadtxt(
-                        fh, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1
+                        source, dtype, delimiter=",", quotechar='"', comments=None, ndmin=1,
+                        skiprows=reader.line_num, encoding="utf-8",
                     )
             except ValueError:
                 # loadtxt counts records, not lines: parse row by row up to the
@@ -589,5 +579,14 @@ def read_softmax_log(path: str) -> dict[str, np.ndarray]:
         raise IoFailure(f"could not read {path}: {exc}") from exc
     except ValueError as exc:
         raise IoFailure(f"{path}: malformed numeric field: {exc}") from exc
-    ids, first, group = np.unique(rows["agent_id"], return_index=True, return_inverse=True)
-    return {ids[g]: rows["record"][group == g] for g in np.argsort(first)}
+    if not rows.size:
+        return {}
+    agents, records = rows["agent_id"], rows["record"]
+    starts = np.flatnonzero(np.r_[True, agents[1:] != agents[:-1]])
+    ends = np.r_[starts[1:], agents.size]
+    ids, first, of_run = np.unique(agents[starts], return_index=True, return_inverse=True)
+    runs, of_row = np.bincount(of_run), np.repeat(of_run, ends - starts)
+    return {
+        ids[g]: records[starts[first[g]] : ends[first[g]]] if runs[g] == 1 else records[of_row == g]
+        for g in np.argsort(first)
+    }

@@ -466,38 +466,49 @@ class TestIngest:
 
     def test_rows_are_sums_in_file_order(self, tmp_path):
         """Bit for bit the mean of each class's rows added one by one in
-        file order, on logs big enough for summation order to show."""
+        file order, on logs big enough for summation order to show, whether
+        each agent's rows are one run, alternate, or come back in a second run."""
         rng = np.random.default_rng(5)
         for num_classes in (3, 10):
             true_labels = rng.integers(0, num_classes, size=600)
             columns = ",".join(f"p{a}" for a in range(num_classes))
-            lines = [f"agent_id,image_id,true_label,{columns}"]
+            lines = {}
             for agent in ("a", "b"):
                 for i, label in enumerate(true_labels):
                     probs = rng.dirichlet(np.full(num_classes, 0.3))
-                    lines.append(f"{agent},img{i},{label}," + ",".join(map(repr, probs.tolist())))
-            path = tmp_path / f"log{num_classes}.csv"
-            path.write_text("\n".join(lines) + "\n")
+                    line = f"{agent},img{i},{label}," + ",".join(map(repr, probs.tolist()))
+                    lines.setdefault(agent, []).append(line)
+            first, second = lines["a"], lines["b"]
+            layouts = {
+                "agent by agent": first + second,
+                "interleaved": [line for pair in zip(first, second) for line in pair],
+                "agent returns": first[:250] + second + first[250:],
+            }
+            for layout, body in layouts.items():
+                path = tmp_path / f"log{num_classes}-{layout.replace(' ', '-')}.csv"
+                header = f"agent_id,image_id,true_label,{columns}"
+                path.write_text("\n".join([header, *body]) + "\n")
 
-            sums = {a: np.zeros((num_classes, num_classes)) for a in "ab"}
-            for agent, records in csv_reader_groups(path).items():
-                for _, label, probs in records:
-                    sums[agent][label] += np.array(probs)
-            counts = np.bincount(true_labels, minlength=num_classes)
-            reference = validate_dataset(
-                {
-                    "prior": counts / counts.sum(),
-                    "agents": [
-                        {"agent_id": a, "choice_prob": sums[a] / counts[:, None]}
-                        for a in "ab"
-                    ],
-                }
-            )
+                sums = {a: np.zeros((num_classes, num_classes)) for a in "ab"}
+                for agent, records in csv_reader_groups(path).items():
+                    for _, label, probs in records:
+                        sums[agent][label] += np.array(probs)
+                counts = np.bincount(true_labels, minlength=num_classes)
+                reference = validate_dataset(
+                    {
+                        "prior": counts / counts.sum(),
+                        "agents": [
+                            {"agent_id": a, "choice_prob": sums[a] / counts[:, None]}
+                            for a in "ab"
+                        ],
+                    }
+                )
 
-            d = ingest_softmax(read_softmax_log(str(path)))
-            assert np.array_equal(d.prior, reference.prior)
-            for k in range(2):
-                assert np.array_equal(d.choice(k), reference.choice(k))
+                d = ingest_softmax(read_softmax_log(str(path)))
+                assert d.agent_ids == ("a", "b"), layout
+                assert np.array_equal(d.prior, reference.prior), layout
+                for k in range(2):
+                    assert np.array_equal(d.choice(k), reference.choice(k)), layout
 
 
 def csv_reader_groups(path):
@@ -524,8 +535,11 @@ class TestSoftmaxLogParse:
             "\r\na,img0,0,0.8,0.2\r\n\r\na,img1,1,0.3,0.7\r\nb,img0,0,0.7,0.3\r\n"
             "\r\n\r\nb,img1,1,0.4,0.6\r\n\r\n",
             " a , img0 ,0, 0.8 ,0.2\n a , img1 , 1 ,0.3 , 0.7\nb,img0,0,0.7,0.3\nb,img1,1,0.4,0.6",
+            "a,img0,0,0.8,0.2\nb,img0,0,0.7,0.3\na,img1,1,0.3,0.7\nb,img1,1,0.4,0.6\n",
+            "a,img0,0,0.8,0.2\na,img1,1,0.3,0.7\nb,img0,0,0.7,0.3\nb,img1,1,0.4,0.6\n"
+            "b,img2,1,0.2,0.8\na,img2,1,0.1,0.9\n",
         ],
-        ids=["quoted id", "crlf and blank lines", "padded fields"],
+        ids=["quoted id", "crlf and blank lines", "padded fields", "interleaved", "agent returns"],
     )
     def test_parse_matches_csv_reader(self, tmp_path, body):
         newline = "\r\n" if "\r\n" in body else "\n"
@@ -540,6 +554,31 @@ class TestSoftmaxLogParse:
             probs = np.array([softmax for _, _, softmax in want[agent]])
             assert records["softmax"].tobytes() == probs.tobytes()
         assert ingest_softmax(groups).agent_ids == tuple(want)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_newline_in_a_quoted_field_reads_as_lf(self, tmp_path, newline):
+        """The reader opens the log with universal newlines: the one place
+        where a text field is not kept as written."""
+        path = tmp_path / "log.csv"
+        path.write_bytes(
+            f'{HEADER}\r\n"a{newline}z",img0,0,0.8,0.2\r\nb,img0,0,0.7,0.3\r\n'.encode()
+        )
+        assert list(csv_reader_groups(path)) == [f"a{newline}z", "b"]
+        assert list(read_softmax_log(str(path))) == ["a\nz", "b"]
+
+    def test_header_with_a_quoted_line_break_is_skipped_whole(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text('agent_id,image_id,true_label,"p\n0",p1\na,i0,0,0.5,0.5\nb,i0,0,0.5,0.5\n')
+        assert list(read_softmax_log(str(path))) == ["a", "b"]
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_log_named_like_a_compressed_file_is_read_as_text(self, tmp_path, suffix):
+        """numpy unpacks a path by its suffix; a log is plain text whatever its name."""
+        path = tmp_path / f"log.csv{suffix}"
+        path.write_text(f"{HEADER}\na,img0,0,0.8,0.2\nb,img0,0,0.7,0.3\n")
+        groups = read_softmax_log(str(path))
+        got = {a: [(i, int(y), p.tolist()) for i, y, p in r] for a, r in groups.items()}
+        assert got == csv_reader_groups(path)
 
     def test_field_count_error_names_the_line_counting_blank_lines(self, tmp_path):
         path = tmp_path / "log.csv"
@@ -577,8 +616,9 @@ class TestSoftmaxLogParse:
         DeprecationWarning, which Python hides by default in library code."""
         real_loadtxt = np.loadtxt
 
-        def int_via_float_loadtxt(fh, dtype, **kwargs):
-            text = fh.read()
+        def int_via_float_loadtxt(fname, dtype, **kwargs):
+            with open(fname, encoding=kwargs["encoding"]) as fh:
+                text = fh.read()
             try:
                 warnings.warn("loadtxt(): Parsing an integer via a float", DeprecationWarning)
             except DeprecationWarning as exc:  # how loadtxt reports a failed field
