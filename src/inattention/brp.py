@@ -194,7 +194,7 @@ def nias_residuals(d: DecisionDataset, utilities) -> np.ndarray:
 def _nias(jp: JointPosterior, u: np.ndarray) -> np.ndarray:
     """:func:`nias_residuals` of the (K, X, A) stacks ``jp`` and ``u``."""
     scores = np.matmul(jp.posterior.swapaxes(1, 2), u)  # (K, A, A)
-    out = scores - np.diagonal(scores, axis1=1, axis2=2)[:, :, None]
+    out = scores - scores.diagonal(0, 1, 2)[:, :, None]
     out[~jp.defined_actions] = np.nan
     return out
 

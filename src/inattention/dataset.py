@@ -193,10 +193,13 @@ def _joint_posterior(prior: np.ndarray, choices: np.ndarray) -> JointPosterior:
     the stacked choice matrices ``choices`` under ``prior``, in one batched
     pass: a dataset's ``_stack``, or a predicted strategy's."""
     joint = prior[None, :, None] * choices
-    marginal = joint.sum(axis=1)[:, None, :]
-    posterior = np.full_like(joint, np.nan)
-    np.divide(joint, marginal, out=posterior, where=marginal > 0.0)
-    return JointPosterior(*(_frozen_array(arr) for arr in (joint, posterior, marginal[:, 0])))
+    marginal = joint.sum(axis=1)
+    posterior, by_action = np.empty_like(joint), marginal[:, None, :]
+    posterior.fill(np.nan)
+    np.divide(joint, by_action, out=posterior, where=by_action > 0.0)
+    for arr in (joint, posterior, marginal):  # new arrays: frozen, not copied
+        arr.setflags(write=False)
+    return JointPosterior(joint, posterior, marginal)
 
 
 def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:

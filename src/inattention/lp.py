@@ -3,7 +3,8 @@
 Maximizes ``c @ z`` subject to ``A z <= b`` and finite per-variable boxes.
 Every feasibility, margin, and sparsity computation in the package runs
 through this engine, so the priorities are correctness and determinism:
-identical inputs produce bit-identical solutions.  At desk scale (tens to a
+for a fixed BLAS build and thread count, identical inputs produce
+bit-identical solutions.  At desk scale (tens to a
 few hundred rows) a pivot costs its numpy calls, not its arithmetic, so the
 hot loop makes few of them: ndarray methods (``.nonzero()``, ``.argmin()``)
 and direct ufunc reductions (``np.maximum.reduce``) in place of the Python
@@ -87,7 +88,6 @@ rebuild included.
 
 from __future__ import annotations
 
-import copy
 import enum
 import math
 from dataclasses import dataclass, field
@@ -133,7 +133,8 @@ class LinearProgram:
     block of dense rows (one row is a one-row block) by binding new arrays,
     never writing into the old ones, so a :meth:`copy` shares them as they
     stood.  The objective and bounds are read-only too; every bound must be
-    finite.
+    finite.  Each is stored as a copy, so no caller's later write reaches
+    the program.
     """
 
     def __init__(
@@ -142,20 +143,26 @@ class LinearProgram:
         lower: Sequence[float] | np.ndarray,
         upper: Sequence[float] | np.ndarray,
     ):
-        self.objective = _frozen(np.array(objective, dtype=float))
         self.lower = _frozen(np.array(lower, dtype=float))
         self.upper = _frozen(np.array(upper, dtype=float))
-        n = self.objective.shape[0]
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
+        if self.lower.ndim != 1 or self.upper.shape != self.lower.shape:
             raise ValueError("objective and bounds must have the same length")
-        if not np.isfinite(self.objective).all():
-            raise ValueError("objective coefficients must be finite")
         if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
             raise ValueError("all variable bounds must be finite")
         if (self.lower > self.upper).any():
             raise ValueError("lower bound exceeds upper bound")
-        self.a = _frozen(np.zeros((0, n)))
+        self.objective = self._objective(objective)
+        self.a = _frozen(np.zeros((0, self.lower.shape[0])))
         self.b = _frozen(np.zeros(0))
+
+    def _objective(self, values) -> np.ndarray:
+        """``values`` stored as an objective over these variables."""
+        objective = _frozen(np.array(values, dtype=float))
+        if objective.shape != self.lower.shape:
+            raise ValueError("objective and bounds must have the same length")
+        if not np.isfinite(objective).all():
+            raise ValueError("objective coefficients must be finite")
+        return objective
 
     @property
     def num_vars(self) -> int:
@@ -168,10 +175,10 @@ class LinearProgram:
     def _block(self, coeffs, rhs) -> tuple[np.ndarray, np.ndarray]:
         """``coeffs`` as a (rows, variables) block, -0.0 made +0.0, and ``rhs``
         as one value per row, a scalar standing for every row."""
-        block = np.array(coeffs, dtype=float, ndmin=2)
+        block = np.array(coeffs, dtype=float, ndmin=2, order="C")
         if block.ndim != 2 or block.shape[1] != self.num_vars:
             raise ValueError("dense row has wrong length")
-        bound = np.asarray(rhs, dtype=float)
+        bound = np.array(rhs, dtype=float)
         if bound.ndim == 0:
             bound = np.full(block.shape[0], bound)
         elif bound.shape != block.shape[:1]:
@@ -185,8 +192,9 @@ class LinearProgram:
         """Append ``coeffs @ z <= rhs``: one dense row over the variables or a
         block of them, with one rhs per row or a scalar rhs for every row."""
         block, bound = self._block(coeffs, rhs)
-        self.a = _frozen(np.concatenate([self.a, block]))
-        self.b = _frozen(np.concatenate([self.b, bound]))
+        if self.num_rows:
+            block, bound = np.concatenate([self.a, block]), np.concatenate([self.b, bound])
+        self.a, self.b = _frozen(block), _frozen(bound)
 
     def add_eq(self, coeffs: Sequence | np.ndarray, rhs) -> None:
         """Append equality rows, each stored as the row then its negation."""
@@ -196,7 +204,16 @@ class LinearProgram:
 
     def copy(self) -> "LinearProgram":
         """A new program sharing these read-only arrays; appends stay apart."""
-        return copy.copy(self)
+        clone = object.__new__(type(self))
+        clone.__dict__.update(self.__dict__)
+        return clone
+
+    def _maximizing(self, objective) -> "LinearProgram":
+        """A copy of this program, its bounds and rows shared, that
+        maximizes ``objective`` instead."""
+        lp = self.copy()
+        lp.objective = self._objective(objective)
+        return lp
 
     def dense_rows(self) -> tuple[np.ndarray, np.ndarray]:
         return self.a, self.b
@@ -282,9 +299,10 @@ class LpSolution:
         return self.status is LpStatus.OPTIMAL
 
 
-# Nonbasic status codes.
+# Nonbasic status codes, and the direction a column at each moves in.
 _AT_LOWER = 0
 _AT_UPPER = 1
+_DIRECTION = np.array([1.0, -1.0])
 
 
 class _Simplex:
@@ -322,10 +340,11 @@ class _Simplex:
         self.m = lp.num_rows
         self.n = lp.num_vars
         n, m = self.n, self.m
-        self.lo = np.concatenate([lp.lower, np.zeros(m)])
-        self.hi = np.concatenate([lp.upper, np.full(m, np.inf)])
+        # Over [structural | slack]: each slack in [0, inf), at no cost.
+        self.lo, self.hi, self.obj = np.zeros(n + m), np.empty(n + m), np.zeros(n + m)
+        self.lo[:n], self.hi[:n], self.obj[:n] = lp.lower, lp.upper, lp.objective
+        self.hi[n:] = np.inf
         self.a = lp.a
-        self.obj = np.concatenate([lp.objective, np.zeros(m)])
         self.status = np.zeros(n + m, dtype=np.int8)
         # Deterministic right-hand-side perturbation: the margin programs
         # here are massively primal-degenerate (whole residual families tie
@@ -334,7 +353,7 @@ class _Simplex:
         # optimality, where the basis stays optimal because reduced costs do
         # not involve the rhs.
         self.b_true = lp.b
-        self.b = lp.b + _PERTURBATION * (np.arange(m) + 1.0)
+        self.b = lp.b + _PERTURBATION * np.arange(1.0, m + 1.0)
         # The basis for begin() to set the run up from; None: the cold start.
         self.start = start
         # A basis holds at most min(n, m) structurals.
@@ -352,17 +371,18 @@ class _Simplex:
         ``held`` order, by position if None; the rows themselves are
         :meth:`_refactorize`'s to compute."""
         n = self.n
-        self.direction = np.where(self.status[self.nonbasic] == _AT_LOWER, 1.0, -1.0)
+        self.direction = _DIRECTION.take(self.status.take(self.nonbasic))
         self.movable = self.hi[self.nonbasic] > self.lo[self.nonbasic]
         self.picked = np.minimum(self.nonbasic, n)
         self.lo_b, self.hi_b = self.lo[self.basis], self.hi[self.basis]
         if held is None:
             held = (self.basis < n).nonzero()[0]
         self.r = r = held.size
-        self.owner[:r] = held
-        self.a_s[:r] = self.a.take(self.basis.take(held), 1).T
         self.where = self.basis - n
-        self.where[held] = self.m + np.arange(r)
+        if r:  # a slack basis holds no row
+            self.owner[:r] = held
+            self.a_s[:r] = self.a.take(self.basis.take(held), 1).T
+            self.where[held] = np.arange(self.m, self.m + r)
 
     def begin(self) -> None:
         """Set the run up from ``start``, None being the slack basis with
@@ -745,7 +765,7 @@ class _Simplex:
         bound if ``upper``, else its lower, taking position k, and
         ``pivot_row`` is the entering column's row."""
         j = int(self.nonbasic[k])
-        direction = self.direction[k]
+        direction = float(self.direction[k])
         column = self._column(k)
         self.x[self.basis] -= direction * step * column
         if row is None:
@@ -808,7 +828,8 @@ def _warm_basis(lp: LinearProgram, start: LpSolution | LpBasis) -> LpBasis:
 
 
 def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> LpSolution:
-    """Solve the program; deterministic across runs for identical inputs.
+    """Solve the program; deterministic across runs for identical inputs,
+    for a fixed BLAS build and thread count.
 
     ``start``, the optimal solution of an earlier program over the same
     variables with no more rows, its basis, or a bare basis over them, makes
@@ -852,11 +873,11 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
     if status is not LpStatus.OPTIMAL:
         return LpSolution(status=status, **counts)
 
-    point = engine.x[: lp.num_vars].copy()
+    point = engine.x[: lp.num_vars]
     # Snap values that drifted within certification tolerance back onto the box.
-    if (point < lp.lower - _FEAS_TOL).any() or (point > lp.upper + _FEAS_TOL).any():
+    if _largest(np.maximum(lp.lower - point, point - lp.upper)) > _FEAS_TOL:
         raise NumericalFailure("optimal point violates variable bounds")
-    point = np.clip(point, lp.lower, lp.upper)
+    point = np.minimum(np.maximum(point, lp.lower), lp.upper)
 
     max_violation = float(_largest(lp.a @ point - lp.b, initial=0.0))
     if max_violation > _FEAS_TOL:

@@ -94,15 +94,18 @@ class NoiseFamily:
     utility is nonnegative too.
 
     Privately it keeps the prediction program at zero utility (its boxes and
-    the rows no utility enters), the best-response (action, deviation) pairs,
-    and the memo of grid interval starts, a list holding intervals 0..g of
-    the chain once a query has reached interval g (module docstring)."""
+    the rows no utility enters), the best-response (action, deviation) pairs
+    with the positions of their rows' coefficients, the refinement's cost
+    and lower bounds, and the memo of grid interval starts, a list holding
+    intervals 0..g of the chain once a query has reached interval g (module
+    docstring)."""
 
     etas: np.ndarray
     dataset: DecisionDataset
     fitted: UtilityProfile
     _base: LinearProgram = field(init=False, repr=False, compare=False)
-    _pairs: np.ndarray = field(init=False, repr=False, compare=False)
+    _pairs: tuple = field(init=False, repr=False, compare=False)
+    _deviation: tuple = field(init=False, repr=False, compare=False)
     _starts: list = field(init=False, repr=False, compare=False, default_factory=list)
 
     def __post_init__(self):
@@ -116,9 +119,20 @@ class NoiseFamily:
             )
         for u in self.fitted.utilities:
             _check_utility(d, u)
-        object.__setattr__(self, "_base", _base_program(d, cost))
-        pairs = np.nonzero(~np.eye(d.num_actions, dtype=bool))
-        object.__setattr__(self, "_pairs", _frozen_array(pairs, dtype=int))
+        base = _base_program(d, cost)
+        object.__setattr__(self, "_base", base)
+        taken, deviation = np.nonzero(~np.eye(d.num_actions, dtype=bool))
+        # Where each pair's best-response row takes its coefficients, by
+        # state, in the flattened block of those rows (_first_program).
+        cells = d.num_states * d.num_actions
+        at = np.arange(taken.size)[:, None] * (cells + 1) + np.arange(0, cells, d.num_actions)
+        pairs = (taken, deviation, at + taken[:, None])
+        object.__setattr__(self, "_pairs", tuple(_frozen_array(i, dtype=int) for i in pairs))
+        # The refinement's cost and lower bounds (_refine_toward_anchor).
+        refine_cost = np.concatenate([-np.ones(2 * cells), np.zeros(base.num_vars - cells)])
+        refine_lower = np.concatenate([np.zeros(2 * cells), base.lower[cells:]])
+        refine = (_frozen_array(refine_cost), _frozen_array(refine_lower))
+        object.__setattr__(self, "_deviation", refine)
 
     @property
     def num_agents(self) -> int:
@@ -178,7 +192,7 @@ def _bracket(f: NoiseFamily, eta: float) -> tuple[int, float]:
     """Grid interval g holding ``eta``, and eta's weight on its upper end."""
     etas = f.etas
     check_eta(etas, eta)
-    g = min(int(np.searchsorted(etas, eta, side="right") - 1), etas.shape[0] - 2)
+    g = min(int(etas.searchsorted(eta, side="right")) - 1, etas.shape[0] - 2)
     return g, (eta - etas[g]) / (etas[g + 1] - etas[g])
 
 
@@ -190,7 +204,12 @@ def interpolate_utility(f: NoiseFamily, eta: float) -> np.ndarray:
     point the weight is exactly 0 or 1, so the fitted utility comes back bit
     for bit.
     """
-    g, w_hi = _bracket(f, eta)
+    return _interpolated(f, *_bracket(f, eta))
+
+
+def _interpolated(f: NoiseFamily, g: int, w_hi: float) -> np.ndarray:
+    """The fitted utilities of grid interval g mixed with weight ``w_hi`` on
+    its upper end."""
     return (1.0 - w_hi) * f.fitted.utilities[g] + w_hi * f.fitted.utilities[g + 1]
 
 
@@ -214,20 +233,15 @@ def _base_program(d: DecisionDataset, cost: PiecewiseAffineCost) -> LinearProgra
 
 
 def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
-    """The prediction program at utility ``u_hat``: the family's base rows,
-    then one best-response row per action a and deviation b != a:
+    """The prediction program at utility ``u_hat``: the family's base
+    program, its boxes and rows shared, with the objective at ``u_hat`` and
+    one best-response row per action a and deviation b != a appended:
     sum_x mu(x) P(x, a) (u(x, b) - u(x, a)) <= 0."""
-    base, (taken, deviation), prior = f._base, f._pairs, f.dataset.prior
-    X, A = u_hat.shape
-    lp = LinearProgram(
-        np.concatenate([(prior[:, None] * u_hat).ravel(), [-1.0]]), base.lower, base.upper
-    )
-    pairs = taken.size
-    nias = np.zeros((pairs, X * A + 1))  # the epigraph scalar's column stays zero
-    nias[np.arange(pairs)[:, None], np.arange(X) * A + taken[:, None]] = (
-        prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
-    ).T
-    lp.add_leq(np.vstack([base.a, nias]), np.concatenate([base.b, np.zeros(pairs)]))
+    base, (taken, deviation, at), prior = f._base, f._pairs, f.dataset.prior
+    lp = base._maximizing(np.concatenate([(prior[:, None] * u_hat).ravel(), [-1.0]]))
+    nias = np.zeros((taken.size, base.num_vars))  # the epigraph scalar's column stays zero
+    nias.put(at, (prior[:, None] * (u_hat.take(deviation, 1) - u_hat.take(taken, 1))).T)
+    lp.add_leq(nias, 0.0)
     return lp
 
 
@@ -239,7 +253,7 @@ def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
     and an interval whose predecessor's start is None, solve cold), so each
     start depends on the family and g alone."""
     for h in range(len(f._starts), g + 1):
-        u = 0.5 * f.fitted.utilities[h] + 0.5 * f.fitted.utilities[h + 1]
+        u = _interpolated(f, h, 0.5)
         try:
             solved = solve_lp(_first_program(f, u), start=f._starts[-1] if h else None)
         except NumericalFailure:
@@ -258,17 +272,24 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
     ``g`` and ``w_hi`` are the query's grid interval and upper weight."""
     target = (1.0 - w_hi) * f.dataset.choice(g) + w_hi * f.dataset.choice(g + 1)
     # A choice entry may exceed 1 by 1e-12; the deviation boxes need it in [0, 1].
-    target = np.clip(target, 0.0, 1.0).ravel()
-    cells = target.shape[0]
+    target = np.minimum(np.maximum(target, 0.0), 1.0).ravel()
+    cells, (m, columns) = target.shape[0], lp.a.shape
     refined = LinearProgram(
-        np.concatenate([-np.ones(2 * cells), np.zeros(lp.num_vars - cells)]),
-        np.concatenate([np.zeros(2 * cells), lp.lower[cells:]]),
-        np.concatenate([1.0 - target, target, lp.upper[cells:]]),
+        *f._deviation, np.concatenate([1.0 - target, target, lp.upper[cells:]])
     )
-    kept = np.vstack([lp.a, -lp.objective])
-    a_z = kept[:, :cells]
+    # One array holds [A_z | -A_z | A_rest] over the first program's rows and
+    # its negated objective: they land after the first cells columns, and
+    # their A_z block is copied in front, then negated in place.  The rhs
+    # product runs over that stacked A_z; split by row blocks, it could round
+    # differently.
+    rows = np.empty((m + 1, cells + columns))
+    a_z, minus_a_z = rows[:, :cells], rows[:, cells : 2 * cells]
+    rows[:m, cells:] = lp.a
+    np.negative(lp.objective, out=rows[m, cells:])
+    a_z[...] = minus_a_z
+    np.negative(minus_a_z, out=minus_a_z)
     refined.add_leq(
-        np.hstack([a_z, -a_z, kept[:, cells:]]),
+        rows,
         np.concatenate([lp.b, [-(first.objective_value - _OBJECTIVE_SLACK)]]) - a_z @ target,
     )
     second = solve_lp(refined)
@@ -293,14 +314,14 @@ def predict_at(
     NIAS-consistent by construction; ``nias_consistent`` is the independent
     re-check of that on the returned strategy.
     """
-    u_hat = interpolate_utility(f, eta)
     g, w_hi = _bracket(f, eta)
+    u_hat = _interpolated(f, g, w_hi)
     lp = _first_program(f, u_hat)
     first = solve_lp(lp, start=_interval_start(f, g))
     if first.status is not LpStatus.OPTIMAL:
         raise NumericalFailure(f"prediction program reported {first.status.value}")
     point = _refine_toward_anchor(f, lp, first, g, w_hi)
-    strategy = np.clip(point, 0.0, None).reshape(u_hat.shape)
+    strategy = np.maximum(point, 0.0).reshape(u_hat.shape)
     strategy /= strategy.sum(axis=1, keepdims=True)
     # Certify the surrogate: every action the strategy takes must be a best
     # response to its posterior under the interpolated utility.
@@ -339,12 +360,11 @@ def score_prediction(
         raise NonSquare("per-class accuracy needs as many actions as states")
     if mu.shape != (p_hat.shape[0],):
         raise ShapeMismatch("prior length must match the number of states")
-    delta = np.abs(np.diag(p_hat) - np.diag(p_true))
+    delta = np.abs(p_hat.diagonal() - p_true.diagonal())
     ratio = np.zeros_like(p_true)
     mask = p_true > 0
-    ratio[mask] = p_true[mask] * (
-        np.log(p_true[mask]) - np.log(np.maximum(p_hat[mask], 1e-12))
-    )
+    observed = p_true[mask]
+    ratio[mask] = observed * (np.log(observed) - np.log(np.maximum(p_hat[mask], 1e-12)))
     kl = float(mu @ ratio.sum(axis=1))
     return delta, max(kl, 0.0)
 

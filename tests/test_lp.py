@@ -309,6 +309,32 @@ class TestRowStorage:
         assert not np.any(np.signbit(a[a == 0.0]))
         assert np.array_equal(b, [1.0, -1.0, 0.5, -0.5])
 
+    def test_a_program_derived_for_a_new_objective_stores_read_only_copies(self):
+        base = LinearProgram([1.0, 0.0, 0.0], [0.0] * 3, [1.0] * 3)
+        base.add_leq([1.0, 1.0, 0.0], 1.0)
+        objective = np.array([0.0, -1.0, 2.0])
+        rows = np.asfortranarray([[-0.0, 1.0, -1.0], [2.0, -0.0, 0.5]])
+        rhs = np.array([0.5, 2.0])
+        derived = base._maximizing(objective)
+        derived.add_leq(rows, rhs)
+        # A first block on a program with no rows is stored as one too.
+        fresh = LinearProgram(objective, [0.0] * 3, [1.0] * 3)
+        fresh.add_leq(rows, rhs)
+        assert derived.lower is base.lower and derived.upper is base.upper
+        assert np.array_equal(base.objective, [1.0, 0.0, 0.0]) and base.num_rows == 1
+        assert derived.a[1:].tobytes() == fresh.a.tobytes()
+        stored = [derived.objective, derived.a, derived.b, fresh.objective, fresh.a, fresh.b]
+        for arr in stored:
+            assert not arr.flags.writeable
+            assert arr.flags.c_contiguous
+        assert not np.any(np.signbit(fresh.a[fresh.a == 0.0]))
+        before = [arr.tobytes() for arr in stored]
+        objective[:], rows[:], rhs[:] = 7.0, 7.0, 7.0
+        assert [arr.tobytes() for arr in stored] == before
+        for bad in ([1.0, 0.0], [np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                base._maximizing(bad)
+
     def test_copy_shares_rows_but_appends_apart(self):
         lp = LinearProgram([1.0], [0.0], [2.0])
         lp.add_leq([1.0], 1.0)

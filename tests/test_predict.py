@@ -422,6 +422,100 @@ class TestRefinement:
                 assert first_lp.objective @ point >= kept - 1e-9
 
 
+def reference_first_program(fam, u_hat):
+    """The first program built whole from arrays: fresh boxes, then the
+    family's base rows stacked over the best-response rows in one block."""
+    base, prior = fam._base, fam.dataset.prior
+    X, A = u_hat.shape
+    taken, deviation = np.nonzero(~np.eye(A, dtype=bool))
+    lp = LinearProgram(
+        np.concatenate([(prior[:, None] * u_hat).ravel(), [-1.0]]), base.lower, base.upper
+    )
+    pairs = taken.size
+    nias = np.zeros((pairs, X * A + 1))
+    nias[np.arange(pairs)[:, None], np.arange(X) * A + taken[:, None]] = (
+        prior[:, None] * (u_hat[:, deviation] - u_hat[:, taken])
+    ).T
+    lp.add_leq(np.vstack([base.a, nias]), np.concatenate([base.b, np.zeros(pairs)]))
+    return lp
+
+
+def reference_refinement(fam, first_lp, first, g, w_hi):
+    """The refinement built whole from arrays by hstack and vstack, and its
+    target."""
+    target = (1.0 - w_hi) * fam.dataset.choice(g) + w_hi * fam.dataset.choice(g + 1)
+    target = np.clip(target, 0.0, 1.0).ravel()
+    cells = target.shape[0]
+    lp = LinearProgram(
+        np.concatenate([-np.ones(2 * cells), np.zeros(first_lp.num_vars - cells)]),
+        np.concatenate([np.zeros(2 * cells), first_lp.lower[cells:]]),
+        np.concatenate([1.0 - target, target, first_lp.upper[cells:]]),
+    )
+    kept = np.vstack([first_lp.a, -first_lp.objective])
+    a_z = kept[:, :cells]
+    slack = predict_module._OBJECTIVE_SLACK
+    lp.add_leq(
+        np.hstack([a_z, -a_z, kept[:, cells:]]),
+        np.concatenate([first_lp.b, [-(first.objective_value - slack)]]) - a_z @ target,
+    )
+    return lp, target
+
+
+def _program_bytes(lp):
+    return [arr.tobytes() for arr in (lp.objective, lp.lower, lp.upper, lp.a, lp.b)]
+
+
+def _family_arrays(fam):
+    base = fam._base
+    return [base.objective, base.lower, base.upper, base.a, base.b, *fam._pairs, *fam._deviation]
+
+
+class TestDerivedPrograms:
+    """A query builds its first program from the family's base program and
+    its refinement from the family's refinement cost and bounds: the same
+    programs, byte for byte, as built whole from arrays."""
+
+    @pytest.mark.parametrize("classes", [3, 6])
+    def test_programs_and_strategies_match_the_whole_construction(
+        self, monkeypatch, classes
+    ):
+        solves = []
+
+        def spy(lp, *args, **kwargs):
+            solves.append((lp, solve_lp(lp, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(predict_module, "solve_lp", spy)
+        etas, dataset, _ = make_noise_family(0, 11, classes)
+        fam = fit_family(dataset, etas)
+        held = [arr.tobytes() for arr in _family_arrays(fam)]
+        queries = [float(eta) for eta in etas] + [
+            (1.0 - w) * etas[g] + w * etas[g + 1]
+            for g in range(etas.shape[0] - 1)
+            for w in (0.25, 0.5, 0.75)
+        ]
+        for eta in queries:
+            strategy = predict_at(fam, eta).predicted_choice
+            (first_lp, first), (refined_lp, _) = solves[-2:]
+            g, w_hi = predict_module._bracket(fam, eta)
+            ref_lp = reference_first_program(fam, interpolate_utility(fam, eta))
+            assert _program_bytes(first_lp) == _program_bytes(ref_lp)
+            ref_first = solve_lp(ref_lp, start=fam._starts[g])
+            assert ref_first.point.tobytes() == first.point.tobytes()
+            ref_refined, target = reference_refinement(fam, ref_lp, ref_first, g, w_hi)
+            assert _program_bytes(refined_lp) == _program_bytes(ref_refined)
+            second = solve_lp(ref_refined)
+            cells = target.shape[0]
+            point = target + second.point[:cells] - second.point[cells : 2 * cells]
+            expected = np.clip(point, 0.0, None).reshape(dataset.num_states, -1)
+            expected /= expected.sum(axis=1, keepdims=True)
+            assert strategy.tobytes() == expected.tobytes()
+        assert len(queries) >= 30
+        arrays = _family_arrays(fam)
+        assert [arr.tobytes() for arr in arrays] == held
+        assert not any(arr.flags.writeable for arr in arrays)
+
+
 @pytest.fixture(scope="module")
 def family4():
     """``make_noise_family(0, num_classes=4)`` fitted, and 30 query etas:
