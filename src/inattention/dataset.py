@@ -197,7 +197,7 @@ def _joint_posterior(prior: np.ndarray, choices: np.ndarray) -> JointPosterior:
     posterior, by_action = np.empty_like(joint), marginal[:, None, :]
     posterior.fill(np.nan)
     np.divide(joint, by_action, out=posterior, where=by_action > 0.0)
-    for arr in (joint, posterior, marginal):  # new arrays: frozen, not copied
+    for arr in (joint, posterior, marginal):  # made here, so frozen in place
         arr.setflags(write=False)
     return JointPosterior(joint, posterior, marginal)
 
