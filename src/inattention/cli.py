@@ -71,6 +71,8 @@ def _cell(value) -> str:
 
 
 def cmd_ingest(args) -> int:
+    if args.num_states is not None and args.num_states < 1:
+        raise _Usage(f"--num-states {args.num_states} is not a positive class count")
     _require_inputs(args.softmax)
     groups = ds.read_softmax_log(args.softmax)
     data = ds.ingest_softmax(groups, num_states=args.num_states)
@@ -344,7 +346,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("synth", help="generate a ground-truth dataset")
-    p.add_argument("--kind", choices=["feasible", "boundary"], default="feasible")
+    p.add_argument(
+        "--kind",
+        choices=["feasible", "boundary"],
+        default="feasible",
+        help="feasible: a certificate of margin --margin; boundary: a certificate of margin "
+        "0, though the data can still admit a positive UMRI margin",
+    )
     p.add_argument("--agents", type=int, required=True)
     p.add_argument("--states", type=int, required=True)
     p.add_argument("--actions", type=int, required=True)

@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -330,55 +329,78 @@ def realized_value(d: DecisionDataset, k: int, utility: np.ndarray) -> float:
 
 
 def ingest_softmax(
-    groups: Mapping[str, Sequence[tuple[str, int, Sequence[float]]] | np.ndarray],
-    num_states: int | None = None,
+    groups: Mapping[str, np.ndarray], num_states: int | None = None
 ) -> DecisionDataset:
     """Aggregate per-image softmax outputs into a decision dataset.
 
     ``groups`` maps agent id to that agent's records over the shared test
-    set, as :func:`read_softmax_log` returns them or as sequences of
-    ``(image_id, true_label, softmax)`` triples: ``image_id`` names the
-    record in errors, ``true_label`` is an integer in [0, ``num_states``),
-    and ``softmax`` holds finite nonnegative floats, one per action, summing
-    to 1 within ``ROW_SUM_TOLERANCE``.  This is where records are validated.
+    set in the format :func:`read_softmax_log` returns: a structured array
+    with the fields ``image_id``, which names the record in errors, an
+    integer ``true_label`` in [0, ``num_states``) and a 2-D float
+    ``softmax`` of finite nonnegative rows, one entry per action, summing to
+    1 within ``ROW_SUM_TOLERANCE``.  Any other value raises TypeError naming
+    the agent.  This is where records are validated, all agents at once: an
+    error names the first bad record in agent order, then record order.
 
     The prior is the empirical label frequency; agent k's row x is the mean
-    softmax over its records with true label x, summed in record order by one
-    ``np.bincount`` per agent.  All agents must have scored the same test set,
-    which is enforced as identical per-class record counts; anything else
-    raises :class:`RaggedAgents`.
+    softmax over its records with true label x.  One ``np.bincount`` counts
+    the records of every (agent, class) pair and one sums every (agent,
+    class, action) cell, in record order.  All agents must have scored the
+    same test set, which is enforced as identical per-class record counts;
+    anything else raises :class:`RaggedAgents`.
     """
     if not groups:
         raise RaggedAgents("no agent groups supplied")
-    agent_ids = list(groups.keys())
-    for agent_id in agent_ids:
-        if not len(groups[agent_id]):
+    agent_ids = list(groups)
+    columns = [_record_columns(agent_id, groups[agent_id]) for agent_id in agent_ids]
+    num_actions = columns[0][2].shape[1]
+    for agent_id, (image_ids, _, probs) in zip(agent_ids, columns):
+        if not len(probs):
             raise RaggedAgents(f"agent {agent_id!r} has no records")
+        if probs.shape[1] != num_actions:
+            raise DimensionMismatch(
+                f"record {image_ids[0]!r} of agent {agent_id!r} has "
+                f"{probs.shape[1]} softmax entries, expected {num_actions}"
+            )
+    sizes = [len(probs) for _, _, probs in columns]
+    true_labels = np.concatenate([labels for _, labels, _ in columns], dtype=np.int64)
+    probs = np.concatenate([probs for _, _, probs in columns], dtype=float)
 
-    num_actions = np.size(groups[agent_ids[0]][0][2])
-    stacked = [
-        _stack_records(agent_id, groups[agent_id], num_actions) for agent_id in agent_ids
-    ]
+    sums = probs.sum(axis=1)
+    off = ~(np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE + 1e-12)  # NaN and inf sums too
+    if off.any() or probs.min() < 0 or true_labels.min() < 0:
+        # Only a defect pays for finding its record.
+        invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)
+        i = int(np.flatnonzero(invalid | off | (true_labels < 0))[0])
+        starts = np.cumsum([0, *sizes])
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        image_id = columns[k][0][i - starts[k]]
+        if invalid[i]:
+            raise NotStochastic(f"record {image_id!r}: invalid softmax entries")
+        if off[i]:
+            raise NotStochastic(f"record {image_id!r}: softmax sums to {float(sums[i])!r}")
+        raise DimensionMismatch(f"record {image_id!r}: negative true label")
+
     # Counts run over the labels present, so one huge label sizes nothing.
-    present = np.unique(np.concatenate([true_labels for true_labels, _ in stacked]))
+    present = np.unique(true_labels)
     max_label = int(present[-1])
     if num_states is None:
         num_states = max_label + 1
     elif max_label >= num_states:
         raise DimensionMismatch(f"true label {max_label} outside declared {num_states} states")
 
-    counts = [
-        np.bincount(np.searchsorted(present, true_labels), minlength=present.size)
-        for true_labels, _ in stacked
-    ]
+    num_agents = len(agent_ids)
+    agent_of = np.repeat(np.arange(num_agents), sizes)
+    pair = agent_of * present.size + np.searchsorted(present, true_labels)
+    counts = np.bincount(pair, minlength=num_agents * present.size).reshape(num_agents, -1)
     reference = counts[0]
-    for agent_id, count in zip(agent_ids[1:], counts[1:]):
-        if not np.array_equal(count, reference):
-            i = int(np.flatnonzero(count != reference)[0])
-            raise RaggedAgents(
-                f"agent {agent_id!r} saw {count[i]} records of class {present[i]} "
-                f"but agent {agent_ids[0]!r} saw {reference[i]}; all agents must share the test set"
-            )
+    ragged = np.argwhere(counts != reference)  # (agent, class) pairs, agent first
+    if ragged.size:
+        k, i = ragged[0]
+        raise RaggedAgents(
+            f"agent {agent_ids[k]!r} saw {counts[k, i]} records of class {present[i]} "
+            f"but agent {agent_ids[0]!r} saw {reference[i]}; all agents must share the test set"
+        )
     if present.size < num_states:
         # The first present.size + 10 classes hold the first ten empty ones.
         empty = np.ones(min(num_states, present.size + 10), dtype=bool)
@@ -389,79 +411,37 @@ def ingest_softmax(
             "their prior mass is undefined"
         )
 
-    total = int(reference.sum())
-    prior = reference.astype(float) / total
-
-    agents = []
-    for agent_id, (true_labels, probs) in zip(agent_ids, stacked):
-        # bincount adds its weights in record order: the sums of adding row by row.
-        cell = (true_labels[:, None] * num_actions + np.arange(num_actions)).ravel()
-        acc = np.bincount(cell, probs.ravel(), minlength=num_states * num_actions)
-        acc = acc.reshape(num_states, num_actions) / reference[:, None]
-        agents.append({"agent_id": agent_id, "choice_prob": acc})
-
+    # Every label is present now, so a label is its class's index.  bincount
+    # adds its weights in record order: the sums of adding row by row.
+    cell = (agent_of * num_states + true_labels)[:, None] * num_actions + np.arange(num_actions)
+    acc = np.bincount(cell.ravel(), probs.ravel(), minlength=num_agents * num_states * num_actions)
+    acc = acc.reshape(num_agents, num_states, num_actions) / reference[:, None]
     return validate_dataset(
         {
             "num_states": num_states,
             "num_actions": num_actions,
-            "prior": prior,
-            "agents": agents,
+            "prior": reference.astype(float) / int(reference.sum()),
+            "agents": [
+                {"agent_id": agent_id, "choice_prob": choice}
+                for agent_id, choice in zip(agent_ids, acc)
+            ],
         }
     )
 
 
-def _stack_records(agent_id: str, records, num_actions: int):
-    """One agent's records, the reader's structured array or triples, as checked
-    (true labels, softmax rows) columns; an error names the first bad record."""
-    if isinstance(records, np.ndarray) and records.dtype.names:
-        image_ids, true_labels, softmax = (records[name] for name in records.dtype.names)
-        labels = true_labels
-    else:
-        image_ids, labels, softmax = zip(*records)
-        # A label that is no real number, or too large for a float to hold
-        # exactly, reads as NaN, which the integrality check below names.
-        true_labels = np.array(
-            [v if isinstance(v, numbers.Real) and abs(v) < 2**53 else np.nan for v in labels],
-            dtype=float,
-        )
-    try:
-        probs = np.asarray(softmax, dtype=float)
-    except (TypeError, ValueError):  # ragged or non-numeric: the loop below names the first
-        probs = None
-    if probs is None or probs.shape != (len(image_ids), num_actions):
-        for image_id, row in zip(image_ids, softmax):
-            if np.ndim(row) != 1:
-                raise DimensionMismatch(f"record {image_id!r}: softmax must be 1-D")
-            if len(row) != num_actions:
-                raise DimensionMismatch(
-                    f"record {image_id!r} of agent {agent_id!r} has "
-                    f"{len(row)} softmax entries, expected {num_actions}"
-                )
-            try:
-                np.asarray(row, dtype=float)
-            except (TypeError, ValueError):
-                raise NotStochastic(f"record {image_id!r}: invalid softmax entries") from None
-        probs = np.asarray(softmax, dtype=float)
-    sums = probs.sum(axis=1)
-    invalid = np.any(probs < 0, axis=1) | ~np.all(np.isfinite(probs), axis=1)
-    off = np.abs(sums - 1.0) > ROW_SUM_TOLERANCE + 1e-12
-    fractional = np.zeros(len(probs), bool)
-    if true_labels.dtype != np.int64:  # the reader's labels are whole numbers already
-        fractional = ~np.isfinite(true_labels) | (true_labels != np.round(true_labels))
-    bad = np.flatnonzero(invalid | off | fractional | (true_labels < 0))
-    if bad.size:
-        i = bad[0]
-        image_id = image_ids[i]
-        if invalid[i]:
-            raise NotStochastic(f"record {image_id!r}: invalid softmax entries")
-        if off[i]:
-            raise NotStochastic(f"record {image_id!r}: softmax sums to {float(sums[i])!r}")
-        if fractional[i]:
-            raise DimensionMismatch(
-                f"record {image_id!r}: true label {labels[i]!r} is not a class index"
-            )
-        raise DimensionMismatch(f"record {image_id!r}: negative true label")
-    return true_labels.astype(np.int64, copy=False), probs
+def _record_columns(agent_id: str, records):
+    """The ``image_id``, ``true_label`` and ``softmax`` columns of one agent's
+    records, which must be a structured array as the log reader returns."""
+    names = records.dtype.names if isinstance(records, np.ndarray) and records.ndim == 1 else None
+    if names and {"image_id", "true_label", "softmax"} <= set(names):
+        labels, probs = records["true_label"], records["softmax"]
+        if labels.dtype.kind in "iu" and probs.dtype.kind == "f" and probs.ndim == 2:
+            return records["image_id"], labels, probs
+    raise TypeError(
+        f"agent {agent_id!r}: records are a structured array of image_id, integer "
+        f"true_label and 2-D float softmax fields, as read_softmax_log returns, "
+        f"not {type(records).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +518,21 @@ def load_dataset(path: str) -> DecisionDataset:
 def read_softmax_log(path: str) -> dict[str, np.ndarray]:
     """Parse a softmax log CSV: agent_id,image_id,true_label,p0,...,p{A-1}.
 
-    ``np.loadtxt`` reads the body from the path in chunks, with universal
-    newlines, so a CR or CRLF inside a quoted field reads as LF; a log named
-    like a compressed file, which numpy would unpack, is read line by line.
-    Returns each agent, in first-seen order, with its ``(image_id,
-    true_label, softmax)`` records in file order as a structured array, the
-    input of :func:`ingest_softmax`, which validates them.  Agents are
-    grouped by runs of equal ids: an agent of one run gets a view of the
-    parsed rows; any other gathers its runs.
+    The log is UTF-8 text; a leading byte-order mark, which spreadsheet
+    exports write, is dropped.  ``np.loadtxt`` reads the body from the path
+    in chunks, with universal newlines, so a CR or CRLF inside a quoted
+    field reads as LF; a log named like a compressed file, which numpy would
+    unpack, is read line by line.
+
+    Returns each agent, in first-seen order, with its records in file order
+    as a structured array of the fields ``image_id`` (text), ``true_label``
+    (int64) and ``softmax`` (A float64 entries): the one input format of
+    :func:`ingest_softmax`, which validates the records.  Agents are grouped
+    by runs of equal ids: an agent of one run gets a view of the parsed
+    rows; any other gathers its runs.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, [])
             if len(header) < 4 or header[:3] != ["agent_id", "image_id", "true_label"]:

@@ -2,9 +2,10 @@
 
 Everything here exists to exercise the fitting code from the outside: build
 datasets whose rationality status is known by construction (feasible at a
-target margin, exactly on the boundary, or degenerate), assign costs through
-a shortest-path potential argument rather than the LP engine, and brute-force
-tiny two-agent instances over a utility grid.  The cost machinery and the
+target margin, degenerate, or holding a certificate of margin exactly zero,
+which other utilities can beat), assign costs through a shortest-path
+potential argument rather than the LP engine, and brute-force tiny two-agent
+instances over a utility grid.  The cost machinery and the
 grid oracle deliberately share no code path with the LP solver so they can
 check it.
 
@@ -368,12 +369,18 @@ def generate_boundary_dataset(
     *,
     garble_strength: float = 0.3,
 ) -> GroundTruth:
-    """Dataset sitting exactly on the rationality boundary.
+    """Dataset with a rationalizing certificate of strict margin exactly zero.
 
     One shared utility; the strategies form a chain where each agent's is a
     garbled copy of the next, more informative one; costs absorb the value
-    differences so every agent nets the same payoff.  All swap residuals are
-    then exactly zero: feasible, with no slack to spare.
+    differences so every agent nets the same payoff.  Under this certificate
+    all swap residuals are exactly zero: feasible, with no slack to spare.
+
+    The dataset is not on the boundary of the UMRI model, which lets each
+    agent have its own utility: ``brp_max_margin`` finds a positive margin on
+    it, ε* of 7.9e-3 to 1.8e-2 at 5 agents × 4 × 4 and 8.0e-4 to 2.2e-3 at
+    11 × 4 × 4 (seeds 0-2).  With ``garble_strength=0`` every agent has the
+    same strategy, and the fit finds no margin.
     """
     _check_request(num_agents, num_states, num_actions, seed)
     rng = np.random.default_rng(seed)

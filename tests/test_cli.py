@@ -69,6 +69,15 @@ class TestIngest:
             == 2
         )
 
+    @pytest.mark.parametrize("num_states", [0, -3])
+    def test_num_states_below_one_is_usage_error(self, tmp_path, capsys, num_states):
+        log = tmp_path / "log.csv"
+        log.write_text("agent_id,image_id,true_label,p0,p1\na,i0,0,0.8,0.2\na,i1,1,0.3,0.7\n")
+        out = tmp_path / "data.json"
+        assert run("ingest", "--softmax", log, "--num-states", num_states, "--out", out) == 2
+        assert f"error: --num-states {num_states} is not" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "line",
         [

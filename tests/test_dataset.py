@@ -349,51 +349,78 @@ class TestValues:
         assert expected_value(d, 1, u) <= expected_value(d, 0, u) + 1e-10
 
 
+def read_log(tmp_path, *lines, name="log.csv", num_classes=2):
+    """``lines`` written as a softmax log under ``tmp_path`` with a header of
+    ``num_classes`` softmax columns, then read back by ``read_softmax_log``."""
+    path = tmp_path / name
+    columns = ",".join(f"p{a}" for a in range(num_classes))
+    path.write_text("\n".join([f"agent_id,image_id,true_label,{columns}", *lines]) + "\n")
+    return read_softmax_log(str(path))
+
+
 class TestIngest:
-    def test_two_record_example(self):
-        groups = {
-            "net": [
-                ("img0", 0, [0.8, 0.2]),
-                ("img1", 1, [0.3, 0.7]),
-            ],
-            "net2": [
-                ("img0", 0, [0.6, 0.4]),
-                ("img1", 1, [0.5, 0.5]),
-            ],
-        }
+    def test_two_record_example(self, tmp_path):
+        groups = read_log(
+            tmp_path,
+            "net,img0,0,0.8,0.2",
+            "net,img1,1,0.3,0.7",
+            "net2,img0,0,0.6,0.4",
+            "net2,img1,1,0.5,0.5",
+        )
         d = ingest_softmax(groups)
+        assert d.agent_ids == ("net", "net2")
         assert np.allclose(d.prior, [0.5, 0.5])
         assert np.allclose(d.choice(0), [[0.8, 0.2], [0.3, 0.7]])
 
-    def test_agent_with_no_records_rejected(self):
-        groups = {"a": [("i", 0, [0.9, 0.1]), ("j", 1, [0.2, 0.8])], "b": []}
+    def test_agent_with_no_records_rejected(self, tmp_path):
+        groups = read_log(tmp_path, "a,i,0,0.9,0.1", "a,j,1,0.2,0.8", "b,i,0,0.9,0.1")
+        groups["b"] = groups["b"][:0]
         with pytest.raises(RaggedAgents, match="agent 'b' has no records"):
             ingest_softmax(groups)
 
-    def test_empty_class_rejected(self):
-        groups = {
-            "a": [("i", 0, [0.9, 0.1])],
-            "b": [("i", 0, [0.9, 0.1])],
-        }
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [("i0", 0, [0.9, 0.1]), ("i1", 1, [0.2, 0.8])],
+            np.array([[0.9, 0.1], [0.2, 0.8]]),
+            np.array(
+                [("i0", 0.0, (0.9, 0.1)), ("i1", 1.0, (0.2, 0.8))],
+                dtype=[("image_id", object), ("true_label", "f8"), ("softmax", "f8", (2,))],
+            ),
+        ],
+        ids=["triples", "plain array", "float labels"],
+    )
+    def test_records_not_in_the_reader_format_are_refused(self, tmp_path, records):
+        groups = read_log(tmp_path, "a,i0,0,0.9,0.1", "a,i1,1,0.2,0.8")
+        groups["b"] = records
+        with pytest.raises(TypeError, match="agent 'b': records are a structured array"):
+            ingest_softmax(groups)
+
+    def test_softmax_width_differing_between_agents_rejected(self, tmp_path):
+        # One log has one width, so the second agent's records are built by hand.
+        groups = read_log(tmp_path, "a,i0,0,0.9,0.1", "a,i1,1,0.2,0.8")
+        record = [("image_id", object), ("true_label", "i8"), ("softmax", "f8", (3,))]
+        rows = [("i0", 0, (0.1, 0.2, 0.7)), ("i1", 1, (0.2, 0.2, 0.6))]
+        groups["b"] = np.array(rows, dtype=record)
+        message = "record 'i0' of agent 'b' has 3 softmax entries, expected 2"
+        with pytest.raises(DimensionMismatch, match=re.escape(message)):
+            ingest_softmax(groups)
+
+    def test_empty_class_rejected(self, tmp_path):
+        groups = read_log(tmp_path, "a,i,0,0.9,0.1", "b,i,0,0.9,0.1")
         with pytest.raises(EmptyClass):
             ingest_softmax(groups, num_states=2)
 
-    def test_ragged_agents_rejected(self):
-        groups = {
-            "a": [
-                ("i0", 0, [0.9, 0.1]),
-                ("i1", 1, [0.2, 0.8]),
-            ],
-            "b": [("i0", 0, [0.9, 0.1])],
-        }
+    def test_ragged_agents_rejected(self, tmp_path):
+        groups = read_log(tmp_path, "a,i0,0,0.9,0.1", "a,i1,1,0.2,0.8", "b,i0,0,0.9,0.1")
         with pytest.raises(RaggedAgents):
             ingest_softmax(groups)
 
-    def test_huge_label_sizes_nothing(self):
+    def test_huge_label_sizes_nothing(self, tmp_path):
         # Without num_states the largest label sets the class count; the
         # empty classes are named by count and the first ten, and memory
         # follows the records, not that count.
-        groups = {"a": [("i0", 0, [0.9, 0.1]), ("i1", 10_000_000, [0.2, 0.8])]}
+        groups = read_log(tmp_path, "a,i0,0,0.9,0.1", "a,i1,10000000,0.2,0.8")
         tracemalloc.start()
         try:
             with pytest.raises(EmptyClass) as caught:
@@ -407,62 +434,65 @@ class TestIngest:
         assert "9999999 of 10000001 classes" in message
         assert str(list(range(1, 11))) in message
 
-    def test_ragged_agents_are_named_before_empty_classes(self):
-        groups = {
-            "a": [("i0", 0, [0.9, 0.1]), ("i1", 10_000_000, [0.2, 0.8])],
-            "b": [("i0", 0, [0.9, 0.1]), ("i1", 0, [0.2, 0.8])],
-        }
+    def test_ragged_agents_are_named_before_empty_classes(self, tmp_path):
+        groups = read_log(
+            tmp_path,
+            "a,i0,0,0.9,0.1",
+            "a,i1,10000000,0.2,0.8",
+            "b,i0,0,0.9,0.1",
+            "b,i1,0,0.2,0.8",
+        )
         with pytest.raises(RaggedAgents, match="'b' saw 2 records of class 0 .* 'a' saw 1"):
             ingest_softmax(groups)
 
-    def test_few_empty_classes_are_all_named(self):
-        groups = {"a": [("i0", 1, [0.9, 0.1]), ("i1", 4, [0.2, 0.8])]}
+    def test_few_empty_classes_are_all_named(self, tmp_path):
+        groups = read_log(tmp_path, "a,i0,1,0.9,0.1", "a,i1,4,0.2,0.8")
         listed = "3 of 5 classes have no records (the first: [0, 2, 3])"
         with pytest.raises(EmptyClass, match=re.escape(listed)):
             ingest_softmax(groups)
 
-    def test_balanced_classes_give_uniform_prior(self):
+    def test_balanced_classes_give_uniform_prior(self, tmp_path):
         rng = np.random.default_rng(3)
-        records = []
-        for i in range(100):
-            label = i % 10
-            vec = rng.dirichlet(np.ones(10))
-            records.append((f"img{i}", label, vec))
-        d = ingest_softmax({"a": records, "b": records})
+        lines = [
+            f"{agent},img{i},{i % 10}," + ",".join(map(repr, rng.dirichlet(np.ones(10)).tolist()))
+            for agent in "ab"
+            for i in range(100)
+        ]
+        d = ingest_softmax(read_log(tmp_path, *lines, num_classes=10))
         assert np.allclose(d.prior, 0.1)
 
-    def test_record_order_does_not_matter(self):
+    def test_record_order_does_not_matter(self, tmp_path):
         rng = np.random.default_rng(11)
-        records = [(f"img{i}", i % 2, rng.dirichlet(np.ones(2))) for i in range(12)]
-        shuffled = list(records)
+        rows = [f"img{i},{i % 2},{p!r},{1 - p!r}" for i, p in enumerate(rng.uniform(size=12).tolist())]
+        shuffled = list(rows)
         rng.shuffle(shuffled)
-        d1 = ingest_softmax({"a": records, "b": records})
-        d2 = ingest_softmax({"a": shuffled, "b": shuffled})
+        d1 = ingest_softmax(read_log(tmp_path, *(f"{a},{r}" for a in "ab" for r in rows)))
+        d2 = ingest_softmax(
+            read_log(tmp_path, *(f"{a},{r}" for a in "ab" for r in shuffled), name="shuffled.csv")
+        )
         assert d1.approx_equal(d2)
 
     @pytest.mark.parametrize(
-        "record, error, message",
+        "line, error, message",
         [
-            (("i1", 1, [0.1, 0.2, 0.7]), DimensionMismatch, "record 'i1' of agent 'b' has 3"),
-            (("i1", 1, [[0.2, 0.8]]), DimensionMismatch, "record 'i1': softmax must be 1-D"),
-            (("i1", 1, [-0.1, 1.1]), NotStochastic, "record 'i1': invalid softmax entries"),
-            (("i1", 1, [np.nan, 1.0]), NotStochastic, "record 'i1': invalid softmax entries"),
-            (("i1", 1, [0.25, 0.5]), NotStochastic, "record 'i1': softmax sums to 0.75"),
-            (("i1", -1, [0.2, 0.8]), DimensionMismatch, "record 'i1': negative true label"),
-            (("i1", 2, [0.2, 0.8]), DimensionMismatch, "true label 2 outside declared 2 states"),
-            (("i1", 1.5, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1.5 is not"),
-            (("i1", "x", [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 'x' is not"),
-            (("i1", None, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label None is not"),
-            (("i1", 1e300, [0.2, 0.8]), DimensionMismatch, "record 'i1': true label 1e+300 is not"),
-            (("i1", 0, ["a", "b"]), NotStochastic, "record 'i1': invalid softmax entries"),
-            (("i1", 0, [{}, 1.0]), NotStochastic, "record 'i1': invalid softmax entries"),
+            ("b,i1,1,-0.1,1.1", NotStochastic, "record 'i1': invalid softmax entries"),
+            ("b,i1,1,nan,1.0", NotStochastic, "record 'i1': invalid softmax entries"),
+            ("b,i1,1,0.25,0.5", NotStochastic, "record 'i1': softmax sums to 0.75"),
+            ("b,i1,-1,0.2,0.8", DimensionMismatch, "record 'i1': negative true label"),
+            ("b,i1,2,0.2,0.8", DimensionMismatch, "true label 2 outside declared 2 states"),
         ],
     )
-    def test_defective_record_is_named(self, record, error, message):
-        good = [("i0", 0, [0.9, 0.1]), ("i1", 1, [0.2, 0.8]), ("i2", 1, [0.4, 0.6])]
-        groups = {"a": good, "b": [good[0], record, good[2]]}
+    def test_defective_record_is_named(self, tmp_path, line, error, message):
+        good = ["i0,0,0.9,0.1", "i1,1,0.2,0.8", "i2,1,0.4,0.6"]
+        lines = [f"a,{r}" for r in good] + [f"b,{good[0]}", line, f"b,{good[2]}"]
         with pytest.raises(error, match=re.escape(message)):
-            ingest_softmax(groups, num_states=2)
+            ingest_softmax(read_log(tmp_path, *lines), num_states=2)
+
+    def test_first_defect_in_agent_order_is_named(self, tmp_path):
+        # Agent a's last record is named, not agent b's earlier one.
+        lines = ["a,i0,0,0.9,0.1", "a,i1,1,0.5,0.6", "b,i0,-1,0.9,0.1", "b,i1,1,0.2,0.8"]
+        with pytest.raises(NotStochastic, match="record 'i1': softmax sums to 1.1"):
+            ingest_softmax(read_log(tmp_path, *lines))
 
     def test_rows_are_sums_in_file_order(self, tmp_path):
         """Bit for bit the mean of each class's rows added one by one in
@@ -640,6 +670,18 @@ class TestSoftmaxLogParse:
         path.write_bytes(f"{HEADER}\na,i0,0,0.5,0.5\n".encode() + b"\xff,i1,1,0.5,0.5\n")
         with pytest.raises(IoFailure, match="log.csv"):
             read_softmax_log(str(path))
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        """Spreadsheet "CSV UTF-8" exports start with one."""
+        text = f"{HEADER}\na,img0,0,0.8,0.2\na,img1,1,0.3,0.7\nb,img0,0,0.7,0.3\nb,img1,1,0.4,0.6\n"
+        written = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            path = tmp_path / f"{encoding}.csv"
+            path.write_text(text, encoding=encoding)
+            save_dataset(ingest_softmax(read_softmax_log(str(path))), str(tmp_path / "d.json"))
+            written.append((tmp_path / "d.json").read_bytes())
+        assert (tmp_path / "utf-8-sig.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        assert written[0] == written[1]
 
     @pytest.mark.parametrize("body", ["", "\n\n", "\r\n"], ids=["empty", "blank", "crlf"])
     def test_header_only_log_has_no_agents(self, tmp_path, body):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from inattention.brp import brp_max_margin, nias_residuals, niac_residuals, strict_margin
-from inattention.constants import SYNTH_COST_FLOOR
+from inattention.constants import DEGENERATE_MARGIN, SYNTH_COST_FLOOR
 from inattention.dataset import expected_value
 from inattention.errors import (
     DimensionMismatch,
@@ -192,6 +192,14 @@ class TestBoundaryGenerator:
         assert all(values[i] <= values[i + 1] + 1e-12 for i in range(len(values) - 1))
         niac = niac_residuals(gt.dataset, list(gt.utilities), gt.costs)
         assert np.allclose(niac, 0.0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_boundary_certificate_is_not_a_umri_boundary(self, seed):
+        # The certificate has no slack, yet per-agent utilities find some.
+        gt = generate_boundary_dataset(5, 4, 4, seed=seed)
+        assert abs(strict_margin(gt.dataset, gt.utilities, gt.costs)) <= 1e-9
+        _, report = brp_max_margin(gt.dataset)
+        assert report.epsilon_star > DEGENERATE_MARGIN
 
     def test_fit_margin_is_degenerate_or_tiny(self):
         gt = generate_boundary_dataset(3, 2, 2, seed=13, garble_strength=0.0)
