@@ -12,6 +12,8 @@ query, unreadable artifact), 2 usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import logging
 import os
 import sys
@@ -50,10 +52,11 @@ _COST_COLUMNS = ["agent_id", "cost"]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    ds.atomic_write_text(path, "\n".join(lines) + "\n")
+    """Write an RFC 4180 table: a cell holding a comma, a quote or a line
+    feed is quoted, as the softmax log reader reads it."""
+    text, cells = io.StringIO(), [[_cell(v) for v in row] for row in rows]
+    csv.writer(text, lineterminator="\n").writerows([header, *cells])
+    ds.atomic_write_text(path, text.getvalue())
 
 
 def _cell(value) -> str:
@@ -236,15 +239,17 @@ def cmd_predict(args) -> int:
 def _profile_rows(raw, path: str):
     """(robustness row, utility rows, cost rows) of a profile/solution
     payload, just fitted or read back from a file, which must read as
-    ``cost`` reads it.  The epsilon cell is eps* = max(margin, 0), as in
-    ``MarginReport.from_solution``; the payload's margin is the strict one."""
+    ``cost`` reads it.  Both verdict cells derive from the payload's strict
+    margin, as in ``MarginReport.from_solution``: epsilon is
+    eps* = max(margin, 0), and degenerate is eps* <= DEGENERATE_MARGIN."""
     _fitted_model(raw)
+    epsilon, degenerate = brp._verdict(raw["margin"])
     robustness = [
         raw.get("metadata", {}).get("dataset", os.path.basename(path)),
         raw["model"],
-        brp._verdict(raw["margin"])[0],
+        epsilon,
         float(raw["robustness"]) if raw.get("robustness") is not None else None,
-        bool(raw["degenerate"]),
+        degenerate,
     ]
     if raw["model"] == "s-umri":
         tables = [("shared", raw["utility"])]

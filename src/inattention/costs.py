@@ -99,6 +99,6 @@ def _anchored_cost(d, utilities, costs, margin, *, scales=None):
     gradients = d.prior[None, :, None] * np.array(utilities, dtype=float)
     return PiecewiseAffineCost(
         offsets=costs,
-        anchors=np.array([a.choice_prob for a in d.agents]),
+        anchors=d._choices,
         gradients=gradients / scales[:, None, None],
     )

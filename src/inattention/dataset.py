@@ -100,8 +100,10 @@ class DecisionDataset:
     :func:`validate_dataset` (synthetic machinery occasionally builds
     single-agent datasets for cost assignment).
 
-    Construction also computes the joints, posteriors and marginals of all
-    agents in one batched pass, held as the (K, X, A) :class:`JointPosterior`
+    Construction also stacks the agents' matrices once, as the read-only
+    (K, X, A) ``_choices`` that every reader of all agents' matrices takes,
+    and from it computes the joints, posteriors and marginals of all agents
+    in one batched pass, held as the (K, X, A) :class:`JointPosterior`
     ``_stack``: the residual kernel in ``brp`` and every LP builder read it,
     and :func:`joint_and_posterior` returns one agent's slices of it.
     Beside it, ``_fits`` maps a model name to what a fitting module stored
@@ -125,12 +127,8 @@ class DecisionDataset:
         agents = tuple(self.agents)
         if not agents:
             raise TooFewAgents("dataset has no agents")
-        for agent in agents:
-            if agent.choice_prob.shape != (self.num_states, self.num_actions):
-                raise DimensionMismatch(
-                    f"agent {agent.agent_id!r} has shape {agent.choice_prob.shape}, "
-                    f"expected ({self.num_states}, {self.num_actions})"
-                )
+        shape = (self.num_states, self.num_actions)
+        _check_shapes([a.choice_prob for a in agents], [a.agent_id for a in agents], shape)
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != self.num_states:
@@ -139,6 +137,8 @@ class DecisionDataset:
         object.__setattr__(self, "prior", _frozen_array(prior))
         object.__setattr__(self, "agents", agents)
         choices = np.stack([a.choice_prob for a in agents])
+        choices.setflags(write=False)  # made here, so frozen in place
+        object.__setattr__(self, "_choices", choices)
         object.__setattr__(self, "_stack", _joint_posterior(prior, choices))
         object.__setattr__(self, "_fits", {})
 
@@ -155,13 +155,10 @@ class DecisionDataset:
 
     def approx_equal(self, other: "DecisionDataset", tol: float = 1e-9) -> bool:
         """Entrywise comparison at the package-wide dataset tolerance."""
-        if self._stack.joint.shape != other._stack.joint.shape:  # (K, X, A)
+        if self._choices.shape != other._choices.shape:
             return False
-        if not np.allclose(self.prior, other.prior, rtol=0.0, atol=tol):
-            return False
-        return all(
-            np.allclose(a.choice_prob, b.choice_prob, rtol=0.0, atol=tol)
-            for a, b in zip(self.agents, other.agents)
+        return np.allclose(self.prior, other.prior, rtol=0.0, atol=tol) and np.allclose(
+            self._choices, other._choices, rtol=0.0, atol=tol
         )
 
 
@@ -207,11 +204,18 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     The mapping holds ``prior``, ``agents`` (each a ``choice_prob`` matrix
     and an optional ``agent_id``) and optionally ``labels``, ``num_states``
     and ``num_actions``; input of any other type raises TypeError.
-    Choice-matrix rows whose sums deviate from 1 by at most 1e-6 are
-    renormalized; larger deviations reject the input.  Collections of fewer
-    than ``min_agents`` agents are rejected: by default two, since a single
-    agent is rationalizable by construction, so testing it is vacuous.  An
-    empty collection is rejected whatever ``min_agents`` says.
+    Collections of fewer than ``min_agents`` agents are rejected: by default
+    two, since a single agent is rationalizable by construction, so testing
+    it is vacuous.  An empty collection is rejected whatever ``min_agents``
+    says.
+
+    Every matrix must be 2-D and of the first one's shape, or the first
+    agent of another shape is named.  Then one rule,
+    :func:`_renormalized_rows`, checks the prior as a (1, X) stack and all
+    matrices in one pass as one (K, X, A) stack: a row whose sum deviates
+    from 1 by at most ``ROW_SUM_TOLERANCE`` is renormalized, a larger
+    deviation or an invalid entry rejects the input, and the error names the
+    prior, or else the first defective agent in agent order.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
@@ -238,47 +242,55 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
         raise TooFewAgents(f"got {len(mats)} agent(s); need a collection of at least {least}")
     if any(m.ndim != 2 for m in mats):
         raise DimensionMismatch("every choice matrix must be 2-D")
-    num_states, num_actions = mats[0].shape
+    _check_shapes(mats, ids, mats[0].shape)
 
-    prior = _renormalize_vector(prior, "prior")
-    agents = []
+    prior = _renormalized_rows(prior.reshape(1, -1), ["prior"]).reshape(prior.shape)
+    choices = _renormalized_rows(np.stack(mats), [f"agent {agent_id!r}" for agent_id in ids])
+    return _from_stack(prior, choices, ids, labels)
+
+
+def _check_shapes(mats, ids, shape: tuple[int, int]) -> None:
+    """Raise naming the first agent whose choice matrix is not of ``shape``."""
     for m, agent_id in zip(mats, ids):
-        if np.any(m < -1e-12) or not np.all(np.isfinite(m)):
-            raise NotStochastic(f"agent {agent_id!r}: invalid probabilities")
-        sums = m.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE + 1e-12):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise NotStochastic(
-                f"agent {agent_id!r}: row sum off by {worst:.3e} "
-                f"(> {ROW_SUM_TOLERANCE:g}); input considered corrupt"
+        if m.shape != shape:
+            raise DimensionMismatch(
+                f"agent {agent_id!r} has shape {m.shape}, expected ({shape[0]}, {shape[1]})"
             )
-        # Renormalize only rows that need it, so validation is idempotent and
-        # file round-trips are bit-stable.
-        m = np.clip(m, 0.0, None)
-        needs = np.abs(sums - 1.0) > 1e-15
-        if np.any(needs):
-            m = m.copy()
-            m[needs] /= m[needs].sum(axis=1, keepdims=True)
-        agents.append(AgentChoiceMatrix(agent_id=agent_id, choice_prob=m))
-    return DecisionDataset(
-        num_states=num_states,
-        num_actions=num_actions,
-        prior=prior,
-        agents=tuple(agents),
-        labels=labels,
-    )
 
 
-def _renormalize_vector(vec: np.ndarray, what: str) -> np.ndarray:
-    if np.any(vec < -1e-12) or not np.all(np.isfinite(vec)):
-        raise NotStochastic(f"{what}: invalid probabilities")
-    total = float(vec.sum())
-    if abs(total - 1.0) > ROW_SUM_TOLERANCE + 1e-12:
-        raise NotStochastic(f"{what}: sums to {total!r}, outside tolerance")
-    vec = np.clip(vec, 0.0, None)
-    if abs(total - 1.0) > 1e-15:
-        vec = vec / total
-    return vec
+def _renormalized_rows(stack: np.ndarray, names: list[str]) -> np.ndarray:
+    """The probability rows of ``stack`` (one member per name along axis 0,
+    rows along the last axis), checked and renormalized.
+
+    An entry below -1e-12 or non-finite, or a row sum off 1 by more than
+    ``ROW_SUM_TOLERANCE``, raises :class:`NotStochastic` naming the first
+    defective member, an invalid entry before a sum within one.  Otherwise
+    entries are clipped at zero and each row off 1 by more than 1e-15 is
+    divided by its clipped sum; the others are kept as they are, so
+    validation is idempotent and file round-trips are bit-stable.
+    """
+    off = np.abs(stack.sum(axis=-1) - 1.0)
+    invalid = ((stack < -1e-12) | ~np.isfinite(stack)).reshape(len(names), -1).any(axis=1)
+    corrupt = (off > ROW_SUM_TOLERANCE + 1e-12).reshape(len(names), -1).any(axis=1)
+    if np.any(invalid | corrupt):
+        k = int(np.argmax(invalid | corrupt))
+        if invalid[k]:
+            raise NotStochastic(f"{names[k]}: invalid probabilities")
+        raise NotStochastic(
+            f"{names[k]}: row sum off by {float(np.max(off[k])):.3e} "
+            f"(> {ROW_SUM_TOLERANCE:g}); input considered corrupt"
+        )
+    rows = np.clip(stack, 0.0, None)
+    needs = off > 1e-15
+    rows[needs] /= rows[needs].sum(axis=-1, keepdims=True)
+    return rows
+
+
+def _from_stack(prior, choices, ids, labels=None) -> DecisionDataset:
+    """The dataset of ``prior`` and the (K, X, A) stack ``choices``, whose
+    agent k is named ``ids[k]``."""
+    agents = tuple(AgentChoiceMatrix(agent_id, m) for agent_id, m in zip(ids, choices))
+    return DecisionDataset(*choices.shape[1:], prior, agents, labels)
 
 
 def joint_and_posterior(d: DecisionDataset, k: int) -> JointPosterior:

@@ -24,6 +24,7 @@ from .constants import SYNTH_COST_FLOOR
 from .dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
+    _from_stack,
     _frozen_array,
     dataset_to_dict,
     expected_value,
@@ -329,19 +330,8 @@ def generate_feasible_dataset(
         if margin > 0 and noise[-1] > 0.9:
             continue
         flat = np.full((num_states, num_actions), 1.0 / num_actions)
-        chain = [
-            (1.0 - noise[k]) * root + noise[k] * flat for k in range(num_agents)
-        ]
-        agents = tuple(
-            AgentChoiceMatrix(agent_id=f"agent-{k}", choice_prob=chain[k])
-            for k in range(num_agents)
-        )
-        dataset = DecisionDataset(
-            num_states=num_states,
-            num_actions=num_actions,
-            prior=prior,
-            agents=agents,
-        )
+        chain = (1.0 - noise)[:, None, None] * root + noise[:, None, None] * flat
+        dataset = _from_stack(prior, chain, [f"agent-{k}" for k in range(num_agents)])
         gaps = -_worst_nias(nias_residuals(dataset, [base] * num_agents))
         if np.any(gaps * scales < 1.05 * margin):
             continue
@@ -403,24 +393,15 @@ def generate_boundary_dataset(
             mix = rng.dirichlet(np.ones(num_actions), size=num_actions)
             channel = (1.0 - gamma) * np.eye(num_actions) + gamma * mix
             candidate = chain[-1] @ channel
-            alone = DecisionDataset(
-                num_states, num_actions, prior, (AgentChoiceMatrix("candidate", candidate),)
-            )
+            alone = _from_stack(prior, candidate[None], ["candidate"])
             if _worst_nias(nias_residuals(alone, [utility]))[0] <= 1e-12:
                 chain.append(candidate)
                 break
             gamma *= 0.5
         else:
             raise RejectionExhausted("could not garble while keeping best responses")
-    chain.reverse()  # index 0 is now the most garbled, least informative
-
-    agents = tuple(
-        AgentChoiceMatrix(agent_id=f"agent-{k}", choice_prob=chain[k])
-        for k in range(num_agents)
-    )
-    dataset = DecisionDataset(
-        num_states=num_states, num_actions=num_actions, prior=prior, agents=agents
-    )
+    # Reversed, index 0 is the most garbled, least informative agent.
+    dataset = _from_stack(prior, np.array(chain[::-1]), [f"agent-{k}" for k in range(num_agents)])
     values = np.array(
         [expected_value(dataset, k, utility) for k in range(num_agents)]
     )

@@ -1,3 +1,4 @@
+import csv
 import json
 import tracemalloc
 
@@ -749,6 +750,45 @@ class TestReport:
         assert (out_dir / "cost_curve.csv").exists()
         rows = (out_dir / "robustness.csv").read_text().strip().splitlines()
         assert len(rows) == 2
+
+
+class TestTables:
+    @pytest.mark.parametrize(
+        "agent_id", ["ckpt,1", 'say "hi"', "two\nlines"], ids=["comma", "quote", "line break"]
+    )
+    def test_every_row_reads_back_with_the_header_field_count(self, tmp_path, d2, agent_id):
+        raw = dataset_to_dict(d2)
+        raw["agents"][0]["agent_id"] = agent_id
+        data, profile, sparse = tmp_path / "d,1.json", tmp_path / "umri.json", tmp_path / "s.json"
+        data.write_text(json.dumps(raw))
+        assert run("test", "--dataset", data, "--out", profile) == 0
+        assert run("sparse", "--dataset", data, "--out", sparse, "--table", tmp_path / "s.csv") == 0
+        assert run("cost", "--profile", profile, "--dataset", data, "--out", tmp_path / "c.csv") == 0
+        assert run("report", "--profiles", profile, sparse, "--out-dir", tmp_path / "report") == 0
+        tables = sorted(tmp_path.rglob("*.csv"))
+        assert len(tables) == 5
+        for table in tables:
+            with open(table, newline="", encoding="utf-8") as fh:
+                header, *rows = csv.reader(fh)
+            assert rows and all(len(row) == len(header) for row in rows), table.name
+        with open(tmp_path / "c.csv", newline="", encoding="utf-8") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["agent_id", agent_id, "blurry"]
+        with open(tmp_path / "report" / "robustness.csv", newline="", encoding="utf-8") as fh:
+            assert list(csv.reader(fh))[1][0] == "d,1.json"
+
+    @pytest.mark.parametrize("fixture", ["dataset_file", "identical_file"])
+    def test_report_derives_the_degenerate_cell_from_the_margin(self, tmp_path, request, fixture):
+        data, profile = request.getfixturevalue(fixture), tmp_path / "profile.json"
+        assert run("test", "--dataset", data, "--out", profile) == 0
+        raw = json.loads(profile.read_text())
+        degenerate = brp._verdict(raw["margin"])[1]
+        assert raw["degenerate"] is degenerate
+        raw["degenerate"] = not degenerate
+        profile.write_text(json.dumps(raw))
+        assert run("report", "--profiles", profile, "--out-dir", tmp_path / "r") == 0
+        with open(tmp_path / "r" / "robustness.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert row["degenerate"] == ("true" if degenerate else "false")
 
 
 class TestDeterminism:

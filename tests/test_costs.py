@@ -97,3 +97,12 @@ def test_batched_pieces_match_the_per_piece_loop_bit_for_bit(seed):
         for p in strategies:
             want = per_piece_values(d, utilities, costs, scales, p)
             assert cost.piece_values(p).tobytes() == want.tobytes()
+
+
+def test_anchors_are_the_dataset_choice_stack():
+    d = generate_feasible_dataset(4, 3, 3, margin=0.01, seed=0).dataset
+    profile, _ = brp_max_margin(d)
+    solution, _ = sbrp_max_margin(d)
+    for cost in (reconstruct_cost(d, profile), reconstruct_cost_compact(d, solution)):
+        assert cost.anchors.shape == d._choices.shape
+        assert cost.anchors.tobytes() == d._choices.tobytes()

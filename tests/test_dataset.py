@@ -75,10 +75,13 @@ class TestValidate:
             validate_dataset({"prior": [1.0], "agents": []}, min_agents=min_agents)
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        # Agent 0's row sum defect comes first in agent order, but shapes are
+        # checked before any probability.
+        shape = r"^agent 'agent-1' has shape \(2, 3\), expected \(2, 2\)$"
+        with pytest.raises(DimensionMismatch, match=shape):
             dataset_from_matrices(
                 [0.5, 0.5],
-                [[[0.9, 0.1], [0.1, 0.9]], [[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]],
+                [[[0.9, 0.2], [0.1, 0.9]], [[0.3, 0.3, 0.4], [0.2, 0.4, 0.4]]],
             )
 
     def test_declared_num_actions_checked_on_its_own(self):
@@ -105,11 +108,20 @@ class TestValidate:
         with pytest.raises(DimensionMismatch, match="every choice matrix must be 2-D"):
             validate_dataset(raw)
 
-    @pytest.mark.parametrize("prior", [[0.5, np.nan], [1.5, -0.5]], ids=["nan", "negative"])
-    def test_invalid_prior_rejected(self, prior):
-        p = [[0.9, 0.1], [0.1, 0.9]]
-        with pytest.raises(NotStochastic, match="prior: invalid probabilities"):
-            validate_dataset({"prior": prior, "agents": [{"choice_prob": p}] * 2})
+    @pytest.mark.parametrize(
+        "prior, text",
+        [
+            ([0.5, np.nan], "invalid probabilities"),
+            ([1.5, -0.5], "invalid probabilities"),
+            ([0.5, 0.4], r"row sum off by 1\.000e-01 \(> 1e-06\); input considered corrupt"),
+        ],
+        ids=["nan", "negative", "sum off"],
+    )
+    def test_invalid_prior_rejected(self, prior, text):
+        # The prior is named before a defective agent.
+        agents = [{"choice_prob": [[0.9, 0.1], [0.1, 0.9]]}, {"choice_prob": [[np.nan, 1.0]] * 2}]
+        with pytest.raises(NotStochastic, match=f"^prior: {text}$"):
+            validate_dataset({"prior": prior, "agents": agents})
 
     def test_only_the_mapping_form_is_accepted(self, d2):
         for other in (d2, (d2.prior, [d2.choice(0), d2.choice(1)])):
@@ -132,6 +144,69 @@ class TestValidate:
         # Read as a sequence, "ab" would name the states "a" and "b".
         with pytest.raises(DimensionMismatch, match="field 'labels'"):
             validate_dataset({**dataset_to_dict(d2), "labels": labels})
+
+
+_GOOD = [[0.9, 0.1], [0.2, 0.8]]
+_DEFECTS = {
+    "non-finite": [[0.9, 0.1], [np.nan, 0.8]],
+    "negative": [[1.1, -0.1], [0.2, 0.8]],
+    "row sum off": [[0.9, 0.1], [0.2, 0.7]],
+}
+_DEFECT_TEXT = {
+    "non-finite": "invalid probabilities",
+    "negative": "invalid probabilities",
+    "row sum off": r"row sum off by 1\.000e-01 \(> 1e-06\); input considered corrupt",
+}
+
+
+def _raw(prior, mats):
+    ids = "abc"[: len(mats)]
+    return {"prior": prior, "agents": [{"agent_id": i, "choice_prob": m} for i, m in zip(ids, mats)]}
+
+
+class TestOneRule:
+    """The prior and every choice matrix go through one probability rule."""
+
+    @pytest.mark.parametrize("defect", list(_DEFECTS))
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_single_defect_names_its_agent(self, defect, k):
+        mats = [_GOOD] * 3
+        mats[k] = _DEFECTS[defect]
+        agent = "abc"[k]
+        with pytest.raises(NotStochastic, match=f"^agent '{agent}': {_DEFECT_TEXT[defect]}$"):
+            validate_dataset(_raw([0.5, 0.5], mats))
+
+    def test_the_first_of_several_defective_agents_is_named(self):
+        mats = [_GOOD, _DEFECTS["row sum off"], _DEFECTS["non-finite"]]
+        with pytest.raises(NotStochastic, match="^agent 'b': row sum off"):
+            validate_dataset(_raw([0.5, 0.5], mats))
+
+    def test_within_an_agent_invalid_entries_come_before_sums(self):
+        # Row 0's sum is off, row 1 holds a negative entry.
+        mats = [_GOOD, [[0.9, 0.0], [1.1, -0.1]]]
+        with pytest.raises(NotStochastic, match="^agent 'b': invalid probabilities$"):
+            validate_dataset(_raw([0.5, 0.5], mats))
+
+    def test_a_prior_is_renormalized_as_a_row_is(self):
+        # Clipped to zero, the -5e-13 entry leaves a sum that differs from
+        # the unclipped one; both are divided by the clipped sum.
+        v = [0.3, 0.7 + 1e-8, -5e-13]
+        as_prior = validate_dataset(_raw(v, [np.eye(3)] * 2))
+        as_row = validate_dataset(_raw([1.0], [[v]] * 2))
+        assert as_prior.prior.tobytes() == as_row.choice(0)[0].tobytes()
+        clipped = np.clip(v, 0.0, None)
+        assert as_prior.prior.tobytes() == (clipped / clipped.sum()).tobytes()
+        assert as_prior.prior.tobytes() != (clipped / np.sum(v)).tobytes()
+
+    def test_the_choice_stack_is_read_only_and_holds_the_agents(self):
+        rng = np.random.default_rng(3)
+        d = random_dataset(rng, num_agents=3, num_states=4, num_actions=3)
+        stacked = np.stack([a.choice_prob for a in d.agents])
+        assert d._choices.shape == stacked.shape
+        assert d._choices.tobytes() == stacked.tobytes()
+        assert not d._choices.flags.writeable
+        with pytest.raises(ValueError):
+            d._choices[0, 0, 0] = 0.5
 
 
 class TestConstructorChecks:
@@ -759,7 +834,7 @@ class TestFiles:
     def test_prior_beyond_tolerance_is_rejected(self, tmp_path, d2):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({**dataset_to_dict(d2), "prior": [0.5, 0.5 + 1e-5]}))
-        with pytest.raises(NotStochastic, match="prior: sums to"):
+        with pytest.raises(NotStochastic, match="prior: row sum off by 1.000e-05"):
             load_dataset(str(path))
 
 
