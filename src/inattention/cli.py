@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
+import functools
 import logging
 import os
 import sys
+from types import SimpleNamespace
 
 from . import brp, dataset as ds, predict as pred, sbrp, synth
 from .constants import DEGENERATE_MARGIN, UNIT_FLOOR
@@ -52,11 +53,13 @@ _COST_COLUMNS = ["agent_id", "cost"]
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    """Write an RFC 4180 table: a cell holding a comma, a quote or a line
-    feed is quoted, as the softmax log reader reads it."""
-    text, cells = io.StringIO(), [[_cell(v) for v in row] for row in rows]
-    csv.writer(text, lineterminator="\n").writerows([header, *cells])
-    ds.atomic_write_text(path, text.getvalue())
+    """Write an RFC 4180 table with LF row ends.  The writer quotes a cell
+    holding a comma, a quote or a character of its terminator, so rows are
+    written with CRLF, which quotes every CR and LF, and then end in LF."""
+    lines: list[str] = []
+    writer = csv.writer(SimpleNamespace(write=lines.append), lineterminator="\r\n")
+    writer.writerows([header, *([_cell(v) for v in row] for row in rows)])
+    ds.atomic_write_text(path, "".join(line[:-2] + "\n" for line in lines))
 
 
 def _cell(value) -> str:
@@ -322,19 +325,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--softmax", required=True, help="CSV softmax log")
     p.add_argument("--out", required=True, help="dataset JSON to write")
     p.add_argument("--num-states", type=int, default=None)
-    p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("test", help="max-margin rationality test")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", choices=["umri", "s-umri"], default="umri")
     p.add_argument("--out", required=True, help="profile/solution JSON to write")
-    p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("robustness", help="margin table over datasets")
     p.add_argument("--datasets", nargs="+", required=True)
     p.add_argument("--model", choices=["umri", "s-umri", "both"], default="umri")
     p.add_argument("--out", required=True, help="CSV to write")
-    p.set_defaults(func=cmd_robustness)
 
     p = sub.add_parser("sparse", help="sparsest model at a retained margin")
     p.add_argument("--dataset", required=True)
@@ -342,13 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--margin-fraction", type=float, default=0.5)
     p.add_argument("--out", required=True)
     p.add_argument("--table", default=None, help="optional utility table CSV")
-    p.set_defaults(func=cmd_sparse)
 
     p = sub.add_parser("cost", help="information-cost curve of a fitted model")
     p.add_argument("--profile", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("synth", help="generate a ground-truth dataset")
     p.add_argument(
@@ -365,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="ground-truth JSON")
     p.add_argument("--dataset-out", default=None, help="also write the bare dataset")
-    p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("predict", help="predict behavior at a noise level")
     p.add_argument("--family", default=None, help="fitted family JSON")
@@ -377,23 +374,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth-agent", type=int, default=0)
     p.add_argument("--out", required=True, help="JSON summary")
     p.add_argument("--table", default=None, help="optional per-class CSV")
-    p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="aggregate artifacts into report tables")
     p.add_argument("--profiles", nargs="*", default=[])
     p.add_argument("--predictions", nargs="*", default=[])
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=cmd_report)
 
     return parser
 
 
+_parser = functools.cache(build_parser)  # parsing leaves it unchanged: one per process
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(stream=sys.stderr, level=level, format="%(message)s")
+    args = _parser().parse_args(argv)
+    # basicConfig acts once per process; the level is set on every call.
+    logging.basicConfig(stream=sys.stderr, format="%(message)s")
+    log.setLevel(logging.WARNING - 10 * min(args.verbose, 2))
     try:
-        return args.func(args)
+        # Looked up at call time, so a replaced ``cmd_*`` is the one run.
+        return globals()[f"cmd_{args.command}"](args)
     except _Usage as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,12 @@
+import argparse
 import csv
 import json
+import logging
 import tracemalloc
 
 import pytest
 
-from inattention import brp, predict as pred, sbrp
+from inattention import brp, cli, predict as pred, sbrp
 from inattention.cli import main
 from inattention.dataset import dataset_to_dict, load_dataset, save_dataset
 from inattention.errors import NumericalFailure, TooFewAgents
@@ -754,7 +756,9 @@ class TestReport:
 
 class TestTables:
     @pytest.mark.parametrize(
-        "agent_id", ["ckpt,1", 'say "hi"', "two\nlines"], ids=["comma", "quote", "line break"]
+        "agent_id",
+        ["ckpt,1", 'say "hi"', "two\nlines", "a\rb"],
+        ids=["comma", "quote", "line break", "carriage return"],
     )
     def test_every_row_reads_back_with_the_header_field_count(self, tmp_path, d2, agent_id):
         raw = dataset_to_dict(d2)
@@ -789,6 +793,42 @@ class TestTables:
         with open(tmp_path / "r" / "robustness.csv", newline="", encoding="utf-8") as fh:
             (row,) = csv.DictReader(fh)
         assert row["degenerate"] == ("true" if degenerate else "false")
+
+
+class TestMain:
+    """``main`` can be called again in one process, as the benchmark does."""
+
+    def test_second_call_builds_no_parser(self, tmp_path, monkeypatch):
+        argv = ("ingest", "--softmax", tmp_path / "missing.csv", "--out", tmp_path / "d.json")
+        assert run(*argv) == 2
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        assert run(*argv) == 2
+        assert built == []
+
+    def test_replaced_subcommand_is_the_one_run(self, tmp_path, monkeypatch):
+        argv = ("cost", "--profile", tmp_path / "p.json", "--dataset", tmp_path / "d.json",
+                "--out", tmp_path / "c.csv")
+        assert run(*argv) == 2
+        calls = []
+        monkeypatch.setattr(cli, "cmd_cost", lambda args: calls.append(args) or 7)
+        assert run(*argv) == 7
+        assert [(args.command, args.out) for args in calls] == [("cost", str(tmp_path / "c.csv"))]
+
+    def test_verbose_applies_per_call(self, tmp_path, caplog, request):
+        request.addfinalizer(lambda: cli.log.setLevel(logging.NOTSET))
+        synth = ("synth", "--agents", 2, "--states", 2, "--actions", 2, "--seed", 1,
+                 "--out", tmp_path / "gt.json")
+        for verbose in (True, False, True):
+            caplog.clear()
+            assert run(*(("-v",) if verbose else ()), *synth) == 0
+            logged = [r.getMessage() for r in caplog.records if r.name == "inattention"]
+            assert len(logged) == verbose and all("wrote ground truth" in m for m in logged)
 
 
 class TestDeterminism:
