@@ -300,7 +300,7 @@ def _seed_cuts(d: DecisionDataset) -> np.ndarray:
     """Stage one's first cut pool: the identity both ways along each edge of
     the agents' spanning tree, which ties every cost to every other through
     c_k - c_j; the cut loop adds any other pair it finds violated."""
-    tree = _spanning_tree(d._choices)
+    tree = _spanning_tree(d.choices)
     return _identity_cuts(d, *np.nonzero(tree | tree.T))
 
 
@@ -428,7 +428,7 @@ class _BrpProgram:
         best-response rows hold with room, not tight as at the all-floor
         vertex; the first dual pass repairs the swap rows it violates."""
         n, m = lp.num_vars, lp.num_rows
-        modal = self.d._choices.argmax(axis=2)
+        modal = self.d.choices.argmax(axis=2)
         cells = (self.blocks * self.block)[:, None] + np.arange(self.X) * self.A + modal
         status = np.zeros(n + m, dtype=np.int8)
         status[cells] = 1
@@ -589,8 +589,8 @@ def _fit_dict(d, model, utilities, margin, shared, agents, report, metadata) -> 
         "degenerate": _verdict(margin)[1],
         **shared,
         "agents": [
-            {"agent_id": agent.agent_id, **fields}
-            for agent, fields in zip(d.agents, agents)
+            {"agent_id": agent_id, **fields}
+            for agent_id, fields in zip(d.agent_ids, agents)
         ],
     }
     if report is not None:

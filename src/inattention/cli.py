@@ -161,8 +161,8 @@ def cmd_cost(args) -> int:
     else:
         cost = sbrp.reconstruct_cost_compact(data, model)
     rows = [
-        [data.agents[k].agent_id, float(cost.value(data.choice(k)))]
-        for k in range(data.num_agents)
+        [agent_id, float(cost.value(choice))]
+        for agent_id, choice in zip(data.agent_ids, data.choices)
     ]
     _write_csv(args.out, _COST_COLUMNS, rows)
     return 0

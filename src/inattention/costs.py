@@ -99,6 +99,6 @@ def _anchored_cost(d, utilities, costs, margin, *, scales=None):
     gradients = d.prior[None, :, None] * np.array(utilities, dtype=float)
     return PiecewiseAffineCost(
         offsets=costs,
-        anchors=d._choices,
+        anchors=d.choices,
         gradients=gradients / scales[:, None, None],
     )

@@ -1,8 +1,8 @@
 """Decision datasets for collections of stochastic classifiers.
 
-A decision dataset is a prior over ground-truth states plus one row-stochastic
-choice matrix per agent: entry (x, a) of agent k's matrix is the probability
-that agent k picks action a when the true state is x.  Everything downstream
+A decision dataset is a prior over ground-truth states plus the (K, X, A)
+stack of its agents' row-stochastic choice matrices: entry (k, x, a) is the
+probability that agent k picks action a when the true state is x.  Everything downstream
 (rationality tests, cost reconstruction, prediction) consumes this object, so
 this module owns its validation rules, the derived probability objects (joint,
 revealed posterior, action marginal), the two value functionals, and ingestion
@@ -63,103 +63,110 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class AgentChoiceMatrix:
-    """One agent's conditional choice probabilities p(action | state).
-
-    Rows index states, columns actions; each row is a probability vector.
+    """One agent's id and conditional choice probabilities p(action | state),
+    as :attr:`DecisionDataset.agents` returns them: ``choice_prob`` is a view
+    of the dataset's ``choices``.  Rows index states, columns actions.
     """
 
     agent_id: str
     choice_prob: np.ndarray
-
-    def __post_init__(self):
-        mat = np.asarray(self.choice_prob, dtype=float)
-        if mat.ndim != 2:
-            raise DimensionMismatch(
-                f"agent {self.agent_id!r}: choice matrix must be 2-D, got ndim={mat.ndim}"
-            )
-        if not np.all(np.isfinite(mat)):
-            raise NotStochastic(f"agent {self.agent_id!r}: non-finite choice probabilities")
-        if np.any(mat < 0) or np.any(mat > 1 + 1e-12):
-            raise NotStochastic(f"agent {self.agent_id!r}: entries outside [0, 1]")
-        sums = mat.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > 1e-9):
-            worst = float(np.max(np.abs(sums - 1.0)))
-            raise NotStochastic(
-                f"agent {self.agent_id!r}: row sums deviate from 1 by {worst:.3e}"
-            )
-        object.__setattr__(self, "choice_prob", _frozen_array(mat))
 
 
 @dataclass(frozen=True)
 class DecisionDataset:
     """Prior over states plus the ordered choice matrices of all agents.
 
-    Agent order is significant and preserved: downstream it indexes training
-    epochs or noise levels.  Construction checks shapes and stochasticity;
-    the two-agent minimum for rationality testing is enforced by
-    :func:`validate_dataset` (synthetic machinery occasionally builds
-    single-agent datasets for cost assignment).
+    ``choices`` is the read-only (K, X, A) stack of the agents' matrices,
+    agent k's named ``agent_ids[k]``: the one copy every reader of the
+    choice probabilities takes.  Agent order is significant and preserved:
+    downstream it indexes training epochs or noise levels.  Construction
+    copies the prior and the stack and checks them under one rule,
+    :func:`_check_stochastic`; the two-agent minimum for rationality testing
+    is enforced by :func:`validate_dataset` (synthetic machinery
+    occasionally builds single-agent datasets for cost assignment).
 
-    Construction also stacks the agents' matrices once, as the read-only
-    (K, X, A) ``_choices`` that every reader of all agents' matrices takes,
-    and from it computes the joints, posteriors and marginals of all agents
-    in one batched pass, held as the (K, X, A) :class:`JointPosterior`
-    ``_stack``: the residual kernel in ``brp`` and every LP builder read it,
-    and :func:`joint_and_posterior` returns one agent's slices of it.
-    Beside it, ``_fits`` maps a model name to what a fitting module stored
-    of a stage it solved on this object.
+    Construction also computes the joints, posteriors and marginals of all
+    agents from the stack in one batched pass, held as the (K, X, A)
+    :class:`JointPosterior` ``_stack``: the residual kernel in ``brp`` and
+    every LP builder read it, and :func:`joint_and_posterior` returns one
+    agent's slices of it.  Beside it, ``_fits`` maps a model name to what a
+    fitting module stored of a stage it solved on this object.
     """
 
-    num_states: int
-    num_actions: int
     prior: np.ndarray
-    agents: tuple[AgentChoiceMatrix, ...]
+    choices: np.ndarray
+    agent_ids: tuple[str, ...]
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        prior = np.asarray(self.prior, dtype=float)
-        if prior.shape != (self.num_states,):
-            raise DimensionMismatch(f"prior has shape {prior.shape}, expected ({self.num_states},)")
-        if np.any(prior < 0) or not np.all(np.isfinite(prior)):
-            raise NotStochastic("prior entries must be finite and nonnegative")
-        if abs(float(prior.sum()) - 1.0) > 1e-9:
-            raise NotStochastic(f"prior sums to {float(prior.sum())!r}, not 1")
-        agents = tuple(self.agents)
-        if not agents:
+        prior, choices = _frozen_array(self.prior), _frozen_array(self.choices)
+        ids = tuple(str(agent_id) for agent_id in self.agent_ids)
+        if choices.ndim != 3:
+            raise DimensionMismatch(f"choices must be a (K, X, A) stack, got ndim={choices.ndim}")
+        if not len(choices):
             raise TooFewAgents("dataset has no agents")
-        shape = (self.num_states, self.num_actions)
-        _check_shapes([a.choice_prob for a in agents], [a.agent_id for a in agents], shape)
+        if len(ids) != len(choices):
+            raise DimensionMismatch(f"{len(ids)} agent ids for {len(choices)} agents")
+        if len(set(ids)) < len(ids):
+            repeated = next(agent_id for n, agent_id in enumerate(ids) if agent_id in ids[:n])
+            raise DimensionMismatch(f"agent id {repeated!r} names more than one agent")
+        if prior.shape != (choices.shape[1],):
+            raise DimensionMismatch(f"prior has shape {prior.shape}, expected ({choices.shape[1]},)")
+        _check_stochastic(prior[None, None], ["prior"])
+        _check_stochastic(choices, [f"agent {agent_id!r}" for agent_id in ids])
         if self.labels is not None:
             labels = tuple(str(s) for s in self.labels)
-            if len(labels) != self.num_states:
-                raise DimensionMismatch(f"{len(labels)} labels for {self.num_states} states")
+            if len(labels) != choices.shape[1]:
+                raise DimensionMismatch(f"{len(labels)} labels for {choices.shape[1]} states")
             object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "prior", _frozen_array(prior))
-        object.__setattr__(self, "agents", agents)
-        choices = np.stack([a.choice_prob for a in agents])
-        choices.setflags(write=False)  # made here, so frozen in place
-        object.__setattr__(self, "_choices", choices)
+        object.__setattr__(self, "prior", prior)
+        object.__setattr__(self, "choices", choices)
+        object.__setattr__(self, "agent_ids", ids)
         object.__setattr__(self, "_stack", _joint_posterior(prior, choices))
         object.__setattr__(self, "_fits", {})
 
     @property
     def num_agents(self) -> int:
-        return len(self.agents)
+        return self.choices.shape[0]
 
     @property
-    def agent_ids(self) -> tuple[str, ...]:
-        return tuple(a.agent_id for a in self.agents)
+    def num_states(self) -> int:
+        return self.choices.shape[1]
+
+    @property
+    def num_actions(self) -> int:
+        return self.choices.shape[2]
+
+    @property
+    def agents(self) -> tuple[AgentChoiceMatrix, ...]:
+        return tuple(map(AgentChoiceMatrix, self.agent_ids, self.choices))
 
     def choice(self, k: int) -> np.ndarray:
-        return self.agents[k].choice_prob
+        return self.choices[k]
 
     def approx_equal(self, other: "DecisionDataset", tol: float = 1e-9) -> bool:
         """Entrywise comparison at the package-wide dataset tolerance."""
-        if self._choices.shape != other._choices.shape:
+        if self.choices.shape != other.choices.shape:
             return False
         return np.allclose(self.prior, other.prior, rtol=0.0, atol=tol) and np.allclose(
-            self._choices, other._choices, rtol=0.0, atol=tol
+            self.choices, other.choices, rtol=0.0, atol=tol
         )
+
+
+def _check_stochastic(stack: np.ndarray, names: list[str]) -> None:
+    """Raise :class:`NotStochastic` naming the first member of ``stack``
+    (one per name along axis 0, rows along the last axis) with an entry
+    non-finite or outside [0, 1 + 1e-12], or a row sum off 1 by more than
+    1e-9."""
+    entries = stack.reshape(len(names), -1)
+    invalid = ~np.all((entries >= 0.0) & (entries <= 1.0 + 1e-12), axis=1)  # NaN too
+    off = np.abs(stack.sum(axis=-1) - 1.0).reshape(len(names), -1).max(axis=1, initial=0.0)
+    bad = invalid | (off > 1e-9)
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        if invalid[k]:
+            raise NotStochastic(f"{names[k]}: entries non-finite or outside [0, 1]")
+        raise NotStochastic(f"{names[k]}: row sums deviate from 1 by {off[k]:.3e}")
 
 
 @dataclass(frozen=True)
@@ -215,7 +222,8 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     matrices in one pass as one (K, X, A) stack: a row whose sum deviates
     from 1 by at most ``ROW_SUM_TOLERANCE`` is renormalized, a larger
     deviation or an invalid entry rejects the input, and the error names the
-    prior, or else the first defective agent in agent order.
+    prior, or else the first defective agent in agent order.  The result
+    goes to :class:`DecisionDataset`, which also rejects a repeated agent id.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
@@ -246,7 +254,7 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
 
     prior = _renormalized_rows(prior.reshape(1, -1), ["prior"]).reshape(prior.shape)
     choices = _renormalized_rows(np.stack(mats), [f"agent {agent_id!r}" for agent_id in ids])
-    return _from_stack(prior, choices, ids, labels)
+    return DecisionDataset(prior, choices, ids, labels)
 
 
 def _check_shapes(mats, ids, shape: tuple[int, int]) -> None:
@@ -284,13 +292,6 @@ def _renormalized_rows(stack: np.ndarray, names: list[str]) -> np.ndarray:
     needs = off > 1e-15
     rows[needs] /= rows[needs].sum(axis=-1, keepdims=True)
     return rows
-
-
-def _from_stack(prior, choices, ids, labels=None) -> DecisionDataset:
-    """The dataset of ``prior`` and the (K, X, A) stack ``choices``, whose
-    agent k is named ``ids[k]``."""
-    agents = tuple(AgentChoiceMatrix(agent_id, m) for agent_id, m in zip(ids, choices))
-    return DecisionDataset(*choices.shape[1:], prior, agents, labels)
 
 
 def joint_and_posterior(d: DecisionDataset, k: int) -> JointPosterior:
@@ -483,8 +484,8 @@ def dataset_to_dict(d: DecisionDataset) -> dict:
         "num_actions": d.num_actions,
         "prior": d.prior.tolist(),
         "agents": [
-            {"agent_id": a.agent_id, "choice_prob": a.choice_prob.tolist()}
-            for a in d.agents
+            {"agent_id": agent_id, "choice_prob": choice.tolist()}
+            for agent_id, choice in zip(d.agent_ids, d.choices)
         ],
     }
     if d.labels is not None:

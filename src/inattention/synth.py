@@ -22,9 +22,7 @@ import numpy as np
 from .brp import _worst_nias, niac_residuals, nias_residuals, strict_margin
 from .constants import SYNTH_COST_FLOOR
 from .dataset import (
-    AgentChoiceMatrix,
     DecisionDataset,
-    _from_stack,
     _frozen_array,
     dataset_to_dict,
     expected_value,
@@ -109,8 +107,7 @@ def generate_strategies(
     *,
     sharpness: float = 0.5,
     max_attempts: int = 1000,
-    agent_id: str = "synthetic",
-) -> AgentChoiceMatrix:
+) -> np.ndarray:
     """Sample a choice matrix that best-responds to ``utility``.
 
     Posteriors and their mixture weights are drawn jointly: a random
@@ -140,7 +137,7 @@ def generate_strategies(
             continue
         strategy = np.zeros_like(seed_matrix)
         strategy[:, best] = seed_matrix
-        return AgentChoiceMatrix(agent_id=agent_id, choice_prob=strategy)
+        return strategy
     raise RejectionExhausted(
         f"no admissible strategy in {max_attempts} attempts; retry with a new seed"
     )
@@ -305,20 +302,12 @@ def generate_feasible_dataset(
         base = _sample_base_utility(rng, num_states, num_actions, prior)
         utilities = [scales[k] * base for k in range(num_agents)]
         try:
-            root_agent = generate_strategies(
-                num_states,
-                num_actions,
-                prior,
-                base,
-                rng,
-                sharpness=0.05,
-                max_attempts=300,
-                agent_id="agent-0",
+            root = generate_strategies(
+                num_states, num_actions, prior, base, rng, sharpness=0.05, max_attempts=300
             )
         except RejectionExhausted:
             continue
-        root = root_agent.choice_prob
-        root_data = DecisionDataset(num_states, num_actions, prior, (root_agent,))
+        root_data = DecisionDataset(prior, root[None], ["agent-0"])
         # Linear value decay along the segment from the root to pure noise:
         # a step of the noise parameter costs exactly that step times the
         # root's information value.
@@ -331,7 +320,7 @@ def generate_feasible_dataset(
             continue
         flat = np.full((num_states, num_actions), 1.0 / num_actions)
         chain = (1.0 - noise)[:, None, None] * root + noise[:, None, None] * flat
-        dataset = _from_stack(prior, chain, [f"agent-{k}" for k in range(num_agents)])
+        dataset = DecisionDataset(prior, chain, [f"agent-{k}" for k in range(num_agents)])
         gaps = -_worst_nias(nias_residuals(dataset, [base] * num_agents))
         if np.any(gaps * scales < 1.05 * margin):
             continue
@@ -376,15 +365,7 @@ def generate_boundary_dataset(
     rng = np.random.default_rng(seed)
     prior = np.full(num_states, 1.0 / num_states)
     utility = _sample_base_utility(rng, num_states, num_actions, prior)
-    top = generate_strategies(
-        num_states,
-        num_actions,
-        prior,
-        utility,
-        rng,
-        sharpness=0.35,
-        agent_id=f"agent-{num_agents - 1}",
-    ).choice_prob
+    top = generate_strategies(num_states, num_actions, prior, utility, rng, sharpness=0.35)
 
     chain = [top]
     for step in range(num_agents - 1):
@@ -393,7 +374,7 @@ def generate_boundary_dataset(
             mix = rng.dirichlet(np.ones(num_actions), size=num_actions)
             channel = (1.0 - gamma) * np.eye(num_actions) + gamma * mix
             candidate = chain[-1] @ channel
-            alone = _from_stack(prior, candidate[None], ["candidate"])
+            alone = DecisionDataset(prior, candidate[None], ["candidate"])
             if _worst_nias(nias_residuals(alone, [utility]))[0] <= 1e-12:
                 chain.append(candidate)
                 break
@@ -401,7 +382,7 @@ def generate_boundary_dataset(
         else:
             raise RejectionExhausted("could not garble while keeping best responses")
     # Reversed, index 0 is the most garbled, least informative agent.
-    dataset = _from_stack(prior, np.array(chain[::-1]), [f"agent-{k}" for k in range(num_agents)])
+    dataset = DecisionDataset(prior, chain[::-1], [f"agent-{k}" for k in range(num_agents)])
     values = np.array(
         [expected_value(dataset, k, utility) for k in range(num_agents)]
     )

@@ -741,6 +741,32 @@ class TestUnusablePath:
         assert list(inputs.iterdir()) == []
 
 
+def test_repeated_agent_id_exits_one_before_any_fit(tmp_path, capsys, monkeypatch):
+    # Two agents under one id would share one row of every table.
+    data, profile = tmp_path / "d.json", tmp_path / "profile.json"
+    run(
+        "synth", "--agents", 5, "--states", 4, "--actions", 4, "--seed", 7,
+        "--out", tmp_path / "gt.json", "--dataset-out", data,
+    )
+    assert run("test", "--dataset", data, "--out", profile) == 0
+    raw = json.loads(data.read_text())
+    raw["agents"][1]["agent_id"] = "agent-0"
+    data.write_text(json.dumps(raw))
+    for module, fit in ((brp, "brp_max_margin"), (brp, "brp_sparsest"), (sbrp, "sbrp_max_margin")):
+        monkeypatch.setattr(module, fit, _no_fit)
+    out = tmp_path / "out"
+    for argv in (
+        ("test", "--dataset", data, "--out", out),
+        ("sparse", "--dataset", data, "--out", out, "--table", tmp_path / "sparse.csv"),
+        ("cost", "--profile", profile, "--dataset", data, "--out", out),
+    ):
+        assert run(*argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: agent id 'agent-0' names more than one agent"], argv
+        assert not out.exists()
+    assert not (tmp_path / "sparse.csv").exists()
+
+
 class TestReport:
     def test_report_tables(self, tmp_path, dataset_file):
         profile = tmp_path / "profile.json"

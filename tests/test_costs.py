@@ -104,5 +104,5 @@ def test_anchors_are_the_dataset_choice_stack():
     profile, _ = brp_max_margin(d)
     solution, _ = sbrp_max_margin(d)
     for cost in (reconstruct_cost(d, profile), reconstruct_cost_compact(d, solution)):
-        assert cost.anchors.shape == d._choices.shape
-        assert cost.anchors.tobytes() == d._choices.tobytes()
+        assert cost.anchors.shape == d.choices.shape
+        assert cost.anchors.tobytes() == d.choices.tobytes()

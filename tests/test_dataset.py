@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from inattention.brp import MarginReport, UtilityProfile
 from inattention.costs import PiecewiseAffineCost
 from inattention.dataset import (
-    AgentChoiceMatrix,
     DecisionDataset,
     dataset_to_dict,
     expected_value,
@@ -201,15 +200,34 @@ class TestOneRule:
     def test_the_choice_stack_is_read_only_and_holds_the_agents(self):
         rng = np.random.default_rng(3)
         d = random_dataset(rng, num_agents=3, num_states=4, num_actions=3)
-        stacked = np.stack([a.choice_prob for a in d.agents])
-        assert d._choices.shape == stacked.shape
-        assert d._choices.tobytes() == stacked.tobytes()
-        assert not d._choices.flags.writeable
+        assert d.choices.shape == (d.num_agents, d.num_states, d.num_actions) == (3, 4, 3)
+        assert [a.agent_id for a in d.agents] == list(d.agent_ids)
+        for k, agent in enumerate(d.agents):
+            assert agent.choice_prob.tobytes() == d.choice(k).tobytes()
+        assert not d.choices.flags.writeable
         with pytest.raises(ValueError):
-            d._choices[0, 0, 0] = 0.5
+            d.choices[0, 0, 0] = 0.5
+
+    def test_choice_and_agents_are_views_of_the_one_copy(self):
+        caller = np.stack([np.eye(2), np.full((2, 2), 0.5)])
+        before = caller.copy()
+        d = DecisionDataset([0.5, 0.5], caller, ["a", "b"])
+        assert not np.shares_memory(d.choices, caller)
+        assert caller.flags.writeable and caller.tobytes() == before.tobytes()
+        for k, agent in enumerate(d.agents):
+            for view in (d.choice(k), agent.choice_prob):
+                assert np.shares_memory(view, d.choices)
+                assert not view.flags.writeable
+
+
+def _stack(*mats):
+    return np.array(mats, dtype=float)
 
 
 class TestConstructorChecks:
+    """Direct construction: the shapes, then one probability rule over the
+    prior and every row of the stack."""
+
     @pytest.mark.parametrize(
         "matrix, error",
         [
@@ -222,7 +240,43 @@ class TestConstructorChecks:
     )
     def test_bad_choice_matrix_rejected(self, matrix, error):
         with pytest.raises(error):
-            AgentChoiceMatrix("a", matrix)
+            DecisionDataset([0.5, 0.5], [matrix], ["a"])
+
+    @pytest.mark.parametrize(
+        "prior, stack, text",
+        [
+            ([0.5, 0.6], _stack(np.eye(2), [[0.5, 0.4], [0.5, 0.5]]), "^prior: row sums"),
+            (
+                [0.5, 0.5],
+                _stack(np.eye(2), [[0.5, 0.4], [0.5, 0.5]], [[np.nan, 1.0], [0.0, 1.0]]),
+                "^agent 'b': row sums",
+            ),
+            ([0.5, 0.5], _stack([[np.inf, 0.0], [0.0, 1.0]]), "^agent 'a': entries non-finite"),
+            ([0.5, 0.5], _stack([[1.0, -1e-13], [0.0, 1.0]]), "^agent 'a': entries .* outside"),
+            ([0.5, 0.5], _stack([[1.0 + 1e-11, 0.0], [0.0, 1.0]]), "^agent 'a': entries .* outside"),
+            (
+                [0.5, 0.5],
+                _stack([[0.5, 0.5 + 1e-8], [0.0, 1.0]]),
+                r"^agent 'a': row sums deviate from 1 by 1\.000e-08$",
+            ),
+        ],
+        ids=[
+            "prior before agent", "first agent in order", "non-finite",
+            "negative", "above 1 + 1e-12", "row off by 1e-8",
+        ],
+    )
+    def test_one_rule_names_the_first_defect(self, prior, stack, text):
+        with pytest.raises(NotStochastic, match=text):
+            DecisionDataset(prior, stack, "abc"[: len(stack)])
+
+    def test_repeated_agent_id_rejected(self, d2):
+        # Tables key their rows by agent id, so two agents need two ids.
+        with pytest.raises(DimensionMismatch, match="^agent id 'b' names more than one agent$"):
+            DecisionDataset([0.5, 0.5], _stack(*[np.eye(2)] * 4), ["a", "b", "b", "a"])
+        raw = dataset_to_dict(d2)
+        raw["agents"][1]["agent_id"] = "sharp"
+        with pytest.raises(DimensionMismatch, match="^agent id 'sharp' names more than one"):
+            validate_dataset(raw)
 
     @pytest.mark.parametrize(
         "prior, agents, error",
@@ -235,15 +289,13 @@ class TestConstructorChecks:
         ids=["negative prior", "non-finite prior", "prior sum off", "no agents"],
     )
     def test_bad_dataset_rejected(self, prior, agents, error):
-        agent = AgentChoiceMatrix("a", np.eye(2))
         with pytest.raises(error):
-            DecisionDataset(2, 2, prior, (agent,) * agents)
+            DecisionDataset(prior, np.tile(np.eye(2), (agents, 1, 1)), "ab"[:agents])
 
     def test_prior_of_the_wrong_shape_rejected(self):
-        agent = AgentChoiceMatrix("a", np.eye(2))
         shape = r"prior has shape \(3,\), expected \(2,\)"
         with pytest.raises(DimensionMismatch, match=shape):
-            DecisionDataset(2, 2, np.full(3, 1 / 3), (agent,) * 2)
+            DecisionDataset(np.full(3, 1 / 3), _stack(np.eye(2), np.eye(2)), ["a", "b"])
 
 
 class TestJointPosterior:
@@ -339,18 +391,11 @@ def _value_types():
         etas = np.array([1.0, 1.1])
         return NoiseFamily(etas=etas, dataset=d, fitted=fitted), [etas]
 
-    def choice_matrix(d):
-        p = np.array([[0.9, 0.1], [0.1, 0.9]])
-        return AgentChoiceMatrix("a", choice_prob=p), [p]
-
     def dataset(d):
-        prior, p = np.array([0.5, 0.5]), np.array([[0.9, 0.1], [0.1, 0.9]])
-        agents = (AgentChoiceMatrix("a", p), AgentChoiceMatrix("b", p))
-        return DecisionDataset(2, 2, prior=prior, agents=agents), [prior, p]
+        prior, choices = np.array([0.5, 0.5]), np.array([[[0.9, 0.1], [0.1, 0.9]]] * 2)
+        return DecisionDataset(prior, choices, agent_ids=("a", "b")), [prior, choices]
 
-    builders = [
-        profile, report, shared, cost, ground_truth, family, choice_matrix, dataset,
-    ]
+    builders = [profile, report, shared, cost, ground_truth, family, dataset]
     return [pytest.param(build, id=build.__name__) for build in builders]
 
 

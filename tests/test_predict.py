@@ -5,7 +5,7 @@ import pytest
 
 from inattention import predict as predict_module
 from inattention.brp import UtilityProfile, nias_residuals, reconstruct_cost, strict_margin
-from inattention.dataset import AgentChoiceMatrix, DecisionDataset
+from inattention.dataset import DecisionDataset
 from inattention.errors import (
     DegenerateDataset,
     DimensionMismatch,
@@ -330,10 +330,7 @@ class TestPredictChoice:
         for eta in (1.05, 1.41, 1.5, 1.93):
             outcome = predict_at(fam, eta)
             u, strategy = outcome.interpolated_utility, outcome.predicted_choice
-            X, A = strategy.shape
-            d = DecisionDataset(
-                X, A, fam.dataset.prior, (AgentChoiceMatrix("predicted", strategy),)
-            )
+            d = DecisionDataset(fam.dataset.prior, strategy[None], ["predicted"])
             assert seen.pop().tobytes() == nias_residuals(d, [u]).tobytes()
 
     def test_rows_are_stochastic(self, family):
@@ -374,14 +371,12 @@ class TestRefinement:
         assert outcome.nias_consistent
 
     def test_choice_entry_just_above_one_is_a_valid_target(self):
-        # AgentChoiceMatrix admits entries up to 1 + 1e-12; the refinement's
+        # A dataset admits entries up to 1 + 1e-12; the refinement's
         # deviation boxes must not go negative at such a target.
         etas, dataset, _ = make_noise_family(seed=1)
-        agents = list(dataset.agents)
-        choice = agents[0].choice_prob.copy()
-        choice[0] = [1.0 + 2.0**-52, 0.0, 0.0]
-        agents[0] = AgentChoiceMatrix(agents[0].agent_id, choice)
-        d = DecisionDataset(3, 3, dataset.prior, tuple(agents))
+        choices = dataset.choices.copy()
+        choices[0, 0] = [1.0 + 2.0**-52, 0.0, 0.0]
+        d = DecisionDataset(dataset.prior, choices, dataset.agent_ids)
         assert predict_at(fit_family(d, etas), 1.0).nias_consistent
 
     @pytest.mark.parametrize("seed", [0, 1])

@@ -32,9 +32,9 @@ class TestStrategyConstruction:
         rng = np.random.default_rng(42)
         mu = np.full(3, 1 / 3)
         u = np.eye(3) * 0.8 + 0.1
-        agent = generate_strategies(3, 3, mu, u, rng)
-        assert np.allclose(agent.choice_prob.sum(axis=1), 1.0)
-        d = dataset_from_matrices(mu, [agent.choice_prob, agent.choice_prob])
+        strategy = generate_strategies(3, 3, mu, u, rng)
+        assert np.allclose(strategy.sum(axis=1), 1.0)
+        d = dataset_from_matrices(mu, [strategy, strategy])
         res = nias_residuals(d, [u, u])
         assert np.nanmax(res) <= 1e-12
 
@@ -43,7 +43,7 @@ class TestStrategyConstruction:
         u = np.eye(3) * 0.8 + 0.1
         a = generate_strategies(3, 3, mu, u, np.random.default_rng(7))
         b = generate_strategies(3, 3, mu, u, np.random.default_rng(7))
-        assert np.array_equal(a.choice_prob, b.choice_prob)
+        assert np.array_equal(a, b)
 
 
 class TestAssignCosts:
@@ -63,14 +63,9 @@ class TestAssignCosts:
             assign_costs(d, us, 0.01)
 
     def test_single_agent_gets_floor_cost(self):
-        from inattention.dataset import AgentChoiceMatrix, DecisionDataset
+        from inattention.dataset import DecisionDataset
 
-        d = DecisionDataset(
-            num_states=2,
-            num_actions=2,
-            prior=np.array([0.5, 0.5]),
-            agents=(AgentChoiceMatrix("solo", np.eye(2)),),
-        )
+        d = DecisionDataset(prior=np.array([0.5, 0.5]), choices=np.eye(2)[None], agent_ids=["solo"])
         costs = assign_costs(d, [np.eye(2)], 0.04)
         assert costs.tolist() == [0.05]
 
