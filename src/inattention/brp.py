@@ -23,7 +23,7 @@ with equality), so "passes" means the optimal margin is strictly positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -57,26 +57,27 @@ _CUT_TOL = 1e-10
 _MAX_CUT_ROUNDS = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UtilityProfile:
     """A rationality certificate: per-agent utilities, costs, and the margin.
 
-    ``margin`` is the negated maximum of the strict-set residuals; a fit
-    gets it only from :meth:`from_certificate` (the constructor's argument
-    is for files).  Solver outputs are nonnegative; normalized profiles may
-    carry any positive scale, often leaving the solver's unit box.
+    ``utilities`` is one read-only (K, X, A) stack, agent k's utility at
+    ``utilities[k]``; ``costs`` holds one per agent.  ``margin`` is the
+    negated maximum of the strict-set residuals; a fit gets it only from
+    :meth:`from_certificate` (the constructor's argument is for files).
+    Solver outputs are nonnegative; normalized profiles may carry any
+    positive scale, often leaving the solver's unit box.
     """
 
-    utilities: tuple[np.ndarray, ...]
+    utilities: np.ndarray
     costs: np.ndarray
     margin: float
 
     def __post_init__(self):
-        utilities = tuple(_frozen_array(u) for u in self.utilities)
-        if any(u.ndim != 2 or not np.all(np.isfinite(u)) for u in utilities):
-            raise DimensionMismatch("utilities must be finite 2-D matrices")
-        costs = _frozen_array(self.costs)
-        if costs.shape != (len(utilities),) or not np.all(np.isfinite(costs)):
+        utilities, costs = _frozen_array(_stacked(self.utilities)), _frozen_array(self.costs)
+        if utilities.ndim != 3 or not np.all(np.isfinite(utilities)):
+            raise DimensionMismatch("utilities must be a finite (K, X, A) stack")
+        if costs.shape != utilities.shape[:1] or not np.all(np.isfinite(costs)):
             raise DimensionMismatch("need one finite cost per agent")
         if not np.isfinite(float(self.margin)):
             raise DimensionMismatch(f"margin {self.margin!r} is not finite")
@@ -85,29 +86,22 @@ class UtilityProfile:
         object.__setattr__(self, "margin", float(self.margin))
 
     @classmethod
-    def from_certificate(
-        cls,
-        dataset: DecisionDataset,
-        utilities: Sequence[np.ndarray],
-        costs: Sequence[float],
-    ) -> "UtilityProfile":
-        utilities = tuple(np.asarray(u, dtype=float) for u in utilities)
-        costs = np.asarray(costs, dtype=float)
-        margin = strict_margin(dataset, utilities, costs)
-        return cls(utilities=utilities, costs=costs, margin=margin)
+    def from_certificate(cls, dataset: DecisionDataset, utilities, costs) -> "UtilityProfile":
+        """The profile at these utilities and costs, its margin taken on ``dataset``."""
+        return cls(utilities, costs, strict_margin(dataset, utilities, costs))
 
     @property
     def num_agents(self) -> int:
-        return len(self.utilities)
+        return self.utilities.shape[0]
 
     def squared_norms(self) -> np.ndarray:
-        return np.array([float((u * u).sum()) for u in self.utilities])
+        return np.square(self.utilities).reshape(self.num_agents, -1).sum(axis=1)
 
     def total_l1(self) -> float:
-        return float(sum(np.abs(u).sum() for u in self.utilities))
+        return float(np.abs(self.utilities).sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MarginReport:
     """Goodness-of-fit summary for a max-margin run.
 
@@ -164,20 +158,26 @@ def _stored_fit(d: DecisionDataset, model: str, fit):
 # bit for bit (``einsum`` does not).
 
 
+def _stacked(utilities, shape=None) -> np.ndarray:
+    """Per-agent ``utilities`` (a list, tuple, stack or view) as one
+    (K, X, A) float stack, not copied if they are one; ProfileMismatch
+    naming the first whose shape is not ``shape`` (default: the first
+    one's).  This is the one check of the per-agent layout."""
+    shapes = [np.shape(u) for u in utilities]
+    for k, found in enumerate(shapes):
+        expected = shape or shapes[0]
+        if found != expected:
+            raise ProfileMismatch(f"utility {k} has shape {found}, expected {expected}")
+    return np.asarray(utilities, dtype=float)
+
+
 def _check_profile_dims(d: DecisionDataset, utilities) -> np.ndarray:
-    """The utilities as one (K, X, A) stack; ProfileMismatch unless there is
+    """:func:`_stacked` of ``utilities``; ProfileMismatch unless there is
     one of ``d``'s (X, A) shape per agent.  This is the one check that a
     fitted model matches its dataset."""
-    mats = [np.asarray(u, dtype=float) for u in utilities]
-    if len(mats) != d.num_agents:
-        raise ProfileMismatch(f"profile has {len(mats)} agents, dataset {d.num_agents}")
-    for k, u in enumerate(mats):
-        if u.shape != (d.num_states, d.num_actions):
-            raise ProfileMismatch(
-                f"utility {k} has shape {u.shape}, expected "
-                f"({d.num_states}, {d.num_actions})"
-            )
-    return np.array(mats)
+    if len(utilities) != d.num_agents:
+        raise ProfileMismatch(f"profile has {len(utilities)} agents, dataset {d.num_agents}")
+    return _stacked(utilities, (d.num_states, d.num_actions))
 
 
 def nias_residuals(d: DecisionDataset, utilities) -> np.ndarray:
@@ -394,22 +394,22 @@ class _BrpProgram:
         return lp
 
     def extract(self, point: np.ndarray):
-        """(each agent's utility, costs) at ``point``."""
+        """(the (K, X, A) stack of each agent's utility, costs) at ``point``."""
         stack = point[: self.num_utility_vars].reshape(-1, self.X, self.A)
         costs = point[self.num_utility_vars : self.num_core_vars].copy()
-        return tuple(stack[self.blocks]), costs
+        return stack[self.blocks], costs
 
     def add_violated_selections(self, utilities, costs, bound: float) -> np.ndarray:
-        """Score the candidate exactly; model any better response found.
+        """Score the candidate, its (K, X, A) ``utilities`` and ``costs``,
+        exactly; model any better response found.
 
         ``bound`` is what every swap residual must stay below; a pair whose
         exact residual exceeds it (beyond tolerance) gets its current best
         response appended as a new cut, unless the pair already holds it.
         Returns the new cuts' swap rows in (j, k) order (none: zero rows).
         """
-        u = np.array(utilities)
-        scores = _swap_scores(self.d, u)
-        violated = _niac(self.d, u, costs, scores) > bound + _CUT_TOL
+        scores = _swap_scores(self.d, utilities)
+        violated = _niac(self.d, utilities, costs, scores) > bound + _CUT_TOL
         np.fill_diagonal(violated, False)
         best = scores.argmax(axis=3)
         # Only a violated pair's own cuts can already hold its best response.
@@ -545,9 +545,7 @@ def normalize_profile(d: DecisionDataset, profile: UtilityProfile) -> UtilityPro
     if total <= 0:
         raise ProfileMismatch("cannot normalize an all-zero profile")
     factor = float(np.sqrt(profile.num_agents / total))
-    return UtilityProfile.from_certificate(
-        d, [factor * u for u in profile.utilities], factor * profile.costs
-    )
+    return UtilityProfile.from_certificate(d, factor * profile.utilities, factor * profile.costs)
 
 
 def reconstruct_cost(d: DecisionDataset, prof: UtilityProfile) -> PiecewiseAffineCost:
@@ -572,10 +570,8 @@ def profile_to_dict(
     """JSON form of ``prof``.  Its utilities and ``robustness`` are those of
     the vertex the solver returned; only a max-margin fit's ``margin`` (eps*)
     is a property of the data."""
-    agents = [
-        {"utility": u.tolist(), "cost": float(c)}
-        for u, c in zip(prof.utilities, prof.costs)
-    ]
+    utilities, costs = prof.utilities.tolist(), prof.costs.tolist()
+    agents = [{"utility": u, "cost": c} for u, c in zip(utilities, costs)]
     return _fit_dict(d, "umri", prof.utilities, prof.margin, {}, agents, report, metadata)
 
 
@@ -604,7 +600,7 @@ def _profile_from_dict(raw: dict) -> UtilityProfile:
     if raw.get("model") != "umri":
         raise IoFailure("not a umri profile file")
     return UtilityProfile(
-        utilities=tuple(np.asarray(a["utility"], dtype=float) for a in raw["agents"]),
-        costs=np.asarray([a["cost"] for a in raw["agents"]], dtype=float),
+        utilities=[a["utility"] for a in raw["agents"]],
+        costs=[a["cost"] for a in raw["agents"]],
         margin=float(raw["margin"]),
     )

@@ -31,7 +31,7 @@ from .errors import ProfileMismatch
 __all__ = ["PiecewiseAffineCost"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewiseAffineCost:
     """Max-of-affine cost anchored at the in-sample strategies: piece k has
     offset ``offsets[k]``, anchor ``anchors[k]`` and gradient ``gradients[k]``,
@@ -96,7 +96,7 @@ def _anchored_cost(d, utilities, costs, margin, *, scales=None):
             "profile violates the feasibility residuals; its cost is not defined"
         )
     scales = np.ones(len(costs)) if scales is None else np.asarray(scales, dtype=float)
-    gradients = d.prior[None, :, None] * np.array(utilities, dtype=float)
+    gradients = d.prior[None, :, None] * utilities
     return PiecewiseAffineCost(
         offsets=costs,
         anchors=d.choices,

@@ -61,7 +61,7 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AgentChoiceMatrix:
     """One agent's id and conditional choice probabilities p(action | state),
     as :attr:`DecisionDataset.agents` returns them: ``choice_prob`` is a view
@@ -72,7 +72,7 @@ class AgentChoiceMatrix:
     choice_prob: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecisionDataset:
     """Prior over states plus the ordered choice matrices of all agents.
 
@@ -91,6 +91,9 @@ class DecisionDataset:
     every LP builder read it, and :func:`joint_and_posterior` returns one
     agent's slices of it.  Beside it, ``_fits`` maps a model name to what a
     fitting module stored of a stage it solved on this object.
+
+    Like every value type holding arrays, a dataset compares and hashes by
+    identity; :meth:`approx_equal` compares two by their entries.
     """
 
     prior: np.ndarray
@@ -107,9 +110,7 @@ class DecisionDataset:
             raise TooFewAgents("dataset has no agents")
         if len(ids) != len(choices):
             raise DimensionMismatch(f"{len(ids)} agent ids for {len(choices)} agents")
-        if len(set(ids)) < len(ids):
-            repeated = next(agent_id for n, agent_id in enumerate(ids) if agent_id in ids[:n])
-            raise DimensionMismatch(f"agent id {repeated!r} names more than one agent")
+        _check_unique(ids, "agent id", "agent")
         if prior.shape != (choices.shape[1],):
             raise DimensionMismatch(f"prior has shape {prior.shape}, expected ({choices.shape[1]},)")
         _check_stochastic(prior[None, None], ["prior"])
@@ -118,6 +119,7 @@ class DecisionDataset:
             labels = tuple(str(s) for s in self.labels)
             if len(labels) != choices.shape[1]:
                 raise DimensionMismatch(f"{len(labels)} labels for {choices.shape[1]} states")
+            _check_unique(labels, "state label", "state")
             object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "prior", prior)
         object.__setattr__(self, "choices", choices)
@@ -153,6 +155,13 @@ class DecisionDataset:
         )
 
 
+def _check_unique(names: tuple[str, ...], kind: str, named: str) -> None:
+    """Raise DimensionMismatch naming the first of ``names`` repeated."""
+    if len(set(names)) < len(names):
+        repeated = next(name for n, name in enumerate(names) if name in names[:n])
+        raise DimensionMismatch(f"{kind} {repeated!r} names more than one {named}")
+
+
 def _check_stochastic(stack: np.ndarray, names: list[str]) -> None:
     """Raise :class:`NotStochastic` naming the first member of ``stack``
     (one per name along axis 0, rows along the last axis) with an entry
@@ -169,7 +178,7 @@ def _check_stochastic(stack: np.ndarray, names: list[str]) -> None:
         raise NotStochastic(f"{names[k]}: row sums deviate from 1 by {off[k]:.3e}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointPosterior:
     """Joint p(x, a), revealed posterior p(x | a), and action marginal p(a).
 
@@ -223,7 +232,8 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     from 1 by at most ``ROW_SUM_TOLERANCE`` is renormalized, a larger
     deviation or an invalid entry rejects the input, and the error names the
     prior, or else the first defective agent in agent order.  The result
-    goes to :class:`DecisionDataset`, which also rejects a repeated agent id.
+    goes to :class:`DecisionDataset`, which also rejects a repeated agent id
+    or state label.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")

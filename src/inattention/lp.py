@@ -225,7 +225,7 @@ def _frozen(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpBasis:
     """A simplex basis: the optimal one a solve ended on, or one to start at.
 
@@ -243,10 +243,10 @@ class LpBasis:
 
     basic: np.ndarray
     status: np.ndarray
-    _nonbasic: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _owner: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    _program: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    _nonbasic: np.ndarray | None = field(default=None, init=False, repr=False)
+    _owner: np.ndarray | None = field(default=None, init=False, repr=False)
+    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
+    _program: tuple | None = field(default=None, init=False, repr=False)
 
     def _extended_by(self, lp: LinearProgram) -> bool:
         """Whether ``lp`` is the program this basis's solve ended on with
@@ -265,7 +265,7 @@ class LpBasis:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LpSolution:
     """A solve's outcome.
 

@@ -48,7 +48,6 @@ from .brp import (
 from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import (
     DecisionDataset,
-    _check_utility,
     _frozen_array,
     _joint_posterior,
     dataset_to_dict,
@@ -65,6 +64,7 @@ from .errors import (
     NumericalFailure,
     OutOfRange,
     ShapeMismatch,
+    TooFewAgents,
 )
 from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
 
@@ -85,10 +85,11 @@ _NIAS_CERT_TOL = 1e-9
 _OBJECTIVE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoiseFamily:
-    """Fitted model for agents indexed by an increasing noise grid.  Every
-    family's profile is admitted here: its strict margin must pass the cost's
+    """Fitted model for agents indexed by an increasing noise grid of at
+    least two levels (TooFewAgents), one grid interval.  Every family's
+    profile is admitted here: its strict margin must pass the cost's
     certificate rule (ProfileMismatch), not be degenerate (DegenerateDataset)
     and have nonnegative utilities (DimensionMismatch), so every interpolated
     utility is nonnegative too.
@@ -103,10 +104,10 @@ class NoiseFamily:
     etas: np.ndarray
     dataset: DecisionDataset
     fitted: UtilityProfile
-    _base: LinearProgram = field(init=False, repr=False, compare=False)
-    _pairs: tuple = field(init=False, repr=False, compare=False)
-    _deviation: tuple = field(init=False, repr=False, compare=False)
-    _starts: list = field(init=False, repr=False, compare=False, default_factory=list)
+    _base: LinearProgram = field(init=False, repr=False)
+    _pairs: tuple = field(init=False, repr=False)
+    _deviation: tuple = field(init=False, repr=False)
+    _starts: list = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         d = self.dataset
@@ -117,8 +118,8 @@ class NoiseFamily:
             raise DegenerateDataset(
                 "max-margin fit is numerically zero; predictions are meaningless"
             )
-        for u in self.fitted.utilities:
-            _check_utility(d, u)
+        if np.any(self.fitted.utilities < 0):
+            raise DimensionMismatch("utility entries must be finite and nonnegative")
         base = _base_program(d, cost)
         object.__setattr__(self, "_base", base)
         taken, deviation = np.nonzero(~np.eye(d.num_actions, dtype=bool))
@@ -139,7 +140,7 @@ class NoiseFamily:
         return self.dataset.num_agents
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PredictionOutcome:
     """One query: interpolated utility, predicted strategy, and scores."""
 
@@ -164,13 +165,16 @@ def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
 
 def _noise_grid(etas, num_agents: int) -> np.ndarray:
     """A read-only float copy of ``etas``; raises DimensionMismatch unless
-    they are one finite noise level per agent, strictly increasing."""
+    they are one finite noise level per agent, strictly increasing, and
+    TooFewAgents unless they span one grid interval."""
     etas = _frozen_array(etas)
     if etas.shape != (num_agents,):
         raise DimensionMismatch(
             f"{etas.shape[0] if etas.ndim == 1 else 'malformed'} noise levels "
             f"for {num_agents} agents"
         )
+    if num_agents < 2:
+        raise TooFewAgents("a noise grid needs two levels, one interval to interpolate in")
     if not np.all(np.isfinite(etas)):
         raise DimensionMismatch("noise levels must be finite")
     if np.any(np.diff(etas) <= 0):

@@ -55,7 +55,7 @@ _ALTERNATION_TOL = 1e-8
 _MAX_ROUNDS = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SharedUtilitySolution:
     """Shared utility, per-agent sensitivities and costs, achieved margin.
 
@@ -98,12 +98,17 @@ class SharedUtilitySolution:
     def num_agents(self) -> int:
         return self.costs.shape[0]
 
+    @property
+    def utilities(self) -> np.ndarray:
+        """Every agent's utility: a read-only (K, X, A) view of ``utility``."""
+        return np.broadcast_to(self.utility, (self.num_agents, *self.utility.shape))
+
     def squared_norm(self) -> float:
         return float((self.utility * self.utility).sum())
 
 
 def _residual_arrays(d, utility, sensitivities, costs):
-    nias = nias_residuals(d, [utility] * d.num_agents)
+    nias = nias_residuals(d, np.broadcast_to(utility, (d.num_agents, *utility.shape)))
     realized = _realized(d, utility)
     coupling = (
         realized[:, None]
@@ -123,7 +128,7 @@ def sbrp_residuals(
     entry (j, k) linear in the utility at fixed (sensitivities, costs) and
     linear in (sensitivities, costs) at fixed utility; its diagonal is zero.
     """
-    _check_profile_dims(d, [sol.utility] * sol.num_agents)
+    _check_profile_dims(d, sol.utilities)
     return _residual_arrays(d, sol.utility, sol.sensitivities, sol.costs)
 
 
@@ -187,7 +192,8 @@ class _SbrpStages:
             np.append(np.full(self.K, LAMBDA_LO), 0.0),
             np.append(np.full(self.K, LAMBDA_HI), MARGIN_CAP),
         )
-        worst = _worst_nias(nias_residuals(self.d, [utility] * self.K)).max()
+        every = np.broadcast_to(utility, (self.K, *utility.shape))
+        worst = _worst_nias(nias_residuals(self.d, every)).max()
         realized = _realized(self.d, utility)
         j, k = np.nonzero(~np.eye(self.K, dtype=bool))
         rows = np.zeros((j.size + 1, lp.num_vars))
@@ -281,9 +287,7 @@ def reconstruct_cost_compact(
     the same construction as the private-utility cost with a shared matrix.
     """
     margin = _margin_of(*sbrp_residuals(d, sol))
-    return _anchored_cost(
-        d, [sol.utility] * d.num_agents, sol.costs, margin, scales=sol.sensitivities
-    )
+    return _anchored_cost(d, sol.utilities, sol.costs, margin, scales=sol.sensitivities)
 
 
 # ---------------------------------------------------------------------------
@@ -299,8 +303,7 @@ def solution_to_dict(
         {"lambda": float(lam), "cost": float(c)}
         for lam, c in zip(sol.sensitivities, sol.costs)
     ]
-    utilities = [sol.utility] * sol.num_agents
-    return _fit_dict(d, "s-umri", utilities, sol.margin, shared, agents, report, metadata)
+    return _fit_dict(d, "s-umri", sol.utilities, sol.margin, shared, agents, report, metadata)
 
 
 def _solution_from_dict(raw: dict) -> SharedUtilitySolution:

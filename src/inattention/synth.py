@@ -59,27 +59,26 @@ _WEIGHT_FLOOR = 1e-3
 _MAX_ATTEMPTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """A dataset bundled with the parameters that generated it.
 
-    The certificate (utilities, costs) satisfies every strict residual at
-    slack ``construction_margin`` or better, which is verified before the
-    object is built.
+    The certificate, utilities held as one read-only (K, X, A) stack and
+    costs, satisfies every strict residual at slack ``construction_margin``
+    or better, which is verified before the object is built.
     """
 
     dataset: DecisionDataset
-    utilities: tuple[np.ndarray, ...]
+    utilities: np.ndarray
     costs: np.ndarray
     construction_margin: float
     seed: int
 
     def __post_init__(self):
-        utilities = tuple(_frozen_array(u) for u in self.utilities)
-        costs = _frozen_array(self.costs)
-        object.__setattr__(self, "utilities", utilities)
-        object.__setattr__(self, "costs", costs)
-        achieved = strict_margin(self.dataset, utilities, costs)
+        # Checked first, so a ragged sequence is a ProfileMismatch naming its agent.
+        achieved = strict_margin(self.dataset, self.utilities, self.costs)
+        object.__setattr__(self, "utilities", _frozen_array(self.utilities))
+        object.__setattr__(self, "costs", _frozen_array(self.costs))
         if achieved < self.construction_margin - 1e-9:
             raise NumericalFailure(
                 f"generator certificate achieves {achieved:.3e}, "
@@ -175,13 +174,11 @@ def assign_costs(d: DecisionDataset, utilities, target_margin: float) -> np.ndar
     freedom: scaling would change cost differences and break the margin.
     """
     K = d.num_agents
-    if len(utilities) != K:
-        raise DimensionMismatch(f"{len(utilities)} utilities for {K} agents")
-    if K == 1:
-        return np.array([SYNTH_COST_FLOOR])
     # Edge j -> k bounds c_k - c_j from above: by the swap residual at zero
     # costs, realized_k - gain_jk.
     weights = -niac_residuals(d, utilities, np.zeros(K)) - target_margin
+    if K == 1:
+        return np.array([SYNTH_COST_FLOOR])
     np.fill_diagonal(weights, 0.0)
     dist = _potentials(weights)
     if dist is None:
@@ -300,7 +297,7 @@ def generate_feasible_dataset(
 
     for _ in range(_MAX_ATTEMPTS):
         base = _sample_base_utility(rng, num_states, num_actions, prior)
-        utilities = [scales[k] * base for k in range(num_agents)]
+        utilities = scales[:, None, None] * base
         try:
             root = generate_strategies(
                 num_states, num_actions, prior, base, rng, sharpness=0.05, max_attempts=300
@@ -321,7 +318,7 @@ def generate_feasible_dataset(
         flat = np.full((num_states, num_actions), 1.0 / num_actions)
         chain = (1.0 - noise)[:, None, None] * root + noise[:, None, None] * flat
         dataset = DecisionDataset(prior, chain, [f"agent-{k}" for k in range(num_agents)])
-        gaps = -_worst_nias(nias_residuals(dataset, [base] * num_agents))
+        gaps = -_worst_nias(nias_residuals(dataset, np.broadcast_to(base, utilities.shape)))
         if np.any(gaps * scales < 1.05 * margin):
             continue
         try:
@@ -330,7 +327,7 @@ def generate_feasible_dataset(
             continue
         return GroundTruth(
             dataset=dataset,
-            utilities=tuple(utilities),
+            utilities=utilities,
             costs=costs,
             construction_margin=margin,
             seed=seed,
@@ -375,7 +372,7 @@ def generate_boundary_dataset(
             channel = (1.0 - gamma) * np.eye(num_actions) + gamma * mix
             candidate = chain[-1] @ channel
             alone = DecisionDataset(prior, candidate[None], ["candidate"])
-            if _worst_nias(nias_residuals(alone, [utility]))[0] <= 1e-12:
+            if _worst_nias(nias_residuals(alone, utility[None]))[0] <= 1e-12:
                 chain.append(candidate)
                 break
             gamma *= 0.5
@@ -393,7 +390,7 @@ def generate_boundary_dataset(
         )
     return GroundTruth(
         dataset=dataset,
-        utilities=tuple(utility.copy() for _ in range(num_agents)),
+        utilities=np.broadcast_to(utility, (num_agents, *utility.shape)),
         costs=costs,
         construction_margin=0.0,
         seed=seed,
@@ -454,7 +451,7 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
     best = float(margin_grid.max())
     flat = int(margin_grid.argmax())
     pick = (flat // margin_grid.shape[1], flat % margin_grid.shape[1])
-    best_utils = [options[pick[0]], options[pick[1]]]
+    best_utils = options[list(pick)]
 
     feasible = best >= 0.0
     witness = None
@@ -464,7 +461,7 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
         except InfeasibleCosts as exc:  # pragma: no cover - caps prevent this
             raise NumericalFailure(f"oracle witness failed to verify: {exc}") from exc
         witness = {
-            "utilities": [u.tolist() for u in best_utils],
+            "utilities": best_utils.tolist(),
             "costs": costs.tolist(),
             "margin": max(best, 0.0),
         }
@@ -480,7 +477,7 @@ def grid_oracle(d: DecisionDataset, grid_levels=None) -> OracleResult:
 def save_ground_truth(gt: GroundTruth, path: str) -> None:
     payload = {
         "dataset": dataset_to_dict(gt.dataset),
-        "utilities": [u.tolist() for u in gt.utilities],
+        "utilities": gt.utilities.tolist(),
         "costs": gt.costs.tolist(),
         "construction_margin": gt.construction_margin,
         "seed": gt.seed,
@@ -492,8 +489,8 @@ def _ground_truth_from_dict(raw: dict) -> GroundTruth:
     # A generator's truth may hold one agent; only rationality tests need two.
     return GroundTruth(
         dataset=validate_dataset(raw["dataset"], min_agents=1),
-        utilities=tuple(np.asarray(u, dtype=float) for u in raw["utilities"]),
-        costs=np.asarray(raw["costs"], dtype=float),
+        utilities=raw["utilities"],
+        costs=raw["costs"],
         construction_margin=float(raw["construction_margin"]),
         seed=int(raw["seed"]),
     )

@@ -39,7 +39,13 @@ from inattention.errors import (
 )
 from inattention.lp import LpBasis, LpSolution, solve_lp
 from inattention.predict import NoiseFamily, load_family
-from inattention.synth import generate_feasible_dataset
+from inattention.synth import (
+    GroundTruth,
+    generate_boundary_dataset,
+    generate_feasible_dataset,
+    load_ground_truth,
+    save_ground_truth,
+)
 
 from conftest import (
     D2_CERTIFICATE,
@@ -443,6 +449,111 @@ class TestFitMatchesItsDataset:
         err = capsys.readouterr().err
         assert "profile has" in err or "has shape" in err
         assert not out.exists()
+
+
+# The sequences a caller may hold a fit's utilities in, made from their
+# (K, X, A) stack; a broadcast view holds one utility shared by every agent.
+UTILITY_LAYOUTS = {
+    "list": list,
+    "tuple": tuple,
+    "stack": np.copy,
+    "broadcast view": lambda stack: np.broadcast_to(stack[0], stack.shape),
+}
+SHARED_UTILITY = np.array([[0.7, 0.2], [0.1, 0.8]])
+
+
+class TestOneLayout:
+    """A fit's utilities are one (K, X, A) stack from solver to file, and the
+    residual kernel's check is the one door every layout passes through."""
+
+    @pytest.mark.parametrize("layout", UTILITY_LAYOUTS)
+    def test_every_layout_gives_the_stack_bits(self, d2, layout):
+        costs = D2_CERTIFICATE["costs"]
+        stacks = [np.stack([SHARED_UTILITY] * 2)]
+        if layout != "broadcast view":  # which holds a shared utility only
+            stacks.append(np.stack(D2_CERTIFICATE["utilities"]))
+        for stack in stacks:
+            given = UTILITY_LAYOUTS[layout](stack)
+            margin = strict_margin(d2, stack, costs)
+            profile = UtilityProfile.from_certificate(d2, given, costs)
+            truth = GroundTruth(d2, given, costs, construction_margin=margin, seed=0)
+            for got, want in (
+                (nias_residuals(d2, given), nias_residuals(d2, stack)),
+                (niac_residuals(d2, given, costs), niac_residuals(d2, stack, costs)),
+                (strict_margin(d2, given, costs), margin),
+                (profile.margin, margin),
+                (profile.utilities, stack),
+                (truth.utilities, stack),
+            ):
+                got, want = np.asarray(got), np.asarray(want)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert not profile.utilities.flags.writeable and not truth.utilities.flags.writeable
+
+    @pytest.mark.parametrize(
+        "ragged, text",
+        [
+            ([np.eye(2), np.ones((2, 1))], r"^utility 1 has shape \(2, 1\), expected \(2, 2\)$"),
+            ([np.eye(2), np.eye(2), np.ones(2)], "^profile has 3 agents, dataset 2$"),
+        ],
+        ids=["one matrix off the shape", "one agent more"],
+    )
+    def test_a_ragged_sequence_is_a_profile_mismatch(self, d2, ragged, text):
+        costs = [0.1] * len(ragged)
+        for call in (
+            lambda: nias_residuals(d2, ragged),
+            lambda: niac_residuals(d2, ragged, costs),
+            lambda: strict_margin(d2, ragged, costs),
+            lambda: UtilityProfile.from_certificate(d2, ragged, costs),
+            lambda: GroundTruth(d2, ragged, costs, construction_margin=0.0, seed=0),
+        ):
+            with pytest.raises(ProfileMismatch, match=text):
+                call()
+
+    def test_a_profile_of_two_shapes_names_the_first_agent_off(self, d2, tmp_path):
+        # Without a dataset, the first agent's shape is the expected one.
+        ragged = [np.eye(2), np.eye(2), np.ones((1, 2))]
+        with pytest.raises(ProfileMismatch, match=r"^utility 2 has shape \(1, 2\), expected \(2, 2\)$"):
+            UtilityProfile(ragged, np.zeros(3), margin=0.0)
+        path = tmp_path / "truth.json"
+        save_ground_truth(generate_feasible_dataset(2, 2, 2, 0.01, seed=1), str(path))
+        raw = json.loads(path.read_text())
+        raw["utilities"][1] = [[0.5]]
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ProfileMismatch, match=r"^utility 1 has shape \(1, 1\), expected \(2, 2\)$"):
+            load_ground_truth(str(path))
+
+    def test_files_round_trip_the_stack_bit_for_bit(self, d2, tmp_path):
+        profile = brp_sparsest(d2)
+        path = str(tmp_path / "profile.json")
+        write_json(path, profile_to_dict(d2, profile))
+        again = read_json(path, brp._profile_from_dict)
+        assert again.utilities.shape == profile.utilities.shape
+        assert again.utilities.tobytes() == profile.utilities.tobytes()
+        for truth in (
+            generate_feasible_dataset(3, 3, 3, 0.01, seed=1),
+            generate_boundary_dataset(3, 3, 3, seed=1),
+        ):
+            path = str(tmp_path / "truth.json")
+            save_ground_truth(truth, path)
+            again = load_ground_truth(path)
+            assert again.utilities.shape == truth.utilities.shape == (3, 3, 3)
+            assert again.utilities.tobytes() == truth.utilities.tobytes()
+            assert again.costs.tobytes() == truth.costs.tobytes()
+
+    def test_squared_norms_sum_each_agent_as_its_own_matrix(self):
+        # 100 entries an agent: numpy sums them pairwise, in one order either way.
+        utilities = np.random.default_rng(5).uniform(size=(4, 10, 10))
+        profile = UtilityProfile(utilities, np.zeros(4), margin=0.0)
+        assert profile.squared_norms().tolist() == [float((u * u).sum()) for u in utilities]
+
+    def test_a_shared_solution_views_its_utility_as_every_agents(self):
+        sol = sbrp.SharedUtilitySolution(
+            utility=SHARED_UTILITY, sensitivities=np.ones(3), costs=np.full(3, 0.1), margin=0.0
+        )
+        stack = sol.utilities
+        assert stack.shape == (3, 2, 2) and not stack.flags.writeable
+        assert np.shares_memory(stack, sol.utility)
+        assert all(np.array_equal(u, SHARED_UTILITY) for u in stack)
 
 
 def _row_draws():

@@ -614,6 +614,22 @@ class TestSynthPredict:
             rows = table.read_text().strip().splitlines()[1:]
             assert [row.split(",")[1] for row in rows] == ["cat", "dog"]
 
+    def test_repeated_labels_exit_one_before_any_fit(self, tmp_path, d2, capsys, monkeypatch):
+        # Two states under one label would share one row of the table.
+        data = tmp_path / "labelled.json"
+        data.write_text(json.dumps({**dataset_to_dict(d2), "labels": ["cat", "cat"]}))
+        monkeypatch.setattr(pred, "fit_family", _no_fit)
+        out, table = tmp_path / "p.json", tmp_path / "p.csv"
+        code = run(
+            "predict", "--dataset", data, "--etas", "1.0,1.1", "--eta", 1.05,
+            "--out", out, "--table", table,
+        )
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: state label 'cat' names more than one state"
+        ]
+        assert not out.exists() and not table.exists()
+
     def test_truth_agent_scores_against_that_agent(self, tmp_path, dataset_file):
         out = tmp_path / "p.json"
         code = run(
@@ -642,6 +658,14 @@ BAD_PROFILES = {
     "missing_key": '{"model": "umri", "margin": 0.1, "degenerate": false}',
     "no_model": json.dumps(_TABLE_READY),
     "unknown_model": json.dumps({"model": "xyz", **_TABLE_READY}),
+    # A fit's utilities are one (K, X, A) stack: matrices of two shapes are none.
+    "ragged": json.dumps(
+        {
+            "model": "umri",
+            **_TABLE_READY,
+            "agents": [*_TABLE_READY["agents"], {"agent_id": "b", "utility": [[0.5]], "cost": 0.1}],
+        }
+    ),
 }
 
 
@@ -657,6 +681,15 @@ class TestUnreadableProfile:
         )
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_ragged_names_the_first_agent_off_the_shape(self, tmp_path, dataset_file, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(BAD_PROFILES["ragged"])
+        code = run(
+            "cost", "--profile", bad, "--dataset", dataset_file, "--out", tmp_path / "c.csv"
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: utility 1 has shape (1, 1), expected (2, 2)\n"
 
     @pytest.mark.parametrize("kind", sorted(BAD_PROFILES))
     def test_report(self, tmp_path, dataset_file, capsys, kind):

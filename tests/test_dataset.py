@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from inattention.brp import MarginReport, UtilityProfile
 from inattention.costs import PiecewiseAffineCost
 from inattention.dataset import (
+    AgentChoiceMatrix,
     DecisionDataset,
+    JointPosterior,
     dataset_to_dict,
     expected_value,
     ingest_softmax,
@@ -34,7 +36,8 @@ from inattention.errors import (
     RaggedAgents,
     TooFewAgents,
 )
-from inattention.predict import NoiseFamily
+from inattention.lp import LpBasis, LpSolution
+from inattention.predict import NoiseFamily, PredictionOutcome
 from inattention.sbrp import SharedUtilitySolution
 from inattention.synth import GroundTruth
 
@@ -278,6 +281,14 @@ class TestConstructorChecks:
         with pytest.raises(DimensionMismatch, match="^agent id 'sharp' names more than one"):
             validate_dataset(raw)
 
+    def test_repeated_state_label_rejected(self, d2):
+        # Tables key their rows by state label, so two states need two labels.
+        text = "^state label 'cat' names more than one state$"
+        with pytest.raises(DimensionMismatch, match=text):
+            DecisionDataset([0.25] * 4, _stack(np.eye(4)), ["a"], labels=["cat", "dog"] * 2)
+        with pytest.raises(DimensionMismatch, match=text):
+            validate_dataset({**dataset_to_dict(d2), "labels": ["cat", "cat"]})
+
     @pytest.mark.parametrize(
         "prior, agents, error",
         [
@@ -397,6 +408,23 @@ def _value_types():
 
     builders = [profile, report, shared, cost, ground_truth, family, dataset]
     return [pytest.param(build, id=build.__name__) for build in builders]
+
+
+@pytest.mark.parametrize("build", _value_types())
+def test_value_types_compare_and_hash_by_identity(d2, build):
+    # Array fields have no one truth value, so equality is identity.
+    obj, twin = build(d2)[0], build(d2)[0]
+    assert obj == obj and obj != twin
+    assert hash(obj) == hash(obj) and obj in {obj} and twin not in {obj}
+
+
+def test_every_value_type_holding_arrays_compares_by_identity():
+    for cls in (
+        DecisionDataset, AgentChoiceMatrix, JointPosterior, UtilityProfile, MarginReport,
+        SharedUtilitySolution, GroundTruth, PiecewiseAffineCost, NoiseFamily,
+        PredictionOutcome, LpBasis, LpSolution,
+    ):
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
 
 
 def _stored_arrays(obj):

@@ -14,6 +14,7 @@ from inattention.errors import (
     OutOfRange,
     ProfileMismatch,
     ShapeMismatch,
+    TooFewAgents,
 )
 from inattention.lp import LinearProgram, solve_lp
 from inattention.predict import (
@@ -59,6 +60,15 @@ class TestFitFamily:
             assert linearized_cost(fam, dataset.choice(k)) == pytest.approx(
                 float(fam.fitted.costs[k]), abs=1e-8
             )
+
+    def test_a_one_agent_family_is_rejected(self):
+        # One level spans no grid interval to interpolate in.
+        d = DecisionDataset([0.5, 0.5], [[[0.9, 0.1], [0.1, 0.9]]], ["a"])
+        profile = UtilityProfile.from_certificate(d, [np.eye(2)], [0.1])
+        with pytest.raises(TooFewAgents, match="two levels"):
+            NoiseFamily(etas=[1.0], dataset=d, fitted=profile)
+        with pytest.raises(TooFewAgents, match="two levels"):
+            fit_family(d, [1.0])
 
     def test_non_increasing_grid_rejected(self, family):
         _, dataset, _ = family
@@ -108,7 +118,8 @@ class TestFitFamily:
         if mismatch == "one agent short":
             utilities, costs = utilities[:-1], costs[:-1]
         elif mismatch == "one agent more":
-            utilities, costs = utilities + utilities[-1:], np.append(costs, costs[-1])
+            utilities = np.concatenate([utilities, utilities[-1:]])
+            costs = np.append(costs, costs[-1])
         else:
             utilities = tuple(u[:, :-1] for u in utilities)
         profile = UtilityProfile(utilities=utilities, costs=costs, margin=1.0)
