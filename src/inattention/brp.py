@@ -40,7 +40,7 @@ from .errors import (
     ProfileMismatch,
     TooFewAgents,
 )
-from .lp import LinearProgram, LpBasis, LpStatus, solve_lp
+from .lp import LinearProgram, LpBasis, solve_lp
 
 __all__ = [
     "UtilityProfile",
@@ -394,10 +394,11 @@ class _BrpProgram:
         return lp
 
     def extract(self, point: np.ndarray):
-        """(the (K, X, A) stack of each agent's utility, costs) at ``point``."""
+        """(each agent's utility as one (K, X, A) stack, costs, margin or None) at ``point``."""
         stack = point[: self.num_utility_vars].reshape(-1, self.X, self.A)
         costs = point[self.num_utility_vars : self.num_core_vars].copy()
-        return stack[self.blocks], costs
+        margin = float(point[-1]) if point.shape[0] > self.num_core_vars else None
+        return stack[self.blocks], costs, margin
 
     def add_violated_selections(self, utilities, costs, bound: float) -> np.ndarray:
         """Score the candidate, its (K, X, A) ``utilities`` and ``costs``,
@@ -448,17 +449,8 @@ class _BrpProgram:
         lp = self.build(keep)
         start = self.modal_start(lp) if margin_stage else None
         for rounds in range(1, _MAX_CUT_ROUNDS + 1):
-            sol = start = solve_lp(lp, start=start)
-            if sol.status is not LpStatus.OPTIMAL:
-                # The all-floor certificate satisfies every residual with
-                # equality, so the margin stage cannot be infeasible; the
-                # sparsity stage inherits feasibility from the margin stage.
-                raise NumericalFailure(
-                    f"feasibility program reported {sol.status.value}; "
-                    "this indicates a solver defect, not an infeasible dataset"
-                )
-            utilities, costs = self.extract(sol.point)
-            margin = float(sol.point[-1]) if margin_stage else None
+            start = solve_lp(lp, start=start).require_optimal("feasibility program")
+            utilities, costs, margin = self.extract(start.point)
             bound = -margin if margin_stage else rhs
             cuts = self.add_violated_selections(utilities, costs, bound)
             if not cuts.shape[0]:
@@ -499,9 +491,8 @@ def brp_max_margin(d: DecisionDataset) -> tuple[UtilityProfile, MarginReport]:
     """Maximize the common slack by which the dataset passes the test.
 
     Returns the optimizing certificate and a report with the normalized
-    robustness value.  Never returns "infeasible": constant utilities with
-    equal costs always satisfy the residuals with zero slack.  Always
-    solves, and stores the stage in ``d``'s memo for :func:`brp_sparsest`.
+    robustness value.  Always solves, and stores the stage in ``d``'s memo
+    for :func:`brp_sparsest`.
     """
     profile = UtilityProfile.from_certificate(d, *_solve_margin_stage(d))
     report = MarginReport.from_solution(profile.margin, profile.squared_norms())

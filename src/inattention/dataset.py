@@ -29,6 +29,7 @@ from .constants import ROW_SUM_TOLERANCE
 from .errors import (
     DimensionMismatch,
     EmptyClass,
+    InattentionError,
     IoFailure,
     NotStochastic,
     RaggedAgents,
@@ -513,7 +514,8 @@ def read_json(path: str, build: Callable[[Any], Any]):
 
     Every way an artifact can be unreadable raises :class:`IoFailure`
     naming the file: it cannot be opened, it is not JSON, or ``build`` finds
-    a field missing or of the wrong type.
+    a field missing or of the wrong type.  Any other domain error ``build``
+    raises is raised again, of its type, with the file's name in front.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -524,8 +526,8 @@ def read_json(path: str, build: Callable[[Any], Any]):
         raise IoFailure(f"{path} is not valid JSON: {exc}") from exc
     try:
         return build(raw)
-    except IoFailure as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    except InattentionError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise IoFailure(f"{path}: missing or ill-typed field {exc!r}") from exc
 

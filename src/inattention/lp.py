@@ -83,7 +83,9 @@ raises :class:`NumericalFailure`.  Every variable is boxed, so no program
 is unbounded: an improving direction without limit or a singular basis can
 only come from rounding, and each raises.  The one recovery path is the
 cold run that takes over when a warm run raises, a start rejected by its
-rebuild included.
+rebuild included.  Every program the package builds is feasible by
+construction, so its caller takes the solution through
+:meth:`LpSolution.require_optimal`: a numerical failure is never a verdict.
 """
 
 from __future__ import annotations
@@ -283,6 +285,7 @@ class LpSolution:
     program that extends its own counts none, and so does a slack basis.
     ``basis`` is set on optimal solutions; pass it, or the solution, as
     ``start`` to solve a program over the same variables with no fewer rows.
+    ``point``, set on optimal solutions too, is read-only.
     """
 
     status: LpStatus
@@ -297,6 +300,16 @@ class LpSolution:
     @property
     def is_optimal(self) -> bool:
         return self.status is LpStatus.OPTIMAL
+
+    def require_optimal(self, what: str) -> "LpSolution":
+        """This solution if optimal, else :class:`NumericalFailure` naming ``what``:
+        every program the package builds is feasible by construction."""
+        if not self.is_optimal:
+            raise NumericalFailure(
+                f"{what} reported {self.status.value}; the program is feasible by "
+                "construction, so this is a solver defect, not a verdict"
+            )
+        return self
 
 
 # Nonbasic status codes, and the direction a column at each moves in.
@@ -850,7 +863,8 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
     direction that rounding produced, the iteration cap); that condition is
-    never reported as infeasible.
+    never reported as infeasible.  A program feasible by construction takes
+    its solution through :meth:`LpSolution.require_optimal`.
     """
     if lp.num_vars == 0:
         raise ValueError("program has no variables")
@@ -877,7 +891,7 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
     # Snap values that drifted within certification tolerance back onto the box.
     if _largest(np.maximum(lp.lower - point, point - lp.upper)) > _FEAS_TOL:
         raise NumericalFailure("optimal point violates variable bounds")
-    point = np.minimum(np.maximum(point, lp.lower), lp.upper)
+    point = _frozen(np.minimum(np.maximum(point, lp.lower), lp.upper))
 
     max_violation = float(_largest(lp.a @ point - lp.b, initial=0.0))
     if max_violation > _FEAS_TOL:

@@ -66,7 +66,7 @@ from .errors import (
     ShapeMismatch,
     TooFewAgents,
 )
-from .lp import LinearProgram, LpSolution, LpStatus, solve_lp
+from .lp import LinearProgram, LpSolution, solve_lp
 
 __all__ = [
     "NoiseFamily",
@@ -150,6 +150,11 @@ class PredictionOutcome:
     nias_consistent: bool
     per_class_error: np.ndarray | None = None
     kl_score: float | None = None
+
+    def __post_init__(self):
+        for name in ("interpolated_utility", "predicted_choice", "per_class_error"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _frozen_array(getattr(self, name)))
 
 
 def fit_family(d: DecisionDataset, etas) -> NoiseFamily:
@@ -260,9 +265,10 @@ def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
         u = _interpolated(f, h, 0.5)
         try:
             solved = solve_lp(_first_program(f, u), start=f._starts[-1] if h else None)
+            solved = solved.require_optimal(f"interval {h}'s midpoint program")
         except NumericalFailure:
             solved = None
-        f._starts.append(solved if solved is not None and solved.is_optimal else None)
+        f._starts.append(solved)
     return f._starts[g]
 
 
@@ -296,9 +302,7 @@ def _refine_toward_anchor(f: NoiseFamily, lp, first, g, w_hi) -> np.ndarray:
         rows,
         np.concatenate([lp.b, [-(first.objective_value - _OBJECTIVE_SLACK)]]) - a_z @ target,
     )
-    second = solve_lp(refined)
-    if second.status is not LpStatus.OPTIMAL:
-        raise NumericalFailure("prediction refinement failed to solve")
+    second = solve_lp(refined).require_optimal("prediction refinement")
     up, down = second.point[:cells], second.point[cells : 2 * cells]
     return target + up - down
 
@@ -321,9 +325,7 @@ def predict_at(
     g, w_hi = _bracket(f, eta)
     u_hat = _interpolated(f, g, w_hi)
     lp = _first_program(f, u_hat)
-    first = solve_lp(lp, start=_interval_start(f, g))
-    if first.status is not LpStatus.OPTIMAL:
-        raise NumericalFailure(f"prediction program reported {first.status.value}")
+    first = solve_lp(lp, start=_interval_start(f, g)).require_optimal("prediction program")
     point = _refine_toward_anchor(f, lp, first, g, w_hi)
     strategy = np.maximum(point, 0.0).reshape(u_hat.shape)
     strategy /= strategy.sum(axis=1, keepdims=True)
@@ -387,13 +389,15 @@ def save_family(path: str, f: NoiseFamily) -> None:
 
 
 def load_family(path: str) -> NoiseFamily:
-    def build(raw):
-        d = validate_dataset(raw["dataset"])
-        return NoiseFamily(
-            etas=raw["etas"], dataset=d, fitted=_profile_from_dict(raw["profile"])
-        )
+    """The family saved at ``path``.  An error in the file names it; the
+    family is built after the read, so a profile it refuses gets the message
+    ``cost`` prints for it, with no file name in front."""
 
-    return read_json(path, build)
+    def parts(raw):
+        return raw["etas"], validate_dataset(raw["dataset"]), _profile_from_dict(raw["profile"])
+
+    etas, d, fitted = read_json(path, parts)
+    return NoiseFamily(etas=etas, dataset=d, fitted=fitted)
 
 
 def prediction_to_dict(

@@ -40,8 +40,8 @@ from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
-from .errors import DimensionMismatch, IoFailure, NumericalFailure, ProfileMismatch
-from .lp import LinearProgram, LpStatus, solve_lp
+from .errors import DimensionMismatch, IoFailure, ProfileMismatch
+from .lp import LinearProgram, solve_lp
 
 __all__ = [
     "SharedUtilitySolution",
@@ -141,15 +141,6 @@ class _SbrpStages:
         pairs = np.nonzero(~np.eye(self.K, dtype=bool))
         self.pairs = _BrpProgram(d, _identity_cuts(d, *pairs), shared=True)
 
-    def _solve(self, program: _BrpProgram, lp: LinearProgram, failure: str):
-        """(utility, costs, point) at the optimum; ``failure`` is the error
-        message, formatted with the solver status."""
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NumericalFailure(failure.format(sol.status.value))
-        utilities, costs = program.extract(sol.point)
-        return utilities[0], costs, sol.point
-
     def anchor_stage(self):
         """Best zero-margin certificate at unit sensitivities.
 
@@ -167,23 +158,18 @@ class _SbrpStages:
         lp = program.build()
         equal = program.swap_rows(_identity_cuts(self.d, k, k + 1))
         lp.add_eq(_margin_rows(lp, equal, False), 0.0)
-        utility, costs, _ = self._solve(
-            program, lp, "anchor stage failed; the all-floor point is feasible"
-        )
-        return utility, costs
+        sol = solve_lp(lp).require_optimal("s-UMRI anchor stage")
+        utilities, costs, _ = program.extract(sol.point)
+        return utilities[0], costs
 
     def utility_stage(self, sensitivities, keep=None):
         """Fix sensitivities; optimize (utility, costs) in the stage ``keep``
         names (:meth:`_BrpProgram.build`): with the margin variable, whose
         optimum is returned, or, keeping ``keep``, with none."""
         lp = self.pairs.build(keep, weights=sensitivities)
-        utility, costs, point = self._solve(
-            self.pairs,
-            lp,
-            "shared-utility stage reported {}; the all-floor certificate is "
-            "always feasible, so this is a solver defect",
-        )
-        return utility, costs, float(point[-1]) if keep is None else None
+        sol = solve_lp(lp).require_optimal("s-UMRI utility stage")
+        utilities, costs, margin = self.pairs.extract(sol.point)
+        return utilities[0], costs, margin
 
     def sensitivity_stage(self, utility, costs):
         """Fix (utility, costs); optimize the sensitivities and the margin."""
@@ -201,10 +187,8 @@ class _SbrpStages:
         rows[np.arange(1, j.size + 1), k] = costs[k] - costs[j]
         first = -worst if np.isfinite(worst) else MARGIN_CAP
         lp.add_leq(rows, np.append(first, realized[k] - realized[j]))
-        sol = solve_lp(lp)
-        if sol.status is not LpStatus.OPTIMAL:
-            raise NumericalFailure("sensitivity stage failed to solve")
-        return sol.point[: self.K].copy(), float(sol.point[-1])
+        sol = solve_lp(lp).require_optimal("s-UMRI sensitivity stage")
+        return sol.point[: self.K], float(sol.point[-1])
 
 
 def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginReport]:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -519,7 +520,9 @@ class TestOneLayout:
         raw = json.loads(path.read_text())
         raw["utilities"][1] = [[0.5]]
         path.write_text(json.dumps(raw))
-        with pytest.raises(ProfileMismatch, match=r"^utility 1 has shape \(1, 1\), expected \(2, 2\)$"):
+        # Read from a file, the error names it.
+        expected = re.escape(f"{path}: utility 1 has shape (1, 1), expected (2, 2)")
+        with pytest.raises(ProfileMismatch, match=f"^{expected}$"):
             load_ground_truth(str(path))
 
     def test_files_round_trip_the_stack_bit_for_bit(self, d2, tmp_path):

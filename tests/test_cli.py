@@ -10,6 +10,7 @@ from inattention import brp, cli, predict as pred, sbrp
 from inattention.cli import main
 from inattention.dataset import dataset_to_dict, load_dataset, save_dataset
 from inattention.errors import NumericalFailure, TooFewAgents
+from inattention.lp import LpSolution, LpStatus
 from inattention.synth import generate_feasible_dataset, load_ground_truth
 
 
@@ -145,6 +146,18 @@ class TestTest:
         out = tmp_path / "profile.json"
         assert run("test", "--dataset", dataset_file, "--out", out) == 3
         assert "numerical failure: injected" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_an_infeasible_solve_exits_three_and_writes_nothing(
+        self, tmp_path, dataset_file, capsys, monkeypatch
+    ):
+        # Every program a fit builds is feasible, so "infeasible" is never a verdict.
+        monkeypatch.setattr(brp, "solve_lp", lambda lp, start=None: LpSolution(LpStatus.INFEASIBLE))
+        out = tmp_path / "profile.json"
+        assert run("test", "--dataset", dataset_file, "--out", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: feasibility program reported infeasible; ")
+        assert err.count("\n") == 1
         assert not out.exists()
 
 
@@ -626,7 +639,7 @@ class TestSynthPredict:
         )
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: state label 'cat' names more than one state"
+            f"error: {data}: state label 'cat' names more than one state"
         ]
         assert not out.exists() and not table.exists()
 
@@ -689,7 +702,8 @@ class TestUnreadableProfile:
             "cost", "--profile", bad, "--dataset", dataset_file, "--out", tmp_path / "c.csv"
         )
         assert code == 1
-        assert capsys.readouterr().err == "error: utility 1 has shape (1, 1), expected (2, 2)\n"
+        expected = f"error: {bad}: utility 1 has shape (1, 1), expected (2, 2)\n"
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("kind", sorted(BAD_PROFILES))
     def test_report(self, tmp_path, dataset_file, capsys, kind):
@@ -795,9 +809,31 @@ def test_repeated_agent_id_exits_one_before_any_fit(tmp_path, capsys, monkeypatc
     ):
         assert run(*argv) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: agent id 'agent-0' names more than one agent"], argv
+        assert err == [f"error: {data}: agent id 'agent-0' names more than one agent"], argv
         assert not out.exists()
     assert not (tmp_path / "sparse.csv").exists()
+
+
+class TestErrorsNameTheFile:
+    """An error in one of several input files names that file, keeping its
+    exit code."""
+
+    def test_report_names_the_bad_profile(self, tmp_path, dataset_file, capsys):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        assert run("test", "--dataset", dataset_file, "--out", good) == 0
+        bad.write_text(json.dumps({**json.loads(good.read_text()), "margin": float("nan")}))
+        capsys.readouterr()
+        assert run("report", "--profiles", good, bad, "--out-dir", tmp_path / "r") == 1
+        assert capsys.readouterr().err == f"error: {bad}: margin nan is not finite\n"
+        assert not (tmp_path / "r" / "robustness.csv").exists()
+
+    def test_robustness_names_the_bad_dataset(self, tmp_path, dataset_file, d2, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({**dataset_to_dict(d2), "labels": ["cat"]}))
+        out = tmp_path / "rob.csv"
+        assert run("robustness", "--datasets", dataset_file, bad, "--out", out) == 1
+        assert capsys.readouterr().err == f"error: {bad}: 1 labels for 2 states\n"
+        assert not out.exists()
 
 
 class TestReport:

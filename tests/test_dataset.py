@@ -33,11 +33,13 @@ from inattention.errors import (
     EmptyClass,
     IoFailure,
     NotStochastic,
+    NumericalFailure,
+    ProfileMismatch,
     RaggedAgents,
     TooFewAgents,
 )
-from inattention.lp import LpBasis, LpSolution
-from inattention.predict import NoiseFamily, PredictionOutcome
+from inattention.lp import LinearProgram, LpBasis, LpSolution, solve_lp
+from inattention.predict import NoiseFamily, PredictionOutcome, predict_at
 from inattention.sbrp import SharedUtilitySolution
 from inattention.synth import GroundTruth
 
@@ -406,7 +408,19 @@ def _value_types():
         prior, choices = np.array([0.5, 0.5]), np.array([[[0.9, 0.1], [0.1, 0.9]]] * 2)
         return DecisionDataset(prior, choices, agent_ids=("a", "b")), [prior, choices]
 
-    builders = [profile, report, shared, cost, ground_truth, family, dataset]
+    def prediction(d):
+        truth = np.array(d.choice(1))
+        return predict_at(family(d)[0], 1.05, truth=truth), [truth]
+
+    def lp_solution(d):
+        objective, lower, upper = np.ones(2), np.zeros(2), np.ones(2)
+        lp = LinearProgram(objective, lower, upper)
+        lp.add_leq([1.0, 2.0], 2.0)
+        return solve_lp(lp), [objective, lower, upper]
+
+    builders = [
+        profile, report, shared, cost, ground_truth, family, dataset, prediction, lp_solution,
+    ]
     return [pytest.param(build, id=build.__name__) for build in builders]
 
 
@@ -933,5 +947,19 @@ def test_unreadable_artifacts_are_io_failures(tmp_path, loader, text):
     path.write_text(text, encoding="latin-1")
     # An empty mapping is a dataset with no fields: validation rejects it.
     expected = DimensionMismatch if (loader is load_dataset and text == "{}") else IoFailure
-    with pytest.raises(expected, match="artifact.json" if expected is IoFailure else None):
+    with pytest.raises(expected, match="artifact.json"):
         loader(str(path))
+
+
+@pytest.mark.parametrize("error", [NotStochastic, ProfileMismatch, NumericalFailure])
+def test_a_build_error_names_the_file_and_keeps_its_type(tmp_path, error):
+    # So its exit code stays, and a command over several files names the bad one.
+    path = tmp_path / "artifact.json"
+    path.write_text("{}")
+
+    def build(raw):
+        raise error("bad field")
+
+    with pytest.raises(error) as raised:
+        read_json(str(path), build)
+    assert type(raised.value) is error and str(raised.value) == f"{path}: bad field"

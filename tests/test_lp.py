@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import functools
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -11,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+from inattention import brp, predict, sbrp
 from inattention import lp as lp_module
 from inattention.errors import NumericalFailure
-from inattention.lp import LinearProgram, LpBasis, LpStatus, solve_lp
+from inattention.lp import LinearProgram, LpBasis, LpSolution, LpStatus, solve_lp
 
 # HiGHS at feasibility tolerances near the in-house 1e-9, for comparisons at
 # 1e-9 relative; its 1e-7 default leaves gaps of that order on margin LPs.
@@ -111,6 +114,84 @@ class TestExamples:
         sol = solve_lp(lp)
         assert sol.point[0] == pytest.approx(1.0, abs=1e-9)
         assert sol.point[0] + sol.point[1] == pytest.approx(1.0, abs=1e-9)
+
+
+def _defect(what: str) -> str:
+    """The one message of a program that did not end optimal, as a pattern."""
+    return re.escape(
+        f"{what} reported infeasible; the program is feasible by construction, "
+        "so this is a solver defect, not a verdict"
+    )
+
+
+def _fit(fit):
+    """A setup that binds ``fit`` to the dataset."""
+    return lambda d: functools.partial(fit, d)
+
+
+def _after(first, fit):
+    """A setup that runs ``first`` on the dataset, then binds ``fit`` to it."""
+
+    def setup(d):
+        first(d)
+        return functools.partial(fit, d)
+
+    return setup
+
+
+def _query(d):
+    """A query on a fresh family: it solves its interval's midpoint, then its
+    own first program, then the refinement."""
+    return functools.partial(predict.predict_at, predict.fit_family(d, [1.0, 1.1]), 1.05)
+
+
+# Each place the package solves a program: (the module whose solve_lp it
+# calls, a setup on a dataset returning the call, the solves before that
+# program's, what its failure names).
+SOLVE_SITES = {
+    "umri margin stage": (brp, _fit(brp.brp_max_margin), 0, "feasibility program"),
+    "umri sparsity stage": (
+        brp, _after(brp.brp_max_margin, brp.brp_sparsest), 0, "feasibility program"
+    ),
+    "s-umri anchor stage": (sbrp, _fit(sbrp.sbrp_max_margin), 0, "s-UMRI anchor stage"),
+    "s-umri sensitivity stage": (
+        sbrp, _fit(sbrp.sbrp_max_margin), 1, "s-UMRI sensitivity stage"
+    ),
+    "s-umri utility stage": (
+        sbrp, _after(sbrp.sbrp_max_margin, sbrp.sbrp_sparsest), 0, "s-UMRI utility stage"
+    ),
+    "prediction program": (predict, _query, 1, "prediction program"),
+    "prediction refinement": (predict, _query, 2, "prediction refinement"),
+}
+
+
+class TestRequireOptimal:
+    def test_an_optimal_solution_comes_back_unchanged(self):
+        lp = LinearProgram(objective=[1.0], lower=[0.0], upper=[2.0])
+        sol = solve_lp(lp)
+        assert sol.require_optimal("toy program") is sol
+
+    def test_an_infeasible_one_is_a_numerical_failure_naming_the_program(self):
+        lp = LinearProgram(objective=[1.0], lower=[0.0], upper=[2.0])
+        lp.add_leq([1.0], -1.0)
+        with pytest.raises(NumericalFailure, match=f"^{_defect('toy program')}$"):
+            solve_lp(lp).require_optimal("toy program")
+
+    @pytest.mark.parametrize("site", sorted(SOLVE_SITES))
+    def test_every_program_the_package_solves_holds_the_contract(self, d2, monkeypatch, site):
+        module, setup, solved, what = SOLVE_SITES[site]
+        call, solve, calls = setup(d2), module.solve_lp, []
+
+        def reported_infeasible(lp, start=None):
+            calls.append(lp)
+            if len(calls) > solved:
+                return LpSolution(LpStatus.INFEASIBLE)
+            return solve(lp, start=start)
+
+        monkeypatch.setattr(module, "solve_lp", reported_infeasible)
+        with pytest.raises(NumericalFailure, match=f"^{_defect(what)}$"):
+            call()
+        assert len(calls) == solved + 1
 
 
 class TestInvariants:

@@ -16,7 +16,7 @@ from inattention.errors import (
     ShapeMismatch,
     TooFewAgents,
 )
-from inattention.lp import LinearProgram, solve_lp
+from inattention.lp import LinearProgram, LpSolution, LpStatus, solve_lp
 from inattention.predict import (
     NoiseFamily,
     fit_family,
@@ -590,7 +590,8 @@ class TestIntervalStart:
         for h in range(g + 1):
             assert last._starts[h].point.tobytes() == fam._starts[h].point.tobytes()
 
-    def test_a_midpoint_that_fails_leaves_its_interval_cold(self, family4, monkeypatch):
+    @pytest.mark.parametrize("failure", ["raised", "reported infeasible"])
+    def test_a_midpoint_that_fails_leaves_its_interval_cold(self, family4, monkeypatch, failure):
         fam, _ = family4
         fam = fresh(fam)
         solves = []
@@ -598,9 +599,11 @@ class TestIntervalStart:
         def spy(lp, *args, **kwargs):
             # The fourth solve is interval 3's midpoint, after intervals 0-2.
             if len(solves) == 3:
-                solves.append(None)
-                raise NumericalFailure("injected at the midpoint")
-            solves.append(solve_lp(lp, *args, **kwargs))
+                solves.append(LpSolution(LpStatus.INFEASIBLE))
+                if failure == "raised":
+                    raise NumericalFailure("injected at the midpoint")
+            else:
+                solves.append(solve_lp(lp, *args, **kwargs))
             return solves[-1]
 
         monkeypatch.setattr(predict_module, "solve_lp", spy)
