@@ -23,7 +23,6 @@ with equality), so "passes" means the optimal margin is strictly positive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -464,7 +463,8 @@ class _BrpProgram:
         )
 
 
-class _MarginStage(NamedTuple):
+@dataclass(frozen=True, eq=False)
+class _MarginStage:
     """What stage one on a dataset leaves for the sparsity stage: its margin
     and its cut pool, read-only, and the cut rounds (LP solves) it took."""
 
@@ -520,8 +520,9 @@ def brp_sparsest(
     """
     if not 0.0 < margin_fraction < 1.0:
         raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    margin, cuts, _ = _stored_fit(d, "umri", _solve_margin_stage)
-    utilities, costs, *_ = _BrpProgram(d, cuts).solve_with_cuts(margin_fraction * margin)
+    stage = _stored_fit(d, "umri", _solve_margin_stage)
+    program = _BrpProgram(d, stage.cuts)
+    utilities, costs, *_ = program.solve_with_cuts(margin_fraction * stage.margin)
     profile = UtilityProfile.from_certificate(d, utilities, costs)
     return normalize_profile(d, profile) if normalize else profile
 

@@ -23,6 +23,6 @@ MARGIN_CAP = 2.0
 # inside the unit box rather than hugging the floor).
 SYNTH_COST_FLOOR = 0.05
 
-# Row sums further than this from 1 mark the input as corrupt rather than
-# merely noisy; closer rows are renormalized.
+# Rows of a dataset file or softmax log with entries at least -1e-12 and a sum
+# this close to 1 are repaired; the dataset constructor rejects the rest.
 ROW_SUM_TOLERANCE = 1e-6

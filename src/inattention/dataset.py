@@ -6,7 +6,9 @@ probability that agent k picks action a when the true state is x.  Everything do
 (rationality tests, cost reconstruction, prediction) consumes this object, so
 this module owns its validation rules, the derived probability objects (joint,
 revealed posterior, action marginal), the two value functionals, and ingestion
-from raw per-image softmax logs.
+from raw per-image softmax logs.  Only the constructor's rule rejects a prior
+or choice row: the JSON form and the softmax log are parsed and their near
+rows repaired, and every other row is left to that rule.
 
 All values are read-only after construction and all operations are pure.  A
 dataset object also carries a private memo of the stages fitted on it, which
@@ -82,9 +84,11 @@ class DecisionDataset:
     choice probabilities takes.  Agent order is significant and preserved:
     downstream it indexes training epochs or noise levels.  Construction
     copies the prior and the stack and checks them under one rule,
-    :func:`_check_stochastic`; the two-agent minimum for rationality testing
-    is enforced by :func:`validate_dataset` (synthetic machinery
-    occasionally builds single-agent datasets for cost assignment).
+    :func:`_check_stochastic`, the only rule that rejects their rows: the
+    file and log doors only repair near rows before they get here.  The
+    two-agent minimum for rationality testing is enforced by those doors
+    (synthetic machinery occasionally builds single-agent datasets for cost
+    assignment).
 
     Construction also computes the joints, posteriors and marginals of all
     agents from the stack in one batched pass, held as the (K, X, A)
@@ -227,14 +231,13 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
     says.
 
     Every matrix must be 2-D and of the first one's shape, or the first
-    agent of another shape is named.  Then one rule,
-    :func:`_renormalized_rows`, checks the prior as a (1, X) stack and all
-    matrices in one pass as one (K, X, A) stack: a row whose sum deviates
-    from 1 by at most ``ROW_SUM_TOLERANCE`` is renormalized, a larger
-    deviation or an invalid entry rejects the input, and the error names the
-    prior, or else the first defective agent in agent order.  The result
-    goes to :class:`DecisionDataset`, which also rejects a repeated agent id
-    or state label.
+    agent of another shape is named.  Then :func:`_repaired_rows` repairs
+    the near rows of the prior, as a (1, X) stack, and of all matrices, as
+    one (K, X, A) stack, and passes every other row on unchanged.  The
+    result goes to :class:`DecisionDataset`, whose one rule rejects any row
+    still not stochastic, naming the prior, or else the first defective
+    agent in agent order, and also rejects a repeated agent id or state
+    label.
     """
     if not isinstance(raw, Mapping):
         raise TypeError(f"a dataset is a mapping, not {type(raw).__name__}")
@@ -263,9 +266,8 @@ def validate_dataset(raw, min_agents: int = 2) -> DecisionDataset:
         raise DimensionMismatch("every choice matrix must be 2-D")
     _check_shapes(mats, ids, mats[0].shape)
 
-    prior = _renormalized_rows(prior.reshape(1, -1), ["prior"]).reshape(prior.shape)
-    choices = _renormalized_rows(np.stack(mats), [f"agent {agent_id!r}" for agent_id in ids])
-    return DecisionDataset(prior, choices, ids, labels)
+    prior = _repaired_rows(prior.reshape(1, -1)).reshape(prior.shape)
+    return DecisionDataset(prior, _repaired_rows(np.stack(mats)), ids, labels)
 
 
 def _check_shapes(mats, ids, shape: tuple[int, int]) -> None:
@@ -277,30 +279,20 @@ def _check_shapes(mats, ids, shape: tuple[int, int]) -> None:
             )
 
 
-def _renormalized_rows(stack: np.ndarray, names: list[str]) -> np.ndarray:
-    """The probability rows of ``stack`` (one member per name along axis 0,
-    rows along the last axis), checked and renormalized.
+def _repaired_rows(stack: np.ndarray) -> np.ndarray:
+    """The probability rows of ``stack`` (along its last axis), each near
+    row repaired and every other row kept for the constructor to reject.
 
-    An entry below -1e-12 or non-finite, or a row sum off 1 by more than
-    ``ROW_SUM_TOLERANCE``, raises :class:`NotStochastic` naming the first
-    defective member, an invalid entry before a sum within one.  Otherwise
-    entries are clipped at zero and each row off 1 by more than 1e-15 is
-    divided by its clipped sum; the others are kept as they are, so
-    validation is idempotent and file round-trips are bit-stable.
+    A row is near when its entries are at least -1e-12 and its sum is off 1
+    by at most ``ROW_SUM_TOLERANCE`` + 1e-12 (a non-finite entry fails one
+    of the two).  A near row is clipped at zero, then divided by its clipped
+    sum only if its sum is off 1 by more than 1e-15, so repair is idempotent
+    and file round-trips are bit-stable.
     """
     off = np.abs(stack.sum(axis=-1) - 1.0)
-    invalid = ((stack < -1e-12) | ~np.isfinite(stack)).reshape(len(names), -1).any(axis=1)
-    corrupt = (off > ROW_SUM_TOLERANCE + 1e-12).reshape(len(names), -1).any(axis=1)
-    if np.any(invalid | corrupt):
-        k = int(np.argmax(invalid | corrupt))
-        if invalid[k]:
-            raise NotStochastic(f"{names[k]}: invalid probabilities")
-        raise NotStochastic(
-            f"{names[k]}: row sum off by {float(np.max(off[k])):.3e} "
-            f"(> {ROW_SUM_TOLERANCE:g}); input considered corrupt"
-        )
-    rows = np.clip(stack, 0.0, None)
-    needs = off > 1e-15
+    near = np.all(stack >= -1e-12, axis=-1) & (off <= ROW_SUM_TOLERANCE + 1e-12)
+    rows = np.where(near[..., None], np.clip(stack, 0.0, None), stack)
+    needs = near & (off > 1e-15)
     rows[needs] /= rows[needs].sum(axis=-1, keepdims=True)
     return rows
 
@@ -371,7 +363,9 @@ def ingest_softmax(
     the records of every (agent, class) pair and one sums every (agent,
     class, action) cell, in record order.  All agents must have scored the
     same test set, which is enforced as identical per-class record counts;
-    anything else raises :class:`RaggedAgents`.
+    anything else raises :class:`RaggedAgents`.  A log of one agent raises
+    :class:`TooFewAgents`.  The prior and the means are repaired as
+    :func:`validate_dataset` repairs rows and go to :class:`DecisionDataset`.
     """
     if not groups:
         raise RaggedAgents("no agent groups supplied")
@@ -434,23 +428,16 @@ def ingest_softmax(
             f"(the first: {np.flatnonzero(empty)[:10].tolist()}); "
             "their prior mass is undefined"
         )
+    if num_agents < 2:
+        raise TooFewAgents(f"got {num_agents} agent(s); need a collection of at least 2")
 
     # Every label is present now, so a label is its class's index.  bincount
     # adds its weights in record order: the sums of adding row by row.
     cell = (agent_of * num_states + true_labels)[:, None] * num_actions + np.arange(num_actions)
     acc = np.bincount(cell.ravel(), probs.ravel(), minlength=num_agents * num_states * num_actions)
     acc = acc.reshape(num_agents, num_states, num_actions) / reference[:, None]
-    return validate_dataset(
-        {
-            "num_states": num_states,
-            "num_actions": num_actions,
-            "prior": reference.astype(float) / int(reference.sum()),
-            "agents": [
-                {"agent_id": agent_id, "choice_prob": choice}
-                for agent_id, choice in zip(agent_ids, acc)
-            ],
-        }
-    )
+    prior = _repaired_rows(reference[None] / int(reference.sum()))[0]
+    return DecisionDataset(prior, _repaired_rows(acc), agent_ids)
 
 
 def _record_columns(agent_id: str, records):

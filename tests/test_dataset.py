@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from inattention.brp import MarginReport, UtilityProfile
+from inattention.brp import MarginReport, UtilityProfile, _MarginStage
 from inattention.costs import PiecewiseAffineCost
 from inattention.dataset import (
     AgentChoiceMatrix,
@@ -115,9 +115,9 @@ class TestValidate:
     @pytest.mark.parametrize(
         "prior, text",
         [
-            ([0.5, np.nan], "invalid probabilities"),
-            ([1.5, -0.5], "invalid probabilities"),
-            ([0.5, 0.4], r"row sum off by 1\.000e-01 \(> 1e-06\); input considered corrupt"),
+            ([0.5, np.nan], r"entries non-finite or outside \[0, 1\]"),
+            ([1.5, -0.5], r"entries non-finite or outside \[0, 1\]"),
+            ([0.5, 0.4], r"row sums deviate from 1 by 1\.000e-01"),
         ],
         ids=["nan", "negative", "sum off"],
     )
@@ -157,9 +157,9 @@ _DEFECTS = {
     "row sum off": [[0.9, 0.1], [0.2, 0.7]],
 }
 _DEFECT_TEXT = {
-    "non-finite": "invalid probabilities",
-    "negative": "invalid probabilities",
-    "row sum off": r"row sum off by 1\.000e-01 \(> 1e-06\); input considered corrupt",
+    "non-finite": r"entries non-finite or outside \[0, 1\]",
+    "negative": r"entries non-finite or outside \[0, 1\]",
+    "row sum off": r"row sums deviate from 1 by 1\.000e-01",
 }
 
 
@@ -182,13 +182,14 @@ class TestOneRule:
 
     def test_the_first_of_several_defective_agents_is_named(self):
         mats = [_GOOD, _DEFECTS["row sum off"], _DEFECTS["non-finite"]]
-        with pytest.raises(NotStochastic, match="^agent 'b': row sum off"):
+        with pytest.raises(NotStochastic, match="^agent 'b': row sums deviate"):
             validate_dataset(_raw([0.5, 0.5], mats))
 
     def test_within_an_agent_invalid_entries_come_before_sums(self):
         # Row 0's sum is off, row 1 holds a negative entry.
         mats = [_GOOD, [[0.9, 0.0], [1.1, -0.1]]]
-        with pytest.raises(NotStochastic, match="^agent 'b': invalid probabilities$"):
+        text = r"^agent 'b': entries non-finite or outside \[0, 1\]$"
+        with pytest.raises(NotStochastic, match=text):
             validate_dataset(_raw([0.5, 0.5], mats))
 
     def test_a_prior_is_renormalized_as_a_row_is(self):
@@ -223,6 +224,90 @@ class TestOneRule:
             for view in (d.choice(k), agent.choice_prob):
                 assert np.shares_memory(view, d.choices)
                 assert not view.flags.writeable
+
+
+# Added to one entry: 0 and steps either side of the door's tolerance
+# (1e-6); or the entry replaced by a NaN or by -0.1.
+_EDITS = [0.0, 1e-13, -1e-13, 1e-8, -1e-8, 5e-7, -5e-7, 1e-5, -1e-5, "nan", "-0.1"]
+
+
+def _is_near(row) -> bool:
+    return bool(np.all(row >= -1e-12) and abs(row.sum() - 1.0) <= 1e-6 + 1e-12)
+
+
+def _repaired(row):
+    clipped = np.clip(row, 0.0, None)
+    return clipped / clipped.sum() if abs(row.sum() - 1.0) > 1e-15 else clipped
+
+
+class TestTheDoor:
+    """A dataset mapping is only repaired; the constructor's one rule rejects."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        shape=st.tuples(st.integers(2, 4), st.integers(1, 4), st.integers(1, 4)),
+        # (member, row, entry, edit), each index taken modulo its size.
+        edits=st.lists(st.tuples(*[st.integers(0, 4)] * 3, st.sampled_from(_EDITS)), max_size=4),
+    )
+    def test_accepts_exactly_near_rows_and_repairs_them(self, seed, shape, edits):
+        rng = np.random.default_rng(seed)
+        num_agents, num_states, num_actions = shape
+        prior = rng.dirichlet(np.ones(num_states))
+        stack = rng.dirichlet(np.ones(num_actions), size=(num_agents, num_states))
+        stack[rng.random((num_agents, num_states)) < 0.2] = np.eye(num_actions)[-1]  # exact zeros
+        # Member 0 is the prior as one row, member k + 1 agent k's matrix:
+        # views, so an edit reaches the mapping.
+        members = [prior[None], *stack]
+        for m, x, a, edit in edits:
+            rows = members[m % len(members)]
+            x, a = x % rows.shape[0], a % rows.shape[1]
+            rows[x, a] = np.nan if edit == "nan" else -0.1 if edit == "-0.1" else rows[x, a] + edit
+        ids = [f"agent-{k}" for k in range(num_agents)]
+        agents = [{"agent_id": i, "choice_prob": c} for i, c in zip(ids, stack)]
+        raw = {"prior": prior, "agents": agents}
+
+        bad = [not all(map(_is_near, rows)) for rows in members]
+        if not any(bad):
+            d = validate_dataset(raw)
+            assert d.prior.tobytes() == _repaired(prior).tobytes()
+            for k, x in np.ndindex(num_agents, num_states):
+                assert d.choices[k, x].tobytes() == _repaired(stack[k, x]).tobytes()
+            return
+        j = bad.index(True)
+        far = [row for row in members[j] if not _is_near(row)]
+        if any(not np.all((row >= 0.0) & (row <= 1.0 + 1e-12)) for row in far):
+            text = "entries non-finite or outside [0, 1]"
+        else:
+            text = f"row sums deviate from 1 by {max(abs(row.sum() - 1.0) for row in far):.3e}"
+        name = "prior" if j == 0 else f"agent {ids[j - 1]!r}"
+        with pytest.raises(NotStochastic) as caught:
+            validate_dataset(raw)
+        assert str(caught.value) == f"{name}: {text}"
+        # The message is the constructor's on the repaired rows.
+        repaired = [[_repaired(r) if _is_near(r) else r for r in rows] for rows in members]
+        with pytest.raises(NotStochastic) as direct:
+            DecisionDataset(repaired[0][0], repaired[1:], ids)
+        assert str(direct.value) == str(caught.value)
+
+    @pytest.mark.parametrize(
+        "prior, matrix, shape",
+        [
+            (1.0, [[1.0]], r"\(\), expected \(1,\)"),
+            ([[0.5, 0.5]], np.eye(2), r"\(1, 2\), expected \(2,\)"),
+        ],
+        ids=["scalar", "2-D"],
+    )
+    def test_a_prior_keeps_its_shape(self, prior, matrix, shape):
+        raw = {"prior": prior, "agents": [{"choice_prob": matrix}] * 2}
+        with pytest.raises(DimensionMismatch, match=f"^prior has shape {shape}$"):
+            validate_dataset(raw)
+
+    def test_a_one_agent_log_is_too_few(self, tmp_path):
+        groups = read_log(tmp_path, "a,i0,0,0.9,0.1", "a,i1,1,0.2,0.8")
+        text = r"^got 1 agent\(s\); need a collection of at least 2$"
+        with pytest.raises(TooFewAgents, match=text):
+            ingest_softmax(groups)
 
 
 def _stack(*mats):
@@ -436,7 +521,7 @@ def test_every_value_type_holding_arrays_compares_by_identity():
     for cls in (
         DecisionDataset, AgentChoiceMatrix, JointPosterior, UtilityProfile, MarginReport,
         SharedUtilitySolution, GroundTruth, PiecewiseAffineCost, NoiseFamily,
-        PredictionOutcome, LpBasis, LpSolution,
+        PredictionOutcome, LpBasis, LpSolution, _MarginStage,
     ):
         assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, cls.__name__
 
@@ -891,8 +976,12 @@ class TestFiles:
             read_softmax_log(str(path))
 
     def test_dict_round_trip_exact(self, d2):
-        again = validate_dataset(dataset_to_dict(d2))
-        assert again.approx_equal(d2, tol=0.0)
+        rng = np.random.default_rng(11)
+        for d in [d2, *(random_dataset(rng, *shape) for shape in [(3, 4, 3), (5, 10, 10)])]:
+            again = validate_dataset(dataset_to_dict(d))
+            assert again.agent_ids == d.agent_ids
+            assert again.prior.tobytes() == d.prior.tobytes()
+            assert again.choices.tobytes() == d.choices.tobytes()
 
     def test_labels_round_trip_byte_identically(self, tmp_path, d2):
         raw = {**dataset_to_dict(d2), "labels": ["cat", "dog"]}
@@ -921,7 +1010,7 @@ class TestFiles:
     def test_prior_beyond_tolerance_is_rejected(self, tmp_path, d2):
         path = tmp_path / "d.json"
         path.write_text(json.dumps({**dataset_to_dict(d2), "prior": [0.5, 0.5 + 1e-5]}))
-        with pytest.raises(NotStochastic, match="prior: row sum off by 1.000e-05"):
+        with pytest.raises(NotStochastic, match="prior: row sums deviate from 1 by 1.000e-05"):
             load_dataset(str(path))
 
 
