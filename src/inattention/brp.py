@@ -11,7 +11,12 @@ rows (j, k, sigma): sigma answers each of agent j's actions under k's utility.
 The program takes its cut pool as input: the margin stage seeds it from the
 agents' spanning tree, and the sparsity stage starts from the memo's pool.
 The margin stage's first program starts from a crash basis, each agent
-rewarded for its modal action in each state; each later round, warm.
+rewarded for its modal action in each state; each later round, warm.  The
+loop stops once no pair is violated by more than ``_CUT_TOL`` (1e-10,
+absolute), so a fit's eps* can sit about that far below the optimum of the
+program holding every selection: on 5x4x4 feasible draws, margins near
+0.017, by up to 1.4e-10 (8.4e-9 relative); at 11 agents, within 4e-11
+relative.
 The same builder assembles the shared-utility model's programs
 (:mod:`inattention.sbrp`): there every agent's utility is one shared block,
 and each swap row's cost difference is weighted by the agent's sensitivity.
@@ -448,13 +453,13 @@ class _BrpProgram:
         lp = self.build(keep)
         start = self.modal_start(lp) if margin_stage else None
         for rounds in range(1, _MAX_CUT_ROUNDS + 1):
-            start = solve_lp(lp, start=start).require_optimal("feasibility program")
-            utilities, costs, margin = self.extract(start.point)
+            solution = solve_lp(lp, start=start).require_optimal("feasibility program")
+            utilities, costs, margin = self.extract(solution.point)
             bound = -margin if margin_stage else rhs
             cuts = self.add_violated_selections(utilities, costs, bound)
             if not cuts.shape[0]:
                 return utilities, costs, margin, rounds
-            lp = lp.copy()
+            lp, start = lp.copy(), solution.basis
             lp.add_leq(_margin_rows(lp, cuts, margin_stage), rhs)
         pairs = ", ".join(f"({j}, {k})" for j, k in self.cuts[-cuts.shape[0] :, :2])
         raise NumericalFailure(

@@ -286,13 +286,14 @@ def _repaired_rows(stack: np.ndarray) -> np.ndarray:
     A row is near when its entries are at least -1e-12 and its sum is off 1
     by at most ``ROW_SUM_TOLERANCE`` + 1e-12 (a non-finite entry fails one
     of the two).  A near row is clipped at zero, then divided by its clipped
-    sum only if its sum is off 1 by more than 1e-15, so repair is idempotent
-    and file round-trips are bit-stable.
+    sum only if that sum is off 1 by more than 1e-15, so every near row
+    comes out stochastic, repair is idempotent and file round-trips are
+    bit-stable.
     """
-    off = np.abs(stack.sum(axis=-1) - 1.0)
-    near = np.all(stack >= -1e-12, axis=-1) & (off <= ROW_SUM_TOLERANCE + 1e-12)
+    near = np.all(stack >= -1e-12, axis=-1)
+    near &= np.abs(stack.sum(axis=-1) - 1.0) <= ROW_SUM_TOLERANCE + 1e-12
     rows = np.where(near[..., None], np.clip(stack, 0.0, None), stack)
-    needs = near & (off > 1e-15)
+    needs = near & (np.abs(rows.sum(axis=-1) - 1.0) > 1e-15)
     rows[needs] /= rows[needs].sum(axis=-1, keepdims=True)
     return rows
 

@@ -34,15 +34,15 @@ start that is already primal feasible makes no dual pivots.  One routine,
 :meth:`_Simplex.begin`, sets every run up from its start.  A cold run
 starts from the slack basis, every variable at its lower bound, where the
 reduced costs are the costs and the shifted cost is ``min(c, 0)``.  A warm
-run (``solve_lp(lp, start=solution)``) takes the basis of an earlier
-optimum over the same variables and no more rows, or a bare
-:class:`LpBasis` over them (``start=basis``), each further row's slack
-entering it basic.  When ``lp`` extends the start's program by appending
-rows (the same objective and bounds, the same leading rows and rhs), the
-run carries on from the start's final state, kept on its basis: its held
-rows, which depend only on the rows whose slack is nonbasic and on the
-basic structurals, stand as they are, so the start costs no rebuild.  Any
-other start is rebuilt from ``lp``'s own rows, save a slack basis (B = I).
+run (``solve_lp(lp, start=basis)``) takes an :class:`LpBasis` over the
+same variables and no more rows, an earlier optimum's ``solution.basis``
+or a bare one, each further row's slack entering it basic.  When ``lp``
+extends the program an optimum's basis was solved on by appending rows
+(the same objective and bounds, the same leading rows and rhs), the run
+carries on from the final state kept on that basis: its held rows, which
+depend only on the rows whose slack is nonbasic and on the basic
+structurals, stand as they are, so the start costs no rebuild.  Any other
+start is rebuilt from ``lp``'s own rows, save a slack basis (B = I).
 A start that needs no shift and whose basic values already lie in their
 boxes at the true rhs is optimal as it stands, and the run returns it
 before any pass.  When ``lp`` extends the start's program, its basis is
@@ -236,27 +236,25 @@ class LpBasis:
     lower, 1 upper), meaningful where the column is nonbasic.
 
     Only an optimal solve has a basis; a warm solve starts from it.  That
-    basis also keeps, privately and read-only, the run's final state (its
-    nonbasic order, held rows and their positions) and the solved program's
-    arrays, for a run on a program that extends that one by rows to carry
-    over (:meth:`_Simplex.begin`).  They are not arguments: a basis made by
-    hand or with ``dataclasses.replace`` keeps none and is rebuilt.
+    basis also keeps, privately and read-only in ``_final``, the solved
+    program's arrays (objective, lower, upper, a, b) and the run's final
+    state (its nonbasic order, the held rows' positions and the held rows),
+    for a run on a program that extends that one by rows to carry over
+    (:meth:`_Simplex.begin`).  It is not an argument: a basis made by hand
+    or with ``dataclasses.replace`` keeps none and is rebuilt.
     """
 
     basic: np.ndarray
     status: np.ndarray
-    _nonbasic: np.ndarray | None = field(default=None, init=False, repr=False)
-    _owner: np.ndarray | None = field(default=None, init=False, repr=False)
-    _rows: np.ndarray | None = field(default=None, init=False, repr=False)
-    _program: tuple | None = field(default=None, init=False, repr=False)
+    _final: tuple | None = field(default=None, init=False, repr=False)
 
     def _extended_by(self, lp: LinearProgram) -> bool:
         """Whether ``lp`` is the program this basis's solve ended on with
         rows appended: the same objective and bounds, the same leading rows
         and rhs."""
-        if self._program is None:
+        if self._final is None:
             return False
-        objective, lower, upper, a, b = self._program
+        objective, lower, upper, a, b = self._final[:5]
         m = b.shape[0]
         return (
             lp.objective is objective
@@ -283,8 +281,8 @@ class LpSolution:
     the rebuilt tableau), a failed warm attempt's included in both.  A start
     rebuilt from ``lp``'s rows counts one rebuild; one carried into a
     program that extends its own counts none, and so does a slack basis.
-    ``basis`` is set on optimal solutions; pass it, or the solution, as
-    ``start`` to solve a program over the same variables with no fewer rows.
+    ``basis`` is set on optimal solutions; pass it as ``start`` to solve a
+    program over the same variables with no fewer rows.
     ``point``, set on optimal solutions too, is read-only.
     """
 
@@ -430,18 +428,19 @@ class _Simplex:
             m0 = start.basic.size
             self.basis = np.concatenate([start.basic, np.arange(n + m0, n + m)])
             if carried:
-                self.nonbasic = start._nonbasic.copy()
+                nonbasic, held, rows = start._final[5:]
+                self.nonbasic = nonbasic.copy()
             else:
                 nonbasic = np.ones(n + m, dtype=bool)
                 nonbasic[self.basis] = False
                 self.nonbasic = nonbasic.nonzero()[0]
             self.status[: n + m0] = start.status
             self.x = np.where(self.status == _AT_UPPER, self.hi, self.lo)
-        self._index_positions(start._owner if carried else None)
+        self._index_positions(held if carried else None)
         if not self.r:  # B = I: no row held, each position its row's slack
             self.x[self.basis] = (self.b - self.a @ self.x[:n]).take(self.where)
         elif carried:
-            self.rows[: self.r] = start._rows
+            self.rows[: self.r] = rows
             self._check_condition()
             self.x[self.basis] = self._basic_values(self.b)
         else:
@@ -826,39 +825,24 @@ class _Simplex:
         self.lo_b[row], self.hi_b[row] = self.lo[j], self.hi[j]
 
 
-def _warm_basis(lp: LinearProgram, start: LpSolution | LpBasis) -> LpBasis:
-    """``start``'s basis, to seed ``lp``.  Raises ValueError unless
-    ``start`` is a basis or an optimal solution over ``lp``'s variables and
-    no more rows."""
-    basis = start if isinstance(start, LpBasis) else start.basis
-    if basis is None:
-        raise ValueError("a warm start needs an optimal solution")
-    if basis.status.size != lp.num_vars + basis.basic.size:
-        raise ValueError("the start is a basis over other variables")
-    if basis.basic.size > lp.num_rows:
-        raise ValueError("the start is a basis over more rows")
-    return basis
-
-
-def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> LpSolution:
+def solve_lp(lp: LinearProgram, start: LpBasis | None = None) -> LpSolution:
     """Solve the program; deterministic across runs for identical inputs,
     for a fixed BLAS build and thread count.
 
-    ``start``, the optimal solution of an earlier program over the same
-    variables with no more rows, its basis, or a bare basis over them, makes
-    the solve warm (module docstring).  Any such program will do, with other
+    ``start``, a basis over the same variables with no more rows (the
+    ``basis`` of an earlier optimal solution, or a bare one), makes the
+    solve warm (module docstring).  Any earlier program will do, with other
     rows, rhs, bounds or objective: where the start is not dual feasible
-    here the first dual pass runs on shifted costs, and where its basis is
-    singular or ill-conditioned here the cold solve takes over.  One that
-    this one extends by appending rows (``lp`` a copy of it with rows added,
-    so the same objective and bounds arrays, equal leading rows and rhs)
-    gives a start that is sure to be usable, and the solve carries on from
-    its final simplex state, kept on its basis, with no rebuild at its
-    start; the start is left as it was, so it serves any number of solves
-    alike.  A bare basis is rebuilt; a slack basis, whatever its bound
-    codes, is B = I, needs no rebuild and never falls back.
-    Raises ValueError when the start is not optimal, or is a basis over
-    other variables or more rows than ``lp``.
+    here the first dual pass runs on shifted costs, and where it is
+    singular or ill-conditioned here the cold solve takes over.  The basis
+    of a program that this one extends by appending rows (``lp`` a copy of
+    it with rows added, so the same objective and bounds arrays, equal
+    leading rows and rhs) is sure to be usable, and the solve carries on
+    from the final simplex state kept on it, with no rebuild at its start;
+    the start is left as it was, so it serves any number of solves alike.
+    A bare basis is rebuilt; a slack basis, whatever its bound codes, is
+    B = I, needs no rebuild and never falls back.  Raises ValueError when
+    the start is a basis over other variables or more rows than ``lp``.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -870,7 +854,11 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
         raise ValueError("program has no variables")
     warm, spent = start is not None, (0, 0)
     if warm:
-        engine = _Simplex(lp, _warm_basis(lp, start))
+        if start.status.size != lp.num_vars + start.basic.size:
+            raise ValueError("the start is a basis over other variables")
+        if start.basic.size > lp.num_rows:
+            raise ValueError("the start is a basis over more rows")
+        engine = _Simplex(lp, start)
         try:
             status = engine.run()
         except NumericalFailure:
@@ -901,10 +889,10 @@ def solve_lp(lp: LinearProgram, start: LpSolution | LpBasis | None = None) -> Lp
     basis = LpBasis(basic=_frozen(engine.basis), status=_frozen(engine.status))
     # The run's final state (LpBasis): held rows a rebuild made, as a
     # verdict needs no pivot since.
-    final = (engine.nonbasic, engine.owner[: engine.r], engine.rows[: engine.r])
-    for name, value in zip(("_nonbasic", "_owner", "_rows"), final):
-        object.__setattr__(basis, name, _frozen(value))
-    object.__setattr__(basis, "_program", (lp.objective, lp.lower, lp.upper, lp.a, lp.b))
+    object.__setattr__(basis, "_final", (
+        lp.objective, lp.lower, lp.upper, lp.a, lp.b, _frozen(engine.nonbasic),
+        _frozen(engine.owner[: engine.r]), _frozen(engine.rows[: engine.r]),
+    ))
     return LpSolution(
         status=LpStatus.OPTIMAL,
         point=point,

@@ -66,7 +66,7 @@ from .errors import (
     ShapeMismatch,
     TooFewAgents,
 )
-from .lp import LinearProgram, LpSolution, solve_lp
+from .lp import LinearProgram, LpBasis, solve_lp
 
 __all__ = [
     "NoiseFamily",
@@ -107,7 +107,7 @@ class NoiseFamily:
     _base: LinearProgram = field(init=False, repr=False)
     _pairs: tuple = field(init=False, repr=False)
     _deviation: tuple = field(init=False, repr=False)
-    _starts: list = field(init=False, repr=False, default_factory=list)
+    _starts: list[LpBasis | None] = field(init=False, repr=False, default_factory=list)
 
     def __post_init__(self):
         d = self.dataset
@@ -254,21 +254,21 @@ def _first_program(f: NoiseFamily, u_hat: np.ndarray) -> LinearProgram:
     return lp
 
 
-def _interval_start(f: NoiseFamily, g: int) -> LpSolution | None:
-    """The optimal first program at grid interval g's midpoint, utility
-    (u_g + u_{g+1}) / 2, kept on the family; None when that solve does not
-    end optimal, and the query solves cold.  Interval g solves warm from
-    interval g - 1's start, which is solved first when missing (interval 0,
-    and an interval whose predecessor's start is None, solve cold), so each
-    start depends on the family and g alone."""
+def _interval_start(f: NoiseFamily, g: int) -> LpBasis | None:
+    """The optimal basis of the first program at grid interval g's
+    midpoint, utility (u_g + u_{g+1}) / 2, kept on the family; None when
+    that solve does not end optimal, and the query solves cold.  Interval g
+    solves warm from interval g - 1's start, which is solved first when
+    missing (interval 0, and an interval whose predecessor's start is None,
+    solve cold), so each start depends on the family and g alone."""
     for h in range(len(f._starts), g + 1):
         u = _interpolated(f, h, 0.5)
         try:
             solved = solve_lp(_first_program(f, u), start=f._starts[-1] if h else None)
-            solved = solved.require_optimal(f"interval {h}'s midpoint program")
+            basis = solved.require_optimal(f"interval {h}'s midpoint program").basis
         except NumericalFailure:
-            solved = None
-        f._starts.append(solved)
+            basis = None
+        f._starts.append(basis)
     return f._starts[g]
 
 
@@ -389,12 +389,14 @@ def save_family(path: str, f: NoiseFamily) -> None:
 
 
 def load_family(path: str) -> NoiseFamily:
-    """The family saved at ``path``.  An error in the file names it; the
-    family is built after the read, so a profile it refuses gets the message
-    ``cost`` prints for it, with no file name in front."""
+    """The family saved at ``path``.  An error in the file names it, a grid
+    that is not an array of floats included; the family is built after the
+    read, so a profile it refuses gets the message ``cost`` prints for it,
+    with no file name in front."""
 
     def parts(raw):
-        return raw["etas"], validate_dataset(raw["dataset"]), _profile_from_dict(raw["profile"])
+        etas = np.array(raw["etas"], dtype=float)
+        return etas, validate_dataset(raw["dataset"]), _profile_from_dict(raw["profile"])
 
     etas, d, fitted = read_json(path, parts)
     return NoiseFamily(etas=etas, dataset=d, fitted=fitted)

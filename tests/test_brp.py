@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 import inattention
 from inattention.brp import (
@@ -23,6 +25,7 @@ from inattention.brp import (
 from inattention import brp, cli, sbrp
 from inattention import lp as lp_module
 from inattention.brp import _BrpProgram
+from inattention.constants import MARGIN_CAP, UNIT_FLOOR
 from inattention.dataset import (
     dataset_to_dict,
     expected_value,
@@ -38,7 +41,7 @@ from inattention.errors import (
     NumericalFailure,
     ProfileMismatch,
 )
-from inattention.lp import LpBasis, LpSolution, solve_lp
+from inattention.lp import LpBasis, solve_lp
 from inattention.predict import NoiseFamily, load_family
 from inattention.synth import (
     GroundTruth,
@@ -806,8 +809,9 @@ def test_a_margin_stage_that_raises_is_solved_again(monkeypatch, first):
         first(d)
     profile = brp_sparsest(d)
     # Both stages solved from their first program: the margin stage's from
-    # the modal basis it failed on, the sparsity stage's cold.
-    firsts = [start for start in starts if not isinstance(start, LpSolution)]
+    # the modal basis it failed on, the sparsity stage's cold.  A later
+    # round's start is a solve's basis, which keeps its final state.
+    firsts = [start for start in starts if start is None or start._final is None]
     assert [type(start) for start in firsts] == [LpBasis, LpBasis, type(None)]
     assert firsts[1].status.tobytes() == firsts[0].status.tobytes()
     assert _same_profile(profile, brp_sparsest(_feasible(0)))
@@ -905,13 +909,15 @@ class TestWarmCutRounds:
         for seed in range(3):
             del solves[:]
             brp_sparsest(_feasible(seed))
-            starts = [start for _, _, start, _ in solves]
+            modal, *later = [start for _, _, start, _ in solves]
             # Two stages, the max margin and the sparsity stage; the first
-            # program of the one starts from the modal basis, of the other
-            # cold, and every later round from the round before.
-            assert isinstance(starts[0], LpBasis)
-            assert sum(isinstance(start, LpBasis) for start in starts) == 1
-            assert sum(start is None for start in starts) == 1
+            # program of the one starts from the modal basis, a bare one, of
+            # the other cold, and every later round from the basis of the
+            # round before.
+            assert isinstance(modal, LpBasis) and modal._final is None
+            assert sum(start is None for start in later) == 1
+            for start, (*_, before) in zip(later, solves):
+                assert start is None or start is before.basis
             assert len(solves) > 2
             for lp, rows, start, sol in solves:
                 assert sol.warm == (start is not None)
@@ -956,7 +962,7 @@ class TestWarmCutRounds:
             # the modal basis.
             assert len(solves) == 2 * once
             assert sum(start is None for _, _, start, _ in solves) == 0
-            assert sum(isinstance(start, LpBasis) for _, _, start, _ in solves) == 2
+            assert sum(start._final is None for _, _, start, _ in solves) == 2
             del solves[:]
             brp_sparsest(d)
             assert [(rows, start is None) for _, rows, start, _ in solves] == fresh
@@ -1058,6 +1064,96 @@ def _assert_epsilon_star_is_the_reference_optimum(d):
     assert ref.status == 0
     assert report.epsilon_star > 0.0
     assert report.epsilon_star == pytest.approx(-ref.fun, rel=1e-9)
+
+
+def _compact_optimum(d) -> float:
+    """eps* of the UMRI program with every selection present at once, built
+    from ``d._stack`` alone (no cut pool, no ``_BrpProgram``) and solved by
+    HiGHS's dual simplex.  Columns: u (K, X, A) and c (K) in [UNIT_FLOOR,
+    1], eps in [0, MARGIN_CAP], and t[p, a] in [0, 1] for each ordered pair
+    p = (j, k), j != k, and action a.  Rows: the best-response rows plus
+    eps; sum_x joint_j(x, a) u_k(x, b) - t[p, a] <= 0 for every b; and
+    sum_a t[p, a] - realized_k(u_k) - c_j + c_k + eps <= 0.  At an optimum
+    t[p, a] is the max over b, so no selection is left out.  HiGHS's
+    interior-point method stops short: 1.4e-9 relative below the certified
+    fit of the 11x6x6 family 2."""
+    jp = d._stack
+    K, X, A = jp.joint.shape
+    u = np.arange(K * X * A).reshape(K, X, A)
+    c = K * X * A + np.arange(K)
+    eps = K * X * A + K
+    j, k = np.nonzero(~np.eye(K, dtype=bool))
+    t = eps + 1 + np.arange(j.size * A).reshape(j.size, A)
+    blocks, row = [], 0
+
+    def add(cols, vals):
+        """Append one row per row of the matching 2-D ``cols`` and ``vals``."""
+        nonlocal row
+        count, width = cols.shape
+        blocks.append((np.repeat(row + np.arange(count), width), cols.ravel(), vals.ravel()))
+        row += count
+
+    agent, taken = np.nonzero(jp.defined_actions)
+    agent, taken, other = np.repeat(agent, A), np.repeat(taken, A), np.tile(np.arange(A), agent.size)
+    agent, taken, other = (v[taken != other] for v in (agent, taken, other))
+    q = jp.posterior[agent, :, taken]
+    add(
+        np.column_stack([u[agent, :, other], u[agent, :, taken], np.full(agent.size, eps)]),
+        np.column_stack([q, -q, np.ones(agent.size)]),
+    )
+    p, a, b = (v.ravel() for v in np.indices((j.size, A, A)))
+    add(
+        np.column_stack([u[k[p], :, b], t[p, a]]),
+        np.column_stack([jp.joint[j[p], :, a], -np.ones(p.size)]),
+    )
+    ones = np.ones(j.size)
+    add(
+        np.column_stack([t, u[k].reshape(j.size, -1), c[j], c[k], np.full(j.size, eps)]),
+        np.column_stack([np.ones(t.shape), -jp.joint[k].reshape(j.size, -1), -ones, ones, ones]),
+    )
+    rows, cols, vals = (np.concatenate(parts) for parts in zip(*blocks))
+    n = eps + 1 + t.size
+    lower, upper = np.full(n, UNIT_FLOOR), np.ones(n)
+    lower[eps:], upper[eps] = 0.0, MARGIN_CAP
+    objective = np.zeros(n)
+    objective[eps] = -1.0
+    res = linprog(
+        objective,
+        A_ub=sparse.csr_matrix((vals, (rows, cols)), shape=(row, n)),
+        b_ub=np.zeros(row),
+        bounds=np.column_stack([lower, upper]),
+        method="highs-ds",
+        options=TIGHT_HIGHS,
+    )
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+class TestCompactOptimum:
+    """A fit's eps* is the optimum of the program that holds every selection
+    at once, a program no cut pool built.  The cut loop stops once no pair
+    is violated by more than ``_CUT_TOL`` = 1e-10 absolute, so a fit can sit
+    about that far below the optimum: within 1e-9 absolute, not 1e-9
+    relative, at the 5x4x4 shape, whose margins are near 0.01."""
+
+    @staticmethod
+    def _assert_fit_reaches_the_compact_optimum(d):
+        optimum = _compact_optimum(d)
+        eps = brp_max_margin(d)[1].epsilon_star
+        assert optimum > 0.0
+        assert abs(eps - optimum) <= 1e-9 * max(1.0, abs(optimum))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_at_11_agents_by_6_classes(self, seed):
+        self._assert_fit_reaches_the_compact_optimum(make_noise_family(seed, 11, 6)[1])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_at_5_agents_by_4_classes(self, seed):
+        self._assert_fit_reaches_the_compact_optimum(_feasible(seed))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_at_11_agents_by_3_classes(self, seed):
+        self._assert_fit_reaches_the_compact_optimum(make_noise_family(seed, 11, 3)[1])
 
 
 class TestCutPool:

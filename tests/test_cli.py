@@ -412,6 +412,23 @@ class TestSynthPredict:
         assert "noise levels must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("etas", [["a", "b", "c"], [[1.0], [1.5, 2.0]]], ids=["text", "ragged"])
+    def test_family_with_an_ill_typed_grid_exits_one_naming_the_file(
+        self, tmp_path, capsys, etas
+    ):
+        _, family = self._saved_family(tmp_path)
+        raw = json.loads(family.read_text())
+        raw["etas"] = etas
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw))
+        capsys.readouterr()
+        out = tmp_path / "p.json"
+        assert run("predict", "--family", edited, "--eta", 1.75, "--out", out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {edited}: missing or ill-typed field")
+        assert not out.exists()
+
     @staticmethod
     def _saved_family(tmp_path):
         """The (dataset, family) files of a 3x2x2 synth and its fitted family."""

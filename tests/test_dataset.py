@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from inattention.brp import MarginReport, UtilityProfile, _MarginStage
@@ -17,6 +17,8 @@ from inattention.dataset import (
     AgentChoiceMatrix,
     DecisionDataset,
     JointPosterior,
+    _check_stochastic,
+    _repaired_rows,
     dataset_to_dict,
     expected_value,
     ingest_softmax,
@@ -237,7 +239,7 @@ def _is_near(row) -> bool:
 
 def _repaired(row):
     clipped = np.clip(row, 0.0, None)
-    return clipped / clipped.sum() if abs(row.sum() - 1.0) > 1e-15 else clipped
+    return clipped / clipped.sum() if abs(clipped.sum() - 1.0) > 1e-15 else clipped
 
 
 class TestTheDoor:
@@ -289,6 +291,37 @@ class TestTheDoor:
         with pytest.raises(NotStochastic) as direct:
             DecisionDataset(repaired[0][0], repaired[1:], ids)
         assert str(direct.value) == str(caught.value)
+
+    def test_a_near_row_that_clipping_alone_leaves_above_one_is_divided(self):
+        # Its sum is 1 to the last bit, but clipped at zero it sums to
+        # 1 + 2e-12, and its first entry lies above 1 + 1e-12.
+        row = [1.0 + 2e-12, -1e-12, -1e-12]
+        d = validate_dataset(_raw([1.0], [[row]] * 2))
+        clipped = np.clip(row, 0.0, None)
+        assert d.choice(0)[0].tobytes() == (clipped / clipped.sum()).tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        positives=st.integers(1, 4),
+        negatives=st.integers(0, 4),
+        tiny=st.sampled_from([1e-13, 1e-12]),
+        off=st.sampled_from([None, 0.0, 1e-13, 1e-9, 9e-7]),
+    )
+    def test_every_near_row_is_repaired_to_a_stochastic_row(
+        self, seed, positives, negatives, tiny, off
+    ):
+        rng = np.random.default_rng(seed)
+        # A stochastic row, then entries up to ``tiny`` below zero.
+        row = np.concatenate(
+            [rng.dirichlet(np.ones(positives)), -tiny * rng.uniform(0.5, 1.0, negatives)]
+        )
+        if off is None:  # the first entry makes up for the negative ones
+            row[0] -= row[positives:].sum()
+        else:
+            row[:positives] += rng.uniform(-off, off, positives)
+        assume(_is_near(row))
+        _check_stochastic(_repaired_rows(row[None]), ["row"])
 
     @pytest.mark.parametrize(
         "prior, matrix, shape",

@@ -437,7 +437,7 @@ class TestWarmStart:
         first = solve_lp(lp)
         cut = lp.copy()
         cut.add_leq([2.0, 1.0], 2.0)
-        warm = solve_lp(cut, start=first)
+        warm = solve_lp(cut, start=first.basis)
         assert warm.warm and not first.warm
         assert warm.objective_value == pytest.approx(4.0 / 3.0, abs=1e-12)
         assert np.allclose(warm.point, [2.0 / 3.0, 2.0 / 3.0], atol=1e-12)
@@ -451,7 +451,7 @@ class TestWarmStart:
             if first.status is not LpStatus.OPTIMAL:
                 continue
             grown = _extended(lp, first.point, rng, int(rng.integers(1, 5)))
-            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            warm, cold = solve_lp(grown, start=first.basis), solve_lp(grown)
             assert warm.status is cold.status
             if cold.status is not LpStatus.OPTIMAL:
                 continue
@@ -478,21 +478,16 @@ class TestWarmStart:
         lp = LinearProgram([1.0, 1.0], [0.0, 0.0], [1.0, 1.0])
         lp.add_leq([1.0, 2.0], 2.0)
         lp.add_leq([2.0, 1.0], 2.0)
-        start = solve_lp(lp)
+        basis = solve_lp(lp).basis
         fewer_vars = LinearProgram([1.0], [0.0], [1.0])
         fewer_vars.add_leq([[1.0], [2.0], [3.0]], [2.0, 2.0, 2.0])
         more_rows = LinearProgram(lp.objective, lp.lower, lp.upper)
         more_rows.add_leq(lp.a[:1], lp.b[:1])
-        infeasible = LinearProgram(lp.objective, lp.lower, lp.upper)
-        infeasible.add_leq([-1.0, -1.0], -3.0)
-        not_optimal = solve_lp(infeasible)
-        assert not_optimal.status is LpStatus.INFEASIBLE
-        for bad, given in ((fewer_vars, start), (more_rows, start), (lp, not_optimal)):
+        for bad in (fewer_vars, more_rows):
             with pytest.raises(ValueError):
-                solve_lp(bad, start=given)
+                solve_lp(bad, start=basis)
         # A bare basis: a bound code for each variable and each of its rows,
         # over no more rows than the program has.
-        basis = start.basis
         short_status = LpBasis(basis.basic, basis.status[:-1])
         more_basic = LpBasis(np.arange(2, 5), np.zeros(5, dtype=np.int8))
         for bad in (short_status, more_basic):
@@ -521,14 +516,14 @@ class TestWarmStart:
             program(lp.a, lp.b, upper=[1.0, 2.0]),  # other bounds
         ]
         for other in others:
-            warm, cold = solve_lp(other, start=start), solve_lp(other)
+            warm, cold = solve_lp(other, start=start.basis), solve_lp(other)
             assert warm.status is cold.status is LpStatus.OPTIMAL
             assert warm.objective_value == pytest.approx(
                 cold.objective_value, abs=1e-12
             )
         # An equal program that is a different object extends the start.
         rebuilt = program(lp.a, lp.b)
-        assert solve_lp(rebuilt, start=start).warm
+        assert solve_lp(rebuilt, start=start.basis).warm
 
         # A program over an 11 x 4 x 4 first prediction program's rows plus
         # its objective-slack row, maximizing accuracy over the optimal face,
@@ -550,7 +545,7 @@ class TestWarmStart:
             face.add_leq(
                 np.vstack([first_lp.a, -first_lp.objective]), np.append(first_lp.b, -kept)
             )
-            warm = solve_lp(face, start=first)
+            warm = solve_lp(face, start=first.basis)
             ref = scipy_optimum(face, TIGHT_HIGHS)
             assert warm.warm and warm.is_optimal and ref.status == 0
             assert warm.objective_value == pytest.approx(-ref.fun, rel=1e-9)
@@ -572,7 +567,7 @@ class TestWarmStart:
             start = solve_lp(sibling)
             if not start.is_optimal:
                 continue
-            warm, cold = solve_lp(lp, start=start), solve_lp(lp)
+            warm, cold = solve_lp(lp, start=start.basis), solve_lp(lp)
             assert warm.status is cold.status
             warm_runs += warm.warm
             if cold.status is not LpStatus.OPTIMAL:
@@ -619,7 +614,7 @@ class TestWarmStart:
         # The same basis over rows [1, 1] and [2, 2]: an exactly singular block.
         other = LinearProgram(lp.objective, lp.lower, lp.upper)
         other.add_leq([[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0])
-        again, cold = solve_lp(other, start=start), solve_lp(other)
+        again, cold = solve_lp(other, start=start.basis), solve_lp(other)
         assert not again.warm
         # The failed attempt's one rebuild is counted beside the cold run's.
         assert again.refactorizations == cold.refactorizations + 1
@@ -641,7 +636,7 @@ class TestWarmStart:
         if not warm:
             with pytest.raises(NumericalFailure, match="ill-conditioned"):
                 lp_module._Simplex(other, start.basis).begin()
-        again, cold = solve_lp(other, start=start), solve_lp(other)
+        again, cold = solve_lp(other, start=start.basis), solve_lp(other)
         assert again.warm is warm
         assert again.objective_value == pytest.approx(1.0, abs=1e-9)
         if not warm:
@@ -670,13 +665,6 @@ class TestWarmStart:
         assert again.iterations > cold.iterations + lp_module._REFACTOR_EVERY
         assert again.point.tobytes() == cold.point.tobytes()
 
-    def test_start_must_be_optimal(self):
-        lp = LinearProgram([1.0], [0.0], [2.0])
-        lp.add_leq([1.0], -1.0)
-        infeasible = solve_lp(lp)
-        with pytest.raises(ValueError):
-            solve_lp(lp.copy(), start=infeasible)
-
     def test_numerical_failure_falls_back_to_the_cold_solve(self, monkeypatch):
         # A start carried into a program that extends its own and one
         # rebuilt from an equal program built apart.
@@ -698,7 +686,7 @@ class TestWarmStart:
             taken.clear()
             with monkeypatch.context() as patch:
                 patch.setattr(lp_module._Simplex, "begin", fail)
-                retried = solve_lp(program, start=first)
+                retried = solve_lp(program, start=first.basis)
             assert taken == [carried]
             assert not retried.warm
             assert retried.status is cold.status
@@ -719,7 +707,7 @@ class TestWarmStart:
         basis = replace(first.basis, status=np.array([0, 0, 0], dtype=np.int8))
         grown = lp.copy()
         grown.add_leq([1.0, 2.0], 2.0)
-        again = solve_lp(grown, start=replace(first, basis=basis))
+        again = solve_lp(grown, start=basis)
         cold = solve_lp(grown)
         ref = scipy_optimum(grown, TIGHT_HIGHS)
         assert again.warm and again.iterations > 0
@@ -761,9 +749,9 @@ class TestWarmStart:
             solve_lp(downhill)
             start, first = solve_lp(sibling), solve_lp(lp)
             if start.is_optimal:
-                solve_lp(lp, start=start)
+                solve_lp(lp, start=start.basis)
             if first.is_optimal:
-                solve_lp(_extended(lp, first.point, rng, 2), start=first)
+                solve_lp(_extended(lp, first.point, rng, 2), start=first.basis)
         # Shifted and unshifted starts, warm and cold.
         assert all(seen[key] >= 5 for key in itertools.product([True, False], repeat=2))
 
@@ -780,7 +768,7 @@ class TestWarmStart:
         )
         grown = lp.copy()
         grown.add_leq([1.0, 2.0], 2.0)
-        again = solve_lp(grown, start=replace(first, basis=basis))
+        again = solve_lp(grown, start=basis)
         cold = solve_lp(grown)
         ref = scipy_optimum(grown, TIGHT_HIGHS)
         assert again.warm
@@ -794,7 +782,7 @@ class TestWarmStart:
         first = solve_lp(lp)
         grown = lp.copy()
         grown.add_leq([1.0, 1.0], 5.0)
-        again = solve_lp(grown, start=first)
+        again = solve_lp(grown, start=first.basis)
         assert again.warm and again.iterations == 0
         assert again.point.tobytes() == first.point.tobytes()
 
@@ -818,7 +806,7 @@ class TestWarmStart:
             held = int((first.basis.basic < lp.num_vars).any())
             rebuilt += held
             for same, rebuilds in ((lp.copy(), 0), (_apart(lp), held)):
-                again = solve_lp(same, start=first)
+                again = solve_lp(same, start=first.basis)
                 assert again.warm and again.is_optimal
                 assert (again.iterations, again.refactorizations) == (0, rebuilds)
                 assert np.allclose(again.point, first.point, rtol=0.0, atol=1e-12)
@@ -831,13 +819,16 @@ class TestWarmStart:
         first = solve_lp(lp)
         grown = lp.copy()
         grown.add_leq([-1.0, -1.0], -2.5)  # x + y >= 2.5 in the unit box
-        warm = solve_lp(grown, start=first)
+        warm = solve_lp(grown, start=first.basis)
         assert warm.warm and warm.status is LpStatus.INFEASIBLE
         assert solve_lp(grown).status is LpStatus.INFEASIBLE
         assert scipy_optimum(grown).status == 2
 
 
-_CARRIED = ("basic", "_nonbasic", "status", "_owner", "_rows")
+def _carried(basis: LpBasis) -> list:
+    """A basis's arrays, then the final state it keeps (nonbasic order,
+    held-row positions, held rows)."""
+    return [basis.basic, basis.status, *basis._final[5:]]
 
 
 class TestCarriedStart:
@@ -881,7 +872,7 @@ class TestCarriedStart:
                 least = np.minimum(row * lp.lower, row * lp.upper).sum()
                 grown.add_leq(row, least - rng.uniform(0.01, 0.5))
             starts.clear()
-            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            warm, cold = solve_lp(grown, start=first.basis), solve_lp(grown)
             assert starts == [(True, 0)]
             assert warm.warm and warm.status is cold.status
             ref = scipy_optimum(grown, TIGHT_HIGHS)
@@ -922,7 +913,7 @@ class TestCarriedStart:
         ]
         for other, carried in [(appended(), True)] + [(other, False) for other in others]:
             starts.clear()
-            warm, cold = solve_lp(other, start=first), solve_lp(other)
+            warm, cold = solve_lp(other, start=first.basis), solve_lp(other)
             assert [taken for taken, _ in starts] == [carried]
             assert warm.warm and warm.is_optimal and cold.is_optimal
             assert warm.objective_value == pytest.approx(cold.objective_value, abs=1e-12)
@@ -991,7 +982,7 @@ class TestCarriedStart:
                 continue
             grown = _extended(lp, first.point, rng, int(rng.integers(1, 4)))
             starts.clear()
-            warm, cold = solve_lp(grown, start=first), solve_lp(grown)
+            warm, cold = solve_lp(grown, start=first.basis), solve_lp(grown)
             assert starts == [(True, 0)]
             assert warm.warm and warm.status is cold.status
             if cold.is_optimal:
@@ -1000,9 +991,9 @@ class TestCarriedStart:
             checked += 1
         assert checked >= 30
 
-    def test_a_solutions_basis_carries_like_the_solution(self, monkeypatch):
-        # The final state rides on the basis, so the basis alone carries it
-        # over; a basis edited with dataclasses.replace keeps none.
+    def test_a_solutions_basis_carries_and_an_edited_one_does_not(self, monkeypatch):
+        # The final state rides on the basis, so the basis carries it over;
+        # a basis edited with dataclasses.replace keeps none.
         rng = np.random.default_rng(59)
         starts = self._spy_starts(monkeypatch)
         checked = 0
@@ -1013,15 +1004,8 @@ class TestCarriedStart:
                 continue
             grown = _extended(lp, first.point, rng, 3)
             starts.clear()
-            by_solution = solve_lp(grown, start=first)
-            by_basis = solve_lp(grown, start=first.basis)
-            assert starts == [(True, 0), (True, 0)]
-            assert by_basis.warm and by_basis.status is by_solution.status
-            assert (by_basis.iterations, by_basis.refactorizations) == (
-                by_solution.iterations, by_solution.refactorizations
-            )
-            if by_solution.is_optimal:
-                assert by_basis.point.tobytes() == by_solution.point.tobytes()
+            assert solve_lp(grown, start=first.basis).warm
+            assert starts == [(True, 0)]
             edited = dataclasses.replace(first.basis, status=first.basis.status.copy())
             starts.clear()
             solve_lp(grown, start=edited)
@@ -1039,9 +1023,9 @@ class TestCarriedStart:
             if not first.is_optimal:
                 continue
             basis = first.basis
-            kept = [getattr(basis, name).tobytes() for name in _CARRIED]
+            kept = [value.tobytes() for value in _carried(basis)]
             grown = _extended(lp, first.point, rng, 3)
-            once, twice = solve_lp(grown, start=first), solve_lp(grown, start=first)
+            once, twice = solve_lp(grown, start=first.basis), solve_lp(grown, start=first.basis)
             assert once.warm and twice.warm
             assert once.status is twice.status
             assert (once.iterations, once.refactorizations) == (
@@ -1051,9 +1035,9 @@ class TestCarriedStart:
                 assert once.point.tobytes() == twice.point.tobytes()
                 assert once.basis.basic.tobytes() == twice.basis.basic.tobytes()
                 assert once.basis.status.tobytes() == twice.basis.status.tobytes()
-                assert once.basis._rows.tobytes() == twice.basis._rows.tobytes()
+                assert once.basis._final[7].tobytes() == twice.basis._final[7].tobytes()
             # Nothing is consumed: the start's state is as it was.
-            assert [getattr(basis, name).tobytes() for name in _CARRIED] == kept
+            assert [value.tobytes() for value in _carried(basis)] == kept
             pivoted += once.iterations > 0
         assert pivoted >= 10
 
@@ -1259,12 +1243,12 @@ class TestBlockRebuild:
         grown = lp.copy()
         grown.add_leq([2.0, 1.0], 2.0)
         rebuilds.clear()
-        again = solve_lp(grown, start=first)
+        again = solve_lp(grown, start=first.basis)
         # A start carried into the program it extends rebuilds nothing: the
         # one rebuild confirms the dual pass's pivot.
         assert again.warm and again.refactorizations == len(rebuilds) == 1
         rebuilds.clear()
-        again = solve_lp(_apart(grown), start=first)
+        again = solve_lp(_apart(grown), start=first.basis)
         # A start rebuilt from another program's rows is rebuilt too.
         assert again.warm and again.refactorizations == len(rebuilds) == 2
 
@@ -1291,7 +1275,7 @@ class TestBlockRebuild:
                     continue
                 grown = _extended(lp, first.point, rng, int(rng.integers(0, 4)))
                 calls.clear()
-                again = solve_lp(grown, start=first)
+                again = solve_lp(grown, start=first.basis)
                 assert len(calls) == again.refactorizations
                 runs["warm", again.warm] += 1
         assert runs["warm", True] >= 40, runs
@@ -1395,8 +1379,8 @@ class TestLeanKernel:
             first = solve_lp(lp)
             if first.is_optimal:
                 grown = _extended(lp, first.point, rng, 3)
-                solve_lp(grown, start=first)
-                solve_lp(_apart(grown), start=first)
+                solve_lp(grown, start=first.basis)
+                solve_lp(_apart(grown), start=first.basis)
             slack = lp_module._Simplex(lp)
             slack.begin()
             slack._refactorize()
@@ -1476,7 +1460,7 @@ class TestSingularBasis:
             cold = solve_lp(grown)
             with monkeypatch.context() as patch:
                 failed = self._fail_once_after(patch, "begin")
-                again = solve_lp(grown, start=first)
+                again = solve_lp(grown, start=first.basis)
             [spent] = failed  # in the warm attempt, which runs first
             # At the dual pass's verdict rebuild, once it repaired the
             # appended row.
@@ -1653,7 +1637,7 @@ class TestIterationCap:
             if not first.is_optimal or first.iterations <= 2:
                 continue
             grown = _extended(lp, first.point, rng, 3)
-            warm = solve_lp(grown, start=first)
+            warm = solve_lp(grown, start=first.basis)
             if warm.is_optimal and warm.warm and warm.iterations > 2:
                 return lp, first, grown
 
@@ -1667,7 +1651,7 @@ class TestIterationCap:
         _, first, grown = self._warm_case()
         cold = solve_lp(grown)
         made = self._cap_first_engine(monkeypatch, 2)
-        again = solve_lp(grown, start=first)
+        again = solve_lp(grown, start=first.basis)
         warm_attempt, _ = made
         assert warm_attempt.iterations == 3
         assert not again.warm

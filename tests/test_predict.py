@@ -588,7 +588,9 @@ class TestIntervalStart:
         assert [s.warm for _, s in solves] == [False] + [True] * g + [True, False]
         assert len(last._starts) == g + 1
         for h in range(g + 1):
-            assert last._starts[h].point.tobytes() == fam._starts[h].point.tobytes()
+            for name in ("basic", "status"):
+                kept = getattr(last._starts[h], name), getattr(fam._starts[h], name)
+                assert kept[0].tobytes() == kept[1].tobytes()
 
     @pytest.mark.parametrize("failure", ["raised", "reported infeasible"])
     def test_a_midpoint_that_fails_leaves_its_interval_cold(self, family4, monkeypatch, failure):
