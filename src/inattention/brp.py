@@ -144,8 +144,12 @@ def _verdict(margin: float) -> tuple[float, bool]:
     return eps, eps <= DEGENERATE_MARGIN
 
 
-def _stored_fit(d: DecisionDataset, model: str, fit):
-    """``d``'s stored ``model`` fit, made by ``fit(d)`` if missing; raises if degenerate."""
+def _stored_fit(d: DecisionDataset, model: str, fit, margin_fraction: float):
+    """Both models' door to the sparsity stage: ``d``'s stored ``model`` fit, made by
+    ``fit(d)`` if missing, and ``margin_fraction`` of its margin to keep.  Raises
+    ValueError, before any solve, unless 0 < margin_fraction < 1; raises if degenerate."""
+    if not 0.0 < margin_fraction < 1.0:
+        raise ValueError("margin_fraction must lie strictly between 0 and 1")
     if model not in d._fits:
         fit(d)
     stored = d._fits[model]
@@ -153,7 +157,7 @@ def _stored_fit(d: DecisionDataset, model: str, fit):
         raise DegenerateDataset(
             f"max margin {stored.margin!r} is numerically zero; sparsity is undefined"
         )
-    return stored
+    return stored, margin_fraction * stored.margin
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +527,8 @@ def brp_sparsest(
     two starts from the stored margin and cuts exactly as after a solve, so
     the result is the same bit for bit.
     """
-    if not 0.0 < margin_fraction < 1.0:
-        raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    stage = _stored_fit(d, "umri", _solve_margin_stage)
-    program = _BrpProgram(d, stage.cuts)
-    utilities, costs, *_ = program.solve_with_cuts(margin_fraction * stage.margin)
+    stage, keep = _stored_fit(d, "umri", _solve_margin_stage, margin_fraction)
+    utilities, costs, *_ = _BrpProgram(d, stage.cuts).solve_with_cuts(keep)
     profile = UtilityProfile.from_certificate(d, utilities, costs)
     return normalize_profile(d, profile) if normalize else profile
 

@@ -573,7 +573,12 @@ def read_softmax_log(path: str) -> dict[str, np.ndarray]:
                     if lineno > 1 and row:
                         if len(row) != 3 + width:
                             raise IoFailure(f"{path}:{lineno}: expected {3 + width} fields")
-                        int(row[2]), [float(v) for v in row[3:]]
+                        try:  # Python also reads 0_5 and non-ASCII digits; loadtxt does not.
+                            int(row[2]), [float(v) for v in row[3:]]
+                            for v in (v for v in row[2:] if "_" in v or not v.isascii()):
+                                raise ValueError(f"not a plain decimal number: {v!r}")
+                        except ValueError as exc:
+                            raise IoFailure(f"{path}:{lineno}: malformed numeric field: {exc}")
                 raise
     except OSError as exc:
         raise IoFailure(f"could not read {path}: {exc}") from exc

@@ -842,7 +842,9 @@ def solve_lp(lp: LinearProgram, start: LpBasis | None = None) -> LpSolution:
     the start is left as it was, so it serves any number of solves alike.
     A bare basis is rebuilt; a slack basis, whatever its bound codes, is
     B = I, needs no rebuild and never falls back.  Raises ValueError when
-    the start is a basis over other variables or more rows than ``lp``.
+    the start is a basis over other variables or more rows than ``lp``, or
+    a bare one that repeats a basic column, names one out of range or holds
+    a bound code other than 0 or 1.
 
     The solution is optimal or infeasible.  Raises :class:`NumericalFailure`
     when the cold solve fails numerically (a singular basis, a pivot or
@@ -858,6 +860,13 @@ def solve_lp(lp: LinearProgram, start: LpBasis | None = None) -> LpSolution:
             raise ValueError("the start is a basis over other variables")
         if start.basic.size > lp.num_rows:
             raise ValueError("the start is a basis over more rows")
+        basic = start.basic  # a solve's own basis is valid by construction
+        if start._final is None and not (
+            basic.dtype.kind in "iu" and np.all(np.diff(np.sort(basic)) > 0)
+            and np.all((basic >= 0) & (basic < start.status.size))
+            and np.all((start.status == 0) | (start.status == 1))
+        ):
+            raise ValueError("the start's basic columns or bound codes are invalid")
         engine = _Simplex(lp, start)
         try:
             status = engine.run()

@@ -9,11 +9,16 @@ sensitivities at the fixed rest.  Each stage re-optimizes a superset of the
 incumbent, so the margin sequence never decreases; global optimality is not
 claimed.  Sensitivities start at one, where the first LP is the anchor stage:
 every agent's realized value net of cost held equal, the best-response slack
-maximized.  The verdict on a margin, the fit-file fields both models share
-and the LP rows come from :mod:`inattention.brp`: the anchor and utility
-stages are its programs over one shared utility block.  This module keeps
-what differs between the models: the sensitivity stage, the alternation and
-the coupling residual.
+maximized.  With three or more agents that leaves the sensitivity stage no
+positive margin: net values equal, coupling residual (j, k) is
+(lambda_k - 1)(c_k - c_j), so an agent whose cost lies between two others'
+needs its sensitivity both below and above one.  The fit then stops after
+one sensitivity stage, every sensitivity one, the margin degenerate.  The
+verdict on a margin, the fit-file fields both models share and the LP rows
+come from :mod:`inattention.brp`: the anchor and utility stages are its
+programs over one shared utility block.  This module keeps what differs
+between the models: the sensitivity stage, the alternation and the coupling
+residual.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from .costs import PiecewiseAffineCost, _anchored_cost
 from .dataset import DecisionDataset, _frozen_array
 # Unused here but kept bound: the benchmark tracer patches these names.
 from .dataset import atomic_write_text, joint_and_posterior  # noqa: F401
-from .errors import DimensionMismatch, IoFailure, ProfileMismatch
+from .errors import DimensionMismatch
 from .lp import LinearProgram, solve_lp
 
 __all__ = [
@@ -110,11 +115,7 @@ class SharedUtilitySolution:
 def _residual_arrays(d, utility, sensitivities, costs):
     nias = nias_residuals(d, np.broadcast_to(utility, (d.num_agents, *utility.shape)))
     realized = _realized(d, utility)
-    coupling = (
-        realized[:, None]
-        - realized[None, :]
-        + sensitivities[None, :] * (costs[None, :] - costs[:, None])
-    )
+    coupling = realized[:, None] - realized[None, :] + sensitivities * (costs - costs[:, None])
     return nias, coupling
 
 
@@ -132,63 +133,58 @@ def sbrp_residuals(
     return _residual_arrays(d, sol.utility, sol.sensitivities, sol.costs)
 
 
-class _SbrpStages:
-    def __init__(self, d: DecisionDataset):
-        self.d = d
-        self.K = d.num_agents
-        # At one shared utility the best-response rows make each agent's own
-        # actions its best responses: one identity cut per pair j != k is all.
-        pairs = np.nonzero(~np.eye(self.K, dtype=bool))
-        self.pairs = _BrpProgram(d, _identity_cuts(d, *pairs), shared=True)
+def _anchor_stage(d: DecisionDataset):
+    """Best zero-margin certificate at unit sensitivities.
 
-    def anchor_stage(self):
-        """Best zero-margin certificate at unit sensitivities.
+    With all sensitivities equal, opposite swap residuals sum to zero, so
+    feasibility forces every agent's realized value net of cost to be one
+    shared constant and pins the margin at exactly zero.  Imposing that
+    equality and maximizing the best-response slack instead picks a
+    deterministic, informative certificate out of the (huge) zero-margin
+    face.  At K = 2 it gives the sensitivity stage traction; at K >= 3 none
+    (module docstring).  The equality rows are the unit-weight swap rows
+    (k, k + 1), each (realized - cost)_k - (realized - cost)_{k+1}.
+    """
+    k = np.arange(d.num_agents - 1)
+    program = _BrpProgram(d, _identity_cuts(d, k[:0], k[:0]), shared=True)
+    lp = program.build()
+    equal = program.swap_rows(_identity_cuts(d, k, k + 1))
+    lp.add_eq(_margin_rows(lp, equal, False), 0.0)
+    sol = solve_lp(lp).require_optimal("s-UMRI anchor stage")
+    utilities, costs, _ = program.extract(sol.point)
+    return utilities[0], costs
 
-        With all sensitivities equal, opposite swap residuals sum to zero, so
-        feasibility forces every agent's realized value net of cost to be one
-        shared constant and pins the margin at exactly zero.  Imposing that
-        equality and maximizing the best-response slack instead picks a
-        deterministic, informative certificate out of the (huge) zero-margin
-        face, which is what gives the sensitivity stage traction.  The
-        equality rows are the unit-weight swap rows (k, k + 1), each
-        (realized - cost)_k - (realized - cost)_{k+1}.
-        """
-        k = np.arange(self.K - 1)
-        program = _BrpProgram(self.d, _identity_cuts(self.d, k[:0], k[:0]), shared=True)
-        lp = program.build()
-        equal = program.swap_rows(_identity_cuts(self.d, k, k + 1))
-        lp.add_eq(_margin_rows(lp, equal, False), 0.0)
-        sol = solve_lp(lp).require_optimal("s-UMRI anchor stage")
-        utilities, costs, _ = program.extract(sol.point)
-        return utilities[0], costs
 
-    def utility_stage(self, sensitivities, keep=None):
-        """Fix sensitivities; optimize (utility, costs) in the stage ``keep``
-        names (:meth:`_BrpProgram.build`): with the margin variable, whose
-        optimum is returned, or, keeping ``keep``, with none."""
-        lp = self.pairs.build(keep, weights=sensitivities)
-        sol = solve_lp(lp).require_optimal("s-UMRI utility stage")
-        utilities, costs, margin = self.pairs.extract(sol.point)
-        return utilities[0], costs, margin
+def _utility_stage(d: DecisionDataset, sensitivities, keep=None):
+    """Fix sensitivities; optimize (utility, costs) in the stage ``keep``
+    names (:meth:`_BrpProgram.build`): with the margin variable, whose
+    optimum is returned, or, keeping ``keep``, with none."""
+    # At one shared utility the best-response rows make each agent's own
+    # actions its best responses: one identity cut per pair j != k is all.
+    pairs = np.nonzero(~np.eye(d.num_agents, dtype=bool))
+    program = _BrpProgram(d, _identity_cuts(d, *pairs), shared=True)
+    lp = program.build(keep, weights=sensitivities)
+    sol = solve_lp(lp).require_optimal("s-UMRI utility stage")
+    utilities, costs, margin = program.extract(sol.point)
+    return utilities[0], costs, margin
 
-    def sensitivity_stage(self, utility, costs):
-        """Fix (utility, costs); optimize the sensitivities and the margin."""
-        lp = LinearProgram(
-            np.append(np.zeros(self.K), 1.0),
-            np.append(np.full(self.K, LAMBDA_LO), 0.0),
-            np.append(np.full(self.K, LAMBDA_HI), MARGIN_CAP),
-        )
-        every = np.broadcast_to(utility, (self.K, *utility.shape))
-        worst = _worst_nias(nias_residuals(self.d, every)).max()
-        realized = _realized(self.d, utility)
-        j, k = np.nonzero(~np.eye(self.K, dtype=bool))
-        rows = np.zeros((j.size + 1, lp.num_vars))
-        rows[:, -1] = 1.0
-        rows[np.arange(1, j.size + 1), k] = costs[k] - costs[j]
-        first = -worst if np.isfinite(worst) else MARGIN_CAP
-        lp.add_leq(rows, np.append(first, realized[k] - realized[j]))
-        sol = solve_lp(lp).require_optimal("s-UMRI sensitivity stage")
-        return sol.point[: self.K], float(sol.point[-1])
+
+def _sensitivity_stage(d: DecisionDataset, utility, costs):
+    """Fix (utility, costs); optimize the sensitivities and the margin."""
+    K = d.num_agents
+    lo, hi = np.append(np.full(K, LAMBDA_LO), 0.0), np.append(np.full(K, LAMBDA_HI), MARGIN_CAP)
+    lp = LinearProgram(np.append(np.zeros(K), 1.0), lo, hi)
+    every = np.broadcast_to(utility, (K, *utility.shape))
+    worst = _worst_nias(nias_residuals(d, every)).max()
+    realized = _realized(d, utility)
+    j, k = np.nonzero(~np.eye(K, dtype=bool))
+    rows = np.zeros((j.size + 1, lp.num_vars))
+    rows[:, -1] = 1.0
+    rows[np.arange(1, j.size + 1), k] = costs[k] - costs[j]
+    first = -worst if np.isfinite(worst) else MARGIN_CAP
+    lp.add_leq(rows, np.append(first, realized[k] - realized[j]))
+    sol = solve_lp(lp).require_optimal("s-UMRI sensitivity stage")
+    return sol.point[:K], float(sol.point[-1])
 
 
 def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginReport]:
@@ -200,27 +196,24 @@ def sbrp_max_margin(d: DecisionDataset) -> tuple[SharedUtilitySolution, MarginRe
     never exceeds the private-utility margin.  Always solves, and stores the
     solution in ``d``'s memo for :func:`sbrp_sparsest`.
     """
-    stages = _SbrpStages(d)
     lam = np.ones(d.num_agents)
-    utility, costs = stages.anchor_stage()
+    utility, costs = _anchor_stage(d)
     history = [max(_margin_of(*_residual_arrays(d, utility, lam, costs)), 0.0)]
     for _ in range(_MAX_ROUNDS):
-        lam_candidate, margin_b = stages.sensitivity_stage(utility, costs)
+        lam_candidate, margin_b = _sensitivity_stage(d, utility, costs)
         if margin_b - history[-1] < _ALTERNATION_TOL:
             # No real improvement: keep the incumbent sensitivities
             # instead of adopting an equivalent but arbitrary vertex.
             break
         lam = lam_candidate
         history.append(margin_b)
-        utility, costs, margin_a = stages.utility_stage(lam)
+        utility, costs, margin_a = _utility_stage(d, lam)
         history.append(margin_a)
     solution = SharedUtilitySolution.from_certificate(
         d, utility, lam, costs, margin_history=tuple(history)
     )
     d._fits["s-umri"] = solution
-    report = MarginReport.from_solution(
-        solution.margin, np.array([solution.squared_norm()])
-    )
+    report = MarginReport.from_solution(solution.margin, np.array([solution.squared_norm()]))
     return solution, report
 
 
@@ -239,16 +232,10 @@ def sbrp_sparsest(
     utility and costs at fixed sensitivities) and its strict margin taken.
     The max-margin fit is the one stored in ``d``'s memo, when there is one.
     """
-    if not 0.0 < margin_fraction < 1.0:
-        raise ValueError("margin_fraction must lie strictly between 0 and 1")
-    best = _stored_fit(d, "s-umri", sbrp_max_margin)
-    utility, costs, _ = _SbrpStages(d).utility_stage(
-        best.sensitivities, margin_fraction * best.margin
-    )
+    best, keep = _stored_fit(d, "s-umri", sbrp_max_margin, margin_fraction)
+    utility, costs, _ = _utility_stage(d, best.sensitivities, keep)
     if normalize:
         norm = float(np.sqrt((utility * utility).sum()))
-        if norm <= 0:
-            raise ProfileMismatch("cannot normalize an all-zero utility")
         utility, costs = utility * (1.0 / norm), costs * (1.0 / norm)
     return SharedUtilitySolution.from_certificate(
         d,
@@ -291,8 +278,6 @@ def solution_to_dict(
 
 
 def _solution_from_dict(raw: dict) -> SharedUtilitySolution:
-    if raw.get("model") != "s-umri":
-        raise IoFailure("not an s-umri solution file")
     return SharedUtilitySolution(
         utility=np.asarray(raw["utility"], dtype=float),
         sensitivities=np.asarray([a["lambda"] for a in raw["agents"]], dtype=float),

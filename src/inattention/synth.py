@@ -57,6 +57,7 @@ _DEFAULT_GRID = (0.25, 0.5, 0.75, 1.0)
 _ORACLE_SIZE_CAP = 20
 _WEIGHT_FLOOR = 1e-3
 _MAX_ATTEMPTS = 200
+_GARBLE_STRENGTH = 0.3
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,25 +339,21 @@ def generate_feasible_dataset(
 
 
 def generate_boundary_dataset(
-    num_agents: int,
-    num_states: int,
-    num_actions: int,
-    seed: int,
-    *,
-    garble_strength: float = 0.3,
+    num_agents: int, num_states: int, num_actions: int, seed: int
 ) -> GroundTruth:
     """Dataset with a rationalizing certificate of strict margin exactly zero.
 
     One shared utility; the strategies form a chain where each agent's is a
-    garbled copy of the next, more informative one; costs absorb the value
+    garbled copy of the next, more informative one (through the channel
+    (1 - g) I + g M, M a random stochastic matrix, g ``_GARBLE_STRENGTH``
+    halved until the copy's best responses hold); costs absorb the value
     differences so every agent nets the same payoff.  Under this certificate
     all swap residuals are exactly zero: feasible, with no slack to spare.
 
     The dataset is not on the boundary of the UMRI model, which lets each
     agent have its own utility: ``brp_max_margin`` finds a positive margin on
     it, ε* of 7.9e-3 to 1.8e-2 at 5 agents × 4 × 4 and 8.0e-4 to 2.2e-3 at
-    11 × 4 × 4 (seeds 0-2).  With ``garble_strength=0`` every agent has the
-    same strategy, and the fit finds no margin.
+    11 × 4 × 4 (seeds 0-2).
     """
     _check_request(num_agents, num_states, num_actions, seed)
     rng = np.random.default_rng(seed)
@@ -366,7 +363,7 @@ def generate_boundary_dataset(
 
     chain = [top]
     for step in range(num_agents - 1):
-        gamma = garble_strength
+        gamma = _GARBLE_STRENGTH
         for _ in range(60):
             mix = rng.dirichlet(np.ones(num_actions), size=num_actions)
             channel = (1.0 - gamma) * np.eye(num_actions) + gamma * mix
@@ -386,7 +383,7 @@ def generate_boundary_dataset(
     costs = values - (values.min() - SYNTH_COST_FLOOR)
     if costs.max() > 1.0:
         raise RejectionExhausted(
-            "value spread too wide for the unit cost box; lower garble_strength"
+            "value spread too wide for the unit cost box; try another seed"
         )
     return GroundTruth(
         dataset=dataset,

@@ -276,7 +276,11 @@ class TestSparsest:
             np.array_equal(a, b) for a, b in zip(sparse.utilities, again.utilities)
         )
 
-    def test_bad_fraction_rejected(self, d2):
+    def test_bad_fraction_rejected(self, d2, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_lp ran before the fraction was checked")
+
+        monkeypatch.setattr(brp, "solve_lp", no_solve)
         with pytest.raises(ValueError):
             brp_sparsest(d2, margin_fraction=1.5)
 
@@ -700,7 +704,7 @@ class TestProgramRows:
             K = d.num_agents
             lam = rng.uniform(0.5, 2.0, size=K)
             with pytest.raises(Captured) as caught:
-                sbrp._SbrpStages(d).utility_stage(lam)
+                sbrp._utility_stage(d, lam)
             a, _ = caught.value.args[0].dense_rows()
             values = a @ np.concatenate([utilities[0].ravel(), costs, [eps]])
             solution = sbrp.SharedUtilitySolution(
@@ -724,7 +728,7 @@ class TestProgramRows:
         monkeypatch.setattr(sbrp, "solve_lp", capture)
         for d, utilities, costs, eps in _row_draws():
             with pytest.raises(Captured) as caught:
-                sbrp._SbrpStages(d).anchor_stage()
+                sbrp._anchor_stage(d)
             a, b = caught.value.args[0].dense_rows()
             u = utilities[0]
             values = a @ np.concatenate([u.ravel(), costs, [eps]])

@@ -392,6 +392,10 @@ class TestConstructorChecks:
         with pytest.raises(NotStochastic, match=text):
             DecisionDataset(prior, stack, "abc"[: len(stack)])
 
+    def test_one_id_for_two_agents_rejected(self):
+        with pytest.raises(DimensionMismatch, match="^1 agent ids for 2 agents$"):
+            DecisionDataset([0.5, 0.5], _stack(np.eye(2), np.eye(2)), ["a"])
+
     def test_repeated_agent_id_rejected(self, d2):
         # Tables key their rows by agent id, so two agents need two ids.
         with pytest.raises(DimensionMismatch, match="^agent id 'b' names more than one agent$"):
@@ -901,6 +905,29 @@ class TestSoftmaxLogParse:
         path = tmp_path / "log.csv"
         path.write_text(f"{HEADER}\nb,i0,0,0.5,0.5\n{row}\n")
         with pytest.raises(IoFailure, match="malformed numeric field"):
+            read_softmax_log(str(path))
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("a,i1,1,0.5x,0.5", "could not convert string to float: '0.5x'"),
+            ("a,i1,1.5,0.5,0.5", "invalid literal for int() with base 10: '1.5'"),
+            ("a,i1,1,0_5,0.5", "not a plain decimal number: '0_5'"),
+            ("a,i1,1_0,0.5,0.5", "not a plain decimal number: '1_0'"),
+            ("a,i1,1,\u0661,0.5", "not a plain decimal number: '\u0661'"),
+        ],
+        ids=[
+            "probability", "label", "separator in a probability", "separator in a label",
+            "arabic-indic digit",
+        ],
+    )
+    def test_malformed_number_names_its_line_counting_blank_lines(self, tmp_path, row, message):
+        """Python's float and int read 0_5 and non-ASCII digits; loadtxt does
+        not, and its error counts records, not lines."""
+        path = tmp_path / "log.csv"
+        path.write_text(f"{HEADER}\na,i0,0,0.5,0.5\n\n{row}\n", encoding="utf-8")
+        text = f"{path}:4: malformed numeric field: {message}"
+        with pytest.raises(IoFailure, match=re.escape(text)):
             read_softmax_log(str(path))
 
     @pytest.mark.parametrize(

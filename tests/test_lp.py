@@ -487,10 +487,16 @@ class TestWarmStart:
             with pytest.raises(ValueError):
                 solve_lp(bad, start=basis)
         # A bare basis: a bound code for each variable and each of its rows,
-        # over no more rows than the program has.
+        # over no more rows than the program has, distinct basic columns
+        # among its n + m, and bound codes 0 or 1.
         short_status = LpBasis(basis.basic, basis.status[:-1])
         more_basic = LpBasis(np.arange(2, 5), np.zeros(5, dtype=np.int8))
-        for bad in (short_status, more_basic):
+        codes = np.zeros(4, dtype=np.int8)
+        out_of_range = LpBasis(np.array([2, 7]), codes)
+        negative = LpBasis(np.array([-1, 2]), codes)
+        repeated = LpBasis(np.array([0, 0]), codes)
+        bad_code = LpBasis(np.array([2, 3]), np.array([0, 5, 0, 0], dtype=np.int8))
+        for bad in (short_status, more_basic, out_of_range, negative, repeated, bad_code):
             with pytest.raises(ValueError):
                 solve_lp(lp, start=bad)
 
@@ -1541,6 +1547,23 @@ class TestRareBranches:
         assert reached(seen), seen
         assert statuses.count(LpStatus.OPTIMAL) >= 150
         assert statuses.count(LpStatus.INFEASIBLE) >= 150
+
+    def test_infeasible_on_the_true_rhs_after_a_feasible_perturbed_one(self, monkeypatch):
+        # Row i's rhs gets +1e-10 i: rows 30 and 31, x <= 0 and -x <= -2e-9,
+        # admit x in [-1.1e-9, 3e-9], but on the true rhs they are 2e-9 apart,
+        # above the 1e-9 feasibility tolerance.
+        lp = LinearProgram([1.0], [-1.0], [1.0])
+        lp.add_leq(np.zeros((29, 1)), np.ones(29))
+        lp.add_leq([[1.0], [-1.0]], [0.0, -2e-9])
+        verdicts, run_dual = [], lp_module._Simplex._dual
+
+        def spied_dual(self, cost):
+            verdicts.append((self.b is self.b_true, run_dual(self, cost)))
+            return verdicts[-1][1]
+
+        monkeypatch.setattr(lp_module._Simplex, "_dual", spied_dual)
+        assert solve_lp(lp).status is LpStatus.INFEASIBLE
+        assert verdicts == [(False, True), (True, False)]
 
     def test_bland_takes_the_lowest_column_id(self, monkeypatch):
         # Pivots permute the nonbasic positions; Bland's cycle-free guarantee

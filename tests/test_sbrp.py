@@ -20,7 +20,7 @@ from inattention.errors import (
 )
 from inattention.sbrp import (
     SharedUtilitySolution,
-    _SbrpStages,
+    _anchor_stage,
     reconstruct_cost_compact,
     sbrp_max_margin,
     sbrp_residuals,
@@ -42,7 +42,7 @@ def make_solution(u, lam, c, margin=0.0):
 
 def anchor_fit(d):
     """The alternating fit's first stage: sensitivities pinned at one."""
-    utility, costs = _SbrpStages(d).anchor_stage()
+    utility, costs = _anchor_stage(d)
     unit = make_solution(utility, np.ones(d.num_agents), costs)
     return make_solution(
         utility, unit.sensitivities, costs, _margin_of(*sbrp_residuals(d, unit))
@@ -158,7 +158,11 @@ class TestMaxMargin:
 
 class TestSparsest:
     @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5, 1.5])
-    def test_fraction_outside_the_open_unit_interval_rejected(self, d2, fraction):
+    def test_fraction_outside_the_open_unit_interval_rejected(self, d2, fraction, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve_lp ran before the fraction was checked")
+
+        monkeypatch.setattr(sbrp, "solve_lp", no_solve)
         with pytest.raises(ValueError):
             sbrp_sparsest(d2, margin_fraction=fraction)
 

@@ -159,11 +159,6 @@ def test_one_action_is_rejected_by_the_feasible_generator_only(states):
 
 
 class TestBoundaryGenerator:
-    def test_identity_garbling_gives_identical_agents(self):
-        gt = generate_boundary_dataset(2, 2, 2, seed=4, garble_strength=0.0)
-        assert np.allclose(gt.dataset.choice(0), gt.dataset.choice(1))
-        assert gt.costs[0] == pytest.approx(gt.costs[1])
-
     def test_hand_garbling_example(self):
         # Identity strategy garbled through a 0.8/0.2 mixing channel under an
         # identity-like utility: the values differ by exactly the cost gap.
@@ -195,11 +190,6 @@ class TestBoundaryGenerator:
         assert abs(strict_margin(gt.dataset, gt.utilities, gt.costs)) <= 1e-9
         _, report = brp_max_margin(gt.dataset)
         assert report.epsilon_star > DEGENERATE_MARGIN
-
-    def test_fit_margin_is_degenerate_or_tiny(self):
-        gt = generate_boundary_dataset(3, 2, 2, seed=13, garble_strength=0.0)
-        prof, report = brp_max_margin(gt.dataset)
-        assert report.degenerate
 
 
 class TestGridOracle:
